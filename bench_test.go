@@ -172,7 +172,7 @@ func BenchmarkWireCloneRoundTrip(b *testing.B) {
 // independent (log tables key by query id).
 func benchQuery(b *testing.B, web *Web, opts ServerOptions, src string, metrics ...func(*Deployment, int)) {
 	b.Helper()
-	d, err := NewDeployment(Config{Web: web, Server: opts, NoDocService: true})
+	d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Server: opts, NoDocService: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func BenchmarkFigure5Dedup(b *testing.B) {
 
 // BenchmarkFigure5NoDedup is the F5 ablation: the log table off.
 func BenchmarkFigure5NoDedup(b *testing.B) {
-	benchQuery(b, Figure5Web(), ServerOptions{Dedup: DedupOff, DedupSet: true, MaxHops: 16}, Figure5Query,
+	benchQuery(b, Figure5Web(), ServerOptions{Dedup: DedupOff, MaxHops: 16}, Figure5Query,
 		func(d *Deployment, n int) {
 			m := d.Metrics().Snapshot()
 			b.ReportMetric(float64(m.Evaluations)/float64(n), "evals/op")
@@ -274,7 +274,7 @@ func BenchmarkShipping(b *testing.B) {
 func BenchmarkLatency(b *testing.B) {
 	const lat = 2 * time.Millisecond
 	b.Run("query-shipping", func(b *testing.B) {
-		d, err := NewDeployment(Config{Web: CampusWeb(), Net: NetOptions{Latency: lat}, NoDocService: true})
+		d, err := NewDeployment(Config{Web: CampusWeb(), Net: NetOptions{Latency: lat}, Exec: ExecConfig{NoDocService: true}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,10 +314,10 @@ func BenchmarkDedupAblation(b *testing.B) {
 		name string
 		opts ServerOptions
 	}{
-		{"off", ServerOptions{Dedup: DedupOff, DedupSet: true, MaxHops: 10}},
-		{"exact", ServerOptions{Dedup: DedupExact, DedupSet: true}},
+		{"off", ServerOptions{Dedup: DedupOff, MaxHops: 10}},
+		{"exact", ServerOptions{Dedup: DedupExact}},
 		{"subsume", ServerOptions{}},
-		{"strong", ServerOptions{Dedup: DedupStrong, DedupSet: true}},
+		{"strong", ServerOptions{Dedup: DedupStrong}},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -356,7 +356,7 @@ func BenchmarkBatchingAblation(b *testing.B) {
 // BenchmarkCHTOverhead regenerates experiment T5: what the completion
 // protocol costs per query.
 func BenchmarkCHTOverhead(b *testing.B) {
-	d, err := NewDeployment(Config{Web: CampusWeb(), NoDocService: true})
+	d, err := NewDeployment(Config{Web: CampusWeb(), Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func BenchmarkCHTOverhead(b *testing.B) {
 func BenchmarkTermination(b *testing.B) {
 	web := ChainWeb(30, 1, 9)
 	src := fmt.Sprintf(`select d.url from document d such that %q N|G* d`, web.First())
-	d, err := NewDeployment(Config{Web: web, Net: NetOptions{Latency: time.Millisecond}, NoDocService: true})
+	d, err := NewDeployment(Config{Web: web, Net: NetOptions{Latency: time.Millisecond}, Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func BenchmarkMigration(b *testing.B) {
 	for _, h := range hosts[:len(hosts)/2] {
 		set[h] = true
 	}
-	d, err := NewDeployment(Config{Web: web, Participate: func(s string) bool { return set[s] }})
+	d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Participate: func(s string) bool { return set[s] }}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,11 +450,9 @@ func BenchmarkMigration(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// PR-3 hot-path benchmarks: connection pooling, parse caching, parallel
-// fan-out. The full before/after grid (with the per-config counter deltas)
-// is experiment T13; regenerate its machine-readable artifact with:
-//
-//	go run ./cmd/webdis-bench -exp perf   # writes BENCH_PR3.json
+// Hot-path benchmarks: connection pooling, parse caching, parallel
+// fan-out. End to end the same path is measured by the yardstick's
+// fanout-tcp and tree40-docs workloads (go run ./benchmark).
 
 // BenchmarkParseStagesCached measures the compiled-query cache against
 // the parse-per-arrival path it replaces, on the campus query's stages.
@@ -540,23 +538,17 @@ func BenchmarkSendPooled(b *testing.B) {
 }
 
 // BenchmarkTreeHotPath is the end-to-end fan-out benchmark: one full
-// query over the 40-site tree per iteration, seed engine vs the PR-3
-// hot path (pooled connections, parallel fan-out, parse cache,
-// singleflight + cached DBs).
+// query over the 40-site tree per iteration with retained databases and
+// four Query Processor workers.
 func BenchmarkTreeHotPath(b *testing.B) {
 	web := TreeWeb(TreeOpts{Fanout: 3, Depth: 3, PagesPerSite: 1, MarkerFrac: 0.6, FillerWords: 30, Seed: 7})
 	src := fmt.Sprintf(`select d.url from document d such that %q N|(G*3) d where d.text contains %q`,
 		web.First(), webgraph.Marker)
-	b.Run("baseline", func(b *testing.B) {
-		benchQuery(b, web, ServerOptions{NoConnPool: true, SerialFanout: true, NoParseCache: true, NoSingleflight: true}, src)
-	})
-	b.Run("optimized", func(b *testing.B) {
-		benchQuery(b, web, ServerOptions{CacheDBs: true, Workers: 4}, src,
-			func(d *Deployment, n int) {
-				m := d.Metrics().Snapshot()
-				b.ReportMetric(float64(m.ConnReused)/float64(n), "conn-reused/op")
-				b.ReportMetric(float64(m.ConnDialed)/float64(n), "conn-dialed/op")
-				b.ReportMetric(float64(m.ParseCacheHits)/float64(n), "parse-hits/op")
-			})
-	})
+	benchQuery(b, web, ServerOptions{CacheDBs: true, Workers: 4}, src,
+		func(d *Deployment, n int) {
+			m := d.Metrics().Snapshot()
+			b.ReportMetric(float64(m.ConnReused)/float64(n), "conn-reused/op")
+			b.ReportMetric(float64(m.ConnDialed)/float64(n), "conn-dialed/op")
+			b.ReportMetric(float64(m.ParseCacheHits)/float64(n), "parse-hits/op")
+		})
 }

@@ -80,8 +80,6 @@ func main() {
 	if *wirev != "v1" && *wirev != "v2" {
 		fatal(fmt.Errorf("unknown wire format %q (want v1 or v2)", *wirev))
 	}
-	c := client.NewWith(tr, username, "tcp://"+*listen, client.Options{Planner: !*naive, WireV1: *wirev == "v1"})
-	c.SetHybrid(*hybrid)
 	var journal *trace.Journal
 	if *traceMode != "" {
 		switch *traceMode {
@@ -93,8 +91,10 @@ func main() {
 		// span ids they echo on every result message let the client
 		// stitch the clone tree from its own collector socket.
 		journal = trace.NewJournal("tcp://"+*listen, 0)
-		c.SetJournal(journal)
 	}
+	c := client.NewWith(tr, username, "tcp://"+*listen, client.Options{
+		Hybrid: *hybrid, Journal: journal, Planner: !*naive, WireV1: *wirev == "v1",
+	})
 
 	fmt.Printf("webdis: %s\n", w)
 	if *watch {

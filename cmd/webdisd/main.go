@@ -33,6 +33,7 @@ import (
 	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
 	"webdis/internal/server"
+	"webdis/internal/trace"
 	"webdis/internal/webgraph"
 	"webdis/internal/webserver"
 )
@@ -51,7 +52,7 @@ func main() {
 	dbcache := flag.Int("dbcache", 0, "retain constructed node databases in an LRU of this many entries (0 = build per evaluation, the paper's default)")
 	mutate := flag.Duration("mutate", 0, "apply one step of the seeded web mutation schedule this often (0 = frozen web); give every daemon the same -mutate and -mutseed so their copies of the corpus stay in sync")
 	mutseed := flag.Int64("mutseed", 20, "mutation schedule seed shared by all daemons")
-	verbose := flag.Bool("v", false, "trace query processing to stderr")
+	verbose := flag.Bool("v", false, "print the site's trace journal to stderr")
 	flag.Parse()
 
 	if *peersPath == "" || *site == "" {
@@ -97,7 +98,7 @@ func main() {
 		defer host.Stop()
 	}
 
-	opts := server.Options{DedupSet: true}
+	var opts server.Options
 	if *storeDir != "" {
 		opts.Store = server.StoreOptions{Dir: *storeDir, PoolPages: *poolPages}
 	}
@@ -140,9 +141,7 @@ func main() {
 		fatal(fmt.Errorf("unknown dedup mode %q", *dedup))
 	}
 	if *verbose {
-		opts.Trace = func(e server.Event) {
-			fmt.Fprintf(os.Stderr, "[%s] %-40s %-12s %s %s\n", e.Site, e.Node, e.State, e.Action, e.Detail)
-		}
+		opts.Journal = trace.NewJournal(*site, 0)
 	}
 
 	met := &server.Metrics{}
@@ -152,6 +151,28 @@ func main() {
 	}
 	defer s.Stop()
 	fmt.Printf("webdisd: serving %s (%d pages) on %s\n", *site, len(web.URLsAt(*site)), me.query)
+
+	// -v drains the site journal to stderr a few times a second, and once
+	// more on the way out.
+	quit := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		if opts.Journal == nil {
+			return
+		}
+		tick := time.NewTicker(250 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				printJournal(opts.Journal)
+			case <-quit:
+				printJournal(opts.Journal)
+				return
+			}
+		}
+	}()
 
 	if *mutate > 0 {
 		// Every daemon replays the same deterministic schedule against
@@ -194,9 +215,19 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	close(quit)
+	<-drained
 	m := met.Snapshot()
 	fmt.Printf("webdisd: shutting down; evaluations=%d forwards=%d duplicates=%d dead-ends=%d\n",
 		m.Evaluations, m.ClonesForwarded+m.LocalClones, m.DupDropped, m.DeadEnds)
+}
+
+// printJournal writes the journal's pending events to stderr, one line
+// each, and reclaims the ring.
+func printJournal(j *trace.Journal) {
+	for _, e := range j.Flush() {
+		fmt.Fprintf(os.Stderr, "[%s] %-40s %-12s %s %s\n", e.Site, e.Node, e.State, e.Kind, e.Detail)
+	}
 }
 
 type peer struct {

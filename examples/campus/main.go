@@ -7,24 +7,14 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"webdis"
 )
 
 func main() {
-	var mu sync.Mutex
-	var trace []webdis.TraceEvent
-
 	d, err := webdis.NewDeployment(webdis.Config{
-		Web: webdis.CampusWeb(),
-		Server: webdis.ServerOptions{
-			Trace: func(e webdis.TraceEvent) {
-				mu.Lock()
-				trace = append(trace, e)
-				mu.Unlock()
-			},
-		},
+		Web:  webdis.CampusWeb(),
+		Exec: webdis.ExecConfig{Trace: true},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -40,11 +30,7 @@ func main() {
 	}
 
 	fmt.Println("Traversal of the query (Figure 7):")
-	mu.Lock()
-	for _, e := range trace {
-		fmt.Printf("  %-47s state %-12s %s %s\n", e.Node, e.State, e.Action, e.Detail)
-	}
-	mu.Unlock()
+	fmt.Print(d.Journey(q).FormatTraversal())
 
 	fmt.Println("\nResults of the query (Figure 8):")
 	for _, table := range q.Results() {

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"webdis"
 )
@@ -30,19 +29,9 @@ func main() {
 	web.NewPage("http://site.example/manual.html", "Manual").AddText("RTFM.")
 	web.NewPage("http://mirror.example/index.html", "Mirror").AddText("Mirror home.")
 
-	var mu sync.Mutex
-	floating := make(map[string]bool)
 	d, err := webdis.NewDeployment(webdis.Config{
-		Web: web,
-		Server: webdis.ServerOptions{
-			Trace: func(e webdis.TraceEvent) {
-				if e.Action == "missing" {
-					mu.Lock()
-					floating[e.Node] = true
-					mu.Unlock()
-				}
-			},
-		},
+		Web:  web,
+		Exec: webdis.ExecConfig{Trace: true},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -51,7 +40,7 @@ func main() {
 
 	// Walk every link reachable from the homepage. The query needs no
 	// predicate: reaching a node is what verifies it exists.
-	_, err = d.Run(`
+	q, err := d.Run(`
 select d.url
 from document d such that "http://site.example/index.html" N|(L|G)* d`, webdis.Forever)
 	if err != nil {
@@ -64,9 +53,9 @@ from document d such that "http://site.example/index.html" N|(L|G)* d`, webdis.F
 		return
 	}
 	fmt.Println("floating links detected:")
-	mu.Lock()
-	for url := range floating {
-		fmt.Println("  ", url)
+	for _, l := range d.Journey(q).Traversal() {
+		if l.Action == "missing" {
+			fmt.Println("  ", l.Node)
+		}
 	}
-	mu.Unlock()
 }

@@ -27,9 +27,8 @@ import (
 // cache).
 type Options struct {
 	// Dedup selects the frontier's duplicate-state rules; the zero value
-	// means DedupSubsume unless DedupSet is true (mirrors server.Options).
-	Dedup    nodeproc.DedupMode
-	DedupSet bool
+	// is DedupSubsume (mirrors server.Options).
+	Dedup nodeproc.DedupMode
 	// NoCache disables the per-query document cache, re-downloading a
 	// document on every visit — the worst-case data-shipping profile.
 	NoCache bool
@@ -38,13 +37,6 @@ type Options struct {
 	MaxHops int
 	// StrictDeadEnds mirrors server.Options.StrictDeadEnds.
 	StrictDeadEnds bool
-}
-
-func (o Options) dedup() nodeproc.DedupMode {
-	if !o.DedupSet && o.Dedup == nodeproc.DedupOff {
-		return nodeproc.DedupSubsume
-	}
-	return o.Dedup
 }
 
 // Stats describes the work a centralized run performed.
@@ -74,7 +66,7 @@ func Run(tr netsim.Transport, from string, w *disql.WebQuery, opts Options) (*Re
 	}
 	start := time.Now()
 	fetcher := webserver.NewFetcher(tr, from)
-	log := nodeproc.NewLogTable(opts.dedup())
+	log := nodeproc.NewLogTable(opts.Dedup)
 	qid := wire.QueryID{User: "centralized", Site: from, Num: 1}
 
 	cache := make(map[string][]byte)

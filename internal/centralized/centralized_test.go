@@ -73,7 +73,7 @@ func TestCentralizedDedupModes(t *testing.T) {
 	if def.Stats.DupDropped != 2 {
 		t.Errorf("default dedup dropped = %d, want 2 (arrivals d, e)", def.Stats.DupDropped)
 	}
-	off, err := Run(n, "b/results", w, Options{Dedup: nodeproc.DedupOff, DedupSet: true, MaxHops: 16})
+	off, err := Run(n, "b/results", w, Options{Dedup: nodeproc.DedupOff, MaxHops: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,36 +211,6 @@ func (c *Client) frameOpts() wire.FramedOptions {
 	return wire.FramedOptions{}
 }
 
-// SetHybrid enables the Section 7.1 migration path for queries submitted
-// afterwards.
-//
-// Deprecated: set Options.Hybrid via NewWith.
-func (c *Client) SetHybrid(on bool) { c.opts.Hybrid = on }
-
-// SetReapGrace arms the orphan-CHT reaper for queries submitted
-// afterwards.
-//
-// Deprecated: set Options.ReapGrace via NewWith.
-func (c *Client) SetReapGrace(grace time.Duration) { c.opts.ReapGrace = grace }
-
-// SetMetrics shares a deployment-wide metrics collector.
-//
-// Deprecated: set Options.Metrics via NewWith.
-func (c *Client) SetMetrics(m *server.Metrics) { c.opts.Metrics = m }
-
-// SetJournal arms causal tracing for queries submitted afterwards.
-//
-// Deprecated: set Options.Journal via NewWith.
-func (c *Client) SetJournal(j *trace.Journal) { c.opts.Journal = j }
-
-// SetIndexResolver installs the search-index lookup used to resolve
-// `index("term")` StartNode sources.
-//
-// Deprecated: set Options.IndexResolver via NewWith.
-func (c *Client) SetIndexResolver(resolve func(term string) []string) {
-	c.opts.IndexResolver = resolve
-}
-
 // ResultTable is the merged result of one node-query across all answering
 // nodes.
 type ResultTable struct {

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"webdis/internal/disql"
 	"webdis/internal/nodeproc"
@@ -142,12 +143,21 @@ func (f *fallback) process(c *wire.CloneMsg) {
 	f.q.mu.Lock()
 	f.q.fstats.LocalClones++
 	f.q.mu.Unlock()
-	f.q.jot(c, trace.Arrive, strconv.Itoa(len(c.Dest))+" dests (fallback)")
+	if f.q.journal != nil {
+		f.q.jot(c, trace.Arrive, strconv.Itoa(len(c.Dest))+" dests (fallback)")
+	}
+	// The clone's budget binds here exactly as at a query server: an
+	// expired clone retires unevaluated, a spent hop quota stops
+	// forwarding, and the row quota clips what is reported.
+	if c.Budget.ExpiredAt(time.Now().UnixNano()) {
+		f.retireAll(c, true)
+		return
+	}
 
 	stages, _, err := nodeproc.ParseStagesCached(c.Stages)
 	arrRem, _, err2 := pre.ParseCached(c.Rem)
 	if err != nil || err2 != nil || len(stages) == 0 {
-		f.retireAll(c)
+		f.retireAll(c, false)
 		return
 	}
 
@@ -155,6 +165,7 @@ func (f *fallback) process(c *wire.CloneMsg) {
 	var tables []wire.NodeTable
 	outs := make(map[string]*wire.CloneMsg)
 	var order []string
+	rows := c.Budget.Rows // row quota left
 
 	seen := make(map[string]bool)
 	for _, dest := range c.Dest {
@@ -165,9 +176,12 @@ func (f *fallback) process(c *wire.CloneMsg) {
 			continue
 		}
 		seen[dest.URL] = true
-		upd, tbls := f.processNode(dest, arrRem, stages, c, outs, &order)
+		upd, tbls := f.processNode(dest, arrRem, stages, c, outs, &order, &rows)
 		updates = append(updates, upd)
 		tables = append(tables, tbls...)
+	}
+	for _, key := range order {
+		outs[key].Budget.Rows = rows
 	}
 
 	// Apply results and CHT updates locally first (CHT-before-forward).
@@ -180,7 +194,7 @@ func (f *fallback) process(c *wire.CloneMsg) {
 }
 
 // processNode mirrors server.processNode for local execution.
-func (f *fallback) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql.Stage, c *wire.CloneMsg, outs map[string]*wire.CloneMsg, order *[]string) (wire.CHTUpdate, []wire.NodeTable) {
+func (f *fallback) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql.Stage, c *wire.CloneMsg, outs map[string]*wire.CloneMsg, order *[]string, rows *int) (wire.CHTUpdate, []wire.NodeTable) {
 	node := dest.URL
 	arrival := wire.CHTEntry{
 		Node:   node,
@@ -241,18 +255,26 @@ func (f *fallback) processNode(dest wire.DestNode, arrRem pre.Expr, stages []dis
 			f.q.fstats.Evaluations++
 			f.q.mu.Unlock()
 			if !res.DeadEnd && len(it.stages[0].Query.Select) > 0 && !res.Table.Empty() {
-				tables = append(tables, wire.NodeTable{
-					Node: node, Stage: it.base,
-					Cols: res.Table.Cols, Rows: res.Table.Rows,
-					// Env identifies the contribution for the aggregate
-					// fold, exactly as the servers stamp it.
-					Env: wire.EnvKey(it.env),
-				})
+				keep, left := wire.TakeRows(*rows, len(res.Table.Rows))
+				*rows = left
+				if keep > 0 {
+					tables = append(tables, wire.NodeTable{
+						Node: node, Stage: it.base,
+						Cols: res.Table.Cols, Rows: res.Table.Rows[:keep],
+						// Env identifies the contribution for the aggregate
+						// fold, exactly as the servers stamp it.
+						Env: wire.EnvKey(it.env),
+					})
+				}
 			}
 		}
-		for _, fw := range res.Continue {
-			update.Children = append(update.Children,
-				f.addTargets(outs, order, fw, it.stages, it.base, it.env, c)...)
+		// A spent hop quota stops forwarding; the stage advance below stays
+		// at this node (no hop), so it is still allowed.
+		if c.Budget.Hops >= 0 {
+			for _, fw := range res.Continue {
+				update.Children = append(update.Children,
+					f.addTargets(outs, order, fw, it.stages, it.base, it.env, c)...)
+			}
 		}
 		if res.Advance {
 			work = append(work, item{it.stages[1].PRE, it.stages[1:], it.base + 1,
@@ -279,12 +301,10 @@ func (f *fallback) addTargets(outs map[string]*wire.CloneMsg, order *[]string, f
 				Stages: nodeproc.EncodeStages(stages),
 				Hops:   c.Hops + 1,
 				Env:    env,
-				// A rejoining clone keeps the query's budget, one hop
-				// spent, so distributed enforcement resumes where it
-				// left off. (The fallback itself only evaluates clones
-				// already admitted and paid for.) The plan fragment
-				// rejoins too — the next participating site resumes
-				// pushdown.
+				// A child keeps the query's budget, one hop spent (process
+				// fills in the row quota left), so enforcement continues
+				// wherever the child lands. The plan fragment rejoins too
+				// — the next participating site resumes pushdown.
 				Budget: c.Budget.Spend(),
 				Frag:   c.Frag,
 			}
@@ -329,8 +349,10 @@ func (f *fallback) forward(oc *wire.CloneMsg) {
 	f.enqueue(oc)
 }
 
-// retireAll retires a malformed clone's entries locally.
-func (f *fallback) retireAll(c *wire.CloneMsg) {
+// retireAll retires the entries of a clone that will not be processed —
+// malformed, or (expired) past its budget's deadline, the typed EXPIRED
+// retirement.
+func (f *fallback) retireAll(c *wire.CloneMsg, expired bool) {
 	st := c.State()
 	updates := make([]wire.CHTUpdate, 0, len(c.Dest))
 	for _, dest := range c.Dest {
@@ -338,5 +360,5 @@ func (f *fallback) retireAll(c *wire.CloneMsg) {
 			Node: dest.URL, State: st, Origin: dest.Origin, Seq: dest.Seq,
 		}})
 	}
-	f.q.merge(&wire.ResultMsg{ID: c.ID, Updates: updates})
+	f.q.merge(&wire.ResultMsg{ID: c.ID, Updates: updates, Expired: expired})
 }

@@ -29,8 +29,7 @@ func TestFallbackProcessesWholeQueryLocally(t *testing.T) {
 	n := netsim.New(netsim.Options{})
 	hostAll(t, n, web)
 
-	c := New(n, "u", "user")
-	c.SetHybrid(true)
+	c := NewWith(n, "u", "user", Options{Hybrid: true})
 	q, err := c.Submit(disql.MustParse(webgraph.CampusDISQL))
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +73,7 @@ func TestFallbackDocumentCacheBounded(t *testing.T) {
 
 	n := netsim.New(netsim.Options{})
 	hostAll(t, n, web)
-	c := New(n, "u", "user")
-	c.SetHybrid(true)
+	c := NewWith(n, "u", "user", Options{Hybrid: true})
 	q, err := c.Submit(disql.MustParse(
 		`select d.url from document d such that "http://a.example/top.html" N|G*3 d`))
 	if err != nil {
@@ -98,8 +96,7 @@ func TestFallbackMissingDocumentIsDeadEnd(t *testing.T) {
 	p.AddLink("/gone.html", "floating")
 	n := netsim.New(netsim.Options{})
 	hostAll(t, n, web)
-	c := New(n, "u", "user")
-	c.SetHybrid(true)
+	c := NewWith(n, "u", "user", Options{Hybrid: true})
 	q, err := c.Submit(disql.MustParse(
 		`select d.url from document d such that "http://a.example/x.html" N|L d`))
 	if err != nil {
@@ -127,8 +124,7 @@ func TestFallbackCancelledQueryStops(t *testing.T) {
 	web := webgraph.Chain(100, 1, 2)
 	n := netsim.New(netsim.Options{Latency: time.Millisecond})
 	hostAll(t, n, web)
-	c := New(n, "u", "user")
-	c.SetHybrid(true)
+	c := NewWith(n, "u", "user", Options{Hybrid: true})
 	q, err := c.Submit(disql.MustParse(
 		`select d.url from document d such that "http://c0.example/p0.html" N|G* d`))
 	if err != nil {

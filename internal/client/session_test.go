@@ -122,8 +122,7 @@ func TestSessionExpiredFateReconciles(t *testing.T) {
 	// shows FateExpired — the remote site's journal is never read.
 	n := netsim.New(netsim.Options{})
 	f := newFakeServer(t, n, "a.example")
-	c := New(n, "u", "user")
-	c.SetJournal(trace.NewJournal("user", 0))
+	c := NewWith(n, "u", "user", Options{Journal: trace.NewJournal("user", 0)})
 	s, err := c.NewSession()
 	if err != nil {
 		t.Fatal(err)

@@ -95,9 +95,11 @@ func TestChaosDropDifferential(t *testing.T) {
 					Net: netsim.Options{Faults: netsim.FaultPlan{
 						Seed: seed, Drop: drop, Sever: drop / 5,
 					}},
-					Server:    server.Options{Retry: chaosRetry},
-					Hybrid:    true,
-					ReapGrace: 400 * time.Millisecond,
+					Exec: ExecConfig{
+						Server:    server.Options{Retry: chaosRetry},
+						Hybrid:    true,
+						ReapGrace: 400 * time.Millisecond,
+					},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -164,9 +166,11 @@ func TestChaosNoRetryAblation(t *testing.T) {
 		web := chaosWeb(seed)
 		want := baselineRows(t, web, chaosDISQL)
 		d, err := NewDeployment(Config{
-			Web:       web,
-			Net:       netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.20}},
-			ReapGrace: 400 * time.Millisecond,
+			Web: web,
+			Net: netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.20}},
+			Exec: ExecConfig{
+				ReapGrace: 400 * time.Millisecond,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -235,9 +239,11 @@ where d.text contains "` + webgraph.Marker + `"`
 		Net: netsim.Options{Faults: netsim.FaultPlan{
 			Windows: []netsim.DownWindow{{Endpoint: victim, From: 0, Until: time.Hour}},
 		}},
-		Server:    server.Options{Retry: server.RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 5 * time.Millisecond}},
-		Hybrid:    true,
-		ReapGrace: 400 * time.Millisecond,
+		Exec: ExecConfig{
+			Server:    server.Options{Retry: server.RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 5 * time.Millisecond}},
+			Hybrid:    true,
+			ReapGrace: 400 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,9 +285,11 @@ where d.text contains "` + webgraph.Marker + `"`
 func TestChaosOrphanReapedAfterSilentCrash(t *testing.T) {
 	const victim = "dsl.serc.iisc.ernet.in"
 	d, err := NewDeployment(Config{
-		Web:       webgraph.Campus(),
-		Server:    server.Options{Retry: server.RetryPolicy{Attempts: 2, Base: time.Millisecond}},
-		ReapGrace: 300 * time.Millisecond,
+		Web: webgraph.Campus(),
+		Exec: ExecConfig{
+			Server:    server.Options{Retry: server.RetryPolicy{Attempts: 2, Base: time.Millisecond}},
+			ReapGrace: 300 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -352,12 +360,14 @@ where d.text contains "` + webgraph.Marker + `"`
 			d, err := NewDeployment(Config{
 				Web: web,
 				Net: netsim.Options{Faults: plan},
-				Server: server.Options{Retry: server.RetryPolicy{
-					Attempts: 3, Base: time.Millisecond, Max: 10 * time.Millisecond,
-					Timeout: 200 * time.Millisecond,
-				}},
-				Hybrid:    true,
-				ReapGrace: 300 * time.Millisecond,
+				Exec: ExecConfig{
+					Server: server.Options{Retry: server.RetryPolicy{
+						Attempts: 3, Base: time.Millisecond, Max: 10 * time.Millisecond,
+						Timeout: 200 * time.Millisecond,
+					}},
+					Hybrid:    true,
+					ReapGrace: 300 * time.Millisecond,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)

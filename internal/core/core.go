@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -28,46 +27,78 @@ import (
 
 // ExecConfig groups a deployment's execution-path knobs: how query
 // servers run, which sites participate, how the user-site degrades and
-// observes. Preferred over the equivalent deprecated flat Config
-// fields; when both are set, the flat field wins (it predates the
-// group).
+// observes.
 type ExecConfig struct {
-	// Server configures every query server (dedup mode, batching, trace).
+	// Server configures every query server (dedup mode, batching, ...).
 	Server server.Options
-	// Transport runs the deployment over this transport instead of a
-	// fresh simulated fabric (see Config.Transport).
+	// Transport, when set, runs the deployment over this transport (e.g.
+	// netsim.NewTCP for real sockets within one process) instead of a
+	// fresh simulated fabric. Network() then returns nil: the fabric's
+	// fault injection, traffic stats and transport-level trace observer
+	// are unavailable, and Config.Net is ignored.
 	Transport netsim.Transport
 	// User names the user submitting queries; defaults to "user".
 	User string
-	// NoDocService skips starting the per-site fetch services.
+	// NoDocService skips starting the per-site fetch services; the
+	// distributed engine reads documents co-located, so only runs that
+	// also use the centralized baseline need them.
 	NoDocService bool
-	// Participate selects which sites run a query server.
+	// Participate, when non-nil, selects which sites run a query server —
+	// the paper's Section 7.1 world where only some of the web has
+	// adopted WEBDIS. Non-participating sites keep their document host,
+	// servers bounce undeliverable clones back to the user-site, and the
+	// client's hybrid fallback processes them centrally. Incompatible
+	// with NoDocService (the fallback must be able to download).
 	Participate func(site string) bool
 	// Hybrid enables the bounce/fallback path even when every site
-	// participates.
+	// participates: a clone whose forward attempts are exhausted under
+	// Server.Retry is returned to the user-site and evaluated centrally —
+	// per-edge degraded-mode recovery from query shipping to data
+	// shipping. Implied by Participate. Incompatible with NoDocService.
 	Hybrid bool
-	// ReapGrace arms the client's orphan-CHT reaper.
+	// ReapGrace arms the client's orphan-CHT reaper: a query that has
+	// seen no report for this long while entries remain outstanding is
+	// completed as Partial, its orphans retired. Zero disables reaping.
 	ReapGrace time.Duration
-	// Replicas runs every participating site as N replica servers.
+	// Replicas runs every participating site as N replica query servers
+	// behind a shared cluster membership table (see internal/cluster):
+	// replica 0 listens on the classic "<site>/query" endpoint, replicas
+	// 1..N-1 on "<site>/query@i", and every forward path picks a live
+	// replica with failover. 0 or 1 is the classic unreplicated
+	// deployment.
 	Replicas int
-	// ReplicasFor overrides Replicas per site.
+	// ReplicasFor overrides Replicas per site — e.g. replicate only the
+	// hot site of a skewed workload. Sites not in the map use Replicas.
 	ReplicasFor map[string]int
-	// Cluster tunes the membership table's health machinery.
+	// Cluster tunes the membership table's health machinery (probe
+	// cadence, demotion thresholds, seed). Only consulted when some site
+	// has more than one replica.
 	Cluster cluster.Options
-	// SiteServerOptions rewrites one site's server options.
+	// SiteServerOptions, when non-nil, rewrites one site's server options
+	// just before its query servers are built — the hook mixed-version
+	// deployments use to pin a subset of sites to wire v1 while the rest
+	// negotiate v2. It receives the site name and the options every
+	// server would get (after deployment-wide adjustments) and returns
+	// the options that site actually runs with.
 	SiteServerOptions func(site string, o server.Options) server.Options
-	// AdaptiveBatch arms the client's batching feedback loop.
+	// AdaptiveBatch arms the client's collector-side batching feedback
+	// loop (see client.Options.AdaptiveBatch); effective when
+	// Server.ResultBatch is enabled too.
 	AdaptiveBatch bool
-	// Trace arms causal tracing.
+	// Trace arms causal tracing: every site (and the user-site) gets a
+	// trace.Journal, clones carry span ids, and transport-level events
+	// (dials, refusals, dropped and severed frames) are journaled via the
+	// fabric's observer hook. Journeys are reconstructed with Journey.
 	Trace bool
-	// TraceCapacity sizes each journal's event ring.
+	// TraceCapacity sizes each journal's event ring; <= 0 uses
+	// trace.DefaultCapacity.
 	TraceCapacity int
 }
 
 // WatchConfig groups the continuous-query knobs: the seeded mutation
 // schedule the deployment's web evolves under, and the budget standing
 // queries run their initial traversal with. The zero value is a frozen
-// web — full back-compat with every one-shot deployment.
+// web.
 type WatchConfig struct {
 	// Mutations drives Deployment.Mutate: a seeded, deterministic
 	// schedule of page edits, link rewires, page births and deaths.
@@ -78,10 +109,8 @@ type WatchConfig struct {
 	Budget wire.Budget
 }
 
-// Config describes a deployment. The network, execution, storage and
-// continuous-query knobs live in the Net, Exec, Storage and Watch
-// groups; the remaining flat fields are deprecated aliases kept for one
-// release.
+// Config describes a deployment: the web plus the network, execution,
+// storage and continuous-query option groups.
 type Config struct {
 	// Web is the document corpus; one query server and one document host
 	// start per site. Required.
@@ -93,146 +122,17 @@ type Config struct {
 	// fallback, replicas, tracing, ...).
 	Exec ExecConfig
 	// Storage groups the persistent site-store knobs, applied to every
-	// query server (equivalent to Exec.Server.Store).
+	// query server. When non-zero it is Exec.Server.Store.
 	Storage server.StoreOptions
 	// Watch groups the continuous-query knobs (mutation schedule, watch
 	// budget).
 	Watch WatchConfig
-	// Transport, when set, runs the deployment over this transport (e.g.
-	// netsim.NewTCP for real sockets within one process) instead of a
-	// fresh simulated fabric. Network() then returns nil: the fabric's
-	// fault injection, traffic stats and transport-level trace observer
-	// are unavailable, and Net is ignored.
-	//
-	// Deprecated: set Exec.Transport instead.
-	Transport netsim.Transport
-	// Server configures every query server (dedup mode, batching, trace).
-	//
-	// Deprecated: set Exec.Server instead.
-	Server server.Options
-	// User names the user submitting queries; defaults to "user".
-	//
-	// Deprecated: set Exec.User instead.
-	User string
-	// NoDocService skips starting the per-site fetch services; the
-	// distributed engine reads documents co-located, so only runs that
-	// also use the centralized baseline need them.
-	//
-	// Deprecated: set Exec.NoDocService instead.
-	NoDocService bool
-	// Participate, when non-nil, selects which sites run a query server —
-	// the paper's Section 7.1 world where only some of the web has
-	// adopted WEBDIS. Non-participating sites keep their document host,
-	// servers bounce undeliverable clones back to the user-site, and the
-	// client's hybrid fallback processes them centrally. Incompatible
-	// with NoDocService (the fallback must be able to download).
-	//
-	// Deprecated: set Exec.Participate instead.
-	Participate func(site string) bool
-	// Hybrid enables the bounce/fallback path even when every site
-	// participates: a clone whose forward attempts are exhausted under
-	// Server.Retry is returned to the user-site and evaluated centrally —
-	// per-edge degraded-mode recovery from query shipping to data
-	// shipping. Implied by Participate. Incompatible with NoDocService.
-	//
-	// Deprecated: set Exec.Hybrid instead.
-	Hybrid bool
-	// ReapGrace arms the client's orphan-CHT reaper: a query that has
-	// seen no report for this long while entries remain outstanding is
-	// completed as Partial, its orphans retired. Zero disables reaping.
-	//
-	// Deprecated: set Exec.ReapGrace instead.
-	ReapGrace time.Duration
-	// Replicas runs every participating site as N replica query servers
-	// behind a shared cluster membership table (see internal/cluster):
-	// replica 0 listens on the classic "<site>/query" endpoint, replicas
-	// 1..N-1 on "<site>/query@i", and every forward path picks a live
-	// replica with failover. 0 or 1 is the classic unreplicated
-	// deployment.
-	//
-	// Deprecated: set Exec.Replicas instead.
-	Replicas int
-	// ReplicasFor overrides Replicas per site — e.g. replicate only the
-	// hot site of a skewed workload. Sites not in the map use Replicas.
-	//
-	// Deprecated: set Exec.ReplicasFor instead.
-	ReplicasFor map[string]int
-	// Cluster tunes the membership table's health machinery (probe
-	// cadence, demotion thresholds, seed). Only consulted when some site
-	// has more than one replica.
-	//
-	// Deprecated: set Exec.Cluster instead.
-	Cluster cluster.Options
-	// SiteServerOptions, when non-nil, rewrites one site's server options
-	// just before its query servers are built — the hook mixed-version
-	// deployments use to pin a subset of sites to wire v1 while the rest
-	// negotiate v2. It receives the site name and the options every
-	// server would get (after deployment-wide adjustments) and returns
-	// the options that site actually runs with.
-	//
-	// Deprecated: set Exec.SiteServerOptions instead.
-	SiteServerOptions func(site string, o server.Options) server.Options
-	// AdaptiveBatch arms the client's collector-side batching feedback
-	// loop (see client.Options.AdaptiveBatch); effective when
-	// Server.ResultBatch is enabled too.
-	//
-	// Deprecated: set Exec.AdaptiveBatch instead.
-	AdaptiveBatch bool
-	// Trace arms causal tracing: every site (and the user-site) gets a
-	// trace.Journal, clones carry span ids, and transport-level events
-	// (dials, refusals, dropped and severed frames) are journaled via the
-	// fabric's observer hook. Journeys are reconstructed with Journey.
-	//
-	// Deprecated: set Exec.Trace instead.
-	Trace bool
-	// TraceCapacity sizes each journal's event ring; <= 0 uses
-	// trace.DefaultCapacity.
-	//
-	// Deprecated: set Exec.TraceCapacity instead.
-	TraceCapacity int
-}
-
-// merged resolves one deprecated flat knob against its Exec-group
-// counterpart: the flat field wins when set (it predates the group),
-// the nested value applies otherwise. Zero-ness is structural, so knob
-// types carrying funcs and maps resolve too.
-func merged[T any](flat, nested T) T {
-	if reflect.ValueOf(&flat).Elem().IsZero() {
-		return nested
-	}
-	return flat
-}
-
-// normalized folds the nested option groups onto the deprecated flat
-// fields, so the deployment builder reads one coherent shape whichever
-// way the caller configured it.
-func (cfg Config) normalized() Config {
-	cfg.Transport = merged(cfg.Transport, cfg.Exec.Transport)
-	cfg.Server = merged(cfg.Server, cfg.Exec.Server)
-	cfg.User = merged(cfg.User, cfg.Exec.User)
-	cfg.NoDocService = cfg.NoDocService || cfg.Exec.NoDocService
-	if cfg.Participate == nil {
-		cfg.Participate = cfg.Exec.Participate
-	}
-	cfg.Hybrid = cfg.Hybrid || cfg.Exec.Hybrid
-	cfg.ReapGrace = merged(cfg.ReapGrace, cfg.Exec.ReapGrace)
-	cfg.Replicas = merged(cfg.Replicas, cfg.Exec.Replicas)
-	cfg.ReplicasFor = merged(cfg.ReplicasFor, cfg.Exec.ReplicasFor)
-	cfg.Cluster = merged(cfg.Cluster, cfg.Exec.Cluster)
-	if cfg.SiteServerOptions == nil {
-		cfg.SiteServerOptions = cfg.Exec.SiteServerOptions
-	}
-	cfg.AdaptiveBatch = cfg.AdaptiveBatch || cfg.Exec.AdaptiveBatch
-	cfg.Trace = cfg.Trace || cfg.Exec.Trace
-	cfg.TraceCapacity = merged(cfg.TraceCapacity, cfg.Exec.TraceCapacity)
-	cfg.Server.Store = merged(cfg.Server.Store, cfg.Storage)
-	return cfg
 }
 
 // Deployment is a running WEBDIS installation over a simulated web.
 type Deployment struct {
 	web     *webgraph.Web
-	network *netsim.Network  // nil when Config.Transport was supplied
+	network *netsim.Network  // nil when Config.Exec.Transport was supplied
 	tr      netsim.Transport // the transport everything runs over
 	hosts   map[string]*webserver.Host
 	servers map[string][]*server.Server // per site, replica 0 first
@@ -245,7 +145,7 @@ type Deployment struct {
 	siteMetrics   map[string]*server.Metrics
 	clientMetrics *server.Metrics
 
-	// Trace journals, present when Config.Trace is set: one per query
+	// Trace journals, present when Config.Exec.Trace is set: one per query
 	// server, one for the client, one for the fabric ("(net)").
 	journals      map[string]*trace.Journal
 	clientJournal *trace.Journal
@@ -267,22 +167,25 @@ type Deployment struct {
 
 // NewDeployment builds and starts a deployment.
 func NewDeployment(cfg Config) (*Deployment, error) {
-	cfg = cfg.normalized()
 	if cfg.Web == nil {
 		return nil, fmt.Errorf("core: Config.Web is required")
 	}
-	if (cfg.Participate != nil || cfg.Hybrid) && cfg.NoDocService {
+	ex := cfg.Exec
+	if (ex.Participate != nil || ex.Hybrid) && ex.NoDocService {
 		return nil, fmt.Errorf("core: Participate/Hybrid requires the document service (the hybrid fallback downloads)")
 	}
-	user := cfg.User
+	user := ex.User
 	if user == "" {
 		user = "user"
 	}
-	srvOpts := cfg.Server
-	if cfg.Participate != nil || cfg.Hybrid {
+	srvOpts := ex.Server
+	if cfg.Storage != (server.StoreOptions{}) {
+		srvOpts.Store = cfg.Storage
+	}
+	if ex.Participate != nil || ex.Hybrid {
 		srvOpts.Hybrid = true
 	}
-	if cfg.NoDocService {
+	if ex.NoDocService {
 		// A ship-data edge downloads documents from their home site's
 		// fetch service; without the service such an edge would dead-end.
 		// Pin every edge to ship-query — pushdown and statistics still run.
@@ -290,10 +193,10 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	}
 	netOpts := cfg.Net
 	var netJournal *trace.Journal
-	if cfg.Trace {
+	if ex.Trace {
 		// Transport-level events ride in their own journal, hooked into
 		// the fabric's observer (netsim cannot import trace).
-		netJournal = trace.NewJournal("(net)", cfg.TraceCapacity)
+		netJournal = trace.NewJournal("(net)", ex.TraceCapacity)
 		prev := netOpts.Observer
 		netOpts.Observer = func(kind, from, to string) {
 			netJournal.Append(trace.Event{Kind: trace.Kind(kind), Node: from, Detail: to})
@@ -302,7 +205,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			}
 		}
 	}
-	tr := cfg.Transport
+	tr := ex.Transport
 	var network *netsim.Network
 	if tr == nil {
 		network = netsim.New(netOpts)
@@ -330,32 +233,32 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	// everything stays on the seed's one-endpoint-per-site path.
 	replicated := false
 	for _, site := range cfg.Web.Hosts() {
-		if cfg.Participate != nil && !cfg.Participate(site) {
+		if ex.Participate != nil && !ex.Participate(site) {
 			continue
 		}
-		if replicasOf(cfg, site) > 1 {
+		if replicasOf(ex, site) > 1 {
 			replicated = true
 			break
 		}
 	}
 	if replicated {
-		d.cluster = cluster.New(cfg.Cluster)
+		d.cluster = cluster.New(ex.Cluster)
 		srvOpts.Cluster = d.cluster
 	}
 
 	for _, site := range cfg.Web.Hosts() {
 		h := webserver.NewHost(site, cfg.Web)
 		d.hosts[site] = h
-		if !cfg.NoDocService {
+		if !ex.NoDocService {
 			if err := h.Start(tr); err != nil {
 				d.Close()
 				return nil, err
 			}
 		}
-		if cfg.Participate != nil && !cfg.Participate(site) {
+		if ex.Participate != nil && !ex.Participate(site) {
 			continue // the site hosts documents but runs no query server
 		}
-		n := replicasOf(cfg, site)
+		n := replicasOf(ex, site)
 		if d.cluster != nil {
 			d.cluster.AddSite(site, n)
 		}
@@ -365,11 +268,11 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			d.siteMetrics[key] = met
 			opts := srvOpts
 			opts.Replica = i
-			if cfg.SiteServerOptions != nil {
-				opts = cfg.SiteServerOptions(site, opts)
+			if ex.SiteServerOptions != nil {
+				opts = ex.SiteServerOptions(site, opts)
 			}
-			if cfg.Trace {
-				j := trace.NewJournal(key, cfg.TraceCapacity)
+			if ex.Trace {
+				j := trace.NewJournal(key, ex.TraceCapacity)
 				d.journals[key] = j
 				opts.Journal = j
 			}
@@ -384,23 +287,23 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if d.cluster != nil {
 		d.cluster.StartProber(tr)
 	}
-	if cfg.Trace {
-		d.clientJournal = trace.NewJournal(user, cfg.TraceCapacity)
+	if ex.Trace {
+		d.clientJournal = trace.NewJournal(user, ex.TraceCapacity)
 	}
 	d.client = client.NewWith(tr, user, user, client.Options{
-		Hybrid:    cfg.Participate != nil || cfg.Hybrid,
-		ReapGrace: cfg.ReapGrace,
+		Hybrid:    ex.Participate != nil || ex.Hybrid,
+		ReapGrace: ex.ReapGrace,
 		Metrics:   d.clientMetrics,
 		Journal:   d.clientJournal,
 		Cluster:   d.cluster,
 		// The user-site half of the planner follows the servers': frags
 		// on root clones, statistics learned and re-hinted.
-		Planner: cfg.Server.Planner.Enabled,
+		Planner: ex.Server.Planner.Enabled,
 		// The wire profile follows the servers': a deployment pinned to
 		// v1 pins its user-site too (per-site mixes go through
 		// SiteServerOptions and negotiate per connection).
-		WireV1:        cfg.Server.WireV1,
-		AdaptiveBatch: cfg.AdaptiveBatch,
+		WireV1:        ex.Server.WireV1,
+		AdaptiveBatch: ex.AdaptiveBatch,
 		Done:          d.done,
 		// Resolve index("term") StartNode sources against the deployment's
 		// search index, built lazily on first use.
@@ -417,9 +320,9 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 
 // replicasOf resolves the configured replica count of one site (at least
 // 1).
-func replicasOf(cfg Config, site string) int {
-	n := cfg.Replicas
-	if o, ok := cfg.ReplicasFor[site]; ok {
+func replicasOf(ex ExecConfig, site string) int {
+	n := ex.Replicas
+	if o, ok := ex.ReplicasFor[site]; ok {
 		n = o
 	}
 	if n < 1 {
@@ -621,11 +524,11 @@ func (d *Deployment) WatchQuery(ctx context.Context, w *disql.WebQuery, opts Wat
 }
 
 // Network returns the simulated fabric (for stats and failure
-// injection), or nil when the deployment runs over Config.Transport.
+// injection), or nil when the deployment runs over Config.Exec.Transport.
 func (d *Deployment) Network() *netsim.Network { return d.network }
 
 // Transport returns the transport the deployment runs over: the
-// simulated fabric, or Config.Transport when one was supplied.
+// simulated fabric, or Config.Exec.Transport when one was supplied.
 func (d *Deployment) Transport() netsim.Transport { return d.tr }
 
 // Metrics returns the deployment-wide engine metrics: a fresh aggregate
@@ -654,7 +557,7 @@ func (d *Deployment) SiteSnapshots() map[string]server.Snapshot {
 	return out
 }
 
-// Tracing reports whether the deployment was built with Config.Trace.
+// Tracing reports whether the deployment was built with Config.Exec.Trace.
 func (d *Deployment) Tracing() bool { return d.netJournal != nil }
 
 // Journal returns the trace journal of one site (the user name returns

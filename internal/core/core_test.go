@@ -13,32 +13,23 @@ import (
 	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
 	"webdis/internal/server"
+	"webdis/internal/trace"
 	"webdis/internal/webgraph"
 	"webdis/internal/webserver"
 )
 
 const waitFor = 10 * time.Second
 
-// collector gathers server trace events for assertions.
-type collector struct {
-	mu     sync.Mutex
-	events []server.Event
-}
+// traversal is a finished query's Figure-7 sequence, read from the
+// journals of a deployTraced deployment.
+type traversal []trace.TraversalLine
 
-func (c *collector) trace(e server.Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
-
-// count tallies events for node with the given action, skipping "virtual"
+// count tallies lines for node with the given action, skipping "virtual"
 // records (stage advances at the same node, which are not clone arrivals).
-func (c *collector) count(node, action string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (tv traversal) count(node, action string) int {
 	n := 0
-	for _, e := range c.events {
-		if (node == "" || e.Node == node) && e.Action == action && !strings.Contains(e.Detail, "virtual") {
+	for _, l := range tv {
+		if (node == "" || l.Node == node) && l.Action == action && l.Detail != "virtual" {
 			n++
 		}
 	}
@@ -47,7 +38,18 @@ func (c *collector) count(node, action string) int {
 
 func deploy(t *testing.T, web *webgraph.Web, opts server.Options) *Deployment {
 	t.Helper()
-	d, err := NewDeployment(Config{Web: web, Server: opts})
+	return deployCfg(t, Config{Web: web, Exec: ExecConfig{Server: opts}})
+}
+
+// deployTraced is deploy with causal tracing armed.
+func deployTraced(t *testing.T, web *webgraph.Web, opts server.Options) *Deployment {
+	t.Helper()
+	return deployCfg(t, Config{Web: web, Exec: ExecConfig{Server: opts, Trace: true}})
+}
+
+func deployCfg(t *testing.T, cfg Config) *Deployment {
+	t.Helper()
+	d, err := NewDeployment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +107,9 @@ func TestCampusQueryReproducesFigure8(t *testing.T) {
 }
 
 func TestFigure1Roles(t *testing.T) {
-	var tr collector
-	d := deploy(t, webgraph.Figure1(), server.Options{Trace: tr.trace})
+	d := deployTraced(t, webgraph.Figure1(), server.Options{})
 	q := run(t, d, webgraph.Figure1DISQL)
+	tr := traversal(d.Journey(q).Traversal())
 
 	n := webgraph.Figure1Nodes
 	// Nodes 1, 2, 3 are PureRouters.
@@ -167,9 +169,8 @@ func TestFigure1Roles(t *testing.T) {
 }
 
 func TestFigure5DuplicateSuppression(t *testing.T) {
-	var tr collector
-	d := deploy(t, webgraph.Figure5(), server.Options{Trace: tr.trace})
-	run(t, d, webgraph.Figure5DISQL)
+	d := deployTraced(t, webgraph.Figure5(), server.Options{})
+	tr := traversal(d.Journey(run(t, d, webgraph.Figure5DISQL)).Traversal())
 
 	x := webgraph.Figure5X
 	visits := tr.count(x, "route") + tr.count(x, "eval") + tr.count(x, "drop") + tr.count(x, "dead-end")
@@ -189,11 +190,8 @@ func TestFigure5DuplicateSuppression(t *testing.T) {
 }
 
 func TestFigure5WithoutLogTableRecomputes(t *testing.T) {
-	var tr collector
-	d := deploy(t, webgraph.Figure5(), server.Options{
-		Dedup: nodeproc.DedupOff, DedupSet: true, MaxHops: 16, Trace: tr.trace,
-	})
-	run(t, d, webgraph.Figure5DISQL)
+	d := deployTraced(t, webgraph.Figure5(), server.Options{Dedup: nodeproc.DedupOff, MaxHops: 16})
+	tr := traversal(d.Journey(run(t, d, webgraph.Figure5DISQL)).Traversal())
 
 	// Without the log table, arrivals d and e are recomputed.
 	if got := tr.count(webgraph.Figure5X, "eval"); got != 4 {
@@ -446,7 +444,7 @@ from document d such that "http://a.example/index.html" N|L d`)
 }
 
 func TestDocServiceOptional(t *testing.T) {
-	d, err := NewDeployment(Config{Web: webgraph.Campus(), NoDocService: true})
+	d, err := NewDeployment(Config{Web: webgraph.Campus(), Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,8 +601,10 @@ func TestCorrelatedStagesHybrid(t *testing.T) {
 	web.NewPage("http://alpha.example/deep.html", "Alpha Topic deep").AddText("x")
 
 	d, err := NewDeployment(Config{
-		Web:         web,
-		Participate: func(site string) bool { return site == "hub.example" },
+		Web: web,
+		Exec: ExecConfig{
+			Participate: func(site string) bool { return site == "hub.example" },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

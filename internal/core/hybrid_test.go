@@ -1,12 +1,16 @@
 package core
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"webdis/internal/client"
+	"webdis/internal/disql"
 	"webdis/internal/webgraph"
+	"webdis/internal/wire"
 )
 
 // participants builds a Participate function admitting only the listed
@@ -21,7 +25,7 @@ func participants(sites ...string) func(string) bool {
 
 func runHybrid(t *testing.T, participate func(string) bool) (*Deployment, *queryResult) {
 	t.Helper()
-	d, err := NewDeployment(Config{Web: webgraph.Campus(), Participate: participate})
+	d, err := NewDeployment(Config{Web: webgraph.Campus(), Exec: ExecConfig{Participate: participate}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +110,10 @@ func TestHybridRejoinsDistributedMode(t *testing.T) {
 	// the clone must pass through the fallback and rejoin the servers.
 	web := webgraph.Chain(6, 1, 4)
 	d, err := NewDeployment(Config{
-		Web:         web,
-		Participate: func(site string) bool { return site != "c2.example" && site != "c3.example" },
+		Web: web,
+		Exec: ExecConfig{
+			Participate: func(site string) bool { return site != "c2.example" && site != "c3.example" },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +164,7 @@ func TestHybridMatchesDistributedTraffic(t *testing.T) {
 		for _, h := range hosts[:cut] {
 			set[h] = true
 		}
-		d, err := NewDeployment(Config{Web: web, Participate: func(s string) bool { return set[s] }})
+		d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Participate: func(s string) bool { return set[s] }}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +183,67 @@ func TestHybridMatchesDistributedTraffic(t *testing.T) {
 
 func TestParticipateRequiresDocService(t *testing.T) {
 	_, err := NewDeployment(Config{
-		Web:          webgraph.Campus(),
-		NoDocService: true,
-		Participate:  func(string) bool { return true },
+		Web: webgraph.Campus(),
+		Exec: ExecConfig{
+			NoDocService: true,
+			Participate:  func(string) bool { return true },
+		},
 	})
 	if err == nil {
 		t.Fatal("Participate without doc service should be rejected")
+	}
+}
+
+// TestHybridHonoursBudget: a clone's wire-carried budget binds wherever
+// the clone is processed. Whether every site runs a query server, some
+// bounce to the user-site's fallback, or the whole query is evaluated
+// there, a hop or row quota must clip the answer to the same rows, and
+// the CHT must still drain.
+func TestHybridHonoursBudget(t *testing.T) {
+	web := webgraph.Chain(6, 1, 4)
+	w := disql.MustParse(`select d.url from document d such that "http://c0.example/p0.html" N|G* d`)
+	patterns := []struct {
+		name        string
+		participate func(string) bool
+	}{
+		{"all", func(string) bool { return true }},
+		{"c2,c3 out", func(site string) bool { return site != "c2.example" && site != "c3.example" }},
+		{"none", func(string) bool { return false }},
+	}
+	for _, tc := range []struct {
+		budget wire.Budget
+		want   []string
+	}{
+		{wire.Budget{Hops: 2}, []string{"http://c0.example/p0.html", "http://c1.example/p1.html", "http://c2.example/p2.html"}},
+		{wire.Budget{Rows: 2}, []string{"http://c0.example/p0.html", "http://c1.example/p1.html"}},
+	} {
+		for _, p := range patterns {
+			d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Participate: p.participate}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := d.SubmitBudget(w, tc.budget)
+			if err != nil {
+				d.Close()
+				t.Fatal(err)
+			}
+			if err := q.Wait(waitFor); err != nil {
+				t.Errorf("%+v, %s: %v", tc.budget, p.name, err)
+			}
+			var got []string
+			for _, tbl := range q.Results() {
+				for _, row := range tbl.Rows {
+					got = append(got, row[0])
+				}
+			}
+			sort.Strings(got)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%+v, %s: rows %v, want %v", tc.budget, p.name, got, tc.want)
+			}
+			if q.LiveEntries() != 0 {
+				t.Errorf("%+v, %s: %d CHT entries still live", tc.budget, p.name, q.LiveEntries())
+			}
+			d.Close()
+		}
 	}
 }

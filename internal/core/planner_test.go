@@ -169,9 +169,11 @@ func TestPlannerParityTCP(t *testing.T) {
 		qp := run(t, pipe, src)
 
 		tcp, err := NewDeployment(Config{
-			Web:       plannerWeb(),
-			Server:    plannerOn(),
-			Transport: netsim.NewTCP(),
+			Web: plannerWeb(),
+			Exec: ExecConfig{
+				Server:    plannerOn(),
+				Transport: netsim.NewTCP(),
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -212,10 +214,12 @@ func TestPlannerDifferentialFaults(t *testing.T) {
 		var rendered []string
 		for _, opts := range []server.Options{{Retry: retry}, {Retry: retry, Planner: server.PlannerOptions{Enabled: true}}} {
 			d, err := NewDeployment(Config{
-				Web:       web(),
-				Net:       netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.05, Sever: 0.01}},
-				Server:    opts,
-				ReapGrace: 2 * time.Second,
+				Web: web(),
+				Net: netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.05, Sever: 0.01}},
+				Exec: ExecConfig{
+					Server:    opts,
+					ReapGrace: 2 * time.Second,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -241,7 +245,7 @@ func TestPlannerDifferentialFaults(t *testing.T) {
 // shipping — and the answer still matches naive shipping.
 func TestShipDataEdges(t *testing.T) {
 	build := func(opts server.Options) (*Deployment, *client.Query) {
-		d, err := NewDeployment(Config{Web: plannerWeb(), Server: opts})
+		d, err := NewDeployment(Config{Web: plannerWeb(), Exec: ExecConfig{Server: opts}})
 		if err != nil {
 			t.Fatal(err)
 		}

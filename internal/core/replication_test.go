@@ -32,7 +32,7 @@ func TestReplicatedDeploymentBasics(t *testing.T) {
 		t.Fatal("empty unreplicated answer")
 	}
 
-	d, err := NewDeployment(Config{Web: web, Replicas: 2})
+	d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Replicas: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,14 @@ func TestReplicaKillStrandedCloneReplayed(t *testing.T) {
 	}
 
 	d, err := NewDeployment(Config{
-		Web:       web,
-		Net:       netsim.Options{Latency: 5 * time.Millisecond},
-		Server:    server.Options{Retry: chaosRetry},
-		Replicas:  2,
-		Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1},
-		ReapGrace: 300 * time.Millisecond,
+		Web: web,
+		Net: netsim.Options{Latency: 5 * time.Millisecond},
+		Exec: ExecConfig{
+			Server:    server.Options{Retry: chaosRetry},
+			Replicas:  2,
+			Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1},
+			ReapGrace: 300 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,15 +167,17 @@ func TestReplicaKillMidTraversalFailsOver(t *testing.T) {
 	}
 
 	d, err := NewDeployment(Config{
-		Web:      web,
-		Net:      netsim.Options{Latency: 5 * time.Millisecond},
-		Server:   server.Options{Retry: chaosRetry},
-		Replicas: 2,
-		// Park the prober: this test pins the send-outcome failover path,
-		// and a probe demoting the corpse first would route around it
-		// before any send ever failed.
-		Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1, ProbeEvery: time.Hour},
-		ReapGrace: 400 * time.Millisecond,
+		Web: web,
+		Net: netsim.Options{Latency: 5 * time.Millisecond},
+		Exec: ExecConfig{
+			Server:   server.Options{Retry: chaosRetry},
+			Replicas: 2,
+			// Park the prober: this test pins the send-outcome failover path,
+			// and a probe demoting the corpse first would route around it
+			// before any send ever failed.
+			Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1, ProbeEvery: time.Hour},
+			ReapGrace: 400 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,12 +239,14 @@ where d.text contains "` + webgraph.Marker + `"`
 	}
 
 	d, err := NewDeployment(Config{
-		Web:       web,
-		Transport: netsim.NewTCP(),
-		Server:    server.Options{Retry: chaosRetry},
-		Replicas:  2,
-		Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1},
-		ReapGrace: 400 * time.Millisecond,
+		Web: web,
+		Exec: ExecConfig{
+			Transport: netsim.NewTCP(),
+			Server:    server.Options{Retry: chaosRetry},
+			Replicas:  2,
+			Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1},
+			ReapGrace: 400 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,12 +62,14 @@ func TestLogPurgeDuringQuery(t *testing.T) {
 	web := webgraph.Random(webgraph.RandomOpts{Sites: 10, PagesPerSite: 2, GlobalOut: 2, MarkerFrac: 0.5, Seed: 77})
 	d, err := NewDeployment(Config{
 		Web: web,
-		Server: server.Options{
-			MaxHops:       8, // purged logs allow recomputation; bound it
-			LogPurgeAge:   time.Microsecond,
-			LogPurgeEvery: time.Millisecond,
+		Exec: ExecConfig{
+			Server: server.Options{
+				MaxHops:       8, // purged logs allow recomputation; bound it
+				LogPurgeAge:   time.Microsecond,
+				LogPurgeEvery: time.Millisecond,
+			},
+			NoDocService: true,
 		},
-		NoDocService: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +85,7 @@ func TestLogPurgeDuringQuery(t *testing.T) {
 		got[row[0]] = true
 	}
 	// Reference run with sane log tables.
-	ref, err := NewDeployment(Config{Web: web, NoDocService: true})
+	ref, err := NewDeployment(Config{Web: web, Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +115,7 @@ func TestInteriorLinksTraverseInPlace(t *testing.T) {
 	o := web.NewPage("http://a.example/other.html", "Other")
 	o.AddText("token-beta")
 
-	var tr collector
-	d := deploy(t, web, server.Options{Trace: tr.trace})
+	d := deployTraced(t, web, server.Options{})
 	// I·L: one interior hop (staying on doc.html), then one local hop.
 	q := run(t, d, `
 select d.url
@@ -125,6 +126,7 @@ where d.text contains "token-beta"`)
 		t.Fatalf("rows = %v", rows)
 	}
 	// The interior hop revisited doc.html in a new state.
+	tr := traversal(d.Journey(q).Traversal())
 	if tr.count("http://a.example/doc.html", "route") != 2 {
 		t.Errorf("doc.html routes = %d, want 2 (arrival + interior revisit)", tr.count("http://a.example/doc.html", "route"))
 	}
@@ -156,9 +158,11 @@ where d.text contains "token-alpha"`)
 func TestBandwidthShapesTransfer(t *testing.T) {
 	elapsed := func(bps int64) time.Duration {
 		d, err := NewDeployment(Config{
-			Web:          webgraph.Campus(),
-			Net:          netsim.Options{BytesPerSecond: bps},
-			NoDocService: true,
+			Web: webgraph.Campus(),
+			Net: netsim.Options{BytesPerSecond: bps},
+			Exec: ExecConfig{
+				NoDocService: true,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -231,9 +235,11 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 // balanced CHTs.
 func TestManyConcurrentQueriesUnderLatency(t *testing.T) {
 	d, err := NewDeployment(Config{
-		Web:          webgraph.Campus(),
-		Net:          netsim.Options{Latency: time.Millisecond},
-		NoDocService: true,
+		Web: webgraph.Campus(),
+		Net: netsim.Options{Latency: time.Millisecond},
+		Exec: ExecConfig{
+			NoDocService: true,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func storeQueries() []string {
 func storeArm(t *testing.T, web *webgraph.Web, dir string, tr netsim.Transport, base server.Options) *Deployment {
 	t.Helper()
 	base.Store = server.StoreOptions{Dir: dir, PoolPages: 64}
-	d, err := NewDeployment(Config{Web: web, Server: base, Transport: tr})
+	d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Server: base, Transport: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestStoreDifferentialUnderFaults(t *testing.T) {
 	faulty := netsim.Options{Faults: netsim.FaultPlan{Seed: 7, Drop: 0.20}}
 	dir := t.TempDir()
 	base := server.Options{Retry: chaosRetry, Store: server.StoreOptions{Dir: dir, PoolPages: 64}}
-	d, err := NewDeployment(Config{Web: storeWeb(), Server: base, Net: faulty, ReapGrace: 400 * time.Millisecond})
+	d, err := NewDeployment(Config{Web: storeWeb(), Exec: ExecConfig{Server: base, ReapGrace: 400 * time.Millisecond}, Net: faulty})
 	if err != nil {
 		t.Fatal(err)
 	}

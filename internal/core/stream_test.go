@@ -90,11 +90,13 @@ func testStreamParity(t *testing.T, transport netsim.Transport) {
 	})
 	cfg := Config{
 		Web: web,
-		Server: server.Options{
-			ResultBatch: server.BatchOptions{MaxRows: 8, MaxAge: time.Millisecond},
+		Exec: ExecConfig{
+			Server: server.Options{
+				ResultBatch: server.BatchOptions{MaxRows: 8, MaxAge: time.Millisecond},
+			},
+			NoDocService: true,
+			Transport:    transport,
 		},
-		NoDocService: true,
-		Transport:    transport,
 	}
 	d, err := NewDeployment(cfg)
 	if err != nil {
@@ -151,7 +153,7 @@ func TestStreamParityTCP(t *testing.T) { testStreamParity(t, netsim.NewTCP()) }
 // the same multiset check against the buffered tables.
 func TestStreamChannelParity(t *testing.T) {
 	web := streamTestWeb()
-	d, err := NewDeployment(Config{Web: web, NoDocService: true})
+	d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestBatchingResultParity(t *testing.T) {
 	src := streamTestQuery(web)
 	var rows [2][]string
 	for i, batch := range []server.BatchOptions{{}, {MaxRows: 4, MaxAge: time.Millisecond}} {
-		d, err := NewDeployment(Config{Web: web, Server: server.Options{ResultBatch: batch}, NoDocService: true})
+		d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Server: server.Options{ResultBatch: batch}, NoDocService: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +226,7 @@ func TestFirstNActiveStop(t *testing.T) {
 		web.First(), webgraph.Marker)
 	won := false
 	for attempt := 0; attempt < 6 && !won; attempt++ {
-		d, err := NewDeployment(Config{Web: web, NoDocService: true, Trace: true})
+		d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{NoDocService: true, Trace: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +286,7 @@ func TestFirstNActiveStop(t *testing.T) {
 // as ErrCancelled and actively stops the traversal.
 func TestRunContextCancelStopsQuery(t *testing.T) {
 	web := streamChain(30, 2500)
-	d, err := NewDeployment(Config{Web: web, NoDocService: true})
+	d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,11 @@ func TestConcurrentQueryStress(t *testing.T) {
 	for _, cacheDBs := range []bool{false, true} {
 		t.Run(fmt.Sprintf("CacheDBs=%v", cacheDBs), func(t *testing.T) {
 			d, err := NewDeployment(Config{
-				Web:          web,
-				Server:       server.Options{Workers: 4, CacheDBs: cacheDBs},
-				NoDocService: true,
+				Web: web,
+				Exec: ExecConfig{
+					Server:       server.Options{Workers: 4, CacheDBs: cacheDBs},
+					NoDocService: true,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)

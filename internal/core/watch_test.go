@@ -81,10 +81,12 @@ func testWatchOracle(t *testing.T, tr netsim.Transport, srv server.Options, step
 		steps = min(steps, 10)
 	}
 	d, err := NewDeployment(Config{
-		Web:       watchWeb(),
-		Transport: tr,
-		Server:    srv,
-		Watch:     WatchConfig{Mutations: webgraph.MutationPlan{Seed: 42}},
+		Web: watchWeb(),
+		Exec: ExecConfig{
+			Transport: tr,
+			Server:    srv,
+		},
+		Watch: WatchConfig{Mutations: webgraph.MutationPlan{Seed: 42}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +240,12 @@ func TestMutateStoreInvalidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			web := watchWeb()
 			warm, err := NewDeployment(Config{
-				Web:       web,
-				Transport: tc.tr(),
-				Storage:   server.StoreOptions{Dir: t.TempDir(), PoolPages: 64},
-				Watch:     WatchConfig{Mutations: webgraph.MutationPlan{Seed: 99}},
+				Web: web,
+				Exec: ExecConfig{
+					Transport: tc.tr(),
+				},
+				Storage: server.StoreOptions{Dir: t.TempDir(), PoolPages: 64},
+				Watch:   WatchConfig{Mutations: webgraph.MutationPlan{Seed: 99}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -256,9 +260,11 @@ func TestMutateStoreInvalidation(t *testing.T) {
 
 			// Cold arm: a fresh store built from the already-mutated web.
 			cold, err := NewDeployment(Config{
-				Web:       web,
-				Transport: tc.tr(),
-				Storage:   server.StoreOptions{Dir: t.TempDir(), PoolPages: 64},
+				Web: web,
+				Exec: ExecConfig{
+					Transport: tc.tr(),
+				},
+				Storage: server.StoreOptions{Dir: t.TempDir(), PoolPages: 64},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -24,11 +24,11 @@ func wireProfiles() map[string]func(Config) Config {
 	return map[string]func(Config) Config{
 		"all-v2": func(c Config) Config { return c },
 		"all-v1": func(c Config) Config {
-			c.Server.WireV1 = true
+			c.Exec.Server.WireV1 = true
 			return c
 		},
 		"mixed": func(c Config) Config {
-			c.SiteServerOptions = func(site string, o server.Options) server.Options {
+			c.Exec.SiteServerOptions = func(site string, o server.Options) server.Options {
 				o.WireV1 = pinned(site)
 				return o
 			}
@@ -45,7 +45,7 @@ func TestWireVersionDifferential(t *testing.T) {
 	for i, src := range plannerQueries() {
 		var baseline string
 		for _, name := range []string{"all-v2", "all-v1", "mixed"} {
-			cfg := wireProfiles()[name](Config{Web: plannerWeb(), Server: plannerOn()})
+			cfg := wireProfiles()[name](Config{Web: plannerWeb(), Exec: ExecConfig{Server: plannerOn()}})
 			d, err := NewDeployment(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -77,9 +77,11 @@ func TestWireVersionDifferentialTCP(t *testing.T) {
 	var baseline string
 	for _, name := range []string{"all-v2", "all-v1", "mixed"} {
 		cfg := wireProfiles()[name](Config{
-			Web:       plannerWeb(),
-			Server:    plannerOn(),
-			Transport: netsim.NewTCP(),
+			Web: plannerWeb(),
+			Exec: ExecConfig{
+				Server:    plannerOn(),
+				Transport: netsim.NewTCP(),
+			},
 		})
 		d, err := NewDeployment(cfg)
 		if err != nil {
@@ -127,10 +129,12 @@ func TestWireVersionDifferentialFaults(t *testing.T) {
 		var baseline string
 		for _, name := range []string{"all-v2", "all-v1", "mixed"} {
 			cfg := wireProfiles()[name](Config{
-				Web:       web(),
-				Net:       netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.05, Sever: 0.01}},
-				Server:    server.Options{Retry: retry},
-				ReapGrace: 2 * time.Second,
+				Web: web(),
+				Net: netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.05, Sever: 0.01}},
+				Exec: ExecConfig{
+					Server:    server.Options{Retry: retry},
+					ReapGrace: 2 * time.Second,
+				},
 			})
 			d, err := NewDeployment(cfg)
 			if err != nil {
@@ -155,17 +159,6 @@ func TestWireVersionDifferentialFaults(t *testing.T) {
 	}
 }
 
-// TestWireOracleBooksSavings runs a deployment with the per-frame gob
-// oracle armed and asserts the BytesV2Saved counter accumulates: v2
-// frames must actually be smaller than their gob rendering.
-func TestWireOracleBooksSavings(t *testing.T) {
-	d := deploy(t, plannerWeb(), server.Options{WireOracle: true})
-	run(t, d, plannerQueries()[1])
-	if sn := d.Metrics().Snapshot(); sn.BytesV2Saved <= 0 {
-		t.Fatalf("BytesV2Saved = %d with the oracle armed, want > 0", sn.BytesV2Saved)
-	}
-}
-
 // TestAdaptiveBatchTunes drives a wide result stream with no consumer so
 // the collector's lag crosses the tune threshold, and asserts the
 // feedback loop fired end to end: TUNE frames sent by the client and
@@ -180,10 +173,12 @@ func TestAdaptiveBatchTunes(t *testing.T) {
 	})
 	d, err := NewDeployment(Config{
 		Web: web,
-		Server: server.Options{
-			ResultBatch: server.BatchOptions{MaxRows: 8, MaxAge: 2 * time.Millisecond},
+		Exec: ExecConfig{
+			Server: server.Options{
+				ResultBatch: server.BatchOptions{MaxRows: 8, MaxAge: 2 * time.Millisecond},
+			},
+			AdaptiveBatch: true,
 		},
-		AdaptiveBatch: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func Dedup(w io.Writer) ([]DedupRow, error) {
 	var out []DedupRow
 	var rows [][]string
 	for _, mode := range modes {
-		opts := server.Options{Dedup: mode, DedupSet: true}
+		opts := server.Options{Dedup: mode}
 		if mode == nodeproc.DedupOff {
 			opts.MaxHops = 10 // safety: unbounded recomputation otherwise
 		}

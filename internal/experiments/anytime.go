@@ -39,9 +39,11 @@ func Anytime(w io.Writer) (*AnytimeOut, error) {
 	fmt.Fprintf(w, "workload: %d-page tree, 3ms per-message latency, selective query\n\n", web.NumPages())
 
 	d, err := core.NewDeployment(core.Config{
-		Web:          web,
-		Net:          netsim.Options{Latency: 3 * time.Millisecond},
-		NoDocService: true,
+		Web: web,
+		Net: netsim.Options{Latency: 3 * time.Millisecond},
+		Exec: core.ExecConfig{
+			NoDocService: true,
+		},
 	})
 	if err != nil {
 		return nil, err

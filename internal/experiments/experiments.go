@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"webdis/internal/centralized"
@@ -19,6 +18,7 @@ import (
 	"webdis/internal/disql"
 	"webdis/internal/netsim"
 	"webdis/internal/server"
+	"webdis/internal/trace"
 	"webdis/internal/webgraph"
 )
 
@@ -49,7 +49,6 @@ func All() []Experiment {
 		{"deadends", "§2.5 semantics", "dead-end scope: paper's examples vs literal Figure-4 pseudocode", func(w io.Writer) error { _, err := DeadEnds(w); return err }},
 		{"faults", "robustness / §2.8, §7.1", "fault injection: answer completeness under message loss, with retry, bounce and CHT reaping", func(w io.Writer) error { _, err := Faults(w); return err }},
 		{"trace", "observability / Figure 7", "causal tracing: journey reconstruction, tracing overhead, fault localization", func(w io.Writer) error { _, err := Tracing(w); return err }},
-		{"perf", "hot path / T13", "hot-path overhaul: pooled connections, parallel fan-out, parse cache, singleflight DB builds — before/after ablations (writes BENCH_PR3.json)", func(w io.Writer) error { _, err := Perf(w); return err }},
 		{"load", "scheduling / T14", "multi-query load: weighted-fair vs FIFO latency, admission-control shedding, wire-carried deadline expiry (writes BENCH_PR4.json)", func(w io.Writer) error { _, err := Load(w); return err }},
 		{"stream", "streaming / T15", "streaming delivery: first-row latency, result-frame batching, active early termination via FirstN (writes BENCH_PR5.json)", func(w io.Writer) error { _, err := Stream(w); return err }},
 		{"replicas", "robustness / T16", "replicated sites: hot-site throughput scaling 1/2/4, availability under mid-run replica kills (writes BENCH_PR6.json)", func(w io.Writer) error { _, err := Replicas(w); return err }},
@@ -78,26 +77,28 @@ type runOut struct {
 	metrics server.Snapshot
 	sites   map[string]server.Snapshot // per-site attribution of metrics
 	net     netsim.Counters
-	toUser  netsim.Counters // traffic into the user-site's result collector
-	trace   []server.Event
+	toUser  netsim.Counters       // traffic into the user-site's result collector
+	trace   []trace.TraversalLine // Figure-7 sequence; runTraced only
 	elapsed time.Duration
 }
 
 // runDistributed executes src over web with the given options and full
 // instrumentation.
 func runDistributed(web *webgraph.Web, netOpts netsim.Options, srvOpts server.Options, src string) (*runOut, error) {
-	var mu sync.Mutex
-	var trace []server.Event
-	prev := srvOpts.Trace
-	srvOpts.Trace = func(e server.Event) {
-		mu.Lock()
-		trace = append(trace, e)
-		mu.Unlock()
-		if prev != nil {
-			prev(e)
-		}
-	}
-	d, err := core.NewDeployment(core.Config{Web: web, Net: netOpts, Server: srvOpts, NoDocService: true})
+	return runConfig(core.Config{Web: web, Net: netOpts, Exec: core.ExecConfig{Server: srvOpts, NoDocService: true}}, src)
+}
+
+// runTraced is runDistributed with causal tracing armed, so the run also
+// yields its Figure-7 traversal. Span context rides on every message, so
+// byte-measuring experiments use runDistributed instead.
+func runTraced(web *webgraph.Web, srvOpts server.Options, src string) (*runOut, error) {
+	return runConfig(core.Config{Web: web, Exec: core.ExecConfig{Server: srvOpts, NoDocService: true, Trace: true}}, src)
+}
+
+// runConfig builds the deployment, runs src to completion and collects the
+// instrumentation.
+func runConfig(cfg core.Config, src string) (*runOut, error) {
+	d, err := core.NewDeployment(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,9 +119,9 @@ func runDistributed(web *webgraph.Web, netOpts netsim.Options, srvOpts server.Op
 		toUser:  sn.To(q.ID().Site),
 		elapsed: time.Since(start),
 	}
-	mu.Lock()
-	out.trace = append(out.trace, trace...)
-	mu.Unlock()
+	if d.Tracing() {
+		out.trace = d.Journey(q).Traversal()
+	}
 	return out, nil
 }
 
@@ -221,11 +222,10 @@ func siteTable(w io.Writer, title string, sites map[string]server.Snapshot) {
 			fmt.Sprintf("%d/%d", s.RowsScanned, s.RowsEmitted),
 			fmt.Sprint(s.PushdownHits),
 			fmt.Sprint(s.PushdownBytesSaved),
-			fmt.Sprint(s.BytesV2Saved),
 		})
 	}
 	fmt.Fprintln(w, title)
-	table(w, []string{"site", "evals", "fwd", "local", "qdepth", "qhigh", "shed", "expired", "scan/emit", "push", "saved", "v2saved"}, rows)
+	table(w, []string{"site", "evals", "fwd", "local", "qdepth", "qhigh", "shed", "expired", "scan/emit", "push", "saved"}, rows)
 }
 
 func fmtBytes(n int64) string {
@@ -238,20 +238,46 @@ func fmtBytes(n int64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-// eventsByNode groups non-virtual trace events per node, preserving order.
-func eventsByNode(events []server.Event) map[string][]server.Event {
-	out := make(map[string][]server.Event)
-	for _, e := range events {
-		if e.Detail == "virtual" {
+// eventsByNode groups non-virtual traversal lines per node, preserving order.
+func eventsByNode(lines []trace.TraversalLine) map[string][]trace.TraversalLine {
+	out := make(map[string][]trace.TraversalLine)
+	for _, l := range lines {
+		if l.Detail == "virtual" {
 			continue
 		}
-		if e.Node == "" {
-			continue
-		}
-		out[e.Node] = append(out[e.Node], e)
+		out[l.Node] = append(out[l.Node], l)
 	}
 	return out
 }
 
 // netZero is the default instant fabric.
 func netZero() netsim.Options { return netsim.Options{} }
+
+// perfWorkload is one (web, query) pair of the steady-state grids (T15,
+// T18, T19).
+type perfWorkload struct {
+	Name  string
+	Web   func() *webgraph.Web
+	Query func(w *webgraph.Web) string
+}
+
+func perfWorkloads() []perfWorkload {
+	return []perfWorkload{
+		{"campus", webgraph.Campus, func(*webgraph.Web) string { return webgraph.CampusDISQL }},
+		{"tree40", perfTreeWeb,
+			func(w *webgraph.Web) string { return faultsQuery(w.First()) }},
+	}
+}
+
+// perfTreeWeb builds the 40-site tree used by the tree40 cells. Same
+// shape as the fault experiments' tree (fanout 3, depth 3, one page per
+// site so every tree edge stays a Global link) but with realistically
+// sized documents — ~5000 words each instead of 30 — so the cost paid per
+// clone arrival (re-parsing and re-indexing the site's documents to
+// rebuild its database) is representative rather than degenerate.
+func perfTreeWeb() *webgraph.Web {
+	return webgraph.Tree(webgraph.TreeOpts{
+		Fanout: 3, Depth: 3, PagesPerSite: 1,
+		MarkerFrac: 0.6, FillerWords: 5000, Seed: 7,
+	})
+}

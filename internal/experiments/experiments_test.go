@@ -346,50 +346,6 @@ func TestFaultsShape(t *testing.T) {
 	}
 }
 
-func TestPerfShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf grid is slow")
-	}
-	// Few measured runs, no artifact: the shape, not the speedup, is under
-	// test (single-machine CI numbers are too noisy to gate on).
-	out, err := perfRun(io.Discard, 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(perfConfigs()) * len(perfWorkloads()) * 2 // x transports
-	if len(out.Rows) != want {
-		t.Fatalf("grid has %d rows, want %d", len(out.Rows), want)
-	}
-	rowsBy := make(map[string]int)
-	for _, r := range out.Rows {
-		if r.MeanMs <= 0 || r.P50Ms <= 0 {
-			t.Errorf("%s/%s/%s: non-positive latency %+v", r.Transport, r.Topology, r.Config, r)
-		}
-		// Every configuration must deliver the same complete answer.
-		key := r.Transport + "/" + r.Topology
-		if prev, ok := rowsBy[key]; ok && prev != r.Rows {
-			t.Errorf("%s: %s delivered %d rows, other configs %d", key, r.Config, r.Rows, prev)
-		}
-		rowsBy[key] = r.Rows
-		switch r.Config {
-		case "baseline":
-			if r.ConnReused != 0 || r.ParseCacheHits != 0 || r.DBBuildCoalesced != 0 {
-				t.Errorf("baseline cell used optimized machinery: %+v", r)
-			}
-		case "optimized":
-			if r.ConnReused == 0 {
-				t.Errorf("%s/%s optimized never reused a connection", r.Transport, r.Topology)
-			}
-			if r.ParseCacheHits == 0 {
-				t.Errorf("%s/%s optimized never hit the parse cache", r.Transport, r.Topology)
-			}
-			if r.DocsParsed != 0 {
-				t.Errorf("%s/%s optimized re-parsed %d documents in steady state", r.Transport, r.Topology, r.DocsParsed)
-			}
-		}
-	}
-}
-
 func TestLoadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load harness is slow")

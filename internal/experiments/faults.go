@@ -143,11 +143,13 @@ func Faults(w io.Writer) (*FaultsOut, error) {
 					return nil, err
 				}
 				got, q, d, err := faultsRun(core.Config{
-					Web:       web,
-					Net:       netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: drop, Sever: drop / 5}},
-					Server:    cfg.srv,
-					Hybrid:    cfg.hybrid,
-					ReapGrace: 400 * time.Millisecond,
+					Web: web,
+					Net: netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: drop, Sever: drop / 5}},
+					Exec: core.ExecConfig{
+						Server:    cfg.srv,
+						Hybrid:    cfg.hybrid,
+						ReapGrace: 400 * time.Millisecond,
+					},
 				}, src)
 				if err != nil {
 					return nil, err
@@ -196,9 +198,11 @@ func Faults(w io.Writer) (*FaultsOut, error) {
 		Net: netsim.Options{Faults: netsim.FaultPlan{
 			Windows: []netsim.DownWindow{{Endpoint: victim, From: 0, Until: time.Hour}},
 		}},
-		Server:    server.Options{Retry: faultRetry},
-		Hybrid:    true,
-		ReapGrace: 400 * time.Millisecond,
+		Exec: core.ExecConfig{
+			Server:    server.Options{Retry: faultRetry},
+			Hybrid:    true,
+			ReapGrace: 400 * time.Millisecond,
+		},
 	}, src)
 	if err != nil {
 		return nil, err
@@ -219,9 +223,11 @@ func Faults(w io.Writer) (*FaultsOut, error) {
 	// Silent crash: the site receives clones but its reports are
 	// partitioned away. Only the client-side reaper can finish the query.
 	dep, err := core.NewDeployment(core.Config{
-		Web:       webgraph.Campus(),
-		Server:    server.Options{Retry: server.RetryPolicy{Attempts: 2, Base: time.Millisecond}},
-		ReapGrace: 300 * time.Millisecond,
+		Web: webgraph.Campus(),
+		Exec: core.ExecConfig{
+			Server:    server.Options{Retry: server.RetryPolicy{Attempts: 2, Base: time.Millisecond}},
+			ReapGrace: 300 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ func Figure1(w io.Writer) (*Figure1Out, error) {
 	fmt.Fprintln(w, "F1: web traversal path (paper Figure 1)")
 	fmt.Fprintln(w, "query: Q = S G·(G|L) q1 (G|L) q2")
 	fmt.Fprintln(w)
-	out, err := runDistributed(webgraph.Figure1(), netZero(), server.Options{}, webgraph.Figure1DISQL)
+	out, err := runTraced(webgraph.Figure1(), server.Options{}, webgraph.Figure1DISQL)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func Figure5(w io.Writer) (*Figure5Out, error) {
 	fmt.Fprintln(w, "F5: multiple visits to a node (paper Figure 5, Section 3.1)")
 	fmt.Fprintln(w, "query: Q = S G·(G|L) q1 (G|L) q2; node X receives arrivals a..e")
 	fmt.Fprintln(w)
-	on, err := runDistributed(webgraph.Figure5(), netZero(), server.Options{}, webgraph.Figure5DISQL)
+	on, err := runTraced(webgraph.Figure5(), server.Options{}, webgraph.Figure5DISQL)
 	if err != nil {
 		return nil, err
 	}
@@ -112,12 +112,12 @@ func Figure5(w io.Writer) (*Figure5Out, error) {
 			label = labels[i]
 		}
 		i++
-		rows = append(rows, []string{label, e.State.String(), disposition})
+		rows = append(rows, []string{label, e.State, disposition})
 	}
 	table(w, []string{"arrival", "state (num_q, rem)", "disposition with log table ON"}, rows)
 
-	off, err := runDistributed(webgraph.Figure5(), netZero(),
-		server.Options{Dedup: nodeproc.DedupOff, DedupSet: true, MaxHops: 16}, webgraph.Figure5DISQL)
+	off, err := runTraced(webgraph.Figure5(),
+		server.Options{Dedup: nodeproc.DedupOff, MaxHops: 16}, webgraph.Figure5DISQL)
 	if err != nil {
 		return nil, err
 	}
@@ -147,16 +147,14 @@ type CampusOut struct {
 func Campus(w io.Writer) (*CampusOut, error) {
 	fmt.Fprintln(w, "F7/F8: the campus convener query (paper Section 5)")
 	fmt.Fprintln(w)
-	// WireOracle renders every v2 frame through gob as well, booking the
-	// per-site byte savings the campus table's v2saved column reports.
-	out, err := runDistributed(webgraph.Campus(), netZero(), server.Options{WireOracle: true}, webgraph.CampusDISQL)
+	out, err := runTraced(webgraph.Campus(), server.Options{}, webgraph.CampusDISQL)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintln(w, "traversal (Figure 7):")
 	var rows [][]string
 	for _, e := range out.trace {
-		rows = append(rows, []string{e.Node, e.State.String(), e.Action, e.Detail})
+		rows = append(rows, []string{e.Node, e.State, e.Action, e.Detail})
 	}
 	table(w, []string{"node", "state", "action", "detail"}, rows)
 

@@ -283,9 +283,9 @@ func loadCell(transport, schedName string, probes int) (*LoadCell, error) {
 	if schedName == "fair" {
 		opts.Sched = sched.Options{Fair: true}
 	}
-	cfg := core.Config{Web: loadWeb(), Server: opts, NoDocService: true}
+	cfg := core.Config{Web: loadWeb(), Exec: core.ExecConfig{Server: opts, NoDocService: true}}
 	if transport == "tcp" {
-		cfg.Transport = netsim.NewTCP()
+		cfg.Exec.Transport = netsim.NewTCP()
 	}
 	d, err := core.NewDeployment(cfg)
 	if err != nil {
@@ -423,7 +423,7 @@ func loadCell(transport, schedName string, probes int) (*LoadCell, error) {
 // loadTruthRows runs one heavy scan on a clean unbounded deployment and
 // returns its complete answer size.
 func loadTruthRows() (int, error) {
-	d, err := core.NewDeployment(core.Config{Web: loadWeb(), NoDocService: true})
+	d, err := core.NewDeployment(core.Config{Web: loadWeb(), Exec: core.ExecConfig{NoDocService: true}})
 	if err != nil {
 		return 0, err
 	}
@@ -448,8 +448,11 @@ func loadShedSegment() (*LoadShed, error) {
 		return nil, err
 	}
 	d, err := core.NewDeployment(core.Config{
-		Web: loadWeb(), NoDocService: true,
-		Server: server.Options{Sched: sched.Options{Fair: true, HighWater: 8, LowWater: 4}},
+		Web: loadWeb(),
+		Exec: core.ExecConfig{
+			NoDocService: true,
+			Server:       server.Options{Sched: sched.Options{Fair: true, HighWater: 8, LowWater: 4}},
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -519,7 +522,7 @@ func loadShedSegment() (*LoadShed, error) {
 // expiry count against the EXPIRED fates in the journey stitched from
 // result reports alone.
 func loadExpirySegment() (*LoadExpiry, error) {
-	d, err := core.NewDeployment(core.Config{Web: loadWeb(), NoDocService: true, Trace: true})
+	d, err := core.NewDeployment(core.Config{Web: loadWeb(), Exec: core.ExecConfig{NoDocService: true, Trace: true}})
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,10 @@ func Migration(w io.Writer) ([]MigrationRow, error) {
 			set[h] = true
 		}
 		d, err := core.NewDeployment(core.Config{
-			Web:         web,
-			Participate: func(site string) bool { return set[site] },
+			Web: web,
+			Exec: core.ExecConfig{
+				Participate: func(site string) bool { return set[site] },
+			},
 		})
 		if err != nil {
 			return nil, err

@@ -92,7 +92,7 @@ func plannerConfigs() []struct {
 // (result frames carry per-site stats to the client, the next root
 // clone carries them back out), then `runs` measured queries.
 func plannerCell(topology, qname, config string, web *webgraph.Web, opts server.Options, src string, runs int) (*PlannerRow, string, error) {
-	d, err := core.NewDeployment(core.Config{Web: web, Server: opts})
+	d, err := core.NewDeployment(core.Config{Web: web, Exec: core.ExecConfig{Server: opts}})
 	if err != nil {
 		return nil, "", err
 	}

@@ -99,9 +99,11 @@ func Termination(w io.Writer) (*TerminationOut, error) {
 
 	// Cancelled run.
 	d, err := core.NewDeployment(core.Config{
-		Web:          web,
-		Net:          netsim.Options{Latency: 2 * time.Millisecond},
-		NoDocService: true,
+		Web: web,
+		Net: netsim.Options{Latency: 2 * time.Millisecond},
+		Exec: core.ExecConfig{
+			NoDocService: true,
+		},
 	})
 	if err != nil {
 		return nil, err

@@ -198,11 +198,13 @@ func repScaleCell(replicas, perWorker int) (*ReplicaCell, error) {
 	// bandwidth knee and the cell would measure codec, not replication
 	// (T18 measures the codec).
 	d, err := core.NewDeployment(core.Config{
-		Web:          repWeb(),
-		Net:          netsim.Options{BytesPerSecond: repBW},
-		Server:       server.Options{CacheDBs: true, WireV1: true},
-		NoDocService: true,
-		Replicas:     replicas,
+		Web: repWeb(),
+		Net: netsim.Options{BytesPerSecond: repBW},
+		Exec: core.ExecConfig{
+			Server:       server.Options{CacheDBs: true, WireV1: true},
+			NoDocService: true,
+			Replicas:     replicas,
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -290,15 +292,17 @@ func repKillCell(kills, perWorker int) (*ReplicaKillCell, error) {
 	d, err := core.NewDeployment(core.Config{
 		Web: repWeb(),
 		Net: netsim.Options{BytesPerSecond: repBW},
-		Server: server.Options{
-			CacheDBs: true,
-			WireV1:   true, // same calibrated uplink-bound regime as repScaleCell
-			Retry:    server.RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 10 * time.Millisecond, Timeout: 200 * time.Millisecond},
+		Exec: core.ExecConfig{
+			Server: server.Options{
+				CacheDBs: true,
+				WireV1:   true, // same calibrated uplink-bound regime as repScaleCell
+				Retry:    server.RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 10 * time.Millisecond, Timeout: 200 * time.Millisecond},
+			},
+			NoDocService: true,
+			Replicas:     repKillReplicas,
+			Cluster:      cluster.Options{SuspectAfter: 1, DownAfter: 1},
+			ReapGrace:    250 * time.Millisecond,
 		},
-		NoDocService: true,
-		Replicas:     repKillReplicas,
-		Cluster:      cluster.Options{SuspectAfter: 1, DownAfter: 1},
-		ReapGrace:    250 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, err

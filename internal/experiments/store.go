@@ -257,7 +257,7 @@ func storeCell(wl perfWorkload, config string, opts server.Options, useStore, no
 	nsites := web.NumSites()
 
 	g0 := heapMiB()
-	d, err := core.NewDeployment(core.Config{Web: web, Server: opts, NoDocService: true})
+	d, err := core.NewDeployment(core.Config{Web: web, Exec: core.ExecConfig{Server: opts, NoDocService: true}})
 	if err != nil {
 		return nil, "", err
 	}

@@ -258,9 +258,9 @@ func streamRun(w io.Writer, runs int, outPath string) (*StreamOut, error) {
 // shared deployment (2 warmups, then timed repeats), consuming rows via
 // the pull iterator concurrently and asserting streamed/buffered parity.
 func streamLatencyCell(transport, topology string, web *webgraph.Web, src string, runs int) (*StreamLatencyRow, error) {
-	cfg := core.Config{Web: web, Server: server.Options{CacheDBs: true, Workers: 4}, NoDocService: true}
+	cfg := core.Config{Web: web, Exec: core.ExecConfig{Server: server.Options{CacheDBs: true, Workers: 4}, NoDocService: true}}
 	if transport == "tcp" {
-		cfg.Transport = netsim.NewTCP()
+		cfg.Exec.Transport = netsim.NewTCP()
 	}
 	d, err := core.NewDeployment(cfg)
 	if err != nil {
@@ -325,7 +325,7 @@ func streamLatencyCell(transport, topology string, web *webgraph.Web, src string
 // streamBatchCell measures one batching configuration on the pipe
 // fabric: metric and frame-count deltas over the measured runs.
 func streamBatchCell(config string, web *webgraph.Web, opts server.Options, src string, runs int) (*StreamBatchRow, error) {
-	d, err := core.NewDeployment(core.Config{Web: web, Server: opts, NoDocService: true})
+	d, err := core.NewDeployment(core.Config{Web: web, Exec: core.ExecConfig{Server: opts, NoDocService: true}})
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +383,7 @@ func streamStopCell(config string, web *webgraph.Web, src string, b wire.Budget,
 	row := &StreamStopRow{Config: config, Runs: runs}
 	var durs []time.Duration
 	for i := 0; i < runs; i++ {
-		d, err := core.NewDeployment(core.Config{Web: web, NoDocService: true})
+		d, err := core.NewDeployment(core.Config{Web: web, Exec: core.ExecConfig{NoDocService: true}})
 		if err != nil {
 			return nil, err
 		}

@@ -5,13 +5,11 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"webdis/internal/client"
 	"webdis/internal/core"
 	"webdis/internal/netsim"
-	"webdis/internal/server"
 	"webdis/internal/trace"
 	"webdis/internal/webgraph"
 )
@@ -19,10 +17,9 @@ import (
 // TracingOut is the T12 result.
 type TracingOut struct {
 	// Campus journey reconstruction.
-	Spans       int  // clone messages in the reconstructed tree
-	Complete    bool // every span accounted for (no in-flight/lost)
-	TraversalOK bool // journaled traversal ≡ legacy tracer's Figure-7 sequence
-	MaxHop      int
+	Spans    int  // clone messages in the reconstructed tree
+	Complete bool // every span accounted for (no in-flight/lost)
+	MaxHop   int
 
 	// Tracing overhead on the sweep web (min over repetitions).
 	Baseline time.Duration
@@ -69,8 +66,8 @@ func kindTable(w io.Writer, title string, byKind map[string]int64) {
 
 // Tracing runs experiment T12: the causal tracing subsystem exercised
 // three ways. First the campus execution is replayed with tracing on and
-// the reconstructed journey is checked against the legacy tracer's
-// Figure-7 sequence. Then tracing's overhead is measured on the T11 sweep
+// its journey — clone tree and Figure-7 traversal — is reconstructed from
+// the site journals. Then tracing's overhead is measured on the T11 sweep
 // web (min over repetitions, traced vs untraced). Finally faults are
 // injected with the classic (no-recovery) engine and the journey's lost
 // spans are checked against the fabric's ground-truth fault ledger: the
@@ -80,17 +77,9 @@ func Tracing(w io.Writer) (*TracingOut, error) {
 	out := &TracingOut{}
 
 	// --- Part 1: the campus journey vs Figure 7 -----------------------
-	var mu sync.Mutex
-	var legacy []server.Event
 	d, err := core.NewDeployment(core.Config{
-		Web: webgraph.Campus(),
-		Server: server.Options{Trace: func(e server.Event) {
-			mu.Lock()
-			legacy = append(legacy, e)
-			mu.Unlock()
-		}},
-		NoDocService: true,
-		Trace:        true,
+		Web:  webgraph.Campus(),
+		Exec: core.ExecConfig{NoDocService: true, Trace: true},
 	})
 	if err != nil {
 		return nil, err
@@ -109,35 +98,11 @@ func Tracing(w io.Writer) (*TracingOut, error) {
 		}
 	})
 
-	// The journaled traversal and the legacy tracer watched the same run;
-	// up to cross-site timing ties they must list the same node visits in
-	// the same states.
-	journaled := make(map[string]int)
-	for _, l := range jy.Traversal() {
-		journaled[l.Node+"|"+l.State+"|"+l.Action]++
-	}
-	legacySeq := make(map[string]int)
-	mu.Lock()
-	for _, e := range legacy {
-		switch e.Action {
-		case "eval", "route", "dead-end", "drop", "rewrite", "missing":
-			legacySeq[e.Node+"|"+e.State.String()+"|"+e.Action]++
-		}
-	}
-	mu.Unlock()
-	out.TraversalOK = len(journaled) == len(legacySeq)
-	for k, n := range legacySeq {
-		if journaled[k] != n {
-			out.TraversalOK = false
-		}
-	}
-
 	fmt.Fprintln(w, "\ncampus clone tree (reconstructed from the site journals):")
 	fmt.Fprint(w, jy.Tree())
 	fmt.Fprintln(w, "\ntraversal regenerated from the journey (Figure 7):")
 	fmt.Fprint(w, jy.FormatTraversal())
-	fmt.Fprintf(w, "\n%d spans, complete=%v, max hop %d; matches legacy Figure-7 trace: %v\n",
-		out.Spans, out.Complete, out.MaxHop, out.TraversalOK)
+	fmt.Fprintf(w, "\n%d spans, complete=%v, max hop %d\n", out.Spans, out.Complete, out.MaxHop)
 	kindTable(w, "message mix of the traced campus run (netsim per-kind counts):",
 		d.Network().Stats().Snapshot().Total().ByKind)
 	d.Close()
@@ -151,7 +116,7 @@ func Tracing(w io.Writer) (*TracingOut, error) {
 		events := 0
 		for i := 0; i < reps; i++ {
 			dep, err := core.NewDeployment(core.Config{
-				Web: web, NoDocService: true, Trace: traced,
+				Web: web, Exec: core.ExecConfig{NoDocService: true, Trace: traced},
 			})
 			if err != nil {
 				return 0, 0, err
@@ -203,10 +168,12 @@ func Tracing(w io.Writer) (*TracingOut, error) {
 	got := 0
 	for seed := int64(1); seed <= 32; seed++ {
 		dep, err = core.NewDeployment(core.Config{
-			Web:       fw,
-			Net:       netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.12, Sever: 0.02}},
-			ReapGrace: 400 * time.Millisecond,
-			Trace:     true,
+			Web: fw,
+			Net: netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.12, Sever: 0.02}},
+			Exec: core.ExecConfig{
+				ReapGrace: 400 * time.Millisecond,
+				Trace:     true,
+			},
 		})
 		if err != nil {
 			return nil, err

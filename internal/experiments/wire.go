@@ -190,9 +190,9 @@ func wireRun(w io.Writer, runs int, outPath string) (*WireOut, error) {
 // intern tables target): two warmup queries, then timed repeats. It
 // returns the cell and the canonical answer for cross-config comparison.
 func wireCell(transport, topology, config string, web *webgraph.Web, opts server.Options, adaptive bool, src string, runs int) (*WireRow, string, error) {
-	cfg := core.Config{Web: web, Server: opts, NoDocService: true, AdaptiveBatch: adaptive}
+	cfg := core.Config{Web: web, Exec: core.ExecConfig{Server: opts, NoDocService: true, AdaptiveBatch: adaptive}}
 	if transport == "tcp" {
-		cfg.Transport = netsim.NewTCP()
+		cfg.Exec.Transport = netsim.NewTCP()
 	}
 	d, err := core.NewDeployment(cfg)
 	if err != nil {

@@ -218,19 +218,20 @@ func BuildDB(url string, content []byte) (*relmodel.DB, error) {
 // arrivals.
 type DedupMode int
 
-// Dedup modes. DedupSubsume is the paper's scheme and the default.
+// Dedup modes. DedupSubsume is the paper's scheme and the zero value, so
+// a zero Options deduplicates by subsumption.
 const (
-	// DedupOff disables the log table entirely (the ablation baseline —
-	// every arrival is recomputed and re-forwarded).
-	DedupOff DedupMode = iota
-	// DedupExact drops only arrivals whose state is syntactically
-	// identical to a logged one.
-	DedupExact
 	// DedupSubsume adds the paper's star-bound rules: an arrival covered
 	// by a logged PRE is dropped, and an arrival that covers a logged PRE
 	// replaces it and is rewritten (A*m·B → A·A*(m-1)·B) so only the
 	// difference is explored.
-	DedupSubsume
+	DedupSubsume DedupMode = iota
+	// DedupOff disables the log table entirely (the ablation baseline —
+	// every arrival is recomputed and re-forwarded).
+	DedupOff
+	// DedupExact drops only arrivals whose state is syntactically
+	// identical to a logged one.
+	DedupExact
 	// DedupStrong is an extension: full DFA language containment decides
 	// coverage, catching equivalences the syntactic rules miss.
 	DedupStrong

@@ -263,7 +263,6 @@ func (rb *resultBatcher) flush(b *batch) {
 	rb.s.stampReplica(msg)
 	if rb.s.send(b.id.Site, msg) != nil {
 		rb.s.met.Terminated.Add(1)
-		rb.s.trace("", wire.State{}, "terminated", "batched result dispatch failed")
 		rb.mu.Lock()
 		if len(rb.dead) > 256 {
 			for k, at := range rb.dead {

@@ -148,10 +148,6 @@ type Metrics struct {
 	// statistics report as Fanout).
 	TargetsAdded atomic.Int64
 
-	// BytesV2Saved accumulates, under Options.WireOracle, the per-frame
-	// difference between what gob would have put on the wire and what the
-	// v2 binary codec actually sent.
-	BytesV2Saved atomic.Int64
 	// BatchTunes counts TUNE frames applied to the result batcher's
 	// per-query bounds (the client's adaptive-batching feedback loop).
 	BatchTunes atomic.Int64
@@ -238,8 +234,7 @@ type Snapshot struct {
 	DocBytes           int64
 	TargetsAdded       int64
 
-	BytesV2Saved int64
-	BatchTunes   int64
+	BatchTunes int64
 
 	PagesRead      int64
 	PagesEvicted   int64
@@ -307,8 +302,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		DocBytes:           m.DocBytes.Load(),
 		TargetsAdded:       m.TargetsAdded.Load(),
 
-		BytesV2Saved: m.BytesV2Saved.Load(),
-		BatchTunes:   m.BatchTunes.Load(),
+		BatchTunes: m.BatchTunes.Load(),
 
 		PagesRead:      m.PagesRead.Load(),
 		PagesEvicted:   m.PagesEvicted.Load(),

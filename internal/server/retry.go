@@ -114,7 +114,9 @@ func (s *Server) sendSite(site string, c *wire.CloneMsg) error {
 		}
 		if tried != nil {
 			s.met.Failovers.Add(1)
-			s.jot(c, trace.Failover, "", c.State(), site+" -> "+ep)
+			if s.opts.Journal != nil {
+				s.jot(c, trace.Failover, "", c.State(), site+" -> "+ep)
+			}
 		}
 		err := s.send(ep, c)
 		if err == nil {
@@ -226,21 +228,6 @@ func (s *Server) attemptSend(to string, msg any, timeout time.Duration) error {
 // one fresh dial within the same attempt, whose outcome (refusal,
 // injected fault, success) is then exactly what the seed would have seen.
 func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) error {
-	from := s.self
-	if s.pool == nil {
-		conn, err := s.tr.Dial(from, to)
-		if err != nil {
-			return err
-		}
-		s.met.ConnDialed.Add(1)
-		if register != nil && !register(conn) {
-			conn.Close()
-			return errAttemptTimeout
-		}
-		defer conn.Close()
-		return wire.Send(conn, msg)
-	}
-
 	conn, reused, err := s.pool.Get(to)
 	if err != nil {
 		return err

@@ -58,28 +58,13 @@ type DocSource interface {
 	Get(url string) ([]byte, error)
 }
 
-// Event is one trace record of the server's processing, consumed by the
-// figure-reproduction experiments and by verbose tools.
-type Event struct {
-	Site   string
-	Node   string
-	State  wire.State
-	Action string // eval, route, dead-end, drop, rewrite, terminated, missing
-	Detail string
-}
-
-// Tracer receives trace events. It must be safe for concurrent use.
-type Tracer func(Event)
-
 // Options configure a Server. The zero value is the paper's design:
 // subsumption dedup, per-site clone batching, no hop bound, no periodic
 // purge.
 type Options struct {
-	// Dedup selects the Node-query Log Table mode. The zero value
-	// (DedupOff == 0 would be wrong as a default) — NewServer treats a
-	// zero Options.Dedup as DedupSubsume unless DedupSet is true.
-	Dedup    nodeproc.DedupMode
-	DedupSet bool // set true to honor Dedup == DedupOff
+	// Dedup selects the Node-query Log Table mode; the zero value is
+	// DedupSubsume, the paper's scheme.
+	Dedup nodeproc.DedupMode
 	// NoBatch disables per-site clone batching (Section 3.2, item 4):
 	// every destination node gets its own clone message.
 	NoBatch bool
@@ -128,27 +113,6 @@ type Options struct {
 	// purge when both are positive.
 	LogPurgeAge   time.Duration
 	LogPurgeEvery time.Duration
-	// NoConnPool disables the per-peer connection pool: every remote send
-	// dials, sends and closes, the seed behaviour. The pool only skips
-	// handshakes — failure semantics are unchanged, because reuse is
-	// health-checked against the transport's failure injection and a send
-	// that fails on a reused connection for any reason other than an
-	// injected fault is transparently redone over a fresh dial.
-	NoConnPool bool
-	// SerialFanout ships a processed clone's remote forwards one at a
-	// time (the seed behaviour) instead of through the bounded fan-out
-	// worker group.
-	SerialFanout bool
-	// FanoutWorkers bounds the per-clone forward worker group (default 8,
-	// ignored under SerialFanout).
-	FanoutWorkers int
-	// NoParseCache disables the shared PRE parse cache: every arrival
-	// re-parses its stage PREs and remaining PRE, the seed behaviour.
-	NoParseCache bool
-	// NoSingleflight disables coalescing of concurrent database builds:
-	// N workers hitting one node all run the Database Constructor, the
-	// seed behaviour.
-	NoSingleflight bool
 	// Retry bounds the resilience loop around every remote send (clone
 	// forwards, result dispatches, bounces): per-attempt timeout and
 	// bounded exponential backoff with jitter. The zero value sends once
@@ -168,8 +132,6 @@ type Options struct {
 	// are reproducible either way; set it only to decorrelate sites
 	// differently across repetitions.
 	Seed int64
-	// Trace, when set, receives processing events.
-	Trace Tracer
 	// Journal, when set, receives causal trace events (package trace):
 	// one arrival per clone message, per-node processing events, and one
 	// forward/bounce/terminate fate per outgoing clone. Span ids are
@@ -196,18 +158,6 @@ type Options struct {
 	// v2 binary codec — the compatibility profile for mixed-version
 	// deployments and the baseline arm of codec benchmarks.
 	WireV1 bool
-	// WireOracle arms per-frame byte measurement on outgoing v2
-	// sessions: every frame re-encodes through gob to book the saving
-	// into Metrics.BytesV2Saved. Strictly a measurement mode (the gob
-	// re-encode is not free); used by the campus experiment tables.
-	WireOracle bool
-}
-
-func (o Options) dedup() nodeproc.DedupMode {
-	if !o.DedupSet && o.Dedup == nodeproc.DedupOff {
-		return nodeproc.DedupSubsume
-	}
-	return o.Dedup
 }
 
 // Server is one site's WEBDIS query server.
@@ -258,8 +208,7 @@ type Server struct {
 	store *store.Store
 
 	// pool reuses connections to frequently dialed peers (other sites'
-	// query servers, the user-site's result collectors); nil under
-	// opts.NoConnPool.
+	// query servers, the user-site's result collectors).
 	pool *netsim.Pool
 
 	// batcher coalesces result reports per query when
@@ -306,7 +255,7 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		tr:       tr,
 		met:      met,
 		opts:     opts,
-		log:      nodeproc.NewLogTable(opts.dedup()),
+		log:      nodeproc.NewLogTable(opts.Dedup),
 		rng:      newLockedRand(opts.Seed, seedName(site, opts.Replica)),
 		dbCache:  make(map[string]*dbEntry),
 		stoppedQ: make(map[string]time.Time),
@@ -333,32 +282,21 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		}
 	}
 	s.queue = sched.New[*wire.CloneMsg](schedOpts)
-	if !opts.NoConnPool {
-		s.pool = netsim.NewPool(tr, s.self, netsim.PoolOptions{
-			// Pooled connections carry many frames, so attach a persistent
-			// wire codec: type descriptors (v1) or the intern table (v2)
-			// then amortize across a connection's lifetime.
-			Wrap: func(c net.Conn) net.Conn { return wire.NewFramedOpts(c, s.frameOpts()) },
-		})
-	}
+	s.pool = netsim.NewPool(tr, s.self, netsim.PoolOptions{
+		// Pooled connections carry many frames, so attach a persistent
+		// wire codec: type descriptors (v1) or the intern table (v2)
+		// then amortize across a connection's lifetime.
+		Wrap: func(c net.Conn) net.Conn { return wire.NewFramedOpts(c, s.frameOpts()) },
+	})
 	return s
 }
 
 // frameOpts derives the wire-session options this server attaches to
-// every connection it opens or accepts: version pinning under WireV1 and
-// the per-frame gob-size oracle under WireOracle.
+// every connection it opens or accepts: version pinning under WireV1.
 func (s *Server) frameOpts() wire.FramedOptions {
 	fo := wire.FramedOptions{}
 	if s.opts.WireV1 {
 		fo.Offer, fo.Accept = 1, 1
-	}
-	if s.opts.WireOracle {
-		fo.MeasureGob = true
-		fo.OnFrame = func(kind string, wireBytes, gobBytes int) {
-			if gobBytes > 0 {
-				s.met.BytesV2Saved.Add(int64(gobBytes - wireBytes))
-			}
-		}
 	}
 	return fo
 }
@@ -402,16 +340,14 @@ func (s *Server) Start() error {
 		// stamped on every result frame; set before any worker starts so
 		// no frame leaves with the previous incarnation.
 		s.inc = cl.Register(s.self)
-		if s.pool != nil {
-			// Evict idle connections to a replica the moment the health
-			// layer declares it down, instead of waiting for the next send
-			// on a dead socket to fail.
-			s.unsub = cl.Subscribe(func(ep string, st cluster.State) {
-				if st == cluster.Down {
-					s.pool.EvictPeer(ep)
-				}
-			})
-		}
+		// Evict idle connections to a replica the moment the health
+		// layer declares it down, instead of waiting for the next send
+		// on a dead socket to fail.
+		s.unsub = cl.Subscribe(func(ep string, st cluster.State) {
+			if st == cluster.Down {
+				s.pool.EvictPeer(ep)
+			}
+		})
 	}
 	s.mu.Lock()
 	s.ln = ln
@@ -537,9 +473,7 @@ func (s *Server) Stop() {
 	if s.batcher != nil {
 		s.batcher.close()
 	}
-	if s.pool != nil {
-		s.pool.Close()
-	}
+	s.pool.Close()
 	if s.store != nil {
 		s.store.Close()
 		s.store = nil
@@ -579,7 +513,6 @@ func (s *Server) admit(c *wire.CloneMsg) {
 // user-site is unreachable, the reaper owns the stranded entries.
 func (s *Server) shedClone(c *wire.CloneMsg) {
 	s.met.Shed.Add(1)
-	s.trace("", c.State(), "shed", "over high watermark")
 	s.jot(c, trace.Shed, "", c.State(), "over high watermark")
 	s.send(c.ID.Site, &wire.ShedMsg{Clone: c, Site: s.site})
 }
@@ -727,12 +660,6 @@ func (s *Server) isStopped(id string) bool {
 	return ok
 }
 
-func (s *Server) trace(node string, st wire.State, action, detail string) {
-	if s.opts.Trace != nil {
-		s.opts.Trace(Event{Site: s.site, Node: node, State: st, Action: action, Detail: detail})
-	}
-}
-
 // jot appends one causal trace event for clone c to the site journal.
 func (s *Server) jot(c *wire.CloneMsg, kind trace.Kind, node string, st wire.State, detail string) {
 	if s.opts.Journal == nil {
@@ -783,7 +710,9 @@ func spendOne(q *int) {
 // handle processes one received clone message: the process_query
 // algorithm of Figure 3.
 func (s *Server) handle(c *wire.CloneMsg) {
-	s.jot(c, trace.Arrive, "", c.State(), strconv.Itoa(len(c.Dest))+" dests")
+	if s.opts.Journal != nil {
+		s.jot(c, trace.Arrive, "", c.State(), strconv.Itoa(len(c.Dest))+" dests")
+	}
 	if c.Budget.ExpiredAt(time.Now().UnixNano()) {
 		// The query's deadline passed in transit: the typed EXPIRED
 		// terminate. No evaluation, no children — the entries retire so
@@ -882,15 +811,16 @@ func (s *Server) handle(c *wire.CloneMsg) {
 	// purged locally.
 	if !s.dispatchResults(c, updates, tables, spawned) {
 		s.met.Terminated.Add(1)
-		s.trace("", c.State(), "terminated", "result dispatch failed")
 		s.jot(c, trace.Terminate, "", c.State(), "result dispatch failed")
 		return
 	}
 	// The Result jot lives here, not in dispatchResults: retireAll also
 	// dispatches (bookkeeping for clones that failed), and those reports
 	// must not overwrite the span's forward-failed fate.
-	s.jot(c, trace.Result, "", c.State(),
-		strconv.Itoa(len(updates))+" updates, "+strconv.Itoa(len(tables))+" tables")
+	if s.opts.Journal != nil {
+		s.jot(c, trace.Result, "", c.State(),
+			strconv.Itoa(len(updates))+" updates, "+strconv.Itoa(len(tables))+" tables")
+	}
 	s.forwardAll(outs, order)
 }
 
@@ -900,7 +830,6 @@ func (s *Server) handle(c *wire.CloneMsg) {
 // of the paper's passive termination, but accounted, not silent.
 func (s *Server) expire(c *wire.CloneMsg, reason string) {
 	s.met.BudgetExpired.Add(1)
-	s.trace("", c.State(), "expired", reason)
 	s.jot(c, trace.Expire, "", c.State(), reason)
 	s.retireAll(c, retireExpired)
 }
@@ -909,7 +838,6 @@ func (s *Server) expire(c *wire.CloneMsg, reason string) {
 // STOPPED retirement, the active-cancel analog of expire.
 func (s *Server) stopClone(c *wire.CloneMsg) {
 	s.met.Stopped.Add(1)
-	s.trace("", c.State(), "stopped", "active stop")
 	s.jot(c, trace.Stop, "", c.State(), "active stop")
 	s.retireAll(c, retireStopped)
 }
@@ -938,26 +866,11 @@ func divideQuota(q, n, i int) int {
 // errNoStages rejects clones that carry no node-queries at all.
 var errNoStages = errors.New("server: clone carries no stages")
 
-// parseClone recovers the clone's parsed stages and arrival PRE. By
-// default both go through the shared parse cache, so a steady-state
-// arrival — including one about to be dropped as a duplicate — parses
-// nothing before its log-table check; Options.NoParseCache restores the
-// parse-per-arrival seed behaviour.
+// parseClone recovers the clone's parsed stages and arrival PRE. Both
+// go through the shared parse cache, so a steady-state arrival —
+// including one about to be dropped as a duplicate — parses nothing
+// before its log-table check.
 func (s *Server) parseClone(c *wire.CloneMsg) ([]disql.Stage, pre.Expr, error) {
-	if s.opts.NoParseCache {
-		stages, err := nodeproc.ParseStages(c.Stages)
-		if err != nil {
-			return nil, nil, err
-		}
-		arrRem, err := pre.Parse(c.Rem)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(stages) == 0 {
-			return nil, nil, errNoStages
-		}
-		return stages, arrRem, nil
-	}
 	stages, hits, err := nodeproc.ParseStagesCached(c.Stages)
 	s.met.ParseCacheHits.Add(int64(hits))
 	s.met.ParseCacheMisses.Add(int64(len(c.Stages) - hits))
@@ -991,6 +904,8 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 		Seq:    dest.Seq,
 	}
 	update := wire.CHTUpdate{Processed: arrival}
+	// Journal details are built only when a journal will receive them.
+	tracing := s.opts.Journal != nil
 
 	rem := arrRem
 	envKey := wire.EnvKey(c.Env)
@@ -998,21 +913,22 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 	switch verdict.Action {
 	case nodeproc.Drop:
 		s.met.DupDropped.Add(1)
-		s.trace(node, arrival.State, "drop", "duplicate arrival")
 		s.jot(c, trace.Drop, node, arrival.State, "duplicate arrival")
 		return update, nil
 	case nodeproc.Rewrite:
 		s.met.DupRewritten.Add(1)
-		s.trace(node, arrival.State, "rewrite", rem.String()+" -> "+verdict.Rem.String())
-		s.jot(c, trace.Rewrite, node, arrival.State, rem.String()+" -> "+verdict.Rem.String())
+		if tracing {
+			s.jot(c, trace.Rewrite, node, arrival.State, rem.String()+" -> "+verdict.Rem.String())
+		}
 		rem = verdict.Rem
 	}
 
 	db, err := s.database(node)
 	if err != nil {
 		s.met.DocErrors.Add(1)
-		s.trace(node, arrival.State, "missing", err.Error())
-		s.jot(c, trace.Missing, node, arrival.State, err.Error())
+		if tracing {
+			s.jot(c, trace.Missing, node, arrival.State, err.Error())
+		}
 		return update, nil
 	}
 
@@ -1032,7 +948,10 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 	for len(work) > 0 {
 		it := work[0]
 		work = work[1:]
-		st := wire.State{NumQ: len(it.stages), Rem: it.rem.String()}
+		var st wire.State
+		if tracing {
+			st = wire.State{NumQ: len(it.stages), Rem: it.rem.String()}
+		}
 		isVirtual := !first
 		first = false
 		if isVirtual {
@@ -1040,7 +959,6 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 			switch v.Action {
 			case nodeproc.Drop:
 				s.met.DupDropped.Add(1)
-				s.trace(node, st, "drop", "virtual duplicate")
 				s.jot(c, trace.Drop, node, st, "virtual duplicate")
 				continue
 			case nodeproc.Rewrite:
@@ -1051,7 +969,6 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 
 		res, err := nodeproc.Step(db, node, it.rem, it.stages[0], len(it.stages) > 1, it.env)
 		if err != nil {
-			s.trace(node, st, "error", err.Error())
 			continue
 		}
 		s.met.RowsScanned.Add(res.Scanned)
@@ -1060,34 +977,20 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 			s.met.Evaluations.Add(1)
 			if res.DeadEnd {
 				s.met.DeadEnds.Add(1)
-				s.trace(node, st, "dead-end", "no answer")
 				s.jot(c, trace.DeadEnd, node, st, "no answer")
 				if s.opts.StrictDeadEnds {
 					continue
 				}
-			} else {
-				s.trace(node, st, "eval", "answered q"+strconv.Itoa(it.base+1))
+			} else if tracing {
 				s.jot(c, trace.Evaluate, node, st, "answered q"+strconv.Itoa(it.base+1))
 			}
 			if len(it.stages[0].Query.Select) > 0 && !res.Table.Empty() {
 				rows := res.Table.Rows
 				if bs.rows != 0 {
 					// Row quota: keep what remains, clip the rest.
-					keep := 0
-					if bs.rows > 0 {
-						keep = bs.rows
-					}
-					if keep > len(rows) {
-						keep = len(rows)
-					}
-					if clipped := len(rows) - keep; clipped > 0 {
-						s.met.RowsClipped.Add(int64(clipped))
-						s.trace(node, st, "clipped", strconv.Itoa(clipped)+" rows over quota")
-					}
-					rows = rows[:keep]
-					for i := 0; i < keep; i++ {
-						spendOne(&bs.rows)
-					}
+					keep, left := wire.TakeRows(bs.rows, len(rows))
+					s.met.RowsClipped.Add(int64(len(rows) - keep))
+					rows, bs.rows = rows[:keep], left
 				}
 				if len(rows) > 0 {
 					nt := wire.NodeTable{
@@ -1108,18 +1011,16 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 			if isVirtual {
 				detail = "virtual" // a stage advance at this node, not a clone arrival
 			}
-			s.trace(node, st, "route", detail)
 			s.jot(c, trace.Route, node, st, detail)
 		}
 
-		if clamped, detail, byBudget := s.hopClamped(c); clamped {
+		if clamped, byBudget := s.hopClamped(c); clamped {
 			if len(res.Continue) > 0 || res.Advance {
 				if byBudget {
 					s.met.BudgetExpired.Add(1)
 				} else {
 					s.met.HopsClamped.Add(1)
 				}
-				s.trace(node, st, "clamped", detail)
 			}
 			if res.Advance {
 				// Stage advance happens at the same node (no hop), so it
@@ -1144,14 +1045,14 @@ func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql
 // hopClamped reports whether clone c may not forward further: its
 // wire-carried hop quota is spent, or the site's MaxHops safety bound
 // is reached. byBudget distinguishes the two for metric attribution.
-func (s *Server) hopClamped(c *wire.CloneMsg) (clamped bool, detail string, byBudget bool) {
+func (s *Server) hopClamped(c *wire.CloneMsg) (clamped, byBudget bool) {
 	if c.Budget.Hops < 0 {
-		return true, "hop quota spent", true
+		return true, true
 	}
 	if s.opts.MaxHops > 0 && c.Hops >= s.opts.MaxHops {
-		return true, "hop bound reached", false
+		return true, false
 	}
-	return false, "", false
+	return false, false
 }
 
 // addTargets merges one Forward into the per-(site, state) outgoing
@@ -1173,7 +1074,6 @@ func (s *Server) addTargets(outs map[string]*outClone, order *[]string, f nodepr
 		if oc == nil {
 			if bs.clones < 0 {
 				s.met.BudgetExpired.Add(1)
-				s.trace(tgt.URL, state, "clamped", "clone quota spent")
 				continue
 			}
 			spendOne(&bs.clones)
@@ -1219,25 +1119,13 @@ type dbEntry struct {
 	err  error
 }
 
-// closedChan is a pre-closed done channel for entries born finished.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
 // database returns the node's virtual relations: the paper's Database
 // Constructor, building per evaluation and purging immediately, or — with
 // Options.CacheDBs, the paper's footnote-3 variant — retaining the
 // constructed database for repeat visits. Concurrent requests for one
 // node coalesce into a single build (even without CacheDBs, where the
-// entry lives only as long as the build); Options.NoSingleflight restores
-// the seed's check-then-insert behaviour, whose race window let N workers
-// build the same node N times.
+// entry lives only as long as the build).
 func (s *Server) database(node string) (*relmodel.DB, error) {
-	if s.opts.NoSingleflight {
-		return s.databaseUncoalesced(node)
-	}
 	s.dbMu.RLock()
 	e := s.dbCache[node]
 	s.dbMu.RUnlock()
@@ -1275,38 +1163,6 @@ func (s *Server) database(node string) (*relmodel.DB, error) {
 		<-e.done
 	}
 	return e.db, e.err
-}
-
-// databaseUncoalesced is the seed's check-then-insert path, kept as the
-// NoSingleflight ablation.
-func (s *Server) databaseUncoalesced(node string) (*relmodel.DB, error) {
-	if s.opts.CacheDBs {
-		s.dbMu.RLock()
-		e := s.dbCache[node]
-		s.dbMu.RUnlock()
-		if e != nil {
-			select {
-			case <-e.done:
-				if e.err == nil {
-					s.met.DBCacheHits.Add(1)
-					s.noteDBUse(node)
-					return e.db, nil
-				}
-			default:
-			}
-		}
-	}
-	db, err := s.buildDB(node)
-	if err != nil {
-		return nil, err
-	}
-	if s.opts.CacheDBs {
-		s.dbMu.Lock()
-		s.dbCache[node] = &dbEntry{done: closedChan, db: db}
-		s.dbMu.Unlock()
-		s.noteDBUse(node)
-	}
-	return db, nil
 }
 
 // buildDB loads and parses the node's document: one Database Constructor
@@ -1384,13 +1240,8 @@ func (s *Server) dispatchResults(c *wire.CloneMsg, updates []wire.CHTUpdate, tab
 	return true
 }
 
-// fanoutWorkers returns the bound of the per-clone forward worker group.
-func (s *Server) fanoutWorkers() int {
-	if s.opts.FanoutWorkers > 0 {
-		return s.opts.FanoutWorkers
-	}
-	return 8
-}
+// fanoutWorkers bounds the per-clone forward worker group.
+const fanoutWorkers = 8
 
 // forwardAll ships the processed clone's outgoing clones in their
 // deterministic order: destinations are sorted and the Forward jots
@@ -1398,8 +1249,8 @@ func (s *Server) fanoutWorkers() int {
 // clones go straight onto the local queue, and the remote clones are then
 // shipped through a bounded worker group so one slow peer does not
 // serialize the whole fan-out. forwardAll returns only when every remote
-// send has resolved, preserving the seed's "clone fully processed before
-// the next queue item" property per worker. CHT bookkeeping is unaffected
+// send has resolved, preserving the "clone fully processed before the
+// next queue item" property per worker. CHT bookkeeping is unaffected
 // by the concurrency: every entry was announced by dispatchResults before
 // any forward, and each remote clone still produces exactly one fate
 // (forwarded, bounced, or retired) regardless of completion order.
@@ -1418,8 +1269,9 @@ func (s *Server) forwardAll(outs map[string]*outClone, order []string) {
 			// The cost model priced the destination documents below the
 			// clone: keep the clone on this site's queue and let buildDB
 			// pull the documents over instead (ship-data for this edge).
-			s.jot(oc.msg, trace.Forward, "", oc.msg.State(), "ship-data "+oc.site)
-			s.trace("", oc.msg.State(), "ship-data", oc.site)
+			if s.opts.Journal != nil {
+				s.jot(oc.msg, trace.Forward, "", oc.msg.State(), "ship-data "+oc.site)
+			}
 			s.met.ShipDataEdges.Add(1)
 			s.Enqueue(oc.msg)
 			continue
@@ -1431,15 +1283,10 @@ func (s *Server) forwardAll(outs map[string]*outClone, order []string) {
 		return
 	}
 	start := time.Now()
-	workers := s.fanoutWorkers()
-	if s.opts.SerialFanout || workers <= 1 || len(remote) == 1 {
-		for _, oc := range remote {
-			s.forwardRemote(oc)
-		}
+	if len(remote) == 1 {
+		s.forwardRemote(remote[0])
 	} else {
-		if workers > len(remote) {
-			workers = len(remote)
-		}
+		workers := min(fanoutWorkers, len(remote))
 		ch := make(chan *outClone)
 		var wg sync.WaitGroup
 		for i := 0; i < workers; i++ {
@@ -1477,12 +1324,10 @@ func (s *Server) forwardRemote(oc *outClone) {
 	err := s.sendSite(oc.site, oc.msg)
 	if err != nil {
 		if s.opts.Hybrid && s.bounce(oc.msg, bounceReason(err, s.opts.Retry)) {
-			s.trace("", oc.msg.State(), "bounce", oc.site)
 			s.jot(oc.msg, trace.Bounce, "", oc.msg.State(), bounceReason(err, s.opts.Retry))
 			return
 		}
 		s.met.ForwardFailed.Add(1)
-		s.trace("", oc.msg.State(), "forward-failed", oc.site)
 		s.jot(oc.msg, trace.ForwardFailed, "", oc.msg.State(), oc.site)
 		s.retireAll(oc.msg, retirePlain)
 		return

@@ -8,6 +8,7 @@ import (
 	"webdis/internal/disql"
 	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
+	"webdis/internal/trace"
 	"webdis/internal/webgraph"
 	"webdis/internal/webserver"
 	"webdis/internal/wire"
@@ -215,13 +216,8 @@ func TestServerSubsumptionRewrite(t *testing.T) {
 	y := web.NewPage("http://a.example/y.html", "Y")
 	y.AddText("token-here")
 
-	var events []Event
-	var mu sync.Mutex
-	h := newHarness(t, web, "a.example", Options{Trace: func(e Event) {
-		mu.Lock()
-		events = append(events, e)
-		mu.Unlock()
-	}})
+	journal := trace.NewJournal("a.example", 0)
+	h := newHarness(t, web, "a.example", Options{Journal: journal})
 
 	wq := mustQuery(`select d.url from document d such that "http://a.example/x.html" L*2 d where d.text contains "token-here"`)
 	mk := func(rem string, seq int64) *wire.CloneMsg {
@@ -250,11 +246,9 @@ func TestServerSubsumptionRewrite(t *testing.T) {
 	if h.met.DupRewritten.Load() != 2 {
 		t.Fatalf("DupRewritten = %d", h.met.DupRewritten.Load())
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	details := map[string]bool{}
-	for _, e := range events {
-		if e.Action == "rewrite" {
+	for _, e := range journal.Events() {
+		if e.Kind == trace.Rewrite {
 			details[e.Detail] = true
 		}
 	}
@@ -395,16 +389,18 @@ func TestEndpointName(t *testing.T) {
 }
 
 func TestOptionsDedupDefault(t *testing.T) {
-	if (Options{}).dedup() != nodeproc.DedupSubsume {
-		t.Error("default dedup should be subsume")
-	}
-	o := Options{Dedup: nodeproc.DedupOff, DedupSet: true}
-	if o.dedup() != nodeproc.DedupOff {
-		t.Error("explicit off should stick")
-	}
-	o = Options{Dedup: nodeproc.DedupStrong}
-	if o.dedup() != nodeproc.DedupStrong {
-		t.Error("strong should pass through")
+	for _, tc := range []struct {
+		opts Options
+		want nodeproc.DedupMode
+	}{
+		{Options{}, nodeproc.DedupSubsume},
+		{Options{Dedup: nodeproc.DedupOff}, nodeproc.DedupOff},
+		{Options{Dedup: nodeproc.DedupStrong}, nodeproc.DedupStrong},
+	} {
+		s := New("a.example", nil, netsim.New(netsim.Options{}), &Metrics{}, tc.opts)
+		if got := s.LogTable().Mode(); got != tc.want {
+			t.Errorf("Options{Dedup: %v}: log table mode %v, want %v", tc.opts.Dedup, got, tc.want)
+		}
 	}
 }
 

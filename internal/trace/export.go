@@ -26,8 +26,7 @@ type TraversalLine struct {
 
 // Traversal regenerates the paper's Figure-7 state sequence from the
 // journey's real spans: one line per node visit, in causal order, with
-// the clone state (num_q, rem) at that visit. It is the journaled
-// equivalent of the ad-hoc trace the campus experiment prints.
+// the clone state (num_q, rem) at that visit.
 func (jy *Journey) Traversal() []TraversalLine {
 	var out []TraversalLine
 	for _, e := range jy.Events {

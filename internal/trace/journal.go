@@ -235,18 +235,28 @@ func (j *Journal) Events() []Event {
 }
 
 // Flush returns the committed events and resets the journal, reclaiming
-// the ring (and the drop counter) for the next query. Unlike Events it
-// must not race with concurrent Appends: flush between queries, or after
-// the deployment has quiesced.
+// the ring (and the drop counter) for the next query. It may run beside
+// concurrent Appends (a daemon draining its live journal): the ring is
+// closed for the duration, so an event appended meanwhile counts as
+// dropped instead of landing in a slot being reclaimed. Only one Flush
+// may run at a time.
 func (j *Journal) Flush() []Event {
 	if j == nil {
 		return nil
 	}
-	out := j.Events()
-	for i := range out {
-		j.slots[i].done.Store(false)
-	}
+	// Closing the ring first pins the set of claimed slots: every later
+	// Append sees an index past the end and books a drop.
+	n := min(j.cur.Swap(int64(len(j.slots))), int64(len(j.slots)))
 	j.dropped.Store(0)
+	out := make([]Event, 0, n)
+	for i := range j.slots[:n] {
+		s := &j.slots[i]
+		for !s.done.Load() {
+			runtime.Gosched() // claimed before the close, publishing now
+		}
+		out = append(out, s.ev)
+		s.done.Store(false)
+	}
 	j.cur.Store(0)
 	return out
 }

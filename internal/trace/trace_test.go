@@ -2,9 +2,11 @@ package trace
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"webdis/internal/wire"
 )
@@ -96,6 +98,49 @@ func TestJournalConcurrentAppend(t *testing.T) {
 	<-done
 	if got := j.Len() + int(j.Dropped()); got != 800 {
 		t.Fatalf("committed+dropped = %d, want 800", got)
+	}
+}
+
+// TestJournalFlushBesideAppend drains a journal while writers keep
+// appending, the way webdisd -v does: every event comes out at most once
+// and whole; run with -race.
+func TestJournalFlushBesideAppend(t *testing.T) {
+	j := NewJournal("a", 64)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				j.Append(Event{Kind: Evaluate, Hop: g*500 + i, Detail: strconv.Itoa(g*500 + i)})
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	go func() { wg.Wait(); close(stop) }()
+	seen := make(map[int]bool)
+	drain := func() {
+		for _, e := range j.Flush() {
+			if e.Detail != strconv.Itoa(e.Hop) {
+				t.Fatalf("torn event: hop %d detail %q", e.Hop, e.Detail)
+			}
+			if seen[e.Hop] {
+				t.Fatalf("event %d flushed twice", e.Hop)
+			}
+			seen[e.Hop] = true
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-stop:
+			running = false
+		default:
+			time.Sleep(20 * time.Microsecond) // a spinning flusher keeps the ring shut
+		}
+		drain()
+	}
+	if len(seen) == 0 || len(seen) > 2000 {
+		t.Fatalf("flushed %d distinct events of 2000 appended", len(seen))
 	}
 }
 

@@ -993,17 +993,6 @@ func TableSize(t *NodeTable) int {
 	return n
 }
 
-// gobSize returns the framed-gob (v1, fresh stream) encoding size of the
-// envelope — the oracle the BytesV2Saved accounting compares against.
-// Gob is expensive; this runs only under FramedOptions.MeasureGob.
-func gobSize(env *envelope) int {
-	var buf bytes.Buffer
-	if err := gobEncode(&buf, env); err != nil {
-		return 0
-	}
-	return 4 + buf.Len()
-}
-
 // --- compression -------------------------------------------------------
 
 var (

@@ -314,7 +314,7 @@ func TestSendErrorLatch(t *testing.T) {
 // asserts both structural equality and a measured wire-byte reduction.
 func TestCompressionRoundTrip(t *testing.T) {
 	var wireBytes int
-	d, a := framedPair(t, FramedOptions{OnFrame: func(kind string, w, g int) { wireBytes = w }}, FramedOptions{})
+	d, a := framedPair(t, FramedOptions{OnFrame: func(kind string, w int) { wireBytes = w }}, FramedOptions{})
 	big := &ResultMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 1}}
 	for i := 0; i < 64; i++ {
 		tbl := NodeTable{Node: fmt.Sprintf("http://site%d/x.html", i), Cols: []string{"d0.url", "d0.text"}}
@@ -410,7 +410,7 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 // session actually puts on the wire for an uncompressed frame.
 func TestEncodedSizeMatchesWire(t *testing.T) {
 	var wireBytes int
-	d, a := framedPair(t, FramedOptions{OnFrame: func(kind string, w, g int) { wireBytes = w }}, FramedOptions{})
+	d, a := framedPair(t, FramedOptions{OnFrame: func(kind string, w int) { wireBytes = w }}, FramedOptions{})
 	msg := sampleClone()
 	errc := make(chan error, 1)
 	go func() { errc <- Send(d, msg) }()
@@ -429,28 +429,6 @@ func TestEncodedSizeMatchesWire(t *testing.T) {
 	tbl := &NodeTable{Node: "n", Cols: []string{"a"}, Rows: [][]string{{"x"}}}
 	if TableSize(tbl) <= 0 {
 		t.Error("TableSize of a non-empty table should be positive")
-	}
-}
-
-// TestMeasureGobOracle checks the BytesV2Saved measurement hook: gob
-// sizes are reported only under MeasureGob and exceed v2's for typical
-// messages.
-func TestMeasureGobOracle(t *testing.T) {
-	var wire2, gob1 int
-	d, a := framedPair(t, FramedOptions{MeasureGob: true, OnFrame: func(kind string, w, g int) { wire2, gob1 = w, g }}, FramedOptions{})
-	errc := make(chan error, 1)
-	go func() { errc <- Send(d, sampleClone()) }()
-	if _, err := Receive(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if gob1 == 0 {
-		t.Fatal("MeasureGob reported no gob size")
-	}
-	if wire2 >= gob1 {
-		t.Errorf("v2 frame (%d bytes) not smaller than gob (%d bytes)", wire2, gob1)
 	}
 }
 

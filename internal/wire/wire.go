@@ -266,6 +266,21 @@ func (b Budget) Spend() Budget {
 	return b
 }
 
+// TakeRows charges n result rows to a row quota in the Budget sentinel
+// convention (positive remaining, 0 unlimited, negative exhausted). It
+// returns how many of the rows may be kept and the quota that remains.
+func TakeRows(quota, n int) (keep, left int) {
+	switch {
+	case quota == 0:
+		return n, 0
+	case quota < 0:
+		return 0, quota
+	case n >= quota:
+		return quota, -1
+	}
+	return n, quota - n
+}
+
 // EnvKey returns a canonical fingerprint of an environment, used in
 // log-table and batching keys. The empty environment yields "".
 func EnvKey(env map[string]string) string {
@@ -671,14 +686,9 @@ type FramedOptions struct {
 	// receives first (the accepting side). 0 means MaxWireVersion; 1
 	// answers every hello with v1, pinning the session to gob.
 	Accept int
-	// OnFrame, when set, observes every v2 frame sent: its kind, the
-	// bytes it occupied on the wire (after compression), and — only when
-	// MeasureGob is set — the bytes the same message would have cost as a
-	// fresh gob frame (else 0). Used by the BytesV2Saved accounting.
-	OnFrame func(kind string, wireBytes, gobBytes int)
-	// MeasureGob arms the gob-size oracle for OnFrame. It re-encodes
-	// every sent message with gob, so it is strictly a measurement mode.
-	MeasureGob bool
+	// OnFrame, when set, observes every v2 frame sent: its kind and the
+	// bytes it occupied on the wire (after compression).
+	OnFrame func(kind string, wireBytes int)
 }
 
 func (o FramedOptions) offer() int {
@@ -1007,11 +1017,7 @@ func (f *Framed) sendV2(env *envelope, withHello bool) error {
 		mm.MarkMessage(env.Kind)
 	}
 	if f.opts.OnFrame != nil {
-		g := 0
-		if f.opts.MeasureGob {
-			g = gobSize(env)
-		}
-		f.opts.OnFrame(env.Kind, len(frame)-start, g)
+		f.opts.OnFrame(env.Kind, len(frame)-start)
 	}
 	return nil
 }

@@ -79,8 +79,7 @@ type (
 // Engine configuration.
 type (
 	// ServerOptions configure every query server of a deployment (dedup
-	// mode, clone batching, hop bound, trace hook, wire-format pinning
-	// via WireV1 and the per-frame gob byte oracle via WireOracle).
+	// mode, clone batching, hop bound, wire-format pinning via WireV1).
 	ServerOptions = server.Options
 	// NetOptions configure the simulated network fabric.
 	NetOptions = netsim.Options
@@ -90,8 +89,6 @@ type (
 	MetricsSnapshot = server.Snapshot
 	// DedupMode selects the Node-query Log Table behaviour.
 	DedupMode = nodeproc.DedupMode
-	// TraceEvent is one record of a server's processing.
-	TraceEvent = server.Event
 	// RetryPolicy bounds the forward/dispatch retry loop of every query
 	// server (ServerOptions.Retry); the zero value sends exactly once, the
 	// paper's behaviour.
@@ -113,7 +110,7 @@ type (
 	// established connections sever and dials refuse until the restart.
 	CrashWindow = netsim.CrashWindow
 	// ClusterOptions tune the replica membership table of a replicated
-	// deployment (Config.Replicas / Config.ReplicasFor).
+	// deployment (Config.Exec.Replicas / Config.Exec.ReplicasFor).
 	ClusterOptions = cluster.Options
 	// ClusterMembership is the live replica table (Deployment.Cluster):
 	// health states, incarnations and the replica picker.
@@ -158,8 +155,7 @@ type (
 	// shared by many concurrent queries (Deployment.NewSession).
 	Session = client.Session
 	// ClientOptions configure the user-site client in one struct (hybrid
-	// fallback, reap grace, metrics, tracing, index resolver) — the
-	// consolidated replacement for the deprecated Client.Set* setters.
+	// fallback, reap grace, metrics, tracing, index resolver).
 	ClientOptions = client.Options
 	// StreamRow is one result row delivered incrementally by
 	// Query.Stream: the node-query stage it answers and the row itself.
@@ -215,8 +211,7 @@ type (
 	// birth or page death.
 	MutationKind = webgraph.MutationKind
 	// ExecConfig is the execution option group of Config (Config.Exec):
-	// transport, server options, client behaviour and tracing, previously
-	// spread over flat Config fields.
+	// transport, server options, client behaviour and tracing.
 	ExecConfig = core.ExecConfig
 )
 
@@ -348,7 +343,7 @@ const (
 )
 
 // FallbackStats describes a query's hybrid fallback work (the Section 7.1
-// migration path enabled by Config.Participate).
+// migration path enabled by Config.Exec.Participate).
 type FallbackStats = client.FallbackStats
 
 // SearchIndex is an inverted index over a synthetic web — the "existing

@@ -2,7 +2,6 @@ package webdis
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -101,24 +100,24 @@ func TestGeneratorsFacade(t *testing.T) {
 }
 
 func TestTraceFacade(t *testing.T) {
-	var sawEval atomic.Bool
-	d, err := NewDeployment(Config{
-		Web: Figure1Web(),
-		Server: ServerOptions{Trace: func(e TraceEvent) {
-			if e.Action == "eval" {
-				sawEval.Store(true)
-			}
-		}},
-	})
+	d, err := NewDeployment(Config{Web: Figure1Web(), Exec: ExecConfig{Trace: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Run(Figure1Query, 10*time.Second); err != nil {
+	q, err := d.Run(Figure1Query, 10*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !sawEval.Load() {
-		t.Error("trace hook never fired")
+	// Figure 1: q1 is answered at nodes 4, 5, 6 and q2 at nodes 4, 8.
+	evals := 0
+	for _, l := range d.Journey(q).Traversal() {
+		if l.Action == "eval" {
+			evals++
+		}
+	}
+	if evals != 5 {
+		t.Errorf("journey lists %d evaluations, want 5", evals)
 	}
 }
 
@@ -146,8 +145,10 @@ func TestHybridFacade(t *testing.T) {
 	// The migration-path API end to end through the facade: only the CSA
 	// department participates; answers are unchanged.
 	d, err := NewDeployment(Config{
-		Web:         CampusWeb(),
-		Participate: func(site string) bool { return site == "csa.iisc.ernet.in" },
+		Web: CampusWeb(),
+		Exec: ExecConfig{
+			Participate: func(site string) bool { return site == "csa.iisc.ernet.in" },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +219,7 @@ func TestPowerLawFacade(t *testing.T) {
 	if w.NumPages() != 60 {
 		t.Errorf("pages = %d", w.NumPages())
 	}
-	d, err := NewDeployment(Config{Web: w, NoDocService: true})
+	d, err := NewDeployment(Config{Web: w, Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
