@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -520,7 +521,36 @@ func (d *Deployment) WatchQuery(ctx context.Context, w *disql.WebQuery, opts Wat
 		sites = append(sites, site)
 	}
 	sort.Strings(sites)
-	return d.client.WatchBudget(ctx, w, sites, b)
+	wa, err := d.client.WatchBudget(ctx, w, sites, b)
+	if err != nil {
+		return nil, err
+	}
+	d.awaitRegistered(ctx, wa.ID(), sites)
+	return wa, nil
+}
+
+// registerGrace bounds how long a new watch is held back for its
+// registrations to take effect.
+const registerGrace = 2 * time.Second
+
+// awaitRegistered holds a new watch back until every site has processed
+// its registration. A WatchMsg travels unacknowledged, and a site's
+// receive loop may get to it after the watch's initial run has long
+// finished (the run reaches the site over other connections). Mutate
+// reads the sites' registries directly, so a mutation in that window
+// would notify nobody and the watch would miss the epoch for good.
+// Registration is best-effort — an unreachable site is skipped — so the
+// wait is bounded, not an error.
+func (d *Deployment) awaitRegistered(ctx context.Context, id wire.QueryID, sites []string) {
+	deadline := time.Now().Add(registerGrace)
+	for _, site := range sites {
+		for !slices.ContainsFunc(d.servers[site], func(s *server.Server) bool { return s.Watching(id) }) {
+			if ctx.Err() != nil || time.Now().After(deadline) {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 }
 
 // Network returns the simulated fabric (for stats and failure

@@ -1,0 +1,79 @@
+package htmlx
+
+import (
+	"runtime"
+	"testing"
+)
+
+// benchPages are one page of each size class the yardstick parses: a
+// tree40-docs page, a fanout-tcp leaf and the campus page of the paper's
+// sample query.
+func benchPages() []struct {
+	name, url string
+	src       []byte
+} {
+	webs := goldenWebs()
+	page := func(web int, url string) []byte {
+		src, ok := webs[web].web.HTML(url)
+		if !ok {
+			panic("no page " + url)
+		}
+		return src
+	}
+	leaf := "http://t40.example/p363.html"
+	return []struct {
+		name, url string
+		src       []byte
+	}{
+		{"tree43k", "http://t0.example/p0.html", page(1, "http://t0.example/p0.html")},
+		{"fanout280b", leaf, page(2, leaf)},
+		{"campus5k", "http://dsl.serc.iisc.ernet.in/index.html", page(0, "http://dsl.serc.iisc.ernet.in/index.html")},
+	}
+}
+
+var sinkDoc *Document
+
+func BenchmarkParse(b *testing.B) {
+	for _, p := range benchPages() {
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(int64(len(p.src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				doc, err := Parse(p.url, p.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkDoc = doc
+			}
+		})
+	}
+}
+
+// TestParseAllocs pins the document path's allocation budget on a 43 KB
+// tree page: one accumulator the size of the source plus a few dozen small
+// objects (the Document, its slices, the URLs of its anchors). The
+// tokenizer this one replaced took 140 allocations and 8.2 x len(src).
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := benchPages()[0]
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		sinkDoc, _ = Parse(p.url, p.src)
+	})
+	if allocs > 40 {
+		t.Errorf("Parse of a %d-byte page: %.0f allocations, want <= 40", len(p.src), allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sinkDoc, _ = Parse(p.url, p.src)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 1.5 * float64(len(p.src)); perRun > limit {
+		t.Errorf("Parse of a %d-byte page allocated %.0f bytes, want <= %.0f (1.5 x len(src))", len(p.src), perRun, limit)
+	}
+	t.Logf("%d-byte page: %.0f allocations, %.0f bytes (%.2f x len(src))", len(p.src), allocs, perRun, perRun/float64(len(p.src)))
+}

@@ -1,6 +1,7 @@
 package htmlx
 
 import (
+	"bytes"
 	"fmt"
 	"net/url"
 	"strings"
@@ -42,43 +43,49 @@ type Document struct {
 	Infons  []RelInfon
 }
 
-// relInfonTags are the paired delimiters whose content forms a rel-infon.
-var relInfonTags = map[string]bool{
-	"b": true, "i": true, "em": true, "strong": true, "u": true,
-	"h1": true, "h2": true, "h3": true, "h4": true, "h5": true, "h6": true,
-	"code": true, "blockquote": true, "li": true, "td": true, "th": true,
-	"address": true, "cite": true, "caption": true,
-}
-
 // Parse analyzes the HTML of the resource at baseURL. It never fails on
 // malformed markup — the tokenizer degrades to text — but it does reject an
 // unparseable base URL, since link classification is impossible without it.
+//
+// The page is read once. The text Parse keeps of it is copied into one
+// accumulator, sized from len(src) up front: collapsing whitespace,
+// decoding entities and dropping markup only ever shorten, so the text
+// cannot outgrow the source and the accumulator never reallocates. Text,
+// anchor labels and rel-infon texts are substrings of it. The title gets a
+// small allocation of its own — it travels in result rows, which must not
+// keep a whole page's text alive. No string of the Document aliases src.
 func Parse(baseURL string, src []byte) (*Document, error) {
 	base, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("htmlx: bad document URL %q: %w", baseURL, err)
 	}
+	baseStr := base.String()
 	doc := &Document{URL: baseURL, Length: len(src)}
 
 	type open struct {
-		tag   string
+		tag   Tag
 		start int // offset into the text accumulator
 	}
 	var (
-		text    strings.Builder
-		stack   []open
-		inTitle bool
-		inRaw   bool // inside <script> or <style>
-		title   strings.Builder
-		hrStart int // text offset where the current <hr> segment began
-		curA    *Anchor
-		aStart  int
+		text     strings.Builder
+		stackBuf [8]open
+		stack    = stackBuf[:0] // open rel-infon delimiters
+		inTitle  bool
+		inRaw    bool           // inside <script> or <style>
+		titleBuf [2][]byte      // the usual title is one run
+		title    = titleBuf[:0] // runs of src, decoded once their total length is known
+		hrStart  int            // text offset where the current <hr> segment began
+		curA     Anchor         // the open <a>, if inA
+		inA      bool
+		aStart   int
 	)
-	flushHR := func(end int) {
-		seg := strings.TrimSpace(text.String()[hrStart:end])
-		if seg != "" {
-			doc.Infons = append(doc.Infons, RelInfon{Delimiter: "hr", Text: seg})
-		}
+	text.Grow(len(src))
+	// since returns the accumulated text from offset start on, trimmed.
+	since := func(start int) string { return strings.TrimSpace(text.String()[start:]) }
+	closeAnchor := func() {
+		curA.Label = since(aStart)
+		doc.Anchors = append(doc.Anchors, curA)
+		inA = false
 	}
 	z := NewTokenizer(src)
 	for {
@@ -88,59 +95,56 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 		}
 		switch tok.Type {
 		case TextToken:
-			if inRaw {
-				continue
+			switch {
+			case inRaw:
+			case inTitle:
+				title = append(title, tok.Data)
+			default:
+				appendRun(&text, tok.Data)
 			}
-			if inTitle {
-				title.WriteString(tok.Data)
-				continue
-			}
-			appendText(&text, tok.Data)
 		case StartTagToken, SelfClosingTag:
-			switch tok.Data {
-			case "title":
+			switch tok.Tag {
+			case TagTitle:
 				if tok.Type == StartTagToken {
 					inTitle = true
 				}
-			case "script", "style":
+			case TagScript, TagStyle:
 				if tok.Type == StartTagToken {
 					inRaw = true
 				}
-			case "a":
-				if href, ok := tok.Attr("href"); ok && href != "" {
-					a := classify(base, href)
-					curA = &a
-					aStart = text.Len()
+			case TagA:
+				if href, ok := tok.Attr("href"); ok && len(href) > 0 {
+					curA = classify(base, baseStr, DecodeEntities(string(href)))
+					inA, aStart = true, text.Len()
 				}
-			case "hr":
-				flushHR(text.Len())
+			case TagHR:
+				if seg := since(hrStart); seg != "" {
+					doc.Infons = append(doc.Infons, RelInfon{Delimiter: "hr", Text: seg})
+				}
 				hrStart = text.Len()
-			case "br", "p", "div", "tr":
-				appendText(&text, " ")
+			case TagBR, TagP, TagDiv, TagTR:
+				appendText(&text, []byte{' '})
 			}
-			if tok.Type == StartTagToken && relInfonTags[tok.Data] {
-				stack = append(stack, open{tok.Data, text.Len()})
+			if tok.Type == StartTagToken && tok.Tag.relInfon() {
+				stack = append(stack, open{tok.Tag, text.Len()})
 			}
 		case EndTagToken:
-			switch tok.Data {
-			case "title":
+			switch tok.Tag {
+			case TagTitle:
 				inTitle = false
-			case "script", "style":
+			case TagScript, TagStyle:
 				inRaw = false
-			case "a":
-				if curA != nil {
-					curA.Label = strings.TrimSpace(text.String()[aStart:])
-					doc.Anchors = append(doc.Anchors, *curA)
-					curA = nil
+			case TagA:
+				if inA {
+					closeAnchor()
 				}
 			}
-			if relInfonTags[tok.Data] {
+			if tok.Tag.relInfon() {
 				// close the nearest matching open tag
 				for i := len(stack) - 1; i >= 0; i-- {
-					if stack[i].tag == tok.Data {
-						seg := strings.TrimSpace(text.String()[stack[i].start:])
-						if seg != "" {
-							doc.Infons = append(doc.Infons, RelInfon{Delimiter: tok.Data, Text: seg})
+					if stack[i].tag == tok.Tag {
+						if seg := since(stack[i].start); seg != "" {
+							doc.Infons = append(doc.Infons, RelInfon{Delimiter: tok.Tag.String(), Text: seg})
 						}
 						stack = append(stack[:i], stack[i+1:]...)
 						break
@@ -149,65 +153,81 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 			}
 		}
 	}
-	if curA != nil { // unclosed <a>
-		curA.Label = strings.TrimSpace(text.String()[aStart:])
-		doc.Anchors = append(doc.Anchors, *curA)
+	if inA { // unclosed <a>
+		closeAnchor()
 	}
-	doc.Title = strings.TrimSpace(collapseSpace(title.String()))
 	doc.Text = strings.TrimSpace(text.String())
+	if len(title) > 0 {
+		var b strings.Builder
+		n := 0
+		for _, run := range title {
+			n += len(run)
+		}
+		b.Grow(n)
+		for _, run := range title {
+			appendRun(&b, run)
+		}
+		doc.Title = strings.TrimSpace(b.String())
+	}
 	return doc, nil
 }
 
-// appendText streams data into the accumulator with whitespace runs
+// appendRun appends one raw text run of the source to the accumulator,
+// decoding entities only if the run has any.
+func appendRun(b *strings.Builder, run []byte) {
+	if bytes.IndexByte(run, '&') >= 0 {
+		appendDecoded(b, run)
+	} else {
+		appendText(b, run)
+	}
+}
+
+// appendText streams run into the accumulator with whitespace runs
 // collapsed to single spaces (including across token boundaries), so that
 // offsets recorded by anchors and rel-infons stay consistent. It works
 // bytewise: the collapsed characters are all ASCII, and multi-byte UTF-8
 // sequences never contain ASCII-range bytes, so they pass through intact.
-// This is the document parser's hottest path — it must not allocate per
-// token.
-func appendText(b *strings.Builder, data string) {
-	for i := 0; i < len(data); i++ {
-		c := data[i]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' {
-			if cur := b.String(); len(cur) > 0 && cur[len(cur)-1] != ' ' {
-				b.WriteByte(' ')
+// A stretch that is already in collapsed form — words one space apart, the
+// usual paragraph — is copied in one call.
+func appendText(b *strings.Builder, run []byte) {
+	cur := b.String()
+	// spaced: a space appended now would lead the text or double one.
+	spaced := len(cur) == 0 || cur[len(cur)-1] == ' '
+	for len(run) > 0 {
+		n := 0
+		for n < len(run) {
+			if c := run[n]; c > ' ' || !isSpace(c) {
+				spaced = false
+			} else if c == ' ' && !spaced {
+				spaced = true
+			} else {
+				break
 			}
-			continue
+			n++
 		}
-		b.WriteByte(c)
-	}
-}
-
-func collapseSpace(s string) string {
-	var b strings.Builder
-	space := false
-	for _, r := range s {
-		if r == ' ' || r == '\t' || r == '\n' || r == '\r' || r == '\f' {
-			space = true
-			continue
+		b.Write(run[:n])
+		run = run[n:]
+		// What is left begins with whitespace that does not copy verbatim.
+		n = 0
+		for n < len(run) && isSpace(run[n]) {
+			n++
 		}
-		if space && b.Len() > 0 {
+		if n > 0 && !spaced {
 			b.WriteByte(' ')
-		} else if space {
-			b.WriteByte(' ')
+			spaced = true
 		}
-		space = false
-		b.WriteRune(r)
+		run = run[n:]
 	}
-	if space {
-		b.WriteByte(' ')
-	}
-	return b.String()
 }
 
 // classify resolves href against base and assigns the WEBDIS link category:
 // interior if the destination is within the same resource (a fragment),
 // local if it is on the same server, global otherwise.
-func classify(base *url.URL, href string) Anchor {
-	a := Anchor{Base: base.String(), Href: href}
+func classify(base *url.URL, baseStr, href string) Anchor {
+	a := Anchor{Base: baseStr, Href: href}
 	if strings.HasPrefix(href, "#") {
 		a.Type = pre.Interior
-		a.Href = base.String() + href
+		a.Href = baseStr + href
 		return a
 	}
 	ref, err := url.Parse(href)

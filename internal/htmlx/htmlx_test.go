@@ -212,18 +212,18 @@ func TestDecodeEntities(t *testing.T) {
 func TestTokenizerSelfClosing(t *testing.T) {
 	z := NewTokenizer([]byte(`<br/><img src="x.png" />text`))
 	tok, _ := z.Next()
-	if tok.Type != SelfClosingTag || tok.Data != "br" {
+	if tok.Type != SelfClosingTag || tok.Tag != TagBR {
 		t.Errorf("tok = %+v", tok)
 	}
 	tok, _ = z.Next()
-	if tok.Type != SelfClosingTag || tok.Data != "img" {
+	if tok.Type != SelfClosingTag || tok.Tag != TagOther || string(tok.Data) != "img" {
 		t.Errorf("tok = %+v", tok)
 	}
-	if v, ok := tok.Attr("src"); !ok || v != "x.png" {
+	if v, ok := tok.Attr("src"); !ok || string(v) != "x.png" {
 		t.Errorf("src attr = %q, %v", v, ok)
 	}
 	tok, _ = z.Next()
-	if tok.Type != TextToken || tok.Data != "text" {
+	if tok.Type != TextToken || string(tok.Data) != "text" {
 		t.Errorf("tok = %+v", tok)
 	}
 	if _, ok := z.Next(); ok {
@@ -238,7 +238,7 @@ func TestTokenizerComments(t *testing.T) {
 		t.Fatalf("tok = %+v", tok)
 	}
 	tok, _ = z.Next()
-	if tok.Type != TextToken || tok.Data != "visible" {
+	if tok.Type != TextToken || string(tok.Data) != "visible" {
 		t.Errorf("tok = %+v", tok)
 	}
 }
@@ -275,6 +275,52 @@ func TestQuickEntityDecodeIdempotentOnPlain(t *testing.T) {
 		return DecodeEntities(clean) == clean
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// collapseBytewise is the definition appendText implements: every
+// whitespace byte becomes a space unless it would lead the text or follow
+// another space.
+func collapseBytewise(out []byte, run []byte) []byte {
+	for _, c := range run {
+		if isSpace(c) {
+			if len(out) > 0 && out[len(out)-1] != ' ' {
+				out = append(out, ' ')
+			}
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+func TestAppendTextMatchesBytewise(t *testing.T) {
+	// Property: however a text is cut into runs, the bulk-copying
+	// appendText produces what the bytewise definition does.
+	const alphabet = "ab \t\n\r\f\v\x00\x1f\xc3\xa9  "
+	f := func(picks []byte, cuts []uint8) bool {
+		src := make([]byte, len(picks))
+		for i, p := range picks {
+			src[i] = alphabet[int(p)%len(alphabet)]
+		}
+		var b strings.Builder
+		var want []byte
+		for rest := src; ; {
+			n := len(rest)
+			if len(cuts) > 0 {
+				n = min(n, int(cuts[0])%8)
+				cuts = cuts[1:]
+			}
+			appendText(&b, rest[:n])
+			want = collapseBytewise(want, rest[:n])
+			if rest = rest[n:]; len(rest) == 0 {
+				break
+			}
+		}
+		return b.String() == string(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -240,9 +240,9 @@ func evalPredRow(p *nodequery.Pred, idx map[string]int, row []string, env map[st
 		}
 		switch p.Op {
 		case nodequery.Contains:
-			return strings.Contains(strings.ToLower(left), strings.ToLower(right)), nil
+			return containsFold(left, right), nil
 		case nodequery.NotContains:
-			return !strings.Contains(strings.ToLower(left), strings.ToLower(right)), nil
+			return !containsFold(left, right), nil
 		}
 		c := nodequery.CompareVals(left, right)
 		switch p.Op {

@@ -575,6 +575,16 @@ func (s *Server) handleWatch(m *wire.WatchMsg) {
 	}
 }
 
+// Watching reports whether the standing watch id is registered at this
+// site. Registrations arrive unacknowledged; an in-process deployment
+// asks before it lets a mutation loose on a new watch.
+func (s *Server) Watching(id wire.QueryID) bool {
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	_, ok := s.watches[id.String()]
+	return ok
+}
+
 // InvalidateDocs is the site-local change-detection hook: after the web
 // mutates, the deployment reports which of this site's documents changed
 // content only (edited) and which changed link structure or vanished
