@@ -95,6 +95,7 @@ func main() {
 	c := client.NewWith(tr, username, "tcp://"+*listen, client.Options{
 		Hybrid: *hybrid, Journal: journal, Planner: !*naive, WireV1: *wirev == "v1",
 	})
+	defer c.Close()
 
 	fmt.Printf("webdis: %s\n", w)
 	if *watch {

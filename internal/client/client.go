@@ -1,8 +1,8 @@
 // Package client implements the WEBDIS user-site: it dispatches a
-// web-query to the query servers of its StartNodes, collects results on a
-// per-query listening endpoint (the paper's Result Collector socket), and
-// detects query completion with the Current Hosts Table protocol of
-// Section 2.7.1.
+// web-query to the query servers of its StartNodes, collects results on
+// one listening endpoint per client (the paper's Result Collector socket,
+// shared by every query and watch and routed by query id), and detects
+// query completion with the Current Hosts Table protocol of Section 2.7.1.
 //
 // The CHT is maintained as a counting multiset of (node, state) entries:
 // the client adds entries for the StartNodes before dispatching (Figure 2,
@@ -18,16 +18,22 @@
 // is a DAG in time, so no nonempty subset of outstanding reports sums to
 // zero — the counts cannot all read zero while any clone remains live.
 //
-// Cancellation is passive, exactly as in Section 2.8: Cancel closes the
-// query's listening endpoint; when a server later fails to deliver results
-// on that endpoint it purges the query locally instead of forwarding it,
-// so no termination messages ever chase clones across the web. Active
-// termination is layered on top, not instead: Stop (triggered by
-// Budget.FirstN at the user-site, or by a cancelled submit context)
-// broadcasts a typed StopMsg to every site with live CHT entries, whose
-// clones then retire with the typed STOPPED fate — so early termination
-// is measured through the CHT and the trace rather than inferred from
-// starvation.
+// Termination is the paper's Section 2.8 wherever a dispatch can still
+// fail, and active where it cannot. A server forwards clones only after it
+// delivered their results, and purges the query instead when the delivery
+// fails, so no termination messages chase clones across the web. Close
+// makes every delivery fail: the collector endpoint and its connections
+// go. Cancel ends one query while the connections stay up for its
+// neighbours. A site opening a session to the collector waits for its
+// first report to be taken (wire.Settle, one round trip per site and
+// client), and the collector refuses one that belongs to a query it no
+// longer routes — so every site the traversal reaches for the first time
+// still purges a cancelled query passively. A site that already holds a
+// session reports without waiting; its reports cannot fail, and Cancel
+// sends each such site one typed StopMsg (the message Budget.FirstN and
+// Stop use along the live CHT entries), whose clones then retire with the
+// typed STOPPED fate. Either way the query's remote work ends within one
+// hop of the cancel, and its late reports are dropped by the router.
 //
 // Results are consumable while clones are still executing: every merged
 // row is appended to an ordered stream log, and Rows (a pull iterator)
@@ -142,9 +148,13 @@ type Options struct {
 	Done <-chan struct{}
 }
 
-// Client is a WEBDIS user-site. It can run many queries, each with its own
-// Result Collector endpoint ("<base>/q<n>"), or many queries multiplexed
-// over one Session endpoint ("<base>/s<n>").
+// ErrClosed is returned by submissions after Client.Close.
+var ErrClosed = errors.New("client: closed")
+
+// Client is a WEBDIS user-site. Everything it submits — one-shot queries,
+// session queries, watches and their re-derivations — reports to one
+// Result Collector endpoint ("<base>/c"), opened on first use and routed
+// by query number; Close releases it.
 type Client struct {
 	tr   netsim.Transport
 	user string
@@ -157,7 +167,18 @@ type Client struct {
 
 	mu       sync.Mutex
 	next     int
-	sessions int
+	closed   bool
+	endpoint string
+	ln       net.Listener
+	pool     *netsim.Pool
+	unsub    func()            // detaches the down-replica pool eviction, if clustered
+	conns    map[net.Conn]bool // accepted collector connections
+	queries  map[int]*Query    // routing table: running queries
+	watches  map[int]*Watch
+	// reporters is every site that holds (or held) a session to the
+	// collector: the sites whose reports cannot be made to fail, which a
+	// cancelled query therefore stops actively. Bounded by the web's sites.
+	reporters map[string]bool
 }
 
 // New returns a client for the given user dialing from endpoints under
@@ -175,40 +196,240 @@ func NewWith(tr netsim.Transport, user, base string, opts Options) *Client {
 	return c
 }
 
-// selfListener is the optional transport capability of minting extra
-// dialable collector endpoints from one configured address (TCP's
-// ephemeral-port overflow). Transports without it simply fail the
-// original bind.
-type selfListener interface {
-	ListenSelf(base, suffix string) (net.Listener, string, error)
-}
-
-// listenCollector binds a collector endpoint named base/suffix. When the
-// exact bind fails (a TCP base whose port another collector of this
-// process already holds), it falls back to the transport's self-listen
-// overflow, which embeds the actually-bound address in the name so
-// remote sites can still dial it.
-func (c *Client) listenCollector(suffix string) (net.Listener, string, error) {
-	endpoint := fmt.Sprintf("%s/%s", c.base, suffix)
-	ln, err := c.tr.Listen(endpoint)
-	if err == nil {
-		return ln, endpoint, nil
-	}
-	if sl, ok := c.tr.(selfListener); ok {
-		if ln2, name, err2 := sl.ListenSelf(c.base, suffix); err2 == nil {
-			return ln2, name, nil
-		}
-	}
-	return nil, "", err
-}
-
-// frameOpts derives the wire-session options for this client's shared
-// (session) connections: version pinning under Options.WireV1.
+// frameOpts derives the wire-session options for this client's
+// connections (its pool and its accepted collector sessions): version
+// pinning under Options.WireV1.
 func (c *Client) frameOpts() wire.FramedOptions {
 	if c.opts.WireV1 {
 		return wire.FramedOptions{Offer: 1, Accept: 1}
 	}
 	return wire.FramedOptions{}
+}
+
+// open binds the collector endpoint on first use: one listener, one
+// accept loop and one connection pool for the client's lifetime. Remote
+// sites dial the endpoint — the paper's "IP address and port number sent
+// along with the web-query" — once, and keep the negotiated session for
+// every later query of this client. Callers hold c.mu.
+func (c *Client) open() error {
+	if c.closed {
+		return ErrClosed
+	}
+	if c.ln != nil {
+		return nil
+	}
+	endpoint := c.base + "/c"
+	ln, err := c.tr.Listen(endpoint)
+	if err != nil {
+		return fmt.Errorf("client: result collector: %w", err)
+	}
+	c.endpoint, c.ln = endpoint, ln
+	c.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
+		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, c.frameOpts()) },
+	})
+	c.conns = make(map[net.Conn]bool)
+	c.queries = make(map[int]*Query)
+	c.watches = make(map[int]*Watch)
+	c.reporters = make(map[string]bool)
+	if cl := c.opts.Cluster; cl != nil {
+		// Proactive hygiene: when the health layer declares a replica
+		// down, its idle pooled connections are dead weight — evict them
+		// so the next send dials a live replica instead of discovering
+		// the corpse one stale connection at a time.
+		pool := c.pool
+		c.unsub = cl.Subscribe(func(ep string, st cluster.State) {
+			if st == cluster.Down {
+				pool.EvictPeer(ep)
+			}
+		})
+	}
+	go c.accept(ln)
+	return nil
+}
+
+// attach mints the next query id and lets enter record its owner in the
+// routing table.
+func (c *Client) attach(enter func(id wire.QueryID)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.open(); err != nil {
+		return err
+	}
+	c.next++
+	enter(wire.QueryID{User: c.user, Site: c.endpoint, Num: c.next})
+	return nil
+}
+
+// detach removes a query from the routing table; reports addressed to it
+// are dropped from then on.
+func (c *Client) detach(num int) {
+	c.mu.Lock()
+	delete(c.queries, num)
+	c.mu.Unlock()
+}
+
+// accept runs the Result Collector: every frame is routed to its query or
+// watch by id. The owner is resolved outside any per-query lock, so
+// routing for one query never blocks on another's merge.
+func (c *Client) accept(ln net.Listener) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		// Track accepted connections so Close can close them: servers pool
+		// their collector connections between reports, and passive
+		// termination (Section 2.8) requires the next report after Close to
+		// FAIL at its sender. Closing only the listener would leave pooled
+		// connections deliverable forever.
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		c.conns[conn] = true
+		c.mu.Unlock()
+		go c.serve(conn)
+	}
+}
+
+// serve decodes one reporting site's persistent session. The session is
+// kept only if its first report belongs to a query still routed: the site
+// is waiting for that verdict before it forwards any clone (wire.Settle),
+// and closing the connection instead is the failed dispatch of Section
+// 2.8 — a site that never reported here purges a cancelled query the
+// passive way. Once kept, the session is shared by every query, no report
+// on it can fail, and its site is remembered for Query.Cancel to stop.
+func (c *Client) serve(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		c.mu.Lock()
+		delete(c.conns, conn)
+		c.mu.Unlock()
+	}()
+	framed := wire.NewFramedOpts(conn, c.frameOpts())
+	site := "" // the reporting site, once a report has named it
+	for first := true; ; first = false {
+		msg, err := wire.ReceiveUnacked(framed)
+		if err != nil {
+			return
+		}
+		switch m := msg.(type) {
+		case *wire.ResultMsg:
+			if q := c.query(m.ID.Num); q == nil || !q.merge(m) {
+				if first {
+					return
+				}
+			} else if site == "" {
+				site = c.learn(reporter(m))
+			}
+		case *wire.BounceMsg:
+			if q := c.query(m.Clone.ID.Num); q != nil {
+				q.bounced(m.Clone)
+			}
+		case *wire.ShedMsg:
+			if site == "" {
+				site = c.learn(m.Site)
+			}
+			if q := c.query(m.Clone.ID.Num); q != nil {
+				q.shedded(m)
+			}
+		case *wire.DeltaMsg:
+			c.mu.Lock()
+			w := c.watches[m.ID.Num]
+			c.mu.Unlock()
+			if w != nil && m.Applies() {
+				w.notify(m)
+			}
+		}
+	}
+}
+
+// reporter names the site a result frame came from. A report retires the
+// entries of one clone, whose destinations all live at the reporting site
+// — except on a ship-data edge, where the clone stayed behind and pulled
+// the documents over; only a planner-armed site does that, and it signs
+// its reports with its own statistics.
+func reporter(m *wire.ResultMsg) string {
+	site := ""
+	m.Each(func(r *wire.Report) {
+		switch {
+		case site != "":
+		case len(r.Stats) > 0:
+			site = r.Stats[0].Site
+		case len(r.Updates) > 0:
+			site = webgraph.Host(r.Updates[0].Processed.Node)
+		}
+	})
+	return site
+}
+
+// reporting lists the sites that hold a session to the collector, sorted.
+func (c *Client) reporting() []string {
+	c.mu.Lock()
+	sites := make([]string, 0, len(c.reporters))
+	for site := range c.reporters {
+		sites = append(sites, site)
+	}
+	c.mu.Unlock()
+	sort.Strings(sites)
+	return sites
+}
+
+// learn records site as holding a session to the collector and returns it.
+func (c *Client) learn(site string) string {
+	if site != "" {
+		c.mu.Lock()
+		if c.reporters != nil {
+			c.reporters[site] = true
+		}
+		c.mu.Unlock()
+	}
+	return site
+}
+
+// query resolves a query number to its routed query, or nil.
+func (c *Client) query(num int) *Query {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.queries[num]
+}
+
+// Close shuts the user-site down: watches deregister, the collector
+// endpoint, its accepted connections and the pool close, and every query
+// still running is cancelled. From then on a site's report fails at its
+// sender, which purges the query locally — the paper's passive
+// termination, for everything this client had in flight. Idempotent; a
+// client that never submitted anything has nothing to release.
+func (c *Client) Close() {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	c.closed = true
+	conns, queries, watches := c.conns, c.queries, c.watches
+	c.conns, c.queries, c.watches = nil, nil, nil
+	c.mu.Unlock()
+	if c.ln == nil {
+		return
+	}
+	// Watches first: their deregistration still needs the pool.
+	for _, w := range watches {
+		w.Close()
+	}
+	if c.unsub != nil {
+		c.unsub()
+	}
+	c.ln.Close()
+	for conn := range conns {
+		conn.Close()
+	}
+	c.pool.Close()
+	for _, q := range queries {
+		q.abandon()
+	}
 }
 
 // ResultTable is the merged result of one node-query across all answering
@@ -273,9 +494,10 @@ type Stats struct {
 type Query struct {
 	id  wire.QueryID
 	web *disql.WebQuery
-	tr  netsim.Transport
+	// c owns the collector endpoint and the connection pool: reports are
+	// routed to this query by its id for as long as it stays in c's table.
+	c *Client
 
-	ln     net.Listener
 	doneCh chan struct{}
 	// extDone mirrors Options.Done: a deployment-lifetime bound for the
 	// query's pump goroutines. Nil blocks forever in a select — exactly
@@ -300,8 +522,7 @@ type Query struct {
 	// replayable is set when the query carries no correlated-stage
 	// environment (a replayed clone cannot recover one); replayed marks
 	// the keys re-dispatched to a surviving replica, scoping the
-	// duplicate-retire absorption; unsub detaches the pool-eviction
-	// subscription on finish.
+	// duplicate-retire absorption.
 	cluster      *cluster.Membership
 	entries      map[string]wire.CHTEntry
 	budget       wire.Budget
@@ -309,17 +530,10 @@ type Query struct {
 	replayed     map[string]bool
 	replayVia    map[string]map[string]bool // site -> replicas used by replay rounds
 	replayRounds int
-	unsub        func()
-
-	// pool reuses connections from the query's endpoint to the query
-	// servers it talks to repeatedly (root dispatch, fallback rejoins);
-	// closed when the query finishes.
-	pool *netsim.Pool
 
 	mu          sync.Mutex
-	conns       map[net.Conn]bool // accepted collector connections
-	counts      map[string]int    // signed CHT entry counts
-	nonzero     int               // number of keys with a nonzero count
+	counts      map[string]int // signed CHT entry counts
+	nonzero     int            // number of keys with a nonzero count
 	tables      map[int]*ResultTable
 	rowSeen     map[int]map[string]bool
 	stitched    []trace.Event // span events recovered from result reports
@@ -351,17 +565,10 @@ type Query struct {
 	stopping bool
 	stopSent map[string]bool
 
-	// Wire/batching knobs inherited from Options: wireV1 pins this
-	// query's sessions to framed gob; adaptive arms the TUNE feedback
-	// loop, with tuneLevel the hysteresis state (0 defaults, 1 boosted).
-	wireV1    bool
+	// adaptive arms the TUNE feedback loop (Options.AdaptiveBatch), with
+	// tuneLevel the hysteresis state (0 defaults, 1 boosted).
 	adaptive  bool
 	tuneLevel int
-
-	// sess, when non-nil, owns the collector endpoint: results are routed
-	// to this query by id over the session's shared listener and pool,
-	// and finish detaches from the session instead of closing them.
-	sess *Session
 
 	// Aggregation state (all zero for classic queries). output is the
 	// query's GROUP BY / ORDER BY / LIMIT contract; finalStage the stage
@@ -387,7 +594,7 @@ func (q *Query) ID() wire.QueryID { return q.id }
 // entered first, then the query is dispatched to each StartNode's site
 // (batched per site, Section 3.2 item 4).
 func (c *Client) Submit(w *disql.WebQuery) (*Query, error) {
-	return c.submit(w, wire.Budget{}, nil, nil)
+	return c.submit(w, wire.Budget{}, nil)
 }
 
 // SubmitBudget submits a web-query carrying a resource budget: the root
@@ -398,13 +605,13 @@ func (c *Client) Submit(w *disql.WebQuery) (*Query, error) {
 // user-site: once that many rows have been merged, a typed StopMsg is
 // broadcast along the CHT's live entries.
 func (c *Client) SubmitBudget(w *disql.WebQuery, b wire.Budget) (*Query, error) {
-	return c.submit(w, b, nil, nil)
+	return c.submit(w, b, nil)
 }
 
 // SubmitContext submits a web-query bound to ctx: when ctx ends before
-// the query completes, the query is actively stopped (StopMsg broadcast)
-// and cancelled. The ctx does not bound Submit itself, which returns
-// immediately after dispatch.
+// the query completes, the query is cancelled (StopMsg broadcast). The
+// ctx does not bound Submit itself, which returns immediately after
+// dispatch.
 func (c *Client) SubmitContext(ctx context.Context, w *disql.WebQuery) (*Query, error) {
 	return c.SubmitBudgetContext(ctx, w, wire.Budget{})
 }
@@ -414,7 +621,7 @@ func (c *Client) SubmitBudgetContext(ctx context.Context, w *disql.WebQuery, b w
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	q, err := c.submit(w, b, nil, nil)
+	q, err := c.submit(w, b, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -422,8 +629,7 @@ func (c *Client) SubmitBudgetContext(ctx context.Context, w *disql.WebQuery, b w
 	return q, nil
 }
 
-// watch ties the query to ctx: if ctx ends first, the query is actively
-// stopped and then cancelled (passive close).
+// watch ties the query to ctx: if ctx ends first, the query is cancelled.
 func (q *Query) watch(ctx context.Context) {
 	if ctx.Done() == nil {
 		return
@@ -432,59 +638,36 @@ func (q *Query) watch(ctx context.Context) {
 		select {
 		case <-q.doneCh:
 		case <-ctx.Done():
-			q.Stop("context cancelled")
 			q.Cancel()
 		}
 	}()
 }
 
-func (c *Client) submit(w *disql.WebQuery, b wire.Budget, sess *Session, rec *recording) (*Query, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	start := w.Start
-	if w.StartTerm != "" {
-		if c.opts.IndexResolver == nil {
-			return nil, fmt.Errorf("client: query uses index(%q) but no index resolver is installed", w.StartTerm)
-		}
-		start = c.opts.IndexResolver(w.StartTerm)
-		if len(start) == 0 {
-			return nil, fmt.Errorf("client: index(%q) matched no documents", w.StartTerm)
-		}
-	}
-	c.mu.Lock()
-	c.next++
-	num := c.next
-	c.mu.Unlock()
-
-	if b.FirstN > 0 && (b.Rows == 0 || b.Rows > b.FirstN) {
-		// First-N implies the row quota: servers clip what the user-site
-		// would discard anyway, before it ever crosses the wire.
-		b.Rows = b.FirstN
-	}
+// newQuery builds a query over w, enters it in the client's routing table
+// under a fresh id and arms its reaper. Nothing is dispatched yet.
+func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Query, error) {
+	now := time.Now()
 	q := &Query{
 		web:        w,
-		tr:         c.tr,
+		c:          c,
 		hybrid:     c.opts.Hybrid,
 		reapGrace:  c.opts.ReapGrace,
 		met:        c.opts.Metrics,
 		journal:    c.opts.Journal,
 		cluster:    c.opts.Cluster,
 		budget:     b,
-		sess:       sess,
 		doneCh:     make(chan struct{}),
-		conns:      make(map[net.Conn]bool),
 		counts:     make(map[string]int),
 		tables:     make(map[int]*ResultTable),
 		rowSeen:    make(map[int]map[string]bool),
-		started:    time.Now(),
-		lastReport: time.Now(),
+		started:    now,
+		lastReport: now,
 		firstN:     b.FirstN,
 		stopSent:   make(map[string]bool),
-		wireV1:     c.opts.WireV1,
 		adaptive:   c.opts.AdaptiveBatch,
 		extDone:    c.opts.Done,
 		rec:        rec,
+		statSink:   c.stats,
 	}
 	q.scond = sync.NewCond(&q.mu)
 	if w.Output != nil {
@@ -495,7 +678,6 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, sess *Session, rec *re
 			q.contribSeen = make(map[string]bool)
 		}
 	}
-	q.statSink = c.stats
 	if q.cluster != nil {
 		q.entries = make(map[string]wire.CHTEntry)
 		q.replayed = make(map[string]bool)
@@ -510,142 +692,171 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, sess *Session, rec *re
 			}
 		}
 	}
-	if sess != nil {
-		// The session owns the collector endpoint and connection pool;
-		// reports are routed to this query by its id.
-		q.id = wire.QueryID{User: c.user, Site: sess.endpoint, Num: num}
-		q.pool = sess.pool
-		if err := sess.register(q); err != nil {
-			return nil, err
-		}
-	} else {
-		ln, endpoint, err := c.listenCollector(fmt.Sprintf("q%d", num))
-		if err != nil {
-			return nil, fmt.Errorf("client: result collector: %w", err)
-		}
-		q.id = wire.QueryID{User: c.user, Site: endpoint, Num: num}
-		q.ln = ln
-		q.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-			Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, q.frameOpts()) },
-		})
-		if q.cluster != nil {
-			// Proactive hygiene: when the health layer declares a replica
-			// down, its idle pooled connections are dead weight — evict them
-			// so the next send dials a live replica instead of discovering
-			// the corpse one stale connection at a time.
-			pool := q.pool
-			q.unsub = q.cluster.Subscribe(func(ep string, st cluster.State) {
-				if st == cluster.Down {
-					pool.EvictPeer(ep)
-				}
-			})
-		}
-		go q.collect()
+	err := c.attach(func(id wire.QueryID) {
+		q.id = id
+		c.queries[id.Num] = q
+	})
+	if err != nil {
+		return nil, err
 	}
 	if q.reapGrace > 0 {
 		go q.reaper()
 	}
+	return q, nil
+}
 
-	stages := make([]disql.Stage, len(w.Stages))
-	copy(stages, w.Stages)
-	state := wire.State{NumQ: len(stages), Rem: stages[0].PRE.String()}
-
-	// Group StartNodes by site and enter their CHT entries before any
-	// dispatch.
-	bySite := make(map[string][]wire.DestNode)
-	var sites []string
-	var seq int64
-	q.mu.Lock()
-	for _, node := range start {
-		site := webgraph.Host(node)
-		if _, ok := bySite[site]; !ok {
-			sites = append(sites, site)
+func (c *Client) submit(w *disql.WebQuery, b wire.Budget, rec *recording) (*Query, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	start := w.Start
+	if w.StartTerm != "" {
+		if c.opts.IndexResolver == nil {
+			return nil, fmt.Errorf("client: query uses index(%q) but no index resolver is installed", w.StartTerm)
 		}
-		seq++
-		dest := wire.DestNode{URL: node, Origin: q.id.Site, Seq: seq}
-		bySite[site] = append(bySite[site], dest)
-		e := wire.CHTEntry{Node: node, State: state, Origin: dest.Origin, Seq: dest.Seq}
-		q.addEntry(e)
-		if q.rec != nil {
-			// Client-root arrivals: parent "" marks the user-site itself.
-			q.rec.edges = append(q.rec.edges, recEdge{parent: "", child: e})
+		start = c.opts.IndexResolver(w.StartTerm)
+		if len(start) == 0 {
+			return nil, fmt.Errorf("client: index(%q) matched no documents", w.StartTerm)
 		}
 	}
-	q.mu.Unlock()
-	sort.Strings(sites)
+	if b.FirstN > 0 && (b.Rows == 0 || b.Rows > b.FirstN) {
+		// First-N implies the row quota: servers clip what the user-site
+		// would discard anyway, before it ever crosses the wire.
+		b.Rows = b.FirstN
+	}
+	q, err := c.newQuery(w, b, rec)
+	if err != nil {
+		return nil, err
+	}
 
+	state := wire.State{NumQ: len(w.Stages), Rem: w.Stages[0].PRE.String()}
+	roots := make([]wire.CHTEntry, len(start))
+	for i, node := range start {
+		roots[i] = wire.CHTEntry{Node: node, State: state}
+		if rec != nil {
+			// Client-root arrivals: parent "" marks the user-site itself.
+			rec.edges = append(rec.edges, recEdge{parent: "", child: roots[i]})
+		}
+	}
 	// With the planner armed, aggregating (or limited) queries push the
 	// output spec to the sites as a plan fragment — every ServerRouter
 	// then ships partial-aggregate state or per-node top-K instead of
-	// raw rows — and clones carry the statistics gathered so far.
+	// raw rows.
 	var frag *wire.PlanFrag
-	var hints []wire.SiteStat
 	if c.opts.Planner && w.Output != nil && (w.Output.Grouped() || w.Output.Limit > 0) {
 		frag = &wire.PlanFrag{Version: wire.PlanFragVersion, Stage: len(w.Stages) - 1, Spec: *w.Output}
 	}
-	if c.opts.Planner {
-		hints = c.stats.hints()
-	}
-
-	var firstErr error
-	for _, site := range sites {
-		msg := &wire.CloneMsg{
-			ID:     q.id,
-			Dest:   bySite[site],
-			Rem:    state.Rem,
-			Base:   0,
-			Stages: nodeproc.EncodeStages(stages),
-			Budget: b,
-			Frag:   frag,
-			Hints:  hints,
-		}
-		if q.journal != nil {
-			// Root spans: one per site batch, parented by nothing.
-			msg.Span = wire.SpanID{Origin: q.id.Site, Seq: q.spanSeq.Add(1)}
-			q.journal.Append(trace.Event{
-				Query: q.id.String(), Span: msg.Span, Kind: trace.Dispatch,
-				State: state.String(), Detail: site,
-			})
-		}
-		if err := q.dispatch(site, msg); err != nil {
-			if q.hybrid {
-				// The StartNode's site does not participate: process its
-				// clone centrally (Section 7.1).
-				q.journal.Append(trace.Event{
-					Query: q.id.String(), Span: msg.Span, Kind: trace.Bounce,
-					State: state.String(), Detail: wire.BounceNoServer,
-				})
-				q.bounced(msg)
-				continue
-			}
-			q.journal.Append(trace.Event{
-				Query: q.id.String(), Span: msg.Span, Kind: trace.ForwardFailed,
-				State: state.String(), Detail: site,
-			})
-			if firstErr == nil {
-				firstErr = err
-			}
-			// The site is unreachable: retire its entries so completion
-			// detection is not wedged on clones that never existed.
-			q.mu.Lock()
-			for _, dest := range bySite[site] {
-				q.retire(wire.CHTEntry{Node: dest.URL, State: state, Origin: dest.Origin, Seq: dest.Seq})
-			}
-			q.maybeComplete()
-			q.mu.Unlock()
-		}
-	}
-	if firstErr != nil && len(sites) == 1 {
+	if sites, err := q.dispatchRoots(roots, frag); err != nil && sites == 1 {
 		q.Cancel()
-		return nil, firstErr
+		return nil, err
 	}
 	return q, nil
 }
 
+// dispatchRoots enters the CHT entries of the given (node, state)
+// arrivals and ships them as root clones, one message per site per state
+// (Section 3.2 item 4). A fresh submission's roots all carry the full
+// query; a watch re-derivation resumes mid-traversal, and its clones are
+// the successively-shortened suffix stages, exactly as if the original
+// traversal had just arrived there. It returns the number of clone
+// messages and the first dispatch failure of a non-hybrid query (whose
+// entries were retired, so completion detection is not wedged on clones
+// that never existed).
+func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, error) {
+	stages := q.web.Stages
+	total := len(stages)
+
+	type rootGroup struct {
+		state wire.State
+		dests []wire.DestNode
+	}
+	groups := make(map[string]*rootGroup)
+	var keys []string
+	rootSeen := make(map[string]bool)
+	var seq int64
+	q.mu.Lock()
+	for _, r := range roots {
+		if r.State.NumQ < 1 || r.State.NumQ > total {
+			continue
+		}
+		rk := r.Node + "\x01" + r.State.Key()
+		if rootSeen[rk] {
+			continue
+		}
+		rootSeen[rk] = true
+		gk := webgraph.Host(r.Node) + "\x01" + r.State.Key()
+		g := groups[gk]
+		if g == nil {
+			g = &rootGroup{state: r.State}
+			groups[gk] = g
+			keys = append(keys, gk)
+		}
+		seq++
+		dest := wire.DestNode{URL: r.Node, Origin: q.id.Site, Seq: seq}
+		g.dests = append(g.dests, dest)
+		q.addEntry(wire.CHTEntry{Node: r.Node, State: r.State, Origin: dest.Origin, Seq: dest.Seq})
+	}
+	q.mu.Unlock()
+	sort.Strings(keys)
+
+	// Clones carry the site statistics gathered so far as cost-model hints.
+	var hints []wire.SiteStat
+	if q.c.opts.Planner {
+		hints = q.c.stats.hints()
+	}
+
+	var firstErr error
+	for _, gk := range keys {
+		g := groups[gk]
+		base := total - g.state.NumQ
+		msg := &wire.CloneMsg{
+			ID:     q.id,
+			Dest:   g.dests,
+			Rem:    g.state.Rem,
+			Base:   base,
+			Stages: nodeproc.EncodeStages(stages[base:]),
+			Budget: q.budget,
+			Frag:   frag,
+			Hints:  hints,
+		}
+		site := webgraph.Host(g.dests[0].URL)
+		if q.journal != nil {
+			// Root spans: one per clone message, parented by nothing.
+			msg.Span = wire.SpanID{Origin: q.id.Site, Seq: q.spanSeq.Add(1)}
+			q.jot(msg, trace.Dispatch, site)
+		}
+		err := q.sendSite(site, msg)
+		if err == nil {
+			continue
+		}
+		if q.hybrid {
+			// The site does not participate: process its clone centrally
+			// (Section 7.1).
+			q.jot(msg, trace.Bounce, wire.BounceNoServer)
+			q.bounced(msg)
+			continue
+		}
+		q.jot(msg, trace.ForwardFailed, site)
+		if firstErr == nil {
+			firstErr = err
+		}
+		q.mu.Lock()
+		for _, dest := range g.dests {
+			q.retire(wire.CHTEntry{Node: dest.URL, State: g.state, Origin: dest.Origin, Seq: dest.Seq})
+		}
+		q.mu.Unlock()
+	}
+	// An empty root set (or every dispatch failing) must still complete.
+	q.mu.Lock()
+	q.maybeComplete()
+	q.mu.Unlock()
+	return len(keys), firstErr
+}
+
 // bounced handles a clone returned by a server: hybrid queries route it
 // into the fallback processor (created on first use) for central
-// evaluation; non-hybrid queries retire its entries so the bounce
-// degrades to a recorded forward failure instead of a stranded CHT.
+// evaluation; non-hybrid and cancelled queries retire its entries so the
+// bounce degrades to a recorded forward failure instead of a stranded CHT.
 func (q *Query) bounced(c *wire.CloneMsg) {
 	q.mu.Lock()
 	if q.done {
@@ -707,107 +918,48 @@ func (q *Query) FallbackStats() FallbackStats {
 	return q.fstats
 }
 
-func (q *Query) dispatch(site string, msg *wire.CloneMsg) error {
-	return q.sendSite(site, msg)
-}
-
-// poolSend delivers one message to the named endpoint over the query's
+// send delivers one message to the named endpoint over the client's
 // connection pool. A send that fails on a reused connection — unless the
 // fabric's fault injection ate the frame — is redone once over a fresh
 // dial, so a stale pooled connection never masquerades as a down site.
-func (q *Query) poolSend(to string, msg any) error {
-	conn, reused, err := q.pool.Get(to)
+func (c *Client) send(to string, msg any) error {
+	met := c.opts.Metrics
+	conn, reused, err := c.pool.Get(to)
 	if err != nil {
 		return err
 	}
-	if q.met != nil {
+	if met != nil {
 		if reused {
-			q.met.ConnReused.Add(1)
+			met.ConnReused.Add(1)
 		} else {
-			q.met.ConnDialed.Add(1)
+			met.ConnDialed.Add(1)
 		}
 	}
 	err = wire.Send(conn, msg)
 	if err == nil {
-		q.pool.Put(to, conn)
+		c.pool.Put(to, conn)
 		return nil
 	}
 	conn.Close()
 	if !reused || errors.Is(err, netsim.ErrDropped) || errors.Is(err, netsim.ErrSevered) {
 		return err
 	}
-	if q.met != nil {
-		q.met.ConnStale.Add(1)
+	if met != nil {
+		met.ConnStale.Add(1)
 	}
-	conn, err = q.pool.Dial(to)
+	conn, err = c.pool.Dial(to)
 	if err != nil {
 		return err
 	}
-	if q.met != nil {
-		q.met.ConnDialed.Add(1)
+	if met != nil {
+		met.ConnDialed.Add(1)
 	}
 	if err := wire.Send(conn, msg); err != nil {
 		conn.Close()
 		return err
 	}
-	q.pool.Put(to, conn)
+	c.pool.Put(to, conn)
 	return nil
-}
-
-// collect is the Result Collector: it accepts connections on the query's
-// endpoint and merges every ResultMsg.
-func (q *Query) collect() {
-	for {
-		conn, err := q.ln.Accept()
-		if err != nil {
-			return
-		}
-		// Track accepted connections so finish can close them: with
-		// connection pooling, servers hold their collector connections
-		// open between reports, and passive termination (Section 2.8)
-		// requires the next report on a finished query to FAIL at its
-		// sender. Closing only the listener would leave pooled
-		// connections deliverable forever.
-		q.mu.Lock()
-		if q.done {
-			q.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		q.conns[conn] = true
-		q.mu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				q.mu.Lock()
-				delete(q.conns, conn)
-				q.mu.Unlock()
-			}()
-			// Reporting servers pool this connection and stream many
-			// frames over it; decode with a persistent session.
-			framed := wire.NewFramedOpts(conn, q.frameOpts())
-			for {
-				msg, err := wire.Receive(framed)
-				if err != nil {
-					return
-				}
-				switch m := msg.(type) {
-				case *wire.ResultMsg:
-					if m.ID.Num == q.id.Num {
-						q.merge(m)
-					}
-				case *wire.BounceMsg:
-					if m.Clone.ID.Num == q.id.Num {
-						q.bounced(m.Clone)
-					}
-				case *wire.ShedMsg:
-					if m.Clone.ID.Num == q.id.Num {
-						q.shedded(m)
-					}
-				}
-			}
-		}()
-	}
 }
 
 // merge implements receive_results of Figure 2 under the counting-CHT
@@ -816,12 +968,12 @@ func (q *Query) collect() {
 // or a server-batched frame of several; both merge under one lock hold.
 // After the lock drops, any pending active-termination broadcast
 // (Budget.FirstN newly satisfied, or new sites appearing while stopping)
-// is shipped.
-func (q *Query) merge(rm *wire.ResultMsg) {
+// is shipped. It reports whether the query was still running to take it.
+func (q *Query) merge(rm *wire.ResultMsg) bool {
 	q.mu.Lock()
 	if q.done {
 		q.mu.Unlock()
-		return
+		return false
 	}
 	if q.cluster != nil && rm.From != "" && rm.Inc > 0 && q.cluster.Incarnation(rm.From) > rm.Inc {
 		// The frame was sent before its replica crashed and re-registered:
@@ -833,7 +985,7 @@ func (q *Query) merge(rm *wire.ResultMsg) {
 			q.met.StaleRejected.Add(1)
 		}
 		q.mu.Unlock()
-		return
+		return true
 	}
 	q.stats.ResultMsgs++
 	q.lastReport = time.Now()
@@ -851,14 +1003,14 @@ func (q *Query) merge(rm *wire.ResultMsg) {
 		for _, t := range r.Tables {
 			q.mergeTable(t)
 		}
+		if q.rec != nil {
+			q.rec.fold(r)
+		}
 		for _, u := range r.Updates {
 			q.retire(u.Processed)
 			for _, child := range u.Children {
 				q.addEntry(child)
 			}
-		}
-		if q.rec != nil {
-			q.rec.fold(r)
 		}
 	})
 	q.maybeComplete()
@@ -867,6 +1019,7 @@ func (q *Query) merge(rm *wire.ResultMsg) {
 	q.mu.Unlock()
 	q.broadcastStop(stops, "first-n satisfied")
 	q.broadcastTune(tunes, level)
+	return true
 }
 
 // jot appends one causal event for clone c to the query's journal (used
@@ -1086,7 +1239,7 @@ func (q *Query) broadcastStop(sites []string, reason string) {
 		}
 		ok := false
 		for _, ep := range eps {
-			if q.poolSend(ep, &wire.StopMsg{ID: q.id, Reason: reason}) == nil {
+			if q.c.send(ep, &wire.StopMsg{ID: q.id, Reason: reason}) == nil {
 				ok = true
 			}
 		}
@@ -1117,15 +1270,6 @@ const (
 	tuneBoostRows      = 1024
 	tuneBoostAgeMicros = 20000
 )
-
-// frameOpts derives the wire-session options for this query's
-// connections (its pool and its accepted collector sessions).
-func (q *Query) frameOpts() wire.FramedOptions {
-	if q.wireV1 {
-		return wire.FramedOptions{Offer: 1, Accept: 1}
-	}
-	return wire.FramedOptions{}
-}
 
 // tuneCheck runs the adaptive-batching hysteresis against the current
 // consumer lag and, on a level transition, returns the sites with live
@@ -1183,7 +1327,7 @@ func (q *Query) broadcastTune(sites []string, level int) {
 			}
 		}
 		for _, ep := range eps {
-			if q.poolSend(ep, msg) == nil {
+			if q.c.send(ep, msg) == nil {
 				sent++
 			}
 		}
@@ -1202,6 +1346,10 @@ func (q *Query) broadcastTune(sites []string, level int) {
 // abandon collection.
 func (q *Query) Stop(reason string) {
 	q.mu.Lock()
+	if q.done {
+		q.mu.Unlock()
+		return
+	}
 	q.stopping = true
 	stops := q.stopTargets()
 	q.mu.Unlock()
@@ -1229,10 +1377,8 @@ func rowKey(row []string) string {
 // stranded entries belong to clones that will never report — a crashed
 // site that accepted them, a severed report, a partition. The reaper
 // retires them, marks the query Partial with the unaccounted-for sites,
-// and completes it. Termination stays passive and cascade-free: the
-// collector endpoint closes as on normal completion, and any straggler
-// report simply fails at its sender (which then purges the query locally,
-// exactly the paper's §2.8 behaviour — verified against the T6 harness).
+// and completes it. Nothing is sent: the query leaves the routing table
+// as on normal completion, and a straggler report is dropped there.
 func (q *Query) reaper() {
 	t := time.NewTimer(q.reapGrace)
 	defer t.Stop()
@@ -1343,13 +1489,17 @@ func (q *Query) Unreachable() []string {
 // maybeComplete finishes the query when every CHT count is zero. Callers
 // hold q.mu.
 func (q *Query) maybeComplete() {
-	if q.done || q.nonzero != 0 {
+	if q.nonzero != 0 || q.done {
 		return
 	}
 	q.finish(nil)
 }
 
-// finish marks the query done. Callers hold q.mu.
+// finish marks the query done: its rows are final, its waiters wake, and
+// it leaves the client's routing table. The shared endpoint and pool stay
+// open for the client's other queries; a report still addressed to this
+// one is dropped by the router — or, when it opens a fresh session, fails
+// at its sender. Callers hold q.mu.
 func (q *Query) finish(err error) {
 	if q.done {
 		return
@@ -1367,39 +1517,43 @@ func (q *Query) finish(err error) {
 			q.srows = append(q.srows, StreamRow{Stage: q.finalStage, Row: row})
 		}
 	}
-	if q.unsub != nil {
-		q.unsub()
-		q.unsub = nil
-	}
 	close(q.doneCh)
 	q.scond.Broadcast() // wake stream consumers: no more rows are coming
-	if q.sess != nil {
-		// The endpoint and pool belong to the session and stay open for
-		// its other queries; this query just leaves the routing table.
-		// Straggler reports are then dropped by the router rather than
-		// failing at their sender — passive termination applies at the
-		// session's granularity, when Session.Close closes the endpoint.
-		q.sess.detach(q.id.Num)
-	} else {
-		// Closing the collector endpoint releases the name and makes any
-		// straggler report fail fast at its sender. The accepted
-		// connections must close too: senders pool them between reports,
-		// and passive termination relies on their next send failing.
-		q.ln.Close()
-		for conn := range q.conns {
-			conn.Close()
-		}
-		q.pool.Close()
-	}
 	if q.fb != nil {
 		q.fb.close()
 	}
+	q.c.detach(q.id.Num)
 }
 
-// Cancel abandons the query: the collector endpoint is closed and every
-// server that later tries to report results purges the query locally —
-// the paper's passive, bounded termination.
+// cancelReason is the StopMsg reason of a cancelled query.
+const cancelReason = "cancelled"
+
+// Cancel abandons the query: Wait returns ErrCancelled at once with the
+// rows gathered so far, and the query's remote work is cut off within one
+// hop. The collector's connections carry the client's other queries, so
+// none is closed; instead every site holding a session to the collector
+// is sent a typed StopMsg (its reports cannot fail, so it is told), and a
+// site holding none — one the traversal reaches for the first time — has
+// its first report refused (see serve) and purges the query as after a
+// failed dispatch. Late reports of the query are dropped by the router.
 func (q *Query) Cancel() {
+	q.mu.Lock()
+	if q.done {
+		q.mu.Unlock()
+		return
+	}
+	inFlight := q.nonzero != 0
+	q.stopping = true
+	q.finish(ErrCancelled)
+	q.mu.Unlock()
+	if inFlight {
+		q.broadcastStop(q.c.reporting(), cancelReason)
+	}
+}
+
+// abandon finishes a query whose client is closing: nothing is sent, the
+// endpoint is going away under it.
+func (q *Query) abandon() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.finish(ErrCancelled)
@@ -1407,8 +1561,8 @@ func (q *Query) Cancel() {
 
 // WaitContext blocks until the query completes or ctx ends. A passed
 // deadline returns ErrTimeout and leaves the query running (the old
-// Wait(timeout) contract); an explicit cancellation actively stops the
-// query — StopMsg broadcast, then Cancel — and returns ErrCancelled.
+// Wait(timeout) contract); an explicit cancellation cancels the query
+// (StopMsg broadcast) and returns ErrCancelled.
 func (q *Query) WaitContext(ctx context.Context) error {
 	select {
 	case <-q.doneCh:
@@ -1419,7 +1573,6 @@ func (q *Query) WaitContext(ctx context.Context) error {
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return ErrTimeout
 		}
-		q.Stop("wait context cancelled")
 		q.Cancel()
 		return ErrCancelled
 	}

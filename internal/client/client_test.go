@@ -1,7 +1,6 @@
 package client
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -11,18 +10,20 @@ import (
 	"webdis/internal/wire"
 )
 
-// fakeServer accepts clones at a site endpoint and lets the test send
-// hand-crafted ResultMsgs back to the query's collector.
+// fakeServer accepts clones and stops at a site endpoint and lets the
+// test send hand-crafted ResultMsgs back to the client's collector.
 type fakeServer struct {
 	t    *testing.T
 	net  *netsim.Network
 	site string
 
 	clones chan *wire.CloneMsg
+	stops  chan *wire.StopMsg
 }
 
 func newFakeServer(t *testing.T, n *netsim.Network, site string) *fakeServer {
-	f := &fakeServer{t: t, net: n, site: site, clones: make(chan *wire.CloneMsg, 16)}
+	f := &fakeServer{t: t, net: n, site: site,
+		clones: make(chan *wire.CloneMsg, 16), stops: make(chan *wire.StopMsg, 16)}
 	ln, err := n.Listen(server.Endpoint(site))
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +43,11 @@ func newFakeServer(t *testing.T, n *netsim.Network, site string) *fakeServer {
 					if err != nil {
 						return
 					}
-					if c, ok := msg.(*wire.CloneMsg); ok {
-						f.clones <- c
+					switch m := msg.(type) {
+					case *wire.CloneMsg:
+						f.clones <- m
+					case *wire.StopMsg:
+						f.stops <- m
 					}
 				}
 			}()
@@ -62,13 +66,41 @@ func (f *fakeServer) recv() *wire.CloneMsg {
 	}
 }
 
+func (f *fakeServer) recvStop() *wire.StopMsg {
+	select {
+	case m := <-f.stops:
+		return m
+	case <-time.After(5 * time.Second):
+		f.t.Fatal("no stop received")
+		return nil
+	}
+}
+
+// reply reports the way a site without a session to the collector does:
+// it opens one, sends, and waits for the collector to take the report.
 func (f *fakeServer) reply(id wire.QueryID, msg *wire.ResultMsg) error {
+	conn, err := f.open(id, msg)
+	if err == nil {
+		conn.Close()
+	}
+	return err
+}
+
+// open is reply that keeps the session, as a site's pool does.
+func (f *fakeServer) open(id wire.QueryID, msg *wire.ResultMsg) (*wire.Framed, error) {
 	conn, err := f.net.Dial(server.Endpoint(f.site), id.Site)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer conn.Close()
-	return wire.Send(conn, msg)
+	framed := wire.NewFramed(conn)
+	if err = wire.Send(framed, msg); err == nil {
+		err = wire.Settle(framed)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return framed, nil
 }
 
 const oneStage = `select d.url from document d such that "http://a.example/x.html" G·L d where d.url contains "a"`
@@ -89,7 +121,7 @@ func TestSubmitEntersCHTAndDispatches(t *testing.T) {
 	if clone.Rem != "G·L" || len(clone.Stages) != 1 || clone.Base != 0 {
 		t.Errorf("clone = %+v", clone)
 	}
-	if clone.ID.User != "maya" || clone.ID.Site != "user/q1" {
+	if clone.ID.User != "maya" || clone.ID.Site != "user/c" || clone.ID.Num != 1 {
 		t.Errorf("id = %+v", clone.ID)
 	}
 	if q.LiveEntries() != 1 || q.Done() {
@@ -206,7 +238,83 @@ func waitStats(t *testing.T, q *Query, ok func(Stats) bool) {
 	t.Fatal("condition never reached")
 }
 
+// TestCancelClosesCollector: Cancel finishes the query at once and cuts
+// its remote work off without closing the shared collector. A site that
+// holds a session to it is told to stop (its reports cannot fail); a site
+// that holds none has its report refused — the paper's failed dispatch.
 func TestCancelClosesCollector(t *testing.T) {
+	n := netsim.New(netsim.Options{})
+	fa := newFakeServer(t, n, "a.example")
+	fb := newFakeServer(t, n, "b.example")
+	c := New(n, "u", "user")
+	defer c.Close()
+	q, err := c.Submit(disql.MustParse(oneStage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := fa.recv()
+	// b.example has reported to this client: it holds a session.
+	child := wire.CHTEntry{Node: "http://b.example/y.html", State: wire.State{NumQ: 1, Rem: "L"}, Origin: "a.example/query", Seq: 1}
+	warm, err := fb.open(clone.ID, &wire.ResultMsg{ID: clone.ID, Updates: []wire.CHTUpdate{{Processed: child}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	waitStats(t, q, func(s Stats) bool { return s.ResultMsgs == 1 })
+
+	q.Cancel()
+	if err := q.Wait(time.Second); err != ErrCancelled {
+		t.Fatalf("Wait = %v", err)
+	}
+	if c.query(q.ID().Num) != nil {
+		t.Error("cancelled query still routed")
+	}
+	if stop := fb.recvStop(); stop.ID != q.ID() {
+		t.Fatalf("stop for %v, want %v", stop.ID, q.ID())
+	}
+	if got := q.Stats().StopsSent; got != 1 {
+		t.Errorf("StopsSent = %d, want 1 (the one site holding a session)", got)
+	}
+	// The passive termination signal: a.example never reported, so its
+	// first report opens a session — which the collector refuses.
+	if err := fa.reply(clone.ID, &wire.ResultMsg{ID: clone.ID}); err == nil {
+		t.Fatal("first report of a cancelled query should fail at its sender")
+	}
+	select {
+	case m := <-fa.stops:
+		t.Errorf("site without a session was sent %+v", m)
+	default:
+	}
+	// On b.example's session a late report cannot fail; it is dropped.
+	if err := wire.Send(warm, &wire.ResultMsg{ID: clone.ID,
+		Updates: []wire.CHTUpdate{{Processed: child}},
+		Tables:  []wire.NodeTable{{Node: child.Node, Stage: 0, Cols: []string{"d.url"}, Rows: [][]string{{"late"}}}},
+	}); err != nil {
+		t.Fatalf("late report on an established session failed: %v", err)
+	}
+	// The session outlives the query: the client's next one reports on it.
+	q2, err := c.Submit(disql.MustParse(oneStage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone2 := fa.recv()
+	if err := wire.Send(warm, processedReply(clone2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q2.Wait(5 * time.Second); err != nil {
+		t.Fatalf("query after the cancel: %v", err)
+	}
+	if n := q.RowCount(); n != 0 {
+		t.Errorf("cancelled query merged %d late rows", n)
+	}
+	// Cancel twice is fine.
+	q.Cancel()
+}
+
+// TestCloseIsPassiveTermination: closing the client is the paper's
+// passive termination — the endpoint and its connections go away, so a
+// site's next report fails at its sender.
+func TestCloseIsPassiveTermination(t *testing.T) {
 	n := netsim.New(netsim.Options{})
 	f := newFakeServer(t, n, "a.example")
 	c := New(n, "u", "user")
@@ -215,16 +323,45 @@ func TestCancelClosesCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := f.recv()
-	q.Cancel()
+	// A site holds a pooled connection to the collector from an earlier
+	// report.
+	pooled, err := n.Dial("a.example/query", clone.ID.Site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pooled.Close()
+	framed := wire.NewFramed(pooled)
+	if err := wire.Send(framed, &wire.ResultMsg{ID: clone.ID}); err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, q, func(s Stats) bool { return s.ResultMsgs == 1 })
+
+	c.Close()
 	if err := q.Wait(time.Second); err != ErrCancelled {
 		t.Fatalf("Wait = %v", err)
 	}
-	// The passive termination signal: the server's reply now fails.
-	if err := f.reply(clone.ID, &wire.ResultMsg{ID: clone.ID}); err == nil {
-		t.Fatal("reply after cancel should fail")
+	select {
+	case m := <-f.stops:
+		t.Errorf("passive termination sent %+v", m)
+	default:
 	}
-	// Cancel twice is fine.
-	q.Cancel()
+	if err := f.reply(clone.ID, &wire.ResultMsg{ID: clone.ID}); err == nil {
+		t.Error("dial after Close should be refused")
+	}
+	// The pooled connection was closed under the sender. Its next write may
+	// still be accepted by the local end; the one after cannot be.
+	err = wire.Send(framed, &wire.ResultMsg{ID: clone.ID})
+	for i := 0; err == nil && i < 3; i++ {
+		time.Sleep(5 * time.Millisecond)
+		err = wire.Send(framed, &wire.ResultMsg{ID: clone.ID})
+	}
+	if err == nil {
+		t.Error("report on a pooled connection still succeeds after Close")
+	}
+	if _, err := c.Submit(disql.MustParse(oneStage)); err != ErrClosed {
+		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	}
+	c.Close() // idempotent
 }
 
 func TestSubmitFailsWhenNoServer(t *testing.T) {
@@ -233,9 +370,17 @@ func TestSubmitFailsWhenNoServer(t *testing.T) {
 	if _, err := c.Submit(disql.MustParse(oneStage)); err == nil {
 		t.Fatal("Submit should fail when the only start site is down")
 	}
-	// The collector endpoint was released: a new submit can reuse names.
-	if _, err := n.Listen("user/q1"); err != nil {
-		t.Fatalf("endpoint not released: %v", err)
+	// The failed query left the routing table; the endpoint stays bound for
+	// the next submit and is released by Close.
+	if len(c.queries) != 0 {
+		t.Errorf("%d queries still routed", len(c.queries))
+	}
+	if _, err := n.Listen("user/c"); err == nil {
+		t.Fatal("collector endpoint was released by a failed submit")
+	}
+	c.Close()
+	if _, err := n.Listen("user/c"); err != nil {
+		t.Fatalf("endpoint not released by Close: %v", err)
 	}
 }
 
@@ -314,11 +459,12 @@ func TestQueryIDsAreUnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q1.ID() == q2.ID() {
-		t.Error("IDs must differ")
+	// Uniqueness is by Num: the Site is the client's one collector.
+	if q1.ID().Num == q2.ID().Num {
+		t.Error("query numbers must differ")
 	}
-	if !strings.HasPrefix(q2.ID().Site, "user/q") {
-		t.Errorf("site = %s", q2.ID().Site)
+	if q1.ID().Site != "user/c" || q2.ID().Site != q1.ID().Site {
+		t.Errorf("sites = %s, %s", q1.ID().Site, q2.ID().Site)
 	}
 	q1.Cancel()
 	q2.Cancel()

@@ -48,7 +48,7 @@ type fallback struct {
 func newFallback(q *Query) *fallback {
 	f := &fallback{
 		q:     q,
-		fetch: webserver.NewFetcher(q.tr, q.id.Site),
+		fetch: webserver.NewFetcher(q.c.tr, q.id.Site),
 		log:   nodeproc.NewLogTable(nodeproc.DedupSubsume),
 		cache: make(map[string][]byte),
 	}

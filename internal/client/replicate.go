@@ -41,7 +41,7 @@ func (q *Query) sendSite(site string, msg *wire.CloneMsg) error {
 // the caller's pre-excluded endpoints.
 func (q *Query) sendSiteVia(site string, msg *wire.CloneMsg, exclude map[string]bool) (string, error) {
 	if q.cluster == nil {
-		return server.Endpoint(site), q.poolSend(server.Endpoint(site), msg)
+		return server.Endpoint(site), q.c.send(server.Endpoint(site), msg)
 	}
 	tried := make(map[string]bool, len(exclude)+1)
 	for ep := range exclude {
@@ -67,7 +67,7 @@ func (q *Query) sendSiteVia(site string, msg *wire.CloneMsg, exclude map[string]
 			q.jot(msg, trace.Failover, site+" -> "+ep)
 		}
 		attempts++
-		err := q.poolSend(ep, msg)
+		err := q.c.send(ep, msg)
 		if err == nil {
 			q.cluster.ReportSuccess(ep)
 			return ep, nil

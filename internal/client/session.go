@@ -3,100 +3,77 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
+	"slices"
 	"sync"
 
-	"webdis/internal/cluster"
 	"webdis/internal/disql"
-	"webdis/internal/netsim"
 	"webdis/internal/wire"
 )
 
 // ErrSessionClosed is returned by Session.Submit after Close.
 var ErrSessionClosed = errors.New("client: session closed")
 
-// Session multiplexes many concurrent queries over one Result Collector
-// endpoint ("<base>/s<n>") and one connection pool. The paper gives each
-// query its own listening socket; a multi-query user-site would exhaust
-// endpoints (and handshakes) that way, so a session routes every report
-// to its query by query id instead — the queries keep their own CHTs,
-// reapers and result tables untouched.
-//
-// Termination semantics shift one level up: a finished query leaves the
-// routing table, so its straggler reports are dropped by the router
-// rather than failing at the sender (servers only see sends fail — and
-// purge passively, Section 2.8 — once the whole session closes). The
-// queries' CHT accounting is indifferent: a dropped straggler was
-// already accounted or reaped.
+// Session groups the concurrent queries of one piece of work — a user's
+// tab, a load generator's flow — so they can be counted and cancelled
+// together. Every query of a client already shares the client's Result
+// Collector endpoint and is routed by query id, so a session owns no
+// socket: it is a handle over the queries submitted through it, each with
+// its own CHT, reaper and result tables.
 type Session struct {
-	c        *Client
-	endpoint string
-	ln       net.Listener
-	pool     *netsim.Pool
-	unsub    func() // detaches the down-replica pool eviction, if clustered
+	c *Client
 
 	mu      sync.Mutex
-	conns   map[net.Conn]bool
-	queries map[int]*Query
+	queries []*Query // submitted and not yet seen finished
 	closed  bool
 }
 
-// NewSession opens a multi-query session: one collector endpoint and
-// connection pool shared by every query submitted through it.
+// NewSession opens a multi-query session on the client's collector.
 func (c *Client) NewSession() (*Session, error) {
 	c.mu.Lock()
-	c.sessions++
-	n := c.sessions
+	err := c.open()
 	c.mu.Unlock()
-	ln, endpoint, err := c.listenCollector(fmt.Sprintf("s%d", n))
 	if err != nil {
-		return nil, fmt.Errorf("client: session collector: %w", err)
+		return nil, err
 	}
-	s := &Session{
-		c:        c,
-		endpoint: endpoint,
-		ln:       ln,
-		pool: netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-			Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, c.frameOpts()) },
-		}),
-		conns:   make(map[net.Conn]bool),
-		queries: make(map[int]*Query),
-	}
-	if cl := c.opts.Cluster; cl != nil {
-		// Shared-pool hygiene, as for per-query pools: a replica declared
-		// down has its idle connections evicted so the session's next send
-		// re-resolves instead of burning a send on the corpse.
-		pool := s.pool
-		s.unsub = cl.Subscribe(func(ep string, st cluster.State) {
-			if st == cluster.Down {
-				pool.EvictPeer(ep)
-			}
-		})
-	}
-	go s.accept()
-	return s, nil
+	return &Session{c: c}, nil
 }
 
-// Endpoint returns the session's collector endpoint name.
-func (s *Session) Endpoint() string { return s.endpoint }
+// Endpoint returns the collector endpoint the session's queries report to.
+func (s *Session) Endpoint() string { return s.c.endpoint }
 
-// Submit dispatches a web-query whose results are collected over the
-// session's shared endpoint. Queries from one session run concurrently;
-// Wait on each Query as usual.
+// Submit dispatches a web-query as part of the session. Queries from one
+// session run concurrently; Wait on each Query as usual.
 func (s *Session) Submit(w *disql.WebQuery) (*Query, error) {
-	return s.c.submit(w, wire.Budget{}, s, nil)
+	return s.SubmitBudget(w, wire.Budget{})
 }
 
 // SubmitBudget is Submit with a wire-carried resource budget (see
 // Client.SubmitBudget).
 func (s *Session) SubmitBudget(w *disql.WebQuery, b wire.Budget) (*Query, error) {
-	return s.c.submit(w, b, s, nil)
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrSessionClosed
+	}
+	q, err := s.c.submit(w, b, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		q.Cancel()
+		return nil, ErrSessionClosed
+	}
+	s.queries = append(s.live(), q)
+	s.mu.Unlock()
+	return q, nil
 }
 
 // SubmitContext is Submit bound to ctx: when ctx ends before the query
-// completes, the query is actively stopped and cancelled (see
-// Client.SubmitContext). The session itself stays open.
+// completes, the query is cancelled (see Client.SubmitContext). The
+// session itself stays open.
 func (s *Session) SubmitContext(ctx context.Context, w *disql.WebQuery) (*Query, error) {
 	return s.SubmitBudgetContext(ctx, w, wire.Budget{})
 }
@@ -106,7 +83,7 @@ func (s *Session) SubmitBudgetContext(ctx context.Context, w *disql.WebQuery, b 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	q, err := s.c.submit(w, b, s, nil)
+	q, err := s.SubmitBudget(w, b)
 	if err != nil {
 		return nil, err
 	}
@@ -114,116 +91,30 @@ func (s *Session) SubmitBudgetContext(ctx context.Context, w *disql.WebQuery, b 
 	return q, nil
 }
 
-// register adds a query to the routing table.
-func (s *Session) register(q *Query) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrSessionClosed
-	}
-	s.queries[q.id.Num] = q
-	return nil
+// live drops the finished queries from the session's list and returns
+// it. Callers hold s.mu.
+func (s *Session) live() []*Query {
+	s.queries = slices.DeleteFunc(s.queries, (*Query).Done)
+	return s.queries
 }
 
-// detach removes a finished query from the routing table. Stragglers
-// addressed to it are dropped by the router from then on.
-func (s *Session) detach(num int) {
-	s.mu.Lock()
-	delete(s.queries, num)
-	s.mu.Unlock()
-}
-
-// lookup resolves a query id to its live query, or nil.
-func (s *Session) lookup(num int) *Query {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries[num]
-}
-
-// accept runs the session's Result Collector: every frame is routed to
-// its query by id. The query is resolved outside any per-query lock, so
-// routing for one query never blocks on another's merge.
-func (s *Session) accept() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			framed := wire.NewFramedOpts(conn, s.c.frameOpts())
-			for {
-				msg, err := wire.Receive(framed)
-				if err != nil {
-					return
-				}
-				switch m := msg.(type) {
-				case *wire.ResultMsg:
-					if q := s.lookup(m.ID.Num); q != nil {
-						q.merge(m)
-					}
-				case *wire.BounceMsg:
-					if q := s.lookup(m.Clone.ID.Num); q != nil {
-						q.bounced(m.Clone)
-					}
-				case *wire.ShedMsg:
-					if q := s.lookup(m.Clone.ID.Num); q != nil {
-						q.shedded(m)
-					}
-				}
-			}
-		}()
-	}
-}
-
-// Live returns the number of queries still registered with the session.
+// Live returns the number of the session's queries still running.
 func (s *Session) Live() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queries)
+	return len(s.live())
 }
 
-// Close shuts the session down: the shared endpoint and pool close (so
-// any further report fails at its sender — passive termination for the
-// whole session) and every still-running query is cancelled.
+// Close cancels every still-running query of the session and rejects
+// further submissions. The collector endpoint belongs to the client and
+// stays open.
 func (s *Session) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		conns = append(conns, conn)
-	}
-	queries := make([]*Query, 0, len(s.queries))
-	for _, q := range s.queries {
-		queries = append(queries, q)
-	}
+	queries := s.live()
+	s.queries = nil
 	s.mu.Unlock()
-	if s.unsub != nil {
-		s.unsub()
-	}
-	s.ln.Close()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	s.pool.Close()
-	// Cancel outside s.mu: each cancel re-enters detach.
+	// Cancel outside s.mu: each cancel talks to the network.
 	for _, q := range queries {
 		q.Cancel()
 	}

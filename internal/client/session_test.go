@@ -62,9 +62,11 @@ func TestSessionRoutesConcurrentQueries(t *testing.T) {
 	if err := second.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.reply(c1.ID, processedReply(c1)); err != nil {
+	pooled, err := f.open(c1.ID, processedReply(c1))
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer pooled.Close()
 	if err := q1.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +76,10 @@ func TestSessionRoutesConcurrentQueries(t *testing.T) {
 	if s.Live() != 0 {
 		t.Errorf("live after completion = %d", s.Live())
 	}
-	// A straggler for a finished query is dropped by the router, not an
-	// error at the sender: the session endpoint is still open.
-	if err := f.reply(c1.ID, processedReply(c1)); err != nil {
+	// A straggler for a finished query on the site's pooled connection is
+	// dropped by the router, not an error at the sender: the endpoint is
+	// still open and the connection carries the client's other queries.
+	if err := wire.Send(pooled, processedReply(c1)); err != nil {
 		t.Errorf("straggler send failed at sender: %v", err)
 	}
 }
@@ -194,8 +197,9 @@ func TestSessionCloseCancelsLiveQueries(t *testing.T) {
 	if err := q.Wait(time.Second); err != ErrCancelled {
 		t.Fatalf("Wait after session close = %v", err)
 	}
-	// Passive termination at session granularity: the endpoint is gone,
-	// so a late report now fails at its sender.
+	// Passive termination at session granularity: the client's endpoint
+	// stays open, but it no longer takes a report of the closed session's
+	// query, so a late report fails at its sender.
 	if err := f.reply(clone.ID, processedReply(clone)); err == nil {
 		t.Error("reply after session close should fail")
 	}

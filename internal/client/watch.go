@@ -45,18 +45,12 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"net"
 	"sort"
 	"sync"
-	"time"
 
-	"webdis/internal/cluster"
 	"webdis/internal/disql"
-	"webdis/internal/netsim"
-	"webdis/internal/nodeproc"
 	"webdis/internal/server"
 	"webdis/internal/trace"
-	"webdis/internal/webgraph"
 	"webdis/internal/wire"
 )
 
@@ -147,16 +141,14 @@ func watchEdgeKey(parent, node string, st wire.State) string {
 type contribSet map[int]map[string][]string
 
 // Watch is a standing web-query: it holds the query's current result
-// set, receives site change notifications on its own collector
-// endpoint, incrementally re-derives only the affected part of the
-// traversal, and emits typed row deltas. Create with Client.Watch,
-// consume with Deltas, Stream or Results, release with Close.
+// set, receives site change notifications on the client's collector
+// endpoint (routed by the watch's id), incrementally re-derives only the
+// affected part of the traversal, and emits typed row deltas. Create with
+// Client.Watch, consume with Deltas, Stream or Results, release with Close.
 type Watch struct {
 	c      *Client
 	web    *disql.WebQuery
 	wid    wire.QueryID
-	ln     net.Listener
-	pool   *netsim.Pool
 	sites  []string // sites a WatchMsg registration reached
 	budget wire.Budget
 	// extDone mirrors Options.Done, bounding Stream pumps exactly as in
@@ -172,7 +164,6 @@ type Watch struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*wire.DeltaMsg
-	conns  map[net.Conn]bool
 	closed bool
 	err    error
 
@@ -232,11 +223,6 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 		}
 	}
 
-	c.mu.Lock()
-	c.next++
-	num := c.next
-	c.mu.Unlock()
-
 	wa := &Watch{
 		c:            c,
 		web:          w,
@@ -244,7 +230,6 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 		extDone:      c.opts.Done,
 		conservative: conservative,
 		journal:      c.opts.Journal,
-		conns:        make(map[net.Conn]bool),
 		contribs:     make(map[string]contribSet),
 		edges:        make(map[string]watchEdge),
 		cols:         make(map[int][]string),
@@ -253,16 +238,13 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	}
 	wa.cond = sync.NewCond(&wa.mu)
 
-	ln, endpoint, err := c.listenCollector(fmt.Sprintf("w%d", num))
-	if err != nil {
-		return nil, fmt.Errorf("client: watch collector: %w", err)
-	}
-	wa.wid = wire.QueryID{User: c.user, Site: endpoint, Num: num}
-	wa.ln = ln
-	wa.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, c.frameOpts()) },
+	err := c.attach(func(id wire.QueryID) {
+		wa.wid = id
+		c.watches[id.Num] = wa
 	})
-	go wa.collect()
+	if err != nil {
+		return nil, err
+	}
 
 	// Register before the initial run: a mutation landing between the
 	// two produces a queued notification whose re-derivation is
@@ -271,13 +253,13 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	ordered := append([]string(nil), sites...)
 	sort.Strings(ordered)
 	for _, site := range ordered {
-		if wa.send(server.Endpoint(site), reg) == nil {
+		if c.send(server.Endpoint(site), reg) == nil {
 			wa.sites = append(wa.sites, site)
 		}
 	}
 
 	rec := &recording{}
-	q, err := c.submit(w, b, nil, rec)
+	q, err := c.submit(w, b, rec)
 	if err != nil {
 		wa.teardown()
 		return nil, err
@@ -312,66 +294,22 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	return wa, nil
 }
 
-// send delivers one control message over the watch's connection pool.
-func (w *Watch) send(ep string, msg any) error {
-	conn, _, err := w.pool.Get(ep)
-	if err != nil {
-		return err
+// notify queues one site notification for the epoch loop. The client's
+// collector calls it for every applicable DeltaMsg carrying this watch's
+// id.
+func (w *Watch) notify(m *wire.DeltaMsg) {
+	if w.journal != nil {
+		w.journal.Append(trace.Event{
+			Query: w.wid.String(), Kind: trace.Delta,
+			Detail: fmt.Sprintf("from %s: %d edited, %d rewired", m.Site, len(m.Edited), len(m.Rewired)),
+		})
 	}
-	if err := wire.Send(conn, msg); err != nil {
-		conn.Close()
-		return err
+	w.mu.Lock()
+	if !w.closed {
+		w.queue = append(w.queue, m)
+		w.cond.Broadcast()
 	}
-	w.pool.Put(ep, conn)
-	return nil
-}
-
-// collect accepts notification connections on the watch's endpoint and
-// queues every applicable DeltaMsg for the epoch loop.
-func (w *Watch) collect() {
-	for {
-		conn, err := w.ln.Accept()
-		if err != nil {
-			return
-		}
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		w.conns[conn] = true
-		w.mu.Unlock()
-		go func() {
-			defer func() {
-				conn.Close()
-				w.mu.Lock()
-				delete(w.conns, conn)
-				w.mu.Unlock()
-			}()
-			framed := wire.NewFramedOpts(conn, w.c.frameOpts())
-			for {
-				msg, err := wire.Receive(framed)
-				if err != nil {
-					return
-				}
-				if m, ok := msg.(*wire.DeltaMsg); ok && m.Applies() && m.ID.Num == w.wid.Num {
-					if w.journal != nil {
-						w.journal.Append(trace.Event{
-							Query: w.wid.String(), Kind: trace.Delta,
-							Detail: fmt.Sprintf("from %s: %d edited, %d rewired", m.Site, len(m.Edited), len(m.Rewired)),
-						})
-					}
-					w.mu.Lock()
-					if !w.closed {
-						w.queue = append(w.queue, m)
-						w.cond.Broadcast()
-					}
-					w.mu.Unlock()
-				}
-			}
-		}()
-	}
+	w.mu.Unlock()
 }
 
 // loop drains the notification queue, one epoch per message.
@@ -711,8 +649,8 @@ func diffRows(old, next map[int]map[string][]string, epoch int) []Delta {
 	return out
 }
 
-// ID returns the watch's global identifier (its notification endpoint
-// is ID().Site).
+// ID returns the watch's global identifier: notifications go to the
+// client's collector endpoint ID().Site and are routed by ID().Num.
 func (w *Watch) ID() wire.QueryID { return w.wid }
 
 // Epoch returns the number of site notifications folded in so far.
@@ -875,8 +813,8 @@ func (w *Watch) Results() []ResultTable {
 }
 
 // Close deregisters the watch at every site it registered with
-// (best-effort), closes its notification endpoint, and releases its
-// goroutines. Idempotent.
+// (best-effort), takes it out of the client's routing table, and releases
+// its goroutines. Idempotent.
 func (w *Watch) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -888,176 +826,32 @@ func (w *Watch) Close() error {
 	w.mu.Unlock()
 	cancel := &wire.WatchMsg{Version: wire.WatchVersion, ID: w.wid, Cancel: true}
 	for _, site := range w.sites {
-		w.send(server.Endpoint(site), cancel) //nolint:errcheck // best-effort deregistration
+		w.c.send(server.Endpoint(site), cancel) //nolint:errcheck // best-effort deregistration
 	}
 	w.teardown()
 	return nil
 }
 
-// teardown closes the watch's network resources.
+// teardown closes the watch and stops its notifications being routed.
 func (w *Watch) teardown() {
 	w.mu.Lock()
 	w.closed = true
-	conns := make([]net.Conn, 0, len(w.conns))
-	for conn := range w.conns {
-		conns = append(conns, conn)
-	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	w.ln.Close()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	w.pool.Close()
+	w.c.mu.Lock()
+	delete(w.c.watches, w.wid.Num)
+	w.c.mu.Unlock()
 }
 
 // submitRoots dispatches a web-query that resumes mid-traversal: each
 // root carries a recorded (node, state) arrival rather than starting at
 // stage 0. It is the re-derivation primitive of the continuous-query
-// layer — the query's clones are the successively-shortened suffix
-// stages, exactly as if the original traversal had just arrived there.
+// layer.
 func (c *Client) submitRoots(w *disql.WebQuery, roots []wire.CHTEntry, b wire.Budget, rec *recording) (*Query, error) {
-	c.mu.Lock()
-	c.next++
-	num := c.next
-	c.mu.Unlock()
-
-	q := &Query{
-		web:        w,
-		tr:         c.tr,
-		hybrid:     c.opts.Hybrid,
-		reapGrace:  c.opts.ReapGrace,
-		met:        c.opts.Metrics,
-		journal:    c.opts.Journal,
-		cluster:    c.opts.Cluster,
-		budget:     b,
-		doneCh:     make(chan struct{}),
-		conns:      make(map[net.Conn]bool),
-		counts:     make(map[string]int),
-		tables:     make(map[int]*ResultTable),
-		rowSeen:    make(map[int]map[string]bool),
-		started:    time.Now(),
-		lastReport: time.Now(),
-		stopSent:   make(map[string]bool),
-		wireV1:     c.opts.WireV1,
-		adaptive:   c.opts.AdaptiveBatch,
-		extDone:    c.opts.Done,
-		rec:        rec,
-	}
-	q.scond = sync.NewCond(&q.mu)
-	q.statSink = c.stats
-	if q.cluster != nil {
-		q.entries = make(map[string]wire.CHTEntry)
-		q.replayed = make(map[string]bool)
-		// Correlated queries never reach here (Watch rejects them), so a
-		// replayed clone can always be reconstructed from its entry.
-		q.replayable = true
-	}
-	ln, endpoint, err := c.listenCollector(fmt.Sprintf("q%d", num))
+	q, err := c.newQuery(w, b, rec)
 	if err != nil {
-		return nil, fmt.Errorf("client: result collector: %w", err)
+		return nil, err
 	}
-	q.id = wire.QueryID{User: c.user, Site: endpoint, Num: num}
-	q.ln = ln
-	q.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, q.frameOpts()) },
-	})
-	if q.cluster != nil {
-		pool := q.pool
-		q.unsub = q.cluster.Subscribe(func(ep string, st cluster.State) {
-			if st == cluster.Down {
-				pool.EvictPeer(ep)
-			}
-		})
-	}
-	go q.collect()
-	if q.reapGrace > 0 {
-		go q.reaper()
-	}
-
-	stages := make([]disql.Stage, len(w.Stages))
-	copy(stages, w.Stages)
-	total := len(stages)
-
-	// Group roots by (site, state) — optimization 4 of Section 3.2, one
-	// clone message per site per state — and enter their CHT entries
-	// before any dispatch.
-	type rootGroup struct {
-		state wire.State
-		dests []wire.DestNode
-	}
-	groups := make(map[string]*rootGroup)
-	var keys []string
-	rootSeen := make(map[string]bool)
-	var seq int64
-	q.mu.Lock()
-	for _, r := range roots {
-		if r.State.NumQ < 1 || r.State.NumQ > total {
-			continue
-		}
-		rk := r.Node + "\x01" + r.State.Key()
-		if rootSeen[rk] {
-			continue
-		}
-		rootSeen[rk] = true
-		gk := webgraph.Host(r.Node) + "\x01" + r.State.Key()
-		g := groups[gk]
-		if g == nil {
-			g = &rootGroup{state: r.State}
-			groups[gk] = g
-			keys = append(keys, gk)
-		}
-		seq++
-		dest := wire.DestNode{URL: r.Node, Origin: q.id.Site, Seq: seq}
-		g.dests = append(g.dests, dest)
-		q.addEntry(wire.CHTEntry{Node: r.Node, State: r.State, Origin: dest.Origin, Seq: dest.Seq})
-	}
-	q.mu.Unlock()
-	sort.Strings(keys)
-
-	var hints []wire.SiteStat
-	if c.opts.Planner {
-		hints = c.stats.hints()
-	}
-
-	for _, gk := range keys {
-		g := groups[gk]
-		base := total - g.state.NumQ
-		msg := &wire.CloneMsg{
-			ID:     q.id,
-			Dest:   g.dests,
-			Rem:    g.state.Rem,
-			Base:   base,
-			Stages: nodeproc.EncodeStages(stages[base:]),
-			Budget: b,
-			Hints:  hints,
-		}
-		site := webgraph.Host(g.dests[0].URL)
-		if q.journal != nil {
-			msg.Span = wire.SpanID{Origin: q.id.Site, Seq: q.spanSeq.Add(1)}
-			q.journal.Append(trace.Event{
-				Query: q.id.String(), Span: msg.Span, Kind: trace.Dispatch,
-				State: g.state.String(), Detail: site,
-			})
-		}
-		if err := q.dispatch(site, msg); err != nil {
-			if q.hybrid {
-				q.jot(msg, trace.Bounce, wire.BounceNoServer)
-				q.bounced(msg)
-				continue
-			}
-			q.jot(msg, trace.ForwardFailed, site)
-			q.mu.Lock()
-			for _, dest := range g.dests {
-				q.retire(wire.CHTEntry{Node: dest.URL, State: g.state, Origin: dest.Origin, Seq: dest.Seq})
-			}
-			q.maybeComplete()
-			q.mu.Unlock()
-		}
-	}
-	// An empty root set (or every dispatch failing) must still complete.
-	q.mu.Lock()
-	q.maybeComplete()
-	q.mu.Unlock()
+	q.dispatchRoots(roots, nil)
 	return q, nil
 }

@@ -297,7 +297,7 @@ func TestChaosOrphanReapedAfterSilentCrash(t *testing.T) {
 	defer d.Close()
 	// Cut only the victim's path back to the user: it still receives and
 	// processes clones, but its reports vanish (prefix "user" covers the
-	// per-query collector endpoints).
+	// collector endpoint "user/c").
 	d.Network().Block(victim, "user", true)
 
 	q, err := d.Run(webgraph.CampusDISQL, waitFor)

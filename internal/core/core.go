@@ -364,9 +364,9 @@ func (d *Deployment) SubmitBudget(w *disql.WebQuery, b wire.Budget) (*client.Que
 	return d.client.SubmitBudget(w, b)
 }
 
-// NewSession opens a multi-query session at the user-site: one result
-// endpoint shared by many concurrent queries, the client side of the
-// multi-user workload the scheduler exists for. Close it when done.
+// NewSession opens a multi-query session at the user-site: a handle over
+// a group of concurrent queries, the client side of the multi-user
+// workload the scheduler exists for. Close it when done.
 func (d *Deployment) NewSession() (*client.Session, error) {
 	return d.client.NewSession()
 }
@@ -382,10 +382,9 @@ func (d *Deployment) SubmitDISQL(src string) (*client.Query, error) {
 
 // Run submits a DISQL query and waits for completion (timeout <= 0 waits
 // forever), returning the finished query. A query that exceeds the
-// timeout is cancelled before Run returns: the collector endpoint closes,
-// so passive termination drains the in-flight clones instead of leaking
-// the endpoint, the collector goroutine and any fallback worker. The
-// partial results gathered before the deadline remain readable.
+// timeout is cancelled before Run returns: its in-flight clones are told
+// to stop and its fallback worker is released. The partial results
+// gathered before the deadline remain readable.
 func (d *Deployment) Run(src string, timeout time.Duration) (*client.Query, error) {
 	q, err := d.SubmitDISQL(src)
 	if err != nil {
@@ -401,8 +400,8 @@ func (d *Deployment) Run(src string, timeout time.Duration) (*client.Query, erro
 }
 
 // RunContext submits a DISQL query bound to ctx and waits for it. A ctx
-// that ends first actively stops the query's in-flight clones (typed
-// StopMsg broadcast) and cancels collection; the partial results
+// that ends first cancels the query (typed StopMsg broadcast to its
+// in-flight clones); the partial results
 // gathered remain readable on the returned query. The context-first form
 // of Run.
 func (d *Deployment) RunContext(ctx context.Context, src string) (*client.Query, error) {
@@ -670,11 +669,15 @@ func (d *Deployment) Cluster() *cluster.Membership { return d.cluster }
 // Host returns the document host of site, or nil.
 func (d *Deployment) Host(site string) *webserver.Host { return d.hosts[site] }
 
-// Close stops the health prober, every server replica and document
-// host, and closes the deployment's done channel — releasing every
-// stream pump and watch whose consumer abandoned it. Idempotent.
+// Close closes the deployment's done channel — releasing every stream
+// pump and watch whose consumer abandoned it — then the user-site client
+// (its collector endpoint, and with it whatever was still in flight), the
+// health prober, every server replica and document host. Idempotent.
 func (d *Deployment) Close() {
 	d.closeOnce.Do(func() { close(d.done) })
+	if d.client != nil {
+		d.client.Close()
+	}
 	if d.cluster != nil {
 		d.cluster.StopProber()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -297,9 +298,97 @@ func TestQueryShippingMovesNoDocuments(t *testing.T) {
 	}
 }
 
+// TestCancelPassiveTermination: cancelling one query of a client cuts its
+// remote work off within a hop although the collector it reports to stays
+// open. On a long chain that never comes back to a site, with per-message
+// latency well above a page's service time, nothing sent after the cancel
+// can catch the clone — so what stops it has to be waiting at the next
+// site already. A site that never reported to this client opens its
+// session with the report and has it refused (the failed dispatch of
+// Section 2.8); a site that holds a session was told to stop when the
+// query was cancelled.
 func TestCancelPassiveTermination(t *testing.T) {
-	// A long chain with per-message latency: cancel mid-flight and verify
-	// the clone dies at the next site without any termination messages.
+	const chain = `
+select d.url
+from document d such that "http://c0.example/p0.html" N|G* d`
+	cancelMidFlight := func(t *testing.T, d *Deployment) (*client.Query, server.Snapshot) {
+		before := d.Metrics().Snapshot()
+		q, err := d.SubmitDISQL(chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond) // let it get a few hops in
+		q.Cancel()
+		if err := q.Wait(time.Second); err != client.ErrCancelled {
+			t.Fatalf("Wait = %v", err)
+		}
+		// Within a bounded time every clone is purged: some server observed
+		// a failed result dispatch or retired a stopped clone.
+		deadline := time.Now().Add(2 * time.Second)
+		for time.Now().Before(deadline) {
+			if m := d.Metrics(); m.Terminated.Load()+m.Stopped.Load() > before.Terminated+before.Stopped {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // a runaway clone would keep evaluating
+		m := d.Metrics().Snapshot()
+		m.Evaluations -= before.Evaluations
+		m.Terminated -= before.Terminated
+		m.Stopped -= before.Stopped
+		t.Logf("evaluations %d, terminated %d, stopped %d, stops sent %d",
+			m.Evaluations, m.Terminated, m.Stopped, q.Stats().StopsSent)
+		// The query never reached the end of the chain.
+		if m.Evaluations >= 40 {
+			t.Errorf("evaluations = %d; cancellation had no effect", m.Evaluations)
+		}
+		return q, m
+	}
+	deploy := func(t *testing.T) *Deployment {
+		d, err := NewDeployment(Config{
+			Web: webgraph.Chain(40, 1, 3),
+			Net: netsim.Options{Latency: 3 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		return d
+	}
+
+	t.Run("first contact", func(t *testing.T) {
+		d := deploy(t)
+		_, m := cancelMidFlight(t, d)
+		if m.Terminated == 0 {
+			t.Error("no server observed the passive termination signal")
+		}
+		// The deployment is still usable: the collector was not closed.
+		if q, err := d.Run(chain, 5*time.Second); err != nil || len(q.Results()[0].Rows) != 40 {
+			t.Errorf("query after the cancel: %v", err)
+		}
+	})
+	t.Run("established sessions", func(t *testing.T) {
+		d := deploy(t)
+		if _, err := d.Run(chain, 5*time.Second); err != nil { // every site now holds a session
+			t.Fatal(err)
+		}
+		q, m := cancelMidFlight(t, d)
+		if m.Stopped == 0 {
+			t.Error("no server retired a stopped clone")
+		}
+		if m.Terminated != 0 {
+			t.Errorf("Terminated = %d: no report on an established session can fail", m.Terminated)
+		}
+		if got := q.Stats().StopsSent; got != 40 {
+			t.Errorf("StopsSent = %d, want one per site holding a session (40)", got)
+		}
+	})
+}
+
+// TestClientClosePassiveTermination: closing the client mid-flight is the
+// paper's Section 2.8 — no termination message is sent; the clone dies at
+// the next site, whose result dispatch fails.
+func TestClientClosePassiveTermination(t *testing.T) {
 	web := webgraph.Chain(40, 1, 3)
 	d, err := NewDeployment(Config{
 		Web: web,
@@ -317,7 +406,7 @@ from document d such that "http://c0.example/p0.html" N|G* d`)
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let it get a few hops in
-	q.Cancel()
+	d.Client().Close()
 	if err := q.Wait(time.Second); err != client.ErrCancelled {
 		t.Fatalf("Wait = %v", err)
 	}
@@ -335,9 +424,15 @@ from document d such that "http://c0.example/p0.html" N|G* d`)
 	if m.Terminated == 0 {
 		t.Error("no server observed the passive termination signal")
 	}
+	if q.Stats().StopsSent != 0 || m.Stopped != 0 {
+		t.Errorf("passive termination sent %d stops, %d clones stopped", q.Stats().StopsSent, m.Stopped)
+	}
 	// The query never reached the end of the chain.
 	if m.Evaluations >= 40 {
-		t.Errorf("evaluations = %d; cancellation had no effect", m.Evaluations)
+		t.Errorf("evaluations = %d; closing the client had no effect", m.Evaluations)
+	}
+	if _, err := d.SubmitDISQL(`select d.url from document d such that "http://c0.example/p0.html" N d`); !errors.Is(err, client.ErrClosed) {
+		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -349,6 +444,23 @@ from document d such that ("http://s2.example/n2.html", "http://s3.example/n3.ht
 where d.url contains "example"`)
 	rows := q.Results()[0].Rows
 	if len(rows) != 4 {
+		t.Errorf("rows = %+v, want nodes 4,5,6,7", rows)
+	}
+}
+
+// TestDuplicateStartNodes: a StartNode listed twice is one arrival. A site
+// evaluates a destination once per clone, so a second CHT entry for the
+// same node and state would never be retired and the query never finish.
+func TestDuplicateStartNodes(t *testing.T) {
+	d := deploy(t, webgraph.Figure1(), server.Options{})
+	q, err := d.Run(`
+select d.url
+from document d such that ("http://s2.example/n2.html", "http://s2.example/n2.html", "http://s3.example/n3.html") G|L d
+where d.url contains "example"`, 2*time.Second)
+	if err != nil {
+		t.Fatalf("query with a repeated StartNode: %v (%d CHT entries live)", err, q.LiveEntries())
+	}
+	if rows := q.Results()[0].Rows; len(rows) != 4 {
 		t.Errorf("rows = %+v, want nodes 4,5,6,7", rows)
 	}
 }

@@ -208,10 +208,10 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 		}
 		defer s.Stop()
 	}
-	c := client.New(tr, "tcp-test", "tcp://127.0.0.1:0")
-	// tcp://127.0.0.1:0 binds an ephemeral port; the collector's actual
-	// address must be re-announced, so use a fixed port instead.
-	c = client.New(tr, "tcp-test", "tcp://127.0.0.1:7411")
+	// tcp://127.0.0.1:0 would bind an ephemeral port the name does not
+	// carry; remote sites dial the name, so use a fixed port.
+	c := client.New(tr, "tcp-test", "tcp://127.0.0.1:7411")
+	defer c.Close()
 	q, err := c.Submit(disql.MustParse(webgraph.CampusDISQL))
 	if err != nil {
 		t.Fatal(err)

@@ -168,6 +168,7 @@ func TestStitchedJourneyParityTCP(t *testing.T) {
 		defer s.Stop()
 	}
 	c := client.NewWith(tr, "tcp-trace-test", "tcp://127.0.0.1:7412", client.Options{Journal: journals[0]})
+	defer c.Close()
 	q, err := c.Submit(disql.MustParse(webgraph.CampusDISQL))
 	if err != nil {
 		t.Fatal(err)

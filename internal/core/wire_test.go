@@ -104,6 +104,68 @@ func TestWireVersionDifferentialTCP(t *testing.T) {
 	}
 }
 
+// TestMixedWireThroughOneCollector: the collector's frame options belong
+// to the client, not to a query, and every site keeps one negotiated
+// session to it for all queries. A gob-pinned client among v2 sites and a
+// v2 client among gob-pinned sites must both keep answering the campus
+// query correctly — on the first run, which negotiates, and on later runs
+// over the sessions it left behind — with the user-site's edges really on
+// the other format: total bytes fall strictly between the pure profiles.
+func TestMixedWireThroughOneCollector(t *testing.T) {
+	sitesAre := func(v1 bool) func(string, server.Options) server.Options {
+		return func(_ string, o server.Options) server.Options {
+			o.WireV1 = v1
+			return o
+		}
+	}
+	profiles := []struct {
+		name string
+		cfg  ExecConfig
+	}{
+		{"all-v2", ExecConfig{}},
+		{"all-v1", ExecConfig{Server: server.Options{WireV1: true}}},
+		// The deployment pins its user-site to its servers' profile; the
+		// per-site hook then moves every site to the other one.
+		{"v1-client-v2-sites", ExecConfig{Server: server.Options{WireV1: true}, SiteServerOptions: sitesAre(false)}},
+		{"v2-client-v1-sites", ExecConfig{SiteServerOptions: sitesAre(true)}},
+	}
+	bytes := make(map[string]int64)
+	var baseline string
+	for _, p := range profiles {
+		cfg := p.cfg
+		cfg.NoDocService = true
+		d, err := NewDeployment(Config{Web: webgraph.Campus(), Exec: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			q, err := d.Run(webgraph.CampusDISQL, waitFor)
+			if err != nil {
+				d.Close()
+				t.Fatalf("%s run %d: %v", p.name, i, err)
+			}
+			got := renderResults(q)
+			if baseline == "" {
+				baseline = got
+				if res := q.Results(); len(res) != 2 || len(res[1].Rows) != 3 {
+					t.Fatalf("campus answer = %+v", res)
+				}
+			}
+			if got != baseline || q.LiveEntries() != 0 {
+				t.Errorf("%s run %d differs from all-v2 (live=%d)\ngot:\n%s\nwant:\n%s", p.name, i, q.LiveEntries(), got, baseline)
+			}
+		}
+		bytes[p.name] = d.Network().Stats().Snapshot().Total().Bytes
+		d.Close()
+	}
+	for _, mixed := range []string{"v1-client-v2-sites", "v2-client-v1-sites"} {
+		if b := bytes[mixed]; b <= bytes["all-v2"] || b >= bytes["all-v1"] {
+			t.Errorf("%s moved %d B, want between all-v2 (%d) and all-v1 (%d): the mix did not take",
+				mixed, b, bytes["all-v2"], bytes["all-v1"])
+		}
+	}
+}
+
 // TestWireVersionDifferentialFaults replays the T11 fault schedule
 // against every wire profile: drops and severs hit mid-frame and
 // mid-handshake, and the recovery machinery (retries, reaper) must still

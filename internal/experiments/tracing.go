@@ -38,7 +38,7 @@ type TracingOut struct {
 }
 
 // siteOfEndpoint maps a transport endpoint back to its site name
-// ("t3.example/query" -> "t3.example", "user/q1" -> "user").
+// ("t3.example/query" -> "t3.example", "user/c" -> "user").
 func siteOfEndpoint(ep string) string {
 	if i := strings.IndexByte(ep, '/'); i >= 0 {
 		return ep[:i]

@@ -31,7 +31,10 @@ type WireRow struct {
 	MeanMs     float64 `json:"mean_ms"`
 	Messages   int64   `json:"messages"`     // wire messages over the measured runs
 	MsgsPerSec float64 `json:"msgs_per_sec"` // the headline axis
-	Rows       int     `json:"rows"`         // result rows per query (identical down a column)
+	// BytesPerMsg is transport bytes over wire messages for the measured
+	// runs: what the codec changes, read off counters rather than a clock.
+	BytesPerMsg float64 `json:"bytes_per_msg"`
+	Rows        int     `json:"rows"` // result rows per query (identical down a column)
 
 	// Batching/tuning activity over the measured runs.
 	ResultMsgs    int64 `json:"result_msgs"`
@@ -191,14 +194,19 @@ func wireRun(w io.Writer, runs int, outPath string) (*WireOut, error) {
 // returns the cell and the canonical answer for cross-config comparison.
 func wireCell(transport, topology, config string, web *webgraph.Web, opts server.Options, adaptive bool, src string, runs int) (*WireRow, string, error) {
 	cfg := core.Config{Web: web, Exec: core.ExecConfig{Server: opts, NoDocService: true, AdaptiveBatch: adaptive}}
+	var traffic *netsim.Stats
 	if transport == "tcp" {
-		cfg.Exec.Transport = netsim.NewTCP()
+		tcp := netsim.NewTCP()
+		cfg.Exec.Transport, traffic = tcp, tcp.Stats()
 	}
 	d, err := core.NewDeployment(cfg)
 	if err != nil {
 		return nil, "", err
 	}
 	defer d.Close()
+	if traffic == nil {
+		traffic = d.Network().Stats()
+	}
 
 	nrows, tunes := 0, 0
 	answer := ""
@@ -253,7 +261,7 @@ func wireCell(transport, topology, config string, web *webgraph.Web, opts server
 			return nil, "", err
 		}
 	}
-	before := d.Metrics().Snapshot()
+	before, bytesBefore := d.Metrics().Snapshot(), traffic.Snapshot().Total().Bytes
 	tunes = 0
 	var total time.Duration
 	for i := 0; i < runs; i++ {
@@ -274,6 +282,7 @@ func wireCell(transport, topology, config string, web *webgraph.Web, opts server
 		MeanMs:        float64(total.Microseconds()) / float64(runs) / 1e3,
 		Messages:      msgs,
 		MsgsPerSec:    float64(msgs) / total.Seconds(),
+		BytesPerMsg:   float64(traffic.Snapshot().Total().Bytes-bytesBefore) / float64(msgs),
 		Rows:          nrows,
 		ResultMsgs:    after.ResultMsgs - before.ResultMsgs,
 		ResultReports: after.ResultReports - before.ResultReports,

@@ -11,7 +11,7 @@ import (
 
 // Transport abstracts how WEBDIS components reach each other. Endpoint
 // names are opaque strings (the reproduction uses "host/query" for query
-// servers, "host/web" for document hosts, and "user/results" for the
+// servers, "host/web" for document hosts, and "user/c" for the
 // client's Result Collector).
 type Transport interface {
 	// Listen registers the named endpoint and returns its listener.
@@ -82,6 +82,13 @@ func New(opts Options) *Network {
 
 // Stats returns the fabric's traffic collector.
 func (n *Network) Stats() *Stats { return n.stats }
+
+// Names returns how many endpoint names are currently listening.
+func (n *Network) Names() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.listeners)
+}
 
 // SetDown marks an endpoint as unreachable (true) or reachable (false):
 // subsequent Dials to it fail with ErrRefused. Used for failure injection.

@@ -25,8 +25,7 @@ type PoolOptions struct {
 	MaxIdlePerPeer int
 	// MaxIdle caps the idle connections retained across all peers
 	// (default 128). At the cap the oldest idle connection anywhere is
-	// evicted, so short-lived peers (per-query result collectors) cannot
-	// crowd out the long-lived forwarding edges.
+	// evicted.
 	MaxIdle int
 	// IdleTTL discards idle connections older than this (default 2m).
 	IdleTTL time.Duration

@@ -58,6 +58,14 @@ func (t *TCPTransport) Register(name, hostport string) {
 	t.mu.Unlock()
 }
 
+// Names returns how many endpoint names are registered — a long-lived
+// process should see it settle once its listeners are up.
+func (t *TCPTransport) Names() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.addrs)
+}
+
 // Resolve returns the registered address of name.
 func (t *TCPTransport) Resolve(name string) (string, bool) {
 	t.mu.Lock()
@@ -68,9 +76,9 @@ func (t *TCPTransport) Resolve(name string) (string, bool) {
 
 // splitTCPName recognizes self-addressed endpoint names of the form
 // "tcp://host:port/suffix", which resolve without registration. The
-// WEBDIS client names its per-query result collector this way so that
-// query servers in other processes can dial it directly — the paper's
-// "IP address and port number sent along with the web-query".
+// WEBDIS client names its result collector this way so that query servers
+// in other processes can dial it directly — the paper's "IP address and
+// port number sent along with the web-query".
 func splitTCPName(name string) (string, bool) {
 	const prefix = "tcp://"
 	if !strings.HasPrefix(name, prefix) {
@@ -103,30 +111,6 @@ func (t *TCPTransport) Listen(name string) (net.Listener, error) {
 	}
 	t.Register(name, ln.Addr().String())
 	return ln, nil
-}
-
-// ListenSelf binds an ephemeral port on the host embedded in base (a
-// self-addressed "tcp://host:port" name) and returns the listener plus
-// the self-addressed name remote processes can dial directly. It is the
-// overflow path for clients that need several collector endpoints but
-// have only one configured address — a long-lived watch's per-epoch
-// re-derivation collectors, or concurrent queries from one process.
-func (t *TCPTransport) ListenSelf(base, suffix string) (net.Listener, string, error) {
-	embedded, ok := splitTCPName(base)
-	if !ok {
-		return nil, "", fmt.Errorf("netsim: %q is not a self-addressed tcp:// name", base)
-	}
-	host, _, err := net.SplitHostPort(embedded)
-	if err != nil {
-		return nil, "", fmt.Errorf("netsim: listen-self %s: %w", base, err)
-	}
-	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
-	if err != nil {
-		return nil, "", fmt.Errorf("netsim: listen-self %s: %w", base, err)
-	}
-	name := "tcp://" + ln.Addr().String() + "/" + suffix
-	t.Register(name, ln.Addr().String())
-	return ln, name, nil
 }
 
 // Dial connects to the named endpoint.

@@ -241,7 +241,7 @@ func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) erro
 		conn.Close()
 		return errAttemptTimeout
 	}
-	err = wire.Send(conn, msg)
+	err = deliver(conn, msg, !reused)
 	if err == nil {
 		if register != nil && !register(nil) {
 			// Timed out concurrently with success; the caller already gave
@@ -271,7 +271,7 @@ func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) erro
 		conn.Close()
 		return errAttemptTimeout
 	}
-	err = wire.Send(conn, msg)
+	err = deliver(conn, msg, true)
 	if err != nil {
 		conn.Close()
 		return err
@@ -281,6 +281,24 @@ func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) erro
 		return errAttemptTimeout
 	}
 	s.pool.Put(to, conn)
+	return nil
+}
+
+// deliver sends msg on conn. A result report that opens a fresh session
+// also waits for the user-site to take it: a Result Collector keeps a
+// session only if it still routes the session's first report, and closes
+// the connection otherwise — so a site that has never reported to this
+// user-site learns of a cancelled query where the paper has it learn, as
+// a failed dispatch, before it forwards any clone. The round trip is paid
+// once per site and user-site; on an established session reports stay
+// fire-and-forget and a cancelled query is stopped actively instead.
+func deliver(conn net.Conn, msg any, fresh bool) error {
+	if err := wire.Send(conn, msg); err != nil {
+		return err
+	}
+	if _, report := msg.(*wire.ResultMsg); report && fresh {
+		return wire.Settle(conn)
+	}
 	return nil
 }
 

@@ -485,6 +485,11 @@ func (s *Server) Stop() {
 // forwarded" when the next node lives on a different site) and by tests.
 func (s *Server) Enqueue(c *wire.CloneMsg) { s.admit(c) }
 
+// IdleConns returns how many idle outbound connections the server's pool
+// holds — to peers and to user-site collectors. A long-lived deployment
+// should see it settle.
+func (s *Server) IdleConns() int { return s.pool.IdleCount() }
+
 // SchedStats returns the scheduler queue's counters: current and peak
 // depth, queued flows, sheds and watermark activations.
 func (s *Server) SchedStats() sched.Stats { return s.queue.Stats() }

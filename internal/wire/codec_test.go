@@ -227,6 +227,91 @@ func TestPlainSenderToFramedAcceptor(t *testing.T) {
 	}
 }
 
+// TestSettleIsTheAcceptorsVerdict: an acceptor reading with
+// ReceiveUnacked sends the handshake ack when it comes back to the session
+// after its first message, so a dialer that settles learns whether the
+// message was taken: nil once the acceptor reads on (or answers), an error
+// when it closed instead. A plain Receive acks at once, and a v1 session,
+// which has no handshake, leaves nothing to wait for.
+func TestSettleIsTheAcceptorsVerdict(t *testing.T) {
+	settle := func(d *Framed) chan error {
+		done := make(chan error, 1)
+		go func() {
+			err := Send(d, sampleClone())
+			if err == nil {
+				err = Settle(d)
+			}
+			done <- err
+		}()
+		return done
+	}
+	t.Run("kept", func(t *testing.T) {
+		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		done := settle(d)
+		if _, err := ReceiveUnacked(a); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("Settle returned %v before the acceptor came back", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		go ReceiveUnacked(a) // the acceptor reads on: it keeps the session
+		if err := <-done; err != nil {
+			t.Fatalf("Settle = %v on a kept session", err)
+		}
+		if err := Settle(d); err != nil {
+			t.Errorf("second Settle = %v", err)
+		}
+	})
+	t.Run("answered", func(t *testing.T) {
+		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		done := settle(d)
+		if _, err := ReceiveUnacked(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := Send(a, &ResultMsg{ID: sampleClone().ID}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("Settle = %v on an answered session", err)
+		}
+		if _, err := Receive(d); err != nil {
+			t.Errorf("answer lost behind the ack: %v", err)
+		}
+	})
+	t.Run("refused", func(t *testing.T) {
+		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		done := settle(d)
+		if _, err := ReceiveUnacked(a); err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		if err := <-done; err == nil {
+			t.Fatal("Settle = nil on a session the acceptor closed")
+		}
+		if d.Healthy() {
+			t.Error("refused session still healthy: a pool would keep it")
+		}
+	})
+	t.Run("plain receive", func(t *testing.T) {
+		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		done := settle(d)
+		if _, err := Receive(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("Settle = %v against a plain Receive", err)
+		}
+	})
+	t.Run("v1", func(t *testing.T) {
+		d, _ := framedPair(t, FramedOptions{Offer: 1}, FramedOptions{})
+		if err := <-settle(d); err != nil {
+			t.Fatalf("Settle = %v on a v1 session", err)
+		}
+	})
+}
+
 // TestV2TruncatedFrameTyped kills the connection mid-frame and asserts
 // the typed truncation error — and that no torn frame is ever delivered.
 func TestV2TruncatedFrameTyped(t *testing.T) {
@@ -350,29 +435,81 @@ func TestCompressionRoundTrip(t *testing.T) {
 // TestInternTableBound overflows the per-direction intern cap and
 // asserts frames keep round-tripping (the encoder degrades to literals).
 func TestInternTableBound(t *testing.T) {
-	d, a := framedPair(t, FramedOptions{}, FramedOptions{})
-	in := sampleClone()
-	in.Dest = nil
-	for i := 0; i < maxInternEntries+100; i++ {
-		in.Dest = append(in.Dest, DestNode{URL: fmt.Sprintf("http://h%d/p.html", i), Origin: "o", Seq: int64(i)})
-	}
-	errc := make(chan error, 1)
-	go func() {
-		errc <- Send(d, in)
-		errc <- Send(d, in) // second frame: refs for interned, literals past the cap
-	}()
-	for i := 0; i < 2; i++ {
-		got, err := Receive(a)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	t.Run("one frame", func(t *testing.T) {
+		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		in := sampleClone()
+		in.Dest = nil
+		for i := 0; i < maxInternEntries+100; i++ {
+			in.Dest = append(in.Dest, DestNode{URL: fmt.Sprintf("http://h%d/p.html", i), Origin: "o", Seq: int64(i)})
+		}
+		errc := make(chan error, 1)
+		go func() {
+			errc <- Send(d, in)
+			errc <- Send(d, in) // second frame: refs for interned, literals past the cap
+		}()
+		for i := 0; i < 2; i++ {
+			got, err := Receive(a)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(in, got) {
+				t.Fatalf("frame %d mismatch past intern cap", i)
+			}
+		}
+	})
+
+	// The long-lived session: a site keeps one connection to a user-site's
+	// collector for the client's lifetime, so its table fills over
+	// thousands of result frames rather than in one. Every frame carries
+	// strings the session has never seen; once the direction's table is
+	// full, new strings travel as literals, interned ones keep resolving,
+	// and the decoder never sees the overflow it rejects.
+	t.Run("across frames", func(t *testing.T) {
+		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		frame := func(i int) *ResultMsg {
+			url := fmt.Sprintf("http://h%d.example/p.html", i)
+			return &ResultMsg{ID: QueryID{User: "maya", Site: "user/c", Num: i + 1}, Tables: []NodeTable{{
+				Node: url, Stage: 0, Cols: []string{"d.url", "d.title"},
+				Rows: [][]string{{url, fmt.Sprintf("title %d", i)}},
+			}}}
+		}
+		const frames = maxInternEntries + 500 // two fresh strings each: full before half-way
+		// An early frame again at the end (all references) and the last
+		// (all literals).
+		order := make([]int, 0, frames+2)
+		for i := 0; i < frames; i++ {
+			order = append(order, i)
+		}
+		order = append(order, 0, frames-1)
+		errc := make(chan error, 1)
+		go func() {
+			for _, i := range order {
+				if err := Send(d, frame(i)); err != nil {
+					errc <- fmt.Errorf("send %d: %w", i, err)
+					return
+				}
+			}
+			errc <- nil
+		}()
+		for _, i := range order {
+			got, err := Receive(a)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if want := frame(i); !reflect.DeepEqual(want, got) {
+				t.Fatalf("frame %d mismatch past intern cap:\ngot  %+v\nwant %+v", i, got, want)
+			}
 		}
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(in, got) {
-			t.Fatalf("frame %d mismatch past intern cap", i)
+		if n := len(d.enc2.tab); n != maxInternEntries {
+			t.Errorf("sender interned %d strings, want the cap %d", n, maxInternEntries)
 		}
-	}
+	})
 }
 
 // nullConn swallows writes: the encode-allocation and encode-benchmark

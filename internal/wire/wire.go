@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"webdis/internal/netsim"
 	"webdis/internal/nodequery"
@@ -551,7 +552,7 @@ type TuneMsg struct {
 // queued and later-arriving clones of that query retire their CHT entries
 // with typed STOPPED reports — no evaluation, no children — so the query
 // still completes exactly through the CHT, just sooner and cheaper.
-// Reason is free text for traces ("first-n satisfied", "ctx cancelled").
+// Reason is free text for traces ("first-n satisfied", "cancelled").
 type StopMsg struct {
 	ID     QueryID
 	Reason string
@@ -715,11 +716,18 @@ func clampVersion(v int) int {
 //     the handshake adds no round trip and no extra fault-injection
 //     draw to first delivery. The 4-byte ack carrying the granted
 //     version (min of offered and accepted) is read lazily before the
-//     second frame; the session speaks the granted version from then on.
+//     second frame — or at once by a sender that calls Settle; the
+//     session speaks the granted version from then on.
 //   - A receiver classifies the connection by its first four bytes: the
 //     hello magic starts a handshake — the pipelined frame is decoded
 //     first and the ack written only after it arrives whole, so a lost
-//     ack can never lose a frame that was in fact delivered. Anything
+//     ack can never lose a frame that was in fact delivered. A receiver
+//     that reads with ReceiveUnacked writes the ack later still, when it
+//     comes back to the session (its next receive or Send), and closes
+//     the connection instead if it will not take the session's first
+//     message: the dialer's Settle fails, which is how a Result
+//     Collector refuses a report for a query it no longer routes
+//     (Section 2.8's failed dispatch). Anything
 //     else must be a v1 length prefix (maxFrame caps its first byte at
 //     0x04), so the session is gob and those four bytes are replayed as
 //     the first frame's prefix. Plain per-dial senders and v1-pinned
@@ -756,10 +764,13 @@ type Framed struct {
 	// frame; the granted-version ack is read lazily before the second
 	// frame, so the handshake adds no round trip to first delivery.
 	txHello bool
-	// rxAckOwed is the granted version this side still owes the dialer;
-	// it is written only after the pipelined first frame decodes, so a
-	// lost ack can never lose a frame that was in fact delivered.
-	rxAckOwed byte
+	// rxGrant is the version granted to the dialer's hello, acked once
+	// the pipelined first frame has decoded: at once, or — when the frame
+	// was read by ReceiveUnacked — as rxAckOwed, by this side's next
+	// receive or Send, whichever goroutine gets there first (hence the
+	// atomic).
+	rxGrant   byte
+	rxAckOwed atomic.Uint32
 	// rxFirstV2 marks that the next inbound frame is the pipelined one,
 	// which is always encoded at version 2 regardless of the grant.
 	rxFirstV2 bool
@@ -825,6 +836,42 @@ func (f *Framed) latched() error {
 	return nil
 }
 
+// Settle blocks until the peer has taken the first frame of a session
+// this side dialed: it reads the handshake ack now instead of before the
+// second frame. It fails when the peer closed the connection rather than
+// keep the session — a user-site that no longer routes the reported query.
+// On a settled, v1 or unframed connection it returns nil at once.
+func Settle(conn net.Conn) error {
+	f, ok := conn.(*Framed)
+	if !ok || f.verSet || !f.txHello {
+		return nil
+	}
+	if err := f.latched(); err != nil {
+		return err
+	}
+	if err := f.finishTx(); err != nil {
+		f.poison(err)
+		return err
+	}
+	return nil
+}
+
+// writeAck sends the handshake ack this side owes, if any.
+func (f *Framed) writeAck() {
+	if v := f.rxAckOwed.Swap(0); v != 0 {
+		f.ack(byte(v))
+	}
+}
+
+// ack tells the dialer its granted version.
+func (f *Framed) ack(v byte) {
+	ack := [4]byte{helloMagic[0], helloMagic[1], helloMagic[2], v}
+	if _, err := f.Conn.Write(ack[:]); err != nil {
+		// Only this session's future frames die — never one delivered.
+		f.poison(fmt.Errorf("wire: handshake ack: %w", err))
+	}
+}
+
 // finishTx settles a pipelined handshake on the sending side: it reads
 // the granted-version ack the hello solicited. Called lazily before the
 // second frame (or a first receive), by which point the ack has usually
@@ -866,7 +913,7 @@ func (f *Framed) negotiateRx() error {
 		if offered < v {
 			v = offered
 		}
-		f.rxAckOwed = byte(v)
+		f.rxGrant = byte(v)
 		f.rxFirstV2 = true
 		f.ver, f.verSet = v, true
 		return nil
@@ -924,6 +971,7 @@ func (r *frameReader) Read(p []byte) (int, error) {
 }
 
 func (f *Framed) send(env *envelope) error {
+	f.writeAck()
 	if err := f.latched(); err != nil {
 		return err
 	}
@@ -1022,7 +1070,8 @@ func (f *Framed) sendV2(env *envelope, withHello bool) error {
 	return nil
 }
 
-func (f *Framed) receive() (any, error) {
+func (f *Framed) receive(holdAck bool) (any, error) {
+	f.writeAck()
 	if err := f.latched(); err != nil {
 		return nil, err
 	}
@@ -1050,11 +1099,11 @@ func (f *Framed) receive() (any, error) {
 			return nil, err
 		}
 		// The pipelined frame arrived whole: now the dialer may learn its
-		// granted version. An ack that fails to send only kills this
-		// session's future frames — never one already delivered.
-		ack := [4]byte{helloMagic[0], helloMagic[1], helloMagic[2], f.rxAckOwed}
-		if _, werr := f.Conn.Write(ack[:]); werr != nil {
-			f.poison(fmt.Errorf("wire: handshake ack: %w", werr))
+		// granted version — or, held, once the caller has looked at msg.
+		if holdAck {
+			f.rxAckOwed.Store(uint32(f.rxGrant))
+		} else {
+			f.ack(f.rxGrant)
 		}
 		return msg, nil
 	}
@@ -1169,7 +1218,7 @@ func Send(conn net.Conn, msg any) error {
 // connection the session's persistent decoder is used.
 func Receive(conn net.Conn) (any, error) {
 	if f, ok := conn.(*Framed); ok {
-		return f.receive()
+		return f.receive(false)
 	}
 	var lenbuf [4]byte
 	if _, err := io.ReadFull(conn, lenbuf[:]); err != nil {
@@ -1189,6 +1238,12 @@ func Receive(conn net.Conn) (any, error) {
 	}
 	return unwrap(&env)
 }
+
+// ReceiveUnacked is Receive for an acceptor that decides by a session's
+// first message whether to keep the session: the handshake ack a dialer
+// waits for in Settle is written when the acceptor comes back (its next
+// receive or Send on f), and never if it closes the connection instead.
+func ReceiveUnacked(f *Framed) (any, error) { return f.receive(true) }
 
 // unwrap validates an envelope and returns its payload message.
 func unwrap(env *envelope) (any, error) {

@@ -11,8 +11,15 @@
 // documents and streams results straight back to the user-site. A Current
 // Hosts Table protocol detects distributed completion, a per-site
 // Node-query Log Table suppresses duplicate recomputation, and
-// cancellation is passive — closing the user-site's result socket starves
-// every in-flight clone.
+// termination is passive — closing the user-site's result socket starves
+// every in-flight clone. That socket is one per user-site: every query,
+// session and watch of a deployment reports to it and is routed by query
+// id. Deployment.Close closes it (through the user-site's Client.Close —
+// call that yourself on a client built outside a Deployment, as cmd/webdis
+// does). Cancelling one query (Query.Cancel) leaves it open: a site
+// reporting to the user-site for the first time has that query's report
+// refused and drops it, and the sites already holding a session are sent
+// a typed stop.
 //
 // # Quick start
 //
@@ -151,8 +158,10 @@ type (
 	// decremented. The zero Budget is unlimited. Submit with
 	// Deployment.SubmitBudget or Session.SubmitBudget.
 	Budget = wire.Budget
-	// Session is a multi-query user-site session: one result endpoint
-	// shared by many concurrent queries (Deployment.NewSession).
+	// Session is a multi-query user-site session: a handle over a group
+	// of concurrent queries that can be counted and cancelled together
+	// (Deployment.NewSession). It owns no socket — all queries of a
+	// user-site share its one result endpoint.
 	Session = client.Session
 	// ClientOptions configure the user-site client in one struct (hybrid
 	// fallback, reap grace, metrics, tracing, index resolver).
