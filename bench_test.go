@@ -91,7 +91,7 @@ func BenchmarkDatabaseConstructor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := relmodel.Build(doc)
-		if db.Size() == 0 {
+		if n, err := db.Size(); err != nil || n == 0 {
 			b.Fatal("empty db")
 		}
 	}

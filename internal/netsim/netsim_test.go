@@ -194,6 +194,15 @@ func TestMarkMessage(t *testing.T) {
 	if cnt.Messages != 3 || cnt.ByKind["clone"] != 2 || cnt.ByKind["result"] != 1 {
 		t.Errorf("counters = %+v", cnt)
 	}
+	// A frame booked and then not written is taken back, to the point of
+	// its kind disappearing; taking back what was never booked is a no-op.
+	mm.UnmarkMessage("clone")
+	mm.UnmarkMessage("result")
+	mm.UnmarkMessage("result")
+	cnt = n.Stats().Snapshot().Edges[Edge{"a", "server"}]
+	if _, listed := cnt.ByKind["result"]; cnt.Messages != 1 || cnt.ByKind["clone"] != 1 || listed {
+		t.Errorf("counters after unmark = %+v", cnt)
+	}
 }
 
 func TestSnapshotAggregates(t *testing.T) {

@@ -484,6 +484,11 @@ func (c *simConn) MarkMessage(kind string) {
 	c.net.stats.AddMessage(c.from, c.to, kind)
 }
 
+// UnmarkMessage takes back a MarkMessage whose frame was not written.
+func (c *simConn) UnmarkMessage(kind string) {
+	c.net.stats.DropMessage(c.from, c.to, kind)
+}
+
 func (c *simConn) Close() error {
 	c.closeOnce.Do(func() {
 		c.write.close()
@@ -510,7 +515,10 @@ func (c *simConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *simConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // MessageMarker is implemented by instrumented connections; the wire layer
-// uses it to count framed messages per edge.
+// uses it to count framed messages per edge. It marks a frame before
+// writing it and un-marks it if the write fails, so a frame is never
+// visible to a reader before it is counted.
 type MessageMarker interface {
 	MarkMessage(kind string)
+	UnmarkMessage(kind string)
 }

@@ -80,6 +80,20 @@ func (s *Stats) AddMessage(from, to, kind string) {
 	s.mu.Unlock()
 }
 
+// DropMessage takes back one AddMessage: the sender books a frame before
+// writing it (so no reader can see a frame that is not yet counted) and
+// un-books it when the write fails.
+func (s *Stats) DropMessage(from, to, kind string) {
+	s.mu.Lock()
+	if c := s.counters(Edge{from, to}); c.ByKind[kind] > 0 {
+		c.Messages--
+		if c.ByKind[kind]--; c.ByKind[kind] == 0 {
+			delete(c.ByKind, kind)
+		}
+	}
+	s.mu.Unlock()
+}
+
 // AddDial records one opened connection on the edge.
 func (s *Stats) AddDial(from, to string) {
 	s.mu.Lock()

@@ -155,3 +155,7 @@ func (c *tcpConn) Write(p []byte) (int, error) {
 func (c *tcpConn) MarkMessage(kind string) {
 	c.stats.AddMessage(c.from, c.to, kind)
 }
+
+func (c *tcpConn) UnmarkMessage(kind string) {
+	c.stats.DropMessage(c.from, c.to, kind)
+}

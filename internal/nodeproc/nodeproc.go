@@ -141,11 +141,21 @@ func Step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, hasNext
 		if pre.IsNone(d) {
 			continue
 		}
-		targets := linkTargets(db, node, l)
+		targets, err := linkTargets(db, node, l)
+		if err != nil {
+			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
+		}
 		if len(targets) == 0 {
 			continue
 		}
 		res.Continue = append(res.Continue, Forward{Rem: d, Targets: targets})
+	}
+	if res.Advance && len(stage.Export) > 0 {
+		// The caller extends the environment from the DOCUMENT tuple next;
+		// open it here, where a storage failure can still be reported.
+		if _, err := db.Relation(relmodel.RelDocument); err != nil {
+			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
+		}
 	}
 	return res, nil
 }
@@ -153,8 +163,11 @@ func Step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, hasNext
 // linkTargets selects the anchor destinations of category l, stripping
 // fragments (an interior link leads back to the node itself) and removing
 // duplicates while preserving document order.
-func linkTargets(db *relmodel.DB, node string, l pre.Link) []Target {
-	rel := db.Anchor
+func linkTargets(db *relmodel.DB, node string, l pre.Link) ([]Target, error) {
+	rel, err := db.Relation(relmodel.RelAnchor)
+	if err != nil {
+		return nil, err
+	}
 	hrefIdx, typeIdx := rel.Col("href"), rel.Col("ltype")
 	seen := make(map[string]bool)
 	var out []Target
@@ -175,13 +188,16 @@ func linkTargets(db *relmodel.DB, node string, l pre.Link) []Target {
 		seen[url] = true
 		out = append(out, Target{URL: url, Link: l})
 	}
-	return out
+	return out, nil
 }
 
 // ExtendEnv returns env extended with the stage's exported document
 // columns read from db (the single DOCUMENT tuple). It copies — clones
 // carry independent environments. A stage with no exports returns env
-// unchanged.
+// unchanged. Step has already opened the DOCUMENT relation of a stage
+// that advances with exports; should it be unreadable all the same, the
+// exports stay unset and the next stage's evaluation reports the missing
+// outer reference.
 func ExtendEnv(env map[string]string, stage disql.Stage, db *relmodel.DB) map[string]string {
 	if len(stage.Export) == 0 {
 		return env
@@ -190,10 +206,14 @@ func ExtendEnv(env map[string]string, stage disql.Stage, db *relmodel.DB) map[st
 	for k, v := range env {
 		out[k] = v
 	}
+	document, err := db.Relation(relmodel.RelDocument)
+	if err != nil {
+		return out
+	}
 	docVar := stage.Query.Vars[0].Name
-	tup := db.Document.Tuples[0]
+	tup := document.Tuples[0]
 	for _, col := range stage.Export {
-		if i := db.Document.Col(col); i >= 0 {
+		if i := document.Col(col); i >= 0 {
 			out[docVar+"."+col] = tup[i]
 		}
 	}

@@ -95,7 +95,8 @@ type Filter struct {
 	idx map[string]int
 	// residual is Pred minus the conjuncts the DB's text oracle decided
 	// at Open (see textfold.go); never short-circuits the stream when a
-	// decided conjunct is false.
+	// decided conjunct is false — the child is then not even opened, so
+	// the relations under it are never materialised.
 	residual *nodequery.Pred
 	never    bool
 }
@@ -107,6 +108,9 @@ func (f *Filter) Open(db *relmodel.DB) error {
 	f.residual, f.never = f.Pred, false
 	if db.Text != nil {
 		f.residual, f.never = foldTextIndex(f.Pred, docScanVars(f.Child), db.Text)
+	}
+	if f.never {
+		return nil
 	}
 	return f.Child.Open(db)
 }

@@ -19,7 +19,11 @@ type scanOracle struct {
 }
 
 func newScanOracle(db *relmodel.DB) *scanOracle {
-	doc := db.Document.Tuples[0]
+	document, err := db.Relation(relmodel.RelDocument)
+	if err != nil {
+		panic(err)
+	}
+	doc := document.Tuples[0]
 	return &scanOracle{cols: map[string][]string{
 		"title": index.Tokenize(strings.ToLower(doc[1])),
 		"text":  index.Tokenize(strings.ToLower(doc[2])),

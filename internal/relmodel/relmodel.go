@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"webdis/internal/htmlx"
 )
@@ -69,58 +71,113 @@ type TextOracle interface {
 	MatchContains(col, lit string) (hit, decided bool)
 }
 
-// DB is the temporary in-memory database a query-server constructs for one
-// node evaluation.
+// DB is the temporary database a query-server constructs for one node
+// evaluation. It is pull-based: a relation is materialised the first
+// time Relation asks for it, so an evaluation pays only for the
+// relations it opens. Build's in-RAM databases are simply already
+// materialised; the persistent store's (NewLazy) read a relation's
+// tuples out of its heap pages on first use. A *DB is safe for
+// concurrent use — coalesced evaluations of one node share one handle
+// and one load per relation.
 type DB struct {
-	Document *Relation
-	Anchor   *Relation
-	RelInfon *Relation
 	// Text, when non-nil, answers contains-predicates over the document
 	// tuple's text/title columns from a persisted index (see TextOracle).
 	// Purely an accelerator: a nil oracle changes nothing.
 	Text TextOracle
+
+	// load reads the tuples of one relation (by codec kind byte) from
+	// backing storage; nil when there is none (Build fills rels itself).
+	load func(kind byte) ([]Tuple, error)
+	rels [len(kinds)]lazyRelation
 }
 
-// Relation returns the named virtual relation, or an error for an unknown
-// name.
+// lazyRelation is one relation slot of a DB. mu serialises the first
+// load; a failed load is not remembered, so a transient storage error
+// (an exhausted buffer pool) does not poison a retained handle.
+type lazyRelation struct {
+	mu  sync.Mutex
+	rel atomic.Pointer[Relation]
+}
+
+// kinds names the relations in codec kind order (index = kind byte - 1).
+var kinds = [...]string{RelDocument, RelAnchor, RelRelInfon}
+
+func newRelation(kind byte, tuples []Tuple) *Relation {
+	name := kinds[kind-1]
+	return &Relation{Name: name, Cols: Schemas[name], Tuples: tuples}
+}
+
+// NewLazy returns a DB whose relations are read through load the first
+// time each is opened. load is called at most once at a time per
+// relation and, once it succeeds, never again for that relation.
+func NewLazy(load func(kind byte) ([]Tuple, error), text TextOracle) *DB {
+	return &DB{Text: text, load: load}
+}
+
+// Relation returns the named virtual relation, materialising it on
+// first use. It fails for an unknown name, or with the backing store's
+// error when the relation cannot be read (e.g. store.ErrClosed).
 func (db *DB) Relation(name string) (*Relation, error) {
-	switch strings.ToLower(name) {
-	case RelDocument:
-		return db.Document, nil
-	case RelAnchor:
-		return db.Anchor, nil
-	case RelRelInfon:
-		return db.RelInfon, nil
+	lower := strings.ToLower(name)
+	for i := range kinds {
+		if kinds[i] == lower {
+			return db.relation(byte(i + 1))
+		}
 	}
 	return nil, fmt.Errorf("relmodel: unknown virtual relation %q", name)
+}
+
+func (db *DB) relation(kind byte) (*Relation, error) {
+	r := &db.rels[kind-1]
+	if rel := r.rel.Load(); rel != nil {
+		return rel, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rel := r.rel.Load(); rel != nil {
+		return rel, nil
+	}
+	var tuples []Tuple // the zero DB has three empty relations
+	if db.load != nil {
+		var err error
+		if tuples, err = db.load(kind); err != nil {
+			return nil, err
+		}
+	}
+	rel := newRelation(kind, tuples)
+	r.rel.Store(rel)
+	return rel, nil
 }
 
 // Build is the Database Constructor: a single pass over the analyzed
 // document populates all three virtual relations (paper Section 4.4, item
 // 5). The caller discards the DB when the node-query finishes.
 func Build(doc *htmlx.Document) *DB {
-	db := &DB{
-		Document: &Relation{Name: RelDocument, Cols: Schemas[RelDocument]},
-		Anchor:   &Relation{Name: RelAnchor, Cols: Schemas[RelAnchor]},
-		RelInfon: &Relation{Name: RelRelInfon, Cols: Schemas[RelRelInfon]},
-	}
-	db.Document.Tuples = append(db.Document.Tuples, Tuple{
-		doc.URL, doc.Title, doc.Text, strconv.Itoa(doc.Length),
-	})
+	document := []Tuple{{doc.URL, doc.Title, doc.Text, strconv.Itoa(doc.Length)}}
+	var anchor, relInfon []Tuple
 	for _, a := range doc.Anchors {
-		db.Anchor.Tuples = append(db.Anchor.Tuples, Tuple{
-			a.Label, a.Base, a.Href, a.Type.String(),
-		})
+		anchor = append(anchor, Tuple{a.Label, a.Base, a.Href, a.Type.String()})
 	}
 	for _, r := range doc.Infons {
-		db.RelInfon.Tuples = append(db.RelInfon.Tuples, Tuple{
-			r.Delimiter, doc.URL, r.Text, strconv.Itoa(len(r.Text)),
-		})
+		relInfon = append(relInfon, Tuple{r.Delimiter, doc.URL, r.Text, strconv.Itoa(len(r.Text))})
 	}
+	db := &DB{}
+	db.rels[KindDocument-1].rel.Store(newRelation(KindDocument, document))
+	db.rels[KindAnchor-1].rel.Store(newRelation(KindAnchor, anchor))
+	db.rels[KindRelInfon-1].rel.Store(newRelation(KindRelInfon, relInfon))
 	return db
 }
 
-// Size returns the total number of tuples across the three relations.
-func (db *DB) Size() int {
-	return len(db.Document.Tuples) + len(db.Anchor.Tuples) + len(db.RelInfon.Tuples)
+// Size returns the total number of tuples across the three relations,
+// materialising all of them.
+func (db *DB) Size() (int, error) {
+	n := 0
+	for i := range kinds {
+		rel, err := db.relation(byte(i + 1))
+		if err != nil {
+			return 0, err
+		}
+		n += len(rel.Tuples)
+	}
+	return n, nil
 }

@@ -1,7 +1,10 @@
 package relmodel
 
 import (
+	"errors"
+	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 
 	"webdis/internal/htmlx"
@@ -25,31 +28,40 @@ func buildDB(t *testing.T) *DB {
 	return Build(doc)
 }
 
-func TestBuildDocumentRelation(t *testing.T) {
-	db := buildDB(t)
-	if len(db.Document.Tuples) != 1 {
-		t.Fatalf("document tuples = %v", db.Document.Tuples)
+func rel(t *testing.T, db *DB, name string) *Relation {
+	t.Helper()
+	r, err := db.Relation(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tup := db.Document.Tuples[0]
-	if tup[db.Document.Col("url")] != "http://site.example/index.html" {
+	return r
+}
+
+func TestBuildDocumentRelation(t *testing.T) {
+	document := rel(t, buildDB(t), RelDocument)
+	if len(document.Tuples) != 1 {
+		t.Fatalf("document tuples = %v", document.Tuples)
+	}
+	tup := document.Tuples[0]
+	if tup[document.Col("url")] != "http://site.example/index.html" {
 		t.Errorf("url = %q", tup[0])
 	}
-	if tup[db.Document.Col("title")] != "Test Page" {
+	if tup[document.Col("title")] != "Test Page" {
 		t.Errorf("title = %q", tup[1])
 	}
-	if n, err := strconv.Atoi(tup[db.Document.Col("length")]); err != nil || n != len(page) {
+	if n, err := strconv.Atoi(tup[document.Col("length")]); err != nil || n != len(page) {
 		t.Errorf("length = %q, want %d", tup[3], len(page))
 	}
 }
 
 func TestBuildAnchorRelation(t *testing.T) {
-	db := buildDB(t)
-	if len(db.Anchor.Tuples) != 3 {
-		t.Fatalf("anchor tuples = %v", db.Anchor.Tuples)
+	anchor := rel(t, buildDB(t), RelAnchor)
+	if len(anchor.Tuples) != 3 {
+		t.Fatalf("anchor tuples = %v", anchor.Tuples)
 	}
 	types := map[string]int{}
-	for _, tup := range db.Anchor.Tuples {
-		types[tup[db.Anchor.Col("ltype")]]++
+	for _, tup := range anchor.Tuples {
+		types[tup[anchor.Col("ltype")]]++
 	}
 	if types["L"] != 1 || types["G"] != 1 || types["I"] != 1 {
 		t.Errorf("ltype histogram = %v", types)
@@ -57,22 +69,22 @@ func TestBuildAnchorRelation(t *testing.T) {
 }
 
 func TestBuildRelInfonRelation(t *testing.T) {
-	db := buildDB(t)
+	relInfon := rel(t, buildDB(t), RelRelInfon)
 	var found bool
-	for _, tup := range db.RelInfon.Tuples {
-		if tup[db.RelInfon.Col("delimiter")] == "hr" {
+	for _, tup := range relInfon.Tuples {
+		if tup[relInfon.Col("delimiter")] == "hr" {
 			found = true
-			text := tup[db.RelInfon.Col("text")]
-			if n, _ := strconv.Atoi(tup[db.RelInfon.Col("length")]); n != len(text) {
+			text := tup[relInfon.Col("text")]
+			if n, _ := strconv.Atoi(tup[relInfon.Col("length")]); n != len(text) {
 				t.Errorf("length %q inconsistent with text %q", tup[3], text)
 			}
-			if tup[db.RelInfon.Col("url")] != "http://site.example/index.html" {
+			if tup[relInfon.Col("url")] != "http://site.example/index.html" {
 				t.Errorf("url = %q", tup[1])
 			}
 		}
 	}
 	if !found {
-		t.Fatalf("no hr rel-infon: %v", db.RelInfon.Tuples)
+		t.Fatalf("no hr rel-infon: %v", relInfon.Tuples)
 	}
 }
 
@@ -86,18 +98,92 @@ func TestRelationLookup(t *testing.T) {
 	if _, err := db.Relation("nosuch"); err == nil {
 		t.Error("Relation(nosuch) should fail")
 	}
-	if db.Document.Col("nosuch") != -1 {
+	if rel(t, db, RelDocument).Col("nosuch") != -1 {
 		t.Error("Col(nosuch) should be -1")
 	}
 }
 
 func TestSize(t *testing.T) {
 	db := buildDB(t)
-	want := len(db.Document.Tuples) + len(db.Anchor.Tuples) + len(db.RelInfon.Tuples)
-	if db.Size() != want {
-		t.Errorf("Size = %d, want %d", db.Size(), want)
+	want := len(rel(t, db, RelDocument).Tuples) + len(rel(t, db, RelAnchor).Tuples) + len(rel(t, db, RelRelInfon).Tuples)
+	got, err := db.Size()
+	if err != nil || got != want {
+		t.Errorf("Size = %d, %v, want %d", got, err, want)
 	}
-	if db.Size() < 5 {
-		t.Errorf("Size = %d, expected at least 1 doc + 3 anchors + 2 infons", db.Size())
+	if got < 5 {
+		t.Errorf("Size = %d, expected at least 1 doc + 3 anchors + 2 infons", got)
+	}
+}
+
+// TestLazyRelationLoadsOnce: a NewLazy database reads a relation the
+// first time it is asked for, only that relation, and only once however
+// many callers ask at the same time; a failed load is retried, not
+// remembered.
+func TestLazyRelationLoadsOnce(t *testing.T) {
+	var mu sync.Mutex
+	loads := map[byte]int{}
+	failNext := true
+	db := NewLazy(func(kind byte) ([]Tuple, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if kind == KindAnchor && failNext {
+			failNext = false
+			return nil, errors.New("pool exhausted")
+		}
+		loads[kind]++
+		return []Tuple{{RelOfKind(kind)}}, nil
+	}, nil)
+
+	if _, err := db.Relation(RelAnchor); err == nil {
+		t.Fatal("a failed load must surface")
+	}
+	var wg sync.WaitGroup
+	var got [8]*Relation
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if got[g], err = db.Relation("Anchor"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("caller %d got its own relation", g)
+		}
+	}
+	if got[0].Name != RelAnchor || len(got[0].Cols) != 4 || got[0].Tuples[0][0] != RelAnchor {
+		t.Fatalf("anchor relation = %+v", got[0])
+	}
+	if loads[KindAnchor] != 1 || loads[KindDocument] != 0 || loads[KindRelInfon] != 0 {
+		t.Fatalf("loads = %v, want anchor once and nothing else", loads)
+	}
+	if n, err := db.Size(); err != nil || n != 3 {
+		t.Fatalf("Size = %d, %v", n, err)
+	}
+	if loads[KindAnchor] != 1 || loads[KindDocument] != 1 || loads[KindRelInfon] != 1 {
+		t.Fatalf("loads after Size = %v, want one each", loads)
+	}
+}
+
+// TestDecodeTupleSharesRecord: decoded fields are substrings of the
+// record (one allocation, the tuple), and damage is a typed error.
+func TestDecodeTupleSharesRecord(t *testing.T) {
+	want := Tuple{"label", "", "http://x.example/", "G"}
+	rec := string(AppendTuple(nil, KindAnchor, want)) + "tail"
+	kind, got, n, err := DecodeTuple(rec)
+	if err != nil || kind != KindAnchor || n != len(rec)-len("tail") || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeTuple = %d %q %d %v", kind, got, n, err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { DecodeTuple(rec) }); allocs != 1 {
+		t.Errorf("DecodeTuple: %.0f allocations, want 1 (the tuple)", allocs)
+	}
+	for _, bad := range []string{"", "\x09\x01\x00", "\x01\x80\x00", rec[:n-1], "\x01\x02\x05ab"} {
+		if _, _, _, err := DecodeTuple(bad); !errors.Is(err, ErrBadTuple) {
+			t.Errorf("DecodeTuple(%q) = %v, want ErrBadTuple", bad, err)
+		}
 	}
 }

@@ -260,8 +260,7 @@ func (rb *resultBatcher) tune(m *wire.TuneMsg) {
 // is blacklisted so later reports are dropped instead of re-buffered.
 func (rb *resultBatcher) flush(b *batch) {
 	msg := &wire.ResultMsg{ID: b.id, Reports: b.reports}
-	rb.s.stampReplica(msg)
-	if rb.s.send(b.id.Site, msg) != nil {
+	if rb.s.sendResult(msg, 0) != nil {
 		rb.s.met.Terminated.Add(1)
 		rb.mu.Lock()
 		if len(rb.dead) > 256 {
@@ -273,7 +272,5 @@ func (rb *resultBatcher) flush(b *batch) {
 		}
 		rb.dead[b.id.String()] = time.Now()
 		rb.mu.Unlock()
-		return
 	}
-	rb.s.met.ResultMsgs.Add(1)
 }

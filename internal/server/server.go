@@ -185,9 +185,10 @@ type Server struct {
 	// rng is the server's private randomness (retry-backoff jitter),
 	// seeded from Options.Seed so chaos runs replay deterministically.
 	rng *lockedRand
-	// seq numbers the CHT entries this server creates, making each
-	// forwarded clone instance uniquely identifiable (see wire.DestNode).
+	// seq numbers the trace spans this server opens (wire.SpanID).
 	seq atomic.Int64
+	// serials numbers the CHT entries this server creates, per query.
+	serials *serialTable
 
 	// dbCache holds one entry per node whose database is built or being
 	// built: entries coalesce concurrent builds (singleflight) and, when
@@ -257,6 +258,7 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		opts:     opts,
 		log:      nodeproc.NewLogTable(opts.Dedup),
 		rng:      newLockedRand(opts.Seed, seedName(site, opts.Replica)),
+		serials:  newSerialTable(serialSlots),
 		dbCache:  make(map[string]*dbEntry),
 		stoppedQ: make(map[string]time.Time),
 	}
@@ -1115,7 +1117,7 @@ func (s *Server) addTargets(outs map[string]*outClone, order *[]string, f nodepr
 			continue // already forwarded in this batch with this state
 		}
 		oc.dests[tgt.URL] = true
-		dest := wire.DestNode{URL: tgt.URL, Origin: s.self, Seq: s.seq.Add(1)}
+		dest := wire.DestNode{URL: tgt.URL, Origin: s.self, Seq: s.serials.next(c.ID)}
 		oc.msg.Dest = append(oc.msg.Dest, dest)
 		children = append(children, wire.CHTEntry{
 			Node: tgt.URL, State: state, Origin: dest.Origin, Seq: dest.Seq,
@@ -1246,13 +1248,24 @@ func (s *Server) dispatchResults(c *wire.CloneMsg, updates []wire.CHTUpdate, tab
 	if s.traced(c) {
 		msg.Span, msg.Site, msg.Hop, msg.Spawned = c.Span, s.site, c.Hops, spawned
 	}
+	return s.sendResult(msg, 1) == nil
+}
+
+// sendResult ships one result frame to its query's collector. The frame
+// (and the reports it carries that no batcher has counted yet) is booked
+// before it goes out and taken back if the send fails: booked after the
+// send, the counts trail what the collector has already seen — the rule
+// wire's writeFrame keeps for the fabric's books.
+func (s *Server) sendResult(msg *wire.ResultMsg, reports int64) error {
 	s.stampReplica(msg)
-	if s.send(c.ID.Site, msg) != nil {
-		return false
-	}
 	s.met.ResultMsgs.Add(1)
-	s.met.ResultReports.Add(1)
-	return true
+	s.met.ResultReports.Add(reports)
+	err := s.send(msg.ID.Site, msg)
+	if err != nil {
+		s.met.ResultMsgs.Add(-1)
+		s.met.ResultReports.Add(-reports)
+	}
+	return err
 }
 
 // fanoutWorkers bounds the per-clone forward worker group.
@@ -1415,11 +1428,7 @@ func (s *Server) retireAll(c *wire.CloneMsg, kind retireKind) {
 	if s.traced(c) {
 		msg.Span, msg.Site, msg.Hop = c.Span, s.site, c.Hops
 	}
-	s.stampReplica(msg)
 	// A failed dispatch means the user-site is gone; its reaper owns the
 	// stranded entries (same semantics as a failed result dispatch).
-	if s.send(c.ID.Site, msg) == nil {
-		s.met.ResultMsgs.Add(1)
-		s.met.ResultReports.Add(1)
-	}
+	s.sendResult(msg, 1)
 }

@@ -6,6 +6,7 @@ import (
 
 	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
+	"webdis/internal/relmodel"
 	"webdis/internal/webgraph"
 	"webdis/internal/webserver"
 )
@@ -119,6 +120,7 @@ func TestStoreBackedDatabases(t *testing.T) {
 		t.Fatalf("store build parsed %d docs, want %d", got, len(urls))
 	}
 	for _, u := range urls {
+		before := met.PagesRead.Load()
 		got, err := s.database(u)
 		if err != nil {
 			t.Fatal(err)
@@ -128,13 +130,24 @@ func TestStoreBackedDatabases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Document.Tuples, want.Document.Tuples) ||
-			!reflect.DeepEqual(got.Anchor.Tuples, want.Anchor.Tuples) ||
-			!reflect.DeepEqual(got.RelInfon.Tuples, want.RelInfon.Tuples) {
-			t.Fatalf("%s: store-backed database differs from in-RAM build", u)
-		}
 		if got.Text == nil {
 			t.Fatalf("%s: store-backed database has no text oracle", u)
+		}
+		if n := met.PagesRead.Load() - before; n != 0 {
+			t.Fatalf("%s: handing out a database read %d pages before any relation was opened", u, n)
+		}
+		for _, name := range []string{relmodel.RelRelInfon, relmodel.RelDocument, relmodel.RelAnchor} {
+			g, err := got.Relation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := want.Relation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: store-backed %s differs from in-RAM build", u, name)
+			}
 		}
 	}
 	if met.PagesRead.Load() == 0 {

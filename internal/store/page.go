@@ -73,6 +73,9 @@ var (
 	// store was built. Recovery is a live read-through (fetch + parse),
 	// not a store rebuild — only the touched entry is stale.
 	ErrStale = errors.New("store: stale")
+	// ErrClosed: the store was closed before the relation (or database)
+	// was asked for. Relations materialised earlier stay readable.
+	ErrClosed = errors.New("store: closed")
 	// ErrUnknownDoc: the store has no entry for the URL — typically a
 	// page born after the build. Recovery is the same live read-through.
 	ErrUnknownDoc = errors.New("store: unknown document")

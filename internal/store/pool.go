@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/list"
 	"fmt"
 	"io"
 	"sync"
@@ -34,22 +33,27 @@ func (c Counters) norm() Counters {
 	return c
 }
 
-// frame is one resident page. pin counts current users; a frame joins
-// the eviction list only at pin 0. ready closes when the disk read (done
-// outside the pool lock) finishes, so concurrent Gets of one page
-// coalesce into a single read.
+// frame is one resident page. pin counts current users; a frame is on
+// the eviction list (linked through prev/next) only at pin 0. ready
+// closes when the disk read (done outside the pool lock) finishes, so
+// concurrent Gets of one page coalesce into a single read.
+//
+// buf is valid only while the frame is pinned: an evicted frame's buffer
+// is handed to the page that displaced it, so nothing may alias a frame
+// after unpin — readers copy what they keep.
 type frame struct {
-	no    uint32
-	buf   []byte
-	pin   int
-	elem  *list.Element // position in pool.lru when unpinned, else nil
-	ready chan struct{}
-	err   error
+	no         uint32
+	buf        []byte
+	pin        int
+	prev, next *frame // eviction-ring neighbours while unpinned, else nil
+	ready      chan struct{}
+	err        error
 }
 
 // pool is the fixed-capacity buffer pool over the heap file. All pages
 // are read-only after build, so there is no dirty tracking or write-back
-// — eviction is a plain drop.
+// — eviction is a plain drop, and the dropped frame's buffer is reused
+// for the incoming page, so a pool allocates at most cap page buffers.
 type pool struct {
 	src    io.ReaderAt
 	npages uint32
@@ -58,7 +62,7 @@ type pool struct {
 
 	mu     sync.Mutex
 	frames map[uint32]*frame
-	lru    *list.List // unpinned frames, oldest at Front
+	lru    frame // sentinel of the unpinned ring: lru.next oldest, lru.prev newest
 }
 
 func newPool(src io.ReaderAt, npages uint32, capPages int, ctr Counters) *pool {
@@ -68,11 +72,18 @@ func newPool(src io.ReaderAt, npages uint32, capPages int, ctr Counters) *pool {
 	if capPages < 4 {
 		capPages = 4
 	}
-	return &pool{
+	p := &pool{
 		src: src, npages: npages, cap: capPages, ctr: ctr.norm(),
 		frames: make(map[uint32]*frame),
-		lru:    list.New(),
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
+}
+
+// unlist takes an unpinned frame off the eviction ring.
+func (p *pool) unlist(fr *frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
 }
 
 // get returns page no pinned; the caller must unpin it. A pinned frame
@@ -83,9 +94,8 @@ func (p *pool) get(no uint32) (*frame, error) {
 	}
 	p.mu.Lock()
 	if fr := p.frames[no]; fr != nil {
-		if fr.elem != nil {
-			p.lru.Remove(fr.elem)
-			fr.elem = nil
+		if fr.next != nil {
+			p.unlist(fr)
 		}
 		fr.pin++
 		p.mu.Unlock()
@@ -98,20 +108,23 @@ func (p *pool) get(no uint32) (*frame, error) {
 		return fr, nil
 	}
 	// Miss: make room, insert a loading frame, read outside the lock.
+	var buf []byte
 	for len(p.frames) >= p.cap {
-		el := p.lru.Front()
-		if el == nil {
+		vic := p.lru.next
+		if vic == &p.lru {
 			n := len(p.frames)
 			p.mu.Unlock()
 			return nil, fmt.Errorf("%w: all %d frames pinned", ErrPoolExhausted, n)
 		}
-		vic := el.Value.(*frame)
-		p.lru.Remove(el)
-		vic.elem = nil
+		p.unlist(vic)
 		delete(p.frames, vic.no)
+		buf, vic.buf = vic.buf, nil
 		p.ctr.PagesEvicted.Add(1)
 	}
-	fr := &frame{no: no, pin: 1, buf: make([]byte, PageSize), ready: make(chan struct{})}
+	if buf == nil {
+		buf = make([]byte, PageSize)
+	}
+	fr := &frame{no: no, pin: 1, buf: buf, ready: make(chan struct{})}
 	p.frames[no] = fr
 	p.mu.Unlock()
 
@@ -141,7 +154,9 @@ func (p *pool) unpin(fr *frame) {
 		if fr.err != nil {
 			delete(p.frames, fr.no)
 		} else {
-			fr.elem = p.lru.PushBack(fr)
+			newest := p.lru.prev
+			fr.prev, fr.next = newest, &p.lru
+			newest.next, p.lru.prev = fr, fr
 		}
 	}
 	p.mu.Unlock()

@@ -49,10 +49,15 @@ type docEntry struct {
 	nrec uint32
 }
 
-// Store is an opened per-site store. DB is safe for concurrent use.
+// Store is an opened per-site store. DB, and the databases it returns,
+// are safe for concurrent use.
 type Store struct {
-	site   string
-	f      *os.File
+	site string
+	// closeMu lets Close wait out the relation loads in flight (they hold
+	// it shared) before the heap file goes away; f is nil once closed.
+	closeMu sync.RWMutex
+	f       *os.File
+
 	pool   *pool
 	npages uint32
 	docs   []docEntry
@@ -110,27 +115,25 @@ func Build(root, site string, urls []string, get func(string) ([]byte, error), o
 		}
 		db := relmodel.Build(doc)
 		de := docEntry{url: u}
-		add := func(kind byte, rel *relmodel.Relation) error {
+		// Records go out in kind order — DOCUMENT, ANCHOR*, RELINFON* —
+		// as one consecutive run the catalog locates by its first slot.
+		for kind := relmodel.KindDocument; kind <= relmodel.KindRelInfon; kind++ {
+			rel, err := db.Relation(relmodel.RelOfKind(kind))
+			if err != nil {
+				hf.Close()
+				return nil, err
+			}
 			for _, t := range rel.Tuples {
 				pg, sl, err := pw.append(relmodel.AppendTuple(nil, kind, t))
 				if err != nil {
-					return err
+					hf.Close()
+					return nil, err
 				}
 				if de.nrec == 0 {
 					de.page, de.slot = pg, sl
 				}
 				de.nrec++
 			}
-			return nil
-		}
-		if err := add(relmodel.KindDocument, db.Document); err == nil {
-			err = add(relmodel.KindAnchor, db.Anchor)
-			if err == nil {
-				err = add(relmodel.KindRelInfon, db.RelInfon)
-			}
-		} else {
-			hf.Close()
-			return nil, err
 		}
 		docs = append(docs, de)
 		if !o.NoTextIndex {
@@ -300,10 +303,13 @@ func (s *Store) Stale(u string) bool {
 	return s.dirty[i]
 }
 
-// DB assembles the virtual-relation database of one document from the
-// heap — the persistent Database Constructor. The result is value-equal
-// to relmodel.Build over the parsed document, plus the text-index oracle
-// when the index is loaded.
+// DB returns the virtual-relation database of one document — the
+// persistent Database Constructor. The handle is pull-based: it carries
+// the text-index oracle (when the index is loaded) and reads a relation
+// out of the heap only when relmodel.DB.Relation first asks for it, so a
+// node whose predicates the index decides false touches no page, and a
+// node that only routes reads its ANCHOR tuples and nothing else. Every
+// relation is value-equal to relmodel.Build's over the parsed document.
 func (s *Store) DB(u string) (*relmodel.DB, error) {
 	i, ok := s.byURL[u]
 	if !ok {
@@ -315,36 +321,45 @@ func (s *Store) DB(u string) (*relmodel.DB, error) {
 	if stale {
 		return nil, fmt.Errorf("%w: %s at site %s", ErrStale, u, s.site)
 	}
-	de := s.docs[i]
-	db := &relmodel.DB{
-		Document: &relmodel.Relation{Name: relmodel.RelDocument, Cols: relmodel.Schemas[relmodel.RelDocument]},
-		Anchor:   &relmodel.Relation{Name: relmodel.RelAnchor, Cols: relmodel.Schemas[relmodel.RelAnchor]},
-		RelInfon: &relmodel.Relation{Name: relmodel.RelRelInfon, Cols: relmodel.Schemas[relmodel.RelRelInfon]},
-	}
-	rr := recReader{pool: s.pool, page: de.page, slot: int(de.slot)}
-	for k := uint32(0); k < de.nrec; k++ {
-		kind, t, err := rr.next()
-		if err != nil {
-			return nil, fmt.Errorf("store: %s record %d: %w", u, k, err)
-		}
-		switch kind {
-		case relmodel.KindDocument:
-			db.Document.Tuples = append(db.Document.Tuples, t)
-		case relmodel.KindAnchor:
-			db.Anchor.Tuples = append(db.Anchor.Tuples, t)
-		case relmodel.KindRelInfon:
-			db.RelInfon.Tuples = append(db.RelInfon.Tuples, t)
-		}
-	}
+	var text relmodel.TextOracle
 	if s.ix != nil {
-		db.Text = docOracle{ix: s.ix, id: uint32(i)}
+		text = docOracle{ix: s.ix, id: uint32(i)}
 	}
-	return db, nil
+	return relmodel.NewLazy(func(kind byte) ([]relmodel.Tuple, error) { return s.load(i, kind) }, text), nil
 }
 
-// Close releases the heap file. Outstanding DBs remain valid (their
-// tuples are copies), but further DB calls will fail.
+// load reads the tuples of one relation of document i: a walk over the
+// document's record run that materialises the records of that kind and
+// steps over the others.
+func (s *Store) load(i int, kind byte) ([]relmodel.Tuple, error) {
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.f == nil {
+		return nil, fmt.Errorf("%w: site %s", ErrClosed, s.site)
+	}
+	de := s.docs[i]
+	c := cursor{pool: s.pool, page: de.page, slot: int(de.slot)}
+	defer c.release()
+	var out []relmodel.Tuple
+	for k := uint32(0); k < de.nrec; k++ {
+		t, ok, err := c.next(kind)
+		if err != nil {
+			return nil, fmt.Errorf("store: %s record %d: %w", de.url, k, err)
+		}
+		if ok {
+			out = append(out, t)
+		}
+	}
+	return out, nil
+}
+
+// Close releases the heap file once the relation loads in flight have
+// finished. Relations already materialised stay valid (their tuples are
+// copies); one first opened afterwards — databases outlive the store in
+// the server's cache, and DB itself reads nothing — fails with ErrClosed.
 func (s *Store) Close() error {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
 	if s.f == nil {
 		return nil
 	}
@@ -353,78 +368,117 @@ func (s *Store) Close() error {
 	return err
 }
 
-// recReader streams a document's records out of the heap through the
-// buffer pool, following spanned-record overflow chains.
-type recReader struct {
+// cursor walks a run of consecutive records in heap order through the
+// buffer pool. It keeps the data page it stands on pinned between
+// records and pins overflow pages one at a time.
+type cursor struct {
 	pool *pool
 	page uint32
 	slot int
+	fr   *frame // page, pinned, once the cursor has looked at it
 }
 
-func (r *recReader) next() (byte, relmodel.Tuple, error) {
-	fr, err := r.pool.get(r.page)
-	if err != nil {
-		return 0, nil, err
+// scratch holds the buffers spanned records are assembled in before
+// their one exact-sized copy into a string.
+var scratch = sync.Pool{New: func() any { b := make([]byte, 0, 4*PageSize); return &b }}
+
+// release unpins the cursor's data page.
+func (c *cursor) release() {
+	if c.fr != nil {
+		c.pool.unpin(c.fr)
+		c.fr = nil
 	}
-	p := fr.buf
-	if pageKind(p) != kindDataPage {
-		r.pool.unpin(fr)
-		return 0, nil, fmt.Errorf("%w: record cursor on non-data page %d", ErrCorrupt, r.page)
-	}
-	nslots := pageNSlots(p)
-	off, length, spilled, err := pageSlot(p, r.slot)
-	if err != nil {
-		r.pool.unpin(fr)
-		return 0, nil, err
-	}
-	if !spilled {
-		// Decode straight out of the pinned page; the codec copies all
-		// field bytes, so nothing aliases the frame after unpin.
-		kind, t, n, err := relmodel.DecodeTuple(p[off : off+length])
-		r.pool.unpin(fr)
-		if err == nil && n != length {
-			err = fmt.Errorf("%w: record slack in slot", ErrCorrupt)
-		}
+}
+
+// next steps over one record. A record of relation kind want is
+// materialised — one copy of its bytes out of the pinned pages, its
+// fields substrings of that copy — and returned with ok. Any other is
+// skipped by its kind byte alone: not decoded, not copied, but a spanned
+// one's overflow chain is still walked page by page, so every page of
+// the run is pinned and checksum-verified whichever relation is read.
+func (c *cursor) next(want byte) (t relmodel.Tuple, ok bool, err error) {
+	if c.fr == nil {
+		fr, err := c.pool.get(c.page)
 		if err != nil {
-			return 0, nil, fmt.Errorf("page %d slot %d: %w", r.page, r.slot, err)
+			return nil, false, err
 		}
-		r.slot++
-		if r.slot >= nslots {
-			r.page, r.slot = r.page+1, 0
+		if pageKind(fr.buf) != kindDataPage {
+			c.pool.unpin(fr)
+			return nil, false, fmt.Errorf("%w: record cursor on non-data page %d", ErrCorrupt, c.page)
 		}
-		return kind, t, nil
+		c.fr = fr
 	}
-	// Spanned record: by construction the last slot of its data page;
-	// collect the overflow chain and resume at the page after it.
-	body := append(make([]byte, 0, 2*length), p[off:off+length]...)
-	r.pool.unpin(fr)
-	next := r.page + 1
-	for {
-		ofr, err := r.pool.get(next)
-		if err != nil {
-			return 0, nil, err
+	p := c.fr.buf
+	off, length, spilled, err := pageSlot(p, c.slot)
+	if err != nil {
+		return nil, false, err
+	}
+	if length == 0 || relmodel.RelOfKind(p[off]) == "" {
+		return nil, false, fmt.Errorf("%w: page %d slot %d: no record kind", ErrCorrupt, c.page, c.slot)
+	}
+	at, keep := c.page, p[off] == want
+	var rec string
+	if spilled {
+		if rec, err = c.spanned(p[off:off+length], keep); err != nil {
+			return nil, false, err
 		}
-		frag, more, err := overflowFrag(ofr.buf)
-		if err != nil {
-			r.pool.unpin(ofr)
-			return 0, nil, fmt.Errorf("page %d: %w", next, err)
+	} else {
+		if keep {
+			rec = string(p[off : off+length])
 		}
-		body = append(body, frag...)
-		r.pool.unpin(ofr)
-		next++
-		if !more {
-			break
+		if c.slot++; c.slot >= pageNSlots(p) {
+			c.release()
+			c.page, c.slot = c.page+1, 0
 		}
 	}
-	kind, t, n, err := relmodel.DecodeTuple(body)
-	if err == nil && n != len(body) {
-		err = fmt.Errorf("%w: spanned record slack", ErrCorrupt)
+	if !keep {
+		return nil, false, nil
+	}
+	_, t, n, err := relmodel.DecodeTuple(rec)
+	if err == nil && n != len(rec) {
+		err = fmt.Errorf("%w: record slack", ErrCorrupt)
 	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("spanned record at page %d: %w", r.page, err)
+		return nil, false, fmt.Errorf("record at page %d: %w", at, err)
 	}
-	r.page, r.slot = next, 0
-	return kind, t, nil
+	return t, true, nil
+}
+
+// spanned follows the overflow chain of the spanned record whose head
+// fragment ends the cursor's data page (by construction its last slot)
+// and leaves the cursor on the page after the chain. With keep the
+// record is assembled in a scratch buffer and copied out once.
+func (c *cursor) spanned(head []byte, keep bool) (rec string, err error) {
+	var body []byte
+	var bufp *[]byte
+	if keep {
+		bufp = scratch.Get().(*[]byte)
+		body = append((*bufp)[:0], head...)
+	}
+	c.release()
+	next := c.page + 1
+	for more := true; more; next++ {
+		fr, err := c.pool.get(next)
+		if err != nil {
+			return "", err
+		}
+		frag, continues, err := overflowFrag(fr.buf)
+		if err == nil && keep {
+			body = append(body, frag...)
+		}
+		c.pool.unpin(fr)
+		if err != nil {
+			return "", fmt.Errorf("page %d: %w", next, err)
+		}
+		more = continues
+	}
+	c.page, c.slot = next, 0
+	if keep {
+		rec = string(body)
+		*bufp = body
+		scratch.Put(bufp)
+	}
+	return rec, nil
 }
 
 // encodeCatalog renders the catalog file: magic, geometry, index flag,

@@ -41,30 +41,54 @@ func webGet(web *webgraph.Web) func(string) ([]byte, error) {
 	}
 }
 
-// TestBuildOpenDBEquality: every document's store-assembled DB must be
-// value-identical to the in-RAM Database Constructor's.
+// relation opens one relation of db or fails the test.
+func relation(t *testing.T, db *relmodel.DB, name string) *relmodel.Relation {
+	t.Helper()
+	rel, err := db.Relation(name)
+	if err != nil {
+		t.Fatalf("Relation(%s): %v", name, err)
+	}
+	return rel
+}
+
+// openOrders is every way an evaluation can come at a database: each
+// relation alone, and all three in every order.
+var openOrders = [][]string{
+	{relmodel.RelDocument}, {relmodel.RelAnchor}, {relmodel.RelRelInfon},
+	{relmodel.RelDocument, relmodel.RelAnchor, relmodel.RelRelInfon},
+	{relmodel.RelDocument, relmodel.RelRelInfon, relmodel.RelAnchor},
+	{relmodel.RelAnchor, relmodel.RelDocument, relmodel.RelRelInfon},
+	{relmodel.RelAnchor, relmodel.RelRelInfon, relmodel.RelDocument},
+	{relmodel.RelRelInfon, relmodel.RelDocument, relmodel.RelAnchor},
+	{relmodel.RelRelInfon, relmodel.RelAnchor, relmodel.RelDocument},
+}
+
+// TestBuildOpenDBEquality: every relation of every document's store
+// database must be value-identical to the in-RAM Database Constructor's,
+// whichever relations are opened and in whatever order.
 func TestBuildOpenDBEquality(t *testing.T) {
 	web := webgraph.Campus()
 	root := t.TempDir()
 	stores := buildWeb(t, root, web, Options{})
 	for _, u := range web.URLs() {
-		site := webgraph.Host(u)
-		got, err := stores[site].DB(u)
-		if err != nil {
-			t.Fatalf("DB(%s): %v", u, err)
-		}
 		html, _ := web.HTML(u)
 		want, err := nodeproc.BuildDB(u, html)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Document, want.Document) ||
-			!reflect.DeepEqual(got.Anchor, want.Anchor) ||
-			!reflect.DeepEqual(got.RelInfon, want.RelInfon) {
-			t.Fatalf("store DB for %s differs from BuildDB:\n got %+v\nwant %+v", u, got, want)
-		}
-		if got.Text == nil {
-			t.Fatalf("store DB for %s has no text oracle", u)
+		for _, order := range openOrders {
+			got, err := stores[webgraph.Host(u)].DB(u)
+			if err != nil {
+				t.Fatalf("DB(%s): %v", u, err)
+			}
+			if got.Text == nil {
+				t.Fatalf("store DB for %s has no text oracle", u)
+			}
+			for _, name := range order {
+				if g, w := relation(t, got, name), relation(t, want, name); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s of %s (open order %v) differs from BuildDB:\n got %+v\nwant %+v", name, u, order, g, w)
+				}
+			}
 		}
 	}
 }
@@ -185,15 +209,23 @@ func TestSpannedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newPool(sink.readerAt(), npages, 8, Counters{})
-	rr := recReader{pool: p, page: locs[0].page, slot: int(locs[0].slot)}
-	for i, w := range want {
-		kind, got, err := rr.next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+	// Once materialising every record, once skipping every record: the
+	// cursor must land on the same slots either way.
+	for _, read := range []byte{relmodel.KindDocument, relmodel.KindAnchor} {
+		c := cursor{pool: p, page: locs[0].page, slot: int(locs[0].slot)}
+		for i, w := range want {
+			if c.page != locs[i].page || c.slot != int(locs[i].slot) {
+				t.Fatalf("record %d: cursor at %d/%d, written at %d/%d", i, c.page, c.slot, locs[i].page, locs[i].slot)
+			}
+			got, ok, err := c.next(read)
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if ok != (read == relmodel.KindDocument) || ok && !reflect.DeepEqual(got, w) {
+				t.Fatalf("record %d mismatch: ok=%v got %q", i, ok, got)
+			}
 		}
-		if kind != relmodel.KindDocument || !reflect.DeepEqual(got, w) {
-			t.Fatalf("record %d mismatch: got %q", i, got)
-		}
+		c.release()
 	}
 	if p.resident() > 8 {
 		t.Fatalf("pool resident %d exceeds cap 8", p.resident())
@@ -221,7 +253,7 @@ func TestOracleMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc := db.Document.Tuples[0]
+		doc := relation(t, db, relmodel.RelDocument).Tuples[0]
 		for colIdx, col := range []string{"title", "text"} {
 			val := doc[2] // text
 			if col == "title" {

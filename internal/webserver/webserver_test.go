@@ -72,6 +72,32 @@ func TestFetchOverTransport(t *testing.T) {
 	}
 }
 
+// TestFetchBookedBeforeSeen: the moment a fetch returns, the fabric's
+// books already hold its response frame. The sender used to book a frame
+// after writing it, so a reader quick enough saw the frame first and the
+// books one short (TestFetchOverTransport's "kinds = map[]"); 200 fetches
+// in a row gave that window a few hundred chances.
+func TestFetchBookedBeforeSeen(t *testing.T) {
+	web := webgraph.Campus()
+	n := netsim.New(netsim.Options{})
+	h := NewHost("csa.iisc.ernet.in", web)
+	if err := h.Start(n); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Stop()
+	f := NewFetcher(n, "user/results")
+	edge := netsim.Edge{From: Endpoint("csa.iisc.ernet.in"), To: "user/results"}
+	for i := int64(1); i <= 200; i++ {
+		if _, err := f.Get(webgraph.CampusLabs); err != nil {
+			t.Fatal(err)
+		}
+		down := n.Stats().Snapshot().Edges[edge]
+		if down == nil || down.ByKind[wire.KindFetchResp] != i {
+			t.Fatalf("after fetch %d the books show %+v", i, down)
+		}
+	}
+}
+
 func TestHostStopUnblocksFetchers(t *testing.T) {
 	web := webgraph.Campus()
 	n := netsim.New(netsim.Options{})

@@ -325,13 +325,13 @@ func ParseEnvKey(key string) map[string]string {
 // query-state) alone; that under-identifies clone instances — a revisit
 // loop can put two identically keyed entries in flight whose additions
 // and retirements interleave into a false "all retired" reading — so this
-// implementation gives every forwarded clone instance a unique
-// (origin, seq) serial that the processing server echoes back in its
-// report (see the client package's completion-soundness discussion).
+// implementation gives every forwarded clone instance of a query a
+// unique (origin, seq) serial that the processing server echoes back in
+// its report (see the client package's completion-soundness discussion).
 type DestNode struct {
 	URL    string
 	Origin string // endpoint that created the CHT entry
-	Seq    int64  // unique per origin
+	Seq    int64  // unique per origin within one query
 }
 
 // State returns the clone's CHT state (num_q, rem).
@@ -1020,11 +1020,8 @@ func (f *Framed) sendV1(env *envelope) error {
 	frame := make([]byte, 4+len(payload))
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
 	copy(frame[4:], payload)
-	if _, err := f.Conn.Write(frame); err != nil {
-		return fmt.Errorf("wire: send %s: %w", env.Kind, err)
-	}
-	if mm, ok := f.Conn.(netsim.MessageMarker); ok {
-		mm.MarkMessage(env.Kind)
+	if err := writeFrame(f.Conn, env.Kind, frame); err != nil {
+		return err
 	}
 	return nil
 }
@@ -1058,11 +1055,8 @@ func (f *Framed) sendV2(env *envelope, withHello bool) error {
 		}
 	}
 	binary.BigEndian.PutUint32(frame[start:start+4], uint32(len(frame)-start-4))
-	if _, err := f.Conn.Write(frame); err != nil {
-		return fmt.Errorf("wire: send %s: %w", env.Kind, err)
-	}
-	if mm, ok := f.Conn.(netsim.MessageMarker); ok {
-		mm.MarkMessage(env.Kind)
+	if err := writeFrame(f.Conn, env.Kind, frame); err != nil {
+		return err
 	}
 	if f.opts.OnFrame != nil {
 		f.opts.OnFrame(env.Kind, len(frame)-start)
@@ -1204,11 +1198,23 @@ func Send(conn net.Conn, msg any) error {
 	}
 	frame := buf.Bytes()
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	if _, err := conn.Write(frame); err != nil {
-		return fmt.Errorf("wire: send %s: %w", env.Kind, err)
+	return writeFrame(conn, env.Kind, frame)
+}
+
+// writeFrame writes one encoded frame. An instrumented connection books
+// the message before the bytes go out and un-books it if the write
+// fails: booked after the write, a reader could act on a frame its
+// sender had not counted yet.
+func writeFrame(conn net.Conn, kind string, frame []byte) error {
+	mm, _ := conn.(netsim.MessageMarker)
+	if mm != nil {
+		mm.MarkMessage(kind)
 	}
-	if mm, ok := conn.(netsim.MessageMarker); ok {
-		mm.MarkMessage(env.Kind)
+	if _, err := conn.Write(frame); err != nil {
+		if mm != nil {
+			mm.UnmarkMessage(kind)
+		}
+		return fmt.Errorf("wire: send %s: %w", kind, err)
 	}
 	return nil
 }

@@ -170,6 +170,50 @@ func TestMessageMarkedOnInstrumentedConn(t *testing.T) {
 	}
 }
 
+// markedConn records when a frame is booked relative to when it is
+// written, and can refuse the write.
+type markedConn struct {
+	net.Conn
+	fail   bool
+	booked int
+	seen   []int // booked count at each Write
+}
+
+func (c *markedConn) MarkMessage(string)   { c.booked++ }
+func (c *markedConn) UnmarkMessage(string) { c.booked-- }
+func (c *markedConn) Write(p []byte) (int, error) {
+	c.seen = append(c.seen, c.booked)
+	if c.fail {
+		return 0, net.ErrClosed
+	}
+	return len(p), nil
+}
+
+// TestFrameBookedBeforeWritten: on every send path a frame is in the
+// books by the time its bytes can reach a reader, and out of them again
+// if the write fails.
+func TestFrameBookedBeforeWritten(t *testing.T) {
+	sends := map[string]func(c net.Conn) error{
+		"one-shot":  func(c net.Conn) error { return Send(c, sampleClone()) },
+		"framed v2": func(c net.Conn) error { return Send(NewFramed(c), sampleClone()) },
+		"framed v1": func(c net.Conn) error { return Send(NewFramedOpts(c, FramedOptions{Offer: 1}), sampleClone()) },
+	}
+	for name, send := range sends {
+		for _, fail := range []bool{false, true} {
+			c := &markedConn{fail: fail}
+			if err := send(c); (err != nil) != fail {
+				t.Fatalf("%s (fail=%v): err = %v", name, fail, err)
+			}
+			if len(c.seen) != 1 || c.seen[0] != 1 {
+				t.Errorf("%s (fail=%v): books at write time = %v, want the frame already booked", name, fail, c.seen)
+			}
+			if want := map[bool]int{false: 1, true: 0}[fail]; c.booked != want {
+				t.Errorf("%s (fail=%v): %d frames booked afterwards, want %d", name, fail, c.booked, want)
+			}
+		}
+	}
+}
+
 func TestReceiveGarbage(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
