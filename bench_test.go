@@ -17,7 +17,7 @@ import (
 	"webdis/internal/htmlx"
 	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
-	"webdis/internal/nodequery"
+	"webdis/internal/plan"
 	"webdis/internal/pre"
 	"webdis/internal/relmodel"
 	"webdis/internal/webgraph"
@@ -108,7 +108,7 @@ func BenchmarkNodeQueryEval(b *testing.B) {
 	q := wq.Stages[1].Query
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl, err := nodequery.Eval(q, db)
+		tbl, _, err := plan.Eval(q, db, nil)
 		if err != nil || tbl.Empty() {
 			b.Fatal(tbl, err)
 		}

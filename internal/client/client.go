@@ -865,9 +865,8 @@ func (q *Query) bounced(c *wire.CloneMsg) {
 	}
 	q.lastReport = time.Now()
 	if !q.hybrid {
-		st := c.State()
-		for _, dest := range c.Dest {
-			q.retire(wire.CHTEntry{Node: dest.URL, State: st, Origin: dest.Origin, Seq: dest.Seq})
+		for _, u := range c.Retirements() {
+			q.retire(u.Processed)
 		}
 		q.maybeComplete()
 		q.mu.Unlock()
@@ -895,9 +894,8 @@ func (q *Query) shedded(m *wire.ShedMsg) {
 	q.lastReport = time.Now()
 	q.shed = true
 	q.jot(m.Clone, trace.Shed, m.Site)
-	st := m.Clone.State()
-	for _, dest := range m.Clone.Dest {
-		q.retire(wire.CHTEntry{Node: dest.URL, State: st, Origin: dest.Origin, Seq: dest.Seq})
+	for _, u := range m.Clone.Retirements() {
+		q.retire(u.Processed)
 	}
 	q.maybeComplete()
 }
@@ -1025,13 +1023,7 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 // jot appends one causal event for clone c to the query's journal (used
 // by the hybrid fallback, which processes clones at the user-site).
 func (q *Query) jot(c *wire.CloneMsg, kind trace.Kind, detail string) {
-	if q.journal == nil {
-		return
-	}
-	q.journal.Append(trace.Event{
-		Query: c.ID.String(), Span: c.Span, Parent: c.Parent,
-		Kind: kind, State: c.State().String(), Hop: c.Hops, Detail: detail,
-	})
+	q.journal.AppendClone(c, kind, "", c.State(), detail)
 }
 
 // stitch records the span context echoed on one result report: the

@@ -11,14 +11,7 @@ import (
 )
 
 func processedReply(clone *wire.CloneMsg) *wire.ResultMsg {
-	st := clone.State()
-	updates := make([]wire.CHTUpdate, 0, len(clone.Dest))
-	for _, dest := range clone.Dest {
-		updates = append(updates, wire.CHTUpdate{Processed: wire.CHTEntry{
-			Node: dest.URL, State: st, Origin: dest.Origin, Seq: dest.Seq,
-		}})
-	}
-	return &wire.ResultMsg{ID: clone.ID, Updates: updates}
+	return &wire.ResultMsg{ID: clone.ID, Updates: clone.Retirements()}
 }
 
 func TestSessionRoutesConcurrentQueries(t *testing.T) {

@@ -49,13 +49,16 @@ type ExecConfig struct {
 	// adopted WEBDIS. Non-participating sites keep their document host,
 	// servers bounce undeliverable clones back to the user-site, and the
 	// client's hybrid fallback processes them centrally. Incompatible
-	// with NoDocService (the fallback must be able to download).
+	// with NoDocService (the fallback must be able to download) and with
+	// Server.StrictDeadEnds or Server.MaxHops (the fallback follows the
+	// paper's defaults).
 	Participate func(site string) bool
 	// Hybrid enables the bounce/fallback path even when every site
 	// participates: a clone whose forward attempts are exhausted under
 	// Server.Retry is returned to the user-site and evaluated centrally —
 	// per-edge degraded-mode recovery from query shipping to data
-	// shipping. Implied by Participate. Incompatible with NoDocService.
+	// shipping. Implied by Participate. Incompatible with NoDocService,
+	// Server.StrictDeadEnds and Server.MaxHops, like Participate.
 	Hybrid bool
 	// ReapGrace arms the client's orphan-CHT reaper: a query that has
 	// seen no report for this long while entries remain outstanding is
@@ -174,6 +177,12 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	ex := cfg.Exec
 	if (ex.Participate != nil || ex.Hybrid) && ex.NoDocService {
 		return nil, fmt.Errorf("core: Participate/Hybrid requires the document service (the hybrid fallback downloads)")
+	}
+	if (ex.Participate != nil || ex.Hybrid) && (ex.Server.StrictDeadEnds || ex.Server.MaxHops > 0) {
+		// Server options are per site (SiteServerOptions), so there is no
+		// one value for the user-site fallback to follow, and a fallback on
+		// the paper's defaults would answer differently than the servers.
+		return nil, fmt.Errorf("core: Participate/Hybrid cannot follow Server.StrictDeadEnds or Server.MaxHops (the hybrid fallback applies the paper's defaults)")
 	}
 	user := ex.User
 	if user == "" {

@@ -243,27 +243,42 @@ select d.url
 from document d such that "http://r0.example/p0.html" N|(L|G)*3 d
 where d.text contains "` + webgraph.Marker + `"`,
 	}
-	for name, web := range webs {
-		d := deploy(t, web, server.Options{})
-		q := run(t, d, queries[name])
-		distRes := q.Results()
+	// The query servers, the hybrid fallback (no site participates, so it
+	// visits every node) and the servers under the strict dead-end rule,
+	// each against the centralized baseline under the same rules.
+	legs := []struct {
+		name string
+		exec ExecConfig
+		cent centralized.Options
+	}{
+		{"servers", ExecConfig{}, centralized.Options{}},
+		{"fallback", ExecConfig{Participate: participants()}, centralized.Options{}},
+		{"strict", ExecConfig{Server: server.Options{StrictDeadEnds: true}}, centralized.Options{StrictDeadEnds: true}},
+	}
+	for _, leg := range legs {
+		for webName, web := range webs {
+			name := leg.name + "/" + webName
+			d := deployCfg(t, Config{Web: web, Exec: leg.exec})
+			q := run(t, d, queries[webName])
+			distRes := q.Results()
 
-		w := disql.MustParse(queries[name])
-		centRes, err := centralized.Run(d.Network(), "central/results", w, centralized.Options{})
-		if err != nil {
-			t.Fatalf("%s: centralized: %v", name, err)
-		}
-		if len(distRes) != len(centRes.Tables) {
-			t.Fatalf("%s: table count %d vs %d", name, len(distRes), len(centRes.Tables))
-		}
-		for i := range distRes {
-			a, b := distRes[i], centRes.Tables[i]
-			if a.Stage != b.Stage || len(a.Rows) != len(b.Rows) {
-				t.Fatalf("%s stage %d: %d rows vs %d rows\n%v\n%v", name, a.Stage, len(a.Rows), len(b.Rows), a.Rows, b.Rows)
+			w := disql.MustParse(queries[webName])
+			centRes, err := centralized.Run(d.Network(), "central/results", w, leg.cent)
+			if err != nil {
+				t.Fatalf("%s: centralized: %v", name, err)
 			}
-			for j := range a.Rows {
-				if strings.Join(a.Rows[j], "|") != strings.Join(b.Rows[j], "|") {
-					t.Errorf("%s stage %d row %d: %v vs %v", name, a.Stage, j, a.Rows[j], b.Rows[j])
+			if len(distRes) != len(centRes.Tables) {
+				t.Fatalf("%s: table count %d vs %d", name, len(distRes), len(centRes.Tables))
+			}
+			for i := range distRes {
+				a, b := distRes[i], centRes.Tables[i]
+				if a.Stage != b.Stage || len(a.Rows) != len(b.Rows) {
+					t.Fatalf("%s stage %d: %d rows vs %d rows\n%v\n%v", name, a.Stage, len(a.Rows), len(b.Rows), a.Rows, b.Rows)
+				}
+				for j := range a.Rows {
+					if strings.Join(a.Rows[j], "|") != strings.Join(b.Rows[j], "|") {
+						t.Errorf("%s stage %d row %d: %v vs %v", name, a.Stage, j, a.Rows[j], b.Rows[j])
+					}
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"webdis/internal/client"
 	"webdis/internal/disql"
+	"webdis/internal/server"
 	"webdis/internal/webgraph"
 	"webdis/internal/wire"
 )
@@ -194,11 +195,31 @@ func TestParticipateRequiresDocService(t *testing.T) {
 	}
 }
 
+// TestHybridRejectsServerRules: the fallback cannot follow a server rule
+// that may differ per site, so a hybrid deployment that sets one is
+// refused instead of answering differently wherever a clone bounces.
+func TestHybridRejectsServerRules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		exec ExecConfig
+	}{
+		{"participate+strict", ExecConfig{Participate: participants(), Server: server.Options{StrictDeadEnds: true}}},
+		{"participate+maxhops", ExecConfig{Participate: participants(), Server: server.Options{MaxHops: 8}}},
+		{"hybrid+strict", ExecConfig{Hybrid: true, Server: server.Options{StrictDeadEnds: true}}},
+		{"hybrid+maxhops", ExecConfig{Hybrid: true, Server: server.Options{MaxHops: 8}}},
+	} {
+		if d, err := NewDeployment(Config{Web: webgraph.Campus(), Exec: tc.exec}); err == nil {
+			d.Close()
+			t.Errorf("%s: deployment accepted, want an error", tc.name)
+		}
+	}
+}
+
 // TestHybridHonoursBudget: a clone's wire-carried budget binds wherever
 // the clone is processed. Whether every site runs a query server, some
 // bounce to the user-site's fallback, or the whole query is evaluated
-// there, a hop or row quota must clip the answer to the same rows, and
-// the CHT must still drain.
+// there, a hop, row or clone-spawn quota must clip the answer to the same
+// rows, and the CHT must still drain.
 func TestHybridHonoursBudget(t *testing.T) {
 	web := webgraph.Chain(6, 1, 4)
 	w := disql.MustParse(`select d.url from document d such that "http://c0.example/p0.html" N|G* d`)
@@ -216,6 +237,8 @@ func TestHybridHonoursBudget(t *testing.T) {
 	}{
 		{wire.Budget{Hops: 2}, []string{"http://c0.example/p0.html", "http://c1.example/p1.html", "http://c2.example/p2.html"}},
 		{wire.Budget{Rows: 2}, []string{"http://c0.example/p0.html", "http://c1.example/p1.html"}},
+		{wire.Budget{Clones: 1}, []string{"http://c0.example/p0.html", "http://c1.example/p1.html"}},
+		{wire.Budget{Clones: 2}, []string{"http://c0.example/p0.html", "http://c1.example/p1.html", "http://c2.example/p2.html"}},
 	} {
 		for _, p := range patterns {
 			d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Participate: p.participate}})

@@ -1,10 +1,15 @@
-// Package nodeproc implements the per-node processing step shared by the
-// distributed WEBDIS query server and the centralized data-shipping
-// baseline: given one node's virtual-relation database and one clone
-// arrival state, decide whether the node is a ServerRouter or PureRouter,
-// evaluate the node-query if the remaining PRE contains the null link,
-// detect dead ends, and compute the set of next links to traverse
-// (Figures 3 and 4 of the paper, minus the messaging).
+// Package nodeproc implements the traversal step of Figures 3 and 4 once,
+// for the distributed WEBDIS query server, the user-site's hybrid
+// fallback and the centralized data-shipping baseline alike. Step, given
+// one node's virtual-relation database and one arrival state, decides
+// whether the node is a ServerRouter or PureRouter, evaluates the
+// node-query if the remaining PRE contains the null link, detects dead
+// ends, and computes the next links to traverse. Visitor runs process()
+// around it — log-table checks, stage advances, the dead-end rule, the
+// hop clamp — and Batch runs process_query for one clone message:
+// destination dedup, per-site target grouping, the budget's quotas. The
+// callers supply only where documents come from and where rows and
+// continuation targets go.
 //
 // It also houses the Node-query Log Table of Section 3.1.1, because the
 // duplicate-arrival rules are processing semantics: the centralized
@@ -122,8 +127,8 @@ func Step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, hasNext
 	if pre.Nullable(rem) {
 		res.Evaluated = true
 		// Evaluation runs through the volcano operator pipeline; plan.Eval
-		// is row-for-row equivalent to nodequery.EvalEnv (the differential
-		// tests pin this) and additionally reports scan/emit statistics.
+		// is row-for-row equivalent to the paper's nested-loop evaluator
+		// (plan's test oracle pins this) and reports scan/emit statistics.
 		tbl, stats, err := plan.Eval(stage.Query, db, env)
 		if err != nil {
 			return res, fmt.Errorf("nodeproc: %s: %w", node, err)

@@ -2,8 +2,8 @@
 // locally evaluable piece of a web-query that a query-server runs against
 // the virtual relations of a single node (paper Section 2.3). A web-query
 // Q = S p1 q1 p2 q2 … pn qn carries one node-query q_k per traversal stage;
-// this package represents the q_k and evaluates them against a
-// relmodel.DB.
+// this package represents the q_k and their result tables, and validates
+// them against the relmodel schema. Package plan evaluates them.
 //
 // The types here are deliberately plain data (no interfaces, no function
 // values) so that node-queries serialize directly with encoding/gob when a
@@ -165,7 +165,7 @@ type VarDecl struct {
 // that this node-query's predicates use — the correlated-stage extension
 // of the paper's footnote 2 ("node-queries that refer to multiple
 // documents"). Their values are not in this node's virtual relations;
-// they travel with the query clone and are supplied to Eval as an
+// they travel with the query clone and are supplied to plan.Eval as an
 // environment.
 type Query struct {
 	Vars   []VarDecl
@@ -289,207 +289,6 @@ type Table struct {
 // Empty reports whether the table has no rows — the paper's "node contains
 // no answer" condition that turns a node into a dead end.
 func (t *Table) Empty() bool { return t == nil || len(t.Rows) == 0 }
-
-// binding maps a variable name to its current tuple and relation.
-type binding struct {
-	rel *relmodel.Relation
-	tup relmodel.Tuple
-}
-
-// Eval evaluates the node-query against the virtual relations of one
-// node, with no outer environment. Queries using Outer references need
-// EvalEnv.
-func Eval(q *Query, db *relmodel.DB) (*Table, error) {
-	return EvalEnv(q, db, nil)
-}
-
-// EvalEnv evaluates the node-query against the virtual relations of one
-// node. Evaluation is a nested-loop join across the declared variables
-// (document databases are tiny — the paper builds and purges them per
-// query), with the such-that and where predicates as the join condition
-// and a final distinct projection. outer supplies the values of Outer
-// column references, keyed by their "var.col" form.
-func EvalEnv(q *Query, db *relmodel.DB, outer map[string]string) (*Table, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	for _, c := range q.Outer {
-		if _, ok := outer[c.String()]; !ok {
-			return nil, fmt.Errorf("nodequery: no environment value for outer reference %s", c)
-		}
-	}
-	cols := make([]string, len(q.Select))
-	for i, c := range q.Select {
-		cols[i] = c.String()
-	}
-	out := &Table{Cols: cols}
-	env := make(map[string]binding, len(q.Vars))
-
-	cond := Conj(q.Where)
-	var decls []*Pred
-	for _, v := range q.Vars {
-		decls = append(decls, v.Cond)
-	}
-	cond = Conj(append(decls, cond)...)
-
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(q.Vars) {
-			ok, err := evalPred(cond, env, outer)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			row := make([]string, len(q.Select))
-			for j, c := range q.Select {
-				v, err := lookup(c, env, outer)
-				if err != nil {
-					return err
-				}
-				row[j] = v
-			}
-			out.Rows = append(out.Rows, row)
-			return nil
-		}
-		v := q.Vars[i]
-		rel, err := db.Relation(v.Rel)
-		if err != nil {
-			return err
-		}
-		for _, tup := range rel.Tuples {
-			env[v.Name] = binding{rel, tup}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(env, v.Name)
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	out.Rows = distinct(out.Rows)
-	return out, nil
-}
-
-func lookup(c ColRef, env map[string]binding, outer map[string]string) (string, error) {
-	b, ok := env[c.Var]
-	if !ok {
-		if v, ok := outer[c.String()]; ok {
-			return v, nil
-		}
-		return "", fmt.Errorf("nodequery: unbound variable %q", c.Var)
-	}
-	idx := b.rel.Col(c.Col)
-	if idx < 0 {
-		return "", fmt.Errorf("nodequery: relation %q has no attribute %q", b.rel.Name, c.Col)
-	}
-	return b.tup[idx], nil
-}
-
-func evalPred(p *Pred, env map[string]binding, outer map[string]string) (bool, error) {
-	if p == nil {
-		return true, nil
-	}
-	switch p.Kind {
-	case True:
-		return true, nil
-	case And:
-		for _, k := range p.Kids {
-			ok, err := evalPred(k, env, outer)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	case Or:
-		for _, k := range p.Kids {
-			ok, err := evalPred(k, env, outer)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	case Not:
-		ok, err := evalPred(p.Kids[0], env, outer)
-		return !ok, err
-	case Cmp:
-		return evalCmp(p, env, outer)
-	}
-	return false, fmt.Errorf("nodequery: unknown predicate kind %d", p.Kind)
-}
-
-func evalCmp(p *Pred, env map[string]binding, outer map[string]string) (bool, error) {
-	left, err := operandValue(p.Left, env, outer)
-	if err != nil {
-		return false, err
-	}
-	right, err := operandValue(p.Right, env, outer)
-	if err != nil {
-		return false, err
-	}
-	switch p.Op {
-	case Contains:
-		return strings.Contains(strings.ToLower(left), strings.ToLower(right)), nil
-	case NotContains:
-		return !strings.Contains(strings.ToLower(left), strings.ToLower(right)), nil
-	}
-	// Numeric comparison when both sides are numeric, else string order.
-	var c int
-	ln, lerr := strconv.ParseFloat(left, 64)
-	rn, rerr := strconv.ParseFloat(right, 64)
-	if lerr == nil && rerr == nil {
-		switch {
-		case ln < rn:
-			c = -1
-		case ln > rn:
-			c = 1
-		}
-	} else {
-		c = strings.Compare(left, right)
-	}
-	switch p.Op {
-	case Eq:
-		return c == 0, nil
-	case Ne:
-		return c != 0, nil
-	case Lt:
-		return c < 0, nil
-	case Le:
-		return c <= 0, nil
-	case Gt:
-		return c > 0, nil
-	case Ge:
-		return c >= 0, nil
-	}
-	return false, fmt.Errorf("nodequery: unknown comparison operator %d", p.Op)
-}
-
-func operandValue(o Operand, env map[string]binding, outer map[string]string) (string, error) {
-	if o.IsCol {
-		return lookup(o.Col, env, outer)
-	}
-	return o.Lit, nil
-}
-
-// distinct removes duplicate rows preserving first-occurrence order.
-func distinct(rows [][]string) [][]string {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		k := strings.Join(r, "\x00")
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
 
 // SortRows orders rows lexicographically; result tables from different
 // sites arrive in arrival order, so deterministic display and tests sort.

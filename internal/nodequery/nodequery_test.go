@@ -3,198 +3,7 @@ package nodequery
 import (
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"webdis/internal/htmlx"
-	"webdis/internal/relmodel"
 )
-
-const labPage = `<html><head><title>Database Systems Lab People</title></head>
-<body>
-<h2>Members</h2>
-<a href="http://www.iisc.ernet.in/">IISc</a>
-<a href="students.html">Students</a>
-<a href="http://csa.iisc.ernet.in/">CSA</a>
-CONVENER <b>Jayant Haritsa</b>
-<hr>
-Last updated 1999.
-</body></html>`
-
-func testDB(t *testing.T) *relmodel.DB {
-	t.Helper()
-	doc, err := htmlx.Parse("http://dsl.serc.iisc.ernet.in/people.html", []byte(labPage))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return relmodel.Build(doc)
-}
-
-func TestEvalGlobalLinks(t *testing.T) {
-	// The paper's Example Query 1 node-query: select a.base, a.href from
-	// anchor a where a.ltype = "G".
-	q := &Query{
-		Vars:   []VarDecl{{Name: "a", Rel: "anchor"}},
-		Where:  Compare(ColOperand("a", "ltype"), Eq, LitOperand("G")),
-		Select: []ColRef{{"a", "base"}, {"a", "href"}},
-	}
-	tbl, err := Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %v", tbl.Rows)
-	}
-	for _, r := range tbl.Rows {
-		if r[0] != "http://dsl.serc.iisc.ernet.in/people.html" {
-			t.Errorf("base = %q", r[0])
-		}
-	}
-	if tbl.Rows[0][1] != "http://www.iisc.ernet.in/" || tbl.Rows[1][1] != "http://csa.iisc.ernet.in/" {
-		t.Errorf("hrefs = %v", tbl.Rows)
-	}
-	if tbl.Cols[0] != "a.base" || tbl.Cols[1] != "a.href" {
-		t.Errorf("cols = %v", tbl.Cols)
-	}
-}
-
-func TestEvalConvenerRelInfon(t *testing.T) {
-	// The paper's Example Query 2 second node-query: document d1, relinfon
-	// r such that r.delimiter = "hr" where r.text contains "convener".
-	q := &Query{
-		Vars: []VarDecl{
-			{Name: "d1", Rel: "document"},
-			{Name: "r", Rel: "relinfon",
-				Cond: Compare(ColOperand("r", "delimiter"), Eq, LitOperand("hr"))},
-		},
-		Where:  Compare(ColOperand("r", "text"), Contains, LitOperand("convener")),
-		Select: []ColRef{{"d1", "url"}, {"r", "text"}},
-	}
-	tbl, err := Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("rows = %v", tbl.Rows)
-	}
-	if tbl.Rows[0][0] != "http://dsl.serc.iisc.ernet.in/people.html" {
-		t.Errorf("url = %q", tbl.Rows[0][0])
-	}
-	if !strings.Contains(tbl.Rows[0][1], "CONVENER Jayant Haritsa") {
-		t.Errorf("text = %q", tbl.Rows[0][1])
-	}
-}
-
-func TestEvalTitleContains(t *testing.T) {
-	q := &Query{
-		Vars:   []VarDecl{{Name: "d", Rel: "document"}},
-		Where:  Compare(ColOperand("d", "title"), Contains, LitOperand("lab")),
-		Select: []ColRef{{"d", "url"}},
-	}
-	tbl, err := Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("contains should be case-insensitive: %v", tbl.Rows)
-	}
-}
-
-func TestEvalEmptyResultIsDeadEnd(t *testing.T) {
-	q := &Query{
-		Vars:   []VarDecl{{Name: "d", Rel: "document"}},
-		Where:  Compare(ColOperand("d", "title"), Contains, LitOperand("no such phrase")),
-		Select: []ColRef{{"d", "url"}},
-	}
-	tbl, err := Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.Empty() {
-		t.Fatalf("rows = %v", tbl.Rows)
-	}
-	var nilTable *Table
-	if !nilTable.Empty() {
-		t.Error("nil table should be empty")
-	}
-}
-
-func TestEvalNumericComparison(t *testing.T) {
-	q := &Query{
-		Vars:   []VarDecl{{Name: "d", Rel: "document"}},
-		Where:  Compare(ColOperand("d", "length"), Gt, LitOperand("100")),
-		Select: []ColRef{{"d", "url"}},
-	}
-	tbl, err := Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Fatal("document is longer than 100 bytes; numeric compare failed")
-	}
-	// "99" < "100" numerically but not lexicographically.
-	q.Where = Compare(LitOperand("99"), Lt, LitOperand("100"))
-	tbl, err = Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Fatal("99 < 100 should hold numerically")
-	}
-}
-
-func TestEvalBooleanOperators(t *testing.T) {
-	or := &Pred{Kind: Or, Kids: []*Pred{
-		Compare(ColOperand("a", "ltype"), Eq, LitOperand("G")),
-		Compare(ColOperand("a", "ltype"), Eq, LitOperand("L")),
-	}}
-	q := &Query{
-		Vars:   []VarDecl{{Name: "a", Rel: "anchor"}},
-		Where:  or,
-		Select: []ColRef{{"a", "href"}},
-	}
-	tbl, err := Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("G|L rows = %v", tbl.Rows)
-	}
-	q.Where = &Pred{Kind: Not, Kids: []*Pred{or}}
-	tbl, err = Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 0 {
-		t.Fatalf("not(G|L) rows = %v", tbl.Rows)
-	}
-}
-
-func TestEvalCrossProductJoin(t *testing.T) {
-	// anchor × relinfon with a join condition on the shared document URL.
-	q := &Query{
-		Vars: []VarDecl{
-			{Name: "a", Rel: "anchor"},
-			{Name: "r", Rel: "relinfon"},
-		},
-		Where: Conj(
-			Compare(ColOperand("a", "ltype"), Eq, LitOperand("G")),
-			Compare(ColOperand("r", "delimiter"), Eq, LitOperand("b")),
-		),
-		Select: []ColRef{{"a", "href"}, {"r", "text"}},
-	}
-	tbl, err := Eval(q, testDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %v", tbl.Rows)
-	}
-	for _, r := range tbl.Rows {
-		if r[1] != "Jayant Haritsa" {
-			t.Errorf("row = %v", r)
-		}
-	}
-}
 
 func TestValidateErrors(t *testing.T) {
 	cases := []*Query{
@@ -234,14 +43,6 @@ func TestQueryString(t *testing.T) {
 	}
 }
 
-func TestDistinctRows(t *testing.T) {
-	rows := [][]string{{"a", "b"}, {"a", "b"}, {"c", "d"}, {"a", "b"}}
-	got := distinct(rows)
-	if len(got) != 2 {
-		t.Fatalf("distinct = %v", got)
-	}
-}
-
 func TestSortRows(t *testing.T) {
 	rows := [][]string{{"b"}, {"a", "z"}, {"a"}, {"a", "a"}}
 	SortRows(rows)
@@ -264,92 +65,5 @@ func TestConj(t *testing.T) {
 	p := Conj(c, Conj(c, c))
 	if p.Kind != And || len(p.Kids) != 3 {
 		t.Errorf("Conj should flatten: %v", p)
-	}
-}
-
-func TestQuickDistinctIdempotent(t *testing.T) {
-	f := func(vals []string) bool {
-		rows := make([][]string, len(vals))
-		for i, v := range vals {
-			rows[i] = []string{v}
-		}
-		once := distinct(rows)
-		copyOnce := make([][]string, len(once))
-		copy(copyOnce, once)
-		twice := distinct(copyOnce)
-		if len(once) != len(twice) {
-			return false
-		}
-		seen := map[string]bool{}
-		for _, r := range once {
-			if seen[r[0]] {
-				return false
-			}
-			seen[r[0]] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickCmpTotalOrder(t *testing.T) {
-	// Property: for any two literals exactly one of <, =, > holds under
-	// evalCmp semantics.
-	f := func(a, b string) bool {
-		env := map[string]binding{}
-		lt, _ := evalCmp(Compare(LitOperand(a), Lt, LitOperand(b)), env, nil)
-		eq, _ := evalCmp(Compare(LitOperand(a), Eq, LitOperand(b)), env, nil)
-		gt, _ := evalCmp(Compare(LitOperand(a), Gt, LitOperand(b)), env, nil)
-		n := 0
-		for _, v := range []bool{lt, eq, gt} {
-			if v {
-				n++
-			}
-		}
-		return n == 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEvalEnvOuterReferences(t *testing.T) {
-	// A correlated predicate: the node's title must contain the value of
-	// the upstream document's title, supplied via the environment.
-	q := &Query{
-		Vars:   []VarDecl{{Name: "d1", Rel: "document"}},
-		Where:  Compare(ColOperand("d1", "title"), Contains, ColOperand("d0", "title")),
-		Select: []ColRef{{Var: "d1", Col: "url"}},
-		Outer:  []ColRef{{Var: "d0", Col: "title"}},
-	}
-	db := testDB(t) // title "Database Systems Lab People"
-	tbl, err := EvalEnv(q, db, map[string]string{"d0.title": "Systems Lab"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Fatalf("rows = %v", tbl.Rows)
-	}
-	tbl, err = EvalEnv(q, db, map[string]string{"d0.title": "Compilers"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.Empty() {
-		t.Fatalf("rows = %v", tbl.Rows)
-	}
-	// A missing environment value is an error, not a silent false.
-	if _, err := EvalEnv(q, db, nil); err == nil {
-		t.Fatal("missing outer value should fail")
-	}
-	// An outer reference not declared in Outer still fails validation.
-	q2 := &Query{
-		Vars:   []VarDecl{{Name: "d1", Rel: "document"}},
-		Where:  Compare(ColOperand("d1", "title"), Contains, ColOperand("d9", "title")),
-		Select: []ColRef{{Var: "d1", Col: "url"}},
-	}
-	if err := q2.Validate(); err == nil {
-		t.Fatal("undeclared outer variable should fail validation")
 	}
 }

@@ -141,11 +141,11 @@ func (s *OutputSpec) Suffix() string {
 }
 
 // CompareVals orders two virtual-relation values exactly as the
-// comparison predicates do (evalCmp): numerically when both sides
-// parse as floats, by byte order otherwise. Every ordering decision of
-// the planner — hash-join keys, order-by, MIN/MAX — goes through this
-// so that the operator pipeline is indistinguishable from the
-// nested-loop evaluator.
+// comparison predicates do: numerically when both sides parse as
+// floats, by byte order otherwise. Every ordering decision of the
+// planner — hash-join keys, order-by, MIN/MAX — goes through this so
+// that the operator pipeline is indistinguishable from the paper's
+// nested-loop evaluator (plan's test oracle).
 func CompareVals(a, b string) int {
 	an, aerr := strconv.ParseFloat(a, 64)
 	bn, berr := strconv.ParseFloat(b, 64)

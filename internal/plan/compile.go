@@ -21,10 +21,10 @@ import (
 //     variables are bound.
 //
 // Variables join left-deep in declaration order, exactly the paper's
-// nested-loop order, so the result row set is identical to
-// nodequery.EvalEnv (modulo row order, which Distinct and the final
-// sort make irrelevant). env supplies the correlated-stage outer
-// values, as in EvalEnv.
+// nested-loop order, so the result row set is identical to the paper's
+// nested-loop evaluator (the test oracle; modulo row order, which
+// Distinct and the final sort make irrelevant). env supplies the
+// correlated-stage outer values, keyed "var.col".
 func Compile(q *nodequery.Query, env map[string]string) (Op, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -119,8 +119,8 @@ type EvalStats struct {
 }
 
 // Eval compiles and runs the operator pipeline for one node, returning
-// the projected distinct result table — the drop-in replacement for
-// nodequery.EvalEnv.
+// the projected distinct result table: the node-query evaluator every
+// site runs.
 func Eval(q *nodequery.Query, db *relmodel.DB, env map[string]string) (*nodequery.Table, EvalStats, error) {
 	root, err := Compile(q, env)
 	if err != nil {

@@ -6,11 +6,11 @@
 // per-edge ship-query-vs-ship-data decision driven by site statistics
 // piggybacked on result frames (wire.SiteStat).
 //
-// The pipeline replaces nodequery's nested-loop matcher as the
+// The pipeline replaces the paper's nested-loop matcher as the
 // site-local evaluator (nodeproc.Step calls Eval). It is observationally
-// identical to nodequery.EvalEnv — every value comparison goes through
-// nodequery.CompareVals/CanonVal so numeric-vs-string coercions agree —
-// which the differential tests pin.
+// identical to that matcher, which this package's tests keep as their
+// oracle — every value comparison goes through
+// nodequery.CompareVals/CanonVal so numeric-vs-string coercions agree.
 package plan
 
 import (

@@ -50,9 +50,9 @@ func runBoth(t *testing.T, q *nodequery.Query, db *relmodel.DB, env map[string]s
 	if err != nil {
 		t.Fatalf("plan.Eval(%s): %v", q, err)
 	}
-	want, err := nodequery.EvalEnv(q, db, env)
+	want, err := evalEnv(q, db, env)
 	if err != nil {
-		t.Fatalf("nodequery.EvalEnv(%s): %v", q, err)
+		t.Fatalf("evalEnv(%s): %v", q, err)
 	}
 	if !reflect.DeepEqual(got.Cols, want.Cols) {
 		t.Fatalf("%s: cols = %v, want %v", q, got.Cols, want.Cols)

@@ -3,6 +3,8 @@ package server
 import (
 	"reflect"
 	"sync/atomic"
+
+	"webdis/internal/nodeproc"
 )
 
 // Metrics counts engine events. Each server owns its own Metrics value
@@ -330,6 +332,26 @@ func (m *Metrics) Absorb(o *Metrics) {
 		}
 		c.Add(ov.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
+}
+
+// book adds the counts of one processed clone message.
+func (m *Metrics) book(n nodeproc.Counts) {
+	m.Evaluations.Add(n.Evaluations)
+	m.PureRoutes.Add(n.Routes)
+	m.DeadEnds.Add(n.DeadEnds)
+	m.DupDropped.Add(n.DupDropped)
+	m.DupRewritten.Add(n.DupRewritten)
+	m.DocErrors.Add(n.LoadFailed)
+	m.RowsScanned.Add(n.Scanned)
+	m.RowsEmitted.Add(n.Emitted)
+	m.RowsClipped.Add(n.Clipped)
+	m.HopsClamped.Add(n.HopsClamped)
+	m.BudgetExpired.Add(n.BudgetSpent)
+	m.TargetsAdded.Add(n.Targets)
+	m.PushdownHits.Add(n.PushdownHits)
+	m.PushdownBytesSaved.Add(n.PushdownBytes)
+	m.ParseCacheHits.Add(n.ParseHits)
+	m.ParseCacheMisses.Add(n.ParseMisses)
 }
 
 // Add returns the field-wise sum of two snapshots.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"webdis/internal/nodeproc"
 	"webdis/internal/plan"
 	"webdis/internal/wire"
 )
@@ -88,53 +89,28 @@ func (s *Server) peerStat(site string) wire.SiteStat {
 	return s.peerStats[site]
 }
 
-// applyFrag reduces one result table in place per the clone's pushed-down
-// plan fragment: partial aggregation for grouped specs, per-node top-K
-// for order/limit-only specs. A fragment applies only when the planner is
-// enabled here, the fragment's version is known, and the table belongs to
-// the fragment's stage — otherwise the raw rows ship and the user-site's
-// final fold still computes the exact answer.
-func (s *Server) applyFrag(c *wire.CloneMsg, stage int, env map[string]string, nt *wire.NodeTable) {
-	if !s.opts.Planner.Enabled || !c.Frag.Applies(stage) {
-		return
-	}
-	before := wire.TableSize(nt)
-	cols, rows, partial, saved := plan.ApplyFrag(nt.Cols, nt.Rows, env, &c.Frag.Spec)
-	if !partial && saved <= 0 {
-		return
-	}
-	nt.Cols, nt.Rows, nt.Partial = cols, rows, partial
-	s.met.PushdownHits.Add(1)
-	// Book the saving as encoded wire bytes — the table's serialized size
-	// before minus after — not raw cell bytes, so the counter composes
-	// with the other wire-level byte metrics.
-	if d := before - wire.TableSize(nt); d > 0 {
-		s.met.PushdownBytesSaved.Add(int64(d))
-	}
-}
-
 // chooseShipData decides one traversal edge: true means the clone stays
 // on this site's queue and the destination documents come over the wire
 // instead (ship-data), because the documents are estimated cheaper to
 // move than the clone. Requires observed statistics for the destination
 // site; without them the edge ships the query, the paper's default.
-func (s *Server) chooseShipData(oc *outClone) bool {
+func (s *Server) chooseShipData(oc *nodeproc.Out) bool {
 	p := s.opts.Planner
-	if !p.Enabled || p.NoShipData || oc.site == s.site {
+	if !p.Enabled || p.NoShipData || oc.Site == s.site {
 		return false
 	}
 	// Cost the clone at its actual encoded frame size; the structural
 	// estimate remains the fallback for messages the codec refuses.
-	cloneBytes := int64(wire.EncodedSize(oc.msg))
+	cloneBytes := int64(wire.EncodedSize(oc.Msg))
 	if cloneBytes == 0 {
 		envBytes := 0
-		for k, v := range oc.msg.Env {
+		for k, v := range oc.Msg.Env {
 			envBytes += len(k) + len(v)
 		}
-		cloneBytes = plan.EstimateCloneBytes(len(oc.msg.Stages), envBytes, len(oc.msg.Dest))
+		cloneBytes = plan.EstimateCloneBytes(len(oc.Msg.Stages), envBytes, len(oc.Msg.Dest))
 	}
-	avg := s.peerStat(oc.site).AvgDocBytes()
-	return plan.ChooseShipData(len(oc.msg.Dest), avg, cloneBytes, p.ShipDataBias)
+	avg := s.peerStat(oc.Site).AvgDocBytes()
+	return plan.ChooseShipData(len(oc.Msg.Dest), avg, cloneBytes, p.ShipDataBias)
 }
 
 // fetchForeign downloads a document hosted on another site for a

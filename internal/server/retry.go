@@ -115,7 +115,7 @@ func (s *Server) sendSite(site string, c *wire.CloneMsg) error {
 		if tried != nil {
 			s.met.Failovers.Add(1)
 			if s.opts.Journal != nil {
-				s.jot(c, trace.Failover, "", c.State(), site+" -> "+ep)
+				s.jot(c, trace.Failover, site+" -> "+ep)
 			}
 		}
 		err := s.send(ep, c)

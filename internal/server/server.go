@@ -32,10 +32,8 @@ import (
 	"time"
 
 	"webdis/internal/cluster"
-	"webdis/internal/disql"
 	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
-	"webdis/internal/pre"
 	"webdis/internal/relmodel"
 	"webdis/internal/sched"
 	"webdis/internal/store"
@@ -177,7 +175,7 @@ type Server struct {
 	tr   netsim.Transport
 	met  *Metrics
 	opts Options
-	log  *nodeproc.LogTable
+	eval nodeproc.Evaluator // Figures 3–4 (package nodeproc) at this server
 	// unsub detaches the pool-eviction health subscription on Stop.
 	unsub func()
 
@@ -256,11 +254,19 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		tr:       tr,
 		met:      met,
 		opts:     opts,
-		log:      nodeproc.NewLogTable(opts.Dedup),
 		rng:      newLockedRand(opts.Seed, seedName(site, opts.Replica)),
 		serials:  newSerialTable(serialSlots),
 		dbCache:  make(map[string]*dbEntry),
 		stoppedQ: make(map[string]time.Time),
+	}
+	s.eval = nodeproc.Evaluator{
+		Site:   s,
+		Origin: s.self,
+		Node: nodeproc.Visitor{Log: nodeproc.NewLogTable(opts.Dedup), StrictDeadEnds: opts.StrictDeadEnds,
+			MaxHops: opts.MaxHops, Journal: opts.Journal},
+		NoBatch:  opts.NoBatch,
+		Pushdown: opts.Planner.Enabled,
+		Spans:    opts.Journal != nil,
 	}
 	if opts.Planner.Enabled {
 		s.peerStats = make(map[string]wire.SiteStat)
@@ -321,7 +327,7 @@ func (s *Server) Site() string { return s.site }
 func (s *Server) Self() string { return s.self }
 
 // LogTable exposes the Node-query Log Table (for tests and experiments).
-func (s *Server) LogTable() *nodeproc.LogTable { return s.log }
+func (s *Server) LogTable() *nodeproc.LogTable { return s.eval.Node.Log }
 
 // Start begins accepting and processing clones. It returns immediately.
 func (s *Server) Start() error {
@@ -403,13 +409,14 @@ func (s *Server) Start() error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			var b nodeproc.Batch // this worker's, reused clone to clone
 			for {
 				clone, ok := s.queue.Pop()
 				if !ok {
 					return
 				}
 				s.met.QueueDepth.Add(-1)
-				s.handle(clone)
+				s.handle(clone, &b)
 				// Yield between clone batches. A backlogged processor is
 				// CPU-bound; without this, on a small GOMAXPROCS every
 				// goroutine the batch made runnable (result collectors,
@@ -434,7 +441,7 @@ func (s *Server) Start() error {
 			for {
 				select {
 				case <-t.C:
-					s.log.Purge(s.opts.LogPurgeAge)
+					s.eval.Node.Log.Purge(s.opts.LogPurgeAge)
 				case <-stop:
 					return
 				}
@@ -520,7 +527,7 @@ func (s *Server) admit(c *wire.CloneMsg) {
 // user-site is unreachable, the reaper owns the stranded entries.
 func (s *Server) shedClone(c *wire.CloneMsg) {
 	s.met.Shed.Add(1)
-	s.jot(c, trace.Shed, "", c.State(), "over high watermark")
+	s.jot(c, trace.Shed, "over high watermark")
 	s.send(c.ID.Site, &wire.ShedMsg{Clone: c, Site: s.site})
 }
 
@@ -678,14 +685,8 @@ func (s *Server) isStopped(id string) bool {
 }
 
 // jot appends one causal trace event for clone c to the site journal.
-func (s *Server) jot(c *wire.CloneMsg, kind trace.Kind, node string, st wire.State, detail string) {
-	if s.opts.Journal == nil {
-		return
-	}
-	s.opts.Journal.Append(trace.Event{
-		Query: c.ID.String(), Span: c.Span, Parent: c.Parent,
-		Kind: kind, Node: node, State: st.String(), Hop: c.Hops, Detail: detail,
-	})
+func (s *Server) jot(c *wire.CloneMsg, kind trace.Kind, detail string) {
+	s.opts.Journal.AppendClone(c, kind, "", c.State(), detail)
 }
 
 // traced reports whether span context should ride on clones spawned from
@@ -695,40 +696,11 @@ func (s *Server) traced(c *wire.CloneMsg) bool {
 	return s.opts.Journal != nil || !c.Span.IsZero()
 }
 
-// outClone accumulates one outgoing clone during the processing of a
-// received message: all destination nodes at one site that share one
-// query state (Section 3.2, item 4).
-type outClone struct {
-	site  string
-	msg   *wire.CloneMsg
-	dests map[string]bool
-}
-
-// budgetState is the mutable remainder of a clone's budget while its
-// message is processed: the clone-spawn and result-row quotas, both in
-// the positive-remaining / 0-unlimited / negative-exhausted sentinel
-// convention of wire.Budget.
-type budgetState struct {
-	clones int
-	rows   int
-}
-
-// spendOne decrements a sentinel quota in place (no-op when unlimited;
-// 1 spends to the -1 exhaustion sentinel, never to the unlimited 0).
-func spendOne(q *int) {
-	switch {
-	case *q == 1:
-		*q = -1
-	case *q > 1:
-		*q--
-	}
-}
-
-// handle processes one received clone message: the process_query
-// algorithm of Figure 3.
-func (s *Server) handle(c *wire.CloneMsg) {
+// handle processes one received clone message on the worker's batch b:
+// the process_query algorithm of Figure 3.
+func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 	if s.opts.Journal != nil {
-		s.jot(c, trace.Arrive, "", c.State(), strconv.Itoa(len(c.Dest))+" dests")
+		s.jot(c, trace.Arrive, strconv.Itoa(len(c.Dest))+" dests")
 	}
 	if c.Budget.ExpiredAt(time.Now().UnixNano()) {
 		// The query's deadline passed in transit: the typed EXPIRED
@@ -748,30 +720,17 @@ func (s *Server) handle(c *wire.CloneMsg) {
 	if s.opts.Planner.Enabled {
 		s.absorbHints(c.Hints)
 	}
-	stages, arrRem, err := s.parseClone(c)
-	if err != nil {
+	if err := b.Begin(&s.eval, c); err != nil {
 		// A malformed clone cannot be processed, but its CHT entries must
 		// still be retired or the user-site would wait forever.
 		s.retireAll(c, retirePlain)
 		return
 	}
-
-	outs := make(map[string]*outClone)
-	var order []string // deterministic forwarding order
-	var updates []wire.CHTUpdate
-	var tables []wire.NodeTable
-	bs := &budgetState{clones: c.Budget.Clones, rows: c.Budget.Rows}
-
-	seen := make(map[string]bool)
+	defer b.Reset()
 	for _, dest := range c.Dest {
-		if seen[dest.URL] {
-			continue
-		}
-		seen[dest.URL] = true
-		upd, tbls := s.processNode(dest, arrRem, stages, c, outs, &order, bs)
-		updates = append(updates, upd)
-		tables = append(tables, tbls...)
+		b.Add(dest)
 	}
+	s.met.book(b.Finish())
 
 	// Second stop check: a StopMsg lands on the receive path, not the
 	// worker queue, so it often arrives while the frontier clone is mid
@@ -784,32 +743,12 @@ func (s *Server) handle(c *wire.CloneMsg) {
 		return
 	}
 
-	// Children inherit the budget with this hop spent: one hop off the
-	// hop quota, the row quota as it now stands, and the remaining
-	// clone-spawn quota divided among them.
-	if !c.Budget.IsZero() {
-		childB := c.Budget.Spend()
-		childB.Rows = bs.rows
-		for i, key := range order {
-			b := childB
-			b.Clones = divideQuota(bs.clones, len(order), i)
-			outs[key].msg.Budget = b
-		}
-	}
-
-	// Children inherit the pushed-down plan fragment unchanged — even a
-	// planner-off relay must not strip it, or downstream planner-on
-	// sites would lose the pushdown. Statistics hints ride only when the
-	// planner runs here, keeping the classic wire profile otherwise.
-	if c.Frag != nil {
-		for _, key := range order {
-			outs[key].msg.Frag = c.Frag
-		}
-	}
-	if s.opts.Planner.Enabled && len(order) > 0 {
+	// Statistics hints ride only when the planner runs here, keeping the
+	// classic wire profile otherwise.
+	if s.opts.Planner.Enabled && len(b.Out) > 0 {
 		hints := s.hintsFor()
-		for _, key := range order {
-			outs[key].msg.Hints = hints
+		for _, oc := range b.Out {
+			oc.Msg.Hints = hints
 		}
 	}
 
@@ -817,8 +756,8 @@ func (s *Server) handle(c *wire.CloneMsg) {
 	// result message so the user-site can stitch the causal tree.
 	var spawned []wire.SpanLink
 	if s.traced(c) {
-		for _, key := range order {
-			spawned = append(spawned, wire.SpanLink{Span: outs[key].msg.Span, Site: outs[key].site})
+		for _, oc := range b.Out {
+			spawned = append(spawned, wire.SpanLink{Span: oc.Msg.Span, Site: oc.Site})
 		}
 	}
 
@@ -826,19 +765,18 @@ func (s *Server) handle(c *wire.CloneMsg) {
 	// a successful dispatch are clones forwarded (Figure 3, lines 17–20).
 	// A failed dispatch is the passive termination signal: the query is
 	// purged locally.
-	if !s.dispatchResults(c, updates, tables, spawned) {
+	if !s.dispatchResults(c, b.Updates, b.Tables, spawned) {
 		s.met.Terminated.Add(1)
-		s.jot(c, trace.Terminate, "", c.State(), "result dispatch failed")
+		s.jot(c, trace.Terminate, "result dispatch failed")
 		return
 	}
 	// The Result jot lives here, not in dispatchResults: retireAll also
 	// dispatches (bookkeeping for clones that failed), and those reports
 	// must not overwrite the span's forward-failed fate.
 	if s.opts.Journal != nil {
-		s.jot(c, trace.Result, "", c.State(),
-			strconv.Itoa(len(updates))+" updates, "+strconv.Itoa(len(tables))+" tables")
+		s.jot(c, trace.Result, strconv.Itoa(len(b.Updates))+" updates, "+strconv.Itoa(len(b.Tables))+" tables")
 	}
-	s.forwardAll(outs, order)
+	s.forwardAll(b.Out)
 }
 
 // expire terminates a clone that exceeded its wire-carried budget: its
@@ -847,7 +785,7 @@ func (s *Server) handle(c *wire.CloneMsg) {
 // of the paper's passive termination, but accounted, not silent.
 func (s *Server) expire(c *wire.CloneMsg, reason string) {
 	s.met.BudgetExpired.Add(1)
-	s.jot(c, trace.Expire, "", c.State(), reason)
+	s.jot(c, trace.Expire, reason)
 	s.retireAll(c, retireExpired)
 }
 
@@ -855,277 +793,15 @@ func (s *Server) expire(c *wire.CloneMsg, reason string) {
 // STOPPED retirement, the active-cancel analog of expire.
 func (s *Server) stopClone(c *wire.CloneMsg) {
 	s.met.Stopped.Add(1)
-	s.jot(c, trace.Stop, "", c.State(), "active stop")
+	s.jot(c, trace.Stop, "active stop")
 	s.retireAll(c, retireStopped)
 }
 
-// divideQuota splits a remaining clone-spawn quota among n children,
-// giving child i its share: as even as possible, remainder to the first
-// children, and a zero share landing on the -1 exhaustion sentinel
-// (never on the unlimited 0).
-func divideQuota(q, n, i int) int {
-	if q == 0 || n == 0 {
-		return q
-	}
-	if q < 0 {
-		return -1
-	}
-	share := q / n
-	if i < q%n {
-		share++
-	}
-	if share == 0 {
-		share = -1
-	}
-	return share
-}
+// NextSerial numbers the next CHT entry this server creates for query id.
+func (s *Server) NextSerial(id wire.QueryID) int64 { return s.serials.next(id) }
 
-// errNoStages rejects clones that carry no node-queries at all.
-var errNoStages = errors.New("server: clone carries no stages")
-
-// parseClone recovers the clone's parsed stages and arrival PRE. Both
-// go through the shared parse cache, so a steady-state arrival —
-// including one about to be dropped as a duplicate — parses nothing
-// before its log-table check.
-func (s *Server) parseClone(c *wire.CloneMsg) ([]disql.Stage, pre.Expr, error) {
-	stages, hits, err := nodeproc.ParseStagesCached(c.Stages)
-	s.met.ParseCacheHits.Add(int64(hits))
-	s.met.ParseCacheMisses.Add(int64(len(c.Stages) - hits))
-	if err != nil {
-		return nil, nil, err
-	}
-	arrRem, hit, err := pre.ParseCached(c.Rem)
-	if hit {
-		s.met.ParseCacheHits.Add(1)
-	} else {
-		s.met.ParseCacheMisses.Add(1)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(stages) == 0 {
-		return nil, nil, errNoStages
-	}
-	return stages, arrRem, nil
-}
-
-// processNode runs the process() algorithm of Figure 4 for one
-// destination node, accumulating outgoing clones in outs. It returns the
-// node's CHT update and any result tables.
-func (s *Server) processNode(dest wire.DestNode, arrRem pre.Expr, stages []disql.Stage, c *wire.CloneMsg, outs map[string]*outClone, order *[]string, bs *budgetState) (wire.CHTUpdate, []wire.NodeTable) {
-	node := dest.URL
-	arrival := wire.CHTEntry{
-		Node:   node,
-		State:  wire.State{NumQ: len(stages), Rem: arrRem.String()},
-		Origin: dest.Origin,
-		Seq:    dest.Seq,
-	}
-	update := wire.CHTUpdate{Processed: arrival}
-	// Journal details are built only when a journal will receive them.
-	tracing := s.opts.Journal != nil
-
-	rem := arrRem
-	envKey := wire.EnvKey(c.Env)
-	verdict := s.log.Check(node, c.ID, len(stages), rem, envKey)
-	switch verdict.Action {
-	case nodeproc.Drop:
-		s.met.DupDropped.Add(1)
-		s.jot(c, trace.Drop, node, arrival.State, "duplicate arrival")
-		return update, nil
-	case nodeproc.Rewrite:
-		s.met.DupRewritten.Add(1)
-		if tracing {
-			s.jot(c, trace.Rewrite, node, arrival.State, rem.String()+" -> "+verdict.Rem.String())
-		}
-		rem = verdict.Rem
-	}
-
-	db, err := s.database(node)
-	if err != nil {
-		s.met.DocErrors.Add(1)
-		if tracing {
-			s.jot(c, trace.Missing, node, arrival.State, err.Error())
-		}
-		return update, nil
-	}
-
-	var tables []wire.NodeTable
-
-	// Work through the arrival state and any stage advances at this same
-	// node (a nullable next PRE means the next node-query also fires
-	// here). Virtual arrivals go through the log table like real ones.
-	type item struct {
-		rem    pre.Expr
-		stages []disql.Stage
-		base   int
-		env    map[string]string
-	}
-	work := []item{{rem, stages, c.Base, c.Env}}
-	first := true
-	for len(work) > 0 {
-		it := work[0]
-		work = work[1:]
-		var st wire.State
-		if tracing {
-			st = wire.State{NumQ: len(it.stages), Rem: it.rem.String()}
-		}
-		isVirtual := !first
-		first = false
-		if isVirtual {
-			v := s.log.Check(node, c.ID, len(it.stages), it.rem, wire.EnvKey(it.env))
-			switch v.Action {
-			case nodeproc.Drop:
-				s.met.DupDropped.Add(1)
-				s.jot(c, trace.Drop, node, st, "virtual duplicate")
-				continue
-			case nodeproc.Rewrite:
-				s.met.DupRewritten.Add(1)
-				it.rem = v.Rem
-			}
-		}
-
-		res, err := nodeproc.Step(db, node, it.rem, it.stages[0], len(it.stages) > 1, it.env)
-		if err != nil {
-			continue
-		}
-		s.met.RowsScanned.Add(res.Scanned)
-		s.met.RowsEmitted.Add(res.Emitted)
-		if res.Evaluated {
-			s.met.Evaluations.Add(1)
-			if res.DeadEnd {
-				s.met.DeadEnds.Add(1)
-				s.jot(c, trace.DeadEnd, node, st, "no answer")
-				if s.opts.StrictDeadEnds {
-					continue
-				}
-			} else if tracing {
-				s.jot(c, trace.Evaluate, node, st, "answered q"+strconv.Itoa(it.base+1))
-			}
-			if len(it.stages[0].Query.Select) > 0 && !res.Table.Empty() {
-				rows := res.Table.Rows
-				if bs.rows != 0 {
-					// Row quota: keep what remains, clip the rest.
-					keep, left := wire.TakeRows(bs.rows, len(rows))
-					s.met.RowsClipped.Add(int64(len(rows) - keep))
-					rows, bs.rows = rows[:keep], left
-				}
-				if len(rows) > 0 {
-					nt := wire.NodeTable{
-						Node: node, Stage: it.base,
-						Cols: res.Table.Cols, Rows: rows,
-						// Env identifies the contribution for the
-						// user-site's aggregate fold; stamped always so
-						// grouped queries work with the planner off too.
-						Env: wire.EnvKey(it.env),
-					}
-					s.applyFrag(c, it.base, it.env, &nt)
-					tables = append(tables, nt)
-				}
-			}
-		} else {
-			s.met.PureRoutes.Add(1)
-			detail := ""
-			if isVirtual {
-				detail = "virtual" // a stage advance at this node, not a clone arrival
-			}
-			s.jot(c, trace.Route, node, st, detail)
-		}
-
-		if clamped, byBudget := s.hopClamped(c); clamped {
-			if len(res.Continue) > 0 || res.Advance {
-				if byBudget {
-					s.met.BudgetExpired.Add(1)
-				} else {
-					s.met.HopsClamped.Add(1)
-				}
-			}
-			if res.Advance {
-				// Stage advance happens at the same node (no hop), so it
-				// is still allowed.
-				work = append(work, item{it.stages[1].PRE, it.stages[1:], it.base + 1,
-					nodeproc.ExtendEnv(it.env, it.stages[0], db)})
-			}
-			continue
-		}
-		for _, f := range res.Continue {
-			update.Children = append(update.Children,
-				s.addTargets(outs, order, f, it.stages, it.base, it.env, c, bs)...)
-		}
-		if res.Advance {
-			work = append(work, item{it.stages[1].PRE, it.stages[1:], it.base + 1,
-				nodeproc.ExtendEnv(it.env, it.stages[0], db)})
-		}
-	}
-	return update, tables
-}
-
-// hopClamped reports whether clone c may not forward further: its
-// wire-carried hop quota is spent, or the site's MaxHops safety bound
-// is reached. byBudget distinguishes the two for metric attribution.
-func (s *Server) hopClamped(c *wire.CloneMsg) (clamped, byBudget bool) {
-	if c.Budget.Hops < 0 {
-		return true, true
-	}
-	if s.opts.MaxHops > 0 && c.Hops >= s.opts.MaxHops {
-		return true, false
-	}
-	return false, false
-}
-
-// addTargets merges one Forward into the per-(site, state) outgoing
-// clones and returns the CHT child entries for the targets newly added.
-// The budget's clone-spawn quota is charged per clone message created;
-// once spent, further messages are suppressed before their entries are
-// announced, so there is nothing to retire.
-func (s *Server) addTargets(outs map[string]*outClone, order *[]string, f nodeproc.Forward, stages []disql.Stage, base int, env map[string]string, c *wire.CloneMsg, bs *budgetState) []wire.CHTEntry {
-	state := wire.State{NumQ: len(stages), Rem: f.Rem.String()}
-	envKey := wire.EnvKey(env)
-	var children []wire.CHTEntry
-	for i, tgt := range f.Targets {
-		site := webgraph.Host(tgt.URL)
-		key := site + "§" + state.Key() + "§" + envKey
-		if s.opts.NoBatch {
-			key = tgt.URL + "§" + state.Key() + "§" + envKey + "§" + strconv.Itoa(i)
-		}
-		oc := outs[key]
-		if oc == nil {
-			if bs.clones < 0 {
-				s.met.BudgetExpired.Add(1)
-				continue
-			}
-			spendOne(&bs.clones)
-			oc = &outClone{
-				site: site,
-				msg: &wire.CloneMsg{
-					ID:     c.ID,
-					Rem:    f.Rem.String(),
-					Base:   base,
-					Stages: nodeproc.EncodeStages(stages),
-					Hops:   c.Hops + 1,
-					Env:    env,
-				},
-				dests: make(map[string]bool),
-			}
-			if s.traced(c) {
-				oc.msg.Span = wire.SpanID{Origin: s.self, Seq: s.seq.Add(1)}
-				oc.msg.Parent = c.Span
-			}
-			outs[key] = oc
-			*order = append(*order, key)
-		}
-		if oc.dests[tgt.URL] {
-			continue // already forwarded in this batch with this state
-		}
-		oc.dests[tgt.URL] = true
-		dest := wire.DestNode{URL: tgt.URL, Origin: s.self, Seq: s.serials.next(c.ID)}
-		oc.msg.Dest = append(oc.msg.Dest, dest)
-		children = append(children, wire.CHTEntry{
-			Node: tgt.URL, State: state, Origin: dest.Origin, Seq: dest.Seq,
-		})
-	}
-	s.met.TargetsAdded.Add(int64(len(children)))
-	return children
-}
+// NextSpan numbers the next trace span this server opens.
+func (s *Server) NextSpan() int64 { return s.seq.Add(1) }
 
 // dbEntry is one node's database build. The worker that creates the
 // entry runs the Database Constructor; everyone else waits on done, so
@@ -1136,13 +812,13 @@ type dbEntry struct {
 	err  error
 }
 
-// database returns the node's virtual relations: the paper's Database
+// LoadDB returns the node's virtual relations: the paper's Database
 // Constructor, building per evaluation and purging immediately, or — with
 // Options.CacheDBs, the paper's footnote-3 variant — retaining the
 // constructed database for repeat visits. Concurrent requests for one
 // node coalesce into a single build (even without CacheDBs, where the
 // entry lives only as long as the build).
-func (s *Server) database(node string) (*relmodel.DB, error) {
+func (s *Server) LoadDB(node string) (*relmodel.DB, error) {
 	s.dbMu.RLock()
 	e := s.dbCache[node]
 	s.dbMu.RUnlock()
@@ -1282,15 +958,14 @@ const fanoutWorkers = 8
 // by the concurrency: every entry was announced by dispatchResults before
 // any forward, and each remote clone still produces exactly one fate
 // (forwarded, bounced, or retired) regardless of completion order.
-func (s *Server) forwardAll(outs map[string]*outClone, order []string) {
-	var remote []*outClone
-	for _, key := range order {
-		oc := outs[key]
-		sort.Slice(oc.msg.Dest, func(i, j int) bool { return oc.msg.Dest[i].URL < oc.msg.Dest[j].URL })
-		if oc.site == s.site {
-			s.jot(oc.msg, trace.Forward, "", oc.msg.State(), oc.site)
+func (s *Server) forwardAll(outs []*nodeproc.Out) {
+	var remote []*nodeproc.Out
+	for _, oc := range outs {
+		sort.Slice(oc.Msg.Dest, func(i, j int) bool { return oc.Msg.Dest[i].URL < oc.Msg.Dest[j].URL })
+		if oc.Site == s.site {
+			s.jot(oc.Msg, trace.Forward, oc.Site)
 			s.met.LocalClones.Add(1)
-			s.Enqueue(oc.msg)
+			s.Enqueue(oc.Msg)
 			continue
 		}
 		if s.chooseShipData(oc) {
@@ -1298,13 +973,13 @@ func (s *Server) forwardAll(outs map[string]*outClone, order []string) {
 			// clone: keep the clone on this site's queue and let buildDB
 			// pull the documents over instead (ship-data for this edge).
 			if s.opts.Journal != nil {
-				s.jot(oc.msg, trace.Forward, "", oc.msg.State(), "ship-data "+oc.site)
+				s.jot(oc.Msg, trace.Forward, "ship-data "+oc.Site)
 			}
 			s.met.ShipDataEdges.Add(1)
-			s.Enqueue(oc.msg)
+			s.Enqueue(oc.Msg)
 			continue
 		}
-		s.jot(oc.msg, trace.Forward, "", oc.msg.State(), oc.site)
+		s.jot(oc.Msg, trace.Forward, oc.Site)
 		remote = append(remote, oc)
 	}
 	if len(remote) == 0 {
@@ -1315,7 +990,7 @@ func (s *Server) forwardAll(outs map[string]*outClone, order []string) {
 		s.forwardRemote(remote[0])
 	} else {
 		workers := min(fanoutWorkers, len(remote))
-		ch := make(chan *outClone)
+		ch := make(chan *nodeproc.Out)
 		var wg sync.WaitGroup
 		for i := 0; i < workers; i++ {
 			wg.Add(1)
@@ -1348,16 +1023,16 @@ func (s *Server) stampReplica(msg *wire.ResultMsg) {
 // forwardRemote ships one outgoing clone over the transport. A failed
 // forward retires the affected CHT entries so the user-site does not wait
 // on clones that never arrived.
-func (s *Server) forwardRemote(oc *outClone) {
-	err := s.sendSite(oc.site, oc.msg)
+func (s *Server) forwardRemote(oc *nodeproc.Out) {
+	err := s.sendSite(oc.Site, oc.Msg)
 	if err != nil {
-		if s.opts.Hybrid && s.bounce(oc.msg, bounceReason(err, s.opts.Retry)) {
-			s.jot(oc.msg, trace.Bounce, "", oc.msg.State(), bounceReason(err, s.opts.Retry))
+		if s.opts.Hybrid && s.bounce(oc.Msg, bounceReason(err, s.opts.Retry)) {
+			s.jot(oc.Msg, trace.Bounce, bounceReason(err, s.opts.Retry))
 			return
 		}
 		s.met.ForwardFailed.Add(1)
-		s.jot(oc.msg, trace.ForwardFailed, "", oc.msg.State(), oc.site)
-		s.retireAll(oc.msg, retirePlain)
+		s.jot(oc.Msg, trace.ForwardFailed, oc.Site)
+		s.retireAll(oc.Msg, retirePlain)
 		return
 	}
 	s.met.ClonesForwarded.Add(1)
@@ -1377,14 +1052,20 @@ func bounceReason(err error, pol RetryPolicy) string {
 // bounce returns an undeliverable clone to the user-site for central
 // fallback processing (retried per Options.Retry like any remote send).
 // The clone's CHT entries stay live; the user-site retires them as it
-// processes the bounced destinations.
+// processes the bounced destinations. Like a result frame (sendResult),
+// the bounce is booked before it goes out and taken back if the send
+// fails, so the counts never trail what the user-site has seen.
 func (s *Server) bounce(c *wire.CloneMsg, reason string) bool {
-	if s.send(c.ID.Site, &wire.BounceMsg{Clone: c, Reason: reason}) != nil {
-		return false
+	var recovered int64
+	if reason == wire.BounceRetryExhausted {
+		recovered = 1
 	}
 	s.met.Bounced.Add(1)
-	if reason == wire.BounceRetryExhausted {
-		s.met.RecoveredByBounce.Add(1)
+	s.met.RecoveredByBounce.Add(recovered)
+	if s.send(c.ID.Site, &wire.BounceMsg{Clone: c, Reason: reason}) != nil {
+		s.met.Bounced.Add(-1)
+		s.met.RecoveredByBounce.Add(-recovered)
+		return false
 	}
 	return true
 }
@@ -1408,13 +1089,7 @@ func (s *Server) retireAll(c *wire.CloneMsg, kind retireKind) {
 	if len(c.Dest) == 0 {
 		return
 	}
-	st := c.State()
-	updates := make([]wire.CHTUpdate, 0, len(c.Dest))
-	for _, dest := range c.Dest {
-		updates = append(updates, wire.CHTUpdate{Processed: wire.CHTEntry{
-			Node: dest.URL, State: st, Origin: dest.Origin, Seq: dest.Seq,
-		}})
-	}
+	updates := c.Retirements()
 	if s.batcher != nil {
 		r := wire.Report{Updates: updates, Expired: kind == retireExpired, Stopped: kind == retireStopped}
 		if s.traced(c) {

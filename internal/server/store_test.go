@@ -37,7 +37,7 @@ func TestDBCacheLRUEviction(t *testing.T) {
 	})
 
 	for _, u := range urls {
-		if _, err := s.database(u); err != nil {
+		if _, err := s.LoadDB(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestDBCacheLRUEviction(t *testing.T) {
 	// urls[0] is the coldest entry: long evicted, so using it again must
 	// run the Database Constructor once more.
 	parsed := met.DocsParsed.Load()
-	if _, err := s.database(urls[0]); err != nil {
+	if _, err := s.LoadDB(urls[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := met.DocsParsed.Load(); got != parsed+1 {
@@ -62,7 +62,7 @@ func TestDBCacheLRUEviction(t *testing.T) {
 	}
 	// The most recent entry is still retained: a repeat use is a hit.
 	hits := met.DBCacheHits.Load()
-	if _, err := s.database(urls[0]); err != nil {
+	if _, err := s.LoadDB(urls[0]); err != nil {
 		t.Fatal(err)
 	}
 	if met.DBCacheHits.Load() != hits+1 {
@@ -79,7 +79,7 @@ func TestDBCacheUnboundedWithoutEntries(t *testing.T) {
 	met := &Metrics{}
 	s := New(site, webserver.NewHost(site, web), netsim.New(netsim.Options{}), met, Options{CacheDBs: true})
 	for _, u := range urls {
-		if _, err := s.database(u); err != nil {
+		if _, err := s.LoadDB(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestStoreBackedDatabases(t *testing.T) {
 	}
 	for _, u := range urls {
 		before := met.PagesRead.Load()
-		got, err := s.database(u)
+		got, err := s.LoadDB(u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestStoreBackedDatabases(t *testing.T) {
 	if met2.DocsParsed.Load() != 0 {
 		t.Fatalf("restart parsed %d documents, want 0", met2.DocsParsed.Load())
 	}
-	if _, err := s2.database(urls[0]); err != nil {
+	if _, err := s2.LoadDB(urls[0]); err != nil {
 		t.Fatal(err)
 	}
 	if met2.DocsParsed.Load() != 0 {

@@ -192,6 +192,19 @@ func (j *Journal) Append(e Event) {
 	s.done.Store(true)
 }
 
+// AppendClone records one event of clone message c (at node, "" for a
+// message-level event), stamped with the clone's span context. A nil
+// journal returns before building the event's strings.
+func (j *Journal) AppendClone(c *wire.CloneMsg, kind Kind, node string, st wire.State, detail string) {
+	if j == nil {
+		return
+	}
+	j.Append(Event{
+		Query: c.ID.String(), Span: c.Span, Parent: c.Parent,
+		Kind: kind, Node: node, State: st.String(), Hop: c.Hops, Detail: detail,
+	})
+}
+
 // Len returns the number of events recorded (excluding dropped ones).
 func (j *Journal) Len() int {
 	if j == nil {

@@ -339,6 +339,18 @@ func (c *CloneMsg) State() State {
 	return State{NumQ: len(c.Stages), Rem: c.Rem}
 }
 
+// Retirements returns one CHT update per destination of c, retiring the
+// destination's entry without children: the report for a clone that will
+// not be processed.
+func (c *CloneMsg) Retirements() []CHTUpdate {
+	st := c.State()
+	updates := make([]CHTUpdate, len(c.Dest))
+	for i, d := range c.Dest {
+		updates[i].Processed = CHTEntry{Node: d.URL, State: st, Origin: d.Origin, Seq: d.Seq}
+	}
+	return updates
+}
+
 // CHTEntry names one clone instance currently hosted at a node, with the
 // clone's state — one row of the user-site's Current Hosts Table. Origin
 // and Seq uniquely identify the instance (see DestNode).
