@@ -145,7 +145,8 @@ func BenchmarkWireCloneRoundTrip(b *testing.B) {
 		Rem:    "G·L*1",
 		Stages: nodeproc.EncodeStages(wq.Stages),
 	}
-	c1, c2 := net.Pipe()
+	p1, p2 := net.Pipe()
+	c1, c2 := wire.NewFramed(p1), wire.NewFramed(p2)
 	defer c1.Close()
 	defer c2.Close()
 	go func() {

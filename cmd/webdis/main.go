@@ -43,7 +43,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print the distributed plan (operator trees, pushdown, edge policy) and exit without running the query")
 	naive := flag.Bool("naive", false, "turn the cost-based planner off: no pushed-down fragments on root clones, raw rows fold classically (with -explain, show the naive plan)")
 	watch := flag.Bool("watch", false, "register the query as a standing continuous query: print the baseline result set, then stream typed add/remove row deltas as the daemons report web mutations (run webdisd with -mutate), until interrupted")
-	wirev := flag.String("wire", "v2", "wire format: v2 negotiates the binary codec, v1 pins every session to framed gob")
 	flag.Parse()
 
 	if (*peersPath == "" && !*explain) || (*query == "" && *file == "") {
@@ -77,9 +76,6 @@ func main() {
 	if u, err := user.Current(); err == nil && u.Username != "" {
 		username = u.Username
 	}
-	if *wirev != "v1" && *wirev != "v2" {
-		fatal(fmt.Errorf("unknown wire format %q (want v1 or v2)", *wirev))
-	}
 	var journal *trace.Journal
 	if *traceMode != "" {
 		switch *traceMode {
@@ -93,7 +89,7 @@ func main() {
 		journal = trace.NewJournal("tcp://"+*listen, 0)
 	}
 	c := client.NewWith(tr, username, "tcp://"+*listen, client.Options{
-		Hybrid: *hybrid, Journal: journal, Planner: !*naive, WireV1: *wirev == "v1",
+		Hybrid: *hybrid, Journal: journal, Planner: !*naive,
 	})
 	defer c.Close()
 

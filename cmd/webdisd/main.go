@@ -46,7 +46,6 @@ func main() {
 	site := flag.String("site", "", "site this daemon serves (required; must appear in the peers file)")
 	dedup := flag.String("dedup", "subsume", "log table mode: off, exact, subsume, strong")
 	planner := flag.Bool("planner", true, "apply pushed-down plan fragments and decide ship-query vs ship-data per edge (false = naive shipping)")
-	wirev := flag.String("wire", "v2", "wire format: v2 negotiates the binary codec (v1 peers still interoperate), v1 pins every session to framed gob")
 	storeDir := flag.String("store", "", "serve local databases from the persistent site store under this directory (opened if present, built once otherwise; e.g. a webgen -out directory)")
 	poolPages := flag.Int("poolpages", 0, "buffer-pool page cap for -store (0 = default)")
 	dbcache := flag.Int("dbcache", 0, "retain constructed node databases in an LRU of this many entries (0 = build per evaluation, the paper's default)")
@@ -118,14 +117,6 @@ func main() {
 				break
 			}
 		}
-	}
-	switch *wirev {
-	case "v2":
-		// The default: sessions negotiate v2 and fall back per peer.
-	case "v1":
-		opts.WireV1 = true
-	default:
-		fatal(fmt.Errorf("unknown wire format %q (want v1 or v2)", *wirev))
 	}
 	switch *dedup {
 	case "off":

@@ -128,11 +128,6 @@ type Options struct {
 	// Aggregation itself (GROUP BY / ORDER BY / LIMIT semantics) does
 	// not depend on this flag — only where the work runs does.
 	Planner bool
-	// WireV1 pins every connection this client opens or accepts to wire
-	// version 1 (persistent framed gob) instead of negotiating the v2
-	// binary codec — the compatibility profile for mixed-version
-	// deployments.
-	WireV1 bool
 	// AdaptiveBatch arms the collector-side batching feedback loop: when
 	// a query's stream consumer falls far behind the producers
 	// (ConsumerLag), the client asks every producing site for larger,
@@ -196,16 +191,6 @@ func NewWith(tr netsim.Transport, user, base string, opts Options) *Client {
 	return c
 }
 
-// frameOpts derives the wire-session options for this client's
-// connections (its pool and its accepted collector sessions): version
-// pinning under Options.WireV1.
-func (c *Client) frameOpts() wire.FramedOptions {
-	if c.opts.WireV1 {
-		return wire.FramedOptions{Offer: 1, Accept: 1}
-	}
-	return wire.FramedOptions{}
-}
-
 // open binds the collector endpoint on first use: one listener, one
 // accept loop and one connection pool for the client's lifetime. Remote
 // sites dial the endpoint — the paper's "IP address and port number sent
@@ -225,7 +210,7 @@ func (c *Client) open() error {
 	}
 	c.endpoint, c.ln = endpoint, ln
 	c.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramedOpts(conn, c.frameOpts()) },
+		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramed(conn) },
 	})
 	c.conns = make(map[net.Conn]bool)
 	c.queries = make(map[int]*Query)
@@ -308,7 +293,7 @@ func (c *Client) serve(conn net.Conn) {
 		delete(c.conns, conn)
 		c.mu.Unlock()
 	}()
-	framed := wire.NewFramedOpts(conn, c.frameOpts())
+	framed := wire.NewFramed(conn)
 	site := "" // the reporting site, once a report has named it
 	for first := true; ; first = false {
 		msg, err := wire.ReceiveUnacked(framed)

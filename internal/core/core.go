@@ -308,11 +308,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		Cluster:   d.cluster,
 		// The user-site half of the planner follows the servers': frags
 		// on root clones, statistics learned and re-hinted.
-		Planner: ex.Server.Planner.Enabled,
-		// The wire profile follows the servers': a deployment pinned to
-		// v1 pins its user-site too (per-site mixes go through
-		// SiteServerOptions and negotiate per connection).
-		WireV1:        ex.Server.WireV1,
+		Planner:       ex.Server.Planner.Enabled,
 		AdaptiveBatch: ex.AdaptiveBatch,
 		Done:          d.done,
 		// Resolve index("term") StartNode sources against the deployment's

@@ -53,7 +53,7 @@ func All() []Experiment {
 		{"stream", "streaming / T15", "streaming delivery: first-row latency, result-frame batching, active early termination via FirstN (writes BENCH_PR5.json)", func(w io.Writer) error { _, err := Stream(w); return err }},
 		{"replicas", "robustness / T16", "replicated sites: hot-site throughput scaling 1/2/4, availability under mid-run replica kills (writes BENCH_PR6.json)", func(w io.Writer) error { _, err := Replicas(w); return err }},
 		{"planner", "distribution / T17", "cost-based distributed planner: aggregate pushdown and ship-query-vs-ship-data edge decisions vs naive shipping, bytes and latency (writes BENCH_PR7.json)", func(w io.Writer) error { _, err := Planner(w); return err }},
-		{"wire", "wire format / T18", "wire format v2: binary codec vs framed gob message throughput, with batching and adaptive-tuning variants (writes BENCH_PR8.json)", func(w io.Writer) error { _, err := Wire(w); return err }},
+		{"wire", "wire format / T18", "wire format v2: binary codec message throughput, with batching and adaptive-tuning variants (writes BENCH_PR8.json)", func(w io.Writer) error { _, err := Wire(w); return err }},
 		{"store", "storage / T19", "persistent site store: slotted-page heap files + bounded buffer pool vs in-RAM databases — heap ceiling, p95, indexed contains (writes BENCH_PR9.json)", func(w io.Writer) error { _, err := Store(w); return err }},
 		{"watch", "continuous queries / T20", "standing queries over a mutating web: incremental delta maintenance vs naive re-execution — bytes, epoch latency, full re-run oracle at every step (writes BENCH_PR10.json)", func(w io.Writer) error { _, err := Watch(w); return err }},
 	}

@@ -192,16 +192,11 @@ func replicasRun(w io.Writer, perWorker int, outPath string) (*ReplicasOut, erro
 
 // repScaleCell measures closed-loop throughput at one replica count.
 func repScaleCell(replicas, perWorker int) (*ReplicaCell, error) {
-	// WireV1 pins the calibrated regime: repBW makes ~30 KiB *gob*
-	// answers uplink-bound, which is what makes replicas scale. The v2
-	// codec compresses these highly-redundant result frames below the
-	// bandwidth knee and the cell would measure codec, not replication
-	// (T18 measures the codec).
 	d, err := core.NewDeployment(core.Config{
 		Web: repWeb(),
 		Net: netsim.Options{BytesPerSecond: repBW},
 		Exec: core.ExecConfig{
-			Server:       server.Options{CacheDBs: true, WireV1: true},
+			Server:       server.Options{CacheDBs: true},
 			NoDocService: true,
 			Replicas:     replicas,
 		},
@@ -295,7 +290,6 @@ func repKillCell(kills, perWorker int) (*ReplicaKillCell, error) {
 		Exec: core.ExecConfig{
 			Server: server.Options{
 				CacheDBs: true,
-				WireV1:   true, // same calibrated uplink-bound regime as repScaleCell
 				Retry:    server.RetryPolicy{Attempts: 3, Base: time.Millisecond, Max: 10 * time.Millisecond, Timeout: 200 * time.Millisecond},
 			},
 			NoDocService: true,

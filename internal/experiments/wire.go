@@ -46,39 +46,27 @@ type WireRow struct {
 // WireOut is the T18 result.
 type WireOut struct {
 	Rows []WireRow `json:"rows"`
-	// SpeedupTCPTree is msgs_per_sec(v2)/msgs_per_sec(gob) on the
-	// tcp/tree40 workload — the headline number (acceptance: >= 2x).
-	SpeedupTCPTree float64 `json:"speedup_tcp_tree40"`
 }
 
-// wireConfigs lists the measured wire configurations. "gob" is the PR-3
-// engine exactly (persistent framed gob, Offer/Accept pinned to 1); "v2"
-// differs only in the negotiated codec. The -batch pair layers PR 5's
-// server-side result batching on both, and v2-adaptive adds the client's
-// TUNE feedback loop on top.
+// wireConfigs lists the measured wire configurations: the binary codec
+// alone ("v2"), with PR 5's server-side result batching ("v2-batch"),
+// and with the client's TUNE feedback loop on top ("v2-adaptive").
 func wireConfigs() []struct {
 	Name     string
 	Opts     server.Options
 	Adaptive bool
 } {
 	base := server.Options{CacheDBs: true, Workers: 4}
-	gob := base
-	gob.WireV1 = true
-	batch := server.BatchOptions{MaxRows: 128, MaxAge: 2 * time.Millisecond}
-	gobBatch := gob
-	gobBatch.ResultBatch = batch
-	v2Batch := base
-	v2Batch.ResultBatch = batch
+	batch := base
+	batch.ResultBatch = server.BatchOptions{MaxRows: 128, MaxAge: 2 * time.Millisecond}
 	return []struct {
 		Name     string
 		Opts     server.Options
 		Adaptive bool
 	}{
-		{"gob", gob, false},
 		{"v2", base, false},
-		{"gob-batch", gobBatch, false},
-		{"v2-batch", v2Batch, false},
-		{"v2-adaptive", v2Batch, true},
+		{"v2-batch", batch, false},
+		{"v2-adaptive", batch, true},
 	}
 }
 
@@ -107,11 +95,11 @@ func wireWorkloads() []perfWorkload {
 	}
 }
 
-// Wire runs T18: wire format v2 against the framed-gob baseline, queries
-// per second and messages per second on the campus and wire-heavy tree
-// topologies over pipe and TCP, with batching and adaptive-batching
-// variants; writes the grid to BENCH_PR8.json. Identical answers across
-// every configuration of a column are enforced, not just reported.
+// Wire runs T18: the binary codec's message throughput on the campus and
+// wire-heavy tree topologies over pipe and TCP, alone and with batching
+// and adaptive batching; writes the grid to BENCH_PR8.json. Identical
+// answers across every configuration of a column are enforced, not just
+// reported.
 func Wire(w io.Writer) (*WireOut, error) {
 	return wireRun(w, 8, "BENCH_PR8.json")
 }
@@ -141,22 +129,7 @@ func wireRun(w io.Writer, runs int, outPath string) (*WireOut, error) {
 		}
 	}
 
-	var gobRate, v2Rate float64
-	for _, r := range out.Rows {
-		if r.Transport == "tcp" && r.Topology == "tree40" {
-			switch r.Config {
-			case "gob":
-				gobRate = r.MsgsPerSec
-			case "v2":
-				v2Rate = r.MsgsPerSec
-			}
-		}
-	}
-	if gobRate > 0 {
-		out.SpeedupTCPTree = v2Rate / gobRate
-	}
-
-	fmt.Fprintln(w, "T18: wire format v2 — binary codec vs framed gob, message throughput")
+	fmt.Fprintln(w, "T18: wire format v2 — binary codec message throughput, with batching")
 	fmt.Fprintln(w, "(per cell: one shared deployment, 2 warmup queries, then", runs, "measured;")
 	fmt.Fprintln(w, " identical answers across every configuration of a column are enforced)")
 	fmt.Fprintln(w)
@@ -173,7 +146,6 @@ func wireRun(w io.Writer, runs int, outPath string) (*WireOut, error) {
 		})
 	}
 	table(w, []string{"transport", "topology", "config", "mean ms", "msgs", "msgs/s", "rows", "reports/frames", "tunes s/a"}, rows)
-	fmt.Fprintf(w, "\nheadline: tcp/tree40 v2 moves %.2fx the messages per second of framed gob\n", out.SpeedupTCPTree)
 
 	if outPath != "" {
 		blob, err := json.MarshalIndent(out, "", "  ")

@@ -50,7 +50,7 @@ func ParseStages(ss []wire.StageMsg) ([]disql.Stage, error) {
 // steady-state arrivals re-parse nothing, because every clone of one
 // query carries the same stage PRE strings. hits reports how many stage
 // PREs were served from the cache. The stage slice itself is still built
-// per call — Query and Export are per-message gob decodes and must not be
+// per call — Query and Export are decoded per message and must not be
 // shared.
 func ParseStagesCached(ss []wire.StageMsg) (stages []disql.Stage, hits int, err error) {
 	out := make([]disql.Stage, len(ss))

@@ -6,9 +6,10 @@
 // them against the relmodel schema. Package plan evaluates them.
 //
 // The types here are deliberately plain data (no interfaces, no function
-// values) so that node-queries serialize directly with encoding/gob when a
-// clone of the web-query is forwarded to another site — the Go analog of
-// the Java object serialization the original system used.
+// values), so that node-queries serialize field by field with the wire
+// codec when a clone of the web-query is forwarded to another site — the
+// analog of the Java object serialization the original system used — and
+// the codec's tests can check them against encoding/gob.
 package nodequery
 
 import (

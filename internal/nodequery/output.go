@@ -69,8 +69,8 @@ func (k OrderKey) String() string {
 // ordering and limiting.
 //
 // Like the rest of this package the spec is plain data, so it travels
-// inside clone messages with encoding/gob when the planner pushes the
-// final aggregation down to remote sites as a plan fragment.
+// inside clone messages when the planner pushes the final aggregation
+// down to remote sites as a plan fragment.
 type OutputSpec struct {
 	Cols    []OutputCol // aggregated select list; nil for plain queries
 	GroupBy []ColRef

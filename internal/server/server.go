@@ -151,11 +151,6 @@ type Options struct {
 	// fragment pushdown, statistics piggybacking, and the per-edge
 	// ship-query-vs-ship-data decision. Zero disables all three.
 	Planner PlannerOptions
-	// WireV1 pins every framed session this server opens or accepts to
-	// wire version 1 (persistent framed gob) instead of negotiating the
-	// v2 binary codec — the compatibility profile for mixed-version
-	// deployments and the baseline arm of codec benchmarks.
-	WireV1 bool
 }
 
 // Server is one site's WEBDIS query server.
@@ -292,21 +287,11 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 	s.queue = sched.New[*wire.CloneMsg](schedOpts)
 	s.pool = netsim.NewPool(tr, s.self, netsim.PoolOptions{
 		// Pooled connections carry many frames, so attach a persistent
-		// wire codec: type descriptors (v1) or the intern table (v2)
-		// then amortize across a connection's lifetime.
-		Wrap: func(c net.Conn) net.Conn { return wire.NewFramedOpts(c, s.frameOpts()) },
+		// wire session: its intern tables then amortize across a
+		// connection's lifetime.
+		Wrap: func(c net.Conn) net.Conn { return wire.NewFramed(c) },
 	})
 	return s
-}
-
-// frameOpts derives the wire-session options this server attaches to
-// every connection it opens or accepts: version pinning under WireV1.
-func (s *Server) frameOpts() wire.FramedOptions {
-	fo := wire.FramedOptions{}
-	if s.opts.WireV1 {
-		fo.Offer, fo.Accept = 1, 1
-	}
-	return fo
 }
 
 // seedName derives the per-server jitter-seed name: the bare site for
@@ -393,7 +378,7 @@ func (s *Server) Start() error {
 				}()
 				// The sender may pool this connection and stream many
 				// frames over it, so decode with a persistent session.
-				s.receive(wire.NewFramedOpts(conn, s.frameOpts()))
+				s.receive(wire.NewFramed(conn))
 			}()
 		}
 	}()

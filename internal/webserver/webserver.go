@@ -85,7 +85,8 @@ func (h *Host) Start(tr netsim.Transport) error {
 }
 
 // serve answers fetch requests on one connection until it closes.
-func (h *Host) serve(conn net.Conn) {
+func (h *Host) serve(c net.Conn) {
+	conn := wire.NewFramed(c)
 	defer conn.Close()
 	for {
 		msg, err := wire.Receive(conn)
@@ -136,10 +137,11 @@ func NewFetcher(tr netsim.Transport, from string) *Fetcher {
 
 // Get downloads the document at url from its home site.
 func (f *Fetcher) Get(url string) ([]byte, error) {
-	conn, err := f.tr.Dial(f.from, Endpoint(webgraph.Host(url)))
+	c, err := f.tr.Dial(f.from, Endpoint(webgraph.Host(url)))
 	if err != nil {
 		return nil, err
 	}
+	conn := wire.NewFramed(c)
 	defer conn.Close()
 	if err := wire.Send(conn, &wire.FetchReq{URL: url}); err != nil {
 		return nil, err

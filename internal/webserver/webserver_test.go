@@ -72,6 +72,31 @@ func TestFetchOverTransport(t *testing.T) {
 	}
 }
 
+// TestFetchCostsDocumentPlusConstant: the data-shipping baseline's cost
+// is the documents it moves. One fetch is two frames, and everything
+// beyond the document bytes — handshake, headers, URLs — fits a small
+// constant, whatever the codec needs to set up a session.
+func TestFetchCostsDocumentPlusConstant(t *testing.T) {
+	web := webgraph.Campus()
+	n := netsim.New(netsim.Options{})
+	h := NewHost("csa.iisc.ernet.in", web)
+	if err := h.Start(n); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Stop()
+	content, err := NewFetcher(n, "user/results").Get(webgraph.CampusLabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := n.Stats().Snapshot().Total()
+	if limit := int64(len(content)) + 256; total.Bytes > limit {
+		t.Errorf("fetch of a %d B document moved %d B, want at most %d", len(content), total.Bytes, limit)
+	}
+	if total.Messages != 2 {
+		t.Errorf("fetch took %d messages, want 2", total.Messages)
+	}
+}
+
 // TestFetchBookedBeforeSeen: the moment a fetch returns, the fabric's
 // books already hold its response frame. The sender used to book a frame
 // after writing it, so a reader quick enough saw the frame first and the

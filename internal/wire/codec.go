@@ -1,14 +1,14 @@
 // Wire format v2: a hand-rolled, length-prefixed binary encoding for
-// every message kind, replacing gob on the hot path. PR 3 showed codec
-// cost dominating once connections were pooled — framed gob amortizes
-// type descriptors but still reflects and allocates on every frame. The
-// v2 codec writes fields directly: varint integers, per-connection
-// interned string tables for the endpoint/URL/state strings that repeat
-// across a session's frames, buffers reused across frames, and optional
-// per-frame DEFLATE compression for large result batches.
+// every message kind — this reproduction's analog of the Java object
+// serialization the paper's daemons used. It writes fields directly,
+// without reflection: varint integers, per-connection interned string
+// tables for the endpoint/URL/state strings that repeat across a
+// session's frames, buffers reused across frames, and optional per-frame
+// DEFLATE compression for large result batches. encoding/gob survives
+// only in the tests, as the oracle the codec is fuzzed against.
 //
-// Frame layout (after the 4-byte big-endian length prefix shared with
-// v1, which covers everything that follows):
+// Frame layout (after the 4-byte big-endian length prefix, which covers
+// everything that follows):
 //
 //	byte 0   kind   (codeClone..codeDelta)
 //	byte 1   flags  (bit 0: payload is DEFLATE-compressed)
@@ -29,13 +29,12 @@
 // equal messages produce identical bytes.
 //
 // Version negotiation happens once per connection, before the first
-// frame (see Framed): a v2-capable dialer writes the 4-byte hello
-// {0xAE 'W' 'D' ver} and waits for the matching ack with the receiver's
-// granted version. The magic first byte 0xAE can never open a v1 frame
-// — maxFrame caps the length prefix's first byte at 0x04 — so an
-// accepting side distinguishes hello from legacy traffic by its first
-// four bytes alone, and plain per-dial senders (which never handshake)
-// keep working against any receiver.
+// frame (see Framed): the dialer writes the 4-byte hello
+// {0xAE 'W' 'D' ver} and later reads the matching ack with the receiver's
+// granted version. The magic first byte 0xAE can never open a length
+// prefix — maxFrame caps its first byte at 0x04 — so an accepting side
+// tells a hello from a pre-v2 peer's gob frame by its first four bytes
+// alone, and refuses the latter with ErrVersion.
 package wire
 
 import (
@@ -51,18 +50,21 @@ import (
 	"webdis/internal/nodequery"
 )
 
-// MaxWireVersion is the newest wire format this build speaks. Version 1
-// is the framed-gob seed format; version 2 is the binary codec.
+// MaxWireVersion is the one wire format this build speaks: version 2,
+// the binary codec. A hello offering a newer version is granted this
+// one; an older one (version 1 was framed gob) is refused.
 const MaxWireVersion = 2
 
 // Typed codec errors. Receive surfaces ErrTruncated when a frame ends
 // before its own encoding claims it should (including a connection
 // dying mid-frame), ErrCorrupt when the bytes are structurally invalid,
-// and ErrPoisoned when the session was latched by an earlier failure
-// (see Framed). Match with errors.Is.
+// ErrVersion when the peer opened the session without a hello this
+// build speaks, and ErrPoisoned when the session was latched by an
+// earlier failure (see Framed). Match with errors.Is.
 var (
 	ErrTruncated = errors.New("wire: truncated frame")
 	ErrCorrupt   = errors.New("wire: corrupt frame")
+	ErrVersion   = errors.New("wire: unsupported wire version")
 	ErrPoisoned  = errors.New("wire: session poisoned by earlier error")
 )
 
@@ -920,40 +922,41 @@ func encodeEnvelope(e *encoder, env *envelope) error {
 }
 
 // decodeEnvelope reads the payload of a frame of the given kind code and
-// returns the message, validated exactly as the gob path's unwrap.
+// returns the message. Every kind decodes to a complete message: a
+// bounce or shed always carries its clone.
 func decodeEnvelope(d *decoder, code byte) (any, error) {
-	var env envelope
+	var msg any
 	switch code {
 	case codeClone:
-		env = envelope{Kind: KindClone, Clone: d.cloneMsg()}
+		msg = d.cloneMsg()
 	case codeResult:
-		env = envelope{Kind: KindResult, Result: d.resultMsg()}
+		msg = d.resultMsg()
 	case codeBounce:
-		env = envelope{Kind: KindBounce, Bounce: &BounceMsg{Clone: d.cloneMsg(), Reason: d.str()}}
+		msg = &BounceMsg{Clone: d.cloneMsg(), Reason: d.str()}
 	case codeShed:
-		env = envelope{Kind: KindShed, Shed: &ShedMsg{Clone: d.cloneMsg(), Site: d.str()}}
+		msg = &ShedMsg{Clone: d.cloneMsg(), Site: d.str()}
 	case codeStop:
-		env = envelope{Kind: KindStop, Stop: &StopMsg{ID: d.queryID(), Reason: d.str()}}
+		msg = &StopMsg{ID: d.queryID(), Reason: d.str()}
 	case codeFetchReq:
-		env = envelope{Kind: KindFetchReq, FetchReq: &FetchReq{URL: d.str()}}
+		msg = &FetchReq{URL: d.str()}
 	case codeFetchResp:
-		env = envelope{Kind: KindFetchResp, FetchResp: &FetchResp{URL: d.str(), Content: d.bytes(), Err: d.str()}}
+		msg = &FetchResp{URL: d.str(), Content: d.bytes(), Err: d.str()}
 	case codeTune:
-		env = envelope{Kind: KindTune, Tune: &TuneMsg{ID: d.queryID(), MaxRows: d.int(), MaxAgeMicros: d.i()}}
+		msg = &TuneMsg{ID: d.queryID(), MaxRows: d.int(), MaxAgeMicros: d.i()}
 	case codeWatch:
-		env = envelope{Kind: KindWatch, Watch: &WatchMsg{Version: d.int(), ID: d.queryID(), Cancel: d.bool()}}
+		msg = &WatchMsg{Version: d.int(), ID: d.queryID(), Cancel: d.bool()}
 	case codeDelta:
-		env = envelope{Kind: KindDelta, Delta: &DeltaMsg{
+		msg = &DeltaMsg{
 			Version: d.int(), ID: d.queryID(), Site: d.str(), Seq: d.i(),
 			Edited: d.strs(), Rewired: d.strs(),
-		}}
+		}
 	default:
 		return nil, fmt.Errorf("%w: unknown kind code %#x", ErrCorrupt, code)
 	}
 	if err := d.finish(); err != nil {
 		return nil, err
 	}
-	return unwrap(&env)
+	return msg, nil
 }
 
 // --- sizing helpers ----------------------------------------------------

@@ -47,10 +47,12 @@ func benchMessages() map[string]any {
 	}
 }
 
-func benchmarkEncode(b *testing.B, offer int) {
+// BenchmarkEncodeV2 measures steady-state v2 encoding per message type
+// (persistent session: reused buffers, warm intern table).
+func BenchmarkEncodeV2(b *testing.B) {
 	for name, msg := range benchMessages() {
 		b.Run(name, func(b *testing.B) {
-			f := &Framed{Conn: nullConn{}, opts: FramedOptions{Offer: offer}, ver: offer, verSet: true}
+			f := &Framed{Conn: nullConn{}, ver: MaxWireVersion}
 			if err := Send(f, msg); err != nil { // warm buffers + tables
 				b.Fatal(err)
 			}
@@ -65,13 +67,31 @@ func benchmarkEncode(b *testing.B, offer int) {
 	}
 }
 
-// BenchmarkEncodeV2 measures steady-state v2 encoding per message type
-// (persistent session: reused buffers, warm intern table).
-func BenchmarkEncodeV2(b *testing.B) { benchmarkEncode(b, 2) }
-
-// BenchmarkEncodeGob is the v1 baseline: the persistent framed-gob
-// session PR 3 introduced (descriptors already sent).
-func BenchmarkEncodeGob(b *testing.B) { benchmarkEncode(b, 1) }
+// BenchmarkEncodeGob is the gob baseline: a persistent gob stream over
+// the same envelopes, type descriptors already sent.
+func BenchmarkEncodeGob(b *testing.B) {
+	for name, msg := range benchMessages() {
+		b.Run(name, func(b *testing.B) {
+			env, err := wrap(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			ge := gob.NewEncoder(&buf)
+			if err := ge.Encode(&env); err != nil { // descriptors
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := ge.Encode(&env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkDecodeV2 measures steady-state v2 decoding: the frame
 // payload is pre-encoded with a warm intern table, exactly what the
@@ -116,8 +136,8 @@ func BenchmarkDecodeV2(b *testing.B) {
 }
 
 // repeatReader replays a gob stream's steady state: the descriptor
-// prefix once, then the data segment forever — what a persistent
-// framed-gob session's decoder sees from frame 2 on.
+// prefix once, then the data segment forever — what a persistent gob
+// stream's decoder sees from its second message on.
 type repeatReader struct {
 	head, body []byte
 	off        int
@@ -141,9 +161,9 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkDecodeGob is the v1 decode baseline: a persistent gob
-// session decoding the same message stream (descriptors amortized away,
-// as in a pooled connection).
+// BenchmarkDecodeGob is the gob decode baseline: a persistent gob
+// stream decoding the same messages (descriptors amortized away, as in a
+// pooled connection).
 func BenchmarkDecodeGob(b *testing.B) {
 	for name, msg := range benchMessages() {
 		b.Run(name, func(b *testing.B) {

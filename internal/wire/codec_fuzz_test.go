@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -220,6 +221,65 @@ func gobCanonical(t *testing.T, msg any) any {
 		t.Skipf("oracle rejects message: %v", err)
 	}
 	return m
+}
+
+// unwrap validates a gob-decoded envelope and returns its payload
+// message. Gob drops a pointer to a zero struct, so the oracle can empty
+// an envelope the binary codec would carry whole.
+func unwrap(env *envelope) (any, error) {
+	switch env.Kind {
+	case KindClone:
+		if env.Clone == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Clone, nil
+	case KindResult:
+		if env.Result == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Result, nil
+	case KindBounce:
+		if env.Bounce == nil || env.Bounce.Clone == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Bounce, nil
+	case KindShed:
+		if env.Shed == nil || env.Shed.Clone == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Shed, nil
+	case KindStop:
+		if env.Stop == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Stop, nil
+	case KindFetchReq:
+		if env.FetchReq == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.FetchReq, nil
+	case KindFetchResp:
+		if env.FetchResp == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.FetchResp, nil
+	case KindTune:
+		if env.Tune == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Tune, nil
+	case KindWatch:
+		if env.Watch == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Watch, nil
+	case KindDelta:
+		if env.Delta == nil {
+			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
+		}
+		return env.Delta, nil
+	}
+	return nil, fmt.Errorf("wire: unknown message kind %q", env.Kind)
 }
 
 // v2RoundTrip encodes msg as one v2 payload and decodes it back on

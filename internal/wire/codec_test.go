@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -14,10 +16,10 @@ import (
 	"webdis/internal/nodequery"
 )
 
-// framedPair returns a dialer/acceptor Framed pair over an in-memory
-// netsim connection (buffered writes, so the lazy handshake ack never
-// blocks a test the way net.Pipe's synchronous writes would).
-func framedPair(t *testing.T, dialOpts, acceptOpts FramedOptions) (*Framed, *Framed) {
+// connPair returns a dialer/acceptor connection pair over an in-memory
+// netsim fabric (buffered writes, so the lazy handshake ack never blocks
+// a test the way net.Pipe's synchronous writes would).
+func connPair(t *testing.T) (net.Conn, net.Conn) {
 	t.Helper()
 	n := netsim.New(netsim.Options{})
 	ln, err := n.Listen("b")
@@ -41,9 +43,53 @@ func framedPair(t *testing.T, dialOpts, acceptOpts FramedOptions) (*Framed, *Fra
 	if !ok {
 		t.Fatal("accept failed")
 	}
-	d, a := NewFramedOpts(dc, dialOpts), NewFramedOpts(ac, acceptOpts)
-	t.Cleanup(func() { d.Close(); a.Close() })
-	return d, a
+	t.Cleanup(func() { dc.Close(); ac.Close() })
+	return dc, ac
+}
+
+// framedPair returns a dialer/acceptor Framed pair over connPair.
+func framedPair(t *testing.T) (*Framed, *Framed) {
+	dc, ac := connPair(t)
+	return NewFramed(dc), NewFramed(ac)
+}
+
+// countedPair is framedPair with the dialer's writes counted.
+func countedPair(t *testing.T) (*Framed, *Framed, *countingConn) {
+	dc, ac := connPair(t)
+	cc := &countingConn{Conn: dc}
+	return NewFramed(cc), NewFramed(ac), cc
+}
+
+// countingConn records the size of its last write: the bytes a frame
+// occupied on the wire, hello included on a session's first frame.
+type countingConn struct {
+	net.Conn
+	last int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.last = len(p)
+	return c.Conn.Write(p)
+}
+
+// rewriteConn hands its first write to rewrite before it goes out: how a
+// test makes a Framed dialer open its session as a peer this build is
+// not.
+type rewriteConn struct {
+	net.Conn
+	rewrite func([]byte) []byte
+}
+
+func (c *rewriteConn) Write(p []byte) (int, error) {
+	if c.rewrite == nil {
+		return c.Conn.Write(p)
+	}
+	q := c.rewrite(append([]byte(nil), p...))
+	c.rewrite = nil
+	if _, err := c.Conn.Write(q); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 func sampleMessages() []any {
@@ -120,7 +166,7 @@ func sampleSpec() nodequery.OutputSpec {
 // session, so later frames exercise intern-table references, and
 // asserts byte-perfect structural round trips.
 func TestV2RoundTripAllKinds(t *testing.T) {
-	d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+	d, a := framedPair(t)
 	msgs := sampleMessages()
 	errc := make(chan error, 1)
 	go func() {
@@ -149,23 +195,51 @@ func TestV2RoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestNegotiationMatrix pins every peer pairing: v2<->v2, a v2 dialer
-// against a v1-pinned acceptor, a v1-pinned dialer against a v2
-// acceptor, and a plain per-dial sender against a framed acceptor.
+// TestNegotiationMatrix pins every way a session can open: v2<->v2; a
+// hello offering version 1 and a pre-v2 peer's bare gob frame, both
+// refused with ErrVersion so the dialer's Settle fails; and a hello
+// offering a newer version, granted 2.
 func TestNegotiationMatrix(t *testing.T) {
+	offer := func(v byte) func([]byte) []byte {
+		return func(p []byte) []byte { p[3] = v; return p }
+	}
+	gobPeer := gobFrame(t, envelope{Kind: KindClone, Clone: sampleClone()})
 	cases := []struct {
-		name                string
-		dial, accept        FramedOptions
-		wantDialV, wantAccV int
+		name    string
+		rewrite func([]byte) []byte // the dialer's first write, as this peer sends it
+		refused bool
 	}{
-		{"v2-both", FramedOptions{}, FramedOptions{}, 2, 2},
-		{"v1-acceptor", FramedOptions{}, FramedOptions{Accept: 1}, 1, 1},
-		{"v1-dialer", FramedOptions{Offer: 1}, FramedOptions{}, 1, 1},
-		{"v1-both", FramedOptions{Offer: 1}, FramedOptions{Accept: 1}, 1, 1},
+		{"v2-both", nil, false},
+		{"v1-dialer", offer(1), true},
+		{"gob-prefix", func([]byte) []byte { return gobPeer }, true},
+		{"v3-dialer", offer(3), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, a := framedPair(t, tc.dial, tc.accept)
+			dc, ac := connPair(t)
+			d, a := NewFramed(&rewriteConn{Conn: dc, rewrite: tc.rewrite}), NewFramed(ac)
+			if tc.refused {
+				if err := Send(d, sampleClone()); err != nil {
+					t.Fatal(err)
+				}
+				if m, err := Receive(a); !errors.Is(err, ErrVersion) {
+					t.Fatalf("acceptor took %T, err = %v; want ErrVersion", m, err)
+				}
+				settled := make(chan error, 1)
+				go func() { settled <- Settle(d) }()
+				select {
+				case err := <-settled:
+					if err == nil {
+						t.Fatal("Settle = nil on a refused session")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("Settle still waiting: the refusing acceptor left the connection open")
+				}
+				if d.Healthy() || a.Healthy() {
+					t.Errorf("refused session still healthy (dialer %v, acceptor %v): a pool would keep it", d.Healthy(), a.Healthy())
+				}
+				return
+			}
 			msgs := []any{sampleClone(), &StopMsg{ID: QueryID{User: "u"}, Reason: "done"}, sampleClone()}
 			errc := make(chan error, 1)
 			go func() {
@@ -189,30 +263,18 @@ func TestNegotiationMatrix(t *testing.T) {
 			if err := <-errc; err != nil {
 				t.Fatal(err)
 			}
-			if d.ver != tc.wantDialV || a.ver != tc.wantAccV {
-				t.Errorf("versions = %d/%d, want %d/%d", d.ver, a.ver, tc.wantDialV, tc.wantAccV)
+			if d.ver != MaxWireVersion || a.ver != MaxWireVersion {
+				t.Errorf("versions = %d/%d, want %d/%d", d.ver, a.ver, MaxWireVersion, MaxWireVersion)
 			}
 		})
 	}
 }
 
 func TestPlainSenderToFramedAcceptor(t *testing.T) {
-	n := netsim.New(netsim.Options{})
-	ln, _ := n.Listen("b")
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, _ := ln.Accept()
-		accepted <- c
-	}()
-	dc, err := n.Dial("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dc.Close()
-	a := NewFramed(<-accepted)
-	defer a.Close()
+	dc, ac := connPair(t)
+	a := NewFramed(ac)
 	in := sampleClone()
-	if err := Send(dc, in); err != nil { // plain conn: one-frame gob session
+	if err := Send(dc, in); err != nil { // bare conn: a one-frame session
 		t.Fatal(err)
 	}
 	got, err := Receive(a)
@@ -220,10 +282,10 @@ func TestPlainSenderToFramedAcceptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, got) {
-		t.Error("plain gob frame mangled by framed acceptor")
+		t.Error("one-frame session mangled by framed acceptor")
 	}
-	if a.ver != 1 {
-		t.Errorf("acceptor classified plain sender as v%d", a.ver)
+	if a.ver != MaxWireVersion {
+		t.Errorf("acceptor settled a plain sender at v%d", a.ver)
 	}
 }
 
@@ -231,8 +293,7 @@ func TestPlainSenderToFramedAcceptor(t *testing.T) {
 // ReceiveUnacked sends the handshake ack when it comes back to the session
 // after its first message, so a dialer that settles learns whether the
 // message was taken: nil once the acceptor reads on (or answers), an error
-// when it closed instead. A plain Receive acks at once, and a v1 session,
-// which has no handshake, leaves nothing to wait for.
+// when it closed instead. A plain Receive acks at once.
 func TestSettleIsTheAcceptorsVerdict(t *testing.T) {
 	settle := func(d *Framed) chan error {
 		done := make(chan error, 1)
@@ -246,7 +307,7 @@ func TestSettleIsTheAcceptorsVerdict(t *testing.T) {
 		return done
 	}
 	t.Run("kept", func(t *testing.T) {
-		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		d, a := framedPair(t)
 		done := settle(d)
 		if _, err := ReceiveUnacked(a); err != nil {
 			t.Fatal(err)
@@ -265,7 +326,7 @@ func TestSettleIsTheAcceptorsVerdict(t *testing.T) {
 		}
 	})
 	t.Run("answered", func(t *testing.T) {
-		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		d, a := framedPair(t)
 		done := settle(d)
 		if _, err := ReceiveUnacked(a); err != nil {
 			t.Fatal(err)
@@ -281,7 +342,7 @@ func TestSettleIsTheAcceptorsVerdict(t *testing.T) {
 		}
 	})
 	t.Run("refused", func(t *testing.T) {
-		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		d, a := framedPair(t)
 		done := settle(d)
 		if _, err := ReceiveUnacked(a); err != nil {
 			t.Fatal(err)
@@ -295,7 +356,7 @@ func TestSettleIsTheAcceptorsVerdict(t *testing.T) {
 		}
 	})
 	t.Run("plain receive", func(t *testing.T) {
-		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		d, a := framedPair(t)
 		done := settle(d)
 		if _, err := Receive(a); err != nil {
 			t.Fatal(err)
@@ -304,18 +365,12 @@ func TestSettleIsTheAcceptorsVerdict(t *testing.T) {
 			t.Fatalf("Settle = %v against a plain Receive", err)
 		}
 	})
-	t.Run("v1", func(t *testing.T) {
-		d, _ := framedPair(t, FramedOptions{Offer: 1}, FramedOptions{})
-		if err := <-settle(d); err != nil {
-			t.Fatalf("Settle = %v on a v1 session", err)
-		}
-	})
 }
 
 // TestV2TruncatedFrameTyped kills the connection mid-frame and asserts
 // the typed truncation error — and that no torn frame is ever delivered.
 func TestV2TruncatedFrameTyped(t *testing.T) {
-	d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+	d, a := framedPair(t)
 	if err := Send(d, sampleClone()); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +405,7 @@ func TestV2CorruptFrameTyped(t *testing.T) {
 		"trailing":      {0, 0, 0, 12, codeFetchReq, 0, 0, 1, 'x', 9, 9, 9, 9, 9, 9, 9},
 	} {
 		t.Run(name, func(t *testing.T) {
-			d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+			d, a := framedPair(t)
 			if err := Send(d, &FetchReq{URL: "warm"}); err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +430,7 @@ func TestV2CorruptFrameTyped(t *testing.T) {
 // TestSendErrorLatch poisons the sending side on a dead transport and
 // asserts fail-fast sends plus pool eviction via the health check.
 func TestSendErrorLatch(t *testing.T) {
-	d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+	d, a := framedPair(t)
 	a.Close()
 	var sendErr error
 	// The buffered transport may accept a frame or two before the close
@@ -398,8 +453,7 @@ func TestSendErrorLatch(t *testing.T) {
 // TestCompressionRoundTrip pushes a result batch past compressMin and
 // asserts both structural equality and a measured wire-byte reduction.
 func TestCompressionRoundTrip(t *testing.T) {
-	var wireBytes int
-	d, a := framedPair(t, FramedOptions{OnFrame: func(kind string, w int) { wireBytes = w }}, FramedOptions{})
+	d, a, cc := countedPair(t)
 	big := &ResultMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 1}}
 	for i := 0; i < 64; i++ {
 		tbl := NodeTable{Node: fmt.Sprintf("http://site%d/x.html", i), Cols: []string{"d0.url", "d0.text"}}
@@ -427,7 +481,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(big, got) {
 		t.Fatal("compressed round trip mismatch")
 	}
-	if wireBytes == 0 || wireBytes >= raw {
+	if wireBytes := cc.last - 4; wireBytes <= 0 || wireBytes >= raw { // less the hello
 		t.Errorf("compressed frame = %d bytes, raw = %d: no reduction", wireBytes, raw)
 	}
 }
@@ -436,7 +490,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 // asserts frames keep round-tripping (the encoder degrades to literals).
 func TestInternTableBound(t *testing.T) {
 	t.Run("one frame", func(t *testing.T) {
-		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		d, a := framedPair(t)
 		in := sampleClone()
 		in.Dest = nil
 		for i := 0; i < maxInternEntries+100; i++ {
@@ -468,7 +522,7 @@ func TestInternTableBound(t *testing.T) {
 	// full, new strings travel as literals, interned ones keep resolving,
 	// and the decoder never sees the overflow it rejects.
 	t.Run("across frames", func(t *testing.T) {
-		d, a := framedPair(t, FramedOptions{}, FramedOptions{})
+		d, a := framedPair(t)
 		frame := func(i int) *ResultMsg {
 			url := fmt.Sprintf("http://h%d.example/p.html", i)
 			return &ResultMsg{ID: QueryID{User: "maya", Site: "user/c", Num: i + 1}, Tables: []NodeTable{{
@@ -506,7 +560,7 @@ func TestInternTableBound(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-		if n := len(d.enc2.tab); n != maxInternEntries {
+		if n := len(d.enc.tab); n != maxInternEntries {
 			t.Errorf("sender interned %d strings, want the cap %d", n, maxInternEntries)
 		}
 	})
@@ -523,10 +577,10 @@ func (nullConn) SetDeadline(time.Time) error { return nil }
 func (nullConn) LocalAddr() net.Addr         { return nil }
 func (nullConn) RemoteAddr() net.Addr        { return nil }
 
-// TestEncodeSteadyStateAllocs pins the tentpole's ≤2 allocs/frame
-// encode budget (steady state: buffers grown, table populated).
+// TestEncodeSteadyStateAllocs pins a steady-state encode — buffers
+// grown, table populated — at zero allocations per frame.
 func TestEncodeSteadyStateAllocs(t *testing.T) {
-	f := &Framed{Conn: nullConn{}, ver: 2, verSet: true}
+	f := &Framed{Conn: nullConn{}, ver: MaxWireVersion}
 	msg := sampleClone()
 	for i := 0; i < 8; i++ { // warm the buffer and intern table
 		if err := Send(f, msg); err != nil {
@@ -538,16 +592,15 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("steady-state encode = %.1f allocs/frame, budget is 2", allocs)
+	if allocs > 0 {
+		t.Errorf("steady-state encode = %.1f allocs/frame, want 0", allocs)
 	}
 }
 
 // TestEncodedSizeMatchesWire pins EncodedSize to the bytes a fresh
 // session actually puts on the wire for an uncompressed frame.
 func TestEncodedSizeMatchesWire(t *testing.T) {
-	var wireBytes int
-	d, a := framedPair(t, FramedOptions{OnFrame: func(kind string, w int) { wireBytes = w }}, FramedOptions{})
+	d, a, cc := countedPair(t)
 	msg := sampleClone()
 	errc := make(chan error, 1)
 	go func() { errc <- Send(d, msg) }()
@@ -557,7 +610,7 @@ func TestEncodedSizeMatchesWire(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if want := EncodedSize(msg); wireBytes != want {
+	if wireBytes, want := cc.last-4, EncodedSize(msg); wireBytes != want { // less the hello
 		t.Errorf("first frame = %d wire bytes, EncodedSize = %d", wireBytes, want)
 	}
 	if EncodedSize("not a message") != 0 {
@@ -569,32 +622,62 @@ func TestEncodedSizeMatchesWire(t *testing.T) {
 	}
 }
 
-// TestV2MatchesGobOracle round-trips every sample through both codecs
-// and asserts they reconstruct identical structures.
+// TestV2MatchesGobOracle streams every sample over one session and
+// asserts it arrives as exactly what the gob oracle reconstructs.
 func TestV2MatchesGobOracle(t *testing.T) {
-	for i, msg := range sampleMessages() {
-		if _, ok := msg.(*TuneMsg); ok {
-			// TuneMsg predates no gob deployment; it travels both paths
-			// below like the rest.
-			_ = ok
-		}
-		d2, a2 := framedPair(t, FramedOptions{}, FramedOptions{})
-		d1, a1 := framedPair(t, FramedOptions{Offer: 1}, FramedOptions{})
-		var got [2]any
-		for j, pair := range []struct{ d, a *Framed }{{d2, a2}, {d1, a1}} {
-			errc := make(chan error, 1)
-			go func() { errc <- Send(pair.d, msg) }()
-			m, err := Receive(pair.a)
-			if err != nil {
-				t.Fatalf("sample %d codec %d: %v", i, j, err)
+	d, a := framedPair(t)
+	msgs := sampleMessages()
+	errc := make(chan error, 1)
+	go func() {
+		for _, m := range msgs {
+			if err := Send(d, m); err != nil {
+				errc <- err
+				return
 			}
-			if err := <-errc; err != nil {
+		}
+		errc <- nil
+	}()
+	for i, msg := range msgs {
+		got, err := Receive(a)
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		if want := gobCanonical(t, msg); !reflect.DeepEqual(want, got) {
+			t.Errorf("sample %d: v2 and gob disagree:\nv2  = %+v\ngob = %+v", i, got, want)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestV2SteadyStateSmallerThanGob: on a warm session — intern tables
+// filled, gob's type descriptors already sent — every message costs fewer
+// bytes as a v2 frame than as a length-prefixed frame of a persistent gob
+// stream.
+func TestV2SteadyStateSmallerThanGob(t *testing.T) {
+	for name, msg := range benchMessages() {
+		env, err := wrap(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := &countingConn{Conn: nullConn{}}
+		f := &Framed{Conn: cc, ver: MaxWireVersion}
+		var buf bytes.Buffer
+		ge := gob.NewEncoder(&buf)
+		for i := 0; i < 2; i++ { // the second frame is the steady state
+			if err := Send(f, msg); err != nil {
 				t.Fatal(err)
 			}
-			got[j] = m
+			buf.Reset()
+			if err := ge.Encode(&env); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !reflect.DeepEqual(got[0], got[1]) {
-			t.Errorf("sample %d: v2 and gob disagree:\nv2  = %+v\ngob = %+v", i, got[0], got[1])
+		v2, gobBytes := cc.last, 4+buf.Len()
+		t.Logf("%s: v2 %d B, gob %d B", name, v2, gobBytes)
+		if v2 >= gobBytes {
+			t.Errorf("%s: steady-state v2 frame %d B, gob %d B: want v2 smaller", name, v2, gobBytes)
 		}
 	}
 }

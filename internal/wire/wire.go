@@ -1,8 +1,9 @@
 // Package wire defines the messages that WEBDIS components exchange and
 // their encoding. The original system forwarded web-query objects between
-// Java daemons using Java object serialization; this reproduction uses
-// length-prefixed gob frames over any net.Conn, so the same messages flow
-// over the simulated fabric and over TCP.
+// Java daemons using Java object serialization; this reproduction uses a
+// hand-written binary codec (codec.go) in length-prefixed frames over any
+// net.Conn, so the same messages flow over the simulated fabric and over
+// TCP.
 //
 // Three conversations use these messages:
 //
@@ -18,7 +19,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -630,7 +630,8 @@ const (
 	KindDelta     = "delta"
 )
 
-// envelope wraps every message so a single gob stream can carry any kind.
+// envelope pairs a message with its kind: what the codec encodes and
+// unwrap validates.
 type envelope struct {
 	Kind      string
 	Clone     *CloneMsg
@@ -676,79 +677,39 @@ func wrap(msg any) (envelope, error) {
 // maxFrame bounds a frame to guard against corrupt length prefixes.
 const maxFrame = 64 << 20
 
-// frameHeaderLen is the v2 frame header: 4-byte length prefix plus the
-// kind and flags bytes the length covers.
+// frameHeaderLen is the frame header: 4-byte length prefix plus the kind
+// and flags bytes the length covers.
 const frameHeaderLen = 6
 
 // helloMagic opens the 4-byte version hello and ack. The first byte is
-// deliberately above maxFrame's high byte (0x04), so it can never be
-// confused with a v1 length prefix.
+// deliberately above maxFrame's high byte (0x04), so no length prefix —
+// such as the first bytes of a pre-v2 peer's gob frame — reads as a
+// hello.
 var helloMagic = [3]byte{0xAE, 'W', 'D'}
 
-// FramedOptions configure a framed session's wire version and
-// instrumentation. The zero value offers and accepts the newest format
-// (v2, the binary codec), falling back per connection when the peer
-// does not.
-type FramedOptions struct {
-	// Offer is the highest wire version this side proposes when it sends
-	// first on the connection (the dialing side). 0 means MaxWireVersion;
-	// 1 pins classic framed gob and sends no handshake at all, so v1
-	// deployments keep their exact wire profile.
-	Offer int
-	// Accept caps the version granted to a peer's hello when this side
-	// receives first (the accepting side). 0 means MaxWireVersion; 1
-	// answers every hello with v1, pinning the session to gob.
-	Accept int
-	// OnFrame, when set, observes every v2 frame sent: its kind and the
-	// bytes it occupied on the wire (after compression).
-	OnFrame func(kind string, wireBytes int)
-}
-
-func (o FramedOptions) offer() int {
-	return clampVersion(o.Offer)
-}
-
-func (o FramedOptions) accept() int {
-	return clampVersion(o.Accept)
-}
-
-func clampVersion(v int) int {
-	if v <= 0 || v > MaxWireVersion {
-		return MaxWireVersion
-	}
-	return v
-}
-
 // Framed wraps a connection with a persistent wire session. The session
-// negotiates its format version once, before the first frame:
+// settles its format version once, before the first frame:
 //
-//   - A dialer offering v2 writes the 4-byte hello {0xAE 'W' 'D' ver}
-//     pipelined with its first frame — always encoded at version 2, the
-//     baseline every hello-capable peer decodes — in a single write, so
-//     the handshake adds no round trip and no extra fault-injection
-//     draw to first delivery. The 4-byte ack carrying the granted
-//     version (min of offered and accepted) is read lazily before the
-//     second frame — or at once by a sender that calls Settle; the
-//     session speaks the granted version from then on.
-//   - A receiver classifies the connection by its first four bytes: the
-//     hello magic starts a handshake — the pipelined frame is decoded
-//     first and the ack written only after it arrives whole, so a lost
-//     ack can never lose a frame that was in fact delivered. A receiver
-//     that reads with ReceiveUnacked writes the ack later still, when it
-//     comes back to the session (its next receive or Send), and closes
-//     the connection instead if it will not take the session's first
-//     message: the dialer's Settle fails, which is how a Result
-//     Collector refuses a report for a query it no longer routes
-//     (Section 2.8's failed dispatch). Anything
-//     else must be a v1 length prefix (maxFrame caps its first byte at
-//     0x04), so the session is gob and those four bytes are replayed as
-//     the first frame's prefix. Plain per-dial senders and v1-pinned
-//     peers therefore interoperate unchanged, with no handshake on the
-//     wire.
-//
-// Version 2 frames carry the hand-rolled binary codec (see codec.go);
-// version 1 keeps the persistent gob session of PR 3, whose type
-// descriptors travel once per connection.
+//   - The side that sends first (the dialer) writes the 4-byte hello
+//     {0xAE 'W' 'D' ver} pipelined with its first frame in a single
+//     write, so the handshake adds no round trip and no extra
+//     fault-injection draw to first delivery. The 4-byte ack carrying the
+//     granted version is read lazily before the second frame — or at once
+//     by a sender that calls Settle.
+//   - The side that receives first classifies the connection by its first
+//     four bytes. A hello offering MaxWireVersion or newer is granted
+//     MaxWireVersion: the pipelined frame is decoded first and the ack
+//     written only after it arrives whole, so a lost ack can never lose a
+//     frame that was in fact delivered. A receiver that reads with
+//     ReceiveUnacked writes the ack later still, when it comes back to the
+//     session (its next receive or Send), and closes the connection
+//     instead if it will not take the session's first message: the
+//     dialer's Settle fails, which is how a Result Collector refuses a
+//     report for a query it no longer routes (Section 2.8's failed
+//     dispatch). Anything else — no hello at all, as from a pre-v2 peer,
+//     or a hello offering an older version — is refused with ErrVersion
+//     and the connection closed, so the dialer's Settle or next receive
+//     fails as well.
 //
 // A Framed connection is a session with an error latch: the first Send
 // or Receive failure — including a short read mid-frame — poisons it,
@@ -758,45 +719,32 @@ func clampVersion(v int) int {
 // followed by a delivery on the same connection. One goroutine sends and
 // one receives; neither method is safe for concurrent use with itself.
 //
-// Interop: a sender using plain Send opens a fresh gob stream per frame,
-// which a Framed receiver handles (each dial-per-message connection is a
-// one-frame v1 session). The reverse — plain Receive of a Framed
-// sender's second frame — does not work, so receivers wrap first,
-// senders only ever reuse connections through a pool that wraps.
+// A plain Send on a bare connection is a one-frame session, which a
+// Framed receiver takes like any other. A conversation of several frames
+// wraps its connection once, on both sides: the intern tables of codec.go
+// live as long as the session.
 type Framed struct {
 	net.Conn
-	opts FramedOptions
 
-	// ver is the negotiated wire version; verSet latches once the
-	// version is settled: immediately for v1 offers and classified
-	// receivers, at ack time for hello-sending dialers.
-	ver    int
-	verSet bool
+	// ver is the settled wire version, 0 until the session is settled:
+	// at once for a classified receiver, at ack time for the dialer.
+	ver int
 	// txHello records that the hello went out pipelined with the first
 	// frame; the granted-version ack is read lazily before the second
 	// frame, so the handshake adds no round trip to first delivery.
 	txHello bool
-	// rxGrant is the version granted to the dialer's hello, acked once
-	// the pipelined first frame has decoded: at once, or — when the frame
-	// was read by ReceiveUnacked — as rxAckOwed, by this side's next
+	// rxAck marks that the next inbound frame is the dialer's pipelined
+	// first frame, acked once it has decoded: at once, or — when the frame
+	// is read by ReceiveUnacked — as rxAckOwed, by this side's next
 	// receive or Send, whichever goroutine gets there first (hence the
 	// atomic).
-	rxGrant   byte
-	rxAckOwed atomic.Uint32
-	// rxFirstV2 marks that the next inbound frame is the pipelined one,
-	// which is always encoded at version 2 regardless of the grant.
-	rxFirstV2 bool
+	rxAck     bool
+	rxAckOwed atomic.Bool
 
-	// v1 session state: persistent gob codec over length-prefixed frames.
-	encBuf bytes.Buffer
-	enc    *gob.Encoder
-	fr     frameReader
-	dec    *gob.Decoder
-
-	// v2 session state: per-direction codecs with interned string tables,
-	// plus reusable frame buffers (send, receive, inflate, compress).
-	enc2 *encoder
-	dec2 *decoder
+	// Per-direction codecs with interned string tables, plus reusable
+	// frame buffers (send, receive, inflate, compress).
+	enc  *encoder
+	dec  *decoder
 	rbuf []byte
 	dbuf []byte
 	cbuf bytes.Buffer
@@ -805,21 +753,13 @@ type Framed struct {
 	fail   error
 }
 
-// NewFramed wraps conn in a persistent wire session with default
-// options (offer and accept the newest version); wrapping a Framed
+// NewFramed wraps conn in a persistent wire session; wrapping a Framed
 // connection returns it unchanged.
 func NewFramed(conn net.Conn) *Framed {
-	return NewFramedOpts(conn, FramedOptions{})
-}
-
-// NewFramedOpts wraps conn in a persistent wire session configured by
-// opts. Wrapping a Framed connection returns it unchanged, keeping its
-// original options — sessions negotiate once and never change shape.
-func NewFramedOpts(conn net.Conn, opts FramedOptions) *Framed {
 	if f, ok := conn.(*Framed); ok {
 		return f
 	}
-	return &Framed{Conn: conn, opts: opts}
+	return &Framed{Conn: conn}
 }
 
 // Healthy reports whether the session can still carry frames: false
@@ -851,11 +791,12 @@ func (f *Framed) latched() error {
 // Settle blocks until the peer has taken the first frame of a session
 // this side dialed: it reads the handshake ack now instead of before the
 // second frame. It fails when the peer closed the connection rather than
-// keep the session — a user-site that no longer routes the reported query.
-// On a settled, v1 or unframed connection it returns nil at once.
+// keep the session — a user-site that no longer routes the reported query,
+// or a peer that refused the hello. On a settled or unframed connection it
+// returns nil at once.
 func Settle(conn net.Conn) error {
 	f, ok := conn.(*Framed)
-	if !ok || f.verSet || !f.txHello {
+	if !ok || f.ver != 0 || !f.txHello {
 		return nil
 	}
 	if err := f.latched(); err != nil {
@@ -870,14 +811,14 @@ func Settle(conn net.Conn) error {
 
 // writeAck sends the handshake ack this side owes, if any.
 func (f *Framed) writeAck() {
-	if v := f.rxAckOwed.Swap(0); v != 0 {
-		f.ack(byte(v))
+	if f.rxAckOwed.Swap(false) {
+		f.ack()
 	}
 }
 
 // ack tells the dialer its granted version.
-func (f *Framed) ack(v byte) {
-	ack := [4]byte{helloMagic[0], helloMagic[1], helloMagic[2], v}
+func (f *Framed) ack() {
+	ack := [4]byte{helloMagic[0], helloMagic[1], helloMagic[2], MaxWireVersion}
 	if _, err := f.Conn.Write(ack[:]); err != nil {
 		// Only this session's future frames die — never one delivered.
 		f.poison(fmt.Errorf("wire: handshake ack: %w", err))
@@ -890,96 +831,43 @@ func (f *Framed) ack(v byte) {
 // long since arrived — the handshake costs no round trip on the first
 // delivery.
 func (f *Framed) finishTx() error {
-	offer := f.opts.offer()
 	var ack [4]byte
 	if _, err := io.ReadFull(f.Conn, ack[:]); err != nil {
 		return fmt.Errorf("wire: handshake ack: %w", err)
 	}
-	if ack[0] != helloMagic[0] || ack[1] != helloMagic[1] || ack[2] != helloMagic[2] {
+	if [3]byte(ack[:3]) != helloMagic {
 		return fmt.Errorf("%w: bad handshake ack", ErrCorrupt)
 	}
-	v := int(ack[3])
-	if v < 1 || v > offer {
-		return fmt.Errorf("%w: handshake granted version %d against offer %d", ErrCorrupt, v, offer)
+	if ack[3] != MaxWireVersion {
+		return fmt.Errorf("%w: handshake granted version %d against offer %d", ErrVersion, ack[3], MaxWireVersion)
 	}
-	f.ver, f.verSet = v, true
+	f.ver = MaxWireVersion
 	return nil
 }
 
 // negotiateRx classifies an incoming connection by its first four bytes:
-// the hello magic starts a handshake (the pipelined first frame is
-// decoded before the ack is written), anything else is a v1 length
-// prefix, replayed into the gob frame reader.
+// a hello offering MaxWireVersion or newer settles the session (the
+// pipelined first frame is decoded before the ack is written); anything
+// else is refused.
 func (f *Framed) negotiateRx() error {
-	var first [4]byte
-	if _, err := io.ReadFull(f.Conn, first[:]); err != nil {
+	var hello [4]byte
+	if _, err := io.ReadFull(f.Conn, hello[:]); err != nil {
 		return err // io.EOF for a connection closed before any traffic
 	}
-	if first[0] == helloMagic[0] && first[1] == helloMagic[1] && first[2] == helloMagic[2] {
-		offered := int(first[3])
-		if offered < 2 {
-			// v1 peers never send a hello; an offer below 2 is noise.
-			return fmt.Errorf("%w: hello offers version %d", ErrCorrupt, offered)
-		}
-		v := f.opts.accept()
-		if offered < v {
-			v = offered
-		}
-		f.rxGrant = byte(v)
-		f.rxFirstV2 = true
-		f.ver, f.verSet = v, true
+	var err error
+	switch {
+	case [3]byte(hello[:3]) != helloMagic:
+		err = fmt.Errorf("%w: session opens without a hello (% x)", ErrVersion, hello)
+	case hello[3] < MaxWireVersion:
+		err = fmt.Errorf("%w: hello offers version %d, want %d", ErrVersion, hello[3], MaxWireVersion)
+	default:
+		f.ver, f.rxAck = MaxWireVersion, true
 		return nil
 	}
-	f.fr.pre = append(f.fr.pre[:0], first[:]...)
-	f.ver, f.verSet = 1, true
-	return nil
-}
-
-// frameReader feeds the persistent gob decoder the concatenated
-// payloads of the connection's v1 frames, stripping the length
-// prefixes. pre replays the bytes version detection consumed.
-type frameReader struct {
-	conn      net.Conn
-	pre       []byte
-	remaining int
-}
-
-func (r *frameReader) readFull(p []byte) error {
-	for len(p) > 0 && len(r.pre) > 0 {
-		n := copy(p, r.pre)
-		r.pre, p = r.pre[n:], p[n:]
-	}
-	if len(p) == 0 {
-		return nil
-	}
-	_, err := io.ReadFull(r.conn, p)
+	// Closing is the refusal a dialer can see: its Settle or next receive
+	// fails now instead of waiting on an ack that never comes.
+	f.Conn.Close()
 	return err
-}
-
-func (r *frameReader) Read(p []byte) (int, error) {
-	for r.remaining == 0 {
-		var lenbuf [4]byte
-		if err := r.readFull(lenbuf[:]); err != nil {
-			return 0, err
-		}
-		n := binary.BigEndian.Uint32(lenbuf[:])
-		if n > maxFrame {
-			return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-		}
-		r.remaining = int(n)
-	}
-	if len(p) > r.remaining {
-		p = p[:r.remaining]
-	}
-	if len(r.pre) > 0 {
-		n := copy(p, r.pre)
-		r.pre = r.pre[n:]
-		r.remaining -= n
-		return n, nil
-	}
-	n, err := r.conn.Read(p)
-	r.remaining -= n
-	return n, err
 }
 
 func (f *Framed) send(env *envelope) error {
@@ -987,70 +875,36 @@ func (f *Framed) send(env *envelope) error {
 	if err := f.latched(); err != nil {
 		return err
 	}
-	if !f.verSet {
-		if !f.txHello {
-			if f.opts.offer() < 2 {
-				f.ver, f.verSet = 1, true
-			} else {
-				// First frame: pipeline the hello with it in one write —
-				// no round trip, and one fault-injection draw, exactly as
-				// a bare v1 frame.
-				err := f.sendV2(env, true)
-				if err != nil {
-					f.poison(err)
-					return err
-				}
-				f.txHello = true
-				return nil
-			}
-		} else if err := f.finishTx(); err != nil {
+	if f.ver == 0 && f.txHello {
+		if err := f.finishTx(); err != nil {
 			f.poison(err)
 			return err
 		}
 	}
-	var err error
-	if f.ver >= 2 {
-		err = f.sendV2(env, false)
-	} else {
-		err = f.sendV1(env)
-	}
-	if err != nil {
+	// Still unsettled: this is the session's first frame, and the hello
+	// rides in the same write — no round trip, one fault-injection draw.
+	hello := f.ver == 0
+	if err := f.write(env, hello); err != nil {
 		f.poison(err)
-	}
-	return err
-}
-
-func (f *Framed) sendV1(env *envelope) error {
-	if f.enc == nil {
-		f.enc = gob.NewEncoder(&f.encBuf)
-	}
-	f.encBuf.Reset()
-	if err := f.enc.Encode(env); err != nil {
-		return fmt.Errorf("wire: encode %s: %w", env.Kind, err)
-	}
-	payload := f.encBuf.Bytes()
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
-	if err := writeFrame(f.Conn, env.Kind, frame); err != nil {
 		return err
 	}
+	f.txHello = f.txHello || hello
 	return nil
 }
 
-func (f *Framed) sendV2(env *envelope, withHello bool) error {
-	if f.enc2 == nil {
-		f.enc2 = newEncoder()
+func (f *Framed) write(env *envelope, withHello bool) error {
+	if f.enc == nil {
+		f.enc = newEncoder()
 	}
 	code, ok := kindCode(env.Kind)
 	if !ok {
 		return fmt.Errorf("wire: cannot send kind %q", env.Kind)
 	}
-	e := f.enc2
+	e := f.enc
 	e.buf = e.buf[:0]
 	start := 0
 	if withHello {
-		e.buf = append(e.buf, helloMagic[0], helloMagic[1], helloMagic[2], byte(f.opts.offer()))
+		e.buf = append(e.buf, helloMagic[0], helloMagic[1], helloMagic[2], MaxWireVersion)
 		start = 4
 	}
 	e.buf = append(e.buf, 0, 0, 0, 0, code, 0)
@@ -1067,13 +921,7 @@ func (f *Framed) sendV2(env *envelope, withHello bool) error {
 		}
 	}
 	binary.BigEndian.PutUint32(frame[start:start+4], uint32(len(frame)-start-4))
-	if err := writeFrame(f.Conn, env.Kind, frame); err != nil {
-		return err
-	}
-	if f.opts.OnFrame != nil {
-		f.opts.OnFrame(env.Kind, len(frame)-start)
-	}
-	return nil
+	return writeFrame(f.Conn, env.Kind, frame)
 }
 
 func (f *Framed) receive(holdAck bool) (any, error) {
@@ -1081,67 +929,38 @@ func (f *Framed) receive(holdAck bool) (any, error) {
 	if err := f.latched(); err != nil {
 		return nil, err
 	}
-	if !f.verSet {
-		var err error
+	var err error
+	if f.ver == 0 {
 		if f.txHello {
 			err = f.finishTx() // this side dialed; settle our own hello first
 		} else {
 			err = f.negotiateRx()
 		}
-		if err != nil {
-			if err != io.EOF {
-				f.poison(err)
-			}
-			return nil, err
-		}
-	}
-	if f.rxFirstV2 {
-		f.rxFirstV2 = false
-		msg, err := f.receiveV2()
-		if err != nil {
-			if err != io.EOF {
-				f.poison(err)
-			}
-			return nil, err
-		}
-		// The pipelined frame arrived whole: now the dialer may learn its
-		// granted version — or, held, once the caller has looked at msg.
-		if holdAck {
-			f.rxAckOwed.Store(uint32(f.rxGrant))
-		} else {
-			f.ack(f.rxGrant)
-		}
-		return msg, nil
 	}
 	var msg any
-	var err error
-	if f.ver >= 2 {
-		msg, err = f.receiveV2()
-	} else {
-		msg, err = f.receiveV1()
+	if err == nil {
+		msg, err = f.read()
 	}
-	if err != nil && err != io.EOF {
-		f.poison(err)
-	}
-	return msg, err
-}
-
-func (f *Framed) receiveV1() (any, error) {
-	if f.dec == nil {
-		f.fr.conn = f.Conn
-		f.dec = gob.NewDecoder(&f.fr)
-	}
-	var env envelope
-	if err := f.dec.Decode(&env); err != nil {
-		if err == io.EOF {
-			return nil, err
+	if err != nil {
+		if err != io.EOF {
+			f.poison(err)
 		}
-		return nil, fmt.Errorf("wire: decode: %w", err)
+		return nil, err
 	}
-	return unwrap(&env)
+	if f.rxAck {
+		// The pipelined frame arrived whole: now the dialer may learn its
+		// granted version — or, held, once the caller has looked at msg.
+		f.rxAck = false
+		if holdAck {
+			f.rxAckOwed.Store(true)
+		} else {
+			f.ack()
+		}
+	}
+	return msg, nil
 }
 
-func (f *Framed) receiveV2() (any, error) {
+func (f *Framed) read() (any, error) {
 	var lenbuf [4]byte
 	if _, err := io.ReadFull(f.Conn, lenbuf[:]); err != nil {
 		if err == io.EOF {
@@ -1151,7 +970,7 @@ func (f *Framed) receiveV2() (any, error) {
 	}
 	n := binary.BigEndian.Uint32(lenbuf[:])
 	if n > maxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrCorrupt, n)
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("%w: frame of %d bytes", ErrCorrupt, n)
@@ -1176,41 +995,23 @@ func (f *Framed) receiveV2() (any, error) {
 		}
 		payload = f.dbuf
 	}
-	if f.dec2 == nil {
-		f.dec2 = newDecoder()
+	if f.dec == nil {
+		f.dec = newDecoder()
 	}
-	f.dec2.reset(payload)
-	return decodeEnvelope(f.dec2, code)
+	f.dec.reset(payload)
+	return decodeEnvelope(f.dec, code)
 }
 
-// gobEncode appends env's gob encoding (a fresh one-frame gob session)
-// to buf. Shared by plain Send and the v2 byte-savings oracle.
-func gobEncode(buf *bytes.Buffer, env *envelope) error {
-	return gob.NewEncoder(buf).Encode(env)
-}
-
-// Send encodes msg as one length-prefixed frame on conn and attributes
-// it to the connection's edge when the transport is instrumented. msg
-// must be one of the wire message pointer types. On a Framed connection
-// the session's persistent codec is used (the negotiated version);
-// plain connections always carry one-frame gob sessions, which any
-// receiver understands.
+// Send encodes msg as one frame on conn and attributes it to the
+// connection's edge when the transport is instrumented. msg must be one
+// of the wire message pointer types. A bare connection is wrapped for
+// this one call: a one-frame session, hello included.
 func Send(conn net.Conn, msg any) error {
 	env, err := wrap(msg)
 	if err != nil {
 		return err
 	}
-	if f, ok := conn.(*Framed); ok {
-		return f.send(&env)
-	}
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4)) // length placeholder, patched below
-	if err := gobEncode(&buf, &env); err != nil {
-		return fmt.Errorf("wire: encode %s: %w", env.Kind, err)
-	}
-	frame := buf.Bytes()
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	return writeFrame(conn, env.Kind, frame)
+	return NewFramed(conn).send(&env)
 }
 
 // writeFrame writes one encoded frame. An instrumented connection books
@@ -1231,30 +1032,14 @@ func writeFrame(conn net.Conn, kind string, frame []byte) error {
 	return nil
 }
 
-// Receive reads one frame from conn and returns the contained message as
-// one of *CloneMsg, *ResultMsg, *FetchReq, *FetchResp. On a Framed
-// connection the session's persistent decoder is used.
+// Receive reads one frame from conn and returns the message it carries,
+// one of the wire message pointer types. A bare connection is read as a
+// one-frame session: nothing reads an ack on it, so none is written.
 func Receive(conn net.Conn) (any, error) {
 	if f, ok := conn.(*Framed); ok {
 		return f.receive(false)
 	}
-	var lenbuf [4]byte
-	if _, err := io.ReadFull(conn, lenbuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lenbuf[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return nil, fmt.Errorf("wire: short frame: %w", err)
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	return unwrap(&env)
+	return NewFramed(conn).receive(true)
 }
 
 // ReceiveUnacked is Receive for an acceptor that decides by a session's
@@ -1262,60 +1047,3 @@ func Receive(conn net.Conn) (any, error) {
 // waits for in Settle is written when the acceptor comes back (its next
 // receive or Send on f), and never if it closes the connection instead.
 func ReceiveUnacked(f *Framed) (any, error) { return f.receive(true) }
-
-// unwrap validates an envelope and returns its payload message.
-func unwrap(env *envelope) (any, error) {
-	switch env.Kind {
-	case KindClone:
-		if env.Clone == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Clone, nil
-	case KindResult:
-		if env.Result == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Result, nil
-	case KindBounce:
-		if env.Bounce == nil || env.Bounce.Clone == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Bounce, nil
-	case KindShed:
-		if env.Shed == nil || env.Shed.Clone == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Shed, nil
-	case KindStop:
-		if env.Stop == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Stop, nil
-	case KindFetchReq:
-		if env.FetchReq == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.FetchReq, nil
-	case KindFetchResp:
-		if env.FetchResp == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.FetchResp, nil
-	case KindTune:
-		if env.Tune == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Tune, nil
-	case KindWatch:
-		if env.Watch == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Watch, nil
-	case KindDelta:
-		if env.Delta == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Delta, nil
-	}
-	return nil, fmt.Errorf("wire: unknown message kind %q", env.Kind)
-}

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"net"
 	"reflect"
-	"strings"
 	"testing"
 
 	"webdis/internal/netsim"
@@ -194,9 +195,8 @@ func (c *markedConn) Write(p []byte) (int, error) {
 // if the write fails.
 func TestFrameBookedBeforeWritten(t *testing.T) {
 	sends := map[string]func(c net.Conn) error{
-		"one-shot":  func(c net.Conn) error { return Send(c, sampleClone()) },
-		"framed v2": func(c net.Conn) error { return Send(NewFramed(c), sampleClone()) },
-		"framed v1": func(c net.Conn) error { return Send(NewFramedOpts(c, FramedOptions{Offer: 1}), sampleClone()) },
+		"one-shot": func(c net.Conn) error { return Send(c, sampleClone()) },
+		"framed":   func(c net.Conn) error { return Send(NewFramed(c), sampleClone()) },
 	}
 	for name, send := range sends {
 		for _, fail := range []bool{false, true} {
@@ -214,13 +214,58 @@ func TestFrameBookedBeforeWritten(t *testing.T) {
 	}
 }
 
+// TestReceiveGarbage: four bytes that are no hello refuse the session.
 func TestReceiveGarbage(t *testing.T) {
+	if err := receiveRaw([]byte{0xFF, 0xFF, 0xFF, 0xFF}); !errors.Is(err, ErrVersion) {
+		t.Fatalf("err = %v, want ErrVersion", err)
+	}
+}
+
+// receiveRaw feeds raw bytes to a Framed receiver, closes the sending
+// side, and returns the error Receive made of them.
+func receiveRaw(raw []byte) error {
 	c1, c2 := net.Pipe()
-	defer c1.Close()
 	defer c2.Close()
-	go c1.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := Receive(c2); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("err = %v", err)
+	go func() {
+		c1.Write(raw)
+		c1.Close()
+	}()
+	m, err := Receive(NewFramed(c2))
+	if err == nil {
+		return fmt.Errorf("received %T", m)
+	}
+	return err
+}
+
+// hello is a dialer's opening four bytes, prefixed to raw frames so the
+// receiver reads them as frames of a settled session.
+func hello(frame []byte) []byte {
+	return append([]byte{helloMagic[0], helloMagic[1], helloMagic[2], MaxWireVersion}, frame...)
+}
+
+// gobFrame is what a pre-v2 one-shot sender wrote: a 4-byte length
+// prefix and a one-message gob stream carrying env.
+func gobFrame(t testing.TB, env envelope) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(make([]byte, 4))
+	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	return frame
+}
+
+// wantTyped asserts that raw, sent bare, is refused with ErrVersion and,
+// sent after a hello, fails with a typed frame error.
+func wantTyped(t *testing.T, name string, raw []byte) {
+	t.Helper()
+	if err := receiveRaw(raw); !errors.Is(err, ErrVersion) {
+		t.Errorf("%s without hello: err = %v, want ErrVersion", name, err)
+	}
+	if err := receiveRaw(hello(raw)); !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+		t.Errorf("%s after hello: err = %v, want ErrCorrupt or ErrTruncated", name, err)
 	}
 }
 
@@ -271,22 +316,9 @@ func TestEnvKey(t *testing.T) {
 	}
 }
 
+// TestReceiveMalformedEnvelopes: gob frames of envelopes whose kind does
+// not match their payload are no sessions this build speaks.
 func TestReceiveMalformedEnvelopes(t *testing.T) {
-	// Hand-craft envelopes whose kind does not match their payload.
-	send := func(env envelope) (any, error) {
-		c1, c2 := net.Pipe()
-		defer c1.Close()
-		defer c2.Close()
-		go func() {
-			var buf bytes.Buffer
-			buf.Write(make([]byte, 4))
-			gob.NewEncoder(&buf).Encode(&env)
-			frame := buf.Bytes()
-			binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-			c1.Write(frame)
-		}()
-		return Receive(c2)
-	}
 	for _, env := range []envelope{
 		{Kind: KindClone},                        // empty clone
 		{Kind: KindResult},                       // empty result
@@ -296,36 +328,17 @@ func TestReceiveMalformedEnvelopes(t *testing.T) {
 		{Kind: "mystery"},                        // unknown kind
 		{Kind: KindBounce, Bounce: &BounceMsg{}}, // bounce without clone
 	} {
-		if _, err := send(env); err == nil {
-			t.Errorf("envelope %q should fail to receive", env.Kind)
-		}
+		wantTyped(t, "envelope "+env.Kind, gobFrame(t, env))
 	}
 }
 
 func TestReceiveShortFrame(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	go func() {
-		c1.Write([]byte{0, 0, 0, 50, 1, 2, 3}) // claims 50 bytes, sends 3
-		c1.Close()
-	}()
-	if _, err := Receive(c2); err == nil {
-		t.Fatal("short frame should fail")
-	}
+	wantTyped(t, "short frame", []byte{0, 0, 0, 50, 1, 2, 3}) // claims 50 bytes, sends 3
 }
 
 func TestReceiveBadGob(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	go func() {
-		payload := []byte("this is not gob data....")
-		frame := append([]byte{0, 0, 0, byte(len(payload))}, payload...)
-		c1.Write(frame)
-		c1.Close()
-	}()
-	if _, err := Receive(c2); err == nil || !strings.Contains(err.Error(), "decode") {
-		t.Fatal("bad gob should fail to decode")
-	}
+	payload := []byte("this is not gob data....")
+	wantTyped(t, "bad gob", append([]byte{0, 0, 0, byte(len(payload))}, payload...))
 }
 
 func TestShedRoundTrip(t *testing.T) {

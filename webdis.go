@@ -86,7 +86,7 @@ type (
 // Engine configuration.
 type (
 	// ServerOptions configure every query server of a deployment (dedup
-	// mode, clone batching, hop bound, wire-format pinning via WireV1).
+	// mode, clone batching, hop bound).
 	ServerOptions = server.Options
 	// NetOptions configure the simulated network fabric.
 	NetOptions = netsim.Options
