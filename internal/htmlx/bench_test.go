@@ -1,13 +1,16 @@
 package htmlx
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// benchPages are one page of each size class the yardstick parses: a
+// benchPages are one page of each size class the yardstick parses — a
 // tree40-docs page, a fanout-tcp leaf and the campus page of the paper's
-// sample query.
+// sample query — and a hand-indented page, whose whitespace sends
+// appendText to its bytewise loop at every line and every sentence.
 func benchPages() []struct {
 	name, url string
 	src       []byte
@@ -28,7 +31,23 @@ func benchPages() []struct {
 		{"tree43k", "http://t0.example/p0.html", page(1, "http://t0.example/p0.html")},
 		{"fanout280b", leaf, page(2, leaf)},
 		{"campus5k", "http://dsl.serc.iisc.ernet.in/index.html", page(0, "http://dsl.serc.iisc.ernet.in/index.html")},
+		{"indented16k", "http://a.example/handbook.html", indentedPage()},
 	}
+}
+
+// indentedPage is markup as written by hand: "\n\t\t" between inline
+// elements and two spaces after each sentence of a paragraph.
+func indentedPage() []byte {
+	var b strings.Builder
+	b.WriteString("<html>\n\t<head>\n\t\t<title>Department  Handbook</title>\n\t</head>\n\t<body>\n")
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&b, "\t<p>\n\t\tSection %d of the handbook.  Staff list the courses they teach,\n"+
+			"\t\tthe rooms of their office hours,  and the times.  Ask early.\n", i)
+		fmt.Fprintf(&b, "\t\t<b>Convener</b>\n\t\t<a href=\"people/p%d.html\">Person %d</a>\n"+
+			"\t\t<i>room %d</i>\n\t</p>\n", i, i, 100+i)
+	}
+	b.WriteString("\t</body>\n</html>\n")
+	return []byte(b.String())
 }
 
 var sinkDoc *Document

@@ -2,6 +2,7 @@ package htmlx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/url"
 	"strings"
@@ -182,28 +183,63 @@ func appendRun(b *strings.Builder, run []byte) {
 	}
 }
 
+// Byte-lane constants for reading eight bytes of a run as one word.
+const (
+	lanes01 = 0x0101010101010101 // 0x01 in every byte
+	lanes7f = 0x7f7f7f7f7f7f7f7f
+	lanes80 = 0x8080808080808080 // the high bit of every byte
+)
+
 // appendText streams run into the accumulator with whitespace runs
 // collapsed to single spaces (including across token boundaries), so that
-// offsets recorded by anchors and rel-infons stay consistent. It works
-// bytewise: the collapsed characters are all ASCII, and multi-byte UTF-8
-// sequences never contain ASCII-range bytes, so they pass through intact.
-// A stretch that is already in collapsed form — words one space apart, the
-// usual paragraph — is copied in one call.
+// offsets recorded by anchors and rel-infons stay consistent. The
+// collapsed characters are all ASCII, and multi-byte UTF-8 sequences never
+// contain ASCII-range bytes, so they pass through intact. A stretch that
+// is already in collapsed form — words one space apart, the usual
+// paragraph — is measured eight bytes at a time and copied in one call;
+// only the word where that form breaks, and a tail under eight bytes, are
+// looked at bytewise.
 func appendText(b *strings.Builder, run []byte) {
 	cur := b.String()
 	// spaced: a space appended now would lead the text or double one.
 	spaced := len(cur) == 0 || cur[len(cur)-1] == ' '
 	for len(run) > 0 {
 		n := 0
+	verbatim:
 		for n < len(run) {
-			if c := run[n]; c > ' ' || !isSpace(c) {
-				spaced = false
-			} else if c == ' ' && !spaced {
-				spaced = true
-			} else {
-				break
+			var lead uint64 // spaced, as the space flag of the byte before the word
+			if spaced {
+				lead = 0x80
 			}
-			n++
+			w := run[n:]
+			for ; len(w) >= 8; w = w[8:] {
+				x := binary.LittleEndian.Uint64(w)
+				// Any byte below ' ' — every whitespace byte but the space
+				// among them — goes bytewise. Exact as a yes/no test; bytes
+				// >= 0x80 never set it off.
+				if (x-' '*lanes01)&^x&lanes80 != 0 {
+					break
+				}
+				// sp has the high bit of each space byte, and of no other:
+				// the (y&7f)+7f form carries nothing into the next byte.
+				y := x ^ ' '*lanes01
+				sp := ^((y&lanes7f + lanes7f) | y | lanes7f)
+				if sp&(sp<<8|lead) != 0 { // a space after a space
+					break
+				}
+				lead = sp >> 56
+			}
+			n, spaced = len(run)-len(w), lead != 0
+			// Bytewise through the word that broke the form, or the tail.
+			for end := min(n+8, len(run)); n < end; n++ {
+				if c := run[n]; c > ' ' || !isSpace(c) {
+					spaced = false
+				} else if c == ' ' && !spaced {
+					spaced = true
+				} else {
+					break verbatim
+				}
+			}
 		}
 		b.Write(run[:n])
 		run = run[n:]

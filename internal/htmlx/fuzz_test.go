@@ -55,7 +55,7 @@ func FuzzParse(f *testing.F) {
 	for _, c := range handCases {
 		f.Add([]byte(c.src))
 	}
-	for _, p := range benchPages()[1:] { // a tree page and a campus page
+	for _, p := range benchPages()[1:] { // a tree leaf, the campus page, the indented page
 		f.Add(p.src)
 	}
 	other := []byte(samplePage)

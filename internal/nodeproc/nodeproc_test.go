@@ -182,8 +182,34 @@ func TestLogTableExactDuplicate(t *testing.T) {
 	if v.Action != Process {
 		t.Fatalf("different query = %v", v.Action)
 	}
-	if lt.Len() != 4 {
+	// Query ids whose fields run together alike are different queries.
+	v = lt.Check("http://n", wire.QueryID{User: "a@b", Site: "c", Num: 2}, 2, pre.MustParse("G|L"), "")
+	if v.Action != Process {
+		t.Fatalf("first of two alike-spelled queries = %v", v.Action)
+	}
+	v = lt.Check("http://n", wire.QueryID{User: "a", Site: "b@c", Num: 2}, 2, pre.MustParse("G|L"), "")
+	if v.Action != Process {
+		t.Fatalf("second of two alike-spelled queries = %v", v.Action)
+	}
+	if lt.Len() != 6 {
 		t.Errorf("Len = %d", lt.Len())
+	}
+}
+
+// TestLogTableCheckAllocs pins what a fresh arrival's log-table check
+// costs: its key and its entry, nothing to build the key with.
+func TestLogTableCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	lt := NewLogTable(DedupSubsume)
+	rem := pre.MustParse("G|L")
+	num := 1
+	if a := testing.AllocsPerRun(100, func() {
+		num++
+		lt.Check("http://t3.example/p0.html", wire.QueryID{User: qid.User, Site: qid.Site, Num: num}, 1, rem, "")
+	}); a > 2 {
+		t.Errorf("fresh arrival: %.0f allocations, want <= 2", a)
 	}
 }
 
