@@ -1341,12 +1341,20 @@ func (q *Query) Stopped() bool {
 	return q.stopping
 }
 
+// rowKey identifies a row for deduplication: every cell followed by a
+// NUL, built in one sized buffer, one allocation.
 func rowKey(row []string) string {
-	out := ""
+	n := len(row)
 	for _, v := range row {
-		out += v + "\x00"
+		n += len(v)
 	}
-	return out
+	var b strings.Builder
+	b.Grow(n)
+	for _, v := range row {
+		b.WriteString(v)
+		b.WriteByte(0)
+	}
+	return b.String()
 }
 
 // reaper watches the query for orphaned CHT entries: when no report has
@@ -1539,20 +1547,23 @@ func (q *Query) abandon() {
 // WaitContext blocks until the query completes or ctx ends. A passed
 // deadline returns ErrTimeout and leaves the query running (the old
 // Wait(timeout) contract); an explicit cancellation cancels the query
-// (StopMsg broadcast) and returns ErrCancelled.
+// (StopMsg broadcast) and returns ErrCancelled. A query that has finished
+// by the time ctx ends returns its own outcome either way, the one Err
+// reports.
 func (q *Query) WaitContext(ctx context.Context) error {
 	select {
 	case <-q.doneCh:
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		return q.err
 	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return ErrTimeout
+		if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			q.Cancel() // a no-op on a query that has finished
 		}
-		q.Cancel()
-		return ErrCancelled
 	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if !q.done {
+		return ErrTimeout
+	}
+	return q.err
 }
 
 // Wait blocks until the query completes, is cancelled, or the timeout

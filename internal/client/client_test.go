@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -444,6 +445,58 @@ func TestResultRowDedupAcrossMessages(t *testing.T) {
 	res := q.Results()
 	if len(res) != 1 || len(res[0].Rows) != 1 {
 		t.Fatalf("results = %+v", res)
+	}
+}
+
+// TestWaitContextAfterFinish: once a query has finished, WaitContext
+// returns its outcome, the one Err reports, even when ctx has ended too
+// and the wait could take either branch — cancelled or past its deadline.
+func TestWaitContextAfterFinish(t *testing.T) {
+	n := netsim.New(netsim.Options{})
+	f := newFakeServer(t, n, "a.example")
+	c := New(n, "u", "user")
+	defer c.Close()
+	q, err := c.Submit(disql.MustParse(oneStage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := f.recv()
+	d := clone.Dest[0]
+	f.reply(clone.ID, &wire.ResultMsg{ID: clone.ID, Updates: []wire.CHTUpdate{{
+		Processed: wire.CHTEntry{Node: d.URL, State: clone.State(), Origin: d.Origin, Seq: d.Seq}}}})
+	if err := q.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	for i := 0; i < 200; i++ {
+		for _, ctx := range []context.Context{cancelled, expired} {
+			if got, want := q.WaitContext(ctx), q.Err(); got != want {
+				t.Fatalf("iteration %d: WaitContext = %v, Err = %v", i, got, want)
+			}
+		}
+	}
+}
+
+var sinkRowKey string
+
+// TestRowKey pins the row dedup key: each cell NUL-terminated, so rows
+// whose cells run together alike stay apart, built in one allocation.
+func TestRowKey(t *testing.T) {
+	if k := rowKey([]string{"a", "", "bc"}); k != "a\x00\x00bc\x00" {
+		t.Errorf("rowKey = %q", k)
+	}
+	if rowKey([]string{"ab", "c"}) == rowKey([]string{"a", "bc"}) {
+		t.Error("rows whose cells run together alike share a key")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	row := []string{"http://t3.example/p17.html", "Page 17", "4096"}
+	if n := testing.AllocsPerRun(100, func() { sinkRowKey = rowKey(row) }); n != 1 {
+		t.Errorf("rowKey: %.0f allocations, want 1", n)
 	}
 }
 

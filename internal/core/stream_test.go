@@ -286,7 +286,9 @@ func TestFirstNActiveStop(t *testing.T) {
 // as ErrCancelled and actively stops the traversal.
 func TestRunContextCancelStopsQuery(t *testing.T) {
 	web := streamChain(30, 2500)
-	d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{NoDocService: true}})
+	// Every hop takes 2 ms, so the 30-site traversal is still under way
+	// when cancel() lands, however fast the sites evaluate.
+	d, err := NewDeployment(Config{Web: web, Net: netsim.Options{Latency: 2 * time.Millisecond}, Exec: ExecConfig{NoDocService: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

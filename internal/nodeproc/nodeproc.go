@@ -122,15 +122,31 @@ type Forward struct {
 // Step processes one arrival (rem within the current stage) at the node
 // whose virtual relations are db. hasNext tells whether another stage
 // follows the current one. env supplies upstream document bindings for
-// correlated node-queries (nil for the common uncorrelated case).
+// correlated node-queries (nil for the common uncorrelated case). It
+// compiles the stage's node-query for this one node; a Visitor compiles
+// it once for every node of a clone message.
 func Step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, hasNext bool, env map[string]string) (StepResult, error) {
+	var tree *plan.Tree
+	return step(db, node, rem, stage, &tree, hasNext, env)
+}
+
+// step is Step with the stage's compiled node-query kept in *tree: it is
+// compiled by the first evaluation that needs it and reused by the rest.
+func step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, tree **plan.Tree, hasNext bool, env map[string]string) (StepResult, error) {
 	var res StepResult
 	if pre.Nullable(rem) {
 		res.Evaluated = true
-		// Evaluation runs through the volcano operator pipeline; plan.Eval
-		// is row-for-row equivalent to the paper's nested-loop evaluator
-		// (plan's test oracle pins this) and reports scan/emit statistics.
-		tbl, stats, err := plan.Eval(stage.Query, db, env)
+		if *tree == nil {
+			t, err := plan.Compile(stage.Query)
+			if err != nil {
+				return res, fmt.Errorf("nodeproc: %s: %w", node, err)
+			}
+			*tree = t
+		}
+		// Evaluation runs through the volcano operator pipeline, row for
+		// row equivalent to the paper's nested-loop evaluator (plan's test
+		// oracle pins this), and reports scan/emit statistics.
+		tbl, stats, err := (*tree).Eval(db, env)
 		if err != nil {
 			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
 		}

@@ -69,6 +69,10 @@ type Visitor struct {
 	Counts  Counts
 
 	work []Arrival // reused across visits
+	// trees holds each stage's compiled node-query, by Arrival.Base,
+	// compiled at the first node that evaluates the stage. Every arrival a
+	// Visitor sees belongs to one web-query, so one tree serves them all.
+	trees []*plan.Tree
 }
 
 // Visit processes one arrival: the log-table check (before the document
@@ -93,7 +97,7 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 		if i > 0 && !v.check(&it, true) {
 			continue
 		}
-		res, err := Step(db, it.Node, it.Rem, it.Stages[0], len(it.Stages) > 1, it.Env)
+		res, err := step(db, it.Node, it.Rem, it.Stages[0], v.tree(it.Base), len(it.Stages) > 1, it.Env)
 		if err != nil {
 			continue
 		}
@@ -142,6 +146,14 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 			v.work = append(v.work, next)
 		}
 	}
+}
+
+// tree returns the slot of stage base's compiled node-query.
+func (v *Visitor) tree(base int) **plan.Tree {
+	for len(v.trees) <= base {
+		v.trees = append(v.trees, nil)
+	}
+	return &v.trees[base]
 }
 
 // check runs the log-table check for a, rewriting a.Rem on a superset
@@ -250,9 +262,9 @@ func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg) error {
 	if b.seen == nil {
 		b.seen, b.outs = make(map[string]bool), make(map[string]*Out)
 	}
-	work := b.v.work
+	work, trees := b.v.work, b.v.trees
 	b.e, b.in, b.v = e, c, e.Node
-	b.v.Query, b.v.Clone, b.v.work = c.ID, c, work
+	b.v.Query, b.v.Clone, b.v.work, b.v.trees = c.ID, c, work, trees
 	b.at = Arrival{Rem: rem, Stages: stages, Base: c.Base, Env: c.Env, Hops: c.Hops, HopQuota: c.Budget.Hops}
 	b.state = wire.State{NumQ: len(stages), Rem: rem.String()}
 	b.clones, b.rows = c.Budget.Clones, c.Budget.Rows
@@ -264,17 +276,19 @@ func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg) error {
 	return nil
 }
 
-// Reset drops what the last message left — the clone, its rows, its
-// outgoing clones — and keeps the maps and slices for the next Begin.
-// Updates and Tables are not reused: the reports that carry them may
-// outlive the message (a result batcher holds them until it flushes).
+// Reset drops what the last message left — the clone, its compiled
+// node-queries, its rows, its outgoing clones — and keeps the maps and
+// slices for the next Begin. Updates and Tables are not reused: the
+// reports that carry them may outlive the message (a result batcher holds
+// them until it flushes).
 func (b *Batch) Reset() {
 	work := b.v.work[:cap(b.v.work)]
 	clear(work)
+	clear(b.v.trees)
 	clear(b.seen)
 	clear(b.outs)
 	clear(b.Out)
-	*b = Batch{seen: b.seen, outs: b.outs, Out: b.Out[:0], v: Visitor{work: work[:0]}}
+	*b = Batch{seen: b.seen, outs: b.outs, Out: b.Out[:0], v: Visitor{work: work[:0], trees: b.v.trees[:0]}}
 }
 
 // Add visits one destination of the clone and records its CHT update; a

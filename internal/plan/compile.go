@@ -2,11 +2,21 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"webdis/internal/nodequery"
 	"webdis/internal/relmodel"
 )
+
+// Tree is one node-query compiled into an operator tree. It is built
+// once and run at node after node: each Eval binds one node's relations
+// and environment, and nothing about the tree's shape, its columns or
+// their positions is worked out again. The operators keep per-node state,
+// so one goroutine runs a Tree at a time.
+type Tree struct {
+	root  Op
+	outer []string // every outer reference of the query, "var.col"
+	scans []*Scan  // the leaves, whose rows are the scan statistics
+}
 
 // Compile translates one node-query into an operator tree, with the
 // classic single-site optimizations applied:
@@ -23,16 +33,15 @@ import (
 // Variables join left-deep in declaration order, exactly the paper's
 // nested-loop order, so the result row set is identical to the paper's
 // nested-loop evaluator (the test oracle; modulo row order, which
-// Distinct and the final sort make irrelevant). env supplies the
-// correlated-stage outer values, keyed "var.col".
-func Compile(q *nodequery.Query, env map[string]string) (Op, error) {
+// Distinct and the final sort make irrelevant). The tree does not depend
+// on the correlated-stage outer values: Eval supplies them per node.
+func Compile(q *nodequery.Query) (*Tree, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	for _, c := range q.Outer {
-		if _, ok := env[c.String()]; !ok {
-			return nil, fmt.Errorf("plan: no environment value for outer reference %s", c)
-		}
+	t := &Tree{outer: make([]string, len(q.Outer))}
+	for i, c := range q.Outer {
+		t.outer[i] = c.String()
 	}
 	declared := make(map[string]bool, len(q.Vars))
 	for _, v := range q.Vars {
@@ -48,6 +57,9 @@ func Compile(q *nodequery.Query, env map[string]string) (Op, error) {
 	used := make([]bool, len(pool))
 	vars := make([]map[string]bool, len(pool))
 	for i, c := range pool {
+		if err := checkPred(c); err != nil {
+			return nil, err
+		}
 		vars[i] = localVars(c, declared)
 	}
 
@@ -65,11 +77,12 @@ func Compile(q *nodequery.Query, env map[string]string) (Op, error) {
 		if len(preds) == 0 {
 			return child
 		}
-		return &Filter{Child: child, Pred: nodequery.Conj(preds...), Env: env}
+		return newFilter(child, preds)
 	}
 	for _, v := range q.Vars {
-		var sub Op = &Scan{Rel: strings.ToLower(v.Rel), Var: v.Name}
-		sub = takeFilter(sub, map[string]bool{v.Name: true})
+		sc := newScan(v.Rel, v.Name)
+		t.scans = append(t.scans, sc)
+		sub := takeFilter(sc, map[string]bool{v.Name: true})
 		if cur == nil {
 			cur = sub
 			bound[v.Name] = true
@@ -94,9 +107,13 @@ func Compile(q *nodequery.Query, env map[string]string) (Op, error) {
 			used[i] = true
 		}
 		if len(lk) > 0 {
-			cur = &HashJoin{Left: cur, Right: sub, LeftKeys: lk, RightKeys: rk}
+			j, err := newHashJoin(cur, sub, lk, rk)
+			if err != nil {
+				return nil, err
+			}
+			cur = j
 		} else {
-			cur = &NestLoop{Left: cur, Right: sub}
+			cur = newNestLoop(cur, sub)
 		}
 		bound[v.Name] = true
 		cur = takeFilter(cur, bound)
@@ -108,8 +125,8 @@ func Compile(q *nodequery.Query, env map[string]string) (Op, error) {
 	// Anything left references undeclared-but-non-outer variables, which
 	// Validate already rejected; keep a belt-and-braces filter anyway.
 	cur = takeFilter(cur, declared)
-	cur = &Project{Child: cur, Refs: q.Select, Env: env}
-	return &Distinct{Child: cur}, nil
+	t.root = &Distinct{Child: newProject(cur, q.Select)}
+	return t, nil
 }
 
 // EvalStats summarizes one evaluation for the metrics snapshot.
@@ -120,32 +137,39 @@ type EvalStats struct {
 
 // Eval compiles and runs the operator pipeline for one node, returning
 // the projected distinct result table: the node-query evaluator every
-// site runs.
+// site runs. env supplies the correlated-stage outer values, keyed
+// "var.col". A caller evaluating one query at many nodes compiles it once
+// and calls Tree.Eval per node instead.
 func Eval(q *nodequery.Query, db *relmodel.DB, env map[string]string) (*nodequery.Table, EvalStats, error) {
-	root, err := Compile(q, env)
+	t, err := Compile(q)
 	if err != nil {
 		return nil, EvalStats{}, err
 	}
-	t, err := Run(root, db)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	return t, collectStats(root), nil
+	return t.Eval(db, env)
 }
 
-func collectStats(root Op) EvalStats {
-	st := EvalStats{Emitted: root.Emitted()}
-	var walk func(op Op)
-	walk = func(op Op) {
-		if sc, ok := op.(*Scan); ok {
-			st.Scanned += sc.Emitted()
-		}
-		for _, k := range op.Kids() {
-			walk(k)
+// Eval runs the tree at one node: over db's virtual relations, with env
+// supplying the correlated-stage outer values, keyed "var.col".
+func (t *Tree) Eval(db *relmodel.DB, env map[string]string) (*nodequery.Table, EvalStats, error) {
+	for _, name := range t.outer {
+		if _, ok := env[name]; !ok {
+			return nil, EvalStats{}, fmt.Errorf("plan: no environment value for outer reference %s", name)
 		}
 	}
-	walk(root)
-	return st
+	// A scan under a filter the text oracle decides false is not opened,
+	// so its count from the previous node is zeroed here.
+	for _, sc := range t.scans {
+		sc.n = 0
+	}
+	tbl, err := run(t.root, db, env)
+	if err != nil {
+		return nil, EvalStats{}, err
+	}
+	st := EvalStats{Emitted: t.root.Emitted()}
+	for _, sc := range t.scans {
+		st.Scanned += sc.Emitted()
+	}
+	return tbl, st, nil
 }
 
 // flattenAnd splits a predicate into its top-level conjuncts.
@@ -197,83 +221,183 @@ func subset(a, b map[string]bool) bool {
 	return true
 }
 
-// evalPredRow evaluates a predicate over one pipeline row, mirroring
-// nodequery's evaluator value for value (Contains is case-insensitive
-// substring; ordered comparisons go numeric when both sides parse).
-func evalPredRow(p *nodequery.Pred, idx map[string]int, row []string, env map[string]string) (bool, error) {
+// checkPred rejects the predicate kinds and comparison operators the
+// evaluator does not know, so a compiled predicate cannot fail per row.
+func checkPred(p *nodequery.Pred) error {
 	if p == nil {
-		return true, nil
+		return nil
 	}
 	switch p.Kind {
 	case nodequery.True:
-		return true, nil
-	case nodequery.And:
+	case nodequery.And, nodequery.Or, nodequery.Not:
+		if p.Kind == nodequery.Not && len(p.Kids) != 1 {
+			return fmt.Errorf("plan: not takes one operand, got %d", len(p.Kids))
+		}
 		for _, k := range p.Kids {
-			ok, err := evalPredRow(k, idx, row, env)
-			if err != nil || !ok {
-				return false, err
+			if err := checkPred(k); err != nil {
+				return err
 			}
 		}
-		return true, nil
-	case nodequery.Or:
-		for _, k := range p.Kids {
-			ok, err := evalPredRow(k, idx, row, env)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	case nodequery.Not:
-		ok, err := evalPredRow(p.Kids[0], idx, row, env)
-		return !ok, err
 	case nodequery.Cmp:
-		left, err := rowVal(p.Left, idx, row, env)
-		if err != nil {
-			return false, err
-		}
-		right, err := rowVal(p.Right, idx, row, env)
-		if err != nil {
-			return false, err
-		}
 		switch p.Op {
-		case nodequery.Contains:
-			return containsFold(left, right), nil
-		case nodequery.NotContains:
-			return !containsFold(left, right), nil
+		case nodequery.Eq, nodequery.Ne, nodequery.Lt, nodequery.Le, nodequery.Gt, nodequery.Ge,
+			nodequery.Contains, nodequery.NotContains:
+		default:
+			return fmt.Errorf("plan: unknown comparison operator %d", p.Op)
 		}
-		c := nodequery.CompareVals(left, right)
-		switch p.Op {
-		case nodequery.Eq:
-			return c == 0, nil
-		case nodequery.Ne:
-			return c != 0, nil
-		case nodequery.Lt:
-			return c < 0, nil
-		case nodequery.Le:
-			return c <= 0, nil
-		case nodequery.Gt:
-			return c > 0, nil
-		case nodequery.Ge:
-			return c >= 0, nil
-		}
-		return false, fmt.Errorf("plan: unknown comparison operator %d", p.Op)
+	default:
+		return fmt.Errorf("plan: unknown predicate kind %d", p.Kind)
 	}
-	return false, fmt.Errorf("plan: unknown predicate kind %d", p.Kind)
+	return nil
 }
 
-func rowVal(o nodequery.Operand, idx map[string]int, row []string, env map[string]string) (string, error) {
+// cond is a predicate compiled against one operator's input: every column
+// operand is resolved, when the tree is built, to a position in the input
+// row or to a slot of the environment the operator binds at Open.
+type cond struct {
+	kind        nodequery.PredKind
+	op          nodequery.CmpOp
+	left, right arg
+	kids        []cond
+}
+
+func compileCond(p *nodequery.Pred, idx map[string]int, outer *outerVals) cond {
+	if p == nil {
+		return cond{kind: nodequery.True}
+	}
+	c := cond{kind: p.Kind, op: p.Op}
+	if p.Kind == nodequery.Cmp {
+		c.left = operandArg(p.Left, idx, outer)
+		c.right = operandArg(p.Right, idx, outer)
+		return c
+	}
+	c.kids = make([]cond, len(p.Kids))
+	for i, k := range p.Kids {
+		c.kids[i] = compileCond(k, idx, outer)
+	}
+	return c
+}
+
+// eval evaluates the predicate over one input row, mirroring nodequery's
+// evaluator value for value (Contains is case-insensitive substring;
+// ordered comparisons go numeric when both sides parse).
+func (c *cond) eval(row, env []string) bool {
+	switch c.kind {
+	case nodequery.And:
+		for i := range c.kids {
+			if !c.kids[i].eval(row, env) {
+				return false
+			}
+		}
+		return true
+	case nodequery.Or:
+		for i := range c.kids {
+			if c.kids[i].eval(row, env) {
+				return true
+			}
+		}
+		return false
+	case nodequery.Not:
+		return !c.kids[0].eval(row, env)
+	case nodequery.Cmp:
+		return compare(c.op, c.left.value(row, env), c.right.value(row, env))
+	}
+	return true // nodequery.True
+}
+
+func compare(op nodequery.CmpOp, left, right string) bool {
+	switch op {
+	case nodequery.Contains:
+		return containsFold(left, right)
+	case nodequery.NotContains:
+		return !containsFold(left, right)
+	}
+	c := nodequery.CompareVals(left, right)
+	switch op {
+	case nodequery.Eq:
+		return c == 0
+	case nodequery.Ne:
+		return c != 0
+	case nodequery.Lt:
+		return c < 0
+	case nodequery.Le:
+		return c <= 0
+	case nodequery.Gt:
+		return c > 0
+	}
+	return c >= 0 // nodequery.Ge; checkPred admits no other operator
+}
+
+// arg is one value an operator reads per row: a literal, a column of the
+// input row, or an outer reference's value in the bound environment.
+type arg struct {
+	from argFrom
+	i    int // row position or outer slot
+	lit  string
+}
+
+type argFrom uint8
+
+const (
+	fromLit argFrom = iota
+	fromRow
+	fromEnv
+)
+
+func (a arg) value(row, env []string) string {
+	switch a.from {
+	case fromRow:
+		return row[a.i]
+	case fromEnv:
+		return env[a.i]
+	}
+	return a.lit
+}
+
+func operandArg(o nodequery.Operand, idx map[string]int, outer *outerVals) arg {
 	if !o.IsCol {
-		return o.Lit, nil
+		return arg{lit: o.Lit}
 	}
-	name := o.Col.String()
+	return resolve(o.Col, idx, outer)
+}
+
+// resolve finds a column reference in the input (idx, from colIndex);
+// one the input lacks is an outer reference, read from the environment.
+func resolve(c nodequery.ColRef, idx map[string]int, outer *outerVals) arg {
+	name := c.String()
 	if i, ok := idx[name]; ok {
-		return row[i], nil
+		return arg{from: fromRow, i: i}
 	}
-	if v, ok := env[name]; ok {
-		return v, nil
+	return arg{from: fromEnv, i: outer.slot(name)}
+}
+
+// outerVals holds the outer references one operator reads, by slot, and
+// their values in the environment Open last bound.
+type outerVals struct {
+	names []string
+	vals  []string
+}
+
+func (o *outerVals) slot(name string) int {
+	for i, n := range o.names {
+		if n == name {
+			return i
+		}
 	}
-	return "", fmt.Errorf("plan: unbound column %s", name)
+	o.names = append(o.names, name)
+	return len(o.names) - 1
+}
+
+func (o *outerVals) bind(env map[string]string) error {
+	if len(o.vals) != len(o.names) {
+		o.vals = make([]string, len(o.names))
+	}
+	for i, name := range o.names {
+		v, ok := env[name]
+		if !ok {
+			return fmt.Errorf("plan: unbound column %s", name)
+		}
+		o.vals[i] = v
+	}
+	return nil
 }

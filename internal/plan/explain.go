@@ -18,13 +18,12 @@ func Explain(w *disql.WebQuery, plannerOn bool) string {
 	fmt.Fprintf(&b, "%s\n", w.String())
 	for i, s := range w.Stages {
 		fmt.Fprintf(&b, "stage %d/%d  PRE %s\n", i+1, len(w.Stages), s.PRE)
-		env := placeholderEnv(s.Query)
-		root, err := Compile(s.Query, env)
+		t, err := Compile(s.Query)
 		if err != nil {
 			fmt.Fprintf(&b, "  <uncompilable: %v>\n", err)
 			continue
 		}
-		writeTree(&b, root, 1)
+		writeTree(&b, t.root, 1)
 	}
 	spec := w.Output
 	var orderKeys []nodequery.OrderKey
@@ -34,8 +33,7 @@ func Explain(w *disql.WebQuery, plannerOn bool) string {
 	}
 	b.WriteString("output at user site:\n")
 	if spec.Grouped() {
-		agg := &HashAgg{Spec: spec}
-		fmt.Fprintf(&b, "  final %s\n", agg.Describe())
+		fmt.Fprintf(&b, "  final %s\n", describeAgg(spec))
 	}
 	if len(orderKeys) > 0 {
 		fmt.Fprintf(&b, "  order by %s\n", joinKeys(orderKeys))
@@ -82,12 +80,12 @@ func joinKeys(keys []nodequery.OrderKey) string {
 	return strings.Join(parts, ", ")
 }
 
-// placeholderEnv fills every outer reference with a placeholder so the
-// stage compiles for display without real correlated values.
-func placeholderEnv(q *nodequery.Query) map[string]string {
-	env := make(map[string]string, len(q.Outer))
-	for _, c := range q.Outer {
-		env[c.String()] = "…"
+// describeAgg renders the user-site's final hash aggregation of spec.
+func describeAgg(spec *nodequery.OutputSpec) string {
+	keys := make([]string, len(spec.GroupBy))
+	for i, k := range spec.GroupBy {
+		keys[i] = k.String()
 	}
-	return env
+	cols, _ := NewAcc(spec).FinalTable()
+	return fmt.Sprintf("hash-agg group by [%s] → [%s]", strings.Join(keys, ", "), strings.Join(cols, ", "))
 }

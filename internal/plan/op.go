@@ -1,13 +1,14 @@
 // Package plan implements the volcano/iterator operator pipeline that
 // evaluates node-queries at a site — scan over the virtual relations,
-// filter, project, hash-join, hash-aggregate, order-by, limit — and the
+// filter, hash-join, nest-loop product, project, distinct — and the
 // cost-based distributed planner built on top of it: partial-aggregate
 // and top-K pushdown into cloned web-queries (wire.PlanFrag), and the
 // per-edge ship-query-vs-ship-data decision driven by site statistics
 // piggybacked on result frames (wire.SiteStat).
 //
 // The pipeline replaces the paper's nested-loop matcher as the
-// site-local evaluator (nodeproc.Step calls Eval). It is observationally
+// site-local evaluator (nodeproc's traversal step runs a compiled Tree at
+// every node). It is observationally
 // identical to that matcher, which this package's tests keep as their
 // oracle — every value comparison goes through
 // nodequery.CompareVals/CanonVal so numeric-vs-string coercions agree.
@@ -22,13 +23,17 @@ import (
 	"webdis/internal/relmodel"
 )
 
-// Op is one node of a volcano operator tree. Open binds the tree to one
-// node's virtual relations, Next pulls one row at a time (ok=false at
-// end of stream), Close releases state. Cols names the output columns
-// in "var.col" form; Kids and Describe drive Explain; Emitted counts
-// rows produced, feeding the per-operator statistics snapshot.
+// Op is one node of a volcano operator tree. Compile builds the tree once
+// per node-query and fixes every operator's output columns and column
+// positions then. Open binds the tree to one node's virtual relations and
+// environment (the correlated-stage outer values, keyed "var.col") and
+// resets its state, so the goroutine that owns a tree runs it at node
+// after node. Next pulls one row at a time (ok=false at end of stream),
+// Close releases the node's rows. Cols names the output columns in
+// "var.col" form; Kids and Describe drive Explain; Emitted counts rows
+// produced since Open, feeding the per-operator statistics snapshot.
 type Op interface {
-	Open(db *relmodel.DB) error
+	Open(db *relmodel.DB, env map[string]string) error
 	Next() (row []string, ok bool, err error)
 	Close()
 	Cols() []string
@@ -48,20 +53,24 @@ type Scan struct {
 	Rel string // document, anchor or relinfon
 	Var string
 	emitted
+	cols   []string
 	tuples []relmodel.Tuple
 	pos    int
 }
 
-func (s *Scan) Cols() []string {
-	schema := relmodel.Schemas[strings.ToLower(s.Rel)]
-	cols := make([]string, len(schema))
+func newScan(rel, v string) *Scan {
+	rel = strings.ToLower(rel)
+	schema := relmodel.Schemas[rel]
+	s := &Scan{Rel: rel, Var: v, cols: make([]string, len(schema))}
 	for i, c := range schema {
-		cols[i] = s.Var + "." + c
+		s.cols[i] = v + "." + c
 	}
-	return cols
+	return s
 }
 
-func (s *Scan) Open(db *relmodel.DB) error {
+func (s *Scan) Cols() []string { return s.cols }
+
+func (s *Scan) Open(db *relmodel.DB, _ map[string]string) error {
 	rel, err := db.Relation(s.Rel)
 	if err != nil {
 		return err
@@ -90,29 +99,52 @@ func (s *Scan) Describe() string { return fmt.Sprintf("scan %s as %s", s.Rel, s.
 type Filter struct {
 	Child Op
 	Pred  *nodequery.Pred
-	Env   map[string]string
 	emitted
-	idx map[string]int
-	// residual is Pred minus the conjuncts the DB's text oracle decided
-	// at Open (see textfold.go); never short-circuits the stream when a
-	// decided conjunct is false — the child is then not even opened, so
-	// the relations under it are never materialised.
-	residual *nodequery.Pred
-	never    bool
+	conjs   []*nodequery.Pred // Pred's top-level conjuncts
+	conds   []cond            // conjs compiled against Child's columns
+	docVars map[string]bool   // variables of the document Scans under Child
+	outer   outerVals
+	// live lists the conds the DB's text oracle left undecided at Open
+	// (see textfold.go); never short-circuits the stream when a decided
+	// conjunct is false — the child is then not even opened, so the
+	// relations under it are never materialised.
+	live  []int
+	never bool
+}
+
+func newFilter(child Op, conjs []*nodequery.Pred) *Filter {
+	f := &Filter{
+		Child: child, Pred: nodequery.Conj(conjs...), conjs: conjs,
+		conds: make([]cond, len(conjs)), docVars: docScanVars(child),
+		live: make([]int, 0, len(conjs)),
+	}
+	idx := colIndex(child.Cols())
+	for i, p := range conjs {
+		f.conds[i] = compileCond(p, idx, &f.outer)
+	}
+	return f
 }
 
 func (f *Filter) Cols() []string { return f.Child.Cols() }
 
-func (f *Filter) Open(db *relmodel.DB) error {
-	f.idx, f.n = colIndex(f.Child.Cols()), 0
-	f.residual, f.never = f.Pred, false
-	if db.Text != nil {
-		f.residual, f.never = foldTextIndex(f.Pred, docScanVars(f.Child), db.Text)
+func (f *Filter) Open(db *relmodel.DB, env map[string]string) error {
+	f.n, f.never, f.live = 0, false, f.live[:0]
+	if err := f.outer.bind(env); err != nil {
+		return err
 	}
-	if f.never {
-		return nil
+	for i, c := range f.conjs {
+		if db.Text != nil {
+			if hit, decided := foldOne(c, f.docVars, db.Text); decided {
+				if !hit {
+					f.never = true
+					return nil
+				}
+				continue // decided true: drop from the residual
+			}
+		}
+		f.live = append(f.live, i)
 	}
-	return f.Child.Open(db)
+	return f.Child.Open(db, env)
 }
 
 func (f *Filter) Next() ([]string, bool, error) {
@@ -124,15 +156,20 @@ func (f *Filter) Next() ([]string, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		pass, err := evalPredRow(f.residual, f.idx, row, f.Env)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
+		if f.pass(row) {
 			f.n++
 			return row, true, nil
 		}
 	}
+}
+
+func (f *Filter) pass(row []string) bool {
+	for _, i := range f.live {
+		if !f.conds[i].eval(row, f.outer.vals) {
+			return false
+		}
+	}
+	return true
 }
 
 func (f *Filter) Close()           { f.Child.Close() }
@@ -147,31 +184,35 @@ type HashJoin struct {
 	Left, Right         Op
 	LeftKeys, RightKeys []nodequery.ColRef // parallel, len ≥ 1
 	emitted
-	table   map[string][][]string
-	cur     []string
-	matches [][]string
-	mi      int
-	lidx    []int
+	cols       []string
+	lidx, ridx []int
+	table      map[string][][]string
+	cur        []string
+	matches    [][]string
+	mi         int
 }
 
-func (j *HashJoin) Cols() []string {
-	return append(append([]string{}, j.Left.Cols()...), j.Right.Cols()...)
-}
-
-func (j *HashJoin) Open(db *relmodel.DB) error {
-	j.n, j.cur, j.matches, j.mi = 0, nil, nil, 0
-	if err := j.Left.Open(db); err != nil {
-		return err
-	}
-	if err := j.Right.Open(db); err != nil {
-		return err
-	}
-	var err error
-	if j.lidx, err = keyIndexes(j.LeftKeys, j.Left.Cols()); err != nil {
-		return err
-	}
-	ridx, err := keyIndexes(j.RightKeys, j.Right.Cols())
+func newHashJoin(left, right Op, lk, rk []nodequery.ColRef) (*HashJoin, error) {
+	lidx, err := keyIndexes(lk, left.Cols())
 	if err != nil {
+		return nil, err
+	}
+	ridx, err := keyIndexes(rk, right.Cols())
+	if err != nil {
+		return nil, err
+	}
+	return &HashJoin{Left: left, Right: right, LeftKeys: lk, RightKeys: rk,
+		cols: joinCols(left, right), lidx: lidx, ridx: ridx}, nil
+}
+
+func (j *HashJoin) Cols() []string { return j.cols }
+
+func (j *HashJoin) Open(db *relmodel.DB, env map[string]string) error {
+	j.n, j.cur, j.matches, j.mi = 0, nil, nil, 0
+	if err := j.Left.Open(db, env); err != nil {
+		return err
+	}
+	if err := j.Right.Open(db, env); err != nil {
 		return err
 	}
 	j.table = make(map[string][][]string)
@@ -183,7 +224,7 @@ func (j *HashJoin) Open(db *relmodel.DB) error {
 		if !ok {
 			break
 		}
-		k := hashKey(row, ridx)
+		k := hashKey(row, j.ridx)
 		j.table[k] = append(j.table[k], row)
 	}
 	return nil
@@ -225,21 +266,24 @@ func (j *HashJoin) Describe() string {
 type NestLoop struct {
 	Left, Right Op
 	emitted
+	cols  []string
 	cur   []string
 	right [][]string
 	ri    int
 }
 
-func (j *NestLoop) Cols() []string {
-	return append(append([]string{}, j.Left.Cols()...), j.Right.Cols()...)
+func newNestLoop(left, right Op) *NestLoop {
+	return &NestLoop{Left: left, Right: right, cols: joinCols(left, right)}
 }
 
-func (j *NestLoop) Open(db *relmodel.DB) error {
+func (j *NestLoop) Cols() []string { return j.cols }
+
+func (j *NestLoop) Open(db *relmodel.DB, env map[string]string) error {
 	j.n, j.cur, j.right, j.ri = 0, nil, nil, 0
-	if err := j.Left.Open(db); err != nil {
+	if err := j.Left.Open(db, env); err != nil {
 		return err
 	}
-	if err := j.Right.Open(db); err != nil {
+	if err := j.Right.Open(db, env); err != nil {
 		return err
 	}
 	for {
@@ -283,40 +327,30 @@ func (j *NestLoop) Describe() string { return "nest-loop product" }
 type Project struct {
 	Child Op
 	Refs  []nodequery.ColRef
-	Env   map[string]string
 	emitted
-	idx []int // position in child row, or -1 = env constant
-	env []string
+	cols  []string
+	args  []arg // per select column: a child position or an outer slot
+	outer outerVals
 }
 
-func (p *Project) Cols() []string {
-	cols := make([]string, len(p.Refs))
-	for i, r := range p.Refs {
-		cols[i] = r.String()
+func newProject(child Op, refs []nodequery.ColRef) *Project {
+	p := &Project{Child: child, Refs: refs, cols: make([]string, len(refs)), args: make([]arg, len(refs))}
+	idx := colIndex(child.Cols())
+	for i, r := range refs {
+		p.cols[i] = r.String()
+		p.args[i] = resolve(r, idx, &p.outer)
 	}
-	return cols
+	return p
 }
 
-func (p *Project) Open(db *relmodel.DB) error {
-	if err := p.Child.Open(db); err != nil {
+func (p *Project) Cols() []string { return p.cols }
+
+func (p *Project) Open(db *relmodel.DB, env map[string]string) error {
+	p.n = 0
+	if err := p.outer.bind(env); err != nil {
 		return err
 	}
-	p.n = 0
-	idx := colIndex(p.Child.Cols())
-	p.idx = make([]int, len(p.Refs))
-	p.env = make([]string, len(p.Refs))
-	for i, r := range p.Refs {
-		if j, ok := idx[r.String()]; ok {
-			p.idx[i] = j
-			continue
-		}
-		v, ok := p.Env[r.String()]
-		if !ok {
-			return fmt.Errorf("plan: unbound column %s", r)
-		}
-		p.idx[i], p.env[i] = -1, v
-	}
-	return nil
+	return p.Child.Open(db, env)
 }
 
 func (p *Project) Next() ([]string, bool, error) {
@@ -324,13 +358,9 @@ func (p *Project) Next() ([]string, bool, error) {
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	out := make([]string, len(p.Refs))
-	for i, j := range p.idx {
-		if j < 0 {
-			out[i] = p.env[i]
-		} else {
-			out[i] = row[j]
-		}
+	out := make([]string, len(p.args))
+	for i, a := range p.args {
+		out[i] = a.value(row, p.outer.vals)
 	}
 	p.n++
 	return out, true, nil
@@ -338,21 +368,24 @@ func (p *Project) Next() ([]string, bool, error) {
 
 func (p *Project) Close()           { p.Child.Close() }
 func (p *Project) Kids() []Op       { return []Op{p.Child} }
-func (p *Project) Describe() string { return "project [" + strings.Join(p.Cols(), ", ") + "]" }
+func (p *Project) Describe() string { return "project [" + strings.Join(p.cols, ", ") + "]" }
 
 // Distinct passes each row once (byte equality, first occurrence),
 // matching nodequery's final distinct projection.
 type Distinct struct {
 	Child Op
 	emitted
-	seen map[string]bool
+	seen map[string]bool // emptied at Close, kept for the next node
 }
 
 func (d *Distinct) Cols() []string { return d.Child.Cols() }
 
-func (d *Distinct) Open(db *relmodel.DB) error {
-	d.seen, d.n = make(map[string]bool), 0
-	return d.Child.Open(db)
+func (d *Distinct) Open(db *relmodel.DB, env map[string]string) error {
+	if d.seen == nil {
+		d.seen = make(map[string]bool)
+	}
+	d.n = 0
+	return d.Child.Open(db, env)
 }
 
 func (d *Distinct) Next() ([]string, bool, error) {
@@ -371,174 +404,9 @@ func (d *Distinct) Next() ([]string, bool, error) {
 	}
 }
 
-func (d *Distinct) Close()           { d.Child.Close(); d.seen = nil }
+func (d *Distinct) Close()           { d.Child.Close(); clear(d.seen) }
 func (d *Distinct) Kids() []Op       { return []Op{d.Child} }
 func (d *Distinct) Describe() string { return "distinct" }
-
-// HashAgg folds its input into groups per an OutputSpec at Open and
-// streams the aggregated rows: partial-state rows when Partial (the
-// pushdown form a remote site ships), finalized output rows otherwise.
-type HashAgg struct {
-	Child   Op
-	Spec    *nodequery.OutputSpec
-	Env     map[string]string
-	Partial bool
-	emitted
-	cols []string
-	rows [][]string
-	pos  int
-}
-
-func (h *HashAgg) Cols() []string {
-	if h.cols != nil {
-		return h.cols
-	}
-	acc := NewAcc(h.Spec)
-	if h.Partial {
-		c, _ := acc.PartialTable()
-		return c
-	}
-	c, _ := acc.FinalTable()
-	return c
-}
-
-func (h *HashAgg) Open(db *relmodel.DB) error {
-	if err := h.Child.Open(db); err != nil {
-		return err
-	}
-	h.n, h.pos = 0, 0
-	acc := NewAcc(h.Spec)
-	cols := h.Child.Cols()
-	var rows [][]string
-	for {
-		row, ok, err := h.Child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
-	}
-	acc.AddRaw(cols, rows, h.Env)
-	if h.Partial {
-		h.cols, h.rows = acc.PartialTable()
-	} else {
-		h.cols, h.rows = acc.FinalTable()
-	}
-	return nil
-}
-
-func (h *HashAgg) Next() ([]string, bool, error) {
-	if h.pos >= len(h.rows) {
-		return nil, false, nil
-	}
-	row := h.rows[h.pos]
-	h.pos++
-	h.n++
-	return row, true, nil
-}
-
-func (h *HashAgg) Close()     { h.Child.Close(); h.rows = nil }
-func (h *HashAgg) Kids() []Op { return []Op{h.Child} }
-
-func (h *HashAgg) Describe() string {
-	kind := "hash-agg"
-	if h.Partial {
-		kind = "partial hash-agg"
-	}
-	var keys []string
-	for _, k := range h.Spec.GroupBy {
-		keys = append(keys, k.String())
-	}
-	return fmt.Sprintf("%s group by [%s] → [%s]", kind, strings.Join(keys, ", "), strings.Join(h.Cols(), ", "))
-}
-
-// OrderBy materializes its input at Open and streams it sorted by the
-// spec's order keys (nodequery.CompareVals per key, whole-row tiebreak).
-type OrderBy struct {
-	Child Op
-	Keys  []nodequery.OrderKey
-	emitted
-	rows [][]string
-	pos  int
-}
-
-func (o *OrderBy) Cols() []string { return o.Child.Cols() }
-
-func (o *OrderBy) Open(db *relmodel.DB) error {
-	if err := o.Child.Open(db); err != nil {
-		return err
-	}
-	o.n, o.pos, o.rows = 0, 0, nil
-	for {
-		row, ok, err := o.Child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		o.rows = append(o.rows, row)
-	}
-	idx, desc, err := orderIndexes(o.Keys, o.Child.Cols())
-	if err != nil {
-		return err
-	}
-	sortRowsBy(o.rows, idx, desc)
-	return nil
-}
-
-func (o *OrderBy) Next() ([]string, bool, error) {
-	if o.pos >= len(o.rows) {
-		return nil, false, nil
-	}
-	row := o.rows[o.pos]
-	o.pos++
-	o.n++
-	return row, true, nil
-}
-
-func (o *OrderBy) Close()     { o.Child.Close(); o.rows = nil }
-func (o *OrderBy) Kids() []Op { return []Op{o.Child} }
-
-func (o *OrderBy) Describe() string {
-	parts := make([]string, len(o.Keys))
-	for i, k := range o.Keys {
-		parts[i] = k.String()
-	}
-	return "order by " + strings.Join(parts, ", ")
-}
-
-// Limit stops the stream after N rows.
-type Limit struct {
-	Child Op
-	N     int
-	emitted
-}
-
-func (l *Limit) Cols() []string { return l.Child.Cols() }
-
-func (l *Limit) Open(db *relmodel.DB) error {
-	l.n = 0
-	return l.Child.Open(db)
-}
-
-func (l *Limit) Next() ([]string, bool, error) {
-	if int(l.n) >= l.N {
-		return nil, false, nil
-	}
-	row, ok, err := l.Child.Next()
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	l.n++
-	return row, true, nil
-}
-
-func (l *Limit) Close()           { l.Child.Close() }
-func (l *Limit) Kids() []Op       { return []Op{l.Child} }
-func (l *Limit) Describe() string { return fmt.Sprintf("limit %d", l.N) }
 
 // oneRow emits a single empty row: the evaluation seed of a node-query
 // with no declared variables (the predicate evaluates once).
@@ -547,11 +415,11 @@ type oneRow struct {
 	done bool
 }
 
-func (o *oneRow) Cols() []string          { return nil }
-func (o *oneRow) Open(*relmodel.DB) error { o.done, o.n = false, 0; return nil }
-func (o *oneRow) Close()                  {}
-func (o *oneRow) Kids() []Op              { return nil }
-func (o *oneRow) Describe() string        { return "one-row" }
+func (o *oneRow) Cols() []string                             { return nil }
+func (o *oneRow) Open(*relmodel.DB, map[string]string) error { o.done, o.n = false, 0; return nil }
+func (o *oneRow) Close()                                     {}
+func (o *oneRow) Kids() []Op                                 { return nil }
+func (o *oneRow) Describe() string                           { return "one-row" }
 func (o *oneRow) Next() ([]string, bool, error) {
 	if o.done {
 		return nil, false, nil
@@ -561,17 +429,14 @@ func (o *oneRow) Next() ([]string, bool, error) {
 	return []string{}, true, nil
 }
 
-// Run opens the tree against one node's relations, drains it into a
-// result table and closes it.
-func Run(root Op, db *relmodel.DB) (*nodequery.Table, error) {
-	if err := root.Open(db); err != nil {
+// run opens the tree against one node's relations and environment,
+// drains it into a result table and closes it.
+func run(root Op, db *relmodel.DB, env map[string]string) (*nodequery.Table, error) {
+	if err := root.Open(db, env); err != nil {
 		return nil, err
 	}
 	defer root.Close()
 	t := &nodequery.Table{Cols: root.Cols()}
-	if t.Cols == nil {
-		t.Cols = []string{}
-	}
 	for {
 		row, ok, err := root.Next()
 		if err != nil {
@@ -595,6 +460,12 @@ func colIndex(cols []string) map[string]int {
 		}
 	}
 	return m
+}
+
+// joinCols is the output of a product: the left columns, then the right.
+func joinCols(left, right Op) []string {
+	l, r := left.Cols(), right.Cols()
+	return append(append(make([]string, 0, len(l)+len(r)), l...), r...)
 }
 
 func keyIndexes(keys []nodequery.ColRef, cols []string) ([]int, error) {

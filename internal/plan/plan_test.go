@@ -444,10 +444,11 @@ func TestExplainOperatorTree(t *testing.T) {
 		Where:  nodequery.Compare(nodequery.ColOperand("a", "label"), nodequery.Eq, nodequery.ColOperand("b", "label")),
 		Select: []nodequery.ColRef{{Var: "a", Col: "href"}},
 	}
-	root, err := Compile(q, nil)
+	tree, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	root := tree.root
 	found := false
 	var walk func(op Op)
 	walk = func(op Op) {
@@ -462,7 +463,7 @@ func TestExplainOperatorTree(t *testing.T) {
 	if !found {
 		t.Fatalf("equi-join compiled without a HashJoin: %s", strings.TrimSpace(describeAll(root)))
 	}
-	if _, err := Run(root, db); err != nil {
+	if _, _, err := tree.Eval(db, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // column has one truth value for the whole evaluation. When the DB
 // carries a TextOracle (the persistent store's posting-list index),
 // Filter.Open asks it once per such conjunct instead of scanning the
-// text per row: a decided-true conjunct is dropped from the residual
-// predicate, a decided-false one short-circuits the filter to an empty
+// text per row: a decided-true conjunct is left out of the node's
+// residual, a decided-false one short-circuits the filter to an empty
 // stream without pulling the child at all. Undecided conjuncts (literal
 // outside the index's exact class, non-document variable, column-to-
 // column comparison) stay in the residual and full-scan as before, so a
@@ -26,7 +26,7 @@ func docScanVars(op Op) map[string]bool {
 	out := make(map[string]bool)
 	var walk func(Op)
 	walk = func(o Op) {
-		if sc, ok := o.(*Scan); ok && strings.ToLower(sc.Rel) == relmodel.RelDocument {
+		if sc, ok := o.(*Scan); ok && sc.Rel == relmodel.RelDocument {
 			out[sc.Var] = true
 		}
 		for _, k := range o.Kids() {
@@ -37,30 +37,8 @@ func docScanVars(op Op) map[string]bool {
 	return out
 }
 
-// foldTextIndex resolves the oracle-decidable conjuncts of p. It returns
-// the residual predicate and whether a decided conjunct is false (the
-// filter passes nothing).
-func foldTextIndex(p *nodequery.Pred, docVars map[string]bool, ix relmodel.TextOracle) (*nodequery.Pred, bool) {
-	conjs := flattenAnd(p)
-	kept := make([]*nodequery.Pred, 0, len(conjs))
-	for _, c := range conjs {
-		if hit, decided := foldOne(c, docVars, ix); decided {
-			if !hit {
-				return nil, true
-			}
-			continue // decided true: drop from the residual
-		}
-		kept = append(kept, c)
-	}
-	if len(kept) == len(conjs) {
-		return p, false // nothing folded; keep the original shape
-	}
-	if len(kept) == 0 {
-		return nil, false
-	}
-	return nodequery.Conj(kept...), false
-}
-
+// foldOne decides one conjunct from the text oracle: whether it is true,
+// and whether the oracle could say.
 func foldOne(c *nodequery.Pred, docVars map[string]bool, ix relmodel.TextOracle) (value, decided bool) {
 	if c.Kind != nodequery.Cmp || (c.Op != nodequery.Contains && c.Op != nodequery.NotContains) {
 		return false, false

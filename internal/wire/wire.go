@@ -23,6 +23,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,8 +86,18 @@ type State struct {
 
 func (s State) String() string { return fmt.Sprintf("(%d, %s)", s.NumQ, s.Rem) }
 
-// Key returns a map key identifying the state.
-func (s State) Key() string { return fmt.Sprintf("%d|%s", s.NumQ, s.Rem) }
+// Key returns a map key identifying the state: "NumQ|Rem". It is built
+// in one sized buffer, one allocation.
+func (s State) Key() string {
+	var num [20]byte
+	n := strconv.AppendInt(num[:0], int64(s.NumQ), 10)
+	var b strings.Builder
+	b.Grow(len(n) + 1 + len(s.Rem))
+	b.Write(n)
+	b.WriteByte('|')
+	b.WriteString(s.Rem)
+	return b.String()
+}
 
 // StageMsg is one (PRE, node-query) stage of a web-query in transit.
 // Export lists the document columns the stage contributes to the clone
@@ -361,9 +372,26 @@ type CHTEntry struct {
 	Seq    int64
 }
 
-// Key returns the CHT map key: node, state and instance serial.
+// Key returns the CHT map key: node, state and instance serial, as
+// "Node§NumQ|Rem§Origin§Seq". It is built in one sized buffer, one
+// allocation.
 func (e CHTEntry) Key() string {
-	return fmt.Sprintf("%s§%s§%s§%d", e.Node, e.State.Key(), e.Origin, e.Seq)
+	var numQ, seq [20]byte
+	q := strconv.AppendInt(numQ[:0], int64(e.State.NumQ), 10)
+	n := strconv.AppendInt(seq[:0], e.Seq, 10)
+	const sep = "§"
+	var b strings.Builder
+	b.Grow(len(e.Node) + len(q) + 1 + len(e.State.Rem) + len(e.Origin) + len(n) + 3*len(sep))
+	b.WriteString(e.Node)
+	b.WriteString(sep)
+	b.Write(q)
+	b.WriteByte('|')
+	b.WriteString(e.State.Rem)
+	b.WriteString(sep)
+	b.WriteString(e.Origin)
+	b.WriteString(sep)
+	b.Write(n)
+	return b.String()
 }
 
 // CHTUpdate reports the processing of one node: the entry being retired

@@ -289,6 +289,27 @@ func TestQueryIDAndStateStrings(t *testing.T) {
 	if e.Key() == e2.Key() {
 		t.Error("distinct clone instances must have distinct keys")
 	}
+	neg := CHTEntry{Node: "n", State: State{NumQ: -1, Rem: ""}, Origin: "", Seq: -12}
+	if neg.Key() != "n§-1|§§-12" {
+		t.Errorf("negative entry key = %s", neg.Key())
+	}
+}
+
+var sinkKey string
+
+// TestKeyAllocs pins the state and CHT entry keys at one allocation each:
+// the string itself.
+func TestKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := CHTEntry{Node: "http://t3.example/p17.html", State: State{NumQ: 2, Rem: "L*3·G"}, Origin: "t3.example/query", Seq: 123456789}
+	if n := testing.AllocsPerRun(100, func() { sinkKey = e.State.Key() }); n != 1 {
+		t.Errorf("State.Key: %.0f allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkKey = e.Key() }); n != 1 {
+		t.Errorf("CHTEntry.Key: %.0f allocations, want 1", n)
+	}
 }
 
 func TestCloneEnvRoundTrip(t *testing.T) {
