@@ -373,9 +373,14 @@ from document d such that "http://c0.example/p0.html" N|G* d`
 
 	t.Run("first contact", func(t *testing.T) {
 		d := deploy(t)
-		_, m := cancelMidFlight(t, d)
+		q, m := cancelMidFlight(t, d)
 		if m.Terminated == 0 {
 			t.Error("no server observed the passive termination signal")
+		}
+		// Nothing chases the clone: a stop goes only to a site that has
+		// reported, and each of those evaluated at least once.
+		if stops := int64(q.Stats().StopsSent); stops > m.Evaluations {
+			t.Errorf("%d stops sent against %d evaluations", stops, m.Evaluations)
 		}
 		// The deployment is still usable: the collector was not closed.
 		if q, err := d.Run(chain, 5*time.Second); err != nil || len(q.Results()[0].Rows) != 40 {

@@ -327,4 +327,23 @@ func TestPushdownMetrics(t *testing.T) {
 	if snn.RowsScanned == 0 {
 		t.Error("naive deployment recorded no scanned rows")
 	}
+
+	// What pushdown is for: counting the marker pages' text ships one
+	// partial count per node instead of the text, for the same answer.
+	src := fmt.Sprintf(`select count(d.text) from document d such that %q N|(G*2) d where d.text contains %q`,
+		plannerRoot, webgraph.Marker)
+	pushed, naive := deploy(t, plannerWeb(), plannerOn()), deploy(t, plannerWeb(), server.Options{})
+	qp, qn := run(t, pushed, src), run(t, naive, src)
+	if got, want := renderResults(qp), renderResults(qn); got != want {
+		t.Fatalf("pushdown changed the answer\npushed:\n%s\nnaive:\n%s", got, want)
+	}
+	if saved := pushed.Metrics().Snapshot().PushdownBytesSaved; saved <= 0 {
+		t.Errorf("PushdownBytesSaved = %d for a text count", saved)
+	}
+	pb := pushed.Network().Stats().Snapshot().Total().Bytes
+	nb := naive.Network().Stats().Snapshot().Total().Bytes
+	t.Logf("count(d.text): %d B pushed down, %d B naive", pb, nb)
+	if pb >= nb {
+		t.Errorf("pushdown moved %d B, naive shipping %d B", pb, nb)
+	}
 }

@@ -130,9 +130,19 @@ func testWatchOracle(t *testing.T, tr netsim.Transport, srv server.Options, step
 		watches = append(watches, aw)
 	}
 
+	// Bytes on the fabric while the watches catch up with a mutation, and
+	// while the oracle re-runs every standing query from scratch.
+	var stats *netsim.Stats
+	if tcp, ok := tr.(*netsim.TCPTransport); ok {
+		stats = tcp.Stats()
+	} else {
+		stats = d.Network().Stats()
+	}
+	var maintained, rerun int64
 	want := 0
 	applied := 0
 	for step := 0; step < steps; step++ {
+		b0 := stats.Snapshot().Total().Bytes
 		muts, notified := d.Mutate(1)
 		if len(muts) == 0 {
 			t.Fatalf("step %d: mutation schedule dried up", step)
@@ -143,18 +153,27 @@ func testWatchOracle(t *testing.T, tr netsim.Transport, srv server.Options, step
 			if err := aw.w.WaitEpoch(ctx, want); err != nil {
 				t.Fatalf("step %d (%v): WaitEpoch(%d): %v", step, muts[0], want, err)
 			}
+		}
+		b1 := stats.Snapshot().Total().Bytes
+		maintained += b1 - b0
+		for _, aw := range watches {
 			oracle := run(t, d, aw.src)
 			if got, wantR := renderTables(aw.w.Results()), renderResults(oracle); got != wantR {
 				t.Fatalf("step %d (%v): watch diverged from re-run oracle\nwatch:\n%s\noracle:\n%s",
 					step, muts[0], got, wantR)
 			}
 		}
+		rerun += stats.Snapshot().Total().Bytes - b1
 	}
 	if applied < steps {
 		t.Fatalf("applied %d mutations, want %d", applied, steps)
 	}
 	if want == 0 {
 		t.Fatal("no change notifications were delivered (vacuous run)")
+	}
+	t.Logf("%d steps: %d B maintaining the watches, %d B re-running them", steps, maintained, rerun)
+	if maintained >= rerun {
+		t.Errorf("maintaining the watches moved %d B, re-running them %d B", maintained, rerun)
 	}
 
 	// The delta stream replays the baseline into the final snapshot,

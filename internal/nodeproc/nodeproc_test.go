@@ -1,6 +1,8 @@
 package nodeproc
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,26 +215,75 @@ func TestLogTableCheckAllocs(t *testing.T) {
 	}
 }
 
+// TestLogTableSubsumption is the §3.1.1 decision table (T7): arrivals of
+// one query at one node, in order, each judged against what the earlier
+// ones logged. The paper's worked example is its first five rows: log
+// L*2·G; L*1·G is covered and dropped; L*4·G covers the log entry,
+// replaces it and is rewritten to L·L*3·G, so L*3·G is now covered.
 func TestLogTableSubsumption(t *testing.T) {
-	// The paper's worked example: log L*2·G; then L*1·G is covered and
-	// dropped; then L*4·G covers the log entry, replaces it, and is
-	// rewritten to L·L*3·G.
 	lt := NewLogTable(DedupSubsume)
-	lt.Check("http://n", qid, 1, pre.MustParse("L*2·G"), "")
-	if v := lt.Check("http://n", qid, 1, pre.MustParse("L*1·G"), ""); v.Action != Drop {
-		t.Fatalf("L*1·G = %v", v.Action)
+	for _, c := range []struct {
+		arrives string
+		action  Action
+		rem     string // what a rewritten arrival is processed as
+	}{
+		{"L*2·G", Process, ""},
+		{"L*1·G", Drop, ""},
+		{"L*2·G", Drop, ""},
+		{"L*4·G", Rewrite, "L·L*3·G"},
+		{"L*3·G", Drop, ""},
+		{"L*·G", Rewrite, "L·L*·G"},
+		{"G·L", Process, ""},
+	} {
+		v := lt.Check("http://n", qid, 1, pre.MustParse(c.arrives), "")
+		rem := ""
+		if v.Action == Rewrite {
+			rem = v.Rem.String()
+		}
+		if v.Action != c.action || rem != c.rem {
+			t.Errorf("%s: %v %q, want %v %q", c.arrives, v.Action, rem, c.action, c.rem)
+		}
 	}
-	v := lt.Check("http://n", qid, 1, pre.MustParse("L*4·G"), "")
-	if v.Action != Rewrite || v.Rem.String() != "L·L*3·G" {
-		t.Fatalf("L*4·G = %v %v", v.Action, v.Rem)
-	}
-	// The log entry was replaced: L*3·G is now covered.
-	if v := lt.Check("http://n", qid, 1, pre.MustParse("L*3·G"), ""); v.Action != Drop {
-		t.Fatalf("L*3·G after replace = %v", v.Action)
-	}
-	// Entry count unchanged by the replace.
-	if lt.Len() != 1 {
+	// A rewrite replaces the entry it covers; only G·L, which no star
+	// shape relates to the rest, adds one.
+	if lt.Len() != 2 {
 		t.Errorf("Len = %d", lt.Len())
+	}
+}
+
+// TestLogTableRewriteCascade is T7's multi-rewrite rule: a chain first
+// explored under L*2 logs L*2, L*1 and N at depths 0–2. A clone carrying
+// L*5 that walks the same chain later is rewritten at the first n = 2
+// nodes it encounters, the paper's n, and then runs free.
+func TestLogTableRewriteCascade(t *testing.T) {
+	lt := NewLogTable(DedupSubsume)
+	node := func(depth int) string { return "http://chain.example/p" + strconv.Itoa(depth) + ".html" }
+	for depth, rem := 0, pre.MustParse("L*2"); ; depth++ {
+		lt.Check(node(depth), qid, 1, rem, "")
+		if len(pre.First(rem)) == 0 {
+			break
+		}
+		rem = pre.Derive(rem, pre.Local)
+	}
+	var actions []string
+	rem := pre.MustParse("L*5")
+	for depth := 0; depth < 6; depth++ {
+		v := lt.Check(node(depth), qid, 1, rem, "")
+		actions = append(actions, v.Action.String())
+		next := rem
+		switch v.Action {
+		case Drop:
+			t.Fatalf("depth %d: %s dropped", depth, rem)
+		case Rewrite:
+			next = v.Rem
+		}
+		if len(pre.First(next)) == 0 {
+			break
+		}
+		rem = pre.Derive(next, pre.Local)
+	}
+	if got := strings.Join(actions, " "); got != "rewrite rewrite process process process process" {
+		t.Errorf("L*5 along the chain: %s", got)
 	}
 }
 

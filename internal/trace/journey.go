@@ -260,7 +260,8 @@ func (jy *Journey) Walk(fn func(n *SpanNode, depth int)) {
 // Lost returns the spans that never completed processing: clones that
 // vanished in flight or whose forwards failed outright. These are the
 // exact hops where answer rows were lost — the fault-localization signal
-// experiment T12 checks against the injected fault schedule.
+// TestJourneyLocalizesLostClones (internal/core) checks against the
+// fabric's fault ledger.
 func (jy *Journey) Lost() []*SpanNode {
 	var out []*SpanNode
 	jy.Walk(func(n *SpanNode, _ int) {

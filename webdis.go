@@ -40,9 +40,8 @@
 // The deployment runs one query server per site of the synthetic web on
 // an instrumented in-process transport; the same servers also run over
 // real TCP (see cmd/webdisd and cmd/webdis). Traffic is counted per edge,
-// which is what the benchmark harness (bench_test.go, cmd/webdis-bench)
-// uses to regenerate the paper's figures and the experiments of
-// EXPERIMENTS.md.
+// which is what the tests pinning the paper's figures (EXPERIMENTS.md)
+// and the yardstick in benchmark/ measure.
 package webdis
 
 import (
