@@ -38,7 +38,7 @@ func main() {
 	query := flag.String("query", "", "DISQL query text")
 	file := flag.String("file", "", "file containing the DISQL query")
 	timeout := flag.Duration("timeout", time.Minute, "give up after this long (0 = wait forever)")
-	hybrid := flag.Bool("hybrid", false, "process clones for sites without a daemon centrally (needs doc addresses in the peers file)")
+	hybrid := flag.Bool("hybrid", false, "run a query server here as the proxy for sites without a daemon: it downloads their documents (needs doc addresses in the peers file)")
 	traceMode := flag.String("trace", "", "print the query's causal clone tree after completion: text, dot, or chrome (trace_event JSON)")
 	explain := flag.Bool("explain", false, "print the distributed plan (operator trees, pushdown, edge policy) and exit without running the query")
 	naive := flag.Bool("naive", false, "turn the cost-based planner off: no pushed-down fragments on root clones, raw rows fold classically (with -explain, show the naive plan)")
@@ -88,8 +88,18 @@ func main() {
 		// stitch the clone tree from its own collector socket.
 		journal = trace.NewJournal("tcp://"+*listen, 0)
 	}
+	var proxy *server.Server
+	if *hybrid {
+		// The proxy is an ordinary query server with no documents of its
+		// own, listening on an ephemeral port under the user's name.
+		proxy = server.New(username, nil, tr, &server.Metrics{}, server.Options{Journal: journal})
+		if err := proxy.Start(); err != nil {
+			fatal(err)
+		}
+		defer proxy.Stop()
+	}
 	c := client.NewWith(tr, username, "tcp://"+*listen, client.Options{
-		Hybrid: *hybrid, Journal: journal, Planner: !*naive,
+		Proxy: proxy, Journal: journal, Planner: !*naive,
 	})
 	defer c.Close()
 

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"iter"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,14 +87,15 @@ var ErrPartial = errors.New("client: query completed partial")
 
 // Options configure a Client in one shot: the consolidated form of the
 // deprecated Set* setters, threaded down from core.Config. The zero
-// value is a plain user-site: no hybrid fallback, no reaper, no tracing.
+// value is a plain user-site: no proxy, no reaper, no tracing.
 type Options struct {
-	// Hybrid enables the Section 7.1 migration path: clones addressed to
-	// sites without a query server — bounced back by servers or refused
-	// at submission — are evaluated centrally at the user-site by
-	// downloading their documents, and re-enter distributed processing at
-	// the next participating site.
-	Hybrid bool
+	// Proxy is the user-site's own query server, started by the caller
+	// with no DocSource: the Section 7.1 migration path. Clones addressed
+	// to sites without a query server — bounced back by servers or refused
+	// at submission — are sent to it as plain clones; it evaluates them on
+	// downloaded documents and forwards their continuations to the next
+	// participating site. Nil retires such clones as failed forwards.
+	Proxy *server.Server
 	// ReapGrace arms the orphan-CHT reaper: when a query has seen no
 	// report for the grace window while CHT entries remain outstanding,
 	// the reaper retires the orphans, marks the query Partial with the
@@ -113,12 +115,11 @@ type Options struct {
 	// StartNode selection). Queries with an index source fail without one.
 	IndexResolver func(term string) []string
 	// Cluster, when non-nil, routes every dispatch through the replica
-	// membership table: root clones, fallback rejoins and stop broadcasts
-	// resolve a live replica of the destination site (failing over to the
-	// next one when the send fails), stale result frames from a replica's
-	// previous incarnation are rejected, and the reaper replays clones
-	// stranded by a crashed replica to a surviving one before giving up
-	// and reaping.
+	// membership table: root clones and stop broadcasts resolve a live
+	// replica of the destination site (failing over to the next one when
+	// the send fails), stale result frames from a replica's previous
+	// incarnation are rejected, and the reaper replays clones stranded by
+	// a crashed replica to a surviving one before giving up and reaping.
 	Cluster *cluster.Membership
 	// Planner arms the user-site half of the cost-based distributed
 	// planner: root clones of aggregating (or limited) queries carry a
@@ -495,7 +496,7 @@ type Query struct {
 	// standing result set incrementally (see watch.go).
 	rec *recording
 
-	hybrid    bool
+	proxy     *server.Server
 	reapGrace time.Duration
 	met       *server.Metrics
 	journal   *trace.Journal
@@ -523,8 +524,6 @@ type Query struct {
 	rowSeen     map[int]map[string]bool
 	stitched    []trace.Event // span events recovered from result reports
 	stats       Stats
-	fstats      FallbackStats
-	fb          *fallback // lazily created on first hybrid work
 	started     time.Time
 	lastReport  time.Time // last CHT activity, watched by the reaper
 	partial     bool      // completed by reaping, not by full accounting
@@ -635,7 +634,7 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 	q := &Query{
 		web:        w,
 		c:          c,
-		hybrid:     c.opts.Hybrid,
+		proxy:      c.opts.Proxy,
 		reapGrace:  c.opts.ReapGrace,
 		met:        c.opts.Metrics,
 		journal:    c.opts.Journal,
@@ -814,8 +813,8 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 		if err == nil {
 			continue
 		}
-		if q.hybrid {
-			// The site does not participate: process its clone centrally
+		if q.proxy != nil {
+			// The site does not participate: the proxy processes its clone
 			// (Section 7.1).
 			q.jot(msg, trace.Bounce, wire.BounceNoServer)
 			q.bounced(msg)
@@ -838,10 +837,11 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 	return len(keys), firstErr
 }
 
-// bounced handles a clone returned by a server: hybrid queries route it
-// into the fallback processor (created on first use) for central
-// evaluation; non-hybrid and cancelled queries retire its entries so the
-// bounce degrades to a recorded forward failure instead of a stranded CHT.
+// bounced handles a clone that could not reach its site — returned by a
+// server, or refused at submission: it goes to the proxy as a plain
+// clone. Without a proxy, or when even the proxy cannot take it, its
+// entries retire, so the bounce degrades to a recorded forward failure
+// instead of a stranded CHT.
 func (q *Query) bounced(c *wire.CloneMsg) {
 	q.mu.Lock()
 	if q.done {
@@ -849,21 +849,16 @@ func (q *Query) bounced(c *wire.CloneMsg) {
 		return
 	}
 	q.lastReport = time.Now()
-	if !q.hybrid {
-		for _, u := range c.Retirements() {
-			q.retire(u.Processed)
-		}
-		q.maybeComplete()
-		q.mu.Unlock()
+	q.mu.Unlock()
+	if q.proxy != nil && q.c.send(q.proxy.Self(), c) == nil {
 		return
 	}
-	q.fstats.Bounces++
-	if q.fb == nil {
-		q.fb = newFallback(q)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, u := range c.Retirements() {
+		q.retire(u.Processed)
 	}
-	fb := q.fb
-	q.mu.Unlock()
-	fb.enqueue(c)
+	q.maybeComplete()
 }
 
 // shedded handles a typed SHED refusal: a site over its high watermark
@@ -892,13 +887,6 @@ func (q *Query) Shed() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.shed
-}
-
-// FallbackStats returns the query's hybrid fallback counters.
-func (q *Query) FallbackStats() FallbackStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.fstats
 }
 
 // send delivers one message to the named endpoint over the client's
@@ -1005,8 +993,7 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 	return true
 }
 
-// jot appends one causal event for clone c to the query's journal (used
-// by the hybrid fallback, which processes clones at the user-site).
+// jot appends one causal event for clone c to the query's journal.
 func (q *Query) jot(c *wire.CloneMsg, kind trace.Kind, detail string) {
 	q.journal.AppendClone(c, kind, "", c.State(), detail)
 }
@@ -1042,8 +1029,8 @@ func (q *Query) stitch(id wire.QueryID, r *wire.Report) {
 }
 
 // TraceEvents returns the query's causal trace as seen from the
-// user-site: the client journal's own events (dispatches, fallback
-// processing, reaps) plus the span events stitched from result reports.
+// user-site: the client journal's own events (dispatches, bounces, reaps)
+// plus the span events stitched from result reports.
 // Over a real network this is the complete reconstructable view; pass it
 // to trace.BuildJourney. In-process deployments should prefer the
 // deployment collector, which merges the per-site journals directly.
@@ -1189,6 +1176,11 @@ func (q *Query) stopTargets() []string {
 		}
 		q.stopSent[site] = true
 		sites = append(sites, site)
+	}
+	if q.proxy != nil && !q.stopSent[q.proxy.Site()] {
+		// The proxy may hold a clone of any site without a query server.
+		q.stopSent[q.proxy.Site()] = true
+		sites = append(sites, q.proxy.Site())
 	}
 	sort.Strings(sites)
 	return sites
@@ -1383,9 +1375,9 @@ func (q *Query) reaper() {
 			t.Reset(q.reapGrace - idle)
 			continue
 		}
-		if q.nonzero == 0 || q.fallbackBusy() {
-			// Balanced but unfinished (shouldn't happen), or the local
-			// fallback still has work queued that will produce reports.
+		if q.nonzero == 0 || (q.proxy != nil && q.proxy.Queued(q.id) > 0) {
+			// Balanced but unfinished (shouldn't happen), or the proxy
+			// still has clones queued that will produce reports.
 			q.mu.Unlock()
 			t.Reset(q.reapGrace)
 			continue
@@ -1409,13 +1401,6 @@ func (q *Query) reaper() {
 		}
 		t.Reset(q.reapGrace)
 	}
-}
-
-// fallbackBusy reports whether the hybrid fallback still holds queued
-// clones (local work that generates no network reports while pending).
-// Callers hold q.mu.
-func (q *Query) fallbackBusy() bool {
-	return q.fb != nil && q.fb.pendingLen() > 0
 }
 
 // reap retires every outstanding CHT entry, records the sites they point
@@ -1504,9 +1489,6 @@ func (q *Query) finish(err error) {
 	}
 	close(q.doneCh)
 	q.scond.Broadcast() // wake stream consumers: no more rows are coming
-	if q.fb != nil {
-		q.fb.close()
-	}
 	q.c.detach(q.id.Num)
 }
 
@@ -1532,7 +1514,11 @@ func (q *Query) Cancel() {
 	q.finish(ErrCancelled)
 	q.mu.Unlock()
 	if inFlight {
-		q.broadcastStop(q.c.reporting(), cancelReason)
+		sites := q.c.reporting()
+		if q.proxy != nil && !slices.Contains(sites, q.proxy.Site()) {
+			sites = append(sites, q.proxy.Site())
+		}
+		q.broadcastStop(sites, cancelReason)
 	}
 }
 

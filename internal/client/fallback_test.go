@@ -7,6 +7,7 @@ import (
 
 	"webdis/internal/disql"
 	"webdis/internal/netsim"
+	"webdis/internal/server"
 	"webdis/internal/webgraph"
 	"webdis/internal/webserver"
 )
@@ -24,12 +25,28 @@ func hostAll(t *testing.T, n *netsim.Network, web *webgraph.Web) {
 	}
 }
 
+// proxyClient starts the user-site's proxy — an ordinary query server with
+// no documents of its own — and a client that hands it every clone no
+// site's server takes. It returns the client and the proxy's counters.
+func proxyClient(t *testing.T, n *netsim.Network) (*Client, *server.Metrics) {
+	t.Helper()
+	met := &server.Metrics{}
+	p := server.New("user", nil, n, met, server.Options{})
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Stop)
+	c := NewWith(n, "u", "user", Options{Proxy: p})
+	t.Cleanup(c.Close)
+	return c, met
+}
+
 func TestFallbackProcessesWholeQueryLocally(t *testing.T) {
 	web := webgraph.Campus()
 	n := netsim.New(netsim.Options{})
 	hostAll(t, n, web)
 
-	c := NewWith(n, "u", "user", Options{Hybrid: true})
+	c, met := proxyClient(t, n)
 	q, err := c.Submit(disql.MustParse(webgraph.CampusDISQL))
 	if err != nil {
 		t.Fatal(err)
@@ -46,14 +63,14 @@ func TestFallbackProcessesWholeQueryLocally(t *testing.T) {
 			t.Errorf("row = %v", row)
 		}
 	}
-	fs := q.FallbackStats()
-	if fs.Fetches == 0 || fs.Evaluations == 0 || fs.LocalClones == 0 {
-		t.Errorf("fallback stats = %+v", fs)
+	m := met.Snapshot()
+	if m.DocsParsed == 0 || m.Evaluations == 0 || m.LocalClones == 0 {
+		t.Errorf("proxy metrics = %+v", m)
 	}
-	if fs.Rejoined != 0 {
-		t.Errorf("nothing to rejoin with no servers: %+v", fs)
+	if m.ClonesForwarded != 0 {
+		t.Errorf("nothing to rejoin with no servers: %+v", m)
 	}
-	// CHT balanced even though everything was self-reported.
+	// CHT balanced although every report came from the user-site itself.
 	st := q.Stats()
 	if st.EntriesAdded != st.EntriesRetired {
 		t.Errorf("CHT imbalance: %+v", st)
@@ -61,8 +78,8 @@ func TestFallbackProcessesWholeQueryLocally(t *testing.T) {
 }
 
 func TestFallbackDocumentCacheBounded(t *testing.T) {
-	// A diamond revisits the same node; the fallback must fetch each
-	// document once.
+	// A diamond reaches the join twice in the same state; the proxy's log
+	// table drops the second arrival, so each document is fetched once.
 	web := webgraph.NewWeb()
 	top := web.NewPage("http://a.example/top.html", "Top")
 	top.AddLink("http://b.example/l.html", "l")
@@ -73,7 +90,7 @@ func TestFallbackDocumentCacheBounded(t *testing.T) {
 
 	n := netsim.New(netsim.Options{})
 	hostAll(t, n, web)
-	c := NewWith(n, "u", "user", Options{Hybrid: true})
+	c, met := proxyClient(t, n)
 	q, err := c.Submit(disql.MustParse(
 		`select d.url from document d such that "http://a.example/top.html" N|G*3 d`))
 	if err != nil {
@@ -85,8 +102,8 @@ func TestFallbackDocumentCacheBounded(t *testing.T) {
 	if rows := q.Results()[0].Rows; len(rows) != 4 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if fs := q.FallbackStats(); fs.Fetches != 4 {
-		t.Errorf("fetches = %d, want one per document", fs.Fetches)
+	if got := met.DocsParsed.Load(); got != 4 {
+		t.Errorf("fetches = %d, want one per document", got)
 	}
 }
 
@@ -96,7 +113,7 @@ func TestFallbackMissingDocumentIsDeadEnd(t *testing.T) {
 	p.AddLink("/gone.html", "floating")
 	n := netsim.New(netsim.Options{})
 	hostAll(t, n, web)
-	c := NewWith(n, "u", "user", Options{Hybrid: true})
+	c, met := proxyClient(t, n)
 	q, err := c.Submit(disql.MustParse(
 		`select d.url from document d such that "http://a.example/x.html" N|L d`))
 	if err != nil {
@@ -108,15 +125,18 @@ func TestFallbackMissingDocumentIsDeadEnd(t *testing.T) {
 	if rows := q.Results()[0].Rows; len(rows) != 1 {
 		t.Errorf("rows = %v", rows)
 	}
+	if got := met.DocErrors.Load(); got != 1 {
+		t.Errorf("load failures = %d, want the floating link's 1", got)
+	}
 }
 
 func TestNonHybridClientFailsWithoutServers(t *testing.T) {
 	web := webgraph.Campus()
 	n := netsim.New(netsim.Options{})
 	hostAll(t, n, web)
-	c := New(n, "u", "user") // hybrid off
+	c := New(n, "u", "user") // no proxy
 	if _, err := c.Submit(disql.MustParse(webgraph.CampusDISQL)); err == nil {
-		t.Fatal("submit should fail: no query server and no hybrid fallback")
+		t.Fatal("submit should fail: no query server and no proxy")
 	}
 }
 
@@ -124,7 +144,7 @@ func TestFallbackCancelledQueryStops(t *testing.T) {
 	web := webgraph.Chain(100, 1, 2)
 	n := netsim.New(netsim.Options{Latency: time.Millisecond})
 	hostAll(t, n, web)
-	c := NewWith(n, "u", "user", Options{Hybrid: true})
+	c, met := proxyClient(t, n)
 	q, err := c.Submit(disql.MustParse(
 		`select d.url from document d such that "http://c0.example/p0.html" N|G* d`))
 	if err != nil {
@@ -135,16 +155,19 @@ func TestFallbackCancelledQueryStops(t *testing.T) {
 	if err := q.Wait(time.Second); err != ErrCancelled {
 		t.Fatalf("Wait = %v", err)
 	}
-	// The fallback queue was closed: apart from the destination in flight
-	// at the instant of cancellation, fetch counts stop growing.
-	time.Sleep(20 * time.Millisecond) // let any in-flight destination finish
-	a := q.FallbackStats().Fetches
+	// The cancel's stop reached the proxy: apart from the clone in flight
+	// when it landed, fetch counts stop growing.
+	time.Sleep(20 * time.Millisecond) // let the in-flight clone finish
+	a := met.DocsParsed.Load()
 	time.Sleep(50 * time.Millisecond)
-	b := q.FallbackStats().Fetches
+	b := met.DocsParsed.Load()
 	if a != b {
-		t.Errorf("fallback kept working after cancel: %d -> %d", a, b)
+		t.Errorf("the proxy kept working after cancel: %d -> %d", a, b)
 	}
 	if b >= 100 {
 		t.Errorf("cancel had no effect: %d fetches", b)
+	}
+	if met.Stopped.Load() == 0 {
+		t.Error("the proxy never retired a clone as stopped")
 	}
 }

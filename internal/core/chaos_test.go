@@ -120,13 +120,12 @@ func TestChaosDropDifferential(t *testing.T) {
 				}
 
 				sn := d.Metrics().Snapshot()
-				fs := q.FallbackStats()
+				user, _ := userAndServers(d)
 				net := d.Network().Stats().Snapshot().Total()
-				lossSignals := sn.Terminated + sn.ForwardFailed + sn.CHTReaped +
-					int64(fs.LoadFailures)
+				lossSignals := sn.Terminated + sn.ForwardFailed + sn.CHTReaped + user.DocErrors
 				if len(got) != len(want) && lossSignals == 0 {
-					t.Errorf("lost %d rows with no loss counter raised (metrics %+v, fallback %+v)",
-						len(want)-len(got), sn, fs)
+					t.Errorf("lost %d rows with no loss counter raised (metrics %+v, proxy %+v)",
+						len(want)-len(got), sn, user)
 				}
 				if lossSignals == 0 && len(got) != len(want) {
 					t.Errorf("rows = %d, want %d", len(got), len(want))
@@ -144,8 +143,8 @@ func TestChaosDropDifferential(t *testing.T) {
 					// Moderate loss: retry (and bounce, if a retry loop is
 					// exhausted) recovers the complete answer.
 					if len(got) != len(want) {
-						t.Errorf("rows at 5%% drop = %d, want full answer %d (metrics %+v, fallback %+v)",
-							len(got), len(want), sn, fs)
+						t.Errorf("rows at 5%% drop = %d, want full answer %d (metrics %+v, proxy %+v)",
+							len(got), len(want), sn, user)
 					}
 					if net.Dropped == 0 || sn.Retries == 0 {
 						t.Errorf("expected injected drops and retries, got dropped=%d retries=%d",
@@ -240,7 +239,7 @@ func TestChaosNoRetryAblation(t *testing.T) {
 
 // TestChaosDownSiteDegradedMode takes one leaf site down for the whole
 // run. Forward retries to it exhaust, the clone bounces to the user-site,
-// and the fallback's fetches fail too — so the engine degrades cleanly:
+// and the proxy's downloads fail too — so the engine degrades cleanly:
 // it returns exactly the answer restricted to reachable documents, the
 // bounce and load-failure counters account for the difference, and no CHT
 // entry is left for the reaper (the bounce path retired everything).
@@ -292,14 +291,13 @@ where d.text contains "` + webgraph.Marker + `"`
 	if k, ok := subset(got, reachable); !ok {
 		t.Errorf("delivered row %q is not reachable", k)
 	}
-	sn := d.Metrics().Snapshot()
-	fs := q.FallbackStats()
-	if sn.Retries == 0 || sn.RecoveredByBounce == 0 {
+	user, servers := userAndServers(d)
+	if servers.Retries == 0 || servers.RecoveredByBounce == 0 {
 		t.Errorf("expected retry exhaustion and bounce recovery, got retries=%d bounced=%d",
-			sn.Retries, sn.RecoveredByBounce)
+			servers.Retries, servers.RecoveredByBounce)
 	}
-	if fs.LoadFailures == 0 {
-		t.Errorf("fallback should have failed to load the down site's documents: %+v", fs)
+	if user.DocErrors == 0 {
+		t.Errorf("the proxy should have failed to load the down site's documents: %+v", user)
 	}
 	// The bounce path retired every entry itself; nothing was orphaned.
 	if q.Partial() || q.Stats().Reaped != 0 {

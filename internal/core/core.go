@@ -47,18 +47,17 @@ type ExecConfig struct {
 	// Participate, when non-nil, selects which sites run a query server —
 	// the paper's Section 7.1 world where only some of the web has
 	// adopted WEBDIS. Non-participating sites keep their document host,
-	// servers bounce undeliverable clones back to the user-site, and the
-	// client's hybrid fallback processes them centrally. Incompatible
-	// with NoDocService (the fallback must be able to download) and with
-	// Server.StrictDeadEnds or Server.MaxHops (the fallback follows the
-	// paper's defaults).
+	// and servers bounce undeliverable clones back to the user-site, whose
+	// proxy — one more query server, built with Server and no documents —
+	// evaluates them on downloaded documents. Incompatible with
+	// NoDocService (the proxy downloads).
 	Participate func(site string) bool
-	// Hybrid enables the bounce/fallback path even when every site
+	// Hybrid starts the user-site's proxy even when every site
 	// participates: a clone whose forward attempts are exhausted under
-	// Server.Retry is returned to the user-site and evaluated centrally —
+	// Server.Retry is returned to the user-site and evaluated there —
 	// per-edge degraded-mode recovery from query shipping to data
 	// shipping. Implied by Participate. Incompatible with NoDocService,
-	// Server.StrictDeadEnds and Server.MaxHops, like Participate.
+	// like Participate.
 	Hybrid bool
 	// ReapGrace arms the client's orphan-CHT reaper: a query that has
 	// seen no report for this long while entries remain outstanding is
@@ -78,13 +77,6 @@ type ExecConfig struct {
 	// cadence, demotion thresholds, seed). Only consulted when some site
 	// has more than one replica.
 	Cluster cluster.Options
-	// SiteServerOptions, when non-nil, rewrites one site's server options
-	// just before its query servers are built — the hook mixed-version
-	// deployments use to pin a subset of sites to wire v1 while the rest
-	// negotiate v2. It receives the site name and the options every
-	// server would get (after deployment-wide adjustments) and returns
-	// the options that site actually runs with.
-	SiteServerOptions func(site string, o server.Options) server.Options
 	// AdaptiveBatch arms the client's collector-side batching feedback
 	// loop (see client.Options.AdaptiveBatch); effective when
 	// Server.ResultBatch is enabled too.
@@ -122,8 +114,8 @@ type Config struct {
 	// Net groups the simulated fabric's knobs (latency, bandwidth,
 	// fault plan, observer).
 	Net netsim.Options
-	// Exec groups the execution-path knobs (server options, hybrid
-	// fallback, replicas, tracing, ...).
+	// Exec groups the execution-path knobs (server options, the
+	// user-site's proxy, replicas, tracing, ...).
 	Exec ExecConfig
 	// Storage groups the persistent site-store knobs, applied to every
 	// query server. When non-zero it is Exec.Server.Store.
@@ -143,14 +135,19 @@ type Deployment struct {
 	cluster *cluster.Membership         // nil when no site is replicated
 	client  *client.Client
 	user    string
+	// proxy is the user-site's own query server under Participate/Hybrid
+	// (nil otherwise): the Section 7.1 migration path.
+	proxy *server.Server
 
 	// Per-site engine metrics: one instance per query server, plus one
-	// for the client under the user name. Metrics aggregates them.
+	// for the user-site (client and proxy) under the user name. Metrics
+	// aggregates them.
 	siteMetrics   map[string]*server.Metrics
 	clientMetrics *server.Metrics
 
 	// Trace journals, present when Config.Exec.Trace is set: one per query
-	// server, one for the client, one for the fabric ("(net)").
+	// server, one for the user-site (client and proxy), one for the fabric
+	// ("(net)").
 	journals      map[string]*trace.Journal
 	clientJournal *trace.Journal
 	netJournal    *trace.Journal
@@ -175,14 +172,9 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("core: Config.Web is required")
 	}
 	ex := cfg.Exec
-	if (ex.Participate != nil || ex.Hybrid) && ex.NoDocService {
-		return nil, fmt.Errorf("core: Participate/Hybrid requires the document service (the hybrid fallback downloads)")
-	}
-	if (ex.Participate != nil || ex.Hybrid) && (ex.Server.StrictDeadEnds || ex.Server.MaxHops > 0) {
-		// Server options are per site (SiteServerOptions), so there is no
-		// one value for the user-site fallback to follow, and a fallback on
-		// the paper's defaults would answer differently than the servers.
-		return nil, fmt.Errorf("core: Participate/Hybrid cannot follow Server.StrictDeadEnds or Server.MaxHops (the hybrid fallback applies the paper's defaults)")
+	hybrid := ex.Participate != nil || ex.Hybrid
+	if hybrid && ex.NoDocService {
+		return nil, fmt.Errorf("core: Participate/Hybrid requires the document service (the user-site's proxy downloads)")
 	}
 	user := ex.User
 	if user == "" {
@@ -192,9 +184,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.Storage != (server.StoreOptions{}) {
 		srvOpts.Store = cfg.Storage
 	}
-	if ex.Participate != nil || ex.Hybrid {
-		srvOpts.Hybrid = true
-	}
+	srvOpts.Hybrid = hybrid
 	if ex.NoDocService {
 		// A ship-data edge downloads documents from their home site's
 		// fetch service; without the service such an edge would dead-end.
@@ -278,9 +268,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			d.siteMetrics[key] = met
 			opts := srvOpts
 			opts.Replica = i
-			if ex.SiteServerOptions != nil {
-				opts = ex.SiteServerOptions(site, opts)
-			}
 			if ex.Trace {
 				j := trace.NewJournal(key, ex.TraceCapacity)
 				d.journals[key] = j
@@ -300,8 +287,19 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if ex.Trace {
 		d.clientJournal = trace.NewJournal(user, ex.TraceCapacity)
 	}
+	if hybrid {
+		// The user-site's proxy shares the user-site's metrics and journal,
+		// so its work shows in the user-name row of SiteSnapshots.
+		opts := srvOpts
+		opts.Journal = d.clientJournal
+		d.proxy = server.New(user, nil, tr, d.clientMetrics, opts)
+		if err := d.proxy.Start(); err != nil {
+			d.Close()
+			return nil, err
+		}
+	}
 	d.client = client.NewWith(tr, user, user, client.Options{
-		Hybrid:    ex.Participate != nil || ex.Hybrid,
+		Proxy:     d.proxy,
 		ReapGrace: ex.ReapGrace,
 		Metrics:   d.clientMetrics,
 		Journal:   d.clientJournal,
@@ -387,8 +385,8 @@ func (d *Deployment) SubmitDISQL(src string) (*client.Query, error) {
 
 // Run submits a DISQL query and waits for completion (timeout <= 0 waits
 // forever), returning the finished query. A query that exceeds the
-// timeout is cancelled before Run returns: its in-flight clones are told
-// to stop and its fallback worker is released. The partial results
+// timeout is cancelled before Run returns: its in-flight clones, the
+// proxy's included, are told to stop. The partial results
 // gathered before the deadline remain readable.
 func (d *Deployment) Run(src string, timeout time.Duration) (*client.Query, error) {
 	q, err := d.SubmitDISQL(src)
@@ -449,12 +447,12 @@ func (d *Deployment) Mutator() *webgraph.Mutator { return d.mut }
 
 // Mutate applies up to n steps of the configured mutation schedule and
 // propagates the changes: every touched site's query servers (all
-// replicas) evict exactly the mutated documents from their retained-DB
-// caches and mark the matching store entries and text-index postings
-// stale, and every registered watch is sent one change notification per
-// touched site. It returns the applied mutations and the notification
-// count — the WaitEpoch barrier increment for any watch registered
-// across the whole deployment.
+// replicas) and the user-site's proxy evict exactly the mutated documents
+// from their retained-DB caches and mark the matching store entries and
+// text-index postings stale, and every registered watch is sent one
+// change notification per touched site. It returns the applied mutations
+// and the notification count — the WaitEpoch barrier increment for any
+// watch registered across the whole deployment.
 func (d *Deployment) Mutate(n int) ([]webgraph.Mutation, int) {
 	muts := d.mut.Apply(n)
 	edited := make(map[string][]string)
@@ -479,6 +477,10 @@ func (d *Deployment) Mutate(n int) ([]webgraph.Mutation, int) {
 	sort.Strings(sites)
 	notified := 0
 	for _, site := range sites {
+		if d.proxy != nil {
+			// The proxy downloads and retains any site's documents.
+			d.proxy.InvalidateDocs(edited[site], rewired[site])
+		}
 		reps := d.servers[site]
 		if len(reps) == 0 {
 			continue // non-participating site: nothing caches its documents
@@ -579,9 +581,9 @@ func (d *Deployment) Metrics() *server.Metrics {
 }
 
 // SiteSnapshots returns one metrics snapshot per query server, keyed by
-// site, plus the client's counters under the user name — the per-site
-// attribution the single aggregate cannot give (which site evaluated,
-// which site's forwards failed).
+// site, plus the user-site's counters (client and proxy) under the user
+// name — the per-site attribution the single aggregate cannot give (which
+// site evaluated, which site's forwards failed).
 func (d *Deployment) SiteSnapshots() map[string]server.Snapshot {
 	out := make(map[string]server.Snapshot, len(d.siteMetrics)+1)
 	for site, m := range d.siteMetrics {
@@ -676,12 +678,16 @@ func (d *Deployment) Host(site string) *webserver.Host { return d.hosts[site] }
 
 // Close closes the deployment's done channel — releasing every stream
 // pump and watch whose consumer abandoned it — then the user-site client
-// (its collector endpoint, and with it whatever was still in flight), the
-// health prober, every server replica and document host. Idempotent.
+// (its collector endpoint, and with it whatever was still in flight) and
+// proxy, the health prober, every server replica and document host.
+// Idempotent.
 func (d *Deployment) Close() {
 	d.closeOnce.Do(func() { close(d.done) })
 	if d.client != nil {
 		d.client.Close()
+	}
+	if d.proxy != nil {
+		d.proxy.Stop()
 	}
 	if d.cluster != nil {
 		d.cluster.StopProber()

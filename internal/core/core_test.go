@@ -243,9 +243,13 @@ select d.url
 from document d such that "http://r0.example/p0.html" N|(L|G)*3 d
 where d.text contains "` + webgraph.Marker + `"`,
 	}
-	// The query servers, the hybrid fallback (no site participates, so it
-	// visits every node) and the servers under the strict dead-end rule,
-	// each against the centralized baseline under the same rules.
+	// The query servers, the user-site's proxy (no site participates, so
+	// it visits every node; or only the start sites do), each under the
+	// paper's rules, the strict dead-end rule and a hop bound, against the
+	// centralized baseline under the same rules.
+	strict := server.Options{StrictDeadEnds: true}
+	hops := server.Options{MaxHops: 3}
+	starts := participants(webgraph.Host(webgraph.CampusStart), webgraph.Host(webgraph.Figure1Start), "r0.example")
 	legs := []struct {
 		name string
 		exec ExecConfig
@@ -253,7 +257,10 @@ where d.text contains "` + webgraph.Marker + `"`,
 	}{
 		{"servers", ExecConfig{}, centralized.Options{}},
 		{"fallback", ExecConfig{Participate: participants()}, centralized.Options{}},
-		{"strict", ExecConfig{Server: server.Options{StrictDeadEnds: true}}, centralized.Options{StrictDeadEnds: true}},
+		{"strict", ExecConfig{Server: strict}, centralized.Options{StrictDeadEnds: true}},
+		{"fallback+strict", ExecConfig{Participate: participants(), Server: strict}, centralized.Options{StrictDeadEnds: true}},
+		{"fallback+maxhops", ExecConfig{Participate: participants(), Server: hops}, centralized.Options{MaxHops: 3}},
+		{"partial+strict", ExecConfig{Participate: starts, Server: strict}, centralized.Options{StrictDeadEnds: true}},
 	}
 	for _, leg := range legs {
 		for webName, web := range webs {
@@ -722,8 +729,8 @@ where d1.title contains d0.title`)
 	}
 }
 
-// TestCorrelatedStagesHybrid runs the correlated join through the hybrid
-// fallback: bindings must survive the bounce to the user-site.
+// TestCorrelatedStagesHybrid runs the correlated join through the
+// user-site's proxy: bindings must survive the bounce to the user-site.
 func TestCorrelatedStagesHybrid(t *testing.T) {
 	web := webgraph.NewWeb()
 	hub := web.NewPage("http://hub.example/index.html", "Hub")
@@ -755,8 +762,8 @@ where d1.title contains d0.title`, waitFor)
 	if len(rows) != 1 || rows[0][0] != "http://alpha.example/deep.html" {
 		t.Fatalf("rows = %v", rows)
 	}
-	if q.FallbackStats().Evaluations == 0 {
-		t.Error("the fallback should have evaluated the correlated stage")
+	if user, _ := userAndServers(d); user.Evaluations == 0 {
+		t.Error("the proxy should have evaluated the correlated stage")
 	}
 }
 

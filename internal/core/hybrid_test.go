@@ -1,14 +1,18 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"webdis/internal/centralized"
 	"webdis/internal/client"
 	"webdis/internal/disql"
+	"webdis/internal/netsim"
 	"webdis/internal/server"
 	"webdis/internal/webgraph"
 	"webdis/internal/wire"
@@ -24,9 +28,27 @@ func participants(sites ...string) func(string) bool {
 	return func(site string) bool { return set[site] }
 }
 
-func runHybrid(t *testing.T, participate func(string) bool) (*Deployment, *queryResult) {
+// userAndServers splits a deployment's metrics into the user-site's row
+// (the client and its proxy) and the sum of every query server's row.
+func userAndServers(d *Deployment) (user, servers server.Snapshot) {
+	for key, sn := range d.SiteSnapshots() {
+		if key == d.user {
+			user = sn
+		} else {
+			servers = servers.Add(sn)
+		}
+	}
+	return user, servers
+}
+
+func runHybrid(t *testing.T, participate func(string) bool) *queryResult {
 	t.Helper()
-	d, err := NewDeployment(Config{Web: webgraph.Campus(), Exec: ExecConfig{Participate: participate}})
+	return runHybridCfg(t, Config{Web: webgraph.Campus(), Exec: ExecConfig{Participate: participate}})
+}
+
+func runHybridCfg(t *testing.T, cfg Config) *queryResult {
+	t.Helper()
+	d, err := NewDeployment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +57,14 @@ func runHybrid(t *testing.T, participate func(string) bool) (*Deployment, *query
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, &queryResult{q.Results(), q.FallbackStats()}
+	r := &queryResult{results: q.Results()}
+	r.user, r.servers = userAndServers(d)
+	return r
 }
 
 type queryResult struct {
-	results []client.ResultTable
-	fstats  client.FallbackStats
+	results       []client.ResultTable
+	user, servers server.Snapshot
 }
 
 func checkCampusAnswers(t *testing.T, res []client.ResultTable) {
@@ -63,52 +87,64 @@ func checkCampusAnswers(t *testing.T, res []client.ResultTable) {
 }
 
 func TestHybridAllSitesParticipate(t *testing.T) {
-	d, r := runHybrid(t, func(string) bool { return true })
+	r := runHybrid(t, func(string) bool { return true })
 	checkCampusAnswers(t, r.results)
-	if r.fstats.Bounces != 0 || r.fstats.Fetches != 0 {
-		t.Errorf("no fallback expected: %+v", r.fstats)
+	if r.user.Evaluations != 0 || r.user.DocsParsed != 0 {
+		t.Errorf("the proxy should have done nothing: %+v", r.user)
 	}
-	if d.Metrics().Bounced.Load() != 0 {
+	if r.servers.Bounced != 0 {
 		t.Error("no bounces expected")
 	}
 }
 
 func TestHybridNoSiteParticipates(t *testing.T) {
 	// Fully centralized: every clone is processed at the user-site.
-	d, r := runHybrid(t, func(string) bool { return false })
+	r := runHybrid(t, func(string) bool { return false })
 	checkCampusAnswers(t, r.results)
-	if r.fstats.Fetches == 0 || r.fstats.Evaluations == 0 {
-		t.Errorf("fallback did no work: %+v", r.fstats)
+	if r.user.DocsParsed == 0 || r.user.Evaluations == 0 {
+		t.Errorf("the proxy did no work: %+v", r.user)
 	}
-	if d.Metrics().Evaluations.Load() != 0 {
+	if r.servers.Evaluations != 0 {
 		t.Error("no server should have evaluated anything")
 	}
-	// All fetch traffic flowed to the user-site.
-	tot := d.Network().Stats().Snapshot().Total()
-	if tot.ByKind["fetch-resp"] == 0 {
-		t.Errorf("kinds = %+v", tot.ByKind)
+	// Every document the proxy parsed was downloaded.
+	if r.user.ShipDataBytes < r.user.DocBytes {
+		t.Errorf("downloaded %d B for %d B parsed", r.user.ShipDataBytes, r.user.DocBytes)
 	}
 }
 
 func TestHybridPartialParticipation(t *testing.T) {
 	// The CSA department and the DSL participate; the other labs do not.
-	d, r := runHybrid(t, participants("csa.iisc.ernet.in", "dsl.serc.iisc.ernet.in"))
+	r := runHybrid(t, participants("csa.iisc.ernet.in", "dsl.serc.iisc.ernet.in"))
 	checkCampusAnswers(t, r.results)
-	m := d.Metrics().Snapshot()
-	if m.Bounced == 0 {
+	if r.servers.Bounced == 0 {
 		t.Error("servers should have bounced clones for non-participants")
 	}
-	if m.Evaluations == 0 {
+	if r.servers.Evaluations == 0 {
 		t.Error("participating servers should have evaluated locally")
 	}
-	if r.fstats.Fetches == 0 || r.fstats.Evaluations == 0 {
-		t.Errorf("fallback stats = %+v", r.fstats)
+	if r.user.DocsParsed == 0 || r.user.Evaluations == 0 {
+		t.Errorf("proxy row = %+v", r.user)
+	}
+}
+
+// TestHybridOverTCP runs the partial-participation campus query over real
+// loopback sockets: bounces reach the collector, the proxy's listener
+// takes them as plain clones, and its reports travel the collector path.
+func TestHybridOverTCP(t *testing.T) {
+	r := runHybridCfg(t, Config{Web: webgraph.Campus(), Exec: ExecConfig{
+		Transport:   netsim.NewTCP(),
+		Participate: participants("csa.iisc.ernet.in", "dsl.serc.iisc.ernet.in"),
+	}})
+	checkCampusAnswers(t, r.results)
+	if r.servers.Bounced == 0 || r.user.Evaluations == 0 || r.user.ResultMsgs == 0 {
+		t.Errorf("servers %+v, proxy %+v", r.servers, r.user)
 	}
 }
 
 func TestHybridRejoinsDistributedMode(t *testing.T) {
 	// A chain of sites where a non-participating site sits in the middle:
-	// the clone must pass through the fallback and rejoin the servers.
+	// the clone must pass through the proxy and rejoin the servers.
 	web := webgraph.Chain(6, 1, 4)
 	d, err := NewDeployment(Config{
 		Web: web,
@@ -124,33 +160,33 @@ func TestHybridRejoinsDistributedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := q.Results()[0].Rows
-	if len(rows) != 6 {
+	if rows := q.Results()[0].Rows; len(rows) != 6 {
 		t.Fatalf("rows = %v", rows)
 	}
-	fs := q.FallbackStats()
-	if fs.Fetches != 2 {
-		t.Errorf("fallback fetched %d documents, want 2 (the gap)", fs.Fetches)
+	user, servers := userAndServers(d)
+	if user.DocsParsed != 2 {
+		t.Errorf("the proxy fetched %d documents, want 2 (the gap)", user.DocsParsed)
 	}
-	if fs.Rejoined == 0 {
+	if user.ClonesForwarded == 0 {
 		t.Error("the clone never rejoined distributed mode")
 	}
-	if got := d.Metrics().Evaluations.Load(); got != 4 {
-		t.Errorf("server evaluations = %d, want 4", got)
+	if servers.Evaluations != 4 {
+		t.Errorf("server evaluations = %d, want 4", servers.Evaluations)
 	}
 }
 
 func TestHybridStartSiteNotParticipating(t *testing.T) {
-	d, r := runHybrid(t, participants(
+	r := runHybrid(t, participants(
 		"dsl.serc.iisc.ernet.in", "www-compiler.csa.iisc.ernet.in",
 		"www2.csa.iisc.ernet.in", "archit.csa.iisc.ernet.in", "www.iisc.ernet.in"))
 	// The CSA department itself (the StartNode's site) does not
-	// participate: both stage-1 hops happen at the user-site.
+	// participate: both stage-1 hops happen at the user-site, the second
+	// on a clone the proxy kept because it could not forward it.
 	checkCampusAnswers(t, r.results)
-	if r.fstats.Bounces == 0 && r.fstats.LocalClones == 0 {
-		t.Errorf("fallback stats = %+v", r.fstats)
+	if r.user.LocalClones == 0 {
+		t.Errorf("proxy row = %+v", r.user)
 	}
-	if d.Metrics().Evaluations.Load() == 0 {
+	if r.servers.Evaluations == 0 {
 		t.Error("lab servers should still evaluate q2")
 	}
 }
@@ -195,29 +231,9 @@ func TestParticipateRequiresDocService(t *testing.T) {
 	}
 }
 
-// TestHybridRejectsServerRules: the fallback cannot follow a server rule
-// that may differ per site, so a hybrid deployment that sets one is
-// refused instead of answering differently wherever a clone bounces.
-func TestHybridRejectsServerRules(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		exec ExecConfig
-	}{
-		{"participate+strict", ExecConfig{Participate: participants(), Server: server.Options{StrictDeadEnds: true}}},
-		{"participate+maxhops", ExecConfig{Participate: participants(), Server: server.Options{MaxHops: 8}}},
-		{"hybrid+strict", ExecConfig{Hybrid: true, Server: server.Options{StrictDeadEnds: true}}},
-		{"hybrid+maxhops", ExecConfig{Hybrid: true, Server: server.Options{MaxHops: 8}}},
-	} {
-		if d, err := NewDeployment(Config{Web: webgraph.Campus(), Exec: tc.exec}); err == nil {
-			d.Close()
-			t.Errorf("%s: deployment accepted, want an error", tc.name)
-		}
-	}
-}
-
 // TestHybridHonoursBudget: a clone's wire-carried budget binds wherever
 // the clone is processed. Whether every site runs a query server, some
-// bounce to the user-site's fallback, or the whole query is evaluated
+// bounce to the user-site's proxy, or the whole query is evaluated
 // there, a hop, row or clone-spawn quota must clip the answer to the same
 // rows, and the CHT must still drain.
 func TestHybridHonoursBudget(t *testing.T) {
@@ -269,4 +285,69 @@ func TestHybridHonoursBudget(t *testing.T) {
 			d.Close()
 		}
 	}
+}
+
+// TestHybridMutationReachesProxy: the proxy outlives its queries, so with
+// CacheDBs it retains the databases of the documents it downloaded. A
+// mutation on a site without a query server must evict them there too,
+// or the next query answers from the page as it was.
+func TestHybridMutationReachesProxy(t *testing.T) {
+	web := webgraph.Chain(4, 1, 9)
+	const src = `select d.url, d.text from document d such that "http://c0.example/p0.html" N|G* d`
+	d := deployCfg(t, Config{
+		Web: web,
+		Exec: ExecConfig{
+			Participate: participants("c0.example"),
+			Server:      server.Options{CacheDBs: true},
+		},
+		Watch: WatchConfig{Mutations: webgraph.MutationPlan{Seed: 5, Edit: 1, Sites: []string{"c2.example"}}},
+	})
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			if muts, _ := d.Mutate(1); len(muts) != 1 {
+				t.Fatalf("mutations = %v", muts)
+			}
+		}
+		q := run(t, d, src)
+		cent, err := centralized.Run(d.Network(), "central/results", disql.MustParse(src), centralized.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rowSet(q.Results()), rowSet(cent.Tables); !maps.Equal(got, want) {
+			t.Errorf("run %d: rows %v, want %v", i, got, want)
+		}
+	}
+	if user, _ := userAndServers(d); user.DBCacheHits == 0 || user.DocsInvalidated != 2 {
+		t.Errorf("proxy row = %+v, want cache hits and 2 invalidations", user)
+	}
+}
+
+// TestHybridConcurrentQueries: one proxy serves every query of the
+// user-site at once, where the fallback it replaced was one per query.
+// Each query still gets the full answer and a drained CHT.
+func TestHybridConcurrentQueries(t *testing.T) {
+	d := deployCfg(t, Config{Web: webgraph.Campus(), Exec: ExecConfig{
+		Participate: participants("csa.iisc.ernet.in", "dsl.serc.iisc.ernet.in"),
+		Server:      server.Options{Workers: 2},
+		ReapGrace:   time.Second,
+	}})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q, err := d.Run(webgraph.CampusDISQL, waitFor)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res := q.Results(); len(res) != 2 || len(res[1].Rows) != len(webgraph.CampusConveners) {
+				t.Errorf("results = %+v", res)
+			}
+			if q.Partial() || q.LiveEntries() != 0 {
+				t.Errorf("partial=%v, %d CHT entries live", q.Partial(), q.LiveEntries())
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -25,12 +25,15 @@ import (
 // Each test owns its deployments, and all but TestPaperLatency leave
 // timings unasserted, so those run in parallel with one another.
 
-// paperOut is what one run of a paper experiment reads off a deployment.
+// paperOut is what one run of a paper experiment reads off a deployment:
+// the aggregate counters, and the user-site's and the query servers'
+// shares of them.
 type paperOut struct {
-	q       *client.Query
-	m       server.Snapshot
-	net     netsim.Counters
-	elapsed time.Duration
+	q             *client.Query
+	m             server.Snapshot
+	user, servers server.Snapshot
+	net           netsim.Counters
+	elapsed       time.Duration
 }
 
 // paperRun deploys cfg, runs src to completion and reads the counters.
@@ -41,6 +44,7 @@ func paperRun(t *testing.T, cfg Config, src string) paperOut {
 	q := run(t, d, src)
 	out := paperOut{q: q, elapsed: time.Since(start)}
 	out.m = d.Metrics().Snapshot()
+	out.user, out.servers = userAndServers(d)
 	out.net = d.Network().Stats().Snapshot().Total()
 	d.Close()
 	return out
@@ -261,7 +265,7 @@ func TestPaperMigration(t *testing.T) {
 	src := markerQuery(web.First())
 	hosts := web.Hosts()
 	wantServer := []int64{0, 28, 60, 92, 121}
-	wantUser := []int{121, 93, 61, 29, 0}
+	wantUser := []int64{121, 93, 61, 29, 0}
 	wantBounces := []int64{0, 19, 21, 10, 0}
 	var prevBytes int64
 	wantRows := -1
@@ -271,12 +275,12 @@ func TestPaperMigration(t *testing.T) {
 			set[h] = true
 		}
 		r := paperRun(t, Config{Web: web, Exec: ExecConfig{Participate: func(site string) bool { return set[site] }}}, src)
-		fs := r.q.FallbackStats()
+		srv, user := r.servers, r.user
 		t.Logf("%d%%: %d B, server evals %d, user evals %d, fetches %d, bounces %d",
-			pct, r.net.Bytes, r.m.Evaluations, fs.Evaluations, fs.Fetches, r.m.Bounced)
-		if r.m.Evaluations != wantServer[i] || fs.Evaluations != wantUser[i] || fs.Fetches != wantUser[i] || r.m.Bounced != wantBounces[i] {
+			pct, r.net.Bytes, srv.Evaluations, user.Evaluations, user.DocsParsed, srv.Bounced)
+		if srv.Evaluations != wantServer[i] || user.Evaluations != wantUser[i] || user.DocsParsed != wantUser[i] || srv.Bounced != wantBounces[i] {
 			t.Errorf("%d%%: server evals %d, user evals %d, fetches %d, bounces %d; want %d, %d, %d, %d",
-				pct, r.m.Evaluations, fs.Evaluations, fs.Fetches, r.m.Bounced,
+				pct, srv.Evaluations, user.Evaluations, user.DocsParsed, srv.Bounced,
 				wantServer[i], wantUser[i], wantUser[i], wantBounces[i])
 		}
 		if i > 0 && r.net.Bytes >= prevBytes {

@@ -1,6 +1,6 @@
 // Package nodeproc implements the traversal step of Figures 3 and 4 once,
-// for the distributed WEBDIS query server, the user-site's hybrid
-// fallback and the centralized data-shipping baseline alike. Step, given
+// for the distributed WEBDIS query server (the user-site's proxy is one)
+// and the centralized data-shipping baseline alike. Step, given
 // one node's virtual-relation database and one arrival state, decides
 // whether the node is a ServerRouter or PureRouter, evaluates the
 // node-query if the remaining PRE contains the null link, detects dead

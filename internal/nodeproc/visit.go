@@ -53,8 +53,8 @@ type Host interface {
 }
 
 // Visitor runs the process() algorithm of Figure 4 at one node at a time.
-// The query server and the hybrid fallback (through a Batch) and the
-// centralized baseline all visit through it.
+// The query server (through a Batch) and the centralized baseline both
+// visit through it.
 type Visitor struct {
 	Log   *LogTable
 	Query wire.QueryID
@@ -196,8 +196,8 @@ type Site interface {
 	NextSpan() int64
 }
 
-// Evaluator is a clone-processing evaluator — a query server or the
-// user-site's hybrid fallback — fixed for its lifetime.
+// Evaluator is a query server's clone-processing evaluator, fixed for its
+// lifetime.
 type Evaluator struct {
 	Site Site
 	// Origin is stamped on the CHT entries and spans the evaluator creates.

@@ -320,6 +320,13 @@ func (q *Queue[T]) Len() int {
 	return q.depth
 }
 
+// Pending returns how many items of the flow key are queued.
+func (q *Queue[T]) Pending(key string) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pending[key]
+}
+
 // Stats returns a snapshot of the queue's counters.
 func (q *Queue[T]) Stats() Stats {
 	q.mu.Lock()

@@ -32,7 +32,8 @@ type Metrics struct {
 	// ClonesForwarded counts clone messages sent to other sites.
 	ClonesForwarded atomic.Int64
 	// LocalClones counts clones passed to the local queue without any
-	// network traffic (destination node on the same site).
+	// network traffic (destination node on the same site, or a clone the
+	// user-site's proxy could not forward).
 	LocalClones atomic.Int64
 	// ResultMsgs counts result/CHT dispatches to the user-site.
 	ResultMsgs atomic.Int64
@@ -42,15 +43,16 @@ type Metrics struct {
 	// ForwardFailed counts clone forwards that could not reach their site.
 	ForwardFailed atomic.Int64
 	// Bounced counts undeliverable clones returned to the user-site for
-	// hybrid fallback processing (Section 7.1 migration path).
+	// its proxy to process (Section 7.1 migration path).
 	Bounced atomic.Int64
 	// HopsClamped counts forwards suppressed by the MaxHops safety bound.
 	HopsClamped atomic.Int64
 	// DocErrors counts destination nodes whose document could not be
-	// loaded (floating links).
+	// loaded (floating links, failed downloads).
 	DocErrors atomic.Int64
-	// Retries counts repeat send attempts made under Options.Retry
-	// (forwards, result dispatches and bounces past their first try).
+	// Retries counts repeat attempts made under Options.Retry (forwards,
+	// result dispatches, bounces and document downloads past their first
+	// try).
 	Retries atomic.Int64
 	// RecoveredByBounce counts clones returned to the user-site after a
 	// retry loop was exhausted — degraded-mode recovery from query
@@ -139,8 +141,9 @@ type Metrics struct {
 	PushdownBytesSaved atomic.Int64
 	// ShipDataEdges counts traversal edges the cost model converted from
 	// ship-query to ship-data (the clone stayed here and the documents
-	// came over); ShipDataBytes accumulates the document bytes fetched
-	// for those edges.
+	// came over); ShipDataBytes accumulates the encoded bytes of every
+	// document downloaded from another site — for those edges, and every
+	// document the user-site's proxy evaluates.
 	ShipDataEdges atomic.Int64
 	ShipDataBytes atomic.Int64
 	// DocBytes accumulates raw content bytes of documents parsed by the

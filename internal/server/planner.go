@@ -112,18 +112,3 @@ func (s *Server) chooseShipData(oc *nodeproc.Out) bool {
 	avg := s.peerStat(oc.Site).AvgDocBytes()
 	return plan.ChooseShipData(len(oc.Msg.Dest), avg, cloneBytes, p.ShipDataBias)
 }
-
-// fetchForeign downloads a document hosted on another site for a
-// ship-data edge, booking the transfer and the peer's document size.
-func (s *Server) fetchForeign(node, host string) ([]byte, error) {
-	content, err := s.fetch.Get(node)
-	if err != nil {
-		return nil, err
-	}
-	// Book the transfer at its encoded frame size (what actually crossed
-	// the wire), while the peer's document statistic stays raw content
-	// bytes — the cost model's avgDocBytes numerator.
-	s.met.ShipDataBytes.Add(int64(wire.EncodedSize(&wire.FetchResp{URL: node, Content: content})))
-	s.recordPeerDoc(host, int64(len(content)))
-	return content, nil
-}

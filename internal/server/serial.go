@@ -13,7 +13,7 @@ const serialSlots = 64
 
 // serialTable numbers the CHT entries a site creates, per query. The CHT
 // needs a serial unique within one query and origin only (the user-site's
-// roots and the hybrid fallback already count per query), and serials
+// roots already count per query), and serials
 // travel as varints on every forwarded DestNode and reported CHTEntry —
 // drawn from a site-lifetime counter they made a query's bytes grow with
 // the number of queries served before it.

@@ -51,7 +51,9 @@ const Suffix = "/query"
 func Endpoint(site string) string { return site + Suffix }
 
 // DocSource supplies the raw content of locally hosted documents.
-// webserver.Host implements it.
+// webserver.Host implements it. A server built without one hosts no
+// documents: it is the user-site's proxy of the paper's Section 7.1
+// migration path, downloading every node it evaluates.
 type DocSource interface {
 	Get(url string) ([]byte, error)
 }
@@ -78,8 +80,9 @@ type Options struct {
 	StrictDeadEnds bool
 	// Hybrid enables the paper's Section 7.1 migration path: a clone that
 	// cannot be forwarded (its destination site runs no query server) is
-	// bounced back to the user-site, whose fallback processor evaluates
-	// it centrally. Without Hybrid such clones are simply retired.
+	// bounced back to the user-site, which hands it to its proxy — a
+	// Server with no DocSource — to be evaluated on downloaded documents.
+	// Without Hybrid such clones are simply retired.
 	Hybrid bool
 	// Workers is the number of Query Processor goroutines draining the
 	// clone queue. The paper's processor is a single thread that
@@ -211,12 +214,12 @@ type Server struct {
 
 	// peerStats holds the per-site statistics learned from piggybacked
 	// clone hints and from ship-data fetches; own-site statistics come
-	// straight from the metrics counters. fetch downloads foreign
-	// documents for ship-data edges; both only live under
+	// straight from the metrics counters. It only lives under
 	// opts.Planner.Enabled.
 	statMu    sync.Mutex
 	peerStats map[string]wire.SiteStat
-	fetch     *webserver.Fetcher
+	// fetch downloads the documents of nodes this site does not host.
+	fetch webserver.Fetcher
 
 	// stoppedQ records queries whose user-site broadcast an active
 	// StopMsg (Budget.FirstN satisfied, or the submitting context was
@@ -240,7 +243,8 @@ type Server struct {
 }
 
 // New returns a server for site, reading documents from docs and speaking
-// over tr. met may be shared across servers; it must not be nil.
+// over tr. met may be shared across servers; it must not be nil. A nil
+// docs builds the user-site's proxy (see DocSource).
 func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Options) *Server {
 	s := &Server{
 		site:     site,
@@ -254,6 +258,7 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		dbCache:  make(map[string]*dbEntry),
 		stoppedQ: make(map[string]time.Time),
 	}
+	s.fetch = *webserver.NewFetcher(tr, s.self)
 	s.eval = nodeproc.Evaluator{
 		Site:   s,
 		Origin: s.self,
@@ -265,7 +270,6 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 	}
 	if opts.Planner.Enabled {
 		s.peerStats = make(map[string]wire.SiteStat)
-		s.fetch = webserver.NewFetcher(tr, s.self)
 	}
 	if opts.CacheDBs && opts.DBCacheEntries > 0 {
 		s.dbLRU = list.New()
@@ -316,10 +320,10 @@ func (s *Server) LogTable() *nodeproc.LogTable { return s.eval.Node.Log }
 
 // Start begins accepting and processing clones. It returns immediately.
 func (s *Server) Start() error {
-	if s.opts.Store.Enabled() && s.store == nil {
+	if s.opts.Store.Enabled() && s.store == nil && s.docs != nil {
 		// Open (or first build) the persistent site store before taking
 		// any traffic, so every local Database Constructor run can serve
-		// from pages instead of parsing.
+		// from pages instead of parsing. A proxy hosts nothing to store.
 		if err := s.openStore(); err != nil {
 			return err
 		}
@@ -487,6 +491,9 @@ func (s *Server) IdleConns() int { return s.pool.IdleCount() }
 // SchedStats returns the scheduler queue's counters: current and peak
 // depth, queued flows, sheds and watermark activations.
 func (s *Server) SchedStats() sched.Stats { return s.queue.Stats() }
+
+// Queued returns how many clones of query id wait in the scheduler queue.
+func (s *Server) Queued(id wire.QueryID) int { return s.queue.Pending(id.String()) }
 
 // admit offers one clone to the scheduler. Admission control may refuse
 // it: a fresh root dispatch (hop 0, query not already queued here)
@@ -844,14 +851,15 @@ func (s *Server) LoadDB(node string) (*relmodel.DB, error) {
 }
 
 // buildDB loads and parses the node's document: one Database Constructor
-// run. Under the planner, a node hosted on another site is downloaded
-// from its home document host — the ship-data half of the cost model,
-// reached when forwardAll kept the clone here instead of shipping it.
+// run. A node this site does not host is downloaded from its home
+// document host — the ship-data half of the cost model, reached when
+// forwardAll kept the clone here instead of shipping it, and every node
+// the user-site's proxy evaluates.
 func (s *Server) buildDB(node string) (*relmodel.DB, error) {
 	var content []byte
 	var err error
-	if host := webgraph.Host(node); s.fetch != nil && host != s.site {
-		content, err = s.fetchForeign(node, host)
+	if host := webgraph.Host(node); host != s.site {
+		content, err = s.download(node, host)
 	} else if s.store != nil {
 		// Local node with the persistent store: assemble the database
 		// from slotted pages through the buffer pool — no fetch, no
@@ -877,6 +885,32 @@ func (s *Server) buildDB(node string) (*relmodel.DB, error) {
 	s.met.DocsParsed.Add(1)
 	s.met.DocBytes.Add(int64(len(content)))
 	return db, nil
+}
+
+// download fetches a document hosted on another site, retried under
+// Options.Retry like any remote send, and books the transfer and (under
+// the planner) the peer's document size.
+func (s *Server) download(node, host string) ([]byte, error) {
+	pol := s.opts.Retry
+	content, err := s.fetch.Get(node)
+	for i := 1; err != nil && i < pol.attempts(); i++ {
+		s.met.Retries.Add(1)
+		if !s.pause(pol.backoff(i, s.rng)) {
+			break
+		}
+		content, err = s.fetch.Get(node)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Book the transfer at its encoded frame size (what actually crossed
+	// the wire), while the peer's document statistic stays raw content
+	// bytes — the cost model's avgDocBytes numerator.
+	s.met.ShipDataBytes.Add(int64(wire.EncodedSize(&wire.FetchResp{URL: node, Content: content})))
+	if s.peerStats != nil {
+		s.recordPeerDoc(host, int64(len(content)))
+	}
+	return content, nil
 }
 
 // dispatchResults sends the batched results and CHT updates to the
@@ -1007,10 +1041,18 @@ func (s *Server) stampReplica(msg *wire.ResultMsg) {
 
 // forwardRemote ships one outgoing clone over the transport. A failed
 // forward retires the affected CHT entries so the user-site does not wait
-// on clones that never arrived.
+// on clones that never arrived. The user-site's proxy (no DocSource) is
+// its own bounce target: a clone it cannot forward goes back on its own
+// queue, to be evaluated on downloaded documents.
 func (s *Server) forwardRemote(oc *nodeproc.Out) {
 	err := s.sendSite(oc.Site, oc.Msg)
 	if err != nil {
+		if s.docs == nil {
+			s.jot(oc.Msg, trace.Bounce, bounceReason(err, s.opts.Retry))
+			s.met.LocalClones.Add(1)
+			s.Enqueue(oc.Msg)
+			return
+		}
 		if s.opts.Hybrid && s.bounce(oc.Msg, bounceReason(err, s.opts.Retry)) {
 			s.jot(oc.Msg, trace.Bounce, bounceReason(err, s.opts.Retry))
 			return
@@ -1034,12 +1076,12 @@ func bounceReason(err error, pol RetryPolicy) string {
 	return wire.BounceRetryExhausted
 }
 
-// bounce returns an undeliverable clone to the user-site for central
-// fallback processing (retried per Options.Retry like any remote send).
-// The clone's CHT entries stay live; the user-site retires them as it
-// processes the bounced destinations. Like a result frame (sendResult),
-// the bounce is booked before it goes out and taken back if the send
-// fails, so the counts never trail what the user-site has seen.
+// bounce returns an undeliverable clone to the user-site, which hands it
+// to its proxy (retried per Options.Retry like any remote send). The
+// clone's CHT entries stay live; the proxy retires them as it processes
+// the bounced destinations. Like a result frame (sendResult), the bounce
+// is booked before it goes out and taken back if the send fails, so the
+// counts never trail what the user-site has seen.
 func (s *Server) bounce(c *wire.CloneMsg, reason string) bool {
 	var recovered int64
 	if reason == wire.BounceRetryExhausted {

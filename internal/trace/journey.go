@@ -10,7 +10,7 @@ import (
 // Fates summarize what finally happened to one clone message.
 const (
 	// FateProcessed: the clone was evaluated and its report reached the
-	// user-site (or was applied locally by the hybrid fallback).
+	// user-site.
 	FateProcessed = "processed"
 	// FateBounced: the clone was returned to the user-site undelivered.
 	FateBounced = "bounced"

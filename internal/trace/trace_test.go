@@ -228,7 +228,7 @@ func TestJourneyFates(t *testing.T) {
 		Event{At: 3, Site: "user", Query: "q", Span: span("a", 1), Kind: Arrive, Hop: 1},
 		Event{At: 4, Site: "user", Query: "q", Span: span("a", 1), Kind: Result},
 	); jy.Spans[span("a", 1)].Fate != FateProcessed {
-		t.Errorf("bounce then fallback: fate = %q", jy.Spans[span("a", 1)].Fate)
+		t.Errorf("bounce then proxy: fate = %q", jy.Spans[span("a", 1)].Fate)
 	}
 	if jy := mk(Event{At: 2, Site: "a", Query: "q", Span: span("a", 1), Kind: Retry, Detail: "b attempt 2"}); jy.Spans[span("a", 1)].Retries != 1 {
 		t.Errorf("retries = %d", jy.Spans[span("a", 1)].Retries)

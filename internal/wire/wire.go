@@ -542,9 +542,9 @@ type FetchResp struct {
 // paper's Section 7.1 migration path), BounceRetryExhausted when the site
 // should be reachable but every forward attempt failed (fault-tolerant
 // degraded mode: the engine falls back from query shipping to data
-// shipping for that one edge). The user-site's fallback then processes
-// the clone centrally — fetching the documents and evaluating locally —
-// and re-enters distributed mode at the next participating site.
+// shipping for that one edge). The user-site hands the clone to its proxy
+// query server, which fetches the documents, evaluates them there, and
+// re-enters distributed mode at the next participating site.
 type BounceMsg struct {
 	Clone  *CloneMsg
 	Reason string
@@ -558,8 +558,8 @@ const (
 
 // ShedMsg returns a refused clone to the user-site: the typed SHED
 // bounce of admission control, distinct from the fault-path BounceMsg.
-// A bounced clone is still owed processing (the fallback evaluates it
-// centrally); a shed clone is refused outright — the site was over its
+// A bounced clone is still owed processing (the user-site's proxy
+// evaluates it); a shed clone is refused outright — the site was over its
 // high watermark and declined to start a NEW query. The user-site
 // retires the clone's CHT entries and surfaces Query.Shed so the caller
 // can retry later, rather than silently absorbing the refusal into the

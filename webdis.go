@@ -162,8 +162,9 @@ type (
 	// (Deployment.NewSession). It owns no socket — all queries of a
 	// user-site share its one result endpoint.
 	Session = client.Session
-	// ClientOptions configure the user-site client in one struct (hybrid
-	// fallback, reap grace, metrics, tracing, index resolver).
+	// ClientOptions configure the user-site client in one struct (the
+	// proxy query server of the Section 7.1 migration path, reap grace,
+	// metrics, tracing, index resolver).
 	ClientOptions = client.Options
 	// StreamRow is one result row delivered incrementally by
 	// Query.Stream: the node-query stage it answers and the row itself.
@@ -349,10 +350,6 @@ const (
 	// Forever waits indefinitely in Query.Wait and Deployment.Run.
 	Forever time.Duration = 0
 )
-
-// FallbackStats describes a query's hybrid fallback work (the Section 7.1
-// migration path enabled by Config.Exec.Participate).
-type FallbackStats = client.FallbackStats
 
 // SearchIndex is an inverted index over a synthetic web — the "existing
 // search-index" that resolves index("term") StartNode sources (paper

@@ -161,9 +161,8 @@ func TestHybridFacade(t *testing.T) {
 	if len(q.Results()) != 2 || len(q.Results()[1].Rows) != 3 {
 		t.Fatalf("results = %+v", q.Results())
 	}
-	fs := q.FallbackStats()
-	if fs.Fetches == 0 {
-		t.Errorf("fallback stats = %+v", fs)
+	if user := d.SiteSnapshots()["user"]; user.DocsParsed == 0 || user.Evaluations == 0 {
+		t.Errorf("user-site row = %+v", user)
 	}
 }
 
