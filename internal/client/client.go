@@ -129,13 +129,6 @@ type Options struct {
 	// Aggregation itself (GROUP BY / ORDER BY / LIMIT semantics) does
 	// not depend on this flag — only where the work runs does.
 	Planner bool
-	// AdaptiveBatch arms the collector-side batching feedback loop: when
-	// a query's stream consumer falls far behind the producers
-	// (ConsumerLag), the client asks every producing site for larger,
-	// older result batches via a TUNE frame, and restores the defaults
-	// once the consumer drains the backlog. Effective only against
-	// servers running with ResultBatch enabled; advisory everywhere.
-	AdaptiveBatch bool
 	// Done, when non-nil, bounds the lifetime of every goroutine this
 	// client's queries start: when the channel closes (the owning
 	// deployment shut down), stream pumps and watch loops exit even if
@@ -338,17 +331,13 @@ func (c *Client) serve(conn net.Conn) {
 // the documents over; only a planner-armed site does that, and it signs
 // its reports with its own statistics.
 func reporter(m *wire.ResultMsg) string {
-	site := ""
-	m.Each(func(r *wire.Report) {
-		switch {
-		case site != "":
-		case len(r.Stats) > 0:
-			site = r.Stats[0].Site
-		case len(r.Updates) > 0:
-			site = webgraph.Host(r.Updates[0].Processed.Node)
-		}
-	})
-	return site
+	switch {
+	case len(m.Stats) > 0:
+		return m.Stats[0].Site
+	case len(m.Updates) > 0:
+		return webgraph.Host(m.Updates[0].Processed.Node)
+	}
+	return ""
 }
 
 // reporting lists the sites that hold a session to the collector, sorted.
@@ -436,7 +425,6 @@ type StreamRow struct {
 // Stats describes one query's CHT protocol and streaming activity.
 type Stats struct {
 	ResultMsgs     int           // result/CHT messages received
-	Reports        int           // logical reports merged (≥ ResultMsgs under batching)
 	EntriesAdded   int           // CHT entries entered (StartNodes + children)
 	EntriesRetired int           // entries retired by reports
 	GhostReports   int           // reports for entries not live (late/purged)
@@ -455,9 +443,6 @@ type Stats struct {
 	// StopsSent counts active-termination StopMsg broadcasts shipped to
 	// sites with live CHT entries (Budget.FirstN or Stop/ctx cancel).
 	StopsSent int
-	// TunesSent counts adaptive-batching TUNE frames shipped to sites
-	// with live CHT entries (Options.AdaptiveBatch backpressure feedback).
-	TunesSent int
 	// FirstRow is the submit-to-first-streamed-row latency (0 until a
 	// first row arrives) — the headline number streaming improves.
 	FirstRow time.Duration
@@ -548,11 +533,6 @@ type Query struct {
 	firstN   int
 	stopping bool
 	stopSent map[string]bool
-
-	// adaptive arms the TUNE feedback loop (Options.AdaptiveBatch), with
-	// tuneLevel the hysteresis state (0 defaults, 1 boosted).
-	adaptive  bool
-	tuneLevel int
 
 	// Aggregation state (all zero for classic queries). output is the
 	// query's GROUP BY / ORDER BY / LIMIT contract; finalStage the stage
@@ -648,7 +628,6 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 		lastReport: now,
 		firstN:     b.FirstN,
 		stopSent:   make(map[string]bool),
-		adaptive:   c.opts.AdaptiveBatch,
 		extDone:    c.opts.Done,
 		rec:        rec,
 		statSink:   c.stats,
@@ -935,11 +914,10 @@ func (c *Client) send(to string, msg any) error {
 
 // merge implements receive_results of Figure 2 under the counting-CHT
 // refinement: retire the processed entry, enter the children, and check
-// for completion. One ResultMsg carries one report (the seed wire form)
-// or a server-batched frame of several; both merge under one lock hold.
-// After the lock drops, any pending active-termination broadcast
-// (Budget.FirstN newly satisfied, or new sites appearing while stopping)
-// is shipped. It reports whether the query was still running to take it.
+// for completion. One ResultMsg carries the report of one processed
+// clone (Figure 3, lines 17–20). After the lock drops, any pending
+// active-termination broadcast (Budget.FirstN newly satisfied, or new
+// sites appearing while stopping) is shipped. It reports whether the query was still running to take it.
 func (q *Query) merge(rm *wire.ResultMsg) bool {
 	q.mu.Lock()
 	if q.done {
@@ -960,36 +938,31 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 	}
 	q.stats.ResultMsgs++
 	q.lastReport = time.Now()
-	rm.Each(func(r *wire.Report) {
-		q.stats.Reports++
-		if !r.Span.IsZero() {
-			q.stitch(rm.ID, r)
+	if !rm.Span.IsZero() {
+		q.stitch(rm)
+	}
+	if q.statSink != nil {
+		q.statSink.learn(rm.Stats)
+	}
+	if rm.Expired {
+		q.expired = true
+	}
+	for _, t := range rm.Tables {
+		q.mergeTable(t)
+	}
+	if q.rec != nil {
+		q.rec.fold(rm)
+	}
+	for _, u := range rm.Updates {
+		q.retire(u.Processed)
+		for _, child := range u.Children {
+			q.addEntry(child)
 		}
-		if q.statSink != nil {
-			q.statSink.learn(r.Stats)
-		}
-		if r.Expired {
-			q.expired = true
-		}
-		for _, t := range r.Tables {
-			q.mergeTable(t)
-		}
-		if q.rec != nil {
-			q.rec.fold(r)
-		}
-		for _, u := range r.Updates {
-			q.retire(u.Processed)
-			for _, child := range u.Children {
-				q.addEntry(child)
-			}
-		}
-	})
+	}
 	q.maybeComplete()
 	stops := q.stopTargets()
-	tunes, level := q.tuneCheck()
 	q.mu.Unlock()
 	q.broadcastStop(stops, "first-n satisfied")
-	q.broadcastTune(tunes, level)
 	return true
 }
 
@@ -998,12 +971,12 @@ func (q *Query) jot(c *wire.CloneMsg, kind trace.Kind, detail string) {
 	q.journal.AppendClone(c, kind, "", c.State(), detail)
 }
 
-// stitch records the span context echoed on one result report: the
-// processing site, the report's own span, and links to the clones it
+// stitch records the span context echoed on one result frame: the
+// processing site, the processed clone's span, and links to the clones it
 // spawned. This is the user-site's remote view of the clone tree — enough
 // to reconstruct the journey over a real network, where the remote sites'
 // journals cannot be read. Callers hold q.mu.
-func (q *Query) stitch(id wire.QueryID, r *wire.Report) {
+func (q *Query) stitch(r *wire.ResultMsg) {
 	at := trace.Now()
 	// A typed retirement books the span's fate as EXPIRED or STOPPED, not
 	// processed, so budget and active terminations reconcile exactly in
@@ -1016,13 +989,13 @@ func (q *Query) stitch(id wire.QueryID, r *wire.Report) {
 		kind = trace.Expire
 	}
 	q.stitched = append(q.stitched, trace.Event{
-		At: at, Site: r.Site, Query: id.String(), Span: r.Span,
+		At: at, Site: r.Site, Query: r.ID.String(), Span: r.Span,
 		Kind: kind, Hop: r.Hop,
 		Detail: strconv.Itoa(len(r.Updates)) + " updates, " + strconv.Itoa(len(r.Tables)) + " tables",
 	})
 	for _, link := range r.Spawned {
 		q.stitched = append(q.stitched, trace.Event{
-			At: at, Site: r.Site, Query: id.String(), Span: link.Span,
+			At: at, Site: r.Site, Query: r.ID.String(), Span: link.Span,
 			Parent: r.Span, Kind: trace.Forward, Hop: r.Hop + 1, Detail: link.Site,
 		})
 	}
@@ -1225,85 +1198,6 @@ func (q *Query) broadcastStop(sites []string, reason string) {
 			Detail: reason + " -> " + strings.Join(sites, ","),
 		})
 	}
-}
-
-// Adaptive batching (Options.AdaptiveBatch) hysteresis: when the stream
-// consumer's lag crosses tuneUpLag the collector is drowning in small
-// frames, so every producing site is asked for larger, older batches;
-// once the consumer drains back under tuneDownLag the defaults are
-// restored. The boost asks for 1024-row / 20ms bounds (still capped by
-// the server).
-const (
-	tuneUpLag          = 256
-	tuneDownLag        = 32
-	tuneBoostRows      = 1024
-	tuneBoostAgeMicros = 20000
-)
-
-// tuneCheck runs the adaptive-batching hysteresis against the current
-// consumer lag and, on a level transition, returns the sites with live
-// CHT entries to notify. Callers hold q.mu; the sends happen outside
-// the lock via broadcastTune.
-func (q *Query) tuneCheck() ([]string, int) {
-	if !q.adaptive || q.done {
-		return nil, 0
-	}
-	lag := len(q.srows) - q.sread
-	switch {
-	case q.tuneLevel == 0 && lag >= tuneUpLag:
-		q.tuneLevel = 1
-	case q.tuneLevel == 1 && lag <= tuneDownLag:
-		q.tuneLevel = 0
-	default:
-		return nil, 0
-	}
-	seen := make(map[string]bool)
-	var sites []string
-	for key := range q.counts {
-		i := strings.Index(key, "§")
-		if i <= 0 {
-			continue
-		}
-		site := webgraph.Host(key[:i])
-		if seen[site] {
-			continue
-		}
-		seen[site] = true
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	return sites, q.tuneLevel
-}
-
-// broadcastTune ships the TUNE frame for the new level to each site's
-// query server — best-effort and advisory; a site that never hears it
-// (or runs without batching) just keeps its defaults. Callers must NOT
-// hold q.mu.
-func (q *Query) broadcastTune(sites []string, level int) {
-	if len(sites) == 0 {
-		return
-	}
-	msg := &wire.TuneMsg{ID: q.id}
-	if level > 0 {
-		msg.MaxRows, msg.MaxAgeMicros = tuneBoostRows, tuneBoostAgeMicros
-	}
-	sent := 0
-	for _, site := range sites {
-		eps := []string{server.Endpoint(site)}
-		if q.cluster != nil {
-			if all := q.cluster.Endpoints(site); len(all) > 0 {
-				eps = all
-			}
-		}
-		for _, ep := range eps {
-			if q.c.send(ep, msg) == nil {
-				sent++
-			}
-		}
-	}
-	q.mu.Lock()
-	q.stats.TunesSent += sent
-	q.mu.Unlock()
 }
 
 // Stop actively terminates the query's in-flight work: a typed StopMsg

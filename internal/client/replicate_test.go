@@ -42,8 +42,8 @@ func TestMergeRejectsStaleIncarnation(t *testing.T) {
 	if q.stats.StaleRejected != 1 {
 		t.Fatalf("StaleRejected = %d, want 1", q.stats.StaleRejected)
 	}
-	if q.stats.Reports != 0 || q.counts[e.Key()] != 1 {
-		t.Fatalf("stale frame was merged: reports=%d count=%d", q.stats.Reports, q.counts[e.Key()])
+	if q.stats.ResultMsgs != 0 || q.counts[e.Key()] != 1 {
+		t.Fatalf("stale frame was merged: msgs=%d count=%d", q.stats.ResultMsgs, q.counts[e.Key()])
 	}
 
 	fresh := &wire.ResultMsg{
@@ -51,7 +51,7 @@ func TestMergeRejectsStaleIncarnation(t *testing.T) {
 		Updates: []wire.CHTUpdate{{Processed: e}},
 	}
 	q.merge(fresh)
-	if q.stats.Reports != 1 || q.stats.EntriesRetired != 1 {
+	if q.stats.ResultMsgs != 1 || q.stats.EntriesRetired != 1 {
 		t.Fatalf("current-incarnation frame not merged: %+v", q.stats)
 	}
 	if q.counts[e.Key()] != 0 {

@@ -116,8 +116,8 @@ type recEdge struct {
 	child  wire.CHTEntry
 }
 
-// fold absorbs one result report. Callers hold the owning Query's mu.
-func (rec *recording) fold(r *wire.Report) {
+// fold absorbs one result frame. Callers hold the owning Query's mu.
+func (rec *recording) fold(r *wire.ResultMsg) {
 	rec.tables = append(rec.tables, r.Tables...)
 	for _, u := range r.Updates {
 		for _, child := range u.Children {

@@ -205,7 +205,7 @@ func TestSharedCollectorIsolation(t *testing.T) {
 	}
 	for i := 1; i < plain; i++ {
 		a, b := stats[0], stats[i]
-		if a.Reports != b.Reports || a.EntriesAdded != b.EntriesAdded || a.EntriesRetired != b.EntriesRetired {
+		if a.ResultMsgs != b.ResultMsgs || a.EntriesAdded != b.EntriesAdded || a.EntriesRetired != b.EntriesRetired {
 			t.Errorf("twin queries disagree on protocol counts:\n0: %+v\n%d: %+v", a, i, b)
 		}
 	}

@@ -77,10 +77,6 @@ type ExecConfig struct {
 	// cadence, demotion thresholds, seed). Only consulted when some site
 	// has more than one replica.
 	Cluster cluster.Options
-	// AdaptiveBatch arms the client's collector-side batching feedback
-	// loop (see client.Options.AdaptiveBatch); effective when
-	// Server.ResultBatch is enabled too.
-	AdaptiveBatch bool
 	// Trace arms causal tracing: every site (and the user-site) gets a
 	// trace.Journal, clones carry span ids, and transport-level events
 	// (dials, refusals, dropped and severed frames) are journaled via the
@@ -306,9 +302,8 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		Cluster:   d.cluster,
 		// The user-site half of the planner follows the servers': frags
 		// on root clones, statistics learned and re-hinted.
-		Planner:       ex.Server.Planner.Enabled,
-		AdaptiveBatch: ex.AdaptiveBatch,
-		Done:          d.done,
+		Planner: ex.Server.Planner.Enabled,
+		Done:    d.done,
 		// Resolve index("term") StartNode sources against the deployment's
 		// search index, built lazily on first use.
 		IndexResolver: func(term string) []string {

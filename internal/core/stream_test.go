@@ -12,7 +12,6 @@ import (
 	"webdis/internal/client"
 	"webdis/internal/disql"
 	"webdis/internal/netsim"
-	"webdis/internal/server"
 	"webdis/internal/trace"
 	"webdis/internal/webgraph"
 	"webdis/internal/wire"
@@ -77,11 +76,11 @@ func bufferedRows(q *client.Query) []string {
 	return out
 }
 
-// testStreamParity runs a fan-in query with result batching on, consumes
-// the stream concurrently through Query.Rows, and checks the streamed
-// rows are exactly the buffered result tables. (A fan-in web, unlike a
-// tree, gives sites multiple arrivals per query, so batched frames carry
-// several reports and the multi-report merge path is exercised.)
+// testStreamParity runs a fan-in query, consumes the stream concurrently
+// through Query.Rows, and checks the streamed rows are exactly the
+// buffered result tables. (A fan-in web, unlike a tree, gives sites
+// several arrivals per query, so one site's result frames interleave
+// with its children's.)
 func testStreamParity(t *testing.T, transport netsim.Transport) {
 	t.Helper()
 	web := webgraph.PowerLaw(webgraph.PowerLawOpts{
@@ -91,9 +90,6 @@ func testStreamParity(t *testing.T, transport netsim.Transport) {
 	cfg := Config{
 		Web: web,
 		Exec: ExecConfig{
-			Server: server.Options{
-				ResultBatch: server.BatchOptions{MaxRows: 8, MaxAge: time.Millisecond},
-			},
 			NoDocService: true,
 			Transport:    transport,
 		},
@@ -137,11 +133,8 @@ func testStreamParity(t *testing.T, transport netsim.Transport) {
 	if st.FirstRow <= 0 || st.FirstRow > st.Duration {
 		t.Errorf("FirstRow = %v not within (0, %v]", st.FirstRow, st.Duration)
 	}
-	// Frames never outnumber the logical reports they carry (strict
-	// coalescing is asserted at the server level, where arrival timing
-	// is controlled).
-	if st.ResultMsgs > st.Reports || st.Reports == 0 {
-		t.Errorf("ResultMsgs = %d, Reports = %d, want 0 < msgs <= reports", st.ResultMsgs, st.Reports)
+	if st.ResultMsgs == 0 || st.EntriesRetired < st.ResultMsgs {
+		t.Errorf("ResultMsgs = %d, EntriesRetired = %d, want 0 < msgs <= retired", st.ResultMsgs, st.EntriesRetired)
 	}
 }
 
@@ -180,30 +173,6 @@ func TestStreamChannelParity(t *testing.T) {
 	}
 	if strings.Join(streamed, "\n") != strings.Join(buffered, "\n") {
 		t.Errorf("channel-streamed rows != buffered rows:\nstreamed: %v\nbuffered: %v", streamed, buffered)
-	}
-}
-
-// TestBatchingResultParity checks batching changes the wire framing
-// only: same result tables with and without it.
-func TestBatchingResultParity(t *testing.T) {
-	web := streamTestWeb()
-	src := streamTestQuery(web)
-	var rows [2][]string
-	for i, batch := range []server.BatchOptions{{}, {MaxRows: 4, MaxAge: time.Millisecond}} {
-		d, err := NewDeployment(Config{Web: web, Exec: ExecConfig{Server: server.Options{ResultBatch: batch}, NoDocService: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := d.Run(src, 30*time.Second)
-		if err != nil {
-			d.Close()
-			t.Fatal(err)
-		}
-		rows[i] = bufferedRows(q)
-		d.Close()
-	}
-	if strings.Join(rows[0], "\n") != strings.Join(rows[1], "\n") {
-		t.Errorf("batched results differ from unbatched:\noff: %v\non: %v", rows[0], rows[1])
 	}
 }
 

@@ -8,8 +8,11 @@ import (
 	"time"
 )
 
-// echoListener accepts connections and echoes every byte back.
-func echoListener(t *testing.T, ln net.Listener) {
+// drainListener accepts connections and reads them to the end. It
+// writes nothing back: a reply would cross the faulty fabric too and
+// draw from the same seeded stream as the writes under test, so the
+// decision sequence would follow the goroutine schedule.
+func drainListener(t *testing.T, ln net.Listener) {
 	t.Helper()
 	go func() {
 		for {
@@ -19,7 +22,7 @@ func echoListener(t *testing.T, ln net.Listener) {
 			}
 			go func() {
 				defer conn.Close()
-				io.Copy(conn, conn)
+				io.Copy(io.Discard, conn)
 			}()
 		}
 	}()
@@ -32,7 +35,7 @@ func TestFaultDropIsSenderObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	echoListener(t, ln)
+	drainListener(t, ln)
 	conn, err := n.Dial("a", "b")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +95,7 @@ func TestFaultDownWindowIsTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	echoListener(t, ln)
+	drainListener(t, ln)
 	// During the window: refused, both as destination and as source
 	// (prefix matching covers the site's sub-endpoints).
 	if _, err := n.Dial("user", "site/query"); !errors.Is(err, ErrRefused) {
@@ -122,7 +125,7 @@ func TestFaultAsymmetricPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		echoListener(t, ln)
+		drainListener(t, ln)
 	}
 	if _, err := n.Dial("a.example/query", "b.example/query"); !errors.Is(err, ErrRefused) {
 		t.Fatalf("a→b: %v, want ErrRefused (partitioned)", err)
@@ -141,7 +144,7 @@ func TestRuntimeBlockHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	echoListener(t, ln)
+	drainListener(t, ln)
 	n.Block("a.example", "b.example", true)
 	if _, err := n.Dial("a.example/query", "b.example/query"); !errors.Is(err, ErrRefused) {
 		t.Fatalf("blocked dial: %v, want ErrRefused", err)
@@ -164,7 +167,7 @@ func TestFaultScheduleIsSeeded(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		echoListener(t, ln)
+		drainListener(t, ln)
 		conn, err := n.Dial("a", "b")
 		if err != nil {
 			t.Fatal(err)

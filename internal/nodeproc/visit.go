@@ -278,9 +278,8 @@ func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg) error {
 
 // Reset drops what the last message left — the clone, its compiled
 // node-queries, its rows, its outgoing clones — and keeps the maps and
-// slices for the next Begin. Updates and Tables are not reused: the
-// reports that carry them may outlive the message (a result batcher holds
-// them until it flushes).
+// slices for the next Begin. Updates and Tables are not reused: they
+// leave in the result frame the caller builds from them.
 func (b *Batch) Reset() {
 	work := b.v.work[:cap(b.v.work)]
 	clear(work)

@@ -104,11 +104,6 @@ type Metrics struct {
 	// Stopped counts clones terminated by the user-site's active-stop
 	// broadcast: the typed STOPPED retirement.
 	Stopped atomic.Int64
-	// ResultReports counts logical result reports produced (one per
-	// processed or retired clone message with something to say). Without
-	// batching it equals ResultMsgs; with batching the ratio
-	// ResultReports / ResultMsgs is the coalescing factor.
-	ResultReports atomic.Int64
 
 	// Failovers counts clone forwards re-resolved to another replica of
 	// the destination site after the retry policy exhausted against the
@@ -152,10 +147,6 @@ type Metrics struct {
 	// TargetsAdded counts forward targets scheduled (the fan-out the
 	// statistics report as Fanout).
 	TargetsAdded atomic.Int64
-
-	// BatchTunes counts TUNE frames applied to the result batcher's
-	// per-query bounds (the client's adaptive-batching feedback loop).
-	BatchTunes atomic.Int64
 
 	// PagesRead counts heap pages read from disk by the persistent
 	// store's buffer pool (misses; hits touch no counter).
@@ -223,7 +214,6 @@ type Snapshot struct {
 	BudgetExpired  int64
 	RowsClipped    int64
 	Stopped        int64
-	ResultReports  int64
 
 	Failovers      int64
 	ReplicaReplays int64
@@ -238,8 +228,6 @@ type Snapshot struct {
 	ShipDataBytes      int64
 	DocBytes           int64
 	TargetsAdded       int64
-
-	BatchTunes int64
 
 	PagesRead      int64
 	PagesEvicted   int64
@@ -291,7 +279,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		BudgetExpired:  m.BudgetExpired.Load(),
 		RowsClipped:    m.RowsClipped.Load(),
 		Stopped:        m.Stopped.Load(),
-		ResultReports:  m.ResultReports.Load(),
 
 		Failovers:      m.Failovers.Load(),
 		ReplicaReplays: m.ReplicaReplays.Load(),
@@ -306,8 +293,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		ShipDataBytes:      m.ShipDataBytes.Load(),
 		DocBytes:           m.DocBytes.Load(),
 		TargetsAdded:       m.TargetsAdded.Load(),
-
-		BatchTunes: m.BatchTunes.Load(),
 
 		PagesRead:      m.PagesRead.Load(),
 		PagesEvicted:   m.PagesEvicted.Load(),

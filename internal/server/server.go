@@ -119,10 +119,6 @@ type Options struct {
 	// bounded exponential backoff with jitter. The zero value sends once
 	// with no timeout — the paper's failure-is-terminal behaviour.
 	Retry RetryPolicy
-	// ResultBatch coalesces result reports into size/age-bounded frames
-	// before dispatch to the user-site (see BatchOptions). The zero value
-	// is the seed behaviour: one ResultMsg per processed clone message.
-	ResultBatch BatchOptions
 	// Sched configures the Query Processor's clone scheduler (package
 	// sched): weighted fair queueing across concurrent queries and
 	// watermark admission control with typed SHED refusals. The zero
@@ -208,10 +204,6 @@ type Server struct {
 	// query servers, the user-site's result collectors).
 	pool *netsim.Pool
 
-	// batcher coalesces result reports per query when
-	// opts.ResultBatch.Enabled(); nil otherwise.
-	batcher *resultBatcher
-
 	// peerStats holds the per-site statistics learned from piggybacked
 	// clone hints and from ship-data fetches; own-site statistics come
 	// straight from the metrics counters. It only lives under
@@ -274,9 +266,6 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 	if opts.CacheDBs && opts.DBCacheEntries > 0 {
 		s.dbLRU = list.New()
 		s.dbPos = make(map[string]*list.Element)
-	}
-	if opts.ResultBatch.Enabled() {
-		s.batcher = newResultBatcher(s, opts.ResultBatch)
 	}
 	// The scheduler's activation hook feeds the QueueHighWater counter;
 	// any hook the caller installed still runs.
@@ -417,10 +406,6 @@ func (s *Server) Start() error {
 		}()
 	}
 
-	if s.batcher != nil {
-		s.batcher.start()
-	}
-
 	if s.opts.LogPurgeAge > 0 && s.opts.LogPurgeEvery > 0 {
 		s.wg.Add(1)
 		go func() {
@@ -466,11 +451,6 @@ func (s *Server) Stop() {
 	}
 	s.queue.Close()
 	s.wg.Wait()
-	// Flush after the workers quiesce (no more reports are produced) and
-	// before the pool closes (the flush still needs its connections).
-	if s.batcher != nil {
-		s.batcher.close()
-	}
 	s.pool.Close()
 	if s.store != nil {
 		s.store.Close()
@@ -536,13 +516,6 @@ func (s *Server) receive(conn net.Conn) {
 			s.admit(m)
 		case *wire.StopMsg:
 			s.markStopped(m.ID.String())
-		case *wire.TuneMsg:
-			// Adaptive-batching feedback from the query's collector; purely
-			// advisory, and a no-op when batching is off.
-			if s.batcher != nil {
-				s.batcher.tune(m)
-				s.met.BatchTunes.Add(1)
-			}
 		case *wire.WatchMsg:
 			s.handleWatch(m)
 		default:
@@ -913,14 +886,12 @@ func (s *Server) download(node, host string) ([]byte, error) {
 	return content, nil
 }
 
-// dispatchResults sends the batched results and CHT updates to the
-// user-site's Result Collector, retrying per Options.Retry. It reports
-// success; exhausted failure means the user-site is gone (query cancelled
-// or unreachable) and the query must be purged — stranded CHT entries are
-// then the user-site reaper's problem, not ours. With ResultBatch on,
-// the report is buffered in the per-query batcher instead, and failure
-// means the batcher already learned (from an earlier flush) that the
-// collector is gone.
+// dispatchResults sends the processed clone's results and CHT updates to
+// the user-site's Result Collector in one frame, retrying per
+// Options.Retry (paper Figure 3, lines 17–20). It reports success;
+// exhausted failure means the user-site is gone (query cancelled or
+// unreachable) and the query must be purged — stranded CHT entries are
+// then the user-site reaper's problem, not ours.
 func (s *Server) dispatchResults(c *wire.CloneMsg, updates []wire.CHTUpdate, tables []wire.NodeTable, spawned []wire.SpanLink) bool {
 	if len(updates) == 0 && len(tables) == 0 {
 		return true
@@ -932,33 +903,23 @@ func (s *Server) dispatchResults(c *wire.CloneMsg, updates []wire.CHTUpdate, tab
 	if s.opts.Planner.Enabled {
 		stats = []wire.SiteStat{s.ownStat()}
 	}
-	if s.batcher != nil {
-		r := wire.Report{Updates: updates, Tables: tables, Stats: stats}
-		if s.traced(c) {
-			r.Span, r.Site, r.Hop, r.Spawned = c.Span, s.site, c.Hops, spawned
-		}
-		return s.batcher.add(c.ID, r)
-	}
 	msg := &wire.ResultMsg{ID: c.ID, Updates: updates, Tables: tables, Stats: stats}
 	if s.traced(c) {
 		msg.Span, msg.Site, msg.Hop, msg.Spawned = c.Span, s.site, c.Hops, spawned
 	}
-	return s.sendResult(msg, 1) == nil
+	return s.sendResult(msg) == nil
 }
 
 // sendResult ships one result frame to its query's collector. The frame
-// (and the reports it carries that no batcher has counted yet) is booked
-// before it goes out and taken back if the send fails: booked after the
-// send, the counts trail what the collector has already seen — the rule
-// wire's writeFrame keeps for the fabric's books.
-func (s *Server) sendResult(msg *wire.ResultMsg, reports int64) error {
+// is booked before it goes out and taken back if the send fails: booked
+// after the send, the count trails what the collector has already seen —
+// the rule wire's writeFrame keeps for the fabric's books.
+func (s *Server) sendResult(msg *wire.ResultMsg) error {
 	s.stampReplica(msg)
 	s.met.ResultMsgs.Add(1)
-	s.met.ResultReports.Add(reports)
 	err := s.send(msg.ID.Site, msg)
 	if err != nil {
 		s.met.ResultMsgs.Add(-1)
-		s.met.ResultReports.Add(-reports)
 	}
 	return err
 }
@@ -1116,21 +1077,12 @@ func (s *Server) retireAll(c *wire.CloneMsg, kind retireKind) {
 	if len(c.Dest) == 0 {
 		return
 	}
-	updates := c.Retirements()
-	if s.batcher != nil {
-		r := wire.Report{Updates: updates, Expired: kind == retireExpired, Stopped: kind == retireStopped}
-		if s.traced(c) {
-			r.Span, r.Site, r.Hop = c.Span, s.site, c.Hops
-		}
-		s.batcher.add(c.ID, r)
-		return
-	}
-	msg := &wire.ResultMsg{ID: c.ID, Updates: updates,
+	msg := &wire.ResultMsg{ID: c.ID, Updates: c.Retirements(),
 		Expired: kind == retireExpired, Stopped: kind == retireStopped}
 	if s.traced(c) {
 		msg.Span, msg.Site, msg.Hop = c.Span, s.site, c.Hops
 	}
 	// A failed dispatch means the user-site is gone; its reaper owns the
 	// stranded entries (same semantics as a failed result dispatch).
-	s.sendResult(msg, 1)
+	s.sendResult(msg)
 }

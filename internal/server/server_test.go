@@ -424,3 +424,44 @@ func TestServerDBCache(t *testing.T) {
 		t.Errorf("evaluations = %d", m.Evaluations)
 	}
 }
+
+// TestServerStopMsgTerminatesClone checks the active-stop path: a
+// StopMsg marks the query, and a later clone for it dies with the typed
+// STOPPED retirement instead of being evaluated.
+func TestServerStopMsgTerminatesClone(t *testing.T) {
+	web := webgraph.Campus()
+	h := newHarness(t, web, "dsl.serc.iisc.ernet.in", Options{})
+
+	conn, err := h.net.Dial(sinkName, Endpoint(h.server.Site()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.Send(conn, &wire.StopMsg{ID: testID, Reason: "test stop"}); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	// The stop is handled on the receive path; give it a beat to land.
+	waitStop := time.Now().Add(5 * time.Second)
+	for time.Now().Before(waitStop) {
+		if h.server.isStopped(testID.String()) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	h.send(t, campusStage2Clone("http://dsl.serc.iisc.ernet.in/index.html"))
+	msgs := h.waitMsgs(t, 1)
+	if !msgs[0].Stopped {
+		t.Errorf("retirement not typed as stopped: %+v", msgs[0])
+	}
+	if len(msgs[0].Updates) != 1 || len(msgs[0].Tables) != 0 {
+		t.Errorf("stopped clone should retire without evaluating: %+v", msgs[0])
+	}
+	m := h.met.Snapshot()
+	if m.Stopped != 1 {
+		t.Errorf("Stopped = %d, want 1", m.Stopped)
+	}
+	if m.Evaluations != 0 {
+		t.Errorf("Evaluations = %d, want 0 (stop precedes evaluation)", m.Evaluations)
+	}
+}

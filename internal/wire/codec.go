@@ -1,10 +1,10 @@
-// Wire format v2: a hand-rolled, length-prefixed binary encoding for
+// Wire format v3: a hand-rolled, length-prefixed binary encoding for
 // every message kind — this reproduction's analog of the Java object
 // serialization the paper's daemons used. It writes fields directly,
 // without reflection: varint integers, per-connection interned string
 // tables for the endpoint/URL/state strings that repeat across a
 // session's frames, buffers reused across frames, and optional per-frame
-// DEFLATE compression for large result batches. encoding/gob survives
+// DEFLATE compression for large result frames. encoding/gob survives
 // only in the tests, as the oracle the codec is fuzzed against.
 //
 // Frame layout (after the 4-byte big-endian length prefix, which covers
@@ -50,10 +50,12 @@ import (
 	"webdis/internal/nodequery"
 )
 
-// MaxWireVersion is the one wire format this build speaks: version 2,
-// the binary codec. A hello offering a newer version is granted this
-// one; an older one (version 1 was framed gob) is refused.
-const MaxWireVersion = 2
+// MaxWireVersion is the one wire format this build speaks: version 3,
+// the binary codec with one report per result frame. A hello offering a
+// newer version is granted this one; an older one is refused (version 1
+// was framed gob; version 2 carried a list of batched reports in every
+// result frame and a TUNE kind).
+const MaxWireVersion = 3
 
 // Typed codec errors. Receive surfaces ErrTruncated when a frame ends
 // before its own encoding claims it should (including a connection
@@ -68,7 +70,7 @@ var (
 	ErrPoisoned  = errors.New("wire: session poisoned by earlier error")
 )
 
-// v2 kind codes, one per message type.
+// Kind codes, one per message type.
 const (
 	codeClone byte = iota + 1
 	codeResult
@@ -77,7 +79,7 @@ const (
 	codeStop
 	codeFetchReq
 	codeFetchResp
-	codeTune
+	_ // 8: the TUNE kind of version 2, retired
 	codeWatch
 	codeDelta
 )
@@ -119,8 +121,6 @@ func kindCode(kind string) (byte, bool) {
 		return codeFetchReq, true
 	case KindFetchResp:
 		return codeFetchResp, true
-	case KindTune:
-		return codeTune, true
 	case KindWatch:
 		return codeWatch, true
 	case KindDelta:
@@ -776,97 +776,67 @@ func (d *decoder) nodeTable() NodeTable {
 	return t
 }
 
-func (e *encoder) report(r *Report) {
-	e.u(uint64(len(r.Updates)))
-	for _, u := range r.Updates {
+func (e *encoder) resultMsg(m *ResultMsg) {
+	e.queryID(m.ID)
+	e.u(uint64(len(m.Updates)))
+	for _, u := range m.Updates {
 		e.chtEntry(u.Processed)
 		e.u(uint64(len(u.Children)))
 		for _, c := range u.Children {
 			e.chtEntry(c)
 		}
 	}
-	e.u(uint64(len(r.Tables)))
-	for i := range r.Tables {
-		e.nodeTable(&r.Tables[i])
+	e.u(uint64(len(m.Tables)))
+	for i := range m.Tables {
+		e.nodeTable(&m.Tables[i])
 	}
-	e.bool(r.Expired)
-	e.bool(r.Stopped)
-	e.spanID(r.Span)
-	e.str(r.Site)
-	e.i(int64(r.Hop))
-	e.u(uint64(len(r.Spawned)))
-	for _, l := range r.Spawned {
+	e.bool(m.Expired)
+	e.bool(m.Stopped)
+	e.spanID(m.Span)
+	e.str(m.Site)
+	e.i(int64(m.Hop))
+	e.u(uint64(len(m.Spawned)))
+	for _, l := range m.Spawned {
 		e.spanID(l.Span)
 		e.str(l.Site)
 	}
-	e.siteStats(r.Stats)
-}
-
-func (d *decoder) report() Report {
-	var r Report
-	if n := d.count(); n > 0 {
-		r.Updates = make([]CHTUpdate, n)
-		for i := range r.Updates {
-			r.Updates[i].Processed = d.chtEntry()
-			if cn := d.count(); cn > 0 {
-				r.Updates[i].Children = make([]CHTEntry, cn)
-				for j := range r.Updates[i].Children {
-					r.Updates[i].Children[j] = d.chtEntry()
-				}
-			}
-		}
-	}
-	if n := d.count(); n > 0 {
-		r.Tables = make([]NodeTable, n)
-		for i := range r.Tables {
-			r.Tables[i] = d.nodeTable()
-		}
-	}
-	r.Expired = d.bool()
-	r.Stopped = d.bool()
-	r.Span = d.spanID()
-	r.Site = d.str()
-	r.Hop = d.int()
-	if n := d.count(); n > 0 {
-		r.Spawned = make([]SpanLink, n)
-		for i := range r.Spawned {
-			r.Spawned[i] = SpanLink{Span: d.spanID(), Site: d.str()}
-		}
-	}
-	r.Stats = d.siteStats()
-	return r
-}
-
-func (e *encoder) resultMsg(m *ResultMsg) {
-	e.queryID(m.ID)
-	flat := Report{
-		Updates: m.Updates, Tables: m.Tables,
-		Expired: m.Expired, Stopped: m.Stopped,
-		Span: m.Span, Site: m.Site, Hop: m.Hop, Spawned: m.Spawned,
-		Stats: m.Stats,
-	}
-	e.report(&flat)
-	e.u(uint64(len(m.Reports)))
-	for i := range m.Reports {
-		e.report(&m.Reports[i])
-	}
+	e.siteStats(m.Stats)
 	e.str(m.From)
 	e.i(m.Inc)
 }
 
 func (d *decoder) resultMsg() *ResultMsg {
 	m := &ResultMsg{ID: d.queryID()}
-	flat := d.report()
-	m.Updates, m.Tables = flat.Updates, flat.Tables
-	m.Expired, m.Stopped = flat.Expired, flat.Stopped
-	m.Span, m.Site, m.Hop, m.Spawned = flat.Span, flat.Site, flat.Hop, flat.Spawned
-	m.Stats = flat.Stats
 	if n := d.count(); n > 0 {
-		m.Reports = make([]Report, n)
-		for i := range m.Reports {
-			m.Reports[i] = d.report()
+		m.Updates = make([]CHTUpdate, n)
+		for i := range m.Updates {
+			m.Updates[i].Processed = d.chtEntry()
+			if cn := d.count(); cn > 0 {
+				m.Updates[i].Children = make([]CHTEntry, cn)
+				for j := range m.Updates[i].Children {
+					m.Updates[i].Children[j] = d.chtEntry()
+				}
+			}
 		}
 	}
+	if n := d.count(); n > 0 {
+		m.Tables = make([]NodeTable, n)
+		for i := range m.Tables {
+			m.Tables[i] = d.nodeTable()
+		}
+	}
+	m.Expired = d.bool()
+	m.Stopped = d.bool()
+	m.Span = d.spanID()
+	m.Site = d.str()
+	m.Hop = d.int()
+	if n := d.count(); n > 0 {
+		m.Spawned = make([]SpanLink, n)
+		for i := range m.Spawned {
+			m.Spawned[i] = SpanLink{Span: d.spanID(), Site: d.str()}
+		}
+	}
+	m.Stats = d.siteStats()
 	m.From = d.str()
 	m.Inc = d.i()
 	return m
@@ -900,10 +870,6 @@ func encodeEnvelope(e *encoder, env *envelope) error {
 		e.str(env.FetchResp.URL)
 		e.bytes(env.FetchResp.Content)
 		e.str(env.FetchResp.Err)
-	case KindTune:
-		e.queryID(env.Tune.ID)
-		e.i(int64(env.Tune.MaxRows))
-		e.i(env.Tune.MaxAgeMicros)
 	case KindWatch:
 		e.i(int64(env.Watch.Version))
 		e.queryID(env.Watch.ID)
@@ -941,8 +907,6 @@ func decodeEnvelope(d *decoder, code byte) (any, error) {
 		msg = &FetchReq{URL: d.str()}
 	case codeFetchResp:
 		msg = &FetchResp{URL: d.str(), Content: d.bytes(), Err: d.str()}
-	case codeTune:
-		msg = &TuneMsg{ID: d.queryID(), MaxRows: d.int(), MaxAgeMicros: d.i()}
 	case codeWatch:
 		msg = &WatchMsg{Version: d.int(), ID: d.queryID(), Cancel: d.bool()}
 	case codeDelta:

@@ -9,22 +9,23 @@ import (
 )
 
 // benchMessages returns the per-kind workloads the codec benchmarks
-// sweep: the traversal-edge clone, a single-report result, a batched
-// result (PR 5's coalesced frames), and the tiny stop control frame.
+// sweep: the traversal-edge clone, a one-node result, a wide result (one
+// clone message that named 32 destinations at the site), and the tiny
+// stop control frame.
 func benchMessages() map[string]any {
-	batch := &ResultMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 8}, From: "a.example/query@0"}
+	wide := &ResultMsg{
+		ID:   QueryID{User: "maya", Site: "user/results", Num: 8},
+		Site: "a.example/query", Hop: 2,
+		From: "a.example/query@0",
+	}
 	for i := 0; i < 32; i++ {
-		batch.Reports = append(batch.Reports, Report{
-			Site: "a.example/query",
-			Hop:  2,
-			Updates: []CHTUpdate{{
-				Processed: CHTEntry{Node: fmt.Sprintf("http://a/p%d.html", i), State: State{NumQ: 1, Rem: "G"}, Origin: "a/q", Seq: int64(i)},
-			}},
-			Tables: []NodeTable{{
-				Node: fmt.Sprintf("http://a/p%d.html", i),
-				Cols: []string{"d0.url"},
-				Rows: [][]string{{fmt.Sprintf("http://a/p%d.html", i)}},
-			}},
+		wide.Updates = append(wide.Updates, CHTUpdate{
+			Processed: CHTEntry{Node: fmt.Sprintf("http://a/p%d.html", i), State: State{NumQ: 1, Rem: "G"}, Origin: "a/q", Seq: int64(i)},
+		})
+		wide.Tables = append(wide.Tables, NodeTable{
+			Node: fmt.Sprintf("http://a/p%d.html", i),
+			Cols: []string{"d0.url"},
+			Rows: [][]string{{fmt.Sprintf("http://a/p%d.html", i)}},
 		})
 	}
 	return map[string]any{
@@ -42,8 +43,8 @@ func benchMessages() map[string]any {
 			}},
 			From: "a.example/query@0",
 		},
-		"ResultBatch": batch,
-		"Stop":        &StopMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 7}, Reason: "first-n satisfied"},
+		"ResultWide": wide,
+		"Stop":       &StopMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 7}, Reason: "first-n satisfied"},
 	}
 }
 

@@ -123,51 +123,44 @@ func (s *fuzzSource) result() *ResultMsg {
 		From: s.str(),
 		Inc:  s.i64(),
 	}
-	rep := func() Report {
-		var r Report
-		for i, k := 0, s.n(3); i < k; i++ {
-			u := CHTUpdate{Processed: CHTEntry{Node: s.str(), State: State{NumQ: s.n(4), Rem: s.str()}, Origin: s.str(), Seq: s.i64()}}
-			for j, c := 0, s.n(3); j < c; j++ {
-				u.Children = append(u.Children, CHTEntry{Node: s.str(), Origin: s.str(), Seq: s.i64()})
-			}
-			r.Updates = append(r.Updates, u)
+	// Up to 8 updates and 8 tables: one wide frame, as a clone message
+	// naming several destinations at the site produces.
+	for i, k := 0, s.n(9); i < k; i++ {
+		u := CHTUpdate{Processed: CHTEntry{Node: s.str(), State: State{NumQ: s.n(4), Rem: s.str()}, Origin: s.str(), Seq: s.i64()}}
+		for j, c := 0, s.n(3); j < c; j++ {
+			u.Children = append(u.Children, CHTEntry{Node: s.str(), Origin: s.str(), Seq: s.i64()})
 		}
-		for i, k := 0, s.n(3); i < k; i++ {
-			t := NodeTable{Node: s.str(), Stage: s.n(3), Env: s.str(), Partial: s.byte()&1 == 1}
-			for j, c := 0, s.n(3); j < c; j++ {
-				t.Cols = append(t.Cols, s.str())
-			}
-			for j, c := 0, s.n(4); j < c; j++ {
-				var row []string
-				for x := 0; x < len(t.Cols); x++ {
-					row = append(row, s.str())
-				}
-				t.Rows = append(t.Rows, row)
-			}
-			r.Tables = append(r.Tables, t)
-		}
-		r.Expired = s.byte()&1 == 1
-		r.Stopped = s.byte()&1 == 1
-		r.Span = SpanID{Origin: s.str(), Seq: s.i64()}
-		r.Site = s.str()
-		r.Hop = s.n(16)
-		for i, k := 0, s.n(3); i < k; i++ {
-			r.Spawned = append(r.Spawned, SpanLink{Span: SpanID{Origin: s.str(), Seq: s.i64()}, Site: s.str()})
-		}
-		return r
+		m.Updates = append(m.Updates, u)
 	}
-	flat := rep()
-	m.Updates, m.Tables = flat.Updates, flat.Tables
-	m.Expired, m.Stopped, m.Spawned = flat.Expired, flat.Stopped, flat.Spawned
+	for i, k := 0, s.n(9); i < k; i++ {
+		t := NodeTable{Node: s.str(), Stage: s.n(3), Env: s.str(), Partial: s.byte()&1 == 1}
+		for j, c := 0, s.n(3); j < c; j++ {
+			t.Cols = append(t.Cols, s.str())
+		}
+		for j, c := 0, s.n(4); j < c; j++ {
+			var row []string
+			for x := 0; x < len(t.Cols); x++ {
+				row = append(row, s.str())
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		m.Tables = append(m.Tables, t)
+	}
+	m.Expired = s.byte()&1 == 1
+	m.Stopped = s.byte()&1 == 1
+	m.Span = SpanID{Origin: s.str(), Seq: s.i64()}
 	for i, k := 0, s.n(3); i < k; i++ {
-		m.Reports = append(m.Reports, rep())
+		m.Spawned = append(m.Spawned, SpanLink{Span: SpanID{Origin: s.str(), Seq: s.i64()}, Site: s.str()})
+	}
+	for i, k := 0, s.n(3); i < k; i++ {
+		m.Stats = append(m.Stats, SiteStat{Site: s.str(), Docs: s.i64(), Evals: s.i64(), RowsEmitted: s.i64()})
 	}
 	return m
 }
 
 // message builds one wire message of a fuzz-chosen kind.
 func (s *fuzzSource) message() any {
-	switch s.n(10) {
+	switch s.n(9) {
 	case 0:
 		return s.clone()
 	case 1:
@@ -183,8 +176,6 @@ func (s *fuzzSource) message() any {
 	case 6:
 		return &FetchResp{URL: s.str(), Content: []byte(s.str()), Err: s.str()}
 	case 7:
-		return &TuneMsg{ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, MaxRows: s.n(10000), MaxAgeMicros: s.i64()}
-	case 8:
 		return &WatchMsg{Version: s.n(3), ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Cancel: s.n(2) == 1}
 	default:
 		m := &DeltaMsg{Version: s.n(3), ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Site: s.str(), Seq: s.i64()}
@@ -263,11 +254,6 @@ func unwrap(env *envelope) (any, error) {
 			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
 		}
 		return env.FetchResp, nil
-	case KindTune:
-		if env.Tune == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Tune, nil
 	case KindWatch:
 		if env.Watch == nil {
 			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)

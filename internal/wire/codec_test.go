@@ -122,21 +122,25 @@ func sampleMessages() []any {
 		From:    "a.example/query@0",
 		Inc:     3,
 	}
-	batch := &ResultMsg{
-		ID:      QueryID{User: "maya", Site: "user/results", Num: 8},
-		Reports: []Report{{Site: "a.example/query", Hop: 1}, {Site: "b.example/query", Hop: 2, Expired: true}},
-		From:    "a.example/query@1",
+	expired := &ResultMsg{
+		ID: QueryID{User: "maya", Site: "user/results", Num: 8},
+		Updates: []CHTUpdate{{
+			Processed: CHTEntry{Node: "http://b/y.html", State: State{NumQ: 1, Rem: "G"}, Origin: "a/q", Seq: 5},
+		}},
+		Expired: true,
+		Site:    "b.example/query",
+		Hop:     2,
+		From:    "b.example/query@1",
 	}
 	return []any{
 		full,
 		res,
-		batch,
+		expired,
 		&BounceMsg{Clone: sampleClone(), Reason: "retry exhausted"},
 		&ShedMsg{Clone: sampleClone(), Site: "b.example/query"},
 		&StopMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 7}, Reason: "first-n satisfied"},
 		&FetchReq{URL: "http://a.example/x.html"},
 		&FetchResp{URL: "http://a.example/x.html", Content: []byte("<html><body>hi</body></html>"), Err: ""},
-		&TuneMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 7}, MaxRows: 1024, MaxAgeMicros: 20000},
 		&WatchMsg{Version: WatchVersion, ID: QueryID{User: "maya", Site: "user/w1", Num: 1}},
 		&WatchMsg{Version: WatchVersion, ID: QueryID{User: "maya", Site: "user/w1", Num: 1}, Cancel: true},
 		&DeltaMsg{
@@ -190,15 +194,15 @@ func TestV2RoundTripAllKinds(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if d.ver != 2 || a.ver != 2 {
-		t.Errorf("negotiated versions = %d/%d, want 2/2", d.ver, a.ver)
+	if d.ver != MaxWireVersion || a.ver != MaxWireVersion {
+		t.Errorf("negotiated versions = %d/%d, want %d/%d", d.ver, a.ver, MaxWireVersion, MaxWireVersion)
 	}
 }
 
-// TestNegotiationMatrix pins every way a session can open: v2<->v2; a
-// hello offering version 1 and a pre-v2 peer's bare gob frame, both
+// TestNegotiationMatrix pins every way a session can open: v3<->v3; a
+// hello offering version 1 or 2 and a pre-v2 peer's bare gob frame, all
 // refused with ErrVersion so the dialer's Settle fails; and a hello
-// offering a newer version, granted 2.
+// offering a newer version, granted 3.
 func TestNegotiationMatrix(t *testing.T) {
 	offer := func(v byte) func([]byte) []byte {
 		return func(p []byte) []byte { p[3] = v; return p }
@@ -209,10 +213,11 @@ func TestNegotiationMatrix(t *testing.T) {
 		rewrite func([]byte) []byte // the dialer's first write, as this peer sends it
 		refused bool
 	}{
-		{"v2-both", nil, false},
+		{"v3-both", nil, false},
 		{"v1-dialer", offer(1), true},
+		{"v2-dialer", offer(2), true},
 		{"gob-prefix", func([]byte) []byte { return gobPeer }, true},
-		{"v3-dialer", offer(3), false},
+		{"v4-dialer", offer(4), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -450,11 +455,12 @@ func TestSendErrorLatch(t *testing.T) {
 	}
 }
 
-// TestCompressionRoundTrip pushes a result batch past compressMin and
-// asserts both structural equality and a measured wire-byte reduction.
+// TestCompressionRoundTrip pushes one wide result frame past compressMin
+// and asserts both structural equality and a measured wire-byte
+// reduction.
 func TestCompressionRoundTrip(t *testing.T) {
 	d, a, cc := countedPair(t)
-	big := &ResultMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 1}}
+	big := &ResultMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 1}, Site: "s"}
 	for i := 0; i < 64; i++ {
 		tbl := NodeTable{Node: fmt.Sprintf("http://site%d/x.html", i), Cols: []string{"d0.url", "d0.text"}}
 		for j := 0; j < 32; j++ {
@@ -463,7 +469,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 				strings.Repeat("the quick brown fox jumps over the lazy dog ", 4),
 			})
 		}
-		big.Reports = append(big.Reports, Report{Site: "s", Tables: []NodeTable{tbl}})
+		big.Tables = append(big.Tables, tbl)
 	}
 	raw := EncodedSize(big)
 	if raw < compressMin {

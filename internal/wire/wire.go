@@ -124,8 +124,8 @@ type CloneMsg struct {
 	Hops   int // links traversed so far; for traces and response-time stats
 	// Env carries upstream document bindings ("var.col" -> value) for
 	// correlated stages (see nodequery.Query.Outer). Clones with different
-	// environments are different clones: the log table and the batcher
-	// both key on EnvKey.
+	// environments are different clones: the log table and
+	// nodeproc.Batch both key on EnvKey.
 	Env map[string]string
 	// Span identifies this clone message in the query's causal trace and
 	// Parent the clone message it was forwarded from (zero for a root
@@ -177,7 +177,7 @@ func (f *PlanFrag) Applies(stage int) bool {
 
 // SiteStat is one site's observed workload statistics: the planner's
 // raw material. Sites attach their own stat to result frames
-// (Report.Stats); the user-site accumulates them across queries and
+// (ResultMsg.Stats); the user-site accumulates them across queries and
 // re-attaches them to later clones as CloneMsg.Hints, closing the
 // feedback loop the paper's cost model needs.
 type SiteStat struct {
@@ -420,21 +420,23 @@ type NodeTable struct {
 	Partial bool
 }
 
-// Report is the outcome of processing one CloneMsg: its results, CHT
-// updates and span context. It is the unit the server-side result
-// batcher coalesces — a batched ResultMsg carries many Reports in one
-// frame, each applied independently at the user-site.
-type Report struct {
+// ResultMsg is the query-server → user-site message: all results and CHT
+// updates from processing one CloneMsg, batched (Section 3.2, item 3).
+// For traced clones it also carries the span context of the processed
+// clone and the spans of the clones spawned from it, so the user-site can
+// stitch the causal tree without reading remote journals.
+type ResultMsg struct {
+	ID      QueryID
 	Updates []CHTUpdate
 	Tables  []NodeTable
-	// Expired marks a report whose entries were retired because the
+	// Expired marks a message whose entries were retired because the
 	// clone exceeded its Budget (deadline or quota) rather than being
 	// processed: the typed EXPIRED terminate. The CHT arithmetic is
 	// identical — entries retire, no children — but the user-site
 	// records the spans as expired, not processed, so trace fates
 	// reconcile exactly.
 	Expired bool
-	// Stopped marks a report whose entries were retired because the
+	// Stopped marks a message whose entries were retired because the
 	// user-site broadcast a StopMsg (active early termination): the
 	// typed STOPPED terminate, same CHT arithmetic as Expired.
 	Stopped bool
@@ -445,53 +447,6 @@ type Report struct {
 	Hop  int
 	// Spawned lists the clone messages forwarded during that processing.
 	Spawned []SpanLink
-	// Stats piggybacks the processing site's observed statistics (and
-	// any peers' it learned of) back to the user-site. Attached only
-	// when the planner is enabled, so classic deployments keep their
-	// exact wire profile.
-	Stats []SiteStat
-}
-
-// Rows returns the number of result rows the report carries (the size
-// measure the batcher's MaxRows bound counts).
-func (r *Report) Rows() int {
-	n := 0
-	for _, t := range r.Tables {
-		n += len(t.Rows)
-	}
-	return n
-}
-
-// ResultMsg is the query-server → user-site message: all results and CHT
-// updates from processing one CloneMsg, batched (Section 3.2, item 3).
-// For traced clones it also carries the span context of the processed
-// clone and the spans of the clones spawned from it, so the user-site can
-// stitch the causal tree without reading remote journals.
-//
-// Two layouts share the struct: the classic one-report-per-message form
-// uses the flat fields directly (the seed wire format), and the batched
-// form (ServerOptions.ResultBatch) leaves those zero and carries the
-// coalesced Reports slice instead. Receivers iterate with Each and never
-// look at the layout.
-type ResultMsg struct {
-	ID      QueryID
-	Updates []CHTUpdate
-	Tables  []NodeTable
-	// Expired and Stopped type the retirement (see Report).
-	Expired bool
-	Stopped bool
-	// Span is the span of the clone message whose processing produced
-	// this report (zero when untraced); Site and Hop locate it.
-	Span SpanID
-	Site string
-	Hop  int
-	// Spawned lists the clone messages forwarded during that processing.
-	Spawned []SpanLink
-	// Reports, when non-empty, is a size/age-bounded batch of reports
-	// from distinct clone processings at one site, coalesced into this
-	// single frame by the server's result batcher. The flat fields above
-	// are then zero.
-	Reports []Report
 	// From and Inc identify the replica that produced the report when
 	// the deployment is replicated: the replica's listen endpoint and
 	// its registration incarnation. The user-site drops frames whose
@@ -501,25 +456,11 @@ type ResultMsg struct {
 	// unreplicated deployments, which accept every frame as before.
 	From string
 	Inc  int64
-	// Stats is the flat-form counterpart of Report.Stats.
+	// Stats piggybacks the processing site's observed statistics (and
+	// any peers' it learned of) back to the user-site. Attached only
+	// when the planner is enabled, so classic deployments keep their
+	// exact wire profile.
 	Stats []SiteStat
-}
-
-// Each visits every report the message carries — the batched Reports
-// when present, otherwise the flat single-report fields.
-func (m *ResultMsg) Each(fn func(*Report)) {
-	if len(m.Reports) > 0 {
-		for i := range m.Reports {
-			fn(&m.Reports[i])
-		}
-		return
-	}
-	fn(&Report{
-		Updates: m.Updates, Tables: m.Tables,
-		Expired: m.Expired, Stopped: m.Stopped,
-		Span: m.Span, Site: m.Site, Hop: m.Hop, Spawned: m.Spawned,
-		Stats: m.Stats,
-	})
 }
 
 // FetchReq asks a document host for the content of one URL. It is used
@@ -567,21 +508,6 @@ const (
 type ShedMsg struct {
 	Clone *CloneMsg
 	Site  string // site that refused the clone
-}
-
-// TuneMsg is the user-site → query-server feedback of the adaptive
-// result batcher: the observed consumer backpressure asks the site to
-// re-bound its per-query result batching. MaxRows and MaxAgeMicros
-// override the server's configured BatchOptions for this query; zero
-// values revert to the configured defaults. A slow consumer (deep
-// ConsumerLag) asks for large, late frames — fewer messages, better
-// compression — while a caught-up consumer asks the bounds back down so
-// first-row latency stays low. Servers without batching enabled ignore
-// the message; it is advisory, so mixed deployments interoperate.
-type TuneMsg struct {
-	ID           QueryID
-	MaxRows      int
-	MaxAgeMicros int64
 }
 
 // StopMsg is the user-site → query-server active-termination signal: the
@@ -653,7 +579,6 @@ const (
 	KindStop      = "stop"
 	KindFetchReq  = "fetch-req"
 	KindFetchResp = "fetch-resp"
-	KindTune      = "tune"
 	KindWatch     = "watch"
 	KindDelta     = "delta"
 )
@@ -669,7 +594,6 @@ type envelope struct {
 	Stop      *StopMsg
 	FetchReq  *FetchReq
 	FetchResp *FetchResp
-	Tune      *TuneMsg
 	Watch     *WatchMsg
 	Delta     *DeltaMsg
 }
@@ -692,8 +616,6 @@ func wrap(msg any) (envelope, error) {
 		return envelope{Kind: KindFetchReq, FetchReq: m}, nil
 	case *FetchResp:
 		return envelope{Kind: KindFetchResp, FetchResp: m}, nil
-	case *TuneMsg:
-		return envelope{Kind: KindTune, Tune: m}, nil
 	case *WatchMsg:
 		return envelope{Kind: KindWatch, Watch: m}, nil
 	case *DeltaMsg:

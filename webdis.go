@@ -99,11 +99,6 @@ type (
 	// server (ServerOptions.Retry); the zero value sends exactly once, the
 	// paper's behaviour.
 	RetryPolicy = server.RetryPolicy
-	// BatchOptions bound the server-side result batcher
-	// (ServerOptions.ResultBatch): reports coalesce into size/age-bounded
-	// frames instead of one message per processed clone. The zero value is
-	// the paper's one-report-per-message behaviour.
-	BatchOptions = server.BatchOptions
 	// FaultPlan is a seeded, deterministic fault schedule for the simulated
 	// fabric (NetOptions.Faults): probabilistic message drops, mid-frame
 	// severs, transient down windows and asymmetric partitions.
