@@ -3,8 +3,6 @@ package htmlx
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
-	"net/url"
 	"strings"
 
 	"webdis/internal/pre"
@@ -54,13 +52,13 @@ type Document struct {
 // cannot outgrow the source and the accumulator never reallocates. Text,
 // anchor labels and rel-infon texts are substrings of it. The title gets a
 // small allocation of its own — it travels in result rows, which must not
-// keep a whole page's text alive. No string of the Document aliases src.
+// keep a whole page's text alive. Anchors and rel-infons collect in stack
+// buffers and are copied out once. No string of the Document aliases src.
 func Parse(baseURL string, src []byte) (*Document, error) {
-	base, err := url.Parse(baseURL)
+	lk, err := newLinker(baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("htmlx: bad document URL %q: %w", baseURL, err)
+		return nil, err
 	}
-	baseStr := base.String()
 	doc := &Document{URL: baseURL, Length: len(src)}
 
 	type open struct {
@@ -68,27 +66,24 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 		start int // offset into the text accumulator
 	}
 	var (
-		text     strings.Builder
-		stackBuf [8]open
-		stack    = stackBuf[:0] // open rel-infon delimiters
-		inTitle  bool
-		inRaw    bool           // inside <script> or <style>
-		titleBuf [2][]byte      // the usual title is one run
-		title    = titleBuf[:0] // runs of src, decoded once their total length is known
-		hrStart  int            // text offset where the current <hr> segment began
-		curA     Anchor         // the open <a>, if inA
-		inA      bool
-		aStart   int
+		text      strings.Builder
+		stackBuf  [8]open
+		stack     = stackBuf[:0] // open rel-infon delimiters
+		anchorBuf [8]Anchor
+		anchors   = anchorBuf[:0]
+		infonBuf  [8]RelInfon
+		infons    = infonBuf[:0]
+		inTitle   bool
+		inRaw     bool           // inside <script> or <style>
+		titleBuf  [2][2]int      // the usual title is one run
+		title     = titleBuf[:0] // [start, end) runs of src, decoded once their total length is known
+		hrStart   int            // text offset where the current <hr> segment began
+		curA      Anchor         // the open <a>, if inA
+		inA       bool
+		aStart    int
 	)
 	text.Grow(len(src))
-	// since returns the accumulated text from offset start on, trimmed.
-	since := func(start int) string { return strings.TrimSpace(text.String()[start:]) }
-	closeAnchor := func() {
-		curA.Label = since(aStart)
-		doc.Anchors = append(doc.Anchors, curA)
-		inA = false
-	}
-	z := NewTokenizer(src)
+	z := Tokenizer{src: src}
 	for {
 		tok, ok := z.Next()
 		if !ok {
@@ -99,7 +94,7 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 			switch {
 			case inRaw:
 			case inTitle:
-				title = append(title, tok.Data)
+				title = append(title, [2]int{z.pos - len(tok.Data), z.pos})
 			default:
 				appendRun(&text, tok.Data)
 			}
@@ -115,12 +110,12 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 				}
 			case TagA:
 				if href, ok := tok.Attr("href"); ok && len(href) > 0 {
-					curA = classify(base, baseStr, DecodeEntities(string(href)))
+					curA = lk.anchor(DecodeEntities(string(href)))
 					inA, aStart = true, text.Len()
 				}
 			case TagHR:
-				if seg := since(hrStart); seg != "" {
-					doc.Infons = append(doc.Infons, RelInfon{Delimiter: "hr", Text: seg})
+				if seg := trimmedSince(&text, hrStart); seg != "" {
+					infons = append(infons, RelInfon{Delimiter: "hr", Text: seg})
 				}
 				hrStart = text.Len()
 			case TagBR, TagP, TagDiv, TagTR:
@@ -137,15 +132,17 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 				inRaw = false
 			case TagA:
 				if inA {
-					closeAnchor()
+					curA.Label = trimmedSince(&text, aStart)
+					anchors = append(anchors, curA)
+					inA = false
 				}
 			}
 			if tok.Tag.relInfon() {
 				// close the nearest matching open tag
 				for i := len(stack) - 1; i >= 0; i-- {
 					if stack[i].tag == tok.Tag {
-						if seg := since(stack[i].start); seg != "" {
-							doc.Infons = append(doc.Infons, RelInfon{Delimiter: tok.Tag.String(), Text: seg})
+						if seg := trimmedSince(&text, stack[i].start); seg != "" {
+							infons = append(infons, RelInfon{Delimiter: tok.Tag.String(), Text: seg})
 						}
 						stack = append(stack[:i], stack[i+1:]...)
 						break
@@ -155,22 +152,34 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 		}
 	}
 	if inA { // unclosed <a>
-		closeAnchor()
+		curA.Label = trimmedSince(&text, aStart)
+		anchors = append(anchors, curA)
 	}
 	doc.Text = strings.TrimSpace(text.String())
+	if len(anchors) > 0 {
+		doc.Anchors = append([]Anchor(nil), anchors...)
+	}
+	if len(infons) > 0 {
+		doc.Infons = append([]RelInfon(nil), infons...)
+	}
 	if len(title) > 0 {
 		var b strings.Builder
 		n := 0
 		for _, run := range title {
-			n += len(run)
+			n += run[1] - run[0]
 		}
 		b.Grow(n)
 		for _, run := range title {
-			appendRun(&b, run)
+			appendRun(&b, src[run[0]:run[1]])
 		}
 		doc.Title = strings.TrimSpace(b.String())
 	}
 	return doc, nil
+}
+
+// trimmedSince returns the accumulated text from offset start on, trimmed.
+func trimmedSince(text *strings.Builder, start int) string {
+	return strings.TrimSpace(text.String()[start:])
 }
 
 // appendRun appends one raw text run of the source to the accumulator,
@@ -254,34 +263,6 @@ func appendText(b *strings.Builder, run []byte) {
 		}
 		run = run[n:]
 	}
-}
-
-// classify resolves href against base and assigns the WEBDIS link category:
-// interior if the destination is within the same resource (a fragment),
-// local if it is on the same server, global otherwise.
-func classify(base *url.URL, baseStr, href string) Anchor {
-	a := Anchor{Base: baseStr, Href: href}
-	if strings.HasPrefix(href, "#") {
-		a.Type = pre.Interior
-		a.Href = baseStr + href
-		return a
-	}
-	ref, err := url.Parse(href)
-	if err != nil {
-		a.Type = pre.Global
-		return a
-	}
-	res := base.ResolveReference(ref)
-	a.Href = res.String()
-	switch {
-	case res.Host == base.Host && res.Path == base.Path && res.Fragment != "":
-		a.Type = pre.Interior
-	case res.Host == base.Host:
-		a.Type = pre.Local
-	default:
-		a.Type = pre.Global
-	}
-	return a
 }
 
 // LinksOf returns the anchors of category t, preserving document order.

@@ -47,11 +47,45 @@ func TestRawTextCloseTagAnyCase(t *testing.T) {
 	}
 }
 
+// rawtextLongerName hides markup behind a close tag whose name only begins
+// with "script": the anchor is script content, not a link to follow.
+const rawtextLongerName = `<script>s="</scripts>"; t="<a href='http://evil.example/x.html'>"</script>after`
+
+func TestRawTextCloseTagNameEnds(t *testing.T) {
+	doc, err := Parse("http://a.example/x.html", []byte(rawtextLongerName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Anchors) != 0 {
+		t.Errorf("anchors = %+v, want none", doc.Anchors)
+	}
+	if doc.Text != "after" {
+		t.Errorf("Text = %q, want %q", doc.Text, "after")
+	}
+	// Whatever ends the name — space, '/', '>' or the input — closes it.
+	for src, want := range map[string]string{
+		"<script>x</script\n>y": "y",
+		"<script>x</script/>y":  "y",
+		"<style>x</STYLE>y":     "y",
+		"<script>x</script":     "",
+		"<script>x</scriptx>y":  "",
+	} {
+		doc, err := Parse("http://a.example/x.html", []byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.Text != want {
+			t.Errorf("%q: Text = %q, want %q", src, doc.Text, want)
+		}
+	}
+}
+
 const fuzzURL = "http://fuzz.example/dir/doc.html"
 
 func FuzzParse(f *testing.F) {
 	f.Add([]byte(rawtextOvershoot))
 	f.Add([]byte(rawtextSwallowed))
+	f.Add([]byte(rawtextLongerName))
 	for _, c := range handCases {
 		f.Add([]byte(c.src))
 	}

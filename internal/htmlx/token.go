@@ -202,6 +202,7 @@ func (z *Tokenizer) scanText() Token {
 
 // scanRawText consumes the content of a script/style element up to its
 // close tag (or the end of input), returning it as a single text token.
+// The close tag's name must end there: "</scripts>" is script content.
 func (z *Tokenizer) scanRawText() Token {
 	name := z.rawtext.String()
 	z.rawtext = TagOther
@@ -214,7 +215,9 @@ func (z *Tokenizer) scanRawText() Token {
 		}
 		z.pos += i
 		if rest := z.src[z.pos+1:]; len(rest) > 0 && rest[0] == '/' && hasPrefixFold(rest[1:], name) {
-			break
+			if after := rest[1+len(name):]; len(after) == 0 || isSpace(after[0]) || after[0] == '/' || after[0] == '>' {
+				break
+			}
 		}
 		z.pos++
 	}

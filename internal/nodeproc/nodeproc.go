@@ -184,17 +184,19 @@ func step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, tree **
 
 // linkTargets selects the anchor destinations of category l, stripping
 // fragments (an interior link leads back to the node itself) and removing
-// duplicates while preserving document order.
+// duplicates while preserving document order. A page links to few
+// targets, so a duplicate is found by scanning the output.
 func linkTargets(db *relmodel.DB, node string, l pre.Link) ([]Target, error) {
 	rel, err := db.Relation(relmodel.RelAnchor)
 	if err != nil {
 		return nil, err
 	}
 	hrefIdx, typeIdx := rel.Col("href"), rel.Col("ltype")
-	seen := make(map[string]bool)
+	ltype := l.String()
 	var out []Target
+next:
 	for _, tup := range rel.Tuples {
-		if tup[typeIdx] != l.String() {
+		if tup[typeIdx] != ltype {
 			continue
 		}
 		url := tup[hrefIdx]
@@ -204,10 +206,14 @@ func linkTargets(db *relmodel.DB, node string, l pre.Link) ([]Target, error) {
 		if l == pre.Interior {
 			url = node
 		}
-		if url == "" || seen[url] {
+		if url == "" {
 			continue
 		}
-		seen[url] = true
+		for _, t := range out {
+			if t.URL == url {
+				continue next
+			}
+		}
 		out = append(out, Target{URL: url, Link: l})
 	}
 	return out, nil

@@ -138,6 +138,48 @@ func TestStepInteriorLinkLeadsToSelf(t *testing.T) {
 	}
 }
 
+// fanoutPage is shaped like an inner page of the fanout-tcp workload: a
+// title, one <h1> rel-infon and three absolute links on its own site.
+const fanoutPage = `<!doctype html>
+<html>
+<head><title>Tree page 1</title></head>
+<body>
+<h1>Tree page 1</h1>
+<p>protocol predicate systems index prototype content content prototype</p>
+<a href="http://t0.example/p4.html">child 4</a>
+<a href="http://t0.example/p5.html">child 5</a>
+<a href="http://t0.example/p6.html">child 6</a>
+</body>
+</html>
+`
+
+// TestBuildDBAllocs pins the Database Constructor's cost per page: the
+// Document, its text, title, anchor and rel-infon slices, one href string
+// per link, then the DB with its relations, the rows, their slab and the
+// length numeral.
+func TestBuildDBAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const url = "http://t0.example/p1.html"
+	d, err := BuildDB(url, []byte(fanoutPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := d.Size(); n != 1+3+1 {
+		t.Fatalf("%d tuples, want 1 document, 3 anchors, 1 rel-infon", n)
+	}
+	src := []byte(fanoutPage)
+	a := testing.AllocsPerRun(100, func() { BuildDB(url, src) })
+	if a > 12 {
+		t.Errorf("BuildDB: %.0f allocations, want <= 12", a)
+	}
+	t.Logf("BuildDB of a %d-byte page: %.0f allocations", len(src), a)
+	if a := testing.AllocsPerRun(100, func() { linkTargets(d, url, pre.Local) }); a > 3 {
+		t.Errorf("linkTargets: %.0f allocations, want <= 3 (the growing output)", a)
+	}
+}
+
 func TestStageRoundTrip(t *testing.T) {
 	in := []disql.Stage{stage("x"), {PRE: pre.MustParse("G·L*4"), Query: stage("y").Query}}
 	enc := EncodeStages(in)

@@ -59,7 +59,19 @@ func (l Link) Valid() bool {
 	return l == Interior || l == Local || l == Global
 }
 
-func (l Link) String() string { return string(byte(l)) }
+// String returns the category's letter. The three categories return
+// constants: the ANCHOR relation holds one per hyperlink.
+func (l Link) String() string {
+	switch l {
+	case Interior:
+		return "I"
+	case Local:
+		return "L"
+	case Global:
+		return "G"
+	}
+	return string(byte(l))
+}
 
 // Unbounded is the Max value of a repetition node with no upper bound (A*).
 const Unbounded = -1

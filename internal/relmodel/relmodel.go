@@ -149,23 +149,46 @@ func (db *DB) relation(kind byte) (*Relation, error) {
 	return rel, nil
 }
 
+// built is what Build allocates besides the tuples: the DB and its three
+// relations, in one object.
+type built struct {
+	db   DB
+	rels [len(kinds)]Relation
+}
+
 // Build is the Database Constructor: a single pass over the analyzed
 // document populates all three virtual relations (paper Section 4.4, item
 // 5). The caller discards the DB when the node-query finishes.
+//
+// All four columns of every row share one []string slab, and the rows
+// one []Tuple: each tuple is a capacity-capped window of the slab, so an
+// append to one could never reach into the next.
 func Build(doc *htmlx.Document) *DB {
-	document := []Tuple{{doc.URL, doc.Title, doc.Text, strconv.Itoa(doc.Length)}}
-	var anchor, relInfon []Tuple
-	for _, a := range doc.Anchors {
-		anchor = append(anchor, Tuple{a.Label, a.Base, a.Href, a.Type.String()})
+	const arity = 4 // every virtual relation has four columns
+	rows := 1 + len(doc.Anchors) + len(doc.Infons)
+	cells := make([]string, arity*rows)
+	tuples := make([]Tuple, rows)
+	for i := range tuples {
+		tuples[i] = cells[arity*i : arity*(i+1) : arity*(i+1)]
 	}
-	for _, r := range doc.Infons {
-		relInfon = append(relInfon, Tuple{r.Delimiter, doc.URL, r.Text, strconv.Itoa(len(r.Text))})
+	copy(tuples[0], []string{doc.URL, doc.Title, doc.Text, strconv.Itoa(doc.Length)})
+	for i, a := range doc.Anchors {
+		copy(tuples[1+i], []string{a.Label, a.Base, a.Href, a.Type.String()})
 	}
-	db := &DB{}
-	db.rels[KindDocument-1].rel.Store(newRelation(KindDocument, document))
-	db.rels[KindAnchor-1].rel.Store(newRelation(KindAnchor, anchor))
-	db.rels[KindRelInfon-1].rel.Store(newRelation(KindRelInfon, relInfon))
-	return db
+	for i, r := range doc.Infons {
+		copy(tuples[1+len(doc.Anchors)+i], []string{r.Delimiter, doc.URL, r.Text, strconv.Itoa(len(r.Text))})
+	}
+	b := &built{}
+	split := [len(kinds) + 1]int{0, 1, 1 + len(doc.Anchors), rows}
+	for i := range kinds {
+		rel := &b.rels[i]
+		*rel = Relation{Name: kinds[i], Cols: Schemas[kinds[i]]}
+		if part := tuples[split[i]:split[i+1]:split[i+1]]; len(part) > 0 {
+			rel.Tuples = part
+		}
+		b.db.rels[i].rel.Store(rel)
+	}
+	return &b.db
 }
 
 // Size returns the total number of tuples across the three relations,

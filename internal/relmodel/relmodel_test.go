@@ -88,6 +88,37 @@ func TestBuildRelInfonRelation(t *testing.T) {
 	}
 }
 
+// TestBuildSlab: Build's rows are capped windows of one slab, so growing
+// one never overwrites its neighbour, and the constructor allocates a
+// fixed handful of objects whatever the row count.
+func TestBuildSlab(t *testing.T) {
+	doc, err := htmlx.Parse("http://site.example/index.html", []byte(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Build(doc)
+	var rows []Tuple
+	for _, name := range []string{RelDocument, RelAnchor, RelRelInfon} {
+		rows = append(rows, rel(t, db, name).Tuples...)
+	}
+	want := make([]Tuple, len(rows))
+	for i, tup := range rows {
+		if len(tup) != 4 || cap(tup) != 4 {
+			t.Fatalf("row %d: len %d cap %d, want 4 and 4", i, len(tup), cap(tup))
+		}
+		want[i] = append(Tuple(nil), tup...)
+	}
+	_ = append(rows[0], "grown")
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("appending to the DOCUMENT tuple changed the rows:\n got  %q\n want %q", rows, want)
+	}
+	// The DB with its relations, the rows, the slab, and the length
+	// numeral of a page of 100 bytes or more.
+	if allocs := testing.AllocsPerRun(20, func() { Build(doc) }); allocs > 4 {
+		t.Errorf("Build: %.0f allocations, want <= 4", allocs)
+	}
+}
+
 func TestRelationLookup(t *testing.T) {
 	db := buildDB(t)
 	for _, name := range []string{"document", "Anchor", "RELINFON"} {

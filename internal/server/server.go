@@ -218,7 +218,7 @@ type Server struct {
 	// cancelled); their queued clones terminate with the typed STOPPED
 	// retirement instead of being evaluated.
 	stopMu   sync.Mutex
-	stoppedQ map[string]time.Time
+	stoppedQ map[wire.QueryID]time.Time
 
 	// watches is the standing continuous-query registry: watch QueryID
 	// string → registration. A registered watch receives one DeltaMsg
@@ -248,7 +248,7 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		rng:      newLockedRand(opts.Seed, seedName(site, opts.Replica)),
 		serials:  newSerialTable(serialSlots),
 		dbCache:  make(map[string]*dbEntry),
-		stoppedQ: make(map[string]time.Time),
+		stoppedQ: make(map[wire.QueryID]time.Time),
 	}
 	s.fetch = *webserver.NewFetcher(tr, s.self)
 	s.eval = nodeproc.Evaluator{
@@ -515,7 +515,7 @@ func (s *Server) receive(conn net.Conn) {
 		case *wire.CloneMsg:
 			s.admit(m)
 		case *wire.StopMsg:
-			s.markStopped(m.ID.String())
+			s.markStopped(m.ID)
 		case *wire.WatchMsg:
 			s.handleWatch(m)
 		default:
@@ -622,7 +622,7 @@ func (s *Server) InvalidateDocs(edited, rewired []string) {
 const stopTTL = 2 * time.Minute
 
 // markStopped records an active-termination broadcast for one query.
-func (s *Server) markStopped(id string) {
+func (s *Server) markStopped(id wire.QueryID) {
 	now := time.Now()
 	s.stopMu.Lock()
 	if len(s.stoppedQ) > 128 {
@@ -638,7 +638,7 @@ func (s *Server) markStopped(id string) {
 
 // isStopped reports whether the query was actively stopped (and the stop
 // is still fresh).
-func (s *Server) isStopped(id string) bool {
+func (s *Server) isStopped(id wire.QueryID) bool {
 	s.stopMu.Lock()
 	at, ok := s.stoppedQ[id]
 	if ok && time.Since(at) >= stopTTL {
@@ -674,7 +674,7 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 		s.expire(c, "deadline passed")
 		return
 	}
-	if s.isStopped(c.ID.String()) {
+	if s.isStopped(c.ID) {
 		// The user-site broadcast an active stop (Budget.FirstN satisfied,
 		// or the query was cancelled): the typed STOPPED terminate. Like
 		// expiry, no evaluation and no children — the entries retire so
@@ -703,7 +703,7 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 	// round-trip takes microseconds). Too late to skip the work, still
 	// early enough to cut the traversal — drop the children before any
 	// of them is announced to the CHT and retire as stopped.
-	if s.isStopped(c.ID.String()) {
+	if s.isStopped(c.ID) {
 		s.stopClone(c)
 		return
 	}
@@ -769,12 +769,15 @@ func (s *Server) NextSerial(id wire.QueryID) int64 { return s.serials.next(id) }
 func (s *Server) NextSpan() int64 { return s.seq.Add(1) }
 
 // dbEntry is one node's database build. The worker that creates the
-// entry runs the Database Constructor; everyone else waits on done, so
-// concurrent requests for one node coalesce into a single build.
+// entry runs the Database Constructor; everyone else waits on built, so
+// concurrent requests for one node coalesce into a single build. ready
+// tells a finished build (a cache hit) from one still running (a
+// coalesced wait) without blocking.
 type dbEntry struct {
-	done chan struct{}
-	db   *relmodel.DB
-	err  error
+	built sync.WaitGroup
+	ready atomic.Bool
+	db    *relmodel.DB
+	err   error
 }
 
 // LoadDB returns the node's virtual relations: the paper's Database
@@ -790,11 +793,13 @@ func (s *Server) LoadDB(node string) (*relmodel.DB, error) {
 	if e == nil {
 		s.dbMu.Lock()
 		if e = s.dbCache[node]; e == nil {
-			e = &dbEntry{done: make(chan struct{})}
+			e = &dbEntry{}
+			e.built.Add(1)
 			s.dbCache[node] = e
 			s.dbMu.Unlock()
 			e.db, e.err = s.buildDB(node)
-			close(e.done)
+			e.ready.Store(true)
+			e.built.Done()
 			if e.err != nil || !s.opts.CacheDBs {
 				// Errors are never cached, and without CacheDBs the entry
 				// existed only to coalesce the in-flight build.
@@ -810,15 +815,14 @@ func (s *Server) LoadDB(node string) (*relmodel.DB, error) {
 		}
 		s.dbMu.Unlock()
 	}
-	select {
-	case <-e.done:
+	if e.ready.Load() {
 		if s.opts.CacheDBs && e.err == nil {
 			s.met.DBCacheHits.Add(1)
 			s.noteDBUse(node)
 		}
-	default:
+	} else {
 		s.met.DBBuildCoalesced.Add(1)
-		<-e.done
+		e.built.Wait()
 	}
 	return e.db, e.err
 }

@@ -443,7 +443,7 @@ func TestServerStopMsgTerminatesClone(t *testing.T) {
 	// The stop is handled on the receive path; give it a beat to land.
 	waitStop := time.Now().Add(5 * time.Second)
 	for time.Now().Before(waitStop) {
-		if h.server.isStopped(testID.String()) {
+		if h.server.isStopped(testID) {
 			break
 		}
 		time.Sleep(time.Millisecond)
