@@ -85,8 +85,7 @@ var ErrExpired = errors.New("client: query budget expired")
 // retired orphaned CHT entries, so part of the web went unanswered.
 var ErrPartial = errors.New("client: query completed partial")
 
-// Options configure a Client in one shot: the consolidated form of the
-// deprecated Set* setters, threaded down from core.Config. The zero
+// Options configure a Client, threaded down from core.Config. The zero
 // value is a plain user-site: no proxy, no reaper, no tracing.
 type Options struct {
 	// Proxy is the user-site's own query server, started by the caller
@@ -104,7 +103,8 @@ type Options struct {
 	ReapGrace time.Duration
 	// Metrics shares a deployment-wide metrics collector so client-side
 	// protocol events (reaped CHT entries, connection reuse) appear in
-	// the same snapshot as the servers' counters. Optional.
+	// the same snapshot as the servers' counters. Optional: without one
+	// the client counts into a collector of its own.
 	Metrics *server.Metrics
 	// Journal arms causal tracing: root clones get span ids, every
 	// dispatch/reap is journaled here, and span contexts echoed on result
@@ -154,15 +154,16 @@ type Client struct {
 	// when Options.Planner is set; nil otherwise.
 	stats *statStore
 
+	// out is the user-site's Query Dispatcher: the same sender a server
+	// forwards clones with, sending each message once.
+	out *server.Sender
+
 	mu       sync.Mutex
 	next     int
 	closed   bool
 	endpoint string
-	ln       net.Listener
-	pool     *netsim.Pool
-	unsub    func()            // detaches the down-replica pool eviction, if clustered
-	conns    map[net.Conn]bool // accepted collector connections
-	queries  map[int]*Query    // routing table: running queries
+	serving  *netsim.Serving // the Result Collector, once opened
+	queries  map[int]*Query  // routing table: running queries
 	watches  map[int]*Watch
 	// reporters is every site that holds (or held) a session to the
 	// collector: the sites whose reports cannot be made to fail, which a
@@ -178,23 +179,27 @@ func New(tr netsim.Transport, user, base string) *Client {
 
 // NewWith returns a client configured by opts.
 func NewWith(tr netsim.Transport, user, base string, opts Options) *Client {
-	c := &Client{tr: tr, user: user, base: base, opts: opts}
+	if opts.Metrics == nil {
+		opts.Metrics = &server.Metrics{}
+	}
+	c := &Client{tr: tr, user: user, base: base, opts: opts,
+		out: server.NewSender(tr, base+"/c", opts.Metrics, opts.Journal, opts.Cluster)}
 	if opts.Planner {
 		c.stats = newStatStore()
 	}
 	return c
 }
 
-// open binds the collector endpoint on first use: one listener, one
-// accept loop and one connection pool for the client's lifetime. Remote
-// sites dial the endpoint — the paper's "IP address and port number sent
-// along with the web-query" — once, and keep the negotiated session for
-// every later query of this client. Callers hold c.mu.
+// open binds the collector endpoint on first use: one listener and one
+// serving loop for the client's lifetime. Remote sites dial the endpoint
+// — the paper's "IP address and port number sent along with the
+// web-query" — once, and keep the negotiated session for every later
+// query of this client. Callers hold c.mu.
 func (c *Client) open() error {
 	if c.closed {
 		return ErrClosed
 	}
-	if c.ln != nil {
+	if c.serving != nil {
 		return nil
 	}
 	endpoint := c.base + "/c"
@@ -202,27 +207,15 @@ func (c *Client) open() error {
 	if err != nil {
 		return fmt.Errorf("client: result collector: %w", err)
 	}
-	c.endpoint, c.ln = endpoint, ln
-	c.pool = netsim.NewPool(c.tr, endpoint, netsim.PoolOptions{
-		Wrap: func(conn net.Conn) net.Conn { return wire.NewFramed(conn) },
-	})
-	c.conns = make(map[net.Conn]bool)
+	c.endpoint = endpoint
 	c.queries = make(map[int]*Query)
 	c.watches = make(map[int]*Watch)
 	c.reporters = make(map[string]bool)
-	if cl := c.opts.Cluster; cl != nil {
-		// Proactive hygiene: when the health layer declares a replica
-		// down, its idle pooled connections are dead weight — evict them
-		// so the next send dials a live replica instead of discovering
-		// the corpse one stale connection at a time.
-		pool := c.pool
-		c.unsub = cl.Subscribe(func(ep string, st cluster.State) {
-			if st == cluster.Down {
-				pool.EvictPeer(ep)
-			}
-		})
-	}
-	go c.accept(ln)
+	// Accepted connections are tracked so Close can close them: servers
+	// pool their collector connections between reports, and passive
+	// termination (Section 2.8) requires the next report after Close to
+	// FAIL at its sender.
+	c.serving = netsim.Serve(ln, c.serve)
 	return nil
 }
 
@@ -247,32 +240,6 @@ func (c *Client) detach(num int) {
 	c.mu.Unlock()
 }
 
-// accept runs the Result Collector: every frame is routed to its query or
-// watch by id. The owner is resolved outside any per-query lock, so
-// routing for one query never blocks on another's merge.
-func (c *Client) accept(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Track accepted connections so Close can close them: servers pool
-		// their collector connections between reports, and passive
-		// termination (Section 2.8) requires the next report after Close to
-		// FAIL at its sender. Closing only the listener would leave pooled
-		// connections deliverable forever.
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		c.conns[conn] = true
-		c.mu.Unlock()
-		go c.serve(conn)
-	}
-}
-
 // serve decodes one reporting site's persistent session. The session is
 // kept only if its first report belongs to a query still routed: the site
 // is waiting for that verdict before it forwards any clone (wire.Settle),
@@ -280,13 +247,10 @@ func (c *Client) accept(ln net.Listener) {
 // 2.8 — a site that never reported here purges a cancelled query the
 // passive way. Once kept, the session is shared by every query, no report
 // on it can fail, and its site is remembered for Query.Cancel to stop.
+// Every frame is routed to its query or watch by id, the owner resolved
+// outside any per-query lock, so routing for one query never blocks on
+// another's merge.
 func (c *Client) serve(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
-	}()
 	framed := wire.NewFramed(conn)
 	site := "" // the reporting site, once a report has named it
 	for first := true; ; first = false {
@@ -306,13 +270,6 @@ func (c *Client) serve(conn net.Conn) {
 		case *wire.BounceMsg:
 			if q := c.query(m.Clone.ID.Num); q != nil {
 				q.bounced(m.Clone)
-			}
-		case *wire.ShedMsg:
-			if site == "" {
-				site = c.learn(m.Site)
-			}
-			if q := c.query(m.Clone.ID.Num); q != nil {
-				q.shedded(m)
 			}
 		case *wire.DeltaMsg:
 			c.mu.Lock()
@@ -384,26 +341,22 @@ func (c *Client) Close() {
 		return
 	}
 	c.closed = true
-	conns, queries, watches := c.conns, c.queries, c.watches
-	c.conns, c.queries, c.watches = nil, nil, nil
+	serving, queries, watches := c.serving, c.queries, c.watches
+	c.queries, c.watches = nil, nil
 	c.mu.Unlock()
-	if c.ln == nil {
-		return
-	}
-	// Watches first: their deregistration still needs the pool.
+	// Watches first: their deregistration still needs the sender.
 	for _, w := range watches {
 		w.Close()
 	}
-	if c.unsub != nil {
-		c.unsub()
+	if serving != nil {
+		serving.Close()
 	}
-	c.ln.Close()
-	for conn := range conns {
-		conn.Close()
-	}
-	c.pool.Close()
+	c.out.Close()
 	for _, q := range queries {
 		q.abandon()
+	}
+	if serving != nil {
+		serving.Wait()
 	}
 }
 
@@ -788,7 +741,7 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 			msg.Span = wire.SpanID{Origin: q.id.Site, Seq: q.spanSeq.Add(1)}
 			q.jot(msg, trace.Dispatch, site)
 		}
-		err := q.sendSite(site, msg)
+		_, err := q.sendSite(site, msg, nil)
 		if err == nil {
 			continue
 		}
@@ -829,31 +782,12 @@ func (q *Query) bounced(c *wire.CloneMsg) {
 	}
 	q.lastReport = time.Now()
 	q.mu.Unlock()
-	if q.proxy != nil && q.c.send(q.proxy.Self(), c) == nil {
+	if q.proxy != nil && q.c.out.Send(q.proxy.Self(), c) == nil {
 		return
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, u := range c.Retirements() {
-		q.retire(u.Processed)
-	}
-	q.maybeComplete()
-}
-
-// shedded handles a typed SHED refusal: a site over its high watermark
-// declined to start this query. The clone's entries retire (it will
-// never be processed) and the query surfaces the refusal via Shed —
-// distinct from the fault-path bounce, which still owes processing.
-func (q *Query) shedded(m *wire.ShedMsg) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.done {
-		return
-	}
-	q.lastReport = time.Now()
-	q.shed = true
-	q.jot(m.Clone, trace.Shed, m.Site)
-	for _, u := range m.Clone.Retirements() {
 		q.retire(u.Processed)
 	}
 	q.maybeComplete()
@@ -866,50 +800,6 @@ func (q *Query) Shed() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.shed
-}
-
-// send delivers one message to the named endpoint over the client's
-// connection pool. A send that fails on a reused connection — unless the
-// fabric's fault injection ate the frame — is redone once over a fresh
-// dial, so a stale pooled connection never masquerades as a down site.
-func (c *Client) send(to string, msg any) error {
-	met := c.opts.Metrics
-	conn, reused, err := c.pool.Get(to)
-	if err != nil {
-		return err
-	}
-	if met != nil {
-		if reused {
-			met.ConnReused.Add(1)
-		} else {
-			met.ConnDialed.Add(1)
-		}
-	}
-	err = wire.Send(conn, msg)
-	if err == nil {
-		c.pool.Put(to, conn)
-		return nil
-	}
-	conn.Close()
-	if !reused || errors.Is(err, netsim.ErrDropped) || errors.Is(err, netsim.ErrSevered) {
-		return err
-	}
-	if met != nil {
-		met.ConnStale.Add(1)
-	}
-	conn, err = c.pool.Dial(to)
-	if err != nil {
-		return err
-	}
-	if met != nil {
-		met.ConnDialed.Add(1)
-	}
-	if err := wire.Send(conn, msg); err != nil {
-		conn.Close()
-		return err
-	}
-	c.pool.Put(to, conn)
-	return nil
 }
 
 // merge implements receive_results of Figure 2 under the counting-CHT
@@ -930,9 +820,7 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 		// merging it would double-retire them. Drop the whole frame; the
 		// replay's own reports carry the authoritative accounting.
 		q.stats.StaleRejected++
-		if q.met != nil {
-			q.met.StaleRejected.Add(1)
-		}
+		q.met.StaleRejected.Add(1)
 		q.mu.Unlock()
 		return true
 	}
@@ -944,8 +832,14 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 	if q.statSink != nil {
 		q.statSink.learn(rm.Stats)
 	}
-	if rm.Expired {
+	switch rm.Fate {
+	case wire.FateExpired:
 		q.expired = true
+	case wire.FateShed:
+		// A site over its high watermark declined to start the query: the
+		// clone's entries retire below, and the refusal surfaces via Shed —
+		// distinct from the fault-path bounce, which still owes processing.
+		q.shed = true
 	}
 	for _, t := range rm.Tables {
 		q.mergeTable(t)
@@ -978,16 +872,10 @@ func (q *Query) jot(c *wire.CloneMsg, kind trace.Kind, detail string) {
 // journals cannot be read. Callers hold q.mu.
 func (q *Query) stitch(r *wire.ResultMsg) {
 	at := trace.Now()
-	// A typed retirement books the span's fate as EXPIRED or STOPPED, not
-	// processed, so budget and active terminations reconcile exactly in
-	// the stitched journey.
-	kind := trace.Result
-	switch {
-	case r.Stopped:
-		kind = trace.Stop
-	case r.Expired:
-		kind = trace.Expire
-	}
+	// A typed retirement books the span's fate as EXPIRED, STOPPED or
+	// SHED, not processed, so budget, active and admission terminations
+	// reconcile exactly in the stitched journey.
+	kind := fateKinds[r.Fate]
 	q.stitched = append(q.stitched, trace.Event{
 		At: at, Site: r.Site, Query: r.ID.String(), Span: r.Span,
 		Kind: kind, Hop: r.Hop,
@@ -999,6 +887,14 @@ func (q *Query) stitch(r *wire.ResultMsg) {
 			Parent: r.Span, Kind: trace.Forward, Hop: r.Hop + 1, Detail: link.Site,
 		})
 	}
+}
+
+// fateKinds maps a report's fate to the trace event that books it.
+var fateKinds = [...]trace.Kind{
+	wire.FateProcessed: trace.Result,
+	wire.FateExpired:   trace.Expire,
+	wire.FateStopped:   trace.Stop,
+	wire.FateShed:      trace.Shed,
 }
 
 // TraceEvents returns the query's causal trace as seen from the
@@ -1043,9 +939,7 @@ func (q *Query) retire(e wire.CHTEntry) {
 		// else a negative count is the legal report-overtakes-announce
 		// asynchrony and must stand.
 		q.stats.DupRetired++
-		if q.met != nil {
-			q.met.DupRetired.Add(1)
-		}
+		q.met.DupRetired.Add(1)
 		return
 	}
 	if q.counts[key] <= 0 {
@@ -1181,7 +1075,7 @@ func (q *Query) broadcastStop(sites []string, reason string) {
 		}
 		ok := false
 		for _, ep := range eps {
-			if q.c.send(ep, &wire.StopMsg{ID: q.id, Reason: reason}) == nil {
+			if q.c.out.Send(ep, &wire.StopMsg{ID: q.id, Reason: reason}) == nil {
 				ok = true
 			}
 		}
@@ -1321,9 +1215,7 @@ func (q *Query) reap() {
 		q.unreachable = append(q.unreachable, s)
 	}
 	sort.Strings(q.unreachable)
-	if q.met != nil {
-		q.met.CHTReaped.Add(int64(reaped))
-	}
+	q.met.CHTReaped.Add(int64(reaped))
 	q.journal.Append(trace.Event{
 		Query: q.id.String(), Kind: trace.Reap,
 		Detail: strconv.Itoa(reaped) + " entries, sites: " + strings.Join(q.unreachable, ","),

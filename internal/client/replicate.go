@@ -1,24 +1,18 @@
 package client
 
 import (
-	"errors"
 	"sort"
 	"strconv"
 
 	"webdis/internal/nodeproc"
-	"webdis/internal/server"
 	"webdis/internal/trace"
 	"webdis/internal/webgraph"
 	"webdis/internal/wire"
 )
 
-// This file is the user-site half of replica routing (the server half is
-// Server.sendSite): failover-aware dispatch, and the reaper's replay of
-// clones stranded inside a crashed replica.
-
-// errNoReplica is returned by sendSite when every replica of the
-// destination site has been tried and failed.
-var errNoReplica = errors.New("client: no replica of the destination site is reachable")
+// This file is the user-site half of replica routing: failover-aware
+// dispatch through the client's sender (Sender.SendSite), and the
+// reaper's replay of clones stranded inside a crashed replica.
 
 // maxReplayRounds bounds how many reap-grace windows the reaper spends
 // replaying stranded clones before conceding coverage. Each round only
@@ -26,56 +20,19 @@ var errNoReplica = errors.New("client: no replica of the destination site is rea
 // at a few windows while still surviving a crash during a replay.
 const maxReplayRounds = 3
 
-// sendSite delivers one clone to the named logical site, resolving a
-// replica through the membership table when the client is clustered and
-// failing over to the next live replica when a send fails. Unclustered
-// clients keep the classic one-endpoint-per-site path.
-func (q *Query) sendSite(site string, msg *wire.CloneMsg) error {
-	_, err := q.sendSiteVia(site, msg, nil)
-	return err
-}
-
-// sendSiteVia is sendSite with an initial exclusion set (the replay
-// rotation's memory); it reports the endpoint that accepted the message.
-// Failovers are counted only for re-resolutions within this call, not for
-// the caller's pre-excluded endpoints.
-func (q *Query) sendSiteVia(site string, msg *wire.CloneMsg, exclude map[string]bool) (string, error) {
-	if q.cluster == nil {
-		return server.Endpoint(site), q.c.send(server.Endpoint(site), msg)
+// sendSite delivers one clone to the named logical site through the
+// client's sender, failing over to the next live replica when a send
+// fails, and books the failovers on the query. Replicas in exclude (the
+// replay rotation's memory) are not picked. It reports the endpoint that
+// took the clone.
+func (q *Query) sendSite(site string, msg *wire.CloneMsg, exclude map[string]bool) (string, error) {
+	ep, failovers, err := q.c.out.SendSite(site, msg, exclude)
+	if failovers > 0 {
+		q.mu.Lock()
+		q.stats.Failovers += failovers
+		q.mu.Unlock()
 	}
-	tried := make(map[string]bool, len(exclude)+1)
-	for ep := range exclude {
-		tried[ep] = true
-	}
-	attempts := 0
-	var lastErr error
-	for {
-		ep, ok := q.cluster.Pick(site, msg.ID.String(), tried)
-		if !ok {
-			if lastErr == nil {
-				lastErr = errNoReplica
-			}
-			return "", lastErr
-		}
-		if attempts > 0 {
-			q.mu.Lock()
-			q.stats.Failovers++
-			q.mu.Unlock()
-			if q.met != nil {
-				q.met.Failovers.Add(1)
-			}
-			q.jot(msg, trace.Failover, site+" -> "+ep)
-		}
-		attempts++
-		err := q.c.send(ep, msg)
-		if err == nil {
-			q.cluster.ReportSuccess(ep)
-			return ep, nil
-		}
-		q.cluster.ReportFailure(ep)
-		lastErr = err
-		tried[ep] = true
-	}
+	return ep, err
 }
 
 // orphanClones reconstructs dispatchable clones for the CHT entries still
@@ -179,11 +136,11 @@ func (q *Query) replay(clones []*wire.CloneMsg) int {
 				Detail: site + ": " + strconv.Itoa(len(msg.Dest)) + " stranded",
 			})
 		}
-		ep, err := q.sendSiteVia(site, msg, exclude)
+		ep, err := q.sendSite(site, msg, exclude)
 		if err != nil && len(exclude) > 0 {
 			// Every not-yet-rotated replica failed; the one we are avoiding
 			// may be the only survivor (or back from the dead). Retry open.
-			ep, err = q.sendSiteVia(site, msg, nil)
+			ep, err = q.sendSite(site, msg, nil)
 		}
 		if err != nil {
 			continue
@@ -199,9 +156,7 @@ func (q *Query) replay(clones []*wire.CloneMsg) int {
 		q.replayVia[site][ep] = true
 		q.stats.Replays++
 		q.mu.Unlock()
-		if q.met != nil {
-			q.met.ReplicaReplays.Add(1)
-		}
+		q.met.ReplicaReplays.Add(1)
 	}
 	return sent
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"webdis/internal/cluster"
+	"webdis/internal/server"
 	"webdis/internal/wire"
 )
 
@@ -30,6 +31,7 @@ func TestMergeRejectsStaleIncarnation(t *testing.T) {
 	}
 	q := &Query{
 		cluster: m,
+		met:     &server.Metrics{},
 		counts:  map[string]int{e.Key(): 1, other.Key(): 1},
 		nonzero: 2,
 	}
@@ -71,6 +73,7 @@ func TestRetireAbsorbsReplayedDuplicate(t *testing.T) {
 		Origin: "user/q1", Seq: 1,
 	}
 	q := &Query{
+		met:      &server.Metrics{},
 		counts:   make(map[string]int),
 		entries:  make(map[string]wire.CHTEntry),
 		replayed: make(map[string]bool),

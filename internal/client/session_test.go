@@ -91,13 +91,15 @@ func TestSessionShedSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := f.recv()
-	// The server refuses the fresh clone: a typed SHED bounce retires its
-	// entries and surfaces on the query.
+	// The server refuses the fresh clone: a result frame retiring its
+	// entries with the typed SHED fate surfaces on the query.
 	conn, err := n.Dial("a.example/query", clone.ID.Site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.Send(conn, &wire.ShedMsg{Clone: clone, Site: "a.example"}); err != nil {
+	rm := processedReply(clone)
+	rm.Fate = wire.FateShed
+	if err := wire.Send(conn, rm); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -105,7 +107,7 @@ func TestSessionShedSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !q.Shed() {
-		t.Error("Shed() = false after a SHED bounce")
+		t.Error("Shed() = false after a SHED retirement")
 	}
 	if len(q.Results()) != 0 {
 		t.Errorf("shed query produced results: %+v", q.Results())
@@ -137,7 +139,7 @@ func TestSessionExpiredFateReconciles(t *testing.T) {
 		t.Fatal("budget not carried on the wire")
 	}
 	rm := processedReply(clone)
-	rm.Expired = true
+	rm.Fate = wire.FateExpired
 	rm.Span = clone.Span
 	rm.Site = "a.example"
 	if err := f.reply(clone.ID, rm); err != nil {

@@ -253,7 +253,7 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	ordered := append([]string(nil), sites...)
 	sort.Strings(ordered)
 	for _, site := range ordered {
-		if c.send(server.Endpoint(site), reg) == nil {
+		if c.out.Send(server.Endpoint(site), reg) == nil {
 			wa.sites = append(wa.sites, site)
 		}
 	}
@@ -826,7 +826,7 @@ func (w *Watch) Close() error {
 	w.mu.Unlock()
 	cancel := &wire.WatchMsg{Version: wire.WatchVersion, ID: w.wid, Cancel: true}
 	for _, site := range w.sites {
-		w.c.send(server.Endpoint(site), cancel) //nolint:errcheck // best-effort deregistration
+		w.c.out.Send(server.Endpoint(site), cancel) //nolint:errcheck // best-effort deregistration
 	}
 	w.teardown()
 	return nil

@@ -8,7 +8,9 @@ import (
 	"webdis/internal/cluster"
 	"webdis/internal/netsim"
 	"webdis/internal/server"
+	"webdis/internal/trace"
 	"webdis/internal/webgraph"
+	"webdis/internal/wire"
 )
 
 // TestReplicatedDeploymentBasics checks that a replicated deployment is
@@ -216,6 +218,82 @@ func TestReplicaKillMidTraversalFailsOver(t *testing.T) {
 	}
 	if n := d.Metrics().Snapshot().Failovers; n < 1 {
 		t.Errorf("metrics Failovers = %d, want >= 1 (forward never re-resolved)", n)
+	}
+}
+
+// TestReplicaKillRootSiteFailsOverAtUserSite kills the root site's hashed
+// replica before the query is submitted: the user-site's own root
+// dispatch fails against the corpse, re-resolves through the membership
+// table and delivers to the sibling — the client-side failover, where the
+// other failover tests pin the servers' forwards.
+func TestReplicaKillRootSiteFailsOverAtUserSite(t *testing.T) {
+	web := chaosWeb(23)
+	want := baselineRows(t, web, chaosDISQL)
+	if len(want) == 0 {
+		t.Fatal("empty baseline")
+	}
+
+	d, err := NewDeployment(Config{
+		Web: web,
+		Exec: ExecConfig{
+			Server:   server.Options{Retry: chaosRetry},
+			Replicas: 2,
+			// Park the prober, so the first send to the corpse is what
+			// demotes it, not a probe.
+			Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1, ProbeEvery: time.Hour},
+			ReapGrace: 400 * time.Millisecond,
+			Trace:     true,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	// The first query of the deployment's client; the root dispatch picks
+	// with its id as the routing key.
+	id := wire.QueryID{User: "user", Site: "user/c", Num: 1}
+	victim, ok := d.Cluster().Pick("t0.example", id.String(), nil)
+	if !ok {
+		t.Fatal("pick failed")
+	}
+	d.Cluster().ReportSuccess(victim) // balance the peek's load increment
+	d.Network().Kill(victim)
+
+	q, err := d.SubmitDISQL(chaosDISQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.ID() != id {
+		t.Fatalf("query id = %v, want %v", q.ID(), id)
+	}
+	if err := q.Wait(waitFor); err != nil {
+		t.Fatalf("query did not complete after the root replica kill: %v", err)
+	}
+	if n := q.Stats().Failovers; n != 1 {
+		t.Errorf("Failovers = %d, want 1 (the root dispatch re-resolved once)", n)
+	}
+	failover := false
+	for _, e := range q.TraceEvents() {
+		if e.Kind == trace.Failover && e.Site == "user" {
+			failover = true
+		}
+	}
+	if !failover {
+		t.Error("no failover event in the client journal")
+	}
+	got := rowSet(q.Results())
+	if len(got) != len(want) {
+		t.Fatalf("rows = %d, want the full baseline %d (stats %+v)", len(got), len(want), q.Stats())
+	}
+	if k, ok := subset(got, want); !ok {
+		t.Fatalf("delivered row %q not in the baseline", k)
+	}
+	if q.Partial() {
+		t.Errorf("failover run marked Partial: %+v", q.Stats())
+	}
+	if q.LiveEntries() != 0 {
+		t.Errorf("LiveEntries = %d after completion, want 0", q.LiveEntries())
 	}
 }
 

@@ -80,7 +80,7 @@ const (
 	// Admitted: the item was queued.
 	Admitted Verdict = iota
 	// Shed: the item was refused — a fresh flow over the high
-	// watermark. The caller owns the refusal (typed SHED bounce).
+	// watermark. The caller owns the refusal (typed SHED retirement).
 	Shed
 	// Closed: the queue is shut down; the item was discarded.
 	Closed

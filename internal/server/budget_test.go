@@ -21,7 +21,7 @@ func TestServerBudgetDeadlineExpires(t *testing.T) {
 	msgs := h.waitMsgs(t, 1)
 	// The clone expired on arrival: its entry retires via a typed EXPIRED
 	// report, nothing is evaluated, no children spawn.
-	if !msgs[0].Expired {
+	if msgs[0].Fate != wire.FateExpired {
 		t.Fatalf("report not marked expired: %+v", msgs[0])
 	}
 	if got := msgs[0].Updates[0].Processed.Seq; got != 1 {
@@ -168,7 +168,8 @@ func TestServerBudgetRowQuota(t *testing.T) {
 func TestServerShedsOverHighWater(t *testing.T) {
 	// An unstarted server never drains its queue, so the depth is fully
 	// test-controlled: two in-flight clones reach the watermark, and the
-	// next fresh root dispatch must come back as a typed SHED message.
+	// next fresh root dispatch must come back as a result frame retiring
+	// it with the typed SHED fate.
 	web := webgraph.Campus()
 	nets := netsim.New(netsim.Options{})
 	met := &Metrics{}
@@ -183,7 +184,7 @@ func TestServerShedsOverHighWater(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	sheds := make(chan *wire.ShedMsg, 1)
+	sheds := make(chan *wire.ResultMsg, 1)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -198,8 +199,8 @@ func TestServerShedsOverHighWater(t *testing.T) {
 					if err != nil {
 						return
 					}
-					if sm, ok := msg.(*wire.ShedMsg); ok {
-						sheds <- sm
+					if rm, ok := msg.(*wire.ResultMsg); ok && rm.Fate == wire.FateShed {
+						sheds <- rm
 					}
 				}
 			}()
@@ -219,12 +220,12 @@ func TestServerShedsOverHighWater(t *testing.T) {
 	s.Enqueue(fresh)
 
 	select {
-	case sm := <-sheds:
-		if sm.Site != site {
-			t.Errorf("shed site = %q", sm.Site)
+	case rm := <-sheds:
+		if len(rm.Updates) != 1 || webgraph.Host(rm.Updates[0].Processed.Node) != site {
+			t.Errorf("shed retirements = %+v, want the one entry at %s", rm.Updates, site)
 		}
-		if sm.Clone.ID.Num != 3 {
-			t.Errorf("shed clone = %+v", sm.Clone.ID)
+		if rm.ID.Num != 3 {
+			t.Errorf("shed clone = %+v", rm.ID)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no SHED message arrived")

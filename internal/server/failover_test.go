@@ -68,7 +68,7 @@ func TestSendSiteFailsOverToLiveReplica(t *testing.T) {
 	cl.ReportSuccess(primary) // balance the probe pick
 	net.Kill(primary)
 
-	if err := s.sendSite("b.example", c); err != nil {
+	if _, _, err := s.out.SendSite("b.example", c, nil); err != nil {
 		t.Fatalf("sendSite with one live replica: %v", err)
 	}
 	select {
@@ -91,7 +91,7 @@ func TestSendSiteFailsOverToLiveReplica(t *testing.T) {
 	for _, ep := range cl.Endpoints("b.example") {
 		net.Kill(ep)
 	}
-	if err := s.sendSite("b.example", c); err == nil {
+	if _, _, err := s.out.SendSite("b.example", c, nil); err == nil {
 		t.Fatal("sendSite succeeded with every replica dead")
 	}
 }

@@ -202,7 +202,7 @@ func TestPooledSendStaleRecovery(t *testing.T) {
 	}()
 
 	msg := &wire.ResultMsg{ID: testID}
-	if err := srv.send(sink, msg); err != nil {
+	if err := srv.out.Send(sink, msg); err != nil {
 		t.Fatal(err)
 	}
 	<-received
@@ -217,7 +217,7 @@ func TestPooledSendStaleRecovery(t *testing.T) {
 	}
 	mu.Unlock()
 
-	if err := srv.send(sink, msg); err != nil {
+	if err := srv.out.Send(sink, msg); err != nil {
 		t.Fatal(err)
 	}
 	<-received

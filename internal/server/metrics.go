@@ -92,8 +92,8 @@ type Metrics struct {
 	// QueueHighWater counts the times admission control newly engaged
 	// (the queue depth crossed the high watermark).
 	QueueHighWater atomic.Int64
-	// Shed counts fresh clones refused by admission control and returned
-	// to the user-site with a typed SHED message.
+	// Shed counts fresh clones refused by admission control and retired
+	// to the user-site with the typed SHED fate.
 	Shed atomic.Int64
 	// BudgetExpired counts clones terminated (or forwards suppressed) for
 	// exceeding their wire-carried budget: deadline, hop quota, or clone

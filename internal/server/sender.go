@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"webdis/internal/cluster"
 	"webdis/internal/netsim"
 	"webdis/internal/trace"
 	"webdis/internal/wire"
@@ -85,24 +86,94 @@ func (r RetryPolicy) backoff(n int, rng *lockedRand) time.Duration {
 	return d + j
 }
 
-// errNoReplica is returned by sendSite when every replica of the
+// Sender is an endpoint's outbound half — the paper's Query and Result
+// Dispatchers (Section 4.4). Every Server owns one, and so does the
+// user-site's client: one connection pool whose connections carry a
+// persistent wire session, the retry policy around every send, replica
+// failover for clones, the down-replica pool eviction, and the Retry and
+// Failover journal entries.
+type Sender struct {
+	pool    *netsim.Pool
+	met     *Metrics
+	retry   RetryPolicy
+	rng     *lockedRand
+	journal *trace.Journal
+	cluster *cluster.Membership
+	unsub   func()
+
+	// quit closes on Close and wakes backoff pauses.
+	quit      chan struct{}
+	closeOnce sync.Once
+}
+
+// NewSender returns the sender of the endpoint self: every message is
+// sent once, with no timeout (the zero RetryPolicy), its connection
+// counters and failovers booked in met and its failovers journaled in j
+// (nil journals nothing). With cl set, clones resolve a replica per site
+// and idle connections to a replica declared down are evicted.
+func NewSender(tr netsim.Transport, self string, met *Metrics, j *trace.Journal, cl *cluster.Membership) *Sender {
+	return newSender(tr, self, met, j, cl, RetryPolicy{}, nil)
+}
+
+func newSender(tr netsim.Transport, self string, met *Metrics, j *trace.Journal, cl *cluster.Membership, pol RetryPolicy, rng *lockedRand) *Sender {
+	o := &Sender{
+		// Pooled connections carry many frames, so attach a persistent
+		// wire session: its intern tables then amortize across a
+		// connection's lifetime.
+		pool: netsim.NewPool(tr, self, netsim.PoolOptions{
+			Wrap: func(c net.Conn) net.Conn { return wire.NewFramed(c) },
+		}),
+		met: met, retry: pol, rng: rng, journal: j, cluster: cl,
+		quit: make(chan struct{}),
+	}
+	if cl != nil {
+		// Evict idle connections to a replica the moment the health layer
+		// declares it down, instead of waiting for the next send on a dead
+		// socket to fail.
+		o.unsub = cl.Subscribe(func(ep string, st cluster.State) {
+			if st == cluster.Down {
+				o.pool.EvictPeer(ep)
+			}
+		})
+	}
+	return o
+}
+
+// Close wakes every backoff pause, detaches the replica subscription and
+// closes the idle connections. A send after Close still goes out over a
+// fresh dial, but gives up where it would have paused to retry.
+// Idempotent.
+func (o *Sender) Close() {
+	o.closeOnce.Do(func() {
+		close(o.quit)
+		if o.unsub != nil {
+			o.unsub()
+		}
+		o.pool.Close()
+	})
+}
+
+// errNoReplica is returned by SendSite when every replica of the
 // destination site has been tried and failed.
 var errNoReplica = errors.New("server: no replica of the destination site is reachable")
 
-// sendSite delivers one clone to the named logical site. Unclustered
-// servers send to the site's classic endpoint; clustered ones resolve a
-// replica through the membership table and — when the full retry policy
-// exhausts against that replica — re-resolve and replay against the next
-// live one (the mid-traversal failover path), reporting each outcome so
-// the health state machine learns from real traffic. Only after every
-// replica has been tried does the error surface to the bounce/retire
-// path.
-func (s *Server) sendSite(site string, c *wire.CloneMsg) error {
-	cl := s.opts.Cluster
+// SendSite delivers one clone to the named logical site and returns the
+// endpoint that took it and the number of failovers it took. Without a
+// membership table the clone goes to the site's classic endpoint. With
+// one, a replica is resolved through Pick and — when the retry policy
+// exhausts against it — the next live one is tried (the mid-traversal
+// failover path), each outcome reported so the health state machine
+// learns from real traffic. Replicas in exclude are not picked; they do
+// not count as failovers. Only after every replica has been tried does
+// the error surface to the caller's bounce or retire path.
+func (o *Sender) SendSite(site string, c *wire.CloneMsg, exclude map[string]bool) (string, int, error) {
+	cl := o.cluster
 	if cl == nil {
-		return s.send(Endpoint(site), c)
+		ep := Endpoint(site)
+		return ep, 0, o.Send(ep, c)
 	}
-	var tried map[string]bool
+	tried, owned := exclude, false
+	failovers := 0
 	var lastErr error
 	for {
 		ep, ok := cl.Pick(site, c.ID.String(), tried)
@@ -110,42 +181,45 @@ func (s *Server) sendSite(site string, c *wire.CloneMsg) error {
 			if lastErr == nil {
 				lastErr = errNoReplica
 			}
-			return lastErr
+			return "", failovers, lastErr
 		}
-		if tried != nil {
-			s.met.Failovers.Add(1)
-			if s.opts.Journal != nil {
-				s.jot(c, trace.Failover, site+" -> "+ep)
-			}
+		if lastErr != nil {
+			failovers++
+			o.met.Failovers.Add(1)
+			o.journal.AppendClone(c, trace.Failover, "", c.State(), site+" -> "+ep)
 		}
-		err := s.send(ep, c)
+		err := o.Send(ep, c)
 		if err == nil {
 			cl.ReportSuccess(ep)
-			return nil
+			return ep, failovers, nil
 		}
 		cl.ReportFailure(ep)
 		lastErr = err
-		if tried == nil {
-			tried = make(map[string]bool, 2)
+		if !owned {
+			m := make(map[string]bool, len(exclude)+2)
+			for k := range exclude {
+				m[k] = true
+			}
+			tried, owned = m, true
 		}
 		tried[ep] = true
 	}
 }
 
-// send delivers one message to the named endpoint under the server's
-// retry policy. It reports the last error when every attempt failed.
-func (s *Server) send(to string, msg any) error {
-	pol := s.opts.Retry
+// Send delivers one message to the named endpoint under the retry policy.
+// It reports the last error when every attempt failed.
+func (o *Sender) Send(to string, msg any) error {
+	pol := o.retry
 	var err error
 	for i := 1; i <= pol.attempts(); i++ {
 		if i > 1 {
-			s.met.Retries.Add(1)
-			s.jotRetry(to, msg, i, err)
-			if !s.pause(pol.backoff(i-1, s.rng)) {
-				return err // server stopping; give up quietly
+			o.met.Retries.Add(1)
+			o.jotRetry(to, msg, i, err)
+			if !o.backoff(i - 1) {
+				return err // sender closing; give up quietly
 			}
 		}
-		if err = s.attemptSend(to, msg, pol.Timeout); err == nil {
+		if err = o.attempt(to, msg, pol.Timeout); err == nil {
 			return nil
 		}
 	}
@@ -154,8 +228,8 @@ func (s *Server) send(to string, msg any) error {
 
 // jotRetry journals one repeat send attempt, recovering the span context
 // from whichever message kind is being resent.
-func (s *Server) jotRetry(to string, msg any, attempt int, lastErr error) {
-	if s.opts.Journal == nil {
+func (o *Sender) jotRetry(to string, msg any, attempt int, lastErr error) {
+	if o.journal == nil {
 		return
 	}
 	e := trace.Event{
@@ -170,14 +244,14 @@ func (s *Server) jotRetry(to string, msg any, attempt int, lastErr error) {
 	case *wire.BounceMsg:
 		e.Query, e.Span, e.Parent, e.Hop, e.State = m.Clone.ID.String(), m.Clone.Span, m.Clone.Parent, m.Clone.Hops, m.Clone.State().String()
 	}
-	s.opts.Journal.Append(e)
+	o.journal.Append(e)
 }
 
-// attemptSend performs one delivery attempt, bounded by timeout when
+// attempt performs one delivery attempt, bounded by timeout when
 // positive.
-func (s *Server) attemptSend(to string, msg any, timeout time.Duration) error {
+func (o *Sender) attempt(to string, msg any, timeout time.Duration) error {
 	if timeout <= 0 {
-		return s.sendOnce(to, msg, nil)
+		return o.sendOnce(to, msg, nil)
 	}
 
 	// Run the attempt in a goroutine so a stalled dial or send cannot
@@ -197,7 +271,7 @@ func (s *Server) attemptSend(to string, msg any, timeout time.Duration) error {
 		return true
 	}
 	done := make(chan error, 1)
-	go func() { done <- s.sendOnce(to, msg, register) }()
+	go func() { done <- o.sendOnce(to, msg, register) }()
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
@@ -227,15 +301,15 @@ func (s *Server) attemptSend(to string, msg any, timeout time.Duration) error {
 // endpoint closed by passive termination — is transparently redone over
 // one fresh dial within the same attempt, whose outcome (refusal,
 // injected fault, success) is then exactly what the seed would have seen.
-func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) error {
-	conn, reused, err := s.pool.Get(to)
+func (o *Sender) sendOnce(to string, msg any, register func(net.Conn) bool) error {
+	conn, reused, err := o.pool.Get(to)
 	if err != nil {
 		return err
 	}
 	if reused {
-		s.met.ConnReused.Add(1)
+		o.met.ConnReused.Add(1)
 	} else {
-		s.met.ConnDialed.Add(1)
+		o.met.ConnDialed.Add(1)
 	}
 	if register != nil && !register(conn) {
 		conn.Close()
@@ -249,7 +323,7 @@ func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) erro
 			conn.Close()
 			return errAttemptTimeout
 		}
-		s.pool.Put(to, conn)
+		o.pool.Put(to, conn)
 		return nil
 	}
 	conn.Close()
@@ -261,12 +335,12 @@ func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) erro
 		return err
 	}
 	// Stale pooled connection: redo once over a fresh dial.
-	s.met.ConnStale.Add(1)
-	conn, err = s.pool.Dial(to)
+	o.met.ConnStale.Add(1)
+	conn, err = o.pool.Dial(to)
 	if err != nil {
 		return err
 	}
-	s.met.ConnDialed.Add(1)
+	o.met.ConnDialed.Add(1)
 	if register != nil && !register(conn) {
 		conn.Close()
 		return errAttemptTimeout
@@ -280,7 +354,7 @@ func (s *Server) sendOnce(to string, msg any, register func(net.Conn) bool) erro
 		conn.Close()
 		return errAttemptTimeout
 	}
-	s.pool.Put(to, conn)
+	o.pool.Put(to, conn)
 	return nil
 }
 
@@ -308,24 +382,20 @@ func (e timeoutErr) Error() string { return string(e) }
 
 const errAttemptTimeout = timeoutErr("server: send attempt timed out")
 
-// pause sleeps for d but wakes early when the server stops, reporting
-// whether the caller should continue.
-func (s *Server) pause(d time.Duration) bool {
+// backoff sleeps out the jittered pause before retry number n
+// (1-based), waking early when the sender closes; it reports whether the
+// caller should go on retrying.
+func (o *Sender) backoff(n int) bool {
+	d := o.retry.backoff(n, o.rng)
 	if d <= 0 {
 		return true
-	}
-	s.mu.Lock()
-	stop := s.stop
-	s.mu.Unlock()
-	if stop == nil {
-		return false
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-stop:
+	case <-o.quit:
 		return false
 	}
 }

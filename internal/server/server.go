@@ -170,13 +170,11 @@ type Server struct {
 	met  *Metrics
 	opts Options
 	eval nodeproc.Evaluator // Figures 3–4 (package nodeproc) at this server
-	// unsub detaches the pool-eviction health subscription on Stop.
-	unsub func()
+	// out sends every message this server ships — clone forwards, result
+	// reports, bounces, deltas — to other sites and to user-sites.
+	out *Sender
 
 	queue *sched.Queue[*wire.CloneMsg]
-	// rng is the server's private randomness (retry-backoff jitter),
-	// seeded from Options.Seed so chaos runs replay deterministically.
-	rng *lockedRand
 	// seq numbers the trace spans this server opens (wire.SpanID).
 	seq atomic.Int64
 	// serials numbers the CHT entries this server creates, per query.
@@ -199,10 +197,6 @@ type Server struct {
 	// store is the persistent page-based site store, opened (or first
 	// built) at Start when opts.Store is enabled; nil otherwise.
 	store *store.Store
-
-	// pool reuses connections to frequently dialed peers (other sites'
-	// query servers, the user-site's result collectors).
-	pool *netsim.Pool
 
 	// peerStats holds the per-site statistics learned from piggybacked
 	// clone hints and from ship-data fetches; own-site statistics come
@@ -227,11 +221,10 @@ type Server struct {
 	watchMu sync.Mutex
 	watches map[string]*watchReg
 
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]bool // accepted connections, open for the sender's pool
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	mu      sync.Mutex
+	serving *netsim.Serving // the Query Receiver
+	stop    chan struct{}
+	wg      sync.WaitGroup
 }
 
 // New returns a server for site, reading documents from docs and speaking
@@ -245,7 +238,6 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		tr:       tr,
 		met:      met,
 		opts:     opts,
-		rng:      newLockedRand(opts.Seed, seedName(site, opts.Replica)),
 		serials:  newSerialTable(serialSlots),
 		dbCache:  make(map[string]*dbEntry),
 		stoppedQ: make(map[wire.QueryID]time.Time),
@@ -278,12 +270,10 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		}
 	}
 	s.queue = sched.New[*wire.CloneMsg](schedOpts)
-	s.pool = netsim.NewPool(tr, s.self, netsim.PoolOptions{
-		// Pooled connections carry many frames, so attach a persistent
-		// wire session: its intern tables then amortize across a
-		// connection's lifetime.
-		Wrap: func(c net.Conn) net.Conn { return wire.NewFramed(c) },
-	})
+	// The seeded randomness draws retry-backoff jitter, so chaos runs
+	// replay deterministically.
+	s.out = newSender(tr, s.self, met, opts.Journal, opts.Cluster, opts.Retry,
+		newLockedRand(opts.Seed, seedName(site, opts.Replica)))
 	return s
 }
 
@@ -326,55 +316,14 @@ func (s *Server) Start() error {
 		// stamped on every result frame; set before any worker starts so
 		// no frame leaves with the previous incarnation.
 		s.inc = cl.Register(s.self)
-		// Evict idle connections to a replica the moment the health
-		// layer declares it down, instead of waiting for the next send
-		// on a dead socket to fail.
-		s.unsub = cl.Subscribe(func(ep string, st cluster.State) {
-			if st == cluster.Down {
-				s.pool.EvictPeer(ep)
-			}
-		})
 	}
 	s.mu.Lock()
-	s.ln = ln
-	s.conns = make(map[net.Conn]bool)
 	s.stop = make(chan struct{})
 	stop := s.stop
+	// Query Receiver. The sender may pool a connection and stream many
+	// frames over it, so each is decoded with a persistent session.
+	s.serving = netsim.Serve(ln, func(conn net.Conn) { s.receive(wire.NewFramed(conn)) })
 	s.mu.Unlock()
-
-	// Query Receiver. Accepted connections are tracked so Stop can close
-	// them: senders pool their connections across messages now, so a
-	// receive loop no longer ends with each message.
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.conns == nil {
-				s.mu.Unlock()
-				conn.Close()
-				continue
-			}
-			s.conns[conn] = true
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer func() {
-					s.mu.Lock()
-					delete(s.conns, conn)
-					s.mu.Unlock()
-				}()
-				// The sender may pool this connection and stream many
-				// frames over it, so decode with a persistent session.
-				s.receive(wire.NewFramed(conn))
-			}()
-		}
-	}()
 
 	// Query Processor(s). The paper's design is a single thread draining
 	// the queue sequentially; Options.Workers > 1 is the concurrency
@@ -427,31 +376,24 @@ func (s *Server) Start() error {
 
 // Stop shuts the server down, discarding queued clones.
 func (s *Server) Stop() {
-	if s.unsub != nil {
-		s.unsub()
-		s.unsub = nil
-	}
+	// Closing the sender first wakes workers pausing between retries.
+	s.out.Close()
 	s.mu.Lock()
-	ln := s.ln
-	s.ln = nil
-	conns := s.conns
-	s.conns = nil
+	serving := s.serving
+	s.serving = nil
 	if s.stop != nil {
 		close(s.stop)
 		s.stop = nil
 	}
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	// Close accepted connections so receive loops exit: their senders
-	// hold them open in pools between messages.
-	for conn := range conns {
-		conn.Close()
+	if serving != nil {
+		serving.Close()
 	}
 	s.queue.Close()
+	if serving != nil {
+		serving.Wait()
+	}
 	s.wg.Wait()
-	s.pool.Close()
 	if s.store != nil {
 		s.store.Close()
 		s.store = nil
@@ -466,7 +408,7 @@ func (s *Server) Enqueue(c *wire.CloneMsg) { s.admit(c) }
 // IdleConns returns how many idle outbound connections the server's pool
 // holds — to peers and to user-site collectors. A long-lived deployment
 // should see it settle.
-func (s *Server) IdleConns() int { return s.pool.IdleCount() }
+func (s *Server) IdleConns() int { return s.out.pool.IdleCount() }
 
 // SchedStats returns the scheduler queue's counters: current and peak
 // depth, queued flows, sheds and watermark activations.
@@ -477,8 +419,8 @@ func (s *Server) Queued(id wire.QueryID) int { return s.queue.Pending(id.String(
 
 // admit offers one clone to the scheduler. Admission control may refuse
 // it: a fresh root dispatch (hop 0, query not already queued here)
-// arriving over the high watermark is returned to the user-site with a
-// typed SHED message instead of being queued. Forwarded clones of
+// arriving over the high watermark is retired to the user-site with the
+// typed SHED fate instead of being queued. Forwarded clones of
 // admitted queries and local re-enqueues are never refused — in-flight
 // work always completes, keeping CHT accounting sound under load.
 func (s *Server) admit(c *wire.CloneMsg) {
@@ -493,19 +435,18 @@ func (s *Server) admit(c *wire.CloneMsg) {
 	}
 }
 
-// shedClone returns a refused clone to the user-site with the typed
-// SHED message, so its CHT entries retire and the caller sees the
-// refusal (Query.Shed) rather than a hang. Best-effort: if even the
-// user-site is unreachable, the reaper owns the stranded entries.
+// shedClone retires a refused clone with the typed SHED fate, so its CHT
+// entries retire and the caller sees the refusal (Query.Shed) rather than
+// a hang. Best-effort: if even the user-site is unreachable, the reaper
+// owns the stranded entries.
 func (s *Server) shedClone(c *wire.CloneMsg) {
 	s.met.Shed.Add(1)
 	s.jot(c, trace.Shed, "over high watermark")
-	s.send(c.ID.Site, &wire.ShedMsg{Clone: c, Site: s.site})
+	s.retireAll(c, wire.FateShed)
 }
 
 // receive drains clone and stop messages from one connection.
 func (s *Server) receive(conn net.Conn) {
-	defer conn.Close()
 	for {
 		msg, err := wire.Receive(conn)
 		if err != nil {
@@ -606,7 +547,7 @@ func (s *Server) InvalidateDocs(edited, rewired []string) {
 	}
 	s.watchMu.Unlock()
 	for _, msg := range regs {
-		if s.send(msg.ID.Site, msg) == nil {
+		if s.out.Send(msg.ID.Site, msg) == nil {
 			s.met.DeltasSent.Add(1)
 			if s.opts.Journal != nil {
 				s.opts.Journal.Append(trace.Event{Query: msg.ID.String(), Kind: trace.Delta, Detail: msg.ID.Site})
@@ -688,7 +629,7 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 	if err := b.Begin(&s.eval, c); err != nil {
 		// A malformed clone cannot be processed, but its CHT entries must
 		// still be retired or the user-site would wait forever.
-		s.retireAll(c, retirePlain)
+		s.retireAll(c, wire.FateProcessed)
 		return
 	}
 	defer b.Reset()
@@ -751,7 +692,7 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 func (s *Server) expire(c *wire.CloneMsg, reason string) {
 	s.met.BudgetExpired.Add(1)
 	s.jot(c, trace.Expire, reason)
-	s.retireAll(c, retireExpired)
+	s.retireAll(c, wire.FateExpired)
 }
 
 // stopClone terminates a clone of an actively stopped query: the typed
@@ -759,7 +700,7 @@ func (s *Server) expire(c *wire.CloneMsg, reason string) {
 func (s *Server) stopClone(c *wire.CloneMsg) {
 	s.met.Stopped.Add(1)
 	s.jot(c, trace.Stop, "active stop")
-	s.retireAll(c, retireStopped)
+	s.retireAll(c, wire.FateStopped)
 }
 
 // NextSerial numbers the next CHT entry this server creates for query id.
@@ -872,7 +813,7 @@ func (s *Server) download(node, host string) ([]byte, error) {
 	content, err := s.fetch.Get(node)
 	for i := 1; err != nil && i < pol.attempts(); i++ {
 		s.met.Retries.Add(1)
-		if !s.pause(pol.backoff(i, s.rng)) {
+		if !s.out.backoff(i) {
 			break
 		}
 		content, err = s.fetch.Get(node)
@@ -921,7 +862,7 @@ func (s *Server) dispatchResults(c *wire.CloneMsg, updates []wire.CHTUpdate, tab
 func (s *Server) sendResult(msg *wire.ResultMsg) error {
 	s.stampReplica(msg)
 	s.met.ResultMsgs.Add(1)
-	err := s.send(msg.ID.Site, msg)
+	err := s.out.Send(msg.ID.Site, msg)
 	if err != nil {
 		s.met.ResultMsgs.Add(-1)
 	}
@@ -1010,7 +951,7 @@ func (s *Server) stampReplica(msg *wire.ResultMsg) {
 // its own bounce target: a clone it cannot forward goes back on its own
 // queue, to be evaluated on downloaded documents.
 func (s *Server) forwardRemote(oc *nodeproc.Out) {
-	err := s.sendSite(oc.Site, oc.Msg)
+	_, _, err := s.out.SendSite(oc.Site, oc.Msg, nil)
 	if err != nil {
 		if s.docs == nil {
 			s.jot(oc.Msg, trace.Bounce, bounceReason(err, s.opts.Retry))
@@ -1024,7 +965,7 @@ func (s *Server) forwardRemote(oc *nodeproc.Out) {
 		}
 		s.met.ForwardFailed.Add(1)
 		s.jot(oc.Msg, trace.ForwardFailed, oc.Site)
-		s.retireAll(oc.Msg, retirePlain)
+		s.retireAll(oc.Msg, wire.FateProcessed)
 		return
 	}
 	s.met.ClonesForwarded.Add(1)
@@ -1054,7 +995,7 @@ func (s *Server) bounce(c *wire.CloneMsg, reason string) bool {
 	}
 	s.met.Bounced.Add(1)
 	s.met.RecoveredByBounce.Add(recovered)
-	if s.send(c.ID.Site, &wire.BounceMsg{Clone: c, Reason: reason}) != nil {
+	if s.out.Send(c.ID.Site, &wire.BounceMsg{Clone: c, Reason: reason}) != nil {
 		s.met.Bounced.Add(-1)
 		s.met.RecoveredByBounce.Add(-recovered)
 		return false
@@ -1062,27 +1003,16 @@ func (s *Server) bounce(c *wire.CloneMsg, reason string) bool {
 	return true
 }
 
-// retireKind types a clone retirement: plain bookkeeping (failed
-// forward, malformed clone), the typed EXPIRED retirement (budget
-// enforcement), or the typed STOPPED retirement (active termination).
-// The user-site books the typed kinds as the span's fate instead of
-// "processed".
-type retireKind int
-
-const (
-	retirePlain retireKind = iota
-	retireExpired
-	retireStopped
-)
-
 // retireAll dispatches CHT retirements for every destination of a clone
-// that will never be processed.
-func (s *Server) retireAll(c *wire.CloneMsg, kind retireKind) {
+// that will never be processed, in one result frame typed by fate: plain
+// bookkeeping (FateProcessed: a failed forward, a malformed clone) or a
+// typed EXPIRED, STOPPED or SHED retirement, which the user-site books
+// as the span's fate instead of "processed".
+func (s *Server) retireAll(c *wire.CloneMsg, fate wire.Fate) {
 	if len(c.Dest) == 0 {
 		return
 	}
-	msg := &wire.ResultMsg{ID: c.ID, Updates: c.Retirements(),
-		Expired: kind == retireExpired, Stopped: kind == retireStopped}
+	msg := &wire.ResultMsg{ID: c.ID, Updates: c.Retirements(), Fate: fate}
 	if s.traced(c) {
 		msg.Span, msg.Site, msg.Hop = c.Span, s.site, c.Hops
 	}

@@ -451,7 +451,7 @@ func TestServerStopMsgTerminatesClone(t *testing.T) {
 
 	h.send(t, campusStage2Clone("http://dsl.serc.iisc.ernet.in/index.html"))
 	msgs := h.waitMsgs(t, 1)
-	if !msgs[0].Stopped {
+	if msgs[0].Fate != wire.FateStopped {
 		t.Errorf("retirement not typed as stopped: %+v", msgs[0])
 	}
 	if len(msgs[0].Updates) != 1 || len(msgs[0].Tables) != 0 {

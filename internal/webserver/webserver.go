@@ -27,9 +27,8 @@ type Host struct {
 	site string
 	web  *webgraph.Web
 
-	mu sync.Mutex
-	ln net.Listener
-	wg sync.WaitGroup
+	mu      sync.Mutex
+	serving *netsim.Serving
 }
 
 // NewHost returns a document host for site, backed by the given web.
@@ -64,30 +63,14 @@ func (h *Host) Start(tr netsim.Transport) error {
 		return err
 	}
 	h.mu.Lock()
-	h.ln = ln
+	h.serving = netsim.Serve(ln, h.serve)
 	h.mu.Unlock()
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			h.wg.Add(1)
-			go func() {
-				defer h.wg.Done()
-				h.serve(conn)
-			}()
-		}
-	}()
 	return nil
 }
 
 // serve answers fetch requests on one connection until it closes.
 func (h *Host) serve(c net.Conn) {
 	conn := wire.NewFramed(c)
-	defer conn.Close()
 	for {
 		msg, err := wire.Receive(conn)
 		if err != nil {
@@ -110,16 +93,17 @@ func (h *Host) serve(c net.Conn) {
 	}
 }
 
-// Stop closes the listener and waits for in-flight requests.
+// Stop closes the listener and every open fetch connection, and waits
+// for in-flight requests.
 func (h *Host) Stop() {
 	h.mu.Lock()
-	ln := h.ln
-	h.ln = nil
+	sv := h.serving
+	h.serving = nil
 	h.mu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if sv != nil {
+		sv.Close()
+		sv.Wait()
 	}
-	h.wg.Wait()
 }
 
 // Fetcher downloads documents over the transport — the data-shipping

@@ -3,6 +3,7 @@ package webserver
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"webdis/internal/netsim"
 	"webdis/internal/webgraph"
@@ -137,4 +138,40 @@ func TestHostStopUnblocksFetchers(t *testing.T) {
 	}
 	// Stop twice is fine.
 	h.Stop()
+}
+
+// TestHostStopWithIdleConnection: a fetcher holding the document endpoint
+// open without sending anything must not wedge Stop. The host closes
+// every accepted connection, so the idle handler's read ends.
+func TestHostStopWithIdleConnection(t *testing.T) {
+	web := webgraph.Campus()
+	n := netsim.New(netsim.Options{})
+	h := NewHost("csa.iisc.ernet.in", web)
+	if err := h.Start(n); err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("user/results", Endpoint("csa.iisc.ernet.in"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// One request and its answer first, so the host has certainly accepted
+	// the connection; then the fetcher falls silent and keeps it open.
+	idle := wire.NewFramed(c)
+	if err := wire.Send(idle, &wire.FetchReq{URL: webgraph.CampusStart}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.Receive(idle); err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() { h.Stop(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop still blocked on an idle accepted connection after 2s")
+	}
+	if _, err := wire.Receive(idle); err == nil {
+		t.Error("the idle connection stayed open after Stop")
+	}
 }

@@ -50,12 +50,14 @@ import (
 	"webdis/internal/nodequery"
 )
 
-// MaxWireVersion is the one wire format this build speaks: version 3,
-// the binary codec with one report per result frame. A hello offering a
-// newer version is granted this one; an older one is refused (version 1
-// was framed gob; version 2 carried a list of batched reports in every
-// result frame and a TUNE kind).
-const MaxWireVersion = 3
+// MaxWireVersion is the one wire format this build speaks: version 4,
+// the binary codec with one report per result frame, typed by one fate
+// byte. A hello offering a newer version is granted this one; an older
+// one is refused (version 1 was framed gob; version 2 carried a list of
+// batched reports in every result frame and a TUNE kind; version 3 typed
+// a report with two flag bytes and refused a shed clone with a SHED kind
+// of its own).
+const MaxWireVersion = 4
 
 // Typed codec errors. Receive surfaces ErrTruncated when a frame ends
 // before its own encoding claims it should (including a connection
@@ -75,7 +77,7 @@ const (
 	codeClone byte = iota + 1
 	codeResult
 	codeBounce
-	codeShed
+	_ // 4: the SHED kind of version 3, retired
 	codeStop
 	codeFetchReq
 	codeFetchResp
@@ -113,8 +115,6 @@ func kindCode(kind string) (byte, bool) {
 		return codeResult, true
 	case KindBounce:
 		return codeBounce, true
-	case KindShed:
-		return codeShed, true
 	case KindStop:
 		return codeStop, true
 	case KindFetchReq:
@@ -259,6 +259,24 @@ func (d *decoder) bool() bool {
 		return false
 	}
 	return b == 1
+}
+
+// fate reads a report's fate byte, rejecting one past FateShed.
+func (d *decoder) fate() Fate {
+	if d.err != nil {
+		return FateProcessed
+	}
+	if d.off >= len(d.buf) {
+		d.fail(ErrTruncated)
+		return FateProcessed
+	}
+	f := Fate(d.buf[d.off])
+	d.off++
+	if f > FateShed {
+		d.fail(fmt.Errorf("%w: unknown fate %d", ErrCorrupt, f))
+		return FateProcessed
+	}
+	return f
 }
 
 // count reads a slice/map length and sanity-checks it against the bytes
@@ -790,8 +808,7 @@ func (e *encoder) resultMsg(m *ResultMsg) {
 	for i := range m.Tables {
 		e.nodeTable(&m.Tables[i])
 	}
-	e.bool(m.Expired)
-	e.bool(m.Stopped)
+	e.buf = append(e.buf, byte(m.Fate))
 	e.spanID(m.Span)
 	e.str(m.Site)
 	e.i(int64(m.Hop))
@@ -825,8 +842,7 @@ func (d *decoder) resultMsg() *ResultMsg {
 			m.Tables[i] = d.nodeTable()
 		}
 	}
-	m.Expired = d.bool()
-	m.Stopped = d.bool()
+	m.Fate = d.fate()
 	m.Span = d.spanID()
 	m.Site = d.str()
 	m.Hop = d.int()
@@ -855,12 +871,6 @@ func encodeEnvelope(e *encoder, env *envelope) error {
 		}
 		e.cloneMsg(env.Bounce.Clone)
 		e.str(env.Bounce.Reason)
-	case KindShed:
-		if env.Shed.Clone == nil {
-			return fmt.Errorf("wire: shed without clone")
-		}
-		e.cloneMsg(env.Shed.Clone)
-		e.str(env.Shed.Site)
 	case KindStop:
 		e.queryID(env.Stop.ID)
 		e.str(env.Stop.Reason)
@@ -889,7 +899,7 @@ func encodeEnvelope(e *encoder, env *envelope) error {
 
 // decodeEnvelope reads the payload of a frame of the given kind code and
 // returns the message. Every kind decodes to a complete message: a
-// bounce or shed always carries its clone.
+// bounce always carries its clone.
 func decodeEnvelope(d *decoder, code byte) (any, error) {
 	var msg any
 	switch code {
@@ -899,8 +909,6 @@ func decodeEnvelope(d *decoder, code byte) (any, error) {
 		msg = d.resultMsg()
 	case codeBounce:
 		msg = &BounceMsg{Clone: d.cloneMsg(), Reason: d.str()}
-	case codeShed:
-		msg = &ShedMsg{Clone: d.cloneMsg(), Site: d.str()}
 	case codeStop:
 		msg = &StopMsg{ID: d.queryID(), Reason: d.str()}
 	case codeFetchReq:

@@ -146,8 +146,7 @@ func (s *fuzzSource) result() *ResultMsg {
 		}
 		m.Tables = append(m.Tables, t)
 	}
-	m.Expired = s.byte()&1 == 1
-	m.Stopped = s.byte()&1 == 1
+	m.Fate = Fate(s.n(int(FateShed) + 1))
 	m.Span = SpanID{Origin: s.str(), Seq: s.i64()}
 	for i, k := 0, s.n(3); i < k; i++ {
 		m.Spawned = append(m.Spawned, SpanLink{Span: SpanID{Origin: s.str(), Seq: s.i64()}, Site: s.str()})
@@ -160,7 +159,7 @@ func (s *fuzzSource) result() *ResultMsg {
 
 // message builds one wire message of a fuzz-chosen kind.
 func (s *fuzzSource) message() any {
-	switch s.n(9) {
+	switch s.n(8) {
 	case 0:
 		return s.clone()
 	case 1:
@@ -168,14 +167,12 @@ func (s *fuzzSource) message() any {
 	case 2:
 		return &BounceMsg{Clone: s.clone(), Reason: s.str()}
 	case 3:
-		return &ShedMsg{Clone: s.clone(), Site: s.str()}
-	case 4:
 		return &StopMsg{ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Reason: s.str()}
-	case 5:
+	case 4:
 		return &FetchReq{URL: s.str()}
-	case 6:
+	case 5:
 		return &FetchResp{URL: s.str(), Content: []byte(s.str()), Err: s.str()}
-	case 7:
+	case 6:
 		return &WatchMsg{Version: s.n(3), ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Cancel: s.n(2) == 1}
 	default:
 		m := &DeltaMsg{Version: s.n(3), ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Site: s.str(), Seq: s.i64()}
@@ -234,11 +231,6 @@ func unwrap(env *envelope) (any, error) {
 			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
 		}
 		return env.Bounce, nil
-	case KindShed:
-		if env.Shed == nil || env.Shed.Clone == nil {
-			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
-		}
-		return env.Shed, nil
 	case KindStop:
 		if env.Stop == nil {
 			return nil, fmt.Errorf("wire: empty %s envelope", env.Kind)
@@ -293,6 +285,22 @@ func v2RoundTrip(t *testing.T, msg any) (any, []byte, byte) {
 	return out, enc.buf, code
 }
 
+// v2DecodeErr encodes msg and decodes it back, returning the decode error.
+func v2DecodeErr(msg any) (any, error) {
+	env, err := wrap(msg)
+	if err != nil {
+		return nil, err
+	}
+	code, _ := kindCode(env.Kind)
+	enc := newEncoder()
+	if err := encodeEnvelope(enc, &env); err != nil {
+		return nil, err
+	}
+	dec := newDecoder()
+	dec.reset(enc.buf)
+	return decodeEnvelope(dec, code)
+}
+
 // FuzzCodecRoundTrip is the differential fuzzer the CI smoke job runs:
 // every generated message must decode from v2 to exactly what the gob
 // oracle reconstructs; every truncation of a valid payload must fail
@@ -324,6 +332,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("truncation at %d/%d decoded to %#v", cut, len(payload), m)
 			} else if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("truncation error not typed: %v", err)
+			}
+		}
+
+		// A report whose fate lies past the last one is refused with a
+		// typed error, never decoded as some other fate.
+		if rm, ok := want.(*ResultMsg); ok {
+			bad := *rm
+			bad.Fate = FateShed + 1 + Fate(src.byte()%uint8(255-FateShed))
+			_, err := v2DecodeErr(&bad)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("fate %d decoded with err = %v, want ErrCorrupt", bad.Fate, err)
 			}
 		}
 

@@ -127,17 +127,20 @@ func sampleMessages() []any {
 		Updates: []CHTUpdate{{
 			Processed: CHTEntry{Node: "http://b/y.html", State: State{NumQ: 1, Rem: "G"}, Origin: "a/q", Seq: 5},
 		}},
-		Expired: true,
-		Site:    "b.example/query",
-		Hop:     2,
-		From:    "b.example/query@1",
+		Fate: FateExpired,
+		Site: "b.example/query",
+		Hop:  2,
+		From: "b.example/query@1",
 	}
+	stopped, shed := *expired, *expired
+	stopped.Fate, shed.Fate = FateStopped, FateShed
 	return []any{
 		full,
 		res,
 		expired,
+		&stopped,
+		&shed,
 		&BounceMsg{Clone: sampleClone(), Reason: "retry exhausted"},
-		&ShedMsg{Clone: sampleClone(), Site: "b.example/query"},
 		&StopMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 7}, Reason: "first-n satisfied"},
 		&FetchReq{URL: "http://a.example/x.html"},
 		&FetchResp{URL: "http://a.example/x.html", Content: []byte("<html><body>hi</body></html>"), Err: ""},
@@ -199,10 +202,10 @@ func TestV2RoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestNegotiationMatrix pins every way a session can open: v3<->v3; a
-// hello offering version 1 or 2 and a pre-v2 peer's bare gob frame, all
-// refused with ErrVersion so the dialer's Settle fails; and a hello
-// offering a newer version, granted 3.
+// TestNegotiationMatrix pins every way a session can open: v4<->v4; a
+// hello offering version 1, 2 or 3 and a pre-v2 peer's bare gob frame,
+// all refused with ErrVersion so the dialer's Settle fails; and a hello
+// offering a newer version, granted 4.
 func TestNegotiationMatrix(t *testing.T) {
 	offer := func(v byte) func([]byte) []byte {
 		return func(p []byte) []byte { p[3] = v; return p }
@@ -213,11 +216,12 @@ func TestNegotiationMatrix(t *testing.T) {
 		rewrite func([]byte) []byte // the dialer's first write, as this peer sends it
 		refused bool
 	}{
-		{"v3-both", nil, false},
+		{"v4-both", nil, false},
 		{"v1-dialer", offer(1), true},
 		{"v2-dialer", offer(2), true},
+		{"v3-dialer", offer(3), true},
 		{"gob-prefix", func([]byte) []byte { return gobPeer }, true},
-		{"v4-dialer", offer(4), false},
+		{"v5-dialer", offer(5), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -420,6 +420,26 @@ type NodeTable struct {
 	Partial bool
 }
 
+// Fate is what became of the clone a ResultMsg reports on.
+type Fate uint8
+
+const (
+	// FateProcessed: the clone was evaluated, or its entries retired as
+	// plain bookkeeping (a failed forward, a malformed clone).
+	FateProcessed Fate = iota
+	// FateExpired: the clone exceeded its Budget (deadline or quota) and
+	// was retired unevaluated, the typed EXPIRED terminate.
+	FateExpired
+	// FateStopped: the user-site broadcast a StopMsg (active early
+	// termination) and the clone was retired unevaluated.
+	FateStopped
+	// FateShed: admission control refused a fresh root clone over the
+	// site's high watermark; the query never started there. Unlike a
+	// BounceMsg, which still owes processing, a shed clone is refused
+	// outright and the user-site surfaces Query.Shed.
+	FateShed
+)
+
 // ResultMsg is the query-server → user-site message: all results and CHT
 // updates from processing one CloneMsg, batched (Section 3.2, item 3).
 // For traced clones it also carries the span context of the processed
@@ -429,17 +449,11 @@ type ResultMsg struct {
 	ID      QueryID
 	Updates []CHTUpdate
 	Tables  []NodeTable
-	// Expired marks a message whose entries were retired because the
-	// clone exceeded its Budget (deadline or quota) rather than being
-	// processed: the typed EXPIRED terminate. The CHT arithmetic is
-	// identical — entries retire, no children — but the user-site
-	// records the spans as expired, not processed, so trace fates
-	// reconcile exactly.
-	Expired bool
-	// Stopped marks a message whose entries were retired because the
-	// user-site broadcast a StopMsg (active early termination): the
-	// typed STOPPED terminate, same CHT arithmetic as Expired.
-	Stopped bool
+	// Fate types the report: FateProcessed for a clone the site evaluated
+	// (or could not forward), or the typed retirement of one it never
+	// evaluated. The CHT arithmetic is the same for every fate — entries
+	// retire — but the user-site books the span's fate from it.
+	Fate Fate
 	// Span is the span of the clone message whose processing produced
 	// this report (zero when untraced); Site and Hop locate it.
 	Span SpanID
@@ -496,19 +510,6 @@ const (
 	BounceNoServer       = "no-server"
 	BounceRetryExhausted = "retry-exhausted"
 )
-
-// ShedMsg returns a refused clone to the user-site: the typed SHED
-// bounce of admission control, distinct from the fault-path BounceMsg.
-// A bounced clone is still owed processing (the user-site's proxy
-// evaluates it); a shed clone is refused outright — the site was over its
-// high watermark and declined to start a NEW query. The user-site
-// retires the clone's CHT entries and surfaces Query.Shed so the caller
-// can retry later, rather than silently absorbing the refusal into the
-// degraded-mode path.
-type ShedMsg struct {
-	Clone *CloneMsg
-	Site  string // site that refused the clone
-}
 
 // StopMsg is the user-site → query-server active-termination signal: the
 // user has enough answers (Budget.FirstN satisfied, or the submitting
@@ -575,7 +576,6 @@ const (
 	KindClone     = "clone"
 	KindResult    = "result"
 	KindBounce    = "bounce"
-	KindShed      = "shed"
 	KindStop      = "stop"
 	KindFetchReq  = "fetch-req"
 	KindFetchResp = "fetch-resp"
@@ -590,7 +590,6 @@ type envelope struct {
 	Clone     *CloneMsg
 	Result    *ResultMsg
 	Bounce    *BounceMsg
-	Shed      *ShedMsg
 	Stop      *StopMsg
 	FetchReq  *FetchReq
 	FetchResp *FetchResp
@@ -608,8 +607,6 @@ func wrap(msg any) (envelope, error) {
 		return envelope{Kind: KindResult, Result: m}, nil
 	case *BounceMsg:
 		return envelope{Kind: KindBounce, Bounce: m}, nil
-	case *ShedMsg:
-		return envelope{Kind: KindShed, Shed: m}, nil
 	case *StopMsg:
 		return envelope{Kind: KindStop, Stop: m}, nil
 	case *FetchReq:

@@ -362,11 +362,19 @@ func TestReceiveBadGob(t *testing.T) {
 	wantTyped(t, "bad gob", append([]byte{0, 0, 0, byte(len(payload))}, payload...))
 }
 
-func TestShedRoundTrip(t *testing.T) {
-	in := &ShedMsg{Clone: sampleClone(), Site: "b.example/query"}
-	out, ok := roundTrip(t, in).(*ShedMsg)
-	if !ok || !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
+// TestFateRoundTrip: every typed retirement travels as one result frame
+// whose fate byte comes back as sent.
+func TestFateRoundTrip(t *testing.T) {
+	for _, f := range []Fate{FateProcessed, FateExpired, FateStopped, FateShed} {
+		in := &ResultMsg{
+			ID:      QueryID{User: "u", Site: "user/c", Num: 3},
+			Updates: sampleClone().Retirements(),
+			Fate:    f,
+		}
+		out, ok := roundTrip(t, in).(*ResultMsg)
+		if !ok || !reflect.DeepEqual(in, out) {
+			t.Fatalf("fate %d: round trip mismatch: %+v vs %+v", f, in, out)
+		}
 	}
 }
 
