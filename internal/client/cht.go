@@ -1,0 +1,161 @@
+package client
+
+import (
+	"cmp"
+	"slices"
+	"strings"
+
+	"webdis/internal/webgraph"
+	"webdis/internal/wire"
+)
+
+// cht is one query's Current Hosts Table (Section 2.7.1, Figure 2): a
+// signed counting multiset of clone instances, keyed by the entry itself.
+// Announcements add one, reports retire one, and the table is drained when
+// every count is zero (see the package comment for why that is sound).
+//
+// It has no clock and no lock: the owning Query holds q.mu around every
+// call, and the reaper's timer stays with the Query.
+type cht struct {
+	counts  map[wire.CHTEntry]int // signed; a count back at zero is deleted
+	nonzero int                   // keys with a nonzero count
+	// replayed marks the instances a replay re-dispatched to a surviving
+	// replica, scoping the duplicate-retirement absorption to them.
+	replayed map[wire.CHTEntry]bool
+
+	EntriesAdded   int // announcements
+	EntriesRetired int // retirements matched with an announcement
+	GhostReports   int // retirements that overtook their announcement
+	DupRetired     int // second retirements of replayed entries, absorbed
+	PeakLive       int // the most keys nonzero at once
+	Reaped         int // live entries written off by reap
+}
+
+func newCHT() cht {
+	return cht{counts: make(map[wire.CHTEntry]int)}
+}
+
+// announce enters one instance of e: a root before its dispatch, or a
+// child named by its parent's report.
+func (t *cht) announce(e wire.CHTEntry) {
+	t.EntriesAdded++
+	if t.bump(e, +1) <= 0 {
+		// The instance's own report came first: it is matched now.
+		t.EntriesRetired++
+	}
+	t.PeakLive = max(t.PeakLive, t.nonzero)
+}
+
+// retire removes one instance of e: a report of the processed clone, a
+// failed dispatch or a bounce nobody could take. It reports whether the
+// retirement was a duplicate of a replayed entry, which it absorbs.
+func (t *cht) retire(e wire.CHTEntry) bool {
+	n := t.counts[e]
+	if n <= 0 && t.replayed[e] {
+		// Both the replay and the original (its report surviving the crash
+		// after all, or two replicas each processing one copy) accounted
+		// the entry. The first retirement balanced it. For every entry
+		// that was not replayed a negative count is the legal
+		// report-overtakes-announce asynchrony and must stand.
+		t.DupRetired++
+		return true
+	}
+	if n > 0 {
+		t.EntriesRetired++
+	} else {
+		t.GhostReports++
+	}
+	t.bump(e, -1)
+	return false
+}
+
+// bump adds delta to e's count and returns the new count.
+func (t *cht) bump(e wire.CHTEntry, delta int) int {
+	old := t.counts[e]
+	n := old + delta
+	switch {
+	case n == 0:
+		delete(t.counts, e)
+		t.nonzero--
+	case old == 0:
+		t.counts[e] = n
+		t.nonzero++
+	default:
+		t.counts[e] = n
+	}
+	return n
+}
+
+// markReplayed records that the given instances were re-dispatched.
+func (t *cht) markReplayed(entries []wire.CHTEntry) {
+	if t.replayed == nil {
+		t.replayed = make(map[wire.CHTEntry]bool)
+	}
+	for _, e := range entries {
+		t.replayed[e] = true
+	}
+}
+
+// drained reports whether every count is zero.
+func (t *cht) drained() bool { return t.nonzero == 0 }
+
+// progress is the fraction of announced entries whose retirement is in.
+// It stays below 1 while any entry is live: a ghost retirement counts only
+// once its announcement arrives.
+func (t *cht) progress() float64 {
+	if t.EntriesAdded == 0 {
+		return 0
+	}
+	return float64(t.EntriesRetired) / float64(t.EntriesAdded)
+}
+
+// live returns the entries with a positive count, an entry at n appearing
+// n times, sorted. Ghost entries, below zero, belong to clones that have
+// already reported.
+func (t *cht) live() []wire.CHTEntry {
+	var out []wire.CHTEntry
+	for e, n := range t.counts {
+		for ; n > 0; n-- {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, compareEntries)
+	return out
+}
+
+// sites returns the sorted hosts of the live entries: the sites holding,
+// or about to receive, a clone of the query.
+func (t *cht) sites() []string {
+	var sites []string
+	for e, n := range t.counts {
+		if n > 0 {
+			sites = append(sites, webgraph.Host(e.Node))
+		}
+	}
+	slices.Sort(sites)
+	return slices.Compact(sites)
+}
+
+// reap writes off every live entry and empties the table. It returns the
+// number of entries reaped and the sorted sites they point at.
+func (t *cht) reap() (int, []string) {
+	n := 0
+	for _, c := range t.counts {
+		n += max(c, 0)
+	}
+	sites := t.sites()
+	clear(t.counts)
+	t.nonzero = 0
+	t.Reaped += n
+	return n, sites
+}
+
+// compareStates orders states by NumQ, then Rem.
+func compareStates(a, b wire.State) int {
+	return cmp.Or(cmp.Compare(a.NumQ, b.NumQ), strings.Compare(a.Rem, b.Rem))
+}
+
+func compareEntries(a, b wire.CHTEntry) int {
+	return cmp.Or(strings.Compare(a.Node, b.Node), compareStates(a.State, b.State),
+		strings.Compare(a.Origin, b.Origin), cmp.Compare(a.Seq, b.Seq))
+}

@@ -1,0 +1,279 @@
+package client
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"webdis/internal/cluster"
+	"webdis/internal/server"
+	"webdis/internal/wire"
+)
+
+// entry builds a CHT entry for node at a one-stage state.
+func entry(node string, seq int64) wire.CHTEntry {
+	return wire.CHTEntry{Node: node, State: wire.State{NumQ: 1, Rem: "_"}, Origin: "user/q1", Seq: seq}
+}
+
+// TestMergeRejectsStaleIncarnation pins the stale-reply guard: a result
+// frame stamped with a replica incarnation older than the membership's
+// current registration is dropped whole (its retirements would collide
+// with the replay's), while a frame from the current incarnation merges.
+func TestMergeRejectsStaleIncarnation(t *testing.T) {
+	m := cluster.New(cluster.Options{})
+	m.AddSite("a.example", 2)
+	ep := cluster.ReplicaEndpoint("a.example", 1)
+	m.Register(ep) // incarnation 1: the replica that sent the frame
+	m.Register(ep) // incarnation 2: its restart
+
+	e := entry("http://a.example/x.html", 1)
+	other := entry("http://a.example/y.html", 2)
+	q := &Query{cluster: m, met: &server.Metrics{}, cht: newCHT()}
+	q.cht.announce(e)
+	q.cht.announce(other)
+
+	stale := &wire.ResultMsg{
+		From: ep, Inc: 1,
+		Updates: []wire.CHTUpdate{{Processed: e}},
+	}
+	q.merge(stale)
+	if q.stats.StaleRejected != 1 {
+		t.Fatalf("StaleRejected = %d, want 1", q.stats.StaleRejected)
+	}
+	if q.stats.ResultMsgs != 0 || q.cht.counts[e] != 1 {
+		t.Fatalf("stale frame was merged: msgs=%d count=%d", q.stats.ResultMsgs, q.cht.counts[e])
+	}
+
+	fresh := &wire.ResultMsg{
+		From: ep, Inc: 2,
+		Updates: []wire.CHTUpdate{{Processed: e}},
+	}
+	q.merge(fresh)
+	if q.stats.ResultMsgs != 1 || q.cht.EntriesRetired != 1 {
+		t.Fatalf("current-incarnation frame not merged: %+v", q.Stats())
+	}
+	if q.cht.counts[e] != 0 {
+		t.Fatalf("entry not retired by the fresh frame: count=%d", q.cht.counts[e])
+	}
+}
+
+// TestRetireAbsorbsReplayedDuplicate pins the replayed-entry dedup: when
+// both the replay's report and the crashed replica's surviving report
+// retire the same entry, the second retirement is absorbed — but ONLY
+// for replayed entries at count zero. Everything else keeps the legal
+// report-overtakes-announce negative.
+func TestRetireAbsorbsReplayedDuplicate(t *testing.T) {
+	e := entry("http://a.example/x.html", 1)
+	c := newCHT()
+	c.announce(e)
+	c.markReplayed([]wire.CHTEntry{e})
+	c.retire(e) // the replay's own retirement balances the entry
+	if c.counts[e] != 0 || c.nonzero != 0 {
+		t.Fatalf("first retirement did not balance: count=%d nonzero=%d", c.counts[e], c.nonzero)
+	}
+	c.retire(e) // the corpse's report arrives after all
+	if c.DupRetired != 1 {
+		t.Fatalf("DupRetired = %d, want 1", c.DupRetired)
+	}
+	if c.counts[e] != 0 || c.nonzero != 0 {
+		t.Fatalf("duplicate retirement dented the ledger: count=%d nonzero=%d", c.counts[e], c.nonzero)
+	}
+
+	// A non-replayed entry still books the transient negative.
+	other := entry("http://a.example/y.html", 2)
+	c.retire(other)
+	if c.GhostReports != 1 || c.counts[other] != -1 {
+		t.Fatalf("overtaking report mishandled: ghosts=%d count=%d", c.GhostReports, c.counts[other])
+	}
+}
+
+// TestCHTProgressIgnoresGhosts pins Progress below 1 while an entry is
+// live: a report that overtook its announcement is not yet a retirement
+// of anything announced. Counting it read the query as done (1/1), and
+// then past done (2/1), with the root still live.
+func TestCHTProgressIgnoresGhosts(t *testing.T) {
+	root := entry("http://a.example/r.html", 1)
+	a, c1, c2 := entry("http://b.example/a.html", 2), entry("http://c.example/c1.html", 3), entry("http://c.example/c2.html", 4)
+	c := newCHT()
+	c.announce(root)
+	for _, ghost := range []wire.CHTEntry{c1, c2} {
+		c.retire(ghost)
+		if p := c.progress(); p != 0 {
+			t.Fatalf("progress = %v after ghost %s, want 0", p, ghost.Node)
+		}
+	}
+	// The root's report retires it and announces a and c1, matching one
+	// ghost; a, and c2's announcement, are still outstanding.
+	c.retire(root)
+	c.announce(a)
+	c.announce(c1)
+	if p := c.progress(); p != 2.0/3 || c.drained() {
+		t.Fatalf("progress = %v drained = %v with a live, want 2/3", p, c.drained())
+	}
+	// a's report retires it and announces c2: the table drains at 1.
+	c.retire(a)
+	c.announce(c2)
+	if !c.drained() || c.progress() != 1 || c.EntriesRetired != c.EntriesAdded {
+		t.Fatalf("drained = %v progress = %v retired %d of %d", c.drained(), c.progress(), c.EntriesRetired, c.EntriesAdded)
+	}
+}
+
+// TestCHTReapCountsLiveEntries pins reap to the positive entries: an
+// entry at +2 is two reaped clones, and a ghost at −1 — a clone that
+// already reported — is none, nor is its site unreachable.
+func TestCHTReapCountsLiveEntries(t *testing.T) {
+	twice := entry("http://a.example/x.html", 1)
+	ghost := entry("http://b.example/y.html", 2)
+	c := newCHT()
+	c.announce(twice)
+	c.announce(twice)
+	c.retire(ghost)
+	if got := len(c.live()); got != 2 {
+		t.Fatalf("live = %d entries, want 2", got)
+	}
+	n, sites := c.reap()
+	if n != 2 || !slices.Equal(sites, []string{"a.example"}) {
+		t.Fatalf("reap = %d %v, want 2 [a.example]", n, sites)
+	}
+	if !c.drained() || c.Reaped != 2 || len(c.counts) != 0 {
+		t.Fatalf("after reap: drained = %v reaped = %d counts = %v", c.drained(), c.Reaped, c.counts)
+	}
+}
+
+// TestStopTargetsSkipGhostSites pins the stop broadcast to the sites of
+// live entries: a ghost's clone has already reported, so its site is not
+// sent a StopMsg.
+func TestStopTargetsSkipGhostSites(t *testing.T) {
+	q := &Query{cht: newCHT(), stopSent: make(map[string]bool), stopping: true}
+	q.cht.announce(entry("http://a.example/x.html", 1))
+	q.cht.retire(entry("http://b.example/y.html", 2))
+	if got := q.stopTargets(); !slices.Equal(got, []string{"a.example"}) {
+		t.Fatalf("stop targets = %v, want [a.example]", got)
+	}
+	q.cht.announce(entry("http://c.example/z.html", 3))
+	if got := q.stopTargets(); !slices.Equal(got, []string{"c.example"}) {
+		t.Fatalf("second round = %v, want only the new site [c.example]", got)
+	}
+}
+
+// TestCHTModel runs random report interleavings over random clone trees
+// against a reference multiset. Each clone's report retires it and
+// announces its children; the roots are announced first, as a submission
+// does. Some live clones are replayed, and their duplicate retirement
+// arrives after their report. The table must equal the reference after
+// every event, drain exactly when every report is in, keep Progress in
+// [0, 1) until then, and absorb every replayed duplicate.
+func TestCHTModel(t *testing.T) {
+	type clone struct {
+		e                   wire.CHTEntry
+		children            []int
+		announced, reported bool
+		replayed            bool
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		clones := make([]clone, 1+r.Intn(40))
+		var roots []int
+		for i := range clones {
+			clones[i].e = wire.CHTEntry{
+				Node:   fmt.Sprintf("http://s%d.example/p%d.html", r.Intn(4), r.Intn(5)),
+				State:  wire.State{NumQ: 1 + r.Intn(2), Rem: []string{"G*2", "L"}[r.Intn(2)]},
+				Origin: fmt.Sprintf("s%d.example/query", r.Intn(3)),
+				Seq:    int64(1 + i),
+			}
+			if i == 0 || r.Intn(6) == 0 {
+				roots = append(roots, i)
+			} else {
+				p := r.Intn(i)
+				clones[p].children = append(clones[p].children, i)
+			}
+		}
+
+		c := newCHT()
+		ref := make(map[wire.CHTEntry]int)
+		announce := func(i int) {
+			clones[i].announced = true
+			c.announce(clones[i].e)
+			ref[clones[i].e]++
+		}
+		for _, i := range roots {
+			announce(i)
+		}
+		pending := r.Perm(len(clones)) // reports, in delivery order
+		var dups []int                 // duplicate retirements not yet delivered
+		ghosts, delivered := 0, 0
+		for step := 0; len(pending) > 0 || len(dups) > 0; step++ {
+			switch k := r.Intn(10); {
+			case k == 0:
+				// Replay a live clone that has not been replayed yet.
+				for _, i := range r.Perm(len(clones)) {
+					if cl := &clones[i]; cl.announced && !cl.reported && !cl.replayed {
+						cl.replayed = true
+						c.markReplayed([]wire.CHTEntry{cl.e})
+						break
+					}
+				}
+			case k == 1 && len(dups) > 0:
+				i := dups[0]
+				dups = dups[1:]
+				if !c.retire(clones[i].e) {
+					t.Fatalf("seed %d: duplicate retirement of %v not absorbed", seed, clones[i].e)
+				}
+				delivered++
+			case len(pending) > 0:
+				i := pending[0]
+				pending = pending[1:]
+				cl := &clones[i]
+				if !cl.announced {
+					ghosts++
+				}
+				cl.reported = true
+				c.retire(cl.e)
+				ref[cl.e]--
+				for _, ch := range cl.children {
+					announce(ch)
+				}
+				if cl.replayed {
+					dups = append(dups, i)
+				}
+			}
+			maps.DeleteFunc(ref, func(_ wire.CHTEntry, n int) bool { return n == 0 })
+			if !maps.Equal(c.counts, ref) || c.nonzero != len(ref) {
+				t.Fatalf("seed %d step %d: table %v nonzero %d, reference %v", seed, step, c.counts, c.nonzero, ref)
+			}
+			if c.drained() != (len(pending) == 0) {
+				t.Fatalf("seed %d step %d: drained = %v with %d reports outstanding", seed, step, c.drained(), len(pending))
+			}
+			if p := c.progress(); !c.drained() && (p < 0 || p >= 1) {
+				t.Fatalf("seed %d step %d: progress %v before the table drained", seed, step, p)
+			}
+		}
+		if c.DupRetired != delivered || c.GhostReports != ghosts {
+			t.Fatalf("seed %d: dups %d of %d, ghosts %d of %d", seed, c.DupRetired, delivered, c.GhostReports, ghosts)
+		}
+		if c.EntriesAdded != len(clones) || c.EntriesRetired != len(clones) || c.progress() != 1 {
+			t.Fatalf("seed %d: added %d retired %d of %d", seed, c.EntriesAdded, c.EntriesRetired, len(clones))
+		}
+	}
+}
+
+// TestCHTAllocs pins an announce and a retire on a warm table at zero
+// allocations: the entry itself is the key.
+func TestCHTAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := wire.CHTEntry{Node: "http://t3.example/p17.html", State: wire.State{NumQ: 2, Rem: "L*3·G"}, Origin: "t3.example/query", Seq: 123456789}
+	c := newCHT()
+	c.announce(entry("http://t3.example/p0.html", 1))
+	c.announce(e)
+	c.retire(e)
+	if n := testing.AllocsPerRun(100, func() { c.announce(e); c.retire(e) }); n != 0 {
+		t.Errorf("announce and retire: %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.retire(e); c.announce(e) }); n != 0 {
+		t.Errorf("ghost retire and its announce: %.0f allocations, want 0", n)
+	}
+}

@@ -4,11 +4,14 @@
 // shared by every query and watch and routed by query id), and detects
 // query completion with the Current Hosts Table protocol of Section 2.7.1.
 //
-// The CHT is maintained as a counting multiset of (node, state) entries:
-// the client adds entries for the StartNodes before dispatching (Figure 2,
+// The CHT (cht.go) is a counting multiset of clone instances, keyed by the
+// wire.CHTEntry itself — node, state and instance serial: the client
+// adds entries for the StartNodes before dispatching (Figure 2,
 // send_query), every query server adds entries for the clones it forwards
 // before it forwards them, and every server report — a processed node, a
-// purged duplicate, or a failed forward — retires exactly one entry.
+// purged duplicate, or a failed forward — retires exactly one entry. The
+// table has no clock and no lock; a Query drives it under its mutex, and
+// its reaper, stop broadcast and replay read the table's live entries.
 //
 // Counts are signed: because result dispatch is asynchronous, a clone's
 // own report can overtake its parent's update that announced it, driving
@@ -42,6 +45,7 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -379,7 +383,7 @@ type StreamRow struct {
 type Stats struct {
 	ResultMsgs     int           // result/CHT messages received
 	EntriesAdded   int           // CHT entries entered (StartNodes + children)
-	EntriesRetired int           // entries retired by reports
+	EntriesRetired int           // entries retired by reports, counted once announced
 	GhostReports   int           // reports for entries not live (late/purged)
 	PeakLive       int           // maximum simultaneously live entries
 	Reaped         int           // orphaned entries retired by the grace-window reaper
@@ -441,23 +445,17 @@ type Query struct {
 	spanSeq   atomic.Int64
 
 	// Replication (all nil/zero without Options.Cluster). cluster is the
-	// shared membership table; entries mirrors the live CHT entries so the
-	// reaper can reconstruct a stranded clone from its key alone;
-	// replayable is set when the query carries no correlated-stage
-	// environment (a replayed clone cannot recover one); replayed marks
-	// the keys re-dispatched to a surviving replica, scoping the
-	// duplicate-retire absorption.
+	// shared membership table; replayable is set when the query carries
+	// no correlated-stage environment (a replayed clone cannot recover
+	// one).
 	cluster      *cluster.Membership
-	entries      map[string]wire.CHTEntry
 	budget       wire.Budget
 	replayable   bool
-	replayed     map[string]bool
 	replayVia    map[string]map[string]bool // site -> replicas used by replay rounds
 	replayRounds int
 
 	mu          sync.Mutex
-	counts      map[string]int // signed CHT entry counts
-	nonzero     int            // number of keys with a nonzero count
+	cht         cht
 	tables      map[int]*ResultTable
 	rowSeen     map[int]map[string]bool
 	stitched    []trace.Event // span events recovered from result reports
@@ -491,14 +489,14 @@ type Query struct {
 	// query's GROUP BY / ORDER BY / LIMIT contract; finalStage the stage
 	// it applies to (always the last). For grouped queries, acc folds
 	// contributions — raw rows or pushed-down partial state — keyed by
-	// contribKey and deduplicated through contribSeen; finalized marks
+	// contrib and deduplicated through contribSeen; finalized marks
 	// the one-time materialization of the final table into the stream.
 	// statSink, when non-nil, receives the site statistics piggybacked
 	// on result frames (the client-wide statStore).
 	output      *nodequery.OutputSpec
 	finalStage  int
 	acc         *plan.Acc
-	contribSeen map[string]bool
+	contribSeen map[contrib]bool
 	finalized   bool
 	statSink    *statStore
 }
@@ -574,7 +572,7 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 		cluster:    c.opts.Cluster,
 		budget:     b,
 		doneCh:     make(chan struct{}),
-		counts:     make(map[string]int),
+		cht:        newCHT(),
 		tables:     make(map[int]*ResultTable),
 		rowSeen:    make(map[int]map[string]bool),
 		started:    now,
@@ -591,12 +589,10 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 		q.finalStage = len(w.Stages) - 1
 		if w.Output.Grouped() {
 			q.acc = plan.NewAcc(w.Output)
-			q.contribSeen = make(map[string]bool)
+			q.contribSeen = make(map[contrib]bool)
 		}
 	}
 	if q.cluster != nil {
-		q.entries = make(map[string]wire.CHTEntry)
-		q.replayed = make(map[string]bool)
 		// A clone reconstructed from its CHT entry cannot recover the
 		// correlated-stage environment the original carried, so replay is
 		// armed only for queries whose stages reference no outer columns.
@@ -679,41 +675,21 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, rec *recording) (*Quer
 // entries were retired, so completion detection is not wedged on clones
 // that never existed).
 func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, error) {
-	stages := q.web.Stages
-	total := len(stages)
-
-	type rootGroup struct {
-		state wire.State
-		dests []wire.DestNode
-	}
-	groups := make(map[string]*rootGroup)
-	var keys []string
-	rootSeen := make(map[string]bool)
-	var seq int64
+	total := len(q.web.Stages)
+	entries := make([]wire.CHTEntry, 0, len(roots))
+	seen := make(map[wire.CHTEntry]bool, len(roots))
 	q.mu.Lock()
 	for _, r := range roots {
-		if r.State.NumQ < 1 || r.State.NumQ > total {
+		r = wire.CHTEntry{Node: r.Node, State: r.State}
+		if r.State.NumQ < 1 || r.State.NumQ > total || seen[r] {
 			continue
 		}
-		rk := r.Node + "\x01" + r.State.Key()
-		if rootSeen[rk] {
-			continue
-		}
-		rootSeen[rk] = true
-		gk := webgraph.Host(r.Node) + "\x01" + r.State.Key()
-		g := groups[gk]
-		if g == nil {
-			g = &rootGroup{state: r.State}
-			groups[gk] = g
-			keys = append(keys, gk)
-		}
-		seq++
-		dest := wire.DestNode{URL: r.Node, Origin: q.id.Site, Seq: seq}
-		g.dests = append(g.dests, dest)
-		q.addEntry(wire.CHTEntry{Node: r.Node, State: r.State, Origin: dest.Origin, Seq: dest.Seq})
+		seen[r] = true
+		r.Origin, r.Seq = q.id.Site, int64(len(entries)+1)
+		entries = append(entries, r)
+		q.cht.announce(r)
 	}
 	q.mu.Unlock()
-	sort.Strings(keys)
 
 	// Clones carry the site statistics gathered so far as cost-model hints.
 	var hints []wire.SiteStat
@@ -721,26 +697,12 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 		hints = q.c.stats.hints()
 	}
 
+	msgs := q.clones(entries, 0)
 	var firstErr error
-	for _, gk := range keys {
-		g := groups[gk]
-		base := total - g.state.NumQ
-		msg := &wire.CloneMsg{
-			ID:     q.id,
-			Dest:   g.dests,
-			Rem:    g.state.Rem,
-			Base:   base,
-			Stages: nodeproc.EncodeStages(stages[base:]),
-			Budget: q.budget,
-			Frag:   frag,
-			Hints:  hints,
-		}
-		site := webgraph.Host(g.dests[0].URL)
-		if q.journal != nil {
-			// Root spans: one per clone message, parented by nothing.
-			msg.Span = wire.SpanID{Origin: q.id.Site, Seq: q.spanSeq.Add(1)}
-			q.jot(msg, trace.Dispatch, site)
-		}
+	for _, msg := range msgs {
+		msg.Frag, msg.Hints = frag, hints
+		site := webgraph.Host(msg.Dest[0].URL)
+		q.jot(msg, trace.Dispatch, site)
 		_, err := q.sendSite(site, msg, nil)
 		if err == nil {
 			continue
@@ -757,8 +719,8 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 			firstErr = err
 		}
 		q.mu.Lock()
-		for _, dest := range g.dests {
-			q.retire(wire.CHTEntry{Node: dest.URL, State: g.state, Origin: dest.Origin, Seq: dest.Seq})
+		for _, u := range msg.Retirements() {
+			q.cht.retire(u.Processed)
 		}
 		q.mu.Unlock()
 	}
@@ -766,7 +728,53 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 	q.mu.Lock()
 	q.maybeComplete()
 	q.mu.Unlock()
-	return len(keys), firstErr
+	return len(msgs), firstErr
+}
+
+// clones groups entries by (site, state) into clone messages, one per
+// group with the entries as its destinations in the order given, sorted
+// by site and state: the per-site batching of a forward (Section 3.2 item
+// 4). It builds the root clones of a submission (hops 0) and the clones a
+// replay re-dispatches mid-traversal (hops 1). Every entry's state must
+// lie within the query's stages.
+func (q *Query) clones(entries []wire.CHTEntry, hops int) []*wire.CloneMsg {
+	type group struct {
+		host  string
+		state wire.State
+	}
+	stages := q.web.Stages
+	msgs := make(map[group]*wire.CloneMsg)
+	var order []group
+	for _, e := range entries {
+		g := group{webgraph.Host(e.Node), e.State}
+		msg := msgs[g]
+		if msg == nil {
+			base := len(stages) - e.State.NumQ
+			msg = &wire.CloneMsg{
+				ID:     q.id,
+				Rem:    e.State.Rem,
+				Base:   base,
+				Stages: nodeproc.EncodeStages(stages[base:]),
+				Hops:   hops,
+				Budget: q.budget,
+			}
+			msgs[g] = msg
+			order = append(order, g)
+		}
+		msg.Dest = append(msg.Dest, wire.DestNode{URL: e.Node, Origin: e.Origin, Seq: e.Seq})
+	}
+	slices.SortFunc(order, func(a, b group) int {
+		return cmp.Or(strings.Compare(a.host, b.host), compareStates(a.state, b.state))
+	})
+	out := make([]*wire.CloneMsg, len(order))
+	for i, g := range order {
+		out[i] = msgs[g]
+		if q.journal != nil {
+			// Root and replay spans: one per clone message, parented by nothing.
+			out[i].Span = wire.SpanID{Origin: q.id.Site, Seq: q.spanSeq.Add(1)}
+		}
+	}
+	return out
 }
 
 // bounced handles a clone that could not reach its site — returned by a
@@ -788,7 +796,9 @@ func (q *Query) bounced(c *wire.CloneMsg) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, u := range c.Retirements() {
-		q.retire(u.Processed)
+		if q.cht.retire(u.Processed) {
+			q.met.DupRetired.Add(1)
+		}
 	}
 	q.maybeComplete()
 }
@@ -848,9 +858,11 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 		q.rec.fold(rm)
 	}
 	for _, u := range rm.Updates {
-		q.retire(u.Processed)
+		if q.cht.retire(u.Processed) {
+			q.met.DupRetired.Add(1)
+		}
 		for _, child := range u.Children {
-			q.addEntry(child)
+			q.cht.announce(child)
 		}
 	}
 	q.maybeComplete()
@@ -911,64 +923,6 @@ func (q *Query) TraceEvents() []trace.Event {
 	return out
 }
 
-// addEntry and retire maintain the signed counting multiset. Callers hold
-// q.mu.
-func (q *Query) addEntry(e wire.CHTEntry) {
-	key := e.Key()
-	if q.entries != nil {
-		// Mirror the entry itself (not just its count) so the reaper can
-		// reconstruct a stranded clone from the key alone; bump deletes the
-		// mirror when the count returns to zero.
-		q.entries[key] = e
-	}
-	q.bump(key, +1)
-	q.stats.EntriesAdded++
-	if q.nonzero > q.stats.PeakLive {
-		q.stats.PeakLive = q.nonzero
-	}
-}
-
-func (q *Query) retire(e wire.CHTEntry) {
-	key := e.Key()
-	if q.replayed != nil && q.replayed[key] && q.counts[key] <= 0 {
-		// A second retirement of a replayed instance: both the replay and
-		// the original (its report surviving the crash after all, or two
-		// replicas each processing one copy) accounted the entry. The first
-		// retirement balanced it; absorbing the duplicate keeps the
-		// counting multiset exact. Scoped to replayed keys — for everything
-		// else a negative count is the legal report-overtakes-announce
-		// asynchrony and must stand.
-		q.stats.DupRetired++
-		q.met.DupRetired.Add(1)
-		return
-	}
-	if q.counts[key] <= 0 {
-		// The report overtook the update announcing the entry.
-		q.stats.GhostReports++
-	}
-	q.bump(key, -1)
-	q.stats.EntriesRetired++
-}
-
-func (q *Query) bump(key string, delta int) {
-	old := q.counts[key]
-	now := old + delta
-	if now == 0 {
-		delete(q.counts, key)
-		if q.entries != nil {
-			delete(q.entries, key)
-		}
-		if old != 0 {
-			q.nonzero--
-		}
-	} else {
-		q.counts[key] = now
-		if old == 0 {
-			q.nonzero++
-		}
-	}
-}
-
 func (q *Query) mergeTable(t wire.NodeTable) {
 	if q.acc != nil && t.Stage == q.finalStage {
 		// Grouped query: final-stage rows are aggregate input, not
@@ -976,7 +930,7 @@ func (q *Query) mergeTable(t wire.NodeTable) {
 		// state when a pushed-down fragment already reduced them at the
 		// site, raw projected rows otherwise — and emit nothing to the
 		// stream; the final table materializes at completion.
-		key := contribKey(&t)
+		key := contrib{t.Node, t.Stage, t.Env}
 		if q.contribSeen[key] {
 			return
 		}
@@ -1029,20 +983,11 @@ func (q *Query) stopTargets() []string {
 		return nil
 	}
 	var sites []string
-	for key := range q.counts {
-		// Key layout is "node§state§origin§seq" (wire.CHTEntry.Key); the
-		// node's host is the site holding — or about to receive — the
-		// clone.
-		i := strings.Index(key, "§")
-		if i <= 0 {
-			continue
+	for _, site := range q.cht.sites() {
+		if !q.stopSent[site] {
+			q.stopSent[site] = true
+			sites = append(sites, site)
 		}
-		site := webgraph.Host(key[:i])
-		if q.stopSent[site] {
-			continue
-		}
-		q.stopSent[site] = true
-		sites = append(sites, site)
 	}
 	if q.proxy != nil && !q.stopSent[q.proxy.Site()] {
 		// The proxy may hold a clone of any site without a query server.
@@ -1163,7 +1108,7 @@ func (q *Query) reaper() {
 			t.Reset(q.reapGrace - idle)
 			continue
 		}
-		if q.nonzero == 0 || (q.proxy != nil && q.proxy.Queued(q.id) > 0) {
+		if q.cht.drained() || (q.proxy != nil && q.proxy.Queued(q.id) > 0) {
 			// Balanced but unfinished (shouldn't happen), or the proxy
 			// still has clones queued that will produce reports.
 			q.mu.Unlock()
@@ -1191,36 +1136,120 @@ func (q *Query) reaper() {
 	}
 }
 
-// reap retires every outstanding CHT entry, records the sites they point
-// at, and finishes the query as Partial. Callers hold q.mu.
+// reap retires every outstanding CHT entry, records the sites the live
+// ones point at, and finishes the query — as Partial when any entry was
+// live. A table holding only ghost entries (reports whose announcement
+// never came) had every announced clone report, so its answer is whole.
+// Callers hold q.mu.
 func (q *Query) reap() {
-	sites := make(map[string]bool)
-	reaped := 0
-	for key, cnt := range q.counts {
-		if cnt > 0 {
-			// Key layout is "node§state§origin§seq" (wire.CHTEntry.Key);
-			// the node's host is the site that never reported.
-			if i := strings.Index(key, "§"); i > 0 {
-				sites[webgraph.Host(key[:i])] = true
-			}
-		}
-		reaped++
-	}
-	q.counts = make(map[string]int)
-	q.nonzero = 0
-	q.stats.Reaped += reaped
-	q.partial = true
-	q.unreachable = q.unreachable[:0]
-	for s := range sites {
-		q.unreachable = append(q.unreachable, s)
-	}
-	sort.Strings(q.unreachable)
+	reaped, sites := q.cht.reap()
+	q.partial = reaped > 0
+	q.unreachable = sites
 	q.met.CHTReaped.Add(int64(reaped))
 	q.journal.Append(trace.Event{
 		Query: q.id.String(), Kind: trace.Reap,
 		Detail: strconv.Itoa(reaped) + " entries, sites: " + strings.Join(q.unreachable, ","),
 	})
 	q.finish(nil)
+}
+
+// The user-site half of replica routing: the reaper replays the clones
+// stranded inside a crashed replica to a surviving one, through the
+// client's sender (Sender.SendSite).
+
+// maxReplayRounds bounds how many reap-grace windows the reaper spends
+// replaying stranded clones before conceding coverage. Each round only
+// fires after a full idle grace window, so the bound caps added latency
+// at a few windows while still surviving a crash during a replay.
+const maxReplayRounds = 3
+
+// sendSite delivers one clone to the named logical site through the
+// client's sender, failing over to the next live replica when a send
+// fails, and books the failovers on the query. Replicas in exclude (the
+// replay rotation's memory) are not picked. It reports the endpoint that
+// took the clone.
+func (q *Query) sendSite(site string, msg *wire.CloneMsg, exclude map[string]bool) (string, error) {
+	ep, failovers, err := q.c.out.SendSite(site, msg, exclude)
+	if failovers > 0 {
+		q.mu.Lock()
+		q.stats.Failovers += failovers
+		q.mu.Unlock()
+	}
+	return ep, err
+}
+
+// orphanClones reconstructs dispatchable clones for the CHT entries still
+// live after a full reap-grace window: the work a crashed replica took
+// with it. Each entry carries its exact instance serial, so the replayed
+// clone re-announces the SAME entries — the replay retires what the
+// corpse stranded, not a fresh generation, and the ledger stays exact.
+// Returns nil (and leaves state untouched) when replay is off, exhausted,
+// or any live entry cannot be reconstructed; the caller then reaps.
+// Callers hold q.mu.
+func (q *Query) orphanClones() []*wire.CloneMsg {
+	if q.cluster == nil || !q.replayable || q.replayRounds >= maxReplayRounds {
+		return nil
+	}
+	live := q.cht.live()
+	if len(live) == 0 {
+		return nil
+	}
+	for _, e := range live {
+		if e.State.NumQ <= 0 || e.State.NumQ > len(q.web.Stages) {
+			// A state from a web-query shape we do not understand: replay
+			// would lose it silently, so fall back to the honest reap.
+			return nil
+		}
+	}
+	q.replayRounds++
+	q.cht.markReplayed(live)
+	return q.clones(live, 1) // mid-traversal resume, not a fresh root
+}
+
+// replay dispatches reconstructed orphan clones to surviving replicas and
+// returns how many were accepted. Rounds rotate replicas: a replica used
+// by an earlier round for the same site is excluded, because a silently
+// failing replica — one that accepts clones but whose reports never
+// arrive — still looks alive to the membership table, and replaying into
+// it forever would turn the replay loop into a wedge. Callers must NOT
+// hold q.mu.
+func (q *Query) replay(clones []*wire.CloneMsg) int {
+	sent := 0
+	for _, msg := range clones {
+		site := webgraph.Host(msg.Dest[0].URL)
+		q.mu.Lock()
+		exclude := q.replayVia[site]
+		q.mu.Unlock()
+		if q.journal != nil {
+			q.journal.Append(trace.Event{
+				Query: q.id.String(), Span: msg.Span, Kind: trace.Replay,
+				State: msg.State().String(), Hop: msg.Hops,
+				Detail: site + ": " + strconv.Itoa(len(msg.Dest)) + " stranded",
+			})
+		}
+		ep, err := q.sendSite(site, msg, exclude)
+		if err != nil && len(exclude) > 0 {
+			// Every not-yet-rotated replica failed; the one we are avoiding
+			// may be the only survivor (or back from the dead). Retry open.
+			ep, err = q.sendSite(site, msg, nil)
+		}
+		if err != nil {
+			continue
+		}
+		sent++
+		q.mu.Lock()
+		if q.replayVia == nil {
+			q.replayVia = make(map[string]map[string]bool)
+		}
+		if q.replayVia[site] == nil {
+			q.replayVia[site] = make(map[string]bool)
+		}
+		q.replayVia[site][ep] = true
+		q.stats.Replays++
+		q.mu.Unlock()
+		q.met.ReplicaReplays.Add(1)
+	}
+	return sent
 }
 
 // Partial reports whether the query completed degraded: the reaper
@@ -1245,7 +1274,7 @@ func (q *Query) Unreachable() []string {
 // maybeComplete finishes the query when every CHT count is zero. Callers
 // hold q.mu.
 func (q *Query) maybeComplete() {
-	if q.nonzero != 0 || q.done {
+	if !q.cht.drained() || q.done {
 		return
 	}
 	q.finish(nil)
@@ -1295,7 +1324,7 @@ func (q *Query) Cancel() {
 		q.mu.Unlock()
 		return
 	}
-	inFlight := q.nonzero != 0
+	inFlight := !q.cht.drained()
 	q.stopping = true
 	q.finish(ErrCancelled)
 	q.mu.Unlock()
@@ -1361,14 +1390,14 @@ func (q *Query) Done() bool {
 func (q *Query) LiveEntries() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.nonzero
+	return q.cht.nonzero
 }
 
 // Progress estimates how much of the query has executed, as the fraction
-// of CHT entries already retired (0 when nothing has reported, 1 at
-// completion). Because results stream to the user-site as they are found
-// (Section 2.6), Results called before completion returns the answers
-// gathered so far — together with Progress this gives anytime,
+// of announced CHT entries already retired (0 when nothing has reported,
+// below 1 until completion, 1 at completion). Because results stream to
+// the user-site as they are found (Section 2.6), Results called before
+// completion returns the answers gathered so far — together with Progress this gives anytime,
 // approximate answers: cancel at a deadline and keep the partial result.
 func (q *Query) Progress() float64 {
 	q.mu.Lock()
@@ -1376,10 +1405,7 @@ func (q *Query) Progress() float64 {
 	if q.done {
 		return 1
 	}
-	if q.stats.EntriesAdded == 0 {
-		return 0
-	}
-	return float64(q.stats.EntriesRetired) / float64(q.stats.EntriesAdded)
+	return q.cht.progress()
 }
 
 // RowCount returns the number of result rows gathered so far, across all
@@ -1401,6 +1427,9 @@ func (q *Query) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	st := q.stats
+	t := &q.cht
+	st.EntriesAdded, st.EntriesRetired, st.GhostReports = t.EntriesAdded, t.EntriesRetired, t.GhostReports
+	st.PeakLive, st.Reaped, st.DupRetired = t.PeakLive, t.Reaped, t.DupRetired
 	st.RowsStreamed = q.sread
 	st.ConsumerLag = len(q.srows) - q.sread
 	return st

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"strconv"
 	"sync"
 
 	"webdis/internal/wire"
@@ -55,12 +54,14 @@ func (ss *statStore) hints() []wire.SiteStat {
 	return out
 }
 
-// contribKey identifies one node-query contribution: the (node, stage,
+// contrib identifies one node-query contribution: the (node, stage,
 // environment) triple under which its rows were computed. Evaluation is
 // deterministic given those three, so the aggregate fold deduplicates
-// whole contributions by this key — re-arrivals of the same state must
-// not count twice, while the same node answering under two different
+// whole contributions by it — re-arrivals of the same state must not
+// count twice, while the same node answering under two different
 // upstream bindings counts once per binding.
-func contribKey(t *wire.NodeTable) string {
-	return t.Node + "§" + strconv.Itoa(t.Stage) + "§" + t.Env
+type contrib struct {
+	node  string
+	stage int
+	env   string // the rows' wire.EnvKey
 }

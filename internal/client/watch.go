@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"sync"
 
@@ -133,10 +134,6 @@ type watchEdge struct {
 	state  wire.State
 }
 
-func watchEdgeKey(parent, node string, st wire.State) string {
-	return parent + "\x01" + node + "\x01" + st.Key()
-}
-
 // contribSet is a node's standing contributions: stage → row key → row.
 type contribSet map[int]map[string][]string
 
@@ -171,7 +168,7 @@ type Watch struct {
 	// traversal DAG, per-stage column headers, and the per-stage global
 	// row sets of the last epoch.
 	contribs map[string]contribSet
-	edges    map[string]watchEdge
+	edges    map[watchEdge]bool
 	cols     map[int][]string
 	cur      map[int]map[string][]string
 
@@ -231,7 +228,7 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 		conservative: conservative,
 		journal:      c.opts.Journal,
 		contribs:     make(map[string]contribSet),
-		edges:        make(map[string]watchEdge),
+		edges:        make(map[watchEdge]bool),
 		cols:         make(map[int][]string),
 		cur:          make(map[int]map[string][]string),
 		doneCh:       make(chan struct{}),
@@ -413,28 +410,19 @@ func (w *Watch) step(msg *wire.DeltaMsg) error {
 	affected = closure(append(rewired, promoted...), children)
 	var roots []wire.CHTEntry
 	if len(affected) > 0 {
-		rootSeen := make(map[string]bool)
-		for _, e := range w.edges {
+		for e := range w.edges {
 			if affected[e.node] && !affected[e.parent] {
-				rk := e.node + "\x01" + e.state.Key()
-				if !rootSeen[rk] {
-					rootSeen[rk] = true
-					roots = append(roots, wire.CHTEntry{Node: e.node, State: e.state})
-				}
+				roots = append(roots, wire.CHTEntry{Node: e.node, State: e.state})
 			}
 		}
-		sort.Slice(roots, func(i, j int) bool {
-			if roots[i].Node != roots[j].Node {
-				return roots[i].Node < roots[j].Node
-			}
-			return roots[i].State.Key() < roots[j].State.Key()
-		})
+		slices.SortFunc(roots, compareEntries)
+		roots = slices.Compact(roots)
 		for n := range affected {
 			delete(w.contribs, n)
 		}
-		for k, e := range w.edges {
+		for e := range w.edges {
 			if affected[e.parent] {
-				delete(w.edges, k)
+				delete(w.edges, e)
 			}
 		}
 	}
@@ -486,19 +474,14 @@ func (w *Watch) rerun(roots []wire.CHTEntry, b wire.Budget) (*recording, error) 
 func (w *Watch) dag() (children map[string][]string, arrivals map[string][]wire.State) {
 	children = make(map[string][]string)
 	arrivals = make(map[string][]wire.State)
-	seen := make(map[string]bool)
-	for _, e := range w.edges {
+	for e := range w.edges {
 		children[e.parent] = append(children[e.parent], e.node)
-		ak := e.node + "\x01" + e.state.Key()
-		if !seen[ak] {
-			seen[ak] = true
+		if !slices.Contains(arrivals[e.node], e.state) {
 			arrivals[e.node] = append(arrivals[e.node], e.state)
 		}
 	}
-	for n := range arrivals {
-		sort.Slice(arrivals[n], func(i, j int) bool {
-			return arrivals[n][i].Key() < arrivals[n][j].Key()
-		})
+	for _, states := range arrivals {
+		slices.SortFunc(states, compareStates)
 	}
 	return children, arrivals
 }
@@ -540,8 +523,7 @@ func (w *Watch) absorb(rec *recording) {
 		}
 	}
 	for _, e := range rec.edges {
-		k := watchEdgeKey(e.parent, e.child.Node, e.child.State)
-		w.edges[k] = watchEdge{parent: e.parent, node: e.child.Node, state: e.child.State}
+		w.edges[watchEdge{parent: e.parent, node: e.child.Node, state: e.child.State}] = true
 	}
 }
 

@@ -233,7 +233,7 @@ type Batch struct {
 	at    Arrival    // in's arrival at its destinations, Node unset
 	state wire.State // the CHT state of that arrival
 	seen  map[string]bool
-	outs  map[string]*Out
+	outs  map[outKey]*Out
 	// clones and rows are what is left of the clone-spawn and row quotas.
 	clones, rows int
 
@@ -260,7 +260,7 @@ func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg) error {
 		return errors.New("nodeproc: clone carries no stages")
 	}
 	if b.seen == nil {
-		b.seen, b.outs = make(map[string]bool), make(map[string]*Out)
+		b.seen, b.outs = make(map[string]bool), make(map[outKey]*Out)
 	}
 	work, trees := b.v.work, b.v.trees
 	b.e, b.in, b.v = e, c, e.Node
@@ -363,9 +363,9 @@ func (b *Batch) Forward(fw Forward, a Arrival) {
 	update := &b.Updates[len(b.Updates)-1]
 	for i, tgt := range fw.Targets {
 		site := webgraph.Host(tgt.URL)
-		key := site + "§" + state.Key() + "§" + envKey
+		key := outKey{dest: site, state: state, env: envKey}
 		if b.e.NoBatch {
-			key = tgt.URL + "§" + state.Key() + "§" + envKey + "§" + strconv.Itoa(i)
+			key.dest, key.i = tgt.URL, i
 		}
 		oc := b.outs[key]
 		if oc == nil {
@@ -396,6 +396,16 @@ func (b *Batch) Forward(fw Forward, a Arrival) {
 		update.Children = append(update.Children, wire.CHTEntry{Node: tgt.URL, State: state, Origin: dest.Origin, Seq: dest.Seq})
 		b.v.Counts.Targets++
 	}
+}
+
+// outKey groups a batch's forwarded targets into outgoing clones: one per
+// destination site, state and environment, or one per target URL under
+// NoBatch (i keeps repeated targets apart there).
+type outKey struct {
+	dest  string
+	state wire.State
+	env   string
+	i     int
 }
 
 // spendOne decrements a sentinel quota in place (no-op when unlimited;

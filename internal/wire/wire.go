@@ -23,7 +23,6 @@ import (
 	"io"
 	"net"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,19 +84,6 @@ type State struct {
 }
 
 func (s State) String() string { return fmt.Sprintf("(%d, %s)", s.NumQ, s.Rem) }
-
-// Key returns a map key identifying the state: "NumQ|Rem". It is built
-// in one sized buffer, one allocation.
-func (s State) Key() string {
-	var num [20]byte
-	n := strconv.AppendInt(num[:0], int64(s.NumQ), 10)
-	var b strings.Builder
-	b.Grow(len(n) + 1 + len(s.Rem))
-	b.Write(n)
-	b.WriteByte('|')
-	b.WriteString(s.Rem)
-	return b.String()
-}
 
 // StageMsg is one (PRE, node-query) stage of a web-query in transit.
 // Export lists the document columns the stage contributes to the clone
@@ -364,34 +350,13 @@ func (c *CloneMsg) Retirements() []CHTUpdate {
 
 // CHTEntry names one clone instance currently hosted at a node, with the
 // clone's state — one row of the user-site's Current Hosts Table. Origin
-// and Seq uniquely identify the instance (see DestNode).
+// and Seq uniquely identify the instance (see DestNode). It is comparable:
+// the table is keyed by the entry itself.
 type CHTEntry struct {
 	Node   string
 	State  State
 	Origin string
 	Seq    int64
-}
-
-// Key returns the CHT map key: node, state and instance serial, as
-// "Node§NumQ|Rem§Origin§Seq". It is built in one sized buffer, one
-// allocation.
-func (e CHTEntry) Key() string {
-	var numQ, seq [20]byte
-	q := strconv.AppendInt(numQ[:0], int64(e.State.NumQ), 10)
-	n := strconv.AppendInt(seq[:0], e.Seq, 10)
-	const sep = "§"
-	var b strings.Builder
-	b.Grow(len(e.Node) + len(q) + 1 + len(e.State.Rem) + len(e.Origin) + len(n) + 3*len(sep))
-	b.WriteString(e.Node)
-	b.WriteString(sep)
-	b.Write(q)
-	b.WriteByte('|')
-	b.WriteString(e.State.Rem)
-	b.WriteString(sep)
-	b.WriteString(e.Origin)
-	b.WriteString(sep)
-	b.Write(n)
-	return b.String()
 }
 
 // CHTUpdate reports the processing of one node: the entry being retired

@@ -278,38 +278,6 @@ func TestQueryIDAndStateStrings(t *testing.T) {
 	if s.String() != "(2, L*1)" {
 		t.Errorf("state = %s", s)
 	}
-	if s.Key() != "2|L*1" {
-		t.Errorf("key = %s", s.Key())
-	}
-	e := CHTEntry{Node: "http://x", State: s, Origin: "a/query", Seq: 9}
-	if e.Key() != "http://x§2|L*1§a/query§9" {
-		t.Errorf("entry key = %s", e.Key())
-	}
-	e2 := CHTEntry{Node: "http://x", State: s, Origin: "a/query", Seq: 10}
-	if e.Key() == e2.Key() {
-		t.Error("distinct clone instances must have distinct keys")
-	}
-	neg := CHTEntry{Node: "n", State: State{NumQ: -1, Rem: ""}, Origin: "", Seq: -12}
-	if neg.Key() != "n§-1|§§-12" {
-		t.Errorf("negative entry key = %s", neg.Key())
-	}
-}
-
-var sinkKey string
-
-// TestKeyAllocs pins the state and CHT entry keys at one allocation each:
-// the string itself.
-func TestKeyAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	e := CHTEntry{Node: "http://t3.example/p17.html", State: State{NumQ: 2, Rem: "L*3·G"}, Origin: "t3.example/query", Seq: 123456789}
-	if n := testing.AllocsPerRun(100, func() { sinkKey = e.State.Key() }); n != 1 {
-		t.Errorf("State.Key: %.0f allocations, want 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { sinkKey = e.Key() }); n != 1 {
-		t.Errorf("CHTEntry.Key: %.0f allocations, want 1", n)
-	}
 }
 
 func TestCloneEnvRoundTrip(t *testing.T) {
