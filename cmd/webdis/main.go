@@ -122,8 +122,12 @@ func main() {
 			fmt.Printf("  %q\n", row)
 		}
 	}
+	qerr := q.Err() // a qualified answer: say how and where, exit 1 below
+	if qerr != nil {
+		fmt.Fprintf(os.Stderr, "\nwebdis: %v; unreachable: %s\n", qerr, strings.Join(q.Unreachable(), " "))
+	}
 	st := q.Stats()
-	fmt.Printf("\ncompleted in %v (CHT: %d entries, %d result messages)\n",
+	fmt.Printf("\nfinished in %v (CHT: %d entries, %d result messages)\n",
 		time.Since(start).Round(time.Millisecond), st.EntriesAdded, st.ResultMsgs)
 	if journal != nil {
 		jy := trace.BuildJourney(q.ID().String(), q.TraceEvents())
@@ -140,6 +144,9 @@ func main() {
 			}
 			fmt.Println(string(data))
 		}
+	}
+	if qerr != nil {
+		os.Exit(1)
 	}
 }
 

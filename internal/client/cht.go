@@ -23,12 +23,13 @@ type cht struct {
 	// replica, scoping the duplicate-retirement absorption to them.
 	replayed map[wire.CHTEntry]bool
 
-	EntriesAdded   int // announcements
-	EntriesRetired int // retirements matched with an announcement
-	GhostReports   int // retirements that overtook their announcement
-	DupRetired     int // second retirements of replayed entries, absorbed
-	PeakLive       int // the most keys nonzero at once
-	Reaped         int // live entries written off by reap
+	EntriesAdded   int      // announcements
+	EntriesRetired int      // retirements matched with an announcement
+	GhostReports   int      // retirements that overtook their announcement
+	DupRetired     int      // second retirements of replayed entries, absorbed
+	PeakLive       int      // the most keys nonzero at once
+	Reaped         int      // entries written off
+	Unreachable    []string // sorted hosts of the written-off entries
 }
 
 func newCHT() cht {
@@ -46,9 +47,9 @@ func (t *cht) announce(e wire.CHTEntry) {
 	t.PeakLive = max(t.PeakLive, t.nonzero)
 }
 
-// retire removes one instance of e: a report of the processed clone, a
-// failed dispatch or a bounce nobody could take. It reports whether the
-// retirement was a duplicate of a replayed entry, which it absorbs.
+// retire removes one instance of e: a report of the processed clone, or
+// a write-off. It reports whether the retirement was a duplicate of a
+// replayed entry, which it absorbs.
 func (t *cht) retire(e wire.CHTEntry) bool {
 	n := t.counts[e]
 	if n <= 0 && t.replayed[e] {
@@ -136,18 +137,33 @@ func (t *cht) sites() []string {
 	return slices.Compact(sites)
 }
 
-// reap writes off every live entry and empties the table. It returns the
-// number of entries reaped and the sorted sites they point at.
-func (t *cht) reap() (int, []string) {
-	n := 0
-	for _, c := range t.counts {
-		n += max(c, 0)
+// writeOff declares one instance of e lost. It retires as a report would
+// (one that overtook its announcement stays a ghost, matched when the
+// announcement lands), counts in Reaped, and makes its host Unreachable.
+// A duplicate of a replayed entry is absorbed instead, as by retire: the
+// replay accounted for it. It reports whether it absorbed one.
+func (t *cht) writeOff(e wire.CHTEntry) bool {
+	if t.retire(e) {
+		return true
 	}
-	sites := t.sites()
+	t.Reaped++
+	h := webgraph.Host(e.Node)
+	if i, found := slices.BinarySearch(t.Unreachable, h); !found {
+		t.Unreachable = slices.Insert(t.Unreachable, i, h)
+	}
+	return false
+}
+
+// reap writes off every live entry and empties the table of ghosts. It
+// returns the number of entries written off.
+func (t *cht) reap() int {
+	live := t.live()
+	for _, e := range live {
+		t.writeOff(e)
+	}
 	clear(t.counts)
 	t.nonzero = 0
-	t.Reaped += n
-	return n, sites
+	return len(live)
 }
 
 // compareStates orders states by NumQ, then Rem.

@@ -9,6 +9,7 @@ import (
 
 	"webdis/internal/cluster"
 	"webdis/internal/server"
+	"webdis/internal/webgraph"
 	"webdis/internal/wire"
 )
 
@@ -77,6 +78,11 @@ func TestRetireAbsorbsReplayedDuplicate(t *testing.T) {
 	if c.DupRetired != 1 {
 		t.Fatalf("DupRetired = %d, want 1", c.DupRetired)
 	}
+	// A bounce of the replayed entry is absorbed too: the replay accounted
+	// for it, so nothing was lost.
+	if !c.writeOff(e) || c.DupRetired != 2 || c.Reaped != 0 || len(c.Unreachable) != 0 {
+		t.Fatalf("write-off of a replayed duplicate: dups %d reaped %d unreachable %v", c.DupRetired, c.Reaped, c.Unreachable)
+	}
 	if c.counts[e] != 0 || c.nonzero != 0 {
 		t.Fatalf("duplicate retirement dented the ledger: count=%d nonzero=%d", c.counts[e], c.nonzero)
 	}
@@ -133,12 +139,36 @@ func TestCHTReapCountsLiveEntries(t *testing.T) {
 	if got := len(c.live()); got != 2 {
 		t.Fatalf("live = %d entries, want 2", got)
 	}
-	n, sites := c.reap()
-	if n != 2 || !slices.Equal(sites, []string{"a.example"}) {
+	n := c.reap()
+	if sites := c.Unreachable; n != 2 || !slices.Equal(sites, []string{"a.example"}) {
 		t.Fatalf("reap = %d %v, want 2 [a.example]", n, sites)
 	}
 	if !c.drained() || c.Reaped != 2 || len(c.counts) != 0 {
 		t.Fatalf("after reap: drained = %v reaped = %d counts = %v", c.drained(), c.Reaped, c.counts)
+	}
+}
+
+// TestCHTWriteOffBeforeAnnounce pins a write-off that overtakes its
+// announcement: a bounce that reaches the user-site before the report of
+// the parent that spawned the clone. The write-off counts and records its
+// host at once, leaves a ghost, and the table drains when the parent's
+// report announces the entry.
+func TestCHTWriteOffBeforeAnnounce(t *testing.T) {
+	parent := entry("http://a.example/p.html", 1)
+	child := entry("http://b.example/c.html", 2)
+	c := newCHT()
+	c.announce(parent)
+	c.writeOff(child)
+	if c.Reaped != 1 || !slices.Equal(c.Unreachable, []string{"b.example"}) {
+		t.Fatalf("write-off: reaped = %d unreachable = %v", c.Reaped, c.Unreachable)
+	}
+	if c.counts[child] != -1 || c.GhostReports != 1 || c.drained() {
+		t.Fatalf("write-off left count %d ghosts %d drained %v, want a ghost and the parent live", c.counts[child], c.GhostReports, c.drained())
+	}
+	c.retire(parent)
+	c.announce(child)
+	if !c.drained() || c.EntriesRetired != c.EntriesAdded || c.Reaped != 1 {
+		t.Fatalf("after the parent's report: drained = %v retired %d of %d reaped %d", c.drained(), c.EntriesRetired, c.EntriesAdded, c.Reaped)
 	}
 }
 
@@ -162,15 +192,19 @@ func TestStopTargetsSkipGhostSites(t *testing.T) {
 // against a reference multiset. Each clone's report retires it and
 // announces its children; the roots are announced first, as a submission
 // does. Some live clones are replayed, and their duplicate retirement
-// arrives after their report. The table must equal the reference after
-// every event, drain exactly when every report is in, keep Progress in
-// [0, 1) until then, and absorb every replayed duplicate.
+// arrives after their report. Some clones are written off instead of
+// reported — announced or not yet, as a bounce can overtake its parent's
+// report — and their subtrees never exist. The table must equal the
+// reference after every event, drain exactly when every report is in or
+// written off, keep Progress in [0, 1) until then, absorb every replayed
+// duplicate, count every write-off in Reaped (Partial is Reaped > 0), and
+// name exactly the written-off hosts Unreachable.
 func TestCHTModel(t *testing.T) {
 	type clone struct {
-		e                   wire.CHTEntry
-		children            []int
-		announced, reported bool
-		replayed            bool
+		e                  wire.CHTEntry
+		children           []int
+		announced, handled bool // handled: reported or written off
+		replayed           bool
 	}
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -190,11 +224,22 @@ func TestCHTModel(t *testing.T) {
 				clones[p].children = append(clones[p].children, i)
 			}
 		}
+		// subtree lists i and its descendants.
+		var subtree func(i int) []int
+		subtree = func(i int) []int {
+			out := []int{i}
+			for _, ch := range clones[i].children {
+				out = append(out, subtree(ch)...)
+			}
+			return out
+		}
 
 		c := newCHT()
 		ref := make(map[wire.CHTEntry]int)
+		announced := 0
 		announce := func(i int) {
 			clones[i].announced = true
+			announced++
 			c.announce(clones[i].e)
 			ref[clones[i].e]++
 		}
@@ -203,13 +248,14 @@ func TestCHTModel(t *testing.T) {
 		}
 		pending := r.Perm(len(clones)) // reports, in delivery order
 		var dups []int                 // duplicate retirements not yet delivered
-		ghosts, delivered := 0, 0
+		var lost []string              // hosts written off
+		ghosts, delivered, writtenOff := 0, 0, 0
 		for step := 0; len(pending) > 0 || len(dups) > 0; step++ {
 			switch k := r.Intn(10); {
 			case k == 0:
 				// Replay a live clone that has not been replayed yet.
 				for _, i := range r.Perm(len(clones)) {
-					if cl := &clones[i]; cl.announced && !cl.reported && !cl.replayed {
+					if cl := &clones[i]; cl.announced && !cl.handled && !cl.replayed {
 						cl.replayed = true
 						c.markReplayed([]wire.CHTEntry{cl.e})
 						break
@@ -222,6 +268,26 @@ func TestCHTModel(t *testing.T) {
 					t.Fatalf("seed %d: duplicate retirement of %v not absorbed", seed, clones[i].e)
 				}
 				delivered++
+			case k == 2 && len(pending) > 0:
+				// Write off a pending clone none of whose descendants has
+				// reported: it was never processed, so they never exist.
+				i := pending[r.Intn(len(pending))]
+				sub := subtree(i)
+				if slices.ContainsFunc(sub, func(j int) bool { return clones[j].handled }) {
+					break
+				}
+				pending = slices.DeleteFunc(pending, func(j int) bool { return slices.Contains(sub, j) })
+				cl := &clones[i]
+				if !cl.announced {
+					ghosts++
+				}
+				cl.handled = true
+				writtenOff++
+				c.writeOff(cl.e)
+				ref[cl.e]--
+				if h := webgraph.Host(cl.e.Node); !slices.Contains(lost, h) {
+					lost = append(lost, h)
+				}
 			case len(pending) > 0:
 				i := pending[0]
 				pending = pending[1:]
@@ -229,7 +295,7 @@ func TestCHTModel(t *testing.T) {
 				if !cl.announced {
 					ghosts++
 				}
-				cl.reported = true
+				cl.handled = true
 				c.retire(cl.e)
 				ref[cl.e]--
 				for _, ch := range cl.children {
@@ -249,12 +315,18 @@ func TestCHTModel(t *testing.T) {
 			if p := c.progress(); !c.drained() && (p < 0 || p >= 1) {
 				t.Fatalf("seed %d step %d: progress %v before the table drained", seed, step, p)
 			}
+			if c.Reaped != writtenOff {
+				t.Fatalf("seed %d step %d: reaped = %d after %d write-offs", seed, step, c.Reaped, writtenOff)
+			}
+			if got, want := c.Unreachable, slices.Sorted(slices.Values(lost)); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: unreachable = %v, want %v", seed, step, got, want)
+			}
 		}
 		if c.DupRetired != delivered || c.GhostReports != ghosts {
 			t.Fatalf("seed %d: dups %d of %d, ghosts %d of %d", seed, c.DupRetired, delivered, c.GhostReports, ghosts)
 		}
-		if c.EntriesAdded != len(clones) || c.EntriesRetired != len(clones) || c.progress() != 1 {
-			t.Fatalf("seed %d: added %d retired %d of %d", seed, c.EntriesAdded, c.EntriesRetired, len(clones))
+		if c.EntriesAdded != announced || c.EntriesRetired != announced || c.progress() != 1 {
+			t.Fatalf("seed %d: added %d retired %d of %d announced", seed, c.EntriesAdded, c.EntriesRetired, announced)
 		}
 	}
 }

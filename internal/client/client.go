@@ -85,25 +85,27 @@ var ErrShed = errors.New("client: query shed by admission control")
 // exceeding the query's wire-carried budget: the answer is clipped.
 var ErrExpired = errors.New("client: query budget expired")
 
-// ErrPartial reports that the query completed degraded: the reaper
-// retired orphaned CHT entries, so part of the web went unanswered.
+// ErrPartial reports that the query completed degraded: the user-site
+// wrote off CHT entries — undeliverable clones no proxy took, or orphans
+// its reaper retired — so part of the web went unanswered.
 var ErrPartial = errors.New("client: query completed partial")
 
 // Options configure a Client, threaded down from core.Config. The zero
 // value is a plain user-site: no proxy, no reaper, no tracing.
 type Options struct {
 	// Proxy is the user-site's own query server, started by the caller
-	// with no DocSource: the Section 7.1 migration path. Clones addressed
-	// to sites without a query server — bounced back by servers or refused
+	// with no DocSource: the Section 7.1 migration path. Clones that could
+	// not be delivered to their site — bounced back by servers or refused
 	// at submission — are sent to it as plain clones; it evaluates them on
 	// downloaded documents and forwards their continuations to the next
-	// participating site. Nil retires such clones as failed forwards.
+	// participating site. Without a proxy such clones are written off and
+	// the query completes Partial.
 	Proxy *server.Server
 	// ReapGrace arms the orphan-CHT reaper: when a query has seen no
 	// report for the grace window while CHT entries remain outstanding,
-	// the reaper retires the orphans, marks the query Partial with the
-	// sites it could not account for, and completes it. Zero or negative
-	// disables the reaper.
+	// the reaper writes off the orphans, which makes the query Partial
+	// with the sites it could not account for, and completes it. Zero or
+	// negative disables the reaper.
 	ReapGrace time.Duration
 	// Metrics shares a deployment-wide metrics collector so client-side
 	// protocol events (reaped CHT entries, connection reuse) appear in
@@ -273,7 +275,7 @@ func (c *Client) serve(conn net.Conn) {
 			}
 		case *wire.BounceMsg:
 			if q := c.query(m.Clone.ID.Num); q != nil {
-				q.bounced(m.Clone)
+				q.undeliverable(m.Clone, m.Reason)
 			}
 		case *wire.DeltaMsg:
 			c.mu.Lock()
@@ -454,20 +456,18 @@ type Query struct {
 	replayVia    map[string]map[string]bool // site -> replicas used by replay rounds
 	replayRounds int
 
-	mu          sync.Mutex
-	cht         cht
-	tables      map[int]*ResultTable
-	rowSeen     map[int]map[string]bool
-	stitched    []trace.Event // span events recovered from result reports
-	stats       Stats
-	started     time.Time
-	lastReport  time.Time // last CHT activity, watched by the reaper
-	partial     bool      // completed by reaping, not by full accounting
-	unreachable []string  // sites whose entries were reaped
-	shed        bool      // a site refused the query under admission control
-	expired     bool      // a clone was terminated by budget enforcement
-	err         error
-	done        bool
+	mu         sync.Mutex
+	cht        cht
+	tables     map[int]*ResultTable
+	rowSeen    map[int]map[string]bool
+	stitched   []trace.Event // span events recovered from result reports
+	stats      Stats
+	started    time.Time
+	lastReport time.Time // last CHT activity, watched by the reaper
+	shed       bool      // a site refused the query under admission control
+	expired    bool      // a clone was terminated by budget enforcement
+	err        error
+	done       bool
 
 	// Streaming: every merged row is appended to the ordered log srows;
 	// Rows and Stream deliver from it incrementally, waiting on scond
@@ -671,9 +671,7 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, rec *recording) (*Quer
 // query; a watch re-derivation resumes mid-traversal, and its clones are
 // the successively-shortened suffix stages, exactly as if the original
 // traversal had just arrived there. It returns the number of clone
-// messages and the first dispatch failure of a non-hybrid query (whose
-// entries were retired, so completion detection is not wedged on clones
-// that never existed).
+// messages and the first dispatch failure whose clone was written off.
 func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, error) {
 	total := len(q.web.Stages)
 	entries := make([]wire.CHTEntry, 0, len(roots))
@@ -703,26 +701,9 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 		msg.Frag, msg.Hints = frag, hints
 		site := webgraph.Host(msg.Dest[0].URL)
 		q.jot(msg, trace.Dispatch, site)
-		_, err := q.sendSite(site, msg, nil)
-		if err == nil {
-			continue
-		}
-		if q.proxy != nil {
-			// The site does not participate: the proxy processes its clone
-			// (Section 7.1).
-			q.jot(msg, trace.Bounce, wire.BounceNoServer)
-			q.bounced(msg)
-			continue
-		}
-		q.jot(msg, trace.ForwardFailed, site)
-		if firstErr == nil {
+		if _, err := q.sendSite(site, msg, nil); err != nil && q.undeliverable(msg, wire.BounceNoServer) && firstErr == nil {
 			firstErr = err
 		}
-		q.mu.Lock()
-		for _, u := range msg.Retirements() {
-			q.cht.retire(u.Processed)
-		}
-		q.mu.Unlock()
 	}
 	// An empty root set (or every dispatch failing) must still complete.
 	q.mu.Lock()
@@ -777,30 +758,42 @@ func (q *Query) clones(entries []wire.CHTEntry, hops int) []*wire.CloneMsg {
 	return out
 }
 
-// bounced handles a clone that could not reach its site — returned by a
-// server, or refused at submission: it goes to the proxy as a plain
-// clone. Without a proxy, or when even the proxy cannot take it, its
-// entries retire, so the bounce degrades to a recorded forward failure
-// instead of a stranded CHT.
-func (q *Query) bounced(c *wire.CloneMsg) {
+// undeliverable decides, in one place, the fate of a clone that could
+// not reach its site — bounced back by a server, or refused at
+// submission. A clone the network could not deliver goes to the proxy as
+// a plain clone (Section 7.1). Anything else is written off: there is no
+// proxy, the proxy refuses it, or the clone is malformed (the proxy would
+// only bounce it back). It reports whether the clone was written off.
+func (q *Query) undeliverable(c *wire.CloneMsg, reason string) bool {
 	q.mu.Lock()
-	if q.done {
+	if q.done || len(c.Dest) == 0 {
 		q.mu.Unlock()
-		return
+		return false
 	}
 	q.lastReport = time.Now()
 	q.mu.Unlock()
-	if q.proxy != nil && q.c.out.Send(q.proxy.Self(), c) == nil {
-		return
+	if q.proxy != nil && reason != wire.BounceMalformed {
+		q.jot(c, trace.Bounce, reason)
+		if q.c.out.Send(q.proxy.Self(), c) == nil {
+			if reason == wire.BounceRetryExhausted {
+				q.met.RecoveredByBounce.Add(1)
+			}
+			return false
+		}
 	}
+	q.jot(c, trace.ForwardFailed, webgraph.Host(c.Dest[0].URL))
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.done {
+		return false
+	}
 	for _, u := range c.Retirements() {
-		if q.cht.retire(u.Processed) {
+		if q.cht.writeOff(u.Processed) {
 			q.met.DupRetired.Add(1)
 		}
 	}
 	q.maybeComplete()
+	return true
 }
 
 // Shed reports whether any site refused the query under admission
@@ -1136,19 +1129,15 @@ func (q *Query) reaper() {
 	}
 }
 
-// reap retires every outstanding CHT entry, records the sites the live
-// ones point at, and finishes the query — as Partial when any entry was
-// live. A table holding only ghost entries (reports whose announcement
-// never came) had every announced clone report, so its answer is whole.
-// Callers hold q.mu.
+// reap writes off every live CHT entry, drops the ghosts, and finishes
+// the query. A table holding only ghost entries (reports whose
+// announcement never came) had every announced clone report, so it adds
+// no loss. Callers hold q.mu.
 func (q *Query) reap() {
-	reaped, sites := q.cht.reap()
-	q.partial = reaped > 0
-	q.unreachable = sites
-	q.met.CHTReaped.Add(int64(reaped))
+	reaped := q.cht.reap()
 	q.journal.Append(trace.Event{
 		Query: q.id.String(), Kind: trace.Reap,
-		Detail: strconv.Itoa(reaped) + " entries, sites: " + strings.Join(q.unreachable, ","),
+		Detail: strconv.Itoa(reaped) + " entries, sites: " + strings.Join(q.cht.Unreachable, ","),
 	})
 	q.finish(nil)
 }
@@ -1252,23 +1241,21 @@ func (q *Query) replay(clones []*wire.CloneMsg) int {
 	return sent
 }
 
-// Partial reports whether the query completed degraded: the reaper
-// retired orphaned CHT entries, so the answer covers only the reachable
-// part of the web.
+// Partial reports whether the query is degraded: CHT entries were
+// written off, so the answer covers only the reachable part of the web.
 func (q *Query) Partial() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.partial
+	return q.cht.Reaped > 0
 }
 
-// Unreachable returns the sites whose CHT entries had to be reaped —
-// the part of the web the answer does not cover. Empty unless Partial.
+// Unreachable returns the sorted sites whose CHT entries were written
+// off — the part of the web the answer does not cover. Empty unless
+// Partial.
 func (q *Query) Unreachable() []string {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]string, len(q.unreachable))
-	copy(out, q.unreachable)
-	return out
+	return slices.Clone(q.cht.Unreachable)
 }
 
 // maybeComplete finishes the query when every CHT count is zero. Callers
@@ -1292,6 +1279,7 @@ func (q *Query) finish(err error) {
 	q.done = true
 	q.err = err
 	q.stats.Duration = time.Since(q.started)
+	q.met.CHTReaped.Add(int64(q.cht.Reaped)) // every write-off, booked once
 	if q.acc != nil && !q.finalized {
 		// Materialize the grouped final table into the stream so Rows and
 		// Stream deliver it: aggregates cannot stream incrementally — a
@@ -1446,8 +1434,8 @@ func (q *Query) Expired() bool {
 // Err types how a finished query degraded, matchable with errors.Is: nil
 // for a clean, complete answer; ErrCancelled/ErrTimeout when the query
 // was abandoned; otherwise any applicable combination of ErrShed
-// (admission control refused sites), ErrPartial (orphaned entries
-// reaped) and ErrExpired (budget clipped clones), joined. A non-nil Err
+// (admission control refused sites), ErrPartial (entries written off)
+// and ErrExpired (budget clipped clones), joined. A non-nil Err
 // does not mean Results is empty — it means the answer's coverage is
 // qualified.
 func (q *Query) Err() error {
@@ -1460,7 +1448,7 @@ func (q *Query) Err() error {
 	if q.shed {
 		errs = append(errs, ErrShed)
 	}
-	if q.partial {
+	if q.cht.Reaped > 0 {
 		errs = append(errs, ErrPartial)
 	}
 	if q.expired {

@@ -2,6 +2,8 @@ package client
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,7 +81,7 @@ func (f *fakeServer) recvStop() *wire.StopMsg {
 
 // reply reports the way a site without a session to the collector does:
 // it opens one, sends, and waits for the collector to take the report.
-func (f *fakeServer) reply(id wire.QueryID, msg *wire.ResultMsg) error {
+func (f *fakeServer) reply(id wire.QueryID, msg any) error {
 	conn, err := f.open(id, msg)
 	if err == nil {
 		conn.Close()
@@ -88,7 +90,7 @@ func (f *fakeServer) reply(id wire.QueryID, msg *wire.ResultMsg) error {
 }
 
 // open is reply that keeps the session, as a site's pool does.
-func (f *fakeServer) open(id wire.QueryID, msg *wire.ResultMsg) (*wire.Framed, error) {
+func (f *fakeServer) open(id wire.QueryID, msg any) (*wire.Framed, error) {
 	conn, err := f.net.Dial(server.Endpoint(f.site), id.Site)
 	if err != nil {
 		return nil, err
@@ -417,6 +419,10 @@ func TestPartialStartSiteFailure(t *testing.T) {
 	}
 	if err := q.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+	// The unreachable start site's root was written off: declared.
+	if !q.Partial() || !slices.Equal(q.Unreachable(), []string{"b.example"}) || !errors.Is(q.Err(), ErrPartial) {
+		t.Errorf("partial = %v unreachable = %v err = %v, want b.example declared", q.Partial(), q.Unreachable(), q.Err())
 	}
 }
 

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"webdis/internal/server"
 	"webdis/internal/webgraph"
 	"webdis/internal/webserver"
+	"webdis/internal/wire"
 )
 
 // hostAll starts a document host for every site of web (no query servers
@@ -127,6 +130,91 @@ func TestFallbackMissingDocumentIsDeadEnd(t *testing.T) {
 	}
 	if got := met.DocErrors.Load(); got != 1 {
 		t.Errorf("load failures = %d, want the floating link's 1", got)
+	}
+}
+
+// TestDaemonsBounceToProxy runs the campus query against servers built
+// the way webdisd builds them (zero options) on every site but the DSL
+// lab's, whose documents stay on its document host. The forward to the
+// DSL site bounces to the user-site, whose proxy evaluates it: all three
+// conveners, nothing declared lost.
+func TestDaemonsBounceToProxy(t *testing.T) {
+	web := webgraph.Campus()
+	n := netsim.New(netsim.Options{})
+	for _, site := range web.Hosts() {
+		h := webserver.NewHost(site, web)
+		if err := h.Start(n); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.Stop)
+		if site == "dsl.serc.iisc.ernet.in" {
+			continue
+		}
+		s := server.New(site, h, n, &server.Metrics{}, server.Options{})
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Stop)
+	}
+	c, met := proxyClient(t, n)
+	q, err := c.Submit(disql.MustParse(webgraph.CampusDISQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res := q.Results()
+	if len(res) != 2 || len(res[1].Rows) != len(webgraph.CampusConveners) {
+		t.Fatalf("results = %+v", res)
+	}
+	if met.Evaluations.Load() == 0 {
+		t.Error("the proxy evaluated nothing")
+	}
+	if q.Partial() || q.Err() != nil {
+		t.Errorf("partial = %v err = %v, want a whole answer", q.Partial(), q.Err())
+	}
+}
+
+// TestBounceWithoutProxyIsWrittenOff: a bounce that reaches the user-site
+// after its proxy stopped is written off, and the query completes
+// declared partial.
+func TestBounceWithoutProxyIsWrittenOff(t *testing.T) {
+	n := netsim.New(netsim.Options{})
+	f := newFakeServer(t, n, "a.example")
+	c, met := proxyClient(t, n)
+	q, err := c.Submit(disql.MustParse(oneStage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := f.recv()
+	child := &wire.CloneMsg{ID: root.ID, Rem: "L", Stages: root.Stages,
+		Dest: []wire.DestNode{{URL: "http://b.example/y.html", Origin: "a.example/query", Seq: 1}}}
+	if err := f.reply(root.ID, &wire.ResultMsg{ID: root.ID, Updates: []wire.CHTUpdate{{
+		Processed: root.Retirements()[0].Processed, Children: []wire.CHTEntry{child.Retirements()[0].Processed},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	c.opts.Proxy.Stop()
+	// A bounce with no destinations owes nothing and must not crash the
+	// collector.
+	for _, b := range []*wire.BounceMsg{
+		{Clone: &wire.CloneMsg{ID: root.ID, Rem: "L", Stages: root.Stages}, Reason: wire.BounceNoServer},
+		{Clone: child, Reason: wire.BounceRetryExhausted},
+	} {
+		if err := f.reply(root.ID, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !q.Partial() || q.Stats().Reaped != 1 || !slices.Equal(q.Unreachable(), []string{"b.example"}) || !errors.Is(q.Err(), ErrPartial) {
+		t.Errorf("partial = %v reaped = %d unreachable = %v err = %v, want b.example written off",
+			q.Partial(), q.Stats().Reaped, q.Unreachable(), q.Err())
+	}
+	if met.Evaluations.Load() != 0 {
+		t.Errorf("the stopped proxy evaluated %d clones", met.Evaluations.Load())
 	}
 }
 

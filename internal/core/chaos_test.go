@@ -292,9 +292,9 @@ where d.text contains "` + webgraph.Marker + `"`
 		t.Errorf("delivered row %q is not reachable", k)
 	}
 	user, servers := userAndServers(d)
-	if servers.Retries == 0 || servers.RecoveredByBounce == 0 {
-		t.Errorf("expected retry exhaustion and bounce recovery, got retries=%d bounced=%d",
-			servers.Retries, servers.RecoveredByBounce)
+	if servers.Retries == 0 || user.RecoveredByBounce == 0 {
+		t.Errorf("expected retry exhaustion and bounce recovery, got retries=%d recovered=%d",
+			servers.Retries, user.RecoveredByBounce)
 	}
 	if user.DocErrors == 0 {
 		t.Errorf("the proxy should have failed to load the down site's documents: %+v", user)

@@ -46,22 +46,23 @@ type ExecConfig struct {
 	NoDocService bool
 	// Participate, when non-nil, selects which sites run a query server —
 	// the paper's Section 7.1 world where only some of the web has
-	// adopted WEBDIS. Non-participating sites keep their document host,
-	// and servers bounce undeliverable clones back to the user-site, whose
-	// proxy — one more query server, built with Server and no documents —
-	// evaluates them on downloaded documents. Incompatible with
-	// NoDocService (the proxy downloads).
+	// adopted WEBDIS. Non-participating sites keep their document host.
+	// Servers always bounce undeliverable clones back to the user-site;
+	// Participate starts its proxy — one more query server, built with
+	// Server and no documents — which evaluates them on downloaded
+	// documents. Incompatible with NoDocService (the proxy downloads).
 	Participate func(site string) bool
 	// Hybrid starts the user-site's proxy even when every site
 	// participates: a clone whose forward attempts are exhausted under
-	// Server.Retry is returned to the user-site and evaluated there —
+	// Server.Retry is bounced to the user-site and evaluated there —
 	// per-edge degraded-mode recovery from query shipping to data
-	// shipping. Implied by Participate. Incompatible with NoDocService,
-	// like Participate.
+	// shipping — instead of being written off as a declared loss.
+	// Implied by Participate. Incompatible with NoDocService, like
+	// Participate.
 	Hybrid bool
 	// ReapGrace arms the client's orphan-CHT reaper: a query that has
 	// seen no report for this long while entries remain outstanding is
-	// completed as Partial, its orphans retired. Zero disables reaping.
+	// completed as Partial, its orphans written off. Zero disables reaping.
 	ReapGrace time.Duration
 	// Replicas runs every participating site as N replica query servers
 	// behind a shared cluster membership table (see internal/cluster):
@@ -180,7 +181,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.Storage != (server.StoreOptions{}) {
 		srvOpts.Store = cfg.Storage
 	}
-	srvOpts.Hybrid = hybrid
 	if ex.NoDocService {
 		// A ship-data edge downloads documents from their home site's
 		// fetch service; without the service such an edge would dead-end.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +18,9 @@ import (
 )
 
 // TestSiteFailureMidQuery injects a site failure while the query runs:
-// forwards to the dead site fail, their CHT entries are retired, and the
-// query still completes with the reachable part of the answer.
+// forwards to the dead site fail, their CHT entries are written off, and
+// the query still completes with the reachable part of the answer,
+// declared partial.
 func TestSiteFailureMidQuery(t *testing.T) {
 	web := webgraph.Campus()
 	d, err := NewDeployment(Config{
@@ -50,8 +53,13 @@ func TestSiteFailureMidQuery(t *testing.T) {
 			t.Errorf("row from the dead site: %v", row)
 		}
 	}
-	if d.Metrics().ForwardFailed.Load() == 0 {
-		t.Error("no forward failure recorded")
+	// The loss is declared: the dead site's clone bounced to the
+	// user-site, which has no proxy and wrote it off.
+	if d.Metrics().CHTReaped.Load() == 0 {
+		t.Error("no write-off recorded")
+	}
+	if !q.Partial() || !slices.Equal(q.Unreachable(), []string{"dsl.serc.iisc.ernet.in"}) || !errors.Is(q.Err(), client.ErrPartial) {
+		t.Errorf("partial = %v unreachable = %v err = %v, want the dead site declared", q.Partial(), q.Unreachable(), q.Err())
 	}
 }
 

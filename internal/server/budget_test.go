@@ -126,10 +126,10 @@ func TestServerBudgetCloneQuota(t *testing.T) {
 		t.Errorf("BudgetExpired = %d, want 3 suppressed messages", m.BudgetExpired)
 	}
 	// The two admitted remote forwards fail (no servers there) and
-	// retire; the suppressed three produce no fate at all — they were
+	// bounce; the suppressed three produce no fate at all — they were
 	// never announced.
-	if m.ForwardFailed != 2 {
-		t.Errorf("ForwardFailed = %d, want 2", m.ForwardFailed)
+	if m.Bounced != 2 {
+		t.Errorf("Bounced = %d, want 2", m.Bounced)
 	}
 }
 

@@ -71,9 +71,9 @@ func TestDuplicateDropParsesNothing(t *testing.T) {
 }
 
 // TestMalformedCloneRetiresCached: a clone with an unparsable PRE must
-// still retire every destination (or the user-site waits forever), and
-// the parse failure must not poison the cache: a repeat of the same
-// malformed clone behaves identically.
+// still go back to the user-site with every destination (or the user-site
+// waits forever), and the parse failure must not poison the cache: a
+// repeat of the same malformed clone behaves identically.
 func TestMalformedCloneRetiresCached(t *testing.T) {
 	web := webgraph.Campus()
 	h := newHarness(t, web, "www2.csa.iisc.ernet.in", Options{})
@@ -86,16 +86,17 @@ func TestMalformedCloneRetiresCached(t *testing.T) {
 			URL: "http://www2.csa.iisc.ernet.in/~gang/pubs.html", Origin: sinkName, Seq: int64(round*10 + 1),
 		})
 		h.send(t, c)
-		msgs := h.waitMsgs(t, round)
-		last := msgs[len(msgs)-1]
-		if len(last.Updates) != 2 {
-			t.Fatalf("round %d: retired %d entries, want 2", round, len(last.Updates))
+		bounces := h.waitBounces(t, round)
+		last := bounces[len(bounces)-1]
+		if last.Reason != wire.BounceMalformed {
+			t.Fatalf("round %d: bounce reason %q, want %q", round, last.Reason, wire.BounceMalformed)
 		}
-		for _, u := range last.Updates {
-			if len(u.Children) != 0 {
-				t.Fatalf("round %d: malformed clone spawned children", round)
-			}
+		if got := last.Clone.Dest; len(got) != 2 || got[0].Seq != int64(round*10) || got[1].Seq != int64(round*10+1) {
+			t.Fatalf("round %d: bounced destinations %+v, want seqs %d and %d", round, got, round*10, round*10+1)
 		}
+	}
+	if len(h.quiesce(t)) != 0 {
+		t.Error("malformed clone was retired by a result frame")
 	}
 	if h.met.Evaluations.Load() != 0 {
 		t.Errorf("malformed clone was evaluated %d times", h.met.Evaluations.Load())
@@ -122,21 +123,27 @@ func TestParallelFanoutSameShape(t *testing.T) {
 			children += len(u.Children)
 		}
 	}
+	h.mu.Lock()
+	for _, b := range h.bounces {
+		updates += len(b.Clone.Dest)
+	}
+	h.mu.Unlock()
 	if updates != 10 || children != 9 {
-		t.Fatalf("updates=%d children=%d, want 10 and 9", updates, children)
+		t.Fatalf("retired+bounced=%d children=%d, want 10 and 9", updates, children)
 	}
 }
 
-// quiesce waits until the stream of result messages stops growing, then
-// returns them — for workloads whose message count is not known a priori
-// (e.g. forward failures that retire clones after the main report).
+// quiesce waits until the stream of result and bounce messages stops
+// growing, then returns the result messages — for workloads whose message
+// count is not known a priori (e.g. forward failures that bounce clones
+// after the main report).
 func (h *harness) quiesce(t *testing.T) []*wire.ResultMsg {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	last, stable := -1, 0
 	for time.Now().Before(deadline) {
 		h.mu.Lock()
-		cur := len(h.msgs)
+		cur := len(h.msgs) + len(h.bounces)
 		h.mu.Unlock()
 		if cur == last && cur > 0 {
 			stable++

@@ -40,10 +40,11 @@ type Metrics struct {
 	// Terminated counts clone batches dropped because the result dispatch
 	// failed — the paper's passive termination signal.
 	Terminated atomic.Int64
-	// ForwardFailed counts clone forwards that could not reach their site.
+	// ForwardFailed counts clones a site could neither deliver nor bounce:
+	// the user-site was unreachable too, so its reaper owns them.
 	ForwardFailed atomic.Int64
-	// Bounced counts undeliverable clones returned to the user-site for
-	// its proxy to process (Section 7.1 migration path).
+	// Bounced counts clones returned to the user-site, which hands them to
+	// its proxy (Section 7.1 migration path) or writes them off.
 	Bounced atomic.Int64
 	// HopsClamped counts forwards suppressed by the MaxHops safety bound.
 	HopsClamped atomic.Int64
@@ -54,13 +55,13 @@ type Metrics struct {
 	// result dispatches, bounces and document downloads past their first
 	// try).
 	Retries atomic.Int64
-	// RecoveredByBounce counts clones returned to the user-site after a
-	// retry loop was exhausted — degraded-mode recovery from query
-	// shipping to data shipping for one failed edge.
+	// RecoveredByBounce counts bounced clones whose retry loop was
+	// exhausted that the user-site handed to its proxy — degraded-mode
+	// recovery from query shipping to data shipping for one failed edge.
 	RecoveredByBounce atomic.Int64
-	// CHTReaped counts orphaned CHT entries retired by the user-site's
-	// grace-window reaper (clones stranded by a crashed or partitioned
-	// site that will never report).
+	// CHTReaped counts CHT entries the user-site wrote off, booked when
+	// their query finishes: clones no proxy took, and the reaper's orphans
+	// (a crashed or partitioned site that will never report).
 	CHTReaped atomic.Int64
 
 	// ConnDialed counts fresh transport dials made by the send path.

@@ -78,12 +78,6 @@ type Options struct {
 	// examples, which cancel only the advance to the next node-query —
 	// see the nodeproc.StepResult.DeadEnd documentation.
 	StrictDeadEnds bool
-	// Hybrid enables the paper's Section 7.1 migration path: a clone that
-	// cannot be forwarded (its destination site runs no query server) is
-	// bounced back to the user-site, which hands it to its proxy — a
-	// Server with no DocSource — to be evaluated on downloaded documents.
-	// Without Hybrid such clones are simply retired.
-	Hybrid bool
 	// Workers is the number of Query Processor goroutines draining the
 	// clone queue. The paper's processor is a single thread that
 	// "sequentially processes the queue of pending web-queries"; that is
@@ -627,9 +621,9 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 		s.absorbHints(c.Hints)
 	}
 	if err := b.Begin(&s.eval, c); err != nil {
-		// A malformed clone cannot be processed, but its CHT entries must
-		// still be retired or the user-site would wait forever.
-		s.retireAll(c, wire.FateProcessed)
+		// A malformed clone cannot be processed here or anywhere: the
+		// user-site writes it off, declaring the loss.
+		s.bounce(c, wire.BounceMalformed, s.site)
 		return
 	}
 	defer b.Reset()
@@ -677,8 +671,7 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 		return
 	}
 	// The Result jot lives here, not in dispatchResults: retireAll also
-	// dispatches (bookkeeping for clones that failed), and those reports
-	// must not overwrite the span's forward-failed fate.
+	// dispatches, and its typed reports book their own fates.
 	if s.opts.Journal != nil {
 		s.jot(c, trace.Result, strconv.Itoa(len(b.Updates))+" updates, "+strconv.Itoa(len(b.Tables))+" tables")
 	}
@@ -882,7 +875,7 @@ const fanoutWorkers = 8
 // next queue item" property per worker. CHT bookkeeping is unaffected
 // by the concurrency: every entry was announced by dispatchResults before
 // any forward, and each remote clone still produces exactly one fate
-// (forwarded, bounced, or retired) regardless of completion order.
+// (forwarded, queued, or bounced) regardless of completion order.
 func (s *Server) forwardAll(outs []*nodeproc.Out) {
 	var remote []*nodeproc.Out
 	for _, oc := range outs {
@@ -945,30 +938,25 @@ func (s *Server) stampReplica(msg *wire.ResultMsg) {
 	}
 }
 
-// forwardRemote ships one outgoing clone over the transport. A failed
-// forward retires the affected CHT entries so the user-site does not wait
-// on clones that never arrived. The user-site's proxy (no DocSource) is
-// its own bounce target: a clone it cannot forward goes back on its own
-// queue, to be evaluated on downloaded documents.
+// forwardRemote ships one outgoing clone over the transport. A clone
+// that cannot be forwarded goes back to the user-site, which decides its
+// fate. The user-site's proxy (no DocSource) is its own bounce target: a
+// clone it cannot forward goes back on its own queue, to be evaluated on
+// downloaded documents.
 func (s *Server) forwardRemote(oc *nodeproc.Out) {
 	_, _, err := s.out.SendSite(oc.Site, oc.Msg, nil)
-	if err != nil {
-		if s.docs == nil {
-			s.jot(oc.Msg, trace.Bounce, bounceReason(err, s.opts.Retry))
-			s.met.LocalClones.Add(1)
-			s.Enqueue(oc.Msg)
-			return
-		}
-		if s.opts.Hybrid && s.bounce(oc.Msg, bounceReason(err, s.opts.Retry)) {
-			s.jot(oc.Msg, trace.Bounce, bounceReason(err, s.opts.Retry))
-			return
-		}
-		s.met.ForwardFailed.Add(1)
-		s.jot(oc.Msg, trace.ForwardFailed, oc.Site)
-		s.retireAll(oc.Msg, wire.FateProcessed)
+	if err == nil {
+		s.met.ClonesForwarded.Add(1)
 		return
 	}
-	s.met.ClonesForwarded.Add(1)
+	reason := bounceReason(err, s.opts.Retry)
+	if s.docs == nil {
+		s.jot(oc.Msg, trace.Bounce, reason)
+		s.met.LocalClones.Add(1)
+		s.Enqueue(oc.Msg)
+		return
+	}
+	s.bounce(oc.Msg, reason, oc.Site)
 }
 
 // bounceReason classifies a failed forward: a plain connection refusal
@@ -982,32 +970,27 @@ func bounceReason(err error, pol RetryPolicy) string {
 	return wire.BounceRetryExhausted
 }
 
-// bounce returns an undeliverable clone to the user-site, which hands it
-// to its proxy (retried per Options.Retry like any remote send). The
-// clone's CHT entries stay live; the proxy retires them as it processes
-// the bounced destinations. Like a result frame (sendResult), the bounce
-// is booked before it goes out and taken back if the send fails, so the
-// counts never trail what the user-site has seen.
-func (s *Server) bounce(c *wire.CloneMsg, reason string) bool {
-	var recovered int64
-	if reason == wire.BounceRetryExhausted {
-		recovered = 1
-	}
+// bounce returns a clone this server could not deliver to site (or could
+// not process at all) to the user-site, which hands it to its proxy or
+// writes it off. The clone's CHT entries stay live until then. Like a
+// result frame (sendResult), the bounce is booked before it goes out and
+// taken back if the send fails. A failed bounce means the user-site is
+// unreachable too: the forward failure is booked and the entries are
+// left to its reaper, as after a failed result dispatch.
+func (s *Server) bounce(c *wire.CloneMsg, reason, site string) {
+	s.jot(c, trace.Bounce, reason)
 	s.met.Bounced.Add(1)
-	s.met.RecoveredByBounce.Add(recovered)
 	if s.out.Send(c.ID.Site, &wire.BounceMsg{Clone: c, Reason: reason}) != nil {
 		s.met.Bounced.Add(-1)
-		s.met.RecoveredByBounce.Add(-recovered)
-		return false
+		s.met.ForwardFailed.Add(1)
+		s.jot(c, trace.ForwardFailed, site)
 	}
-	return true
 }
 
 // retireAll dispatches CHT retirements for every destination of a clone
-// that will never be processed, in one result frame typed by fate: plain
-// bookkeeping (FateProcessed: a failed forward, a malformed clone) or a
-// typed EXPIRED, STOPPED or SHED retirement, which the user-site books
-// as the span's fate instead of "processed".
+// that will never be processed, in one result frame typed by fate: an
+// EXPIRED, STOPPED or SHED retirement, which the user-site books as the
+// span's fate instead of "processed".
 func (s *Server) retireAll(c *wire.CloneMsg, fate wire.Fate) {
 	if len(c.Dest) == 0 {
 		return

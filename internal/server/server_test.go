@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,14 +16,15 @@ import (
 )
 
 // harness wires one server to a hand-rolled user-site sink so tests can
-// inspect raw ResultMsgs.
+// inspect raw ResultMsgs and BounceMsgs.
 type harness struct {
 	net    *netsim.Network
 	server *Server
 	met    *Metrics
 
-	mu   sync.Mutex
-	msgs []*wire.ResultMsg
+	mu      sync.Mutex
+	msgs    []*wire.ResultMsg
+	bounces []*wire.BounceMsg
 }
 
 const sinkName = "user/q1"
@@ -56,11 +58,14 @@ func newHarness(t *testing.T, web *webgraph.Web, site string, opts Options) *har
 					if err != nil {
 						return
 					}
-					if rm, ok := msg.(*wire.ResultMsg); ok {
-						h.mu.Lock()
-						h.msgs = append(h.msgs, rm)
-						h.mu.Unlock()
+					h.mu.Lock()
+					switch m := msg.(type) {
+					case *wire.ResultMsg:
+						h.msgs = append(h.msgs, m)
+					case *wire.BounceMsg:
+						h.bounces = append(h.bounces, m)
 					}
+					h.mu.Unlock()
 				}
 			}()
 		}
@@ -96,6 +101,24 @@ func (h *harness) waitMsgs(t *testing.T, n int) []*wire.ResultMsg {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %d result messages", n)
+	return nil
+}
+
+// waitBounces waits until at least n bounce messages have arrived.
+func (h *harness) waitBounces(t *testing.T, n int) []*wire.BounceMsg {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		h.mu.Lock()
+		if len(h.bounces) >= n {
+			out := slices.Clone(h.bounces)
+			h.mu.Unlock()
+			return out
+		}
+		h.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %d bounce messages", n)
 	return nil
 }
 
@@ -259,6 +282,9 @@ func TestServerSubsumptionRewrite(t *testing.T) {
 	}
 }
 
+// TestServerRetiresOnMalformedClone: a clone that cannot be processed goes
+// back to the user-site as a malformed bounce, which writes it off; the
+// server does not retire it as processed.
 func TestServerRetiresOnMalformedClone(t *testing.T) {
 	web := webgraph.Campus()
 	h := newHarness(t, web, "csa.iisc.ernet.in", Options{})
@@ -267,9 +293,12 @@ func TestServerRetiresOnMalformedClone(t *testing.T) {
 		Dest: []wire.DestNode{{URL: webgraph.CampusStart, Origin: sinkName, Seq: 7}},
 		Rem:  "((bogus",
 	})
-	msgs := h.waitMsgs(t, 1)
-	if got := msgs[0].Updates[0].Processed.Seq; got != 7 {
-		t.Errorf("retired seq = %d", got)
+	b := h.waitBounces(t, 1)[0]
+	if b.Reason != wire.BounceMalformed || len(b.Clone.Dest) != 1 || b.Clone.Dest[0].Seq != 7 {
+		t.Errorf("bounce = %q %+v, want malformed seq 7", b.Reason, b.Clone.Dest)
+	}
+	if len(h.quiesce(t)) != 0 {
+		t.Error("malformed clone was retired by a result frame")
 	}
 }
 
@@ -300,8 +329,7 @@ func runCampusStage1(t *testing.T, opts Options) Snapshot {
 	})
 	// Start node routes; the batch of 4 local pages is processed next;
 	// then the labs page advances and forwards 5 remote clones (which
-	// fail, as no other servers run — forward failures trigger retire
-	// dispatches).
+	// fail, as no other servers run, and bounce to the user-site).
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if h.met.DocsParsed.Load() >= 5 {
@@ -313,15 +341,31 @@ func runCampusStage1(t *testing.T, opts Options) Snapshot {
 	return h.met.Snapshot()
 }
 
-func TestServerForwardFailureRetires(t *testing.T) {
-	met := runCampusStage1(t, Options{})
+func TestServerForwardFailureBounces(t *testing.T) {
+	h := newHarness(t, webgraph.Campus(), "csa.iisc.ernet.in", Options{})
+	wq := mustQuery(webgraph.CampusDISQL)
+	h.send(t, &wire.CloneMsg{
+		ID:     testID,
+		Dest:   []wire.DestNode{{URL: webgraph.CampusStart, Origin: sinkName, Seq: 1}},
+		Rem:    "L",
+		Stages: nodeproc.EncodeStages(wq.Stages),
+	})
 	// The five global-link targets live on sites with no servers: every
-	// forward fails and is retired.
-	if met.ForwardFailed == 0 {
-		t.Errorf("metrics = %+v", met)
+	// forward fails and bounces to the user-site, which is reachable.
+	dests := 0
+	for _, b := range h.waitBounces(t, 5) {
+		if b.Reason != wire.BounceNoServer {
+			t.Errorf("bounce reason = %q, want %q", b.Reason, wire.BounceNoServer)
+		}
+		dests += len(b.Clone.Dest)
 	}
-	if met.ClonesForwarded != 0 {
-		t.Errorf("forwarded = %d", met.ClonesForwarded)
+	if dests != 5 {
+		t.Errorf("bounced %d destinations, want 5", dests)
+	}
+	h.quiesce(t)
+	met := h.met.Snapshot()
+	if met.ForwardFailed != 0 || met.Bounced != 5 || met.ClonesForwarded != 0 {
+		t.Errorf("forward-failed = %d bounced = %d forwarded = %d, want 0, 5, 0", met.ForwardFailed, met.Bounced, met.ClonesForwarded)
 	}
 }
 

@@ -17,8 +17,9 @@ const (
 	// FateTerminated: the result dispatch failed, so the processing site
 	// purged the query — the paper's passive termination.
 	FateTerminated = "terminated"
-	// FateLostForward: every forward attempt failed; the clone never left
-	// its creating site and its CHT entries were retired there.
+	// FateLostForward: every forward attempt failed and nobody took the
+	// clone: the user-site wrote it off (or, the user-site unreachable too,
+	// left it to the reaper).
 	FateLostForward = "forward-failed"
 	// FateInFlight: the clone was sent but no arrival or report was ever
 	// journaled — it vanished on the wire (or the journal is partial).
@@ -126,10 +127,9 @@ func BuildJourney(query string, events []Event) *Journey {
 				n.Sent = e.At
 			}
 		case ForwardFailed:
-			n.Parent = e.Parent
-			n.FromSite = e.Site
-			n.DestSite = e.Detail
-			n.Hop = e.Hop
+			if n.FromSite == "" { // a bounce written off keeps the failed edge
+				n.Parent, n.FromSite, n.DestSite, n.Hop = e.Parent, e.Site, e.Detail, e.Hop
+			}
 			n.Fate = FateLostForward
 		case Arrive:
 			n.Site = e.Site

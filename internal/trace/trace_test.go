@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -229,6 +230,14 @@ func TestJourneyFates(t *testing.T) {
 		Event{At: 4, Site: "user", Query: "q", Span: span("a", 1), Kind: Result},
 	); jy.Spans[span("a", 1)].Fate != FateProcessed {
 		t.Errorf("bounce then proxy: fate = %q", jy.Spans[span("a", 1)].Fate)
+	}
+	// A bounced clone the user-site wrote off is lost on the edge whose
+	// forward failed, not on the user-site.
+	if jy := mk(
+		Event{At: 2, Site: "a", Query: "q", Span: span("a", 1), Kind: Bounce},
+		Event{At: 3, Site: "user", Query: "q", Span: span("a", 1), Kind: ForwardFailed, Detail: "b"},
+	); !maps.Equal(jy.LostEdges(), map[[2]string]int{{"a", "b"}: 1}) {
+		t.Errorf("bounce then write-off: lost edges = %v, want a -> b", jy.LostEdges())
 	}
 	if jy := mk(Event{At: 2, Site: "a", Query: "q", Span: span("a", 1), Kind: Retry, Detail: "b attempt 2"}); jy.Spans[span("a", 1)].Retries != 1 {
 		t.Errorf("retries = %d", jy.Spans[span("a", 1)].Retries)

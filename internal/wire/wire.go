@@ -389,8 +389,7 @@ type NodeTable struct {
 type Fate uint8
 
 const (
-	// FateProcessed: the clone was evaluated, or its entries retired as
-	// plain bookkeeping (a failed forward, a malformed clone).
+	// FateProcessed: the clone was evaluated.
 	FateProcessed Fate = iota
 	// FateExpired: the clone exceeded its Budget (deadline or quota) and
 	// was retired unevaluated, the typed EXPIRED terminate.
@@ -414,10 +413,10 @@ type ResultMsg struct {
 	ID      QueryID
 	Updates []CHTUpdate
 	Tables  []NodeTable
-	// Fate types the report: FateProcessed for a clone the site evaluated
-	// (or could not forward), or the typed retirement of one it never
-	// evaluated. The CHT arithmetic is the same for every fate — entries
-	// retire — but the user-site books the span's fate from it.
+	// Fate types the report: FateProcessed for a clone the site evaluated,
+	// or the typed retirement of one it never evaluated. The CHT
+	// arithmetic is the same for every fate — entries retire — but the
+	// user-site books the span's fate from it.
 	Fate Fate
 	// Span is the span of the clone message whose processing produced
 	// this report (zero when untraced); Site and Hop locate it.
@@ -457,14 +456,17 @@ type FetchResp struct {
 	Err     string
 }
 
-// BounceMsg returns an undeliverable clone to the user-site. Reason says
-// why: BounceNoServer when the destination site runs no query server (the
-// paper's Section 7.1 migration path), BounceRetryExhausted when the site
-// should be reachable but every forward attempt failed (fault-tolerant
-// degraded mode: the engine falls back from query shipping to data
-// shipping for that one edge). The user-site hands the clone to its proxy
+// BounceMsg returns an undeliverable clone to the user-site, the one
+// party that decides its fate. Reason says why: BounceNoServer when the
+// destination site runs no query server (the paper's Section 7.1
+// migration path), BounceRetryExhausted when the site should be reachable
+// but every forward attempt failed (fault-tolerant degraded mode: the
+// engine falls back from query shipping to data shipping for that one
+// edge), BounceMalformed when no site can process the clone. The
+// user-site hands a clone the network could not deliver to its proxy
 // query server, which fetches the documents, evaluates them there, and
-// re-enters distributed mode at the next participating site.
+// re-enters distributed mode at the next participating site; anything
+// else it writes off, and the query completes partial.
 type BounceMsg struct {
 	Clone  *CloneMsg
 	Reason string
@@ -474,6 +476,7 @@ type BounceMsg struct {
 const (
 	BounceNoServer       = "no-server"
 	BounceRetryExhausted = "retry-exhausted"
+	BounceMalformed      = "malformed"
 )
 
 // StopMsg is the user-site → query-server active-termination signal: the

@@ -181,8 +181,9 @@ var (
 	ErrShed = client.ErrShed
 	// ErrExpired: budget enforcement clipped the query (Query.Expired).
 	ErrExpired = client.ErrExpired
-	// ErrPartial: completion was forced by the orphan-CHT reaper, so part
-	// of the web went unanswered (Query.Partial).
+	// ErrPartial: the user-site wrote off CHT entries — clones no site or
+	// proxy could take, or orphans its reaper retired — so part of the web
+	// went unanswered (Query.Partial, Query.Unreachable).
 	ErrPartial = client.ErrPartial
 )
 
