@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -31,7 +32,7 @@ func TestMergeRejectsStaleIncarnation(t *testing.T) {
 
 	e := entry("http://a.example/x.html", 1)
 	other := entry("http://a.example/y.html", 2)
-	q := &Query{cluster: m, met: &server.Metrics{}, cht: newCHT()}
+	q := &Query{c: &Client{}, cluster: m, met: &server.Metrics{}, cht: newCHT()}
 	q.cht.announce(e)
 	q.cht.announce(other)
 
@@ -70,11 +71,11 @@ func TestRetireAbsorbsReplayedDuplicate(t *testing.T) {
 	c := newCHT()
 	c.announce(e)
 	c.markReplayed([]wire.CHTEntry{e})
-	c.retire(e) // the replay's own retirement balances the entry
+	c.retire(e, wire.FateProcessed) // the replay's own retirement balances the entry
 	if c.counts[e] != 0 || c.nonzero != 0 {
 		t.Fatalf("first retirement did not balance: count=%d nonzero=%d", c.counts[e], c.nonzero)
 	}
-	c.retire(e) // the corpse's report arrives after all
+	c.retire(e, wire.FateProcessed) // the corpse's report arrives after all
 	if c.DupRetired != 1 {
 		t.Fatalf("DupRetired = %d, want 1", c.DupRetired)
 	}
@@ -89,7 +90,7 @@ func TestRetireAbsorbsReplayedDuplicate(t *testing.T) {
 
 	// A non-replayed entry still books the transient negative.
 	other := entry("http://a.example/y.html", 2)
-	c.retire(other)
+	c.retire(other, wire.FateProcessed)
 	if c.GhostReports != 1 || c.counts[other] != -1 {
 		t.Fatalf("overtaking report mishandled: ghosts=%d count=%d", c.GhostReports, c.counts[other])
 	}
@@ -105,21 +106,21 @@ func TestCHTProgressIgnoresGhosts(t *testing.T) {
 	c := newCHT()
 	c.announce(root)
 	for _, ghost := range []wire.CHTEntry{c1, c2} {
-		c.retire(ghost)
+		c.retire(ghost, wire.FateProcessed)
 		if p := c.progress(); p != 0 {
 			t.Fatalf("progress = %v after ghost %s, want 0", p, ghost.Node)
 		}
 	}
 	// The root's report retires it and announces a and c1, matching one
 	// ghost; a, and c2's announcement, are still outstanding.
-	c.retire(root)
+	c.retire(root, wire.FateProcessed)
 	c.announce(a)
 	c.announce(c1)
 	if p := c.progress(); p != 2.0/3 || c.drained() {
 		t.Fatalf("progress = %v drained = %v with a live, want 2/3", p, c.drained())
 	}
 	// a's report retires it and announces c2: the table drains at 1.
-	c.retire(a)
+	c.retire(a, wire.FateProcessed)
 	c.announce(c2)
 	if !c.drained() || c.progress() != 1 || c.EntriesRetired != c.EntriesAdded {
 		t.Fatalf("drained = %v progress = %v retired %d of %d", c.drained(), c.progress(), c.EntriesRetired, c.EntriesAdded)
@@ -135,7 +136,7 @@ func TestCHTReapCountsLiveEntries(t *testing.T) {
 	c := newCHT()
 	c.announce(twice)
 	c.announce(twice)
-	c.retire(ghost)
+	c.retire(ghost, wire.FateProcessed)
 	if got := len(c.live()); got != 2 {
 		t.Fatalf("live = %d entries, want 2", got)
 	}
@@ -165,7 +166,7 @@ func TestCHTWriteOffBeforeAnnounce(t *testing.T) {
 	if c.counts[child] != -1 || c.GhostReports != 1 || c.drained() {
 		t.Fatalf("write-off left count %d ghosts %d drained %v, want a ghost and the parent live", c.counts[child], c.GhostReports, c.drained())
 	}
-	c.retire(parent)
+	c.retire(parent, wire.FateProcessed)
 	c.announce(child)
 	if !c.drained() || c.EntriesRetired != c.EntriesAdded || c.Reaped != 1 {
 		t.Fatalf("after the parent's report: drained = %v retired %d of %d reaped %d", c.drained(), c.EntriesRetired, c.EntriesAdded, c.Reaped)
@@ -174,31 +175,44 @@ func TestCHTWriteOffBeforeAnnounce(t *testing.T) {
 
 // TestStopTargetsSkipGhostSites pins the stop broadcast to the sites of
 // live entries: a ghost's clone has already reported, so its site is not
-// sent a StopMsg.
+// sent a StopMsg. Before the table stops, nothing is named.
 func TestStopTargetsSkipGhostSites(t *testing.T) {
-	q := &Query{cht: newCHT(), stopSent: make(map[string]bool), stopping: true}
-	q.cht.announce(entry("http://a.example/x.html", 1))
-	q.cht.retire(entry("http://b.example/y.html", 2))
-	if got := q.stopTargets(); !slices.Equal(got, []string{"a.example"}) {
+	c := newCHT()
+	c.announce(entry("http://a.example/x.html", 1))
+	c.retire(entry("http://b.example/y.html", 2), wire.FateProcessed)
+	if got := c.stopTargets(true); got != nil {
+		t.Fatalf("stop targets before the stop = %v, want none", got)
+	}
+	c.stop()
+	if got := c.stopTargets(true); !slices.Equal(got, []string{"a.example"}) {
 		t.Fatalf("stop targets = %v, want [a.example]", got)
 	}
-	q.cht.announce(entry("http://c.example/z.html", 3))
-	if got := q.stopTargets(); !slices.Equal(got, []string{"c.example"}) {
+	c.announce(entry("http://c.example/z.html", 3))
+	if got := c.stopTargets(true); !slices.Equal(got, []string{"c.example"}) {
 		t.Fatalf("second round = %v, want only the new site [c.example]", got)
 	}
 }
 
 // TestCHTModel runs random report interleavings over random clone trees
-// against a reference multiset. Each clone's report retires it and
-// announces its children; the roots are announced first, as a submission
-// does. Some live clones are replayed, and their duplicate retirement
-// arrives after their report. Some clones are written off instead of
-// reported — announced or not yet, as a bounce can overtake its parent's
-// report — and their subtrees never exist. The table must equal the
-// reference after every event, drain exactly when every report is in or
-// written off, keep Progress in [0, 1) until then, absorb every replayed
-// duplicate, count every write-off in Reaped (Partial is Reaped > 0), and
-// name exactly the written-off hosts Unreachable.
+// against a reference multiset. Each clone's report retires it with a
+// random fate and announces its children; the roots are announced first,
+// as a submission does. Some live clones are replayed, and their duplicate
+// retirement arrives after their report. Some clones are written off
+// instead of reported — announced or not yet, as a bounce can overtake its
+// parent's report — and their subtrees never exist. At random points the
+// table is stopped and asked for its stop targets, with or without its
+// live sites and with extra sites. In a third of the runs the reaper fires
+// at a random step: it replays the live entries, round after round up to
+// the bound, and then reaps.
+//
+// After every event the table must equal the reference, drain exactly when
+// every report is in or written off, keep Progress in [0, 1) until then,
+// count every write-off in Reaped (Partial is Reaped > 0), name exactly
+// the written-off hosts Unreachable, and compose Err from exactly the
+// fates seen plus ErrPartial iff Reaped > 0. Stop targets name only hosts
+// of positive entries and the extra sites passed in, each site once; a
+// replay returns exactly the positive entries, never a ghost. Every
+// replayed duplicate is absorbed.
 func TestCHTModel(t *testing.T) {
 	type clone struct {
 		e                  wire.CHTEntry
@@ -206,6 +220,7 @@ func TestCHTModel(t *testing.T) {
 		announced, handled bool // handled: reported or written off
 		replayed           bool
 	}
+	extras := []string{"proxy.example", "s1.example", ""}
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		clones := make([]clone, 1+r.Intn(40))
@@ -236,6 +251,17 @@ func TestCHTModel(t *testing.T) {
 
 		c := newCHT()
 		ref := make(map[wire.CHTEntry]int)
+		// live lists the reference's positive entries, n times each, sorted.
+		live := func() []wire.CHTEntry {
+			var out []wire.CHTEntry
+			for e, n := range ref {
+				for ; n > 0; n-- {
+					out = append(out, e)
+				}
+			}
+			slices.SortFunc(out, compareEntries)
+			return out
+		}
 		announced := 0
 		announce := func(i int) {
 			clones[i].announced = true
@@ -246,12 +272,63 @@ func TestCHTModel(t *testing.T) {
 		for _, i := range roots {
 			announce(i)
 		}
+		var seen [wire.FateShed + 1]bool // fates retired
+		retire := func(e wire.CHTEntry) bool {
+			fate := wire.FateProcessed
+			if r.Intn(6) == 0 {
+				fate = wire.Fate(1 + r.Intn(int(wire.FateShed)))
+			}
+			seen[fate] = true
+			return c.retire(e, fate)
+		}
+		reapAt := -1 // the step the reaper fires at
+		if seed%3 == 0 {
+			reapAt = r.Intn(2 * len(clones))
+		}
 		pending := r.Perm(len(clones)) // reports, in delivery order
 		var dups []int                 // duplicate retirements not yet delivered
 		var lost []string              // hosts written off
-		ghosts, delivered, writtenOff := 0, 0, 0
+		ghosts, delivered, writtenOff, rounds := 0, 0, 0, 0
+		stopping, told := false, make(map[string]bool)
 		for step := 0; len(pending) > 0 || len(dups) > 0; step++ {
-			switch k := r.Intn(10); {
+			reaped := step == reapAt
+			switch k := r.Intn(11); {
+			case reaped:
+				// The reaper: replay until the bound or a state outside
+				// the query's stages refuses it, then write off the rest.
+				stages := 1 + r.Intn(2)
+				for {
+					want := live()
+					got := c.replay(stages)
+					if rounds == maxReplayRounds || len(want) == 0 ||
+						slices.ContainsFunc(want, func(e wire.CHTEntry) bool { return e.State.NumQ > stages }) {
+						if got != nil {
+							t.Fatalf("seed %d round %d: replay = %v, want none", seed, rounds, got)
+						}
+						break
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d round %d: replay = %v, want the positive entries %v", seed, rounds, got, want)
+					}
+					rounds++
+					for i := range clones {
+						if cl := &clones[i]; cl.announced && !cl.handled {
+							cl.replayed = true
+						}
+					}
+				}
+				want := live()
+				if n := c.reap(); n != len(want) {
+					t.Fatalf("seed %d: reap = %d, want %d live", seed, n, len(want))
+				}
+				for _, e := range want {
+					if h := webgraph.Host(e.Node); !slices.Contains(lost, h) {
+						lost = append(lost, h)
+					}
+				}
+				writtenOff += len(want)
+				clear(ref)
+				pending, dups = nil, nil // the stranded clones never report
 			case k == 0:
 				// Replay a live clone that has not been replayed yet.
 				for _, i := range r.Perm(len(clones)) {
@@ -264,7 +341,7 @@ func TestCHTModel(t *testing.T) {
 			case k == 1 && len(dups) > 0:
 				i := dups[0]
 				dups = dups[1:]
-				if !c.retire(clones[i].e) {
+				if !retire(clones[i].e) {
 					t.Fatalf("seed %d: duplicate retirement of %v not absorbed", seed, clones[i].e)
 				}
 				delivered++
@@ -288,6 +365,40 @@ func TestCHTModel(t *testing.T) {
 				if h := webgraph.Host(cl.e.Node); !slices.Contains(lost, h) {
 					lost = append(lost, h)
 				}
+			case k == 3:
+				// Stop, sometimes, and ask for the sites to tell.
+				if r.Intn(3) == 0 {
+					c.stop()
+					stopping = true
+				}
+				withLive, extra := r.Intn(2) == 0, extras[:r.Intn(len(extras)+1)]
+				hosts := make(map[string]bool)
+				for e, n := range ref {
+					if n > 0 && withLive {
+						hosts[webgraph.Host(e.Node)] = true
+					}
+				}
+				for _, site := range extra {
+					hosts[site] = site != ""
+				}
+				got := c.stopTargets(withLive, extra...)
+				if !stopping && got != nil {
+					t.Fatalf("seed %d step %d: stop targets %v before the stop", seed, step, got)
+				}
+				if !slices.IsSorted(got) {
+					t.Fatalf("seed %d step %d: stop targets %v not sorted", seed, step, got)
+				}
+				for _, site := range got {
+					if !hosts[site] || told[site] {
+						t.Fatalf("seed %d step %d: stop target %q: a candidate %v, told before %v", seed, step, site, hosts[site], told[site])
+					}
+					told[site] = true
+				}
+				for site, ok := range hosts {
+					if stopping && ok && !told[site] {
+						t.Fatalf("seed %d step %d: %q never told to stop", seed, step, site)
+					}
+				}
 			case len(pending) > 0:
 				i := pending[0]
 				pending = pending[1:]
@@ -296,7 +407,7 @@ func TestCHTModel(t *testing.T) {
 					ghosts++
 				}
 				cl.handled = true
-				c.retire(cl.e)
+				retire(cl.e)
 				ref[cl.e]--
 				for _, ch := range cl.children {
 					announce(ch)
@@ -321,6 +432,19 @@ func TestCHTModel(t *testing.T) {
 			if got, want := c.Unreachable, slices.Sorted(slices.Values(lost)); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: unreachable = %v, want %v", seed, step, got, want)
 			}
+			var want []error
+			if seen[wire.FateShed] {
+				want = append(want, ErrShed)
+			}
+			if writtenOff > 0 {
+				want = append(want, ErrPartial)
+			}
+			if seen[wire.FateExpired] {
+				want = append(want, ErrExpired)
+			}
+			if got, want := fmt.Sprint(c.err()), fmt.Sprint(errors.Join(want...)); got != want {
+				t.Fatalf("seed %d step %d: err = %s, want %s", seed, step, got, want)
+			}
 		}
 		if c.DupRetired != delivered || c.GhostReports != ghosts {
 			t.Fatalf("seed %d: dups %d of %d, ghosts %d of %d", seed, c.DupRetired, delivered, c.GhostReports, ghosts)
@@ -331,8 +455,9 @@ func TestCHTModel(t *testing.T) {
 	}
 }
 
-// TestCHTAllocs pins an announce and a retire on a warm table at zero
-// allocations: the entry itself is the key.
+// TestCHTAllocs pins the calls a report makes on a warm table at zero
+// allocations: an announce, a retire with its fate — the entry itself is
+// the key — and the stop-target check of a query that is not stopping.
 func TestCHTAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -341,11 +466,21 @@ func TestCHTAllocs(t *testing.T) {
 	c := newCHT()
 	c.announce(entry("http://t3.example/p0.html", 1))
 	c.announce(e)
-	c.retire(e)
-	if n := testing.AllocsPerRun(100, func() { c.announce(e); c.retire(e) }); n != 0 {
+	c.retire(e, wire.FateProcessed)
+	if n := testing.AllocsPerRun(100, func() { c.announce(e); c.retire(e, wire.FateProcessed) }); n != 0 {
 		t.Errorf("announce and retire: %.0f allocations, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.retire(e); c.announce(e) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.retire(e, wire.FateProcessed); c.announce(e) }); n != 0 {
 		t.Errorf("ghost retire and its announce: %.0f allocations, want 0", n)
+	}
+	proxy := "proxy.example"
+	if n := testing.AllocsPerRun(100, func() {
+		c.announce(e)
+		c.retire(e, wire.FateExpired)
+		if c.stopTargets(true, proxy) != nil {
+			t.Fatal("stop targets before the stop")
+		}
+	}); n != 0 {
+		t.Errorf("announce, retire with a fate and a stop-target check: %.0f allocations, want 0", n)
 	}
 }

@@ -11,7 +11,10 @@
 // before it forwards them, and every server report — a processed node, a
 // purged duplicate, or a failed forward — retires exactly one entry. The
 // table has no clock and no lock; a Query drives it under its mutex, and
-// its reaper, stop broadcast and replay read the table's live entries.
+// the table decides how the query ends: it counts the reports' typed
+// fates (Shed, Expired and Err read them), names the sites still to be
+// told to stop, and decides whether stranded entries are replayed or
+// written off. The Query keeps the reaper's timer and the sends.
 //
 // Counts are signed: because result dispatch is asynchronous, a clone's
 // own report can overtake its parent's update that announced it, driving
@@ -39,9 +42,10 @@
 // hop of the cancel, and its late reports are dropped by the router.
 //
 // Results are consumable while clones are still executing: every merged
-// row is appended to an ordered stream log, and Rows (a pull iterator)
-// or Stream (a bounded channel) deliver them incrementally with
-// watermark-based backpressure accounting in Stats.
+// row is appended once, to the query's feed (feed.go), the one log that
+// Results, Rows (a pull iterator) and Stream (a bounded channel) all read,
+// with watermark-based backpressure accounting in Stats. A Watch delivers
+// its deltas through the same feed.
 package client
 
 import (
@@ -50,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"net"
 	"slices"
 	"sort"
@@ -139,7 +144,7 @@ type Options struct {
 	// client's queries start: when the channel closes (the owning
 	// deployment shut down), stream pumps and watch loops exit even if
 	// their consumer abandoned the channel with a background context.
-	// Nil means unbounded (the channel form of context.Background()).
+	// Nil means bounded by Close alone.
 	Done <-chan struct{}
 }
 
@@ -163,6 +168,11 @@ type Client struct {
 	// out is the user-site's Query Dispatcher: the same sender a server
 	// forwards clones with, sending each message once.
 	out *server.Sender
+
+	// life ends at Close or when Options.Done closes: the bound of every
+	// stream pump and watch.
+	life    context.Context
+	endLife context.CancelFunc
 
 	mu       sync.Mutex
 	next     int
@@ -190,8 +200,9 @@ func NewWith(tr netsim.Transport, user, base string, opts Options) *Client {
 	}
 	c := &Client{tr: tr, user: user, base: base, opts: opts,
 		out: server.NewSender(tr, base+"/c", opts.Metrics, opts.Journal, opts.Cluster)}
+	c.life, c.endLife = lifetime(opts.Done)
 	if opts.Planner {
-		c.stats = newStatStore()
+		c.stats = &statStore{stats: make(map[string]wire.SiteStat)}
 	}
 	return c
 }
@@ -303,25 +314,18 @@ func reporter(m *wire.ResultMsg) string {
 	return ""
 }
 
-// reporting lists the sites that hold a session to the collector, sorted.
+// reporting lists the sites that hold a session to the collector.
 func (c *Client) reporting() []string {
 	c.mu.Lock()
-	sites := make([]string, 0, len(c.reporters))
-	for site := range c.reporters {
-		sites = append(sites, site)
-	}
-	c.mu.Unlock()
-	sort.Strings(sites)
-	return sites
+	defer c.mu.Unlock()
+	return slices.Collect(maps.Keys(c.reporters))
 }
 
 // learn records site as holding a session to the collector and returns it.
 func (c *Client) learn(site string) string {
 	if site != "" {
 		c.mu.Lock()
-		if c.reporters != nil {
-			c.reporters[site] = true
-		}
+		c.reporters[site] = true // made by open, before any session
 		c.mu.Unlock()
 	}
 	return site
@@ -335,11 +339,11 @@ func (c *Client) query(num int) *Query {
 }
 
 // Close shuts the user-site down: watches deregister, the collector
-// endpoint, its accepted connections and the pool close, and every query
-// still running is cancelled. From then on a site's report fails at its
-// sender, which purges the query locally — the paper's passive
-// termination, for everything this client had in flight. Idempotent; a
-// client that never submitted anything has nothing to release.
+// endpoint, its accepted connections and the pool close, every query
+// still running is cancelled, and every stream closes. From then on a
+// site's report fails at its sender, which purges the query locally — the
+// paper's passive termination, for everything this client had in flight.
+// Idempotent.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -364,6 +368,7 @@ func (c *Client) Close() {
 	if serving != nil {
 		serving.Wait()
 	}
+	c.endLife()
 }
 
 // ResultTable is the merged result of one node-query across all answering
@@ -429,10 +434,8 @@ type Query struct {
 	c *Client
 
 	doneCh chan struct{}
-	// extDone mirrors Options.Done: a deployment-lifetime bound for the
-	// query's pump goroutines. Nil blocks forever in a select — exactly
-	// the unbounded default.
-	extDone <-chan struct{}
+	// unbind releases the submit context's hold on the query (watch).
+	unbind func() bool
 
 	// rec, when non-nil, records the raw result flow — every reported
 	// node table and every parent→child CHT edge — before deduplication.
@@ -440,65 +443,60 @@ type Query struct {
 	// standing result set incrementally (see watch.go).
 	rec *recording
 
-	proxy     *server.Server
-	reapGrace time.Duration
-	met       *server.Metrics
-	journal   *trace.Journal
-	spanSeq   atomic.Int64
+	proxy   *server.Server
+	met     *server.Metrics
+	journal *trace.Journal
+	spanSeq atomic.Int64
 
 	// Replication (all nil/zero without Options.Cluster). cluster is the
 	// shared membership table; replayable is set when the query carries
 	// no correlated-stage environment (a replayed clone cannot recover
 	// one).
-	cluster      *cluster.Membership
-	budget       wire.Budget
-	replayable   bool
-	replayVia    map[string]map[string]bool // site -> replicas used by replay rounds
-	replayRounds int
+	cluster    *cluster.Membership
+	budget     wire.Budget
+	replayable bool
+	replayVia  map[string]map[string]bool // site -> replicas used by replay rounds
 
 	mu         sync.Mutex
 	cht        cht
-	tables     map[int]*ResultTable
-	rowSeen    map[int]map[string]bool
 	stitched   []trace.Event // span events recovered from result reports
 	stats      Stats
 	started    time.Time
 	lastReport time.Time // last CHT activity, watched by the reaper
-	shed       bool      // a site refused the query under admission control
-	expired    bool      // a clone was terminated by budget enforcement
-	err        error
-	done       bool
 
-	// Streaming: every merged row is appended to the ordered log srows;
-	// Rows and Stream deliver from it incrementally, waiting on scond
-	// when they catch the producers. sread is the furthest consumer's
-	// position, the watermark against which backpressure is accounted.
-	srows []StreamRow
-	sread int
-	scond *sync.Cond // tied to mu; broadcast on append and finish
-
-	// Active termination: firstN is the user-site row target
-	// (Budget.FirstN); once satisfied — or Stop is called — stopping
-	// flips and a typed StopMsg is broadcast to every site with live CHT
-	// entries, stopSent deduplicating per site.
-	firstN   int
-	stopping bool
-	stopSent map[string]bool
+	// rows is every merged row, once, in merge order; its end is the
+	// query's (done, with the error of a cancel). stages keeps, per stage
+	// that reported a table, its columns and the keys of the rows merged.
+	rows   feed[StreamRow]
+	stages map[int]stageRows
 
 	// Aggregation state (all zero for classic queries). output is the
 	// query's GROUP BY / ORDER BY / LIMIT contract; finalStage the stage
 	// it applies to (always the last). For grouped queries, acc folds
 	// contributions — raw rows or pushed-down partial state — keyed by
-	// contrib and deduplicated through contribSeen; finalized marks
-	// the one-time materialization of the final table into the stream.
-	// statSink, when non-nil, receives the site statistics piggybacked
-	// on result frames (the client-wide statStore).
+	// contrib and deduplicated through contribSeen, and the final table
+	// materializes into the stream when the query finishes.
 	output      *nodequery.OutputSpec
 	finalStage  int
 	acc         *plan.Acc
 	contribSeen map[contrib]bool
-	finalized   bool
-	statSink    *statStore
+}
+
+// stageRows is what a query keeps of one stage besides its rows: the
+// columns, and the keys of the rows merged so far — one per row.
+type stageRows struct {
+	cols []string
+	seen map[string]bool
+}
+
+// correlated reports whether a stage of w references outer columns. A
+// clone rebuilt from its CHT entry cannot recover the environment the
+// original carried, so neither a replay nor a watch's re-derivation can
+// resume such a query.
+func correlated(w *disql.WebQuery) bool {
+	return slices.ContainsFunc(w.Stages, func(st disql.Stage) bool {
+		return st.Query != nil && len(st.Query.Outer) > 0
+	})
 }
 
 // ID returns the query's global identifier.
@@ -545,17 +543,16 @@ func (c *Client) SubmitBudgetContext(ctx context.Context, w *disql.WebQuery, b w
 }
 
 // watch ties the query to ctx: if ctx ends first, the query is cancelled.
+// The tie is released when the query finishes.
 func (q *Query) watch(ctx context.Context) {
-	if ctx.Done() == nil {
+	unbind := context.AfterFunc(ctx, q.Cancel)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.rows.done {
+		unbind()
 		return
 	}
-	go func() {
-		select {
-		case <-q.doneCh:
-		case <-ctx.Done():
-			q.Cancel()
-		}
-	}()
+	q.unbind = unbind
 }
 
 // newQuery builds a query over w, enters it in the client's routing table
@@ -566,24 +563,18 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 		web:        w,
 		c:          c,
 		proxy:      c.opts.Proxy,
-		reapGrace:  c.opts.ReapGrace,
 		met:        c.opts.Metrics,
 		journal:    c.opts.Journal,
 		cluster:    c.opts.Cluster,
 		budget:     b,
 		doneCh:     make(chan struct{}),
 		cht:        newCHT(),
-		tables:     make(map[int]*ResultTable),
-		rowSeen:    make(map[int]map[string]bool),
+		stages:     make(map[int]stageRows),
 		started:    now,
 		lastReport: now,
-		firstN:     b.FirstN,
-		stopSent:   make(map[string]bool),
-		extDone:    c.opts.Done,
 		rec:        rec,
-		statSink:   c.stats,
 	}
-	q.scond = sync.NewCond(&q.mu)
+	q.rows.cond.L = &q.mu
 	if w.Output != nil {
 		q.output = w.Output
 		q.finalStage = len(w.Stages) - 1
@@ -592,17 +583,9 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 			q.contribSeen = make(map[contrib]bool)
 		}
 	}
-	if q.cluster != nil {
-		// A clone reconstructed from its CHT entry cannot recover the
-		// correlated-stage environment the original carried, so replay is
-		// armed only for queries whose stages reference no outer columns.
+	if q.cluster != nil && !correlated(w) {
 		q.replayable = true
-		for _, st := range w.Stages {
-			if st.Query != nil && len(st.Query.Outer) > 0 {
-				q.replayable = false
-				break
-			}
-		}
+		q.replayVia = make(map[string]map[string]bool)
 	}
 	err := c.attach(func(id wire.QueryID) {
 		q.id = id
@@ -611,8 +594,8 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 	if err != nil {
 		return nil, err
 	}
-	if q.reapGrace > 0 {
-		go q.reaper()
+	if grace := c.opts.ReapGrace; grace > 0 {
+		go q.reaper(grace)
 	}
 	return q, nil
 }
@@ -766,7 +749,7 @@ func (q *Query) clones(entries []wire.CHTEntry, hops int) []*wire.CloneMsg {
 // only bounce it back). It reports whether the clone was written off.
 func (q *Query) undeliverable(c *wire.CloneMsg, reason string) bool {
 	q.mu.Lock()
-	if q.done || len(c.Dest) == 0 {
+	if q.rows.done || len(c.Dest) == 0 {
 		q.mu.Unlock()
 		return false
 	}
@@ -784,7 +767,7 @@ func (q *Query) undeliverable(c *wire.CloneMsg, reason string) bool {
 	q.jot(c, trace.ForwardFailed, webgraph.Host(c.Dest[0].URL))
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.done {
+	if q.rows.done {
 		return false
 	}
 	for _, u := range c.Retirements() {
@@ -802,18 +785,22 @@ func (q *Query) undeliverable(c *wire.CloneMsg, reason string) bool {
 func (q *Query) Shed() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.shed
+	return q.cht.fates[wire.FateShed] > 0
 }
 
 // merge implements receive_results of Figure 2 under the counting-CHT
 // refinement: retire the processed entry, enter the children, and check
 // for completion. One ResultMsg carries the report of one processed
-// clone (Figure 3, lines 17–20). After the lock drops, any pending
+// clone (Figure 3, lines 17–20), with its fate: a shed clone — a site
+// over its high watermark declined to start the query — surfaces via Shed,
+// distinct from the fault-path bounce, which still owes processing. After
+// the lock drops, any pending
 // active-termination broadcast (Budget.FirstN newly satisfied, or new
-// sites appearing while stopping) is shipped. It reports whether the query was still running to take it.
+// sites appearing while stopping) is shipped. It reports whether the
+// query was still running to take it.
 func (q *Query) merge(rm *wire.ResultMsg) bool {
 	q.mu.Lock()
-	if q.done {
+	if q.rows.done {
 		q.mu.Unlock()
 		return false
 	}
@@ -832,18 +819,7 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 	if !rm.Span.IsZero() {
 		q.stitch(rm)
 	}
-	if q.statSink != nil {
-		q.statSink.learn(rm.Stats)
-	}
-	switch rm.Fate {
-	case wire.FateExpired:
-		q.expired = true
-	case wire.FateShed:
-		// A site over its high watermark declined to start the query: the
-		// clone's entries retire below, and the refusal surfaces via Shed —
-		// distinct from the fault-path bounce, which still owes processing.
-		q.shed = true
-	}
+	q.c.stats.learn(rm.Stats) // nil without Options.Planner
 	for _, t := range rm.Tables {
 		q.mergeTable(t)
 	}
@@ -851,7 +827,7 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 		q.rec.fold(rm)
 	}
 	for _, u := range rm.Updates {
-		if q.cht.retire(u.Processed) {
+		if q.cht.retire(u.Processed, rm.Fate) {
 			q.met.DupRetired.Add(1)
 		}
 		for _, child := range u.Children {
@@ -859,7 +835,14 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 		}
 	}
 	q.maybeComplete()
-	stops := q.stopTargets()
+	if n := q.budget.FirstN; n > 0 && len(q.rows.log) >= n {
+		// The user-site row target is met: stop the query's clones.
+		q.cht.stop()
+	}
+	var stops []string
+	if !q.rows.done {
+		stops = q.cht.stopTargets(true, q.proxySite())
+	}
 	q.mu.Unlock()
 	q.broadcastStop(stops, "first-n satisfied")
 	return true
@@ -935,60 +918,31 @@ func (q *Query) mergeTable(t wire.NodeTable) {
 		}
 		return
 	}
-	rt := q.tables[t.Stage]
-	if rt == nil {
-		rt = &ResultTable{Stage: t.Stage, Cols: t.Cols}
-		q.tables[t.Stage] = rt
-		q.rowSeen[t.Stage] = make(map[string]bool)
+	st, ok := q.stages[t.Stage]
+	if !ok {
+		st = stageRows{cols: t.Cols, seen: make(map[string]bool)}
+		q.stages[t.Stage] = st
 	}
-	seen := q.rowSeen[t.Stage]
-	fresh := false
 	for _, row := range t.Rows {
 		key := rowKey(row)
-		if seen[key] {
+		if st.seen[key] {
 			continue
 		}
-		seen[key] = true
-		rt.Rows = append(rt.Rows, row)
-		if len(q.srows) == 0 && q.stats.FirstRow == 0 {
+		st.seen[key] = true
+		if len(q.rows.log) == 0 && q.stats.FirstRow == 0 {
 			q.stats.FirstRow = time.Since(q.started)
 		}
-		q.srows = append(q.srows, StreamRow{Stage: t.Stage, Row: row})
-		fresh = true
-	}
-	if fresh {
-		if lag := len(q.srows) - q.sread; lag > q.stats.StreamHighWater {
-			q.stats.StreamHighWater = lag
-		}
-		q.scond.Broadcast()
+		q.rows.add(StreamRow{Stage: t.Stage, Row: row})
 	}
 }
 
-// stopTargets flips the query into stopping mode once Budget.FirstN is
-// satisfied (or Stop already flipped it) and returns the sites with live
-// CHT entries that have not been told yet. Callers hold q.mu; the actual
-// sends happen outside the lock via broadcastStop.
-func (q *Query) stopTargets() []string {
-	if !q.stopping && q.firstN > 0 && len(q.srows) >= q.firstN {
-		q.stopping = true
+// proxySite names the proxy's site, or "" without one: the proxy may hold
+// a clone of any site without a query server, so every stop goes there too.
+func (q *Query) proxySite() string {
+	if q.proxy == nil {
+		return ""
 	}
-	if !q.stopping || q.done {
-		return nil
-	}
-	var sites []string
-	for _, site := range q.cht.sites() {
-		if !q.stopSent[site] {
-			q.stopSent[site] = true
-			sites = append(sites, site)
-		}
-	}
-	if q.proxy != nil && !q.stopSent[q.proxy.Site()] {
-		// The proxy may hold a clone of any site without a query server.
-		q.stopSent[q.proxy.Site()] = true
-		sites = append(sites, q.proxy.Site())
-	}
-	sort.Strings(sites)
-	return sites
+	return q.proxy.Site()
 }
 
 // broadcastStop ships the typed StopMsg to each site's query server:
@@ -1041,12 +995,12 @@ func (q *Query) broadcastStop(sites []string, reason string) {
 // abandon collection.
 func (q *Query) Stop(reason string) {
 	q.mu.Lock()
-	if q.done {
+	if q.rows.done {
 		q.mu.Unlock()
 		return
 	}
-	q.stopping = true
-	stops := q.stopTargets()
+	q.cht.stop()
+	stops := q.cht.stopTargets(true, q.proxySite())
 	q.mu.Unlock()
 	q.broadcastStop(stops, reason)
 }
@@ -1056,7 +1010,7 @@ func (q *Query) Stop(reason string) {
 func (q *Query) Stopped() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.stopping
+	return q.cht.stopping
 }
 
 // rowKey identifies a row for deduplication: every cell followed by a
@@ -1082,8 +1036,8 @@ func rowKey(row []string) string {
 // retires them, marks the query Partial with the unaccounted-for sites,
 // and completes it. Nothing is sent: the query leaves the routing table
 // as on normal completion, and a straggler report is dropped there.
-func (q *Query) reaper() {
-	t := time.NewTimer(q.reapGrace)
+func (q *Query) reaper(grace time.Duration) {
+	t := time.NewTimer(grace)
 	defer t.Stop()
 	for {
 		select {
@@ -1092,20 +1046,19 @@ func (q *Query) reaper() {
 		case <-t.C:
 		}
 		q.mu.Lock()
-		if q.done {
+		if q.rows.done {
 			q.mu.Unlock()
 			return
 		}
-		if idle := time.Since(q.lastReport); idle < q.reapGrace {
+		if idle := time.Since(q.lastReport); idle < grace {
 			q.mu.Unlock()
-			t.Reset(q.reapGrace - idle)
+			t.Reset(grace - idle)
 			continue
 		}
-		if q.cht.drained() || (q.proxy != nil && q.proxy.Queued(q.id) > 0) {
-			// Balanced but unfinished (shouldn't happen), or the proxy
-			// still has clones queued that will produce reports.
+		if q.proxy != nil && q.proxy.Queued(q.id) > 0 {
+			// The proxy still has clones queued that will produce reports.
 			q.mu.Unlock()
-			t.Reset(q.reapGrace)
+			t.Reset(grace)
 			continue
 		}
 		// Before writing the orphans off, try to resume them: a replicated
@@ -1113,19 +1066,23 @@ func (q *Query) reaper() {
 		// replica (mid-traversal failover driven from the user-site). Only
 		// when replay is not possible — or has been tried and the entries
 		// stayed orphaned — does the reaper give up coverage.
-		clones := q.orphanClones()
-		if len(clones) == 0 {
+		var live []wire.CHTEntry
+		if q.replayable {
+			live = q.cht.replay(len(q.web.Stages))
+		}
+		if live == nil {
 			q.reap()
 			q.mu.Unlock()
 			return
 		}
+		clones := q.clones(live, 1) // mid-traversal resume, not a fresh root
 		q.mu.Unlock()
 		if q.replay(clones) > 0 {
 			q.mu.Lock()
 			q.lastReport = time.Now()
 			q.mu.Unlock()
 		}
-		t.Reset(q.reapGrace)
+		t.Reset(grace)
 	}
 }
 
@@ -1146,12 +1103,6 @@ func (q *Query) reap() {
 // stranded inside a crashed replica to a surviving one, through the
 // client's sender (Sender.SendSite).
 
-// maxReplayRounds bounds how many reap-grace windows the reaper spends
-// replaying stranded clones before conceding coverage. Each round only
-// fires after a full idle grace window, so the bound caps added latency
-// at a few windows while still surviving a crash during a replay.
-const maxReplayRounds = 3
-
 // sendSite delivers one clone to the named logical site through the
 // client's sender, failing over to the next live replica when a send
 // fails, and books the failovers on the query. Replicas in exclude (the
@@ -1165,34 +1116,6 @@ func (q *Query) sendSite(site string, msg *wire.CloneMsg, exclude map[string]boo
 		q.mu.Unlock()
 	}
 	return ep, err
-}
-
-// orphanClones reconstructs dispatchable clones for the CHT entries still
-// live after a full reap-grace window: the work a crashed replica took
-// with it. Each entry carries its exact instance serial, so the replayed
-// clone re-announces the SAME entries — the replay retires what the
-// corpse stranded, not a fresh generation, and the ledger stays exact.
-// Returns nil (and leaves state untouched) when replay is off, exhausted,
-// or any live entry cannot be reconstructed; the caller then reaps.
-// Callers hold q.mu.
-func (q *Query) orphanClones() []*wire.CloneMsg {
-	if q.cluster == nil || !q.replayable || q.replayRounds >= maxReplayRounds {
-		return nil
-	}
-	live := q.cht.live()
-	if len(live) == 0 {
-		return nil
-	}
-	for _, e := range live {
-		if e.State.NumQ <= 0 || e.State.NumQ > len(q.web.Stages) {
-			// A state from a web-query shape we do not understand: replay
-			// would lose it silently, so fall back to the honest reap.
-			return nil
-		}
-	}
-	q.replayRounds++
-	q.cht.markReplayed(live)
-	return q.clones(live, 1) // mid-traversal resume, not a fresh root
 }
 
 // replay dispatches reconstructed orphan clones to surviving replicas and
@@ -1227,9 +1150,6 @@ func (q *Query) replay(clones []*wire.CloneMsg) int {
 		}
 		sent++
 		q.mu.Lock()
-		if q.replayVia == nil {
-			q.replayVia = make(map[string]map[string]bool)
-		}
 		if q.replayVia[site] == nil {
 			q.replayVia[site] = make(map[string]bool)
 		}
@@ -1261,7 +1181,7 @@ func (q *Query) Unreachable() []string {
 // maybeComplete finishes the query when every CHT count is zero. Callers
 // hold q.mu.
 func (q *Query) maybeComplete() {
-	if !q.cht.drained() || q.done {
+	if !q.cht.drained() || q.rows.done {
 		return
 	}
 	q.finish(nil)
@@ -1273,25 +1193,25 @@ func (q *Query) maybeComplete() {
 // one is dropped by the router — or, when it opens a fresh session, fails
 // at its sender. Callers hold q.mu.
 func (q *Query) finish(err error) {
-	if q.done {
+	if q.rows.done {
 		return
 	}
-	q.done = true
-	q.err = err
 	q.stats.Duration = time.Since(q.started)
 	q.met.CHTReaped.Add(int64(q.cht.Reaped)) // every write-off, booked once
-	if q.acc != nil && !q.finalized {
+	if q.acc != nil {
 		// Materialize the grouped final table into the stream so Rows and
 		// Stream deliver it: aggregates cannot stream incrementally — a
 		// group's value is only final when every contribution is in.
-		q.finalized = true
 		_, rows := q.acc.FinalTable()
 		for _, row := range rows {
-			q.srows = append(q.srows, StreamRow{Stage: q.finalStage, Row: row})
+			q.rows.add(StreamRow{Stage: q.finalStage, Row: row})
 		}
 	}
+	q.rows.end(err) // wake stream consumers: no more rows are coming
 	close(q.doneCh)
-	q.scond.Broadcast() // wake stream consumers: no more rows are coming
+	if q.unbind != nil {
+		q.unbind()
+	}
 	q.c.detach(q.id.Num)
 }
 
@@ -1307,22 +1227,22 @@ const cancelReason = "cancelled"
 // its first report refused (see serve) and purges the query as after a
 // failed dispatch. Late reports of the query are dropped by the router.
 func (q *Query) Cancel() {
+	reporters := q.c.reporting()
 	q.mu.Lock()
-	if q.done {
+	if q.rows.done {
 		q.mu.Unlock()
 		return
 	}
-	inFlight := !q.cht.drained()
-	q.stopping = true
+	q.cht.stop()
+	var stops []string
+	if !q.cht.drained() {
+		// Not the live entries' sites: one without a session purges the
+		// query when its first report is refused.
+		stops = q.cht.stopTargets(false, append(reporters, q.proxySite())...)
+	}
 	q.finish(ErrCancelled)
 	q.mu.Unlock()
-	if inFlight {
-		sites := q.c.reporting()
-		if q.proxy != nil && !slices.Contains(sites, q.proxy.Site()) {
-			sites = append(sites, q.proxy.Site())
-		}
-		q.broadcastStop(sites, cancelReason)
-	}
+	q.broadcastStop(stops, cancelReason)
 }
 
 // abandon finishes a query whose client is closing: nothing is sent, the
@@ -1349,10 +1269,10 @@ func (q *Query) WaitContext(ctx context.Context) error {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !q.done {
+	if !q.rows.done {
 		return ErrTimeout
 	}
-	return q.err
+	return q.rows.err
 }
 
 // Wait blocks until the query completes, is cancelled, or the timeout
@@ -1371,7 +1291,7 @@ func (q *Query) Wait(timeout time.Duration) error {
 func (q *Query) Done() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.done
+	return q.rows.done
 }
 
 // LiveEntries returns the number of CHT entries with a nonzero count.
@@ -1390,7 +1310,7 @@ func (q *Query) LiveEntries() int {
 func (q *Query) Progress() float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.done {
+	if q.rows.done {
 		return 1
 	}
 	return q.cht.progress()
@@ -1402,8 +1322,8 @@ func (q *Query) RowCount() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
-	for _, t := range q.tables {
-		n += len(t.Rows)
+	for _, st := range q.stages {
+		n += len(st.seen)
 	}
 	return n
 }
@@ -1418,8 +1338,9 @@ func (q *Query) Stats() Stats {
 	t := &q.cht
 	st.EntriesAdded, st.EntriesRetired, st.GhostReports = t.EntriesAdded, t.EntriesRetired, t.GhostReports
 	st.PeakLive, st.Reaped, st.DupRetired = t.PeakLive, t.Reaped, t.DupRetired
-	st.RowsStreamed = q.sread
-	st.ConsumerLag = len(q.srows) - q.sread
+	st.RowsStreamed = q.rows.read
+	st.ConsumerLag = len(q.rows.log) - q.rows.read
+	st.StreamHighWater = q.rows.high
 	return st
 }
 
@@ -1428,7 +1349,7 @@ func (q *Query) Stats() Stats {
 func (q *Query) Expired() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.expired
+	return q.cht.fates[wire.FateExpired] > 0
 }
 
 // Err types how a finished query degraded, matchable with errors.Is: nil
@@ -1441,20 +1362,10 @@ func (q *Query) Expired() bool {
 func (q *Query) Err() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.err != nil {
-		return q.err
+	if q.rows.err != nil {
+		return q.rows.err
 	}
-	var errs []error
-	if q.shed {
-		errs = append(errs, ErrShed)
-	}
-	if q.cht.Reaped > 0 {
-		errs = append(errs, ErrPartial)
-	}
-	if q.expired {
-		errs = append(errs, ErrExpired)
-	}
-	return errors.Join(errs...)
+	return q.cht.err()
 }
 
 // Rows returns the query's result rows as an incremental pull iterator
@@ -1466,29 +1377,7 @@ func (q *Query) Err() error {
 // nothing — the iterator is pull-based, with no goroutine behind it.
 func (q *Query) Rows() iter.Seq2[int, []string] {
 	return func(yield func(int, []string) bool) {
-		i := 0
-		q.mu.Lock()
-		for {
-			for i < len(q.srows) {
-				r := q.srows[i]
-				i++
-				if i > q.sread {
-					q.sread = i
-				}
-				q.mu.Unlock()
-				ok := yield(r.Stage, r.Row)
-				q.mu.Lock()
-				if !ok {
-					q.mu.Unlock()
-					return
-				}
-			}
-			if q.done {
-				q.mu.Unlock()
-				return
-			}
-			q.scond.Wait()
-		}
+		q.rows.each(context.Background(), func(r StreamRow) bool { return yield(r.Stage, r.Row) })
 	}
 }
 
@@ -1498,66 +1387,12 @@ func (q *Query) Rows() iter.Seq2[int, []string] {
 // Rows for select loops. A slow consumer never blocks merge: rows spill
 // into the query's ordered log and the lag is accounted in Stats.
 //
-// The pump is additionally bounded by the client's Options.Done channel:
-// a consumer that abandons the channel with a background context would
-// otherwise pin the pump forever on a finished query's undelivered rows,
-// outliving the deployment that owns the transport.
+// The pump is additionally bounded by the client's life (Close, or
+// Options.Done): a consumer that abandons the channel with a background
+// context would otherwise pin the pump forever on a finished query's
+// undelivered rows, outliving the deployment that owns the transport.
 func (q *Query) Stream(ctx context.Context) <-chan StreamRow {
-	ch := make(chan StreamRow, 64)
-	stop := make(chan struct{})
-	go func() {
-		// Waker: a cond-waiting pump cannot select on ctx, so turn the
-		// ctx's (or the deployment's) end into a broadcast.
-		select {
-		case <-ctx.Done():
-		case <-q.extDone:
-		case <-stop:
-			return
-		}
-		q.mu.Lock()
-		q.scond.Broadcast()
-		q.mu.Unlock()
-	}()
-	go func() {
-		defer close(ch)
-		defer close(stop)
-		i := 0
-		for {
-			q.mu.Lock()
-			for i >= len(q.srows) && !q.done && ctx.Err() == nil && !q.extClosed() {
-				q.scond.Wait()
-			}
-			if ctx.Err() != nil || q.extClosed() || i >= len(q.srows) {
-				q.mu.Unlock()
-				return
-			}
-			r := q.srows[i]
-			i++
-			if i > q.sread {
-				q.sread = i
-			}
-			q.mu.Unlock()
-			select {
-			case ch <- r:
-			case <-ctx.Done():
-				return
-			case <-q.extDone:
-				return
-			}
-		}
-	}()
-	return ch
-}
-
-// extClosed reports whether the client-wide Options.Done channel has
-// closed (nil never closes).
-func (q *Query) extClosed() bool {
-	select {
-	case <-q.extDone:
-		return true
-	default:
-		return false
-	}
+	return q.rows.stream(ctx, q.c.life)
 }
 
 // Results returns the merged result tables ordered by stage, with rows
@@ -1569,41 +1404,32 @@ func (q *Query) extClosed() bool {
 func (q *Query) Results() []ResultTable {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	stages := make([]int, 0, len(q.tables))
-	for s := range q.tables {
+	stages := make([]int, 0, len(q.stages))
+	for s := range q.stages {
 		stages = append(stages, s)
 	}
 	sort.Ints(stages)
 	out := make([]ResultTable, 0, len(stages)+1)
 	for _, s := range stages {
-		if q.acc != nil && s == q.finalStage {
-			continue // replaced by the aggregate table below
+		// A grouped query's final stage never reaches stages: its rows
+		// fold into the aggregate table below.
+		st := q.stages[s]
+		rows := make([][]string, 0, len(st.seen))
+		for _, r := range q.rows.log {
+			if r.Stage == s {
+				rows = append(rows, r.Row)
+			}
 		}
-		t := q.tables[s]
-		rows := make([][]string, len(t.Rows))
-		copy(rows, t.Rows)
 		if q.output != nil && q.acc == nil && s == q.finalStage {
-			rows = plan.SortLimit(rows, t.Cols, q.output)
+			rows = plan.SortLimit(rows, st.cols, q.output)
 		} else {
-			sortRows(rows)
+			slices.SortFunc(rows, slices.Compare)
 		}
-		out = append(out, ResultTable{Stage: t.Stage, Cols: t.Cols, Rows: rows})
+		out = append(out, ResultTable{Stage: s, Cols: st.cols, Rows: rows})
 	}
 	if q.acc != nil {
 		cols, rows := q.acc.FinalTable()
 		out = append(out, ResultTable{Stage: q.finalStage, Cols: cols, Rows: rows})
 	}
 	return out
-}
-
-func sortRows(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }

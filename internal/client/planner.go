@@ -16,10 +16,6 @@ type statStore struct {
 	stats map[string]wire.SiteStat
 }
 
-func newStatStore() *statStore {
-	return &statStore{stats: make(map[string]wire.SiteStat)}
-}
-
 // learn folds piggybacked statistics in; snapshots are cumulative
 // counters, so the latest replaces the stored one.
 func (ss *statStore) learn(stats []wire.SiteStat) {

@@ -143,26 +143,22 @@ type contribSet map[int]map[string][]string
 // affected part of the traversal, and emits typed row deltas. Create with
 // Client.Watch, consume with Deltas, Stream or Results, release with Close.
 type Watch struct {
-	c      *Client
-	web    *disql.WebQuery
-	wid    wire.QueryID
-	sites  []string // sites a WatchMsg registration reached
-	budget wire.Budget
-	// extDone mirrors Options.Done, bounding Stream pumps exactly as in
-	// Query.
-	extDone <-chan struct{}
+	c     *Client
+	web   *disql.WebQuery
+	wid   wire.QueryID
+	sites []string // sites a WatchMsg registration reached
 	// conservative is set when some stage's answer presence is not
 	// observable from reported tables (a node-query with no select
 	// list): content edits are then treated as structural, trading
 	// delta-efficiency for exactness.
 	conservative bool
-	journal      *trace.Journal
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []*wire.DeltaMsg
 	closed bool
-	err    error
+	// unbind releases the hold of the constructor's ctx and of the
+	// client's life, each of which closes the watch when it ends.
+	unbind []func() bool
 
 	// Standing derivation state: per-node contributions, the deduplicated
 	// traversal DAG, per-stage column headers, and the per-stage global
@@ -172,9 +168,10 @@ type Watch struct {
 	cols     map[int][]string
 	cur      map[int]map[string][]string
 
+	// epoch counts the notifications folded in; deltas is every delta
+	// emitted, in order, and ends when the watch closes or fails.
 	epoch  int
-	log    []Delta
-	doneCh chan struct{} // closed when the epoch loop exits
+	deltas feed[Delta]
 }
 
 // Watch submits w as a standing query and registers for change
@@ -210,11 +207,11 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	if w.Output != nil {
 		return nil, ErrWatchOutput
 	}
+	if correlated(w) {
+		return nil, ErrWatchCorrelated
+	}
 	conservative := false
 	for _, st := range w.Stages {
-		if st.Query != nil && len(st.Query.Outer) > 0 {
-			return nil, ErrWatchCorrelated
-		}
 		if st.Query != nil && len(st.Query.Select) == 0 {
 			conservative = true
 		}
@@ -223,17 +220,13 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	wa := &Watch{
 		c:            c,
 		web:          w,
-		budget:       b,
-		extDone:      c.opts.Done,
 		conservative: conservative,
-		journal:      c.opts.Journal,
 		contribs:     make(map[string]contribSet),
 		edges:        make(map[watchEdge]bool),
 		cols:         make(map[int][]string),
 		cur:          make(map[int]map[string][]string),
-		doneCh:       make(chan struct{}),
 	}
-	wa.cond = sync.NewCond(&wa.mu)
+	wa.deltas.cond.L = &wa.mu
 
 	err := c.attach(func(id wire.QueryID) {
 		wa.wid = id
@@ -245,7 +238,8 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 
 	// Register before the initial run: a mutation landing between the
 	// two produces a queued notification whose re-derivation is
-	// idempotent against the state the run already saw.
+	// idempotent against the state the run already saw. From here on a
+	// failure deregisters, as Close does.
 	reg := &wire.WatchMsg{Version: wire.WatchVersion, ID: wa.wid}
 	ordered := append([]string(nil), sites...)
 	sort.Strings(ordered)
@@ -257,37 +251,26 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 
 	rec := &recording{}
 	q, err := c.submit(w, b, rec)
-	if err != nil {
-		wa.teardown()
-		return nil, err
+	if err == nil {
+		err = q.WaitContext(ctx)
 	}
-	if err := q.WaitContext(ctx); err != nil {
-		wa.teardown()
-		return nil, err
-	}
-	if err := q.Err(); err != nil {
+	if err == nil && q.Err() != nil {
 		// A degraded baseline (shed, partial, expired) would seed an
 		// unsound standing set that every later delta inherits.
-		wa.teardown()
-		return nil, fmt.Errorf("client: watch baseline degraded: %w", err)
+		err = fmt.Errorf("client: watch baseline degraded: %w", q.Err())
 	}
+	if err != nil {
+		wa.Close()
+		return nil, err
+	}
+	closeW := func() { wa.Close() }
 	wa.mu.Lock()
 	wa.absorb(rec)
 	wa.cur = wa.globalRows()
+	wa.unbind = []func() bool{context.AfterFunc(ctx, closeW), context.AfterFunc(c.life, closeW)}
 	wa.mu.Unlock()
 
 	go wa.loop()
-	if wa.extDone != nil || ctx.Done() != nil {
-		go func() {
-			select {
-			case <-wa.doneCh:
-			case <-wa.extDone:
-				wa.Close()
-			case <-ctx.Done():
-				wa.Close()
-			}
-		}()
-	}
 	return wa, nil
 }
 
@@ -295,29 +278,29 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 // collector calls it for every applicable DeltaMsg carrying this watch's
 // id.
 func (w *Watch) notify(m *wire.DeltaMsg) {
-	if w.journal != nil {
-		w.journal.Append(trace.Event{
+	if j := w.c.opts.Journal; j != nil {
+		j.Append(trace.Event{
 			Query: w.wid.String(), Kind: trace.Delta,
 			Detail: fmt.Sprintf("from %s: %d edited, %d rewired", m.Site, len(m.Edited), len(m.Rewired)),
 		})
 	}
 	w.mu.Lock()
-	if !w.closed {
+	if !w.deltas.done {
 		w.queue = append(w.queue, m)
-		w.cond.Broadcast()
+		w.deltas.cond.Broadcast()
 	}
 	w.mu.Unlock()
 }
 
-// loop drains the notification queue, one epoch per message.
+// loop drains the notification queue, one epoch per message, until the
+// watch closes; a failed step ends the watch's feed with its error.
 func (w *Watch) loop() {
-	defer close(w.doneCh)
 	for {
 		w.mu.Lock()
-		for len(w.queue) == 0 && !w.closed {
-			w.cond.Wait()
+		for len(w.queue) == 0 && !w.deltas.done {
+			w.deltas.cond.Wait()
 		}
-		if w.closed {
+		if w.deltas.done {
 			w.mu.Unlock()
 			return
 		}
@@ -326,10 +309,7 @@ func (w *Watch) loop() {
 		w.mu.Unlock()
 		if err := w.step(msg); err != nil {
 			w.mu.Lock()
-			if w.err == nil {
-				w.err = err
-			}
-			w.cond.Broadcast()
+			w.deltas.end(err)
 			w.mu.Unlock()
 			return
 		}
@@ -379,13 +359,9 @@ func (w *Watch) step(msg *wire.DeltaMsg) error {
 		if err != nil {
 			return err
 		}
-		fresh := tablesByNode(rec.tables)
+		fresh := make(map[string]contribSet)
 		w.mu.Lock()
-		for _, t := range rec.tables {
-			if _, ok := w.cols[t.Stage]; !ok {
-				w.cols[t.Stage] = t.Cols
-			}
-		}
+		w.file(fresh, rec.tables)
 		for _, n := range editedOnly {
 			if !sameStages(w.contribs[n], fresh[n]) {
 				// The edit flipped some stage's answer between empty and
@@ -441,23 +417,28 @@ func (w *Watch) step(msg *wire.DeltaMsg) error {
 	// counts notifications gets exact WaitEpoch barriers.
 	w.mu.Lock()
 	next := w.globalRows()
-	w.log = append(w.log, diffRows(w.cur, next, w.epoch+1)...)
+	for _, d := range diffRows(w.cur, next, w.epoch+1) {
+		w.deltas.add(d)
+	}
 	w.cur = next
 	w.epoch++
-	w.cond.Broadcast()
+	w.deltas.cond.Broadcast() // WaitEpoch's barrier, rows changed or not
 	w.mu.Unlock()
 	return nil
 }
 
-// rerun dispatches a recorded sub-traversal and waits it out. A
-// degraded completion (partial, shed, expired) is an error: an
-// incomplete re-derivation would silently corrupt the standing set.
+// rerun dispatches a recorded sub-traversal and waits it out: a query
+// that resumes mid-traversal, each root a recorded (node, state) arrival
+// rather than a start at stage 0. A degraded completion (partial, shed,
+// expired) is an error: an incomplete re-derivation would silently
+// corrupt the standing set.
 func (w *Watch) rerun(roots []wire.CHTEntry, b wire.Budget) (*recording, error) {
 	rec := &recording{}
-	q, err := w.c.submitRoots(w.web, roots, b, rec)
+	q, err := w.c.newQuery(w.web, b, rec)
 	if err != nil {
 		return nil, err
 	}
+	q.dispatchRoots(roots, nil)
 	if err := q.Wait(0); err != nil {
 		return nil, err
 	}
@@ -504,37 +485,24 @@ func closure(seeds []string, children map[string][]string) map[string]bool {
 
 // absorb unions a recording into the standing state. Callers hold w.mu.
 func (w *Watch) absorb(rec *recording) {
-	for _, t := range rec.tables {
-		if _, ok := w.cols[t.Stage]; !ok {
-			w.cols[t.Stage] = t.Cols
-		}
-		cs := w.contribs[t.Node]
-		if cs == nil {
-			cs = make(contribSet)
-			w.contribs[t.Node] = cs
-		}
-		rows := cs[t.Stage]
-		if rows == nil {
-			rows = make(map[string][]string)
-			cs[t.Stage] = rows
-		}
-		for _, row := range t.Rows {
-			rows[rowKey(row)] = row
-		}
-	}
+	w.file(w.contribs, rec.tables)
 	for _, e := range rec.edges {
 		w.edges[watchEdge{parent: e.parent, node: e.child.Node, state: e.child.State}] = true
 	}
 }
 
-// tablesByNode groups reported tables into per-node contributions.
-func tablesByNode(tabs []wire.NodeTable) map[string]contribSet {
-	out := make(map[string]contribSet)
+// file unions reported tables into the per-node contributions of into,
+// and records each stage's columns the first time it answers. Callers
+// hold w.mu.
+func (w *Watch) file(into map[string]contribSet, tabs []wire.NodeTable) {
 	for _, t := range tabs {
-		cs := out[t.Node]
+		if _, ok := w.cols[t.Stage]; !ok {
+			w.cols[t.Stage] = t.Cols
+		}
+		cs := into[t.Node]
 		if cs == nil {
 			cs = make(contribSet)
-			out[t.Node] = cs
+			into[t.Node] = cs
 		}
 		rows := cs[t.Stage]
 		if rows == nil {
@@ -545,7 +513,6 @@ func tablesByNode(tabs []wire.NodeTable) map[string]contribSet {
 			rows[rowKey(row)] = row
 		}
 	}
-	return out
 }
 
 // sameStages reports whether two contribution sets answer the same
@@ -646,36 +613,24 @@ func (w *Watch) Epoch() int {
 func (w *Watch) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.err
+	return w.deltas.err
 }
 
 // WaitEpoch blocks until at least n notifications have been processed,
 // the watch fails or closes, or ctx ends.
 func (w *Watch) WaitEpoch(ctx context.Context, n int) error {
-	var stop chan struct{}
-	if ctx.Done() != nil {
-		stop = make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				w.mu.Lock()
-				w.cond.Broadcast()
-				w.mu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
+	unwake := context.AfterFunc(ctx, w.deltas.wake)
+	defer unwake()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.epoch < n && w.err == nil && !w.closed && ctx.Err() == nil {
-		w.cond.Wait()
+	for w.epoch < n && !w.deltas.done && ctx.Err() == nil {
+		w.deltas.cond.Wait()
 	}
 	switch {
 	case w.epoch >= n:
 		return nil
-	case w.err != nil:
-		return w.err
+	case w.deltas.err != nil:
+		return w.deltas.err
 	case ctx.Err() != nil:
 		return ctx.Err()
 	default:
@@ -690,27 +645,9 @@ func (w *Watch) WaitEpoch(ctx context.Context, n int) error {
 // nothing.
 func (w *Watch) Deltas() iter.Seq2[Delta, error] {
 	return func(yield func(Delta, error) bool) {
-		i := 0
-		w.mu.Lock()
-		for {
-			for i < len(w.log) {
-				d := w.log[i]
-				i++
-				w.mu.Unlock()
-				if !yield(d, nil) {
-					return
-				}
-				w.mu.Lock()
-			}
-			if w.err != nil || w.closed {
-				err := w.err
-				w.mu.Unlock()
-				if err != nil {
-					yield(Delta{}, err)
-				}
-				return
-			}
-			w.cond.Wait()
+		err := w.deltas.each(context.Background(), func(d Delta) bool { return yield(d, nil) })
+		if err != nil {
+			yield(Delta{}, err)
 		}
 	}
 }
@@ -718,57 +655,10 @@ func (w *Watch) Deltas() iter.Seq2[Delta, error] {
 // Stream returns a bounded channel of the watch's deltas from epoch 1
 // on — the abandon-safe form of Deltas for select loops. The channel
 // closes when the watch closes or fails, or when ctx ends; the pump is
-// additionally bounded by the client's Options.Done channel so an
-// abandoned consumer cannot outlive the owning deployment.
+// additionally bounded by the client's life (Close, or Options.Done) so
+// an abandoned consumer cannot outlive the owning deployment.
 func (w *Watch) Stream(ctx context.Context) <-chan Delta {
-	ch := make(chan Delta, 64)
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-w.extDone:
-		case <-stop:
-			return
-		}
-		w.mu.Lock()
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	}()
-	go func() {
-		defer close(ch)
-		defer close(stop)
-		i := 0
-		for {
-			w.mu.Lock()
-			for i >= len(w.log) && !w.closed && w.err == nil && ctx.Err() == nil && !w.extClosed() {
-				w.cond.Wait()
-			}
-			if ctx.Err() != nil || w.extClosed() || i >= len(w.log) {
-				w.mu.Unlock()
-				return
-			}
-			d := w.log[i]
-			i++
-			w.mu.Unlock()
-			select {
-			case ch <- d:
-			case <-ctx.Done():
-				return
-			case <-w.extDone:
-				return
-			}
-		}
-	}()
-	return ch
-}
-
-func (w *Watch) extClosed() bool {
-	select {
-	case <-w.extDone:
-		return true
-	default:
-		return false
-	}
+	return w.deltas.stream(ctx, w.c.life)
 }
 
 // Results returns the standing result set in the same shape and order
@@ -788,7 +678,7 @@ func (w *Watch) Results() []ResultTable {
 		for _, row := range w.cur[st] {
 			rows = append(rows, row)
 		}
-		sortRows(rows)
+		slices.SortFunc(rows, slices.Compare)
 		out = append(out, ResultTable{Stage: st, Cols: w.cols[st], Rows: rows})
 	}
 	return out
@@ -804,36 +694,18 @@ func (w *Watch) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.cond.Broadcast()
+	w.deltas.end(nil)
+	unbind := w.unbind
 	w.mu.Unlock()
+	for _, release := range unbind {
+		release()
+	}
 	cancel := &wire.WatchMsg{Version: wire.WatchVersion, ID: w.wid, Cancel: true}
 	for _, site := range w.sites {
 		w.c.out.Send(server.Endpoint(site), cancel) //nolint:errcheck // best-effort deregistration
 	}
-	w.teardown()
-	return nil
-}
-
-// teardown closes the watch and stops its notifications being routed.
-func (w *Watch) teardown() {
-	w.mu.Lock()
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
 	w.c.mu.Lock()
 	delete(w.c.watches, w.wid.Num)
 	w.c.mu.Unlock()
-}
-
-// submitRoots dispatches a web-query that resumes mid-traversal: each
-// root carries a recorded (node, state) arrival rather than starting at
-// stage 0. It is the re-derivation primitive of the continuous-query
-// layer.
-func (c *Client) submitRoots(w *disql.WebQuery, roots []wire.CHTEntry, b wire.Budget, rec *recording) (*Query, error) {
-	q, err := c.newQuery(w, b, rec)
-	if err != nil {
-		return nil, err
-	}
-	q.dispatchRoots(roots, nil)
-	return q, nil
+	return nil
 }

@@ -350,13 +350,41 @@ func TestWatchAbandonedStreamNoLeak(t *testing.T) {
 }
 
 // TestWatchBudgetOption checks the per-watch budget override plumbs
-// through: an already-expired deadline must fail the baseline run.
+// through: an already-expired deadline must fail the baseline run. The
+// failed watch registered at every site before its run, and must leave no
+// registration behind: a mutation then notifies nobody.
 func TestWatchBudgetOption(t *testing.T) {
-	d := deploy(t, watchWeb(), server.Options{})
+	d := deployCfg(t, Config{Web: watchWeb(), Watch: WatchConfig{Mutations: webgraph.MutationPlan{Seed: 42}}})
 	ctx, cancel := context.WithTimeout(context.Background(), waitFor)
 	defer cancel()
 	_, err := d.Watch(ctx, watchSrcs()[0], WatchOptions{Budget: wire.Budget{Deadline: 1}})
 	if !errors.Is(err, client.ErrExpired) {
 		t.Errorf("expired baseline: err = %v, want ErrExpired", err)
+	}
+	// The client numbers everything it submits in turn: the failed watch
+	// took the id before this query's and its baseline run's.
+	failed := run(t, d, watchSrcs()[0]).ID()
+	failed.Num -= 2
+	watching := func() []string {
+		var sites []string
+		for site, reps := range d.servers {
+			for _, s := range reps {
+				if s.Watching(failed) {
+					sites = append(sites, site)
+				}
+			}
+		}
+		return sites
+	}
+	// Deregistration travels unacknowledged, like registration.
+	for deadline := time.Now().Add(time.Second); len(watching()) > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if sites := watching(); len(sites) > 0 {
+		t.Errorf("failed watch %v still registered at %v", failed, sites)
+	}
+	d.Mutate(20)
+	if n := d.Metrics().Snapshot().DeltasSent; n != 0 {
+		t.Errorf("DeltasSent = %d after the failed watch, want 0", n)
 	}
 }

@@ -208,12 +208,12 @@ type Server struct {
 	stopMu   sync.Mutex
 	stoppedQ map[wire.QueryID]time.Time
 
-	// watches is the standing continuous-query registry: watch QueryID
-	// string → registration. A registered watch receives one DeltaMsg
+	// watches is the standing continuous-query registry: watch QueryID →
+	// registration. A registered watch receives one DeltaMsg
 	// (with this site's per-watch monotonic Seq) for every local batch of
 	// web mutations, until the user-site cancels it.
 	watchMu sync.Mutex
-	watches map[string]*watchReg
+	watches map[wire.QueryID]*watchReg
 
 	mu      sync.Mutex
 	serving *netsim.Serving // the Query Receiver
@@ -459,10 +459,9 @@ func (s *Server) receive(conn net.Conn) {
 	}
 }
 
-// watchReg is one standing watch: the collector's identity plus the
-// per-watch monotonic delta sequence this site stamps on notifications.
+// watchReg is one standing watch: the per-watch monotonic delta sequence
+// this site stamps on notifications.
 type watchReg struct {
-	id  wire.QueryID
 	seq int64
 }
 
@@ -473,18 +472,17 @@ func (s *Server) handleWatch(m *wire.WatchMsg) {
 	if !m.Applies() {
 		return
 	}
-	key := m.ID.String()
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
 	if m.Cancel {
-		delete(s.watches, key)
+		delete(s.watches, m.ID)
 		return
 	}
 	if s.watches == nil {
-		s.watches = make(map[string]*watchReg)
+		s.watches = make(map[wire.QueryID]*watchReg)
 	}
-	if _, ok := s.watches[key]; !ok {
-		s.watches[key] = &watchReg{id: m.ID}
+	if _, ok := s.watches[m.ID]; !ok {
+		s.watches[m.ID] = &watchReg{}
 		s.met.WatchesRegistered.Add(1)
 	}
 }
@@ -495,7 +493,7 @@ func (s *Server) handleWatch(m *wire.WatchMsg) {
 func (s *Server) Watching(id wire.QueryID) bool {
 	s.watchMu.Lock()
 	defer s.watchMu.Unlock()
-	_, ok := s.watches[id.String()]
+	_, ok := s.watches[id]
 	return ok
 }
 
@@ -532,10 +530,10 @@ func (s *Server) InvalidateDocs(edited, rewired []string) {
 
 	s.watchMu.Lock()
 	regs := make([]*wire.DeltaMsg, 0, len(s.watches))
-	for _, w := range s.watches {
+	for id, w := range s.watches {
 		w.seq++
 		regs = append(regs, &wire.DeltaMsg{
-			Version: wire.WatchVersion, ID: w.id, Site: s.site, Seq: w.seq,
+			Version: wire.WatchVersion, ID: id, Site: s.site, Seq: w.seq,
 			Edited: edited, Rewired: rewired,
 		})
 	}
