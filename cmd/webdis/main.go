@@ -19,6 +19,7 @@ import (
 	"os"
 	"os/signal"
 	"os/user"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -72,10 +73,7 @@ func main() {
 		fatal(err)
 	}
 
-	username := "webdis"
-	if u, err := user.Current(); err == nil && u.Username != "" {
-		username = u.Username
-	}
+	username := runUser(time.Now())
 	var journal *trace.Journal
 	if *traceMode != "" {
 		switch *traceMode {
@@ -91,7 +89,7 @@ func main() {
 	var proxy *server.Server
 	if *hybrid {
 		// The proxy is an ordinary query server with no documents of its
-		// own, listening on an ephemeral port under the user's name.
+		// own, listening on an ephemeral port under the run's user name.
 		proxy = server.New(username, nil, tr, &server.Metrics{}, server.Options{Journal: journal})
 		if err := proxy.Start(); err != nil {
 			fatal(err)
@@ -183,6 +181,20 @@ func runWatch(c *client.Client, w *disql.WebQuery, sites []string) {
 		fatal(err)
 	}
 	fmt.Printf("watch closed at epoch %d\n", wa.Epoch())
+}
+
+// runUser names the user of a run started at start: the login name and
+// the start time in base 36. Sites keep per-query state for the query ids
+// a client mints — a site's log table drops an arrival it has logged —
+// and every run numbers its queries from 1 at its collector address, so
+// a run under the name of an earlier one against the same daemons would
+// have its answer dropped as duplicates of the earlier run's.
+func runUser(start time.Time) string {
+	name := "webdis"
+	if u, err := user.Current(); err == nil && u.Username != "" {
+		name = u.Username
+	}
+	return name + "." + strconv.FormatInt(start.UnixNano(), 36)
 }
 
 func registerPeers(tr *netsim.TCPTransport, path string) ([]string, error) {

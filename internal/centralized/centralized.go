@@ -19,7 +19,6 @@ import (
 	"webdis/internal/nodequery"
 	"webdis/internal/relmodel"
 	"webdis/internal/webserver"
-	"webdis/internal/wire"
 )
 
 // Options configure a centralized run. The zero value matches the
@@ -77,7 +76,7 @@ func Run(tr netsim.Transport, from string, w *disql.WebQuery, opts Options) (*Re
 	}
 	v := nodeproc.Visitor{
 		Log:            nodeproc.NewLogTable(opts.Dedup),
-		Query:          wire.QueryID{User: "centralized", Site: from, Num: 1},
+		Query:          1,
 		StrictDeadEnds: opts.StrictDeadEnds,
 		MaxHops:        opts.MaxHops,
 	}

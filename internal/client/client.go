@@ -194,6 +194,13 @@ func New(tr netsim.Transport, user, base string) *Client {
 }
 
 // NewWith returns a client configured by opts.
+//
+// The client numbers its queries from 1, and their ids are (user, base
+// collector, number). Sites keep per-query state — a site's log table
+// drops an arrival it has logged — until a sweep frees it, so (user,
+// base) must name one client run: a later client under the same pair
+// against the same sites would have its answers dropped as duplicates of
+// the earlier one's.
 func NewWith(tr netsim.Transport, user, base string, opts Options) *Client {
 	if opts.Metrics == nil {
 		opts.Metrics = &server.Metrics{}
@@ -1056,7 +1063,8 @@ func (q *Query) reaper(grace time.Duration) {
 			continue
 		}
 		if q.proxy != nil && q.proxy.Queued(q.id) > 0 {
-			// The proxy still has clones queued that will produce reports.
+			// The proxy still has clones queued or being handled that will
+			// produce reports.
 			q.mu.Unlock()
 			t.Reset(grace)
 			continue

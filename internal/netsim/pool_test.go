@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -242,5 +243,47 @@ func TestPoolPutEvictsUnhealthySession(t *testing.T) {
 	}
 	if got := p.IdleCount(); got != 0 {
 		t.Errorf("IdleCount = %d, want 0: poisoned session was pooled", got)
+	}
+}
+
+// TestPeerClosedTCP: a dialled TCP connection reads as open while its
+// peer holds it — the check costs no allocation, so a sender can make it
+// before every reuse — and as closed once the peer has closed its end.
+func TestPeerClosedTCP(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the peer-close probe is Linux-only")
+	}
+	tr := NewTCP()
+	ln, err := tr.Listen("peer.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := tr.Dial("self.example", "peer.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	peer := <-accepted
+	if PeerClosed(c) {
+		t.Fatal("an open connection reads as closed")
+	}
+	if a := testing.AllocsPerRun(100, func() { PeerClosed(c) }); a != 0 {
+		t.Errorf("PeerClosed allocates %.0f times per check, want 0", a)
+	}
+	peer.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for !PeerClosed(c) {
+		if time.Now().After(deadline) {
+			t.Fatal("the peer's close never showed")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -137,13 +137,33 @@ func (t *TCPTransport) Dial(from, to string) (net.Conn, error) {
 		return nil, fmt.Errorf("%w: %s -> %s: %v", ErrRefused, from, to, err)
 	}
 	t.stats.AddDial(from, to)
-	return &tcpConn{Conn: c, stats: t.stats, from: from, to: to}, nil
+	return &tcpConn{Conn: c, stats: t.stats, from: from, to: to, peer: newPeerProbe(c)}, nil
 }
 
 type tcpConn struct {
 	net.Conn
 	stats    *Stats
 	from, to string
+	peer     *peerProbe
+}
+
+// PeerClosed reports, without blocking, whether the peer of an idle
+// connection dialled over TCP has closed it. A pooled connection needs
+// the check before it is reused: a write into a socket whose peer has
+// closed succeeds once, and its frame is lost. Wrappers are unwrapped
+// through their NetConn method. A connection of the simulated fabric, one
+// with unread bytes waiting, or any connection off Linux, reports false.
+func PeerClosed(c net.Conn) bool {
+	for {
+		switch v := c.(type) {
+		case *tcpConn:
+			return v.peer.closed()
+		case interface{ NetConn() net.Conn }:
+			c = v.NetConn()
+		default:
+			return false
+		}
+	}
 }
 
 func (c *tcpConn) Write(p []byte) (int, error) {
@@ -151,6 +171,9 @@ func (c *tcpConn) Write(p []byte) (int, error) {
 	c.stats.AddBytes(c.from, c.to, n)
 	return n, err
 }
+
+// NetConn returns the socket under the counting wrapper.
+func (c *tcpConn) NetConn() net.Conn { return c.Conn }
 
 func (c *tcpConn) MarkMessage(kind string) {
 	c.stats.AddMessage(c.from, c.to, kind)

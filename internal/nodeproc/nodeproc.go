@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"webdis/internal/disql"
 	"webdis/internal/htmlx"
@@ -328,42 +327,29 @@ type Verdict struct {
 	Rem    pre.Expr
 }
 
-type logEntry struct {
-	numQ  int
-	rem   pre.Expr
-	added time.Time
-}
-
-// LogTable records, per (node, query), the states of previously processed
-// clones, and classifies new arrivals. It is safe for concurrent use. The
-// zero value is not usable; construct with NewLogTable.
+// LogTable records, per (query, node, environment), the states (numQ,
+// rem) of previously processed clones, and classifies new arrivals. It is
+// safe for concurrent use. The zero value is not usable; construct with
+// NewLogTable.
 type LogTable struct {
 	mode DedupMode
 
-	mu      sync.Mutex
-	entries map[string][]logEntry // appendLogKey(node, query id, env) -> states
+	mu sync.Mutex
+	// entries holds the logged rems, keyed by the query (see Check and
+	// CheckQuery), the node's number in nodes, numQ and the environment.
+	// The key is one string rather than a struct of the fields: an entry
+	// then holds one small allocation, not the arriving message's own copy
+	// of each field in a map slot more than twice as wide. Numbering the
+	// nodes keeps the URL, the longest field, out of every key; nodes
+	// holds every node the table has logged an arrival at.
+	entries map[string][]pre.Expr
+	nodes   map[string]uint64
 	size    int
-}
-
-// appendLogKey appends the log table's key for the arrivals at node, for
-// query id, under the upstream environment env. Every field but the last
-// is length-prefixed, so no two arrivals share a key by accident of their
-// spelling. The key is one string rather than a struct of the fields: an
-// entry then holds one small allocation, not the arriving message's own
-// copy of each field in a map slot more than twice as wide (a struct key
-// raised the live heap of a 364-page traversal workload by 27 %).
-func appendLogKey(buf []byte, node string, id wire.QueryID, env string) []byte {
-	for _, s := range [...]string{node, id.User, id.Site} {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	buf = binary.AppendVarint(buf, int64(id.Num))
-	return append(buf, env...)
 }
 
 // NewLogTable returns an empty log table operating in the given mode.
 func NewLogTable(mode DedupMode) *LogTable {
-	return &LogTable{mode: mode, entries: make(map[string][]logEntry)}
+	return &LogTable{mode: mode, entries: make(map[string][]pre.Expr), nodes: make(map[string]uint64)}
 }
 
 // Mode returns the table's dedup mode.
@@ -376,39 +362,59 @@ func (lt *LogTable) Len() int {
 	return lt.size
 }
 
-// Check classifies the arrival of a clone for node in state (numQ, rem)
-// and updates the table per Section 3.1.1: fresh and superset arrivals are
-// logged (superset arrivals replacing the entry they cover), duplicates
-// are not. envKey distinguishes correlated clones: arrivals carrying
-// different upstream bindings are never equivalent (wire.EnvKey computes
-// it; "" for uncorrelated queries).
+// Check classifies the arrival of a clone of query id for node in state
+// (numQ, rem) and updates the table per Section 3.1.1: fresh and superset
+// arrivals are logged (superset arrivals replacing the entry they cover),
+// duplicates are not. envKey distinguishes correlated clones: arrivals
+// carrying different upstream bindings are never equivalent (wire.EnvKey
+// computes it; "" for uncorrelated queries).
 func (lt *LogTable) Check(node string, id wire.QueryID, numQ int, rem pre.Expr, envKey string) Verdict {
+	var buf [64]byte
+	key := append(buf[:0], 0) // no query number: the id names the query
+	for _, s := range [...]string{id.User, id.Site} {
+		key = append(binary.AppendUvarint(key, uint64(len(s))), s...)
+	}
+	return lt.check(binary.AppendVarint(key, int64(id.Num)), node, envKey, numQ, rem)
+}
+
+// CheckQuery is Check for the query a site numbers q (q > 0), as a query
+// server numbers each query it keeps a record of: q leads the key in
+// place of the id, and Purge drops every entry of a query at once.
+func (lt *LogTable) CheckQuery(q uint64, node string, numQ int, rem pre.Expr, envKey string) Verdict {
+	var buf [64]byte
+	return lt.check(binary.AppendUvarint(buf[:0], q), node, envKey, numQ, rem)
+}
+
+// check is the Section 3.1.1 verdict on an arrival at node, under env,
+// in state (numQ, rem), of the query whose part of the key is key.
+func (lt *LogTable) check(key []byte, node, env string, numQ int, rem pre.Expr) Verdict {
 	if lt.mode == DedupOff {
 		return Verdict{Action: Process, Rem: rem}
 	}
-	var buf [128]byte
-	key := appendLogKey(buf[:0], node, id, envKey)
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
+	n, ok := lt.nodes[node]
+	if !ok {
+		n = uint64(len(lt.nodes))
+		lt.nodes[strings.Clone(node)] = n
+	}
+	key = binary.AppendUvarint(binary.AppendUvarint(key, n), uint64(numQ))
+	key = append(key, env...)
 	entries := lt.entries[string(key)] // a lookup converts without allocating
 	for i, e := range entries {
-		if e.numQ != numQ {
-			continue
-		}
 		switch lt.mode {
 		case DedupExact:
-			if pre.Equal(e.rem, rem) {
+			if pre.Equal(e, rem) {
 				return Verdict{Action: Drop}
 			}
 		case DedupSubsume, DedupStrong:
-			switch pre.Compare(e.rem, rem) {
+			switch pre.Compare(e, rem) {
 			case pre.Duplicate, pre.OldCovers:
 				return Verdict{Action: Drop}
 			case pre.NewCovers:
 				// Replace the covered entry with the arrival and rewrite
 				// the query so only the difference is explored.
-				entries[i].rem = rem
-				entries[i].added = time.Now()
+				entries[i] = rem
 				rw, ok := pre.RewriteSuperset(rem)
 				if !ok {
 					rw = rem
@@ -416,38 +422,30 @@ func (lt *LogTable) Check(node string, id wire.QueryID, numQ int, rem pre.Expr, 
 				return Verdict{Action: Rewrite, Rem: rw}
 			}
 			if lt.mode == DedupStrong {
-				if covered, err := pre.Contains(e.rem, rem); err == nil && covered {
+				if covered, err := pre.Contains(e, rem); err == nil && covered {
 					return Verdict{Action: Drop}
 				}
 			}
 		}
 	}
-	lt.entries[string(key)] = append(entries, logEntry{numQ: numQ, rem: rem, added: time.Now()})
+	lt.entries[string(key)] = append(entries, rem)
 	lt.size++
 	return Verdict{Action: Process, Rem: rem}
 }
 
-// Purge removes entries older than maxAge. The paper purges periodically
-// to bound storage; an over-eager purge only costs recomputation, never
+// Purge removes every entry of the queries numbered in gone (CheckQuery's
+// q) and returns how many it removed. The paper purges periodically to
+// bound storage; an over-eager purge only costs recomputation, never
 // correctness.
-func (lt *LogTable) Purge(maxAge time.Duration) int {
-	cutoff := time.Now().Add(-maxAge)
+func (lt *LogTable) Purge(gone map[uint64]bool) int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	removed := 0
 	for key, entries := range lt.entries {
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.added.After(cutoff) {
-				kept = append(kept, e)
-			} else {
-				removed++
-			}
-		}
-		if len(kept) == 0 {
+		var q [binary.MaxVarintLen64]byte
+		if n, _ := binary.Uvarint(q[:copy(q[:], key)]); gone[n] {
 			delete(lt.entries, key)
-		} else {
-			lt.entries[key] = kept
+			removed += len(entries)
 		}
 	}
 	lt.size -= removed

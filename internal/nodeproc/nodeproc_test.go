@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"webdis/internal/disql"
 	"webdis/internal/nodequery"
@@ -365,21 +364,32 @@ func TestLogTableOff(t *testing.T) {
 	}
 }
 
+// TestLogTablePurge: a purge drops every entry of the queries it names
+// and no other, whatever node or environment they were logged under.
 func TestLogTablePurge(t *testing.T) {
 	lt := NewLogTable(DedupSubsume)
-	lt.Check("http://n", qid, 1, pre.MustParse("G"), "")
-	lt.Check("http://m", qid, 1, pre.MustParse("G"), "")
-	time.Sleep(5 * time.Millisecond)
-	if removed := lt.Purge(time.Millisecond); removed != 2 {
+	g := pre.MustParse("G")
+	lt.CheckQuery(1, "http://n", 1, g, "")
+	lt.CheckQuery(1, "http://m", 1, g, "d0.title=x")
+	lt.CheckQuery(2, "http://n", 1, g, "")
+	lt.CheckQuery(200, "http://n", 1, g, "")
+	lt.Check("http://n", qid, 1, g, "")
+	if removed := lt.Purge(map[uint64]bool{1: true, 200: true}); removed != 3 {
 		t.Fatalf("removed = %d", removed)
 	}
-	if lt.Len() != 0 {
+	if lt.Len() != 2 {
 		t.Errorf("Len = %d", lt.Len())
 	}
 	// After the purge, the same arrival is processed again (performance,
-	// not correctness).
-	if v := lt.Check("http://n", qid, 1, pre.MustParse("G"), ""); v.Action != Process {
+	// not correctness); the queries not named keep theirs.
+	if v := lt.CheckQuery(1, "http://n", 1, g, ""); v.Action != Process {
 		t.Fatalf("post-purge = %v", v.Action)
+	}
+	if v := lt.CheckQuery(2, "http://n", 1, g, ""); v.Action != Drop {
+		t.Fatalf("query 2 after the purge = %v", v.Action)
+	}
+	if v := lt.Check("http://n", qid, 1, g, ""); v.Action != Drop {
+		t.Fatalf("query named by id after the purge = %v", v.Action)
 	}
 }
 

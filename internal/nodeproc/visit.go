@@ -3,6 +3,7 @@ package nodeproc
 import (
 	"errors"
 	"strconv"
+	"sync/atomic"
 
 	"webdis/internal/disql"
 	"webdis/internal/nodequery"
@@ -57,7 +58,7 @@ type Host interface {
 // visit through it.
 type Visitor struct {
 	Log   *LogTable
-	Query wire.QueryID
+	Query uint64 // the visited query's number in Log (CheckQuery's q)
 	// StrictDeadEnds and MaxHops mirror server.Options.
 	StrictDeadEnds bool
 	MaxHops        int
@@ -159,7 +160,7 @@ func (v *Visitor) tree(base int) **plan.Tree {
 // check runs the log-table check for a, rewriting a.Rem on a superset
 // arrival. It reports whether a is to be processed.
 func (v *Visitor) check(a *Arrival, virtual bool) bool {
-	verdict := v.Log.Check(a.Node, v.Query, len(a.Stages), a.Rem, wire.EnvKey(a.Env))
+	verdict := v.Log.CheckQuery(v.Query, a.Node, len(a.Stages), a.Rem, wire.EnvKey(a.Env))
 	switch verdict.Action {
 	case Drop:
 		v.Counts.DupDropped++
@@ -189,10 +190,9 @@ func (v *Visitor) note(kind trace.Kind, a *Arrival, detail string) {
 // The clone level: process_query of Figure 3.
 
 // Site is what a Batch needs from the evaluator it runs on: node
-// documents, and the numbers of the CHT entries and spans it creates.
+// documents, and the numbers of the spans it creates.
 type Site interface {
 	LoadDB(node string) (*relmodel.DB, error)
-	NextSerial(id wire.QueryID) int64
 	NextSpan() int64
 }
 
@@ -236,17 +236,20 @@ type Batch struct {
 	outs  map[outKey]*Out
 	// clones and rows are what is left of the clone-spawn and row quotas.
 	clones, rows int
+	// serial is the last CHT serial e's site gave in's query.
+	serial *atomic.Int64
 
 	Out     []*Out // outgoing clones, in creation order
 	Updates []wire.CHTUpdate
 	Tables  []wire.NodeTable
 }
 
-// Begin starts processing clone c on e. The stages and arrival PRE go
-// through the shared parse cache, so a steady-state arrival — including
-// one about to be dropped as a duplicate — parses nothing. A malformed
-// clone is an error.
-func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg) error {
+// Begin starts processing clone c on e. Its query is numbered query in
+// e's log table, and serial is the last CHT serial e's site gave it. The
+// stages and arrival PRE go through the shared parse cache, so a
+// steady-state arrival — including one about to be dropped as a
+// duplicate — parses nothing. A malformed clone is an error.
+func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg, query uint64, serial *atomic.Int64) error {
 	b.Reset()
 	stages, hits, err := ParseStagesCached(c.Stages)
 	if err != nil {
@@ -263,8 +266,8 @@ func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg) error {
 		b.seen, b.outs = make(map[string]bool), make(map[outKey]*Out)
 	}
 	work, trees := b.v.work, b.v.trees
-	b.e, b.in, b.v = e, c, e.Node
-	b.v.Query, b.v.Clone, b.v.work, b.v.trees = c.ID, c, work, trees
+	b.e, b.in, b.serial, b.v = e, c, serial, e.Node
+	b.v.Query, b.v.Clone, b.v.work, b.v.trees = query, c, work, trees
 	b.at = Arrival{Rem: rem, Stages: stages, Base: c.Base, Env: c.Env, Hops: c.Hops, HopQuota: c.Budget.Hops}
 	b.state = wire.State{NumQ: len(stages), Rem: rem.String()}
 	b.clones, b.rows = c.Budget.Clones, c.Budget.Rows
@@ -391,7 +394,7 @@ func (b *Batch) Forward(fw Forward, a Arrival) {
 			continue // already forwarded in this batch with this state
 		}
 		oc.dests[tgt.URL] = true
-		dest := wire.DestNode{URL: tgt.URL, Origin: b.e.Origin, Seq: b.e.Site.NextSerial(b.in.ID)}
+		dest := wire.DestNode{URL: tgt.URL, Origin: b.e.Origin, Seq: b.serial.Add(1)}
 		oc.Msg.Dest = append(oc.Msg.Dest, dest)
 		update.Children = append(update.Children, wire.CHTEntry{Node: tgt.URL, State: state, Origin: dest.Origin, Seq: dest.Seq})
 		b.v.Counts.Targets++

@@ -2,6 +2,7 @@ package nodeproc
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"webdis/internal/disql"
@@ -12,10 +13,9 @@ import (
 )
 
 // pageSite serves nodeHTML at every URL (nodeproc.Site).
-type pageSite struct{ serial, span int64 }
+type pageSite struct{ span int64 }
 
 func (s *pageSite) LoadDB(url string) (*relmodel.DB, error) { return BuildDB(url, []byte(nodeHTML)) }
-func (s *pageSite) NextSerial(wire.QueryID) int64           { s.serial++; return s.serial }
 func (s *pageSite) NextSpan() int64                         { s.span++; return s.span }
 
 // TestBatchCompilesEachStageOnce: a clone message with N destinations
@@ -32,7 +32,7 @@ func TestBatchCompilesEachStageOnce(t *testing.T) {
 	}
 	e := &Evaluator{Site: &pageSite{}, Origin: "near.example/query", Node: Visitor{Log: NewLogTable(DedupSubsume)}}
 	var b Batch
-	if err := b.Begin(e, c); err != nil {
+	if err := b.Begin(e, c, 1, new(atomic.Int64)); err != nil {
 		t.Fatal(err)
 	}
 	var compiled []*plan.Tree

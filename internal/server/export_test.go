@@ -1,5 +1,13 @@
 package server
 
-// SetSerialSlots resizes the CHT-serial table (before the first clone
-// arrives) so a test can force live queries to share slots.
-func (s *Server) SetSerialSlots(n int) { s.serials = newSerialTable(n) }
+import "time"
+
+// Records returns how many per-query records the server holds.
+func (s *Server) Records() int {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.queries)
+}
+
+// Sweep runs one sweep of the records idle longer than age.
+func (s *Server) Sweep(age time.Duration) { s.sweep(age) }

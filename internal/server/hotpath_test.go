@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -242,4 +243,65 @@ func TestPooledSendStaleRecovery(t *testing.T) {
 func webserverHost(t *testing.T, web *webgraph.Web, site string) *webserver.Host {
 	t.Helper()
 	return webserver.NewHost(site, web)
+}
+
+// TestSenderRedialsPeerClosedTCP: a collector that exits closes its end
+// of every pooled connection to it, and a later collector listens on the
+// same address. A TCP write into the old connection succeeds once and
+// its frame is lost, so the sender must see the close before it reuses
+// the connection, and deliver over a fresh dial.
+func TestSenderRedialsPeerClosedTCP(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the peer-close probe is Linux-only")
+	}
+	tr := netsim.NewTCP()
+	const sink = "user.example/c"
+	received := make(chan any, 4)
+	listen := func() *netsim.Serving {
+		ln, err := tr.Listen(sink) // the second time, at the first's address
+		if err != nil {
+			t.Fatal(err)
+		}
+		return netsim.Serve(ln, func(c net.Conn) {
+			f := wire.NewFramed(c)
+			for {
+				msg, err := wire.Receive(f)
+				if err != nil {
+					return
+				}
+				received <- msg
+			}
+		})
+	}
+	arrives := func() {
+		t.Helper()
+		select {
+		case <-received:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the report never arrived")
+		}
+	}
+	met := &Metrics{}
+	out := NewSender(tr, "site.example/query", met, nil, nil)
+	defer out.Close()
+
+	first := listen()
+	msg := &wire.ResultMsg{ID: testID}
+	if err := out.Send(sink, msg); err != nil {
+		t.Fatal(err)
+	}
+	arrives()
+	first.Close()
+	first.Wait()
+	second := listen()
+	defer second.Close()
+	time.Sleep(20 * time.Millisecond) // let the close reach the pooled end
+
+	if err := out.Send(sink, msg); err != nil {
+		t.Fatal(err)
+	}
+	arrives()
+	if met.ConnStale.Load() != 1 || met.ConnDialed.Load() != 2 {
+		t.Errorf("stale = %d dialed = %d, want 1 and 2", met.ConnStale.Load(), met.ConnDialed.Load())
+	}
 }

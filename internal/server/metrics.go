@@ -243,69 +243,18 @@ type Snapshot struct {
 }
 
 // Snapshot returns a consistent-enough copy for reporting (individual
-// loads are atomic; cross-field skew is harmless for counters).
+// loads are atomic; cross-field skew is harmless for counters). Like
+// Absorb it copies by reflection, each Snapshot field from the Metrics
+// counter of its name, so adding a counter needs no matching edit here.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Evaluations:     m.Evaluations.Load(),
-		PureRoutes:      m.PureRoutes.Load(),
-		DocsParsed:      m.DocsParsed.Load(),
-		DBCacheHits:     m.DBCacheHits.Load(),
-		DeadEnds:        m.DeadEnds.Load(),
-		DupDropped:      m.DupDropped.Load(),
-		DupRewritten:    m.DupRewritten.Load(),
-		ClonesForwarded: m.ClonesForwarded.Load(),
-		LocalClones:     m.LocalClones.Load(),
-		ResultMsgs:      m.ResultMsgs.Load(),
-		Terminated:      m.Terminated.Load(),
-		ForwardFailed:   m.ForwardFailed.Load(),
-		Bounced:         m.Bounced.Load(),
-		HopsClamped:     m.HopsClamped.Load(),
-		DocErrors:       m.DocErrors.Load(),
-
-		Retries:           m.Retries.Load(),
-		RecoveredByBounce: m.RecoveredByBounce.Load(),
-		CHTReaped:         m.CHTReaped.Load(),
-
-		ConnDialed:       m.ConnDialed.Load(),
-		ConnReused:       m.ConnReused.Load(),
-		ConnStale:        m.ConnStale.Load(),
-		ParseCacheHits:   m.ParseCacheHits.Load(),
-		ParseCacheMisses: m.ParseCacheMisses.Load(),
-		DBBuildCoalesced: m.DBBuildCoalesced.Load(),
-		ForwardNanos:     m.ForwardNanos.Load(),
-
-		QueueDepth:     m.QueueDepth.Load(),
-		QueueHighWater: m.QueueHighWater.Load(),
-		Shed:           m.Shed.Load(),
-		BudgetExpired:  m.BudgetExpired.Load(),
-		RowsClipped:    m.RowsClipped.Load(),
-		Stopped:        m.Stopped.Load(),
-
-		Failovers:      m.Failovers.Load(),
-		ReplicaReplays: m.ReplicaReplays.Load(),
-		StaleRejected:  m.StaleRejected.Load(),
-		DupRetired:     m.DupRetired.Load(),
-
-		RowsScanned:        m.RowsScanned.Load(),
-		RowsEmitted:        m.RowsEmitted.Load(),
-		PushdownHits:       m.PushdownHits.Load(),
-		PushdownBytesSaved: m.PushdownBytesSaved.Load(),
-		ShipDataEdges:      m.ShipDataEdges.Load(),
-		ShipDataBytes:      m.ShipDataBytes.Load(),
-		DocBytes:           m.DocBytes.Load(),
-		TargetsAdded:       m.TargetsAdded.Load(),
-
-		PagesRead:      m.PagesRead.Load(),
-		PagesEvicted:   m.PagesEvicted.Load(),
-		IndexHits:      m.IndexHits.Load(),
-		ColdOpens:      m.ColdOpens.Load(),
-		StoreBuilds:    m.StoreBuilds.Load(),
-		DBCacheEvicted: m.DBCacheEvicted.Load(),
-
-		DocsInvalidated:   m.DocsInvalidated.Load(),
-		WatchesRegistered: m.WatchesRegistered.Load(),
-		DeltasSent:        m.DeltasSent.Load(),
+	var out Snapshot
+	sv := reflect.ValueOf(&out).Elem()
+	mv := reflect.ValueOf(m).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		c := mv.FieldByName(sv.Type().Field(i).Name).Addr().Interface().(*atomic.Int64)
+		sv.Field(i).SetInt(c.Load())
 	}
+	return out
 }
 
 // Absorb adds every counter of o into m. The deployment aggregates its

@@ -301,8 +301,19 @@ func (o *Sender) attempt(to string, msg any, timeout time.Duration) error {
 // endpoint closed by passive termination — is transparently redone over
 // one fresh dial within the same attempt, whose outcome (refusal,
 // injected fault, success) is then exactly what the seed would have seen.
+// A TCP connection whose peer has closed is found before it is used
+// (netsim.PeerClosed); any other is found when the write fails.
 func (o *Sender) sendOnce(to string, msg any, register func(net.Conn) bool) error {
 	conn, reused, err := o.pool.Get(to)
+	if err == nil && reused && netsim.PeerClosed(conn) {
+		// The peer closed the pooled connection while it sat idle (a
+		// collector that exited): a write into it would succeed once and
+		// its frame be lost. Dial fresh instead.
+		conn.Close()
+		o.met.ConnStale.Add(1)
+		conn, err = o.pool.Dial(to)
+		reused = false
+	}
 	if err != nil {
 		return err
 	}

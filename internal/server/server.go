@@ -104,8 +104,10 @@ type Options struct {
 	// answered by the persisted text index. The zero value keeps the
 	// in-RAM Database Constructor.
 	Store StoreOptions
-	// LogPurgeAge and LogPurgeEvery enable the paper's periodic log-table
-	// purge when both are positive.
+	// LogPurgeAge and LogPurgeEvery, when both are positive, free every
+	// LogPurgeEvery the per-query state idle longer than LogPurgeAge — its
+	// log entries (the paper's periodic purge), stop flag and serial — of
+	// each query with no clone queued or being handled and no watch.
 	LogPurgeAge   time.Duration
 	LogPurgeEvery time.Duration
 	// Retry bounds the resilience loop around every remote send (clone
@@ -168,11 +170,17 @@ type Server struct {
 	// reports, bounces, deltas — to other sites and to user-sites.
 	out *Sender
 
-	queue *sched.Queue[*wire.CloneMsg]
+	queue *sched.Queue[item]
 	// seq numbers the trace spans this server opens (wire.SpanID).
 	seq atomic.Int64
-	// serials numbers the CHT entries this server creates, per query.
-	serials *serialTable
+
+	// queries holds one record per query this site keeps state for
+	// (query.go); nums numbers them in the log table; clients holds the
+	// serial floor of every client whose queries the site has numbered.
+	qmu     sync.Mutex
+	queries map[wire.QueryID]*query
+	nums    uint64
+	clients map[[2]string]client
 
 	// dbCache holds one entry per node whose database is built or being
 	// built: entries coalesce concurrent builds (singleflight) and, when
@@ -201,20 +209,6 @@ type Server struct {
 	// fetch downloads the documents of nodes this site does not host.
 	fetch webserver.Fetcher
 
-	// stoppedQ records queries whose user-site broadcast an active
-	// StopMsg (Budget.FirstN satisfied, or the submitting context was
-	// cancelled); their queued clones terminate with the typed STOPPED
-	// retirement instead of being evaluated.
-	stopMu   sync.Mutex
-	stoppedQ map[wire.QueryID]time.Time
-
-	// watches is the standing continuous-query registry: watch QueryID →
-	// registration. A registered watch receives one DeltaMsg
-	// (with this site's per-watch monotonic Seq) for every local batch of
-	// web mutations, until the user-site cancels it.
-	watchMu sync.Mutex
-	watches map[wire.QueryID]*watchReg
-
 	mu      sync.Mutex
 	serving *netsim.Serving // the Query Receiver
 	stop    chan struct{}
@@ -226,15 +220,15 @@ type Server struct {
 // docs builds the user-site's proxy (see DocSource).
 func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Options) *Server {
 	s := &Server{
-		site:     site,
-		self:     cluster.ReplicaEndpoint(site, opts.Replica),
-		docs:     docs,
-		tr:       tr,
-		met:      met,
-		opts:     opts,
-		serials:  newSerialTable(serialSlots),
-		dbCache:  make(map[string]*dbEntry),
-		stoppedQ: make(map[wire.QueryID]time.Time),
+		site:    site,
+		self:    cluster.ReplicaEndpoint(site, opts.Replica),
+		docs:    docs,
+		tr:      tr,
+		met:     met,
+		opts:    opts,
+		queries: make(map[wire.QueryID]*query),
+		clients: make(map[[2]string]client),
+		dbCache: make(map[string]*dbEntry),
 	}
 	s.fetch = *webserver.NewFetcher(tr, s.self)
 	s.eval = nodeproc.Evaluator{
@@ -263,7 +257,7 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 			userHook()
 		}
 	}
-	s.queue = sched.New[*wire.CloneMsg](schedOpts)
+	s.queue = sched.New[item](schedOpts)
 	// The seeded randomness draws retry-backoff jitter, so chaos runs
 	// replay deterministically.
 	s.out = newSender(tr, s.self, met, opts.Journal, opts.Cluster, opts.Retry,
@@ -332,12 +326,12 @@ func (s *Server) Start() error {
 			defer s.wg.Done()
 			var b nodeproc.Batch // this worker's, reused clone to clone
 			for {
-				clone, ok := s.queue.Pop()
+				it, ok := s.queue.Pop()
 				if !ok {
 					return
 				}
 				s.met.QueueDepth.Add(-1)
-				s.handle(clone, &b)
+				s.handle(it.c, it.q, &b)
 				// Yield between clone batches. A backlogged processor is
 				// CPU-bound; without this, on a small GOMAXPROCS every
 				// goroutine the batch made runnable (result collectors,
@@ -358,7 +352,7 @@ func (s *Server) Start() error {
 			for {
 				select {
 				case <-t.C:
-					s.eval.Node.Log.Purge(s.opts.LogPurgeAge)
+					s.sweep(s.opts.LogPurgeAge)
 				case <-stop:
 					return
 				}
@@ -408,9 +402,6 @@ func (s *Server) IdleConns() int { return s.out.pool.IdleCount() }
 // depth, queued flows, sheds and watermark activations.
 func (s *Server) SchedStats() sched.Stats { return s.queue.Stats() }
 
-// Queued returns how many clones of query id wait in the scheduler queue.
-func (s *Server) Queued(id wire.QueryID) int { return s.queue.Pending(id.String()) }
-
 // admit offers one clone to the scheduler. Admission control may refuse
 // it: a fresh root dispatch (hop 0, query not already queued here)
 // arriving over the high watermark is retired to the user-site with the
@@ -418,25 +409,27 @@ func (s *Server) Queued(id wire.QueryID) int { return s.queue.Pending(id.String(
 // admitted queries and local re-enqueues are never refused — in-flight
 // work always completes, keeping CHT accounting sound under load.
 func (s *Server) admit(c *wire.CloneMsg) {
-	switch s.queue.Push(c.ID.String(), c.Budget.Weight, c.Hops == 0, c) {
+	s.qmu.Lock()
+	q := s.record(c.ID)
+	q.active++
+	s.qmu.Unlock()
+	switch s.queue.Push(q.flow, c.Budget.Weight, c.Hops == 0, item{c, q}) {
 	case sched.Admitted:
 		s.met.QueueDepth.Add(1)
 	case sched.Shed:
-		s.shedClone(c)
+		s.release(q, 0)
+		s.retireAll(c, wire.FateShed, "over high watermark")
 	case sched.Closed:
 		// Server stopping: the clone is discarded (seed semantics); the
 		// user-site's reaper retires whatever entries it had announced.
+		s.release(q, 0)
 	}
 }
 
-// shedClone retires a refused clone with the typed SHED fate, so its CHT
-// entries retire and the caller sees the refusal (Query.Shed) rather than
-// a hang. Best-effort: if even the user-site is unreachable, the reaper
-// owns the stranded entries.
-func (s *Server) shedClone(c *wire.CloneMsg) {
-	s.met.Shed.Add(1)
-	s.jot(c, trace.Shed, "over high watermark")
-	s.retireAll(c, wire.FateShed)
+// item is one queued clone with the record of its query.
+type item struct {
+	c *wire.CloneMsg
+	q *query
 }
 
 // receive drains clone and stop messages from one connection.
@@ -450,51 +443,13 @@ func (s *Server) receive(conn net.Conn) {
 		case *wire.CloneMsg:
 			s.admit(m)
 		case *wire.StopMsg:
-			s.markStopped(m.ID)
+			s.stopQuery(m.ID)
 		case *wire.WatchMsg:
 			s.handleWatch(m)
 		default:
 			return
 		}
 	}
-}
-
-// watchReg is one standing watch: the per-watch monotonic delta sequence
-// this site stamps on notifications.
-type watchReg struct {
-	seq int64
-}
-
-// handleWatch registers or cancels a standing watch. Registration is
-// idempotent (a re-register keeps the existing sequence, so a collector
-// that retries never sees Seq restart).
-func (s *Server) handleWatch(m *wire.WatchMsg) {
-	if !m.Applies() {
-		return
-	}
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
-	if m.Cancel {
-		delete(s.watches, m.ID)
-		return
-	}
-	if s.watches == nil {
-		s.watches = make(map[wire.QueryID]*watchReg)
-	}
-	if _, ok := s.watches[m.ID]; !ok {
-		s.watches[m.ID] = &watchReg{}
-		s.met.WatchesRegistered.Add(1)
-	}
-}
-
-// Watching reports whether the standing watch id is registered at this
-// site. Registrations arrive unacknowledged; an in-process deployment
-// asks before it lets a mutation loose on a new watch.
-func (s *Server) Watching(id wire.QueryID) bool {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
-	_, ok := s.watches[id]
-	return ok
 }
 
 // InvalidateDocs is the site-local change-detection hook: after the web
@@ -528,17 +483,19 @@ func (s *Server) InvalidateDocs(edited, rewired []string) {
 	touch(edited, "edited")
 	touch(rewired, "rewired")
 
-	s.watchMu.Lock()
-	regs := make([]*wire.DeltaMsg, 0, len(s.watches))
-	for id, w := range s.watches {
-		w.seq++
-		regs = append(regs, &wire.DeltaMsg{
-			Version: wire.WatchVersion, ID: id, Site: s.site, Seq: w.seq,
-			Edited: edited, Rewired: rewired,
-		})
+	var deltas []*wire.DeltaMsg
+	s.qmu.Lock()
+	for id, q := range s.queries {
+		if q.watching {
+			q.deltas++
+			deltas = append(deltas, &wire.DeltaMsg{
+				Version: wire.WatchVersion, ID: id, Site: s.site, Seq: q.deltas,
+				Edited: edited, Rewired: rewired,
+			})
+		}
 	}
-	s.watchMu.Unlock()
-	for _, msg := range regs {
+	s.qmu.Unlock()
+	for _, msg := range deltas {
 		if s.out.Send(msg.ID.Site, msg) == nil {
 			s.met.DeltasSent.Add(1)
 			if s.opts.Journal != nil {
@@ -546,40 +503,6 @@ func (s *Server) InvalidateDocs(edited, rewired []string) {
 			}
 		}
 	}
-}
-
-// stopTTL bounds how long a stopped query stays in the registry. Clones
-// of a stopped query stop arriving once the stop has propagated (every
-// live site retires rather than forwards), so the registry only needs to
-// outlive the query's in-flight tail.
-const stopTTL = 2 * time.Minute
-
-// markStopped records an active-termination broadcast for one query.
-func (s *Server) markStopped(id wire.QueryID) {
-	now := time.Now()
-	s.stopMu.Lock()
-	if len(s.stoppedQ) > 128 {
-		for k, at := range s.stoppedQ {
-			if now.Sub(at) >= stopTTL {
-				delete(s.stoppedQ, k)
-			}
-		}
-	}
-	s.stoppedQ[id] = now
-	s.stopMu.Unlock()
-}
-
-// isStopped reports whether the query was actively stopped (and the stop
-// is still fresh).
-func (s *Server) isStopped(id wire.QueryID) bool {
-	s.stopMu.Lock()
-	at, ok := s.stoppedQ[id]
-	if ok && time.Since(at) >= stopTTL {
-		delete(s.stoppedQ, id)
-		ok = false
-	}
-	s.stopMu.Unlock()
-	return ok
 }
 
 // jot appends one causal trace event for clone c to the site journal.
@@ -594,31 +517,29 @@ func (s *Server) traced(c *wire.CloneMsg) bool {
 	return s.opts.Journal != nil || !c.Span.IsZero()
 }
 
-// handle processes one received clone message on the worker's batch b:
-// the process_query algorithm of Figure 3.
-func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
+// handle processes one received clone message of query q on the
+// worker's batch b: the process_query algorithm of Figure 3.
+func (s *Server) handle(c *wire.CloneMsg, q *query, b *nodeproc.Batch) {
+	now := time.Now().UnixNano()
+	defer s.release(q, now)
 	if s.opts.Journal != nil {
 		s.jot(c, trace.Arrive, strconv.Itoa(len(c.Dest))+" dests")
 	}
-	if c.Budget.ExpiredAt(time.Now().UnixNano()) {
-		// The query's deadline passed in transit: the typed EXPIRED
-		// terminate. No evaluation, no children — the entries retire so
-		// the CHT still balances and the trace fate is exact.
-		s.expire(c, "deadline passed")
+	// A clone whose deadline passed in transit, or whose user-site
+	// broadcast an active stop (Budget.FirstN satisfied, or the query
+	// cancelled), is not evaluated and spawns nothing: it retires typed.
+	if c.Budget.ExpiredAt(now) {
+		s.retireAll(c, wire.FateExpired, "deadline passed")
 		return
 	}
-	if s.isStopped(c.ID) {
-		// The user-site broadcast an active stop (Budget.FirstN satisfied,
-		// or the query was cancelled): the typed STOPPED terminate. Like
-		// expiry, no evaluation and no children — the entries retire so
-		// the CHT drains and the trace books the span as stopped.
-		s.stopClone(c)
+	if q.stopped.Load() {
+		s.retireAll(c, wire.FateStopped, "active stop")
 		return
 	}
 	if s.opts.Planner.Enabled {
 		s.absorbHints(c.Hints)
 	}
-	if err := b.Begin(&s.eval, c); err != nil {
+	if err := b.Begin(&s.eval, c, q.log, &q.serial); err != nil {
 		// A malformed clone cannot be processed here or anywhere: the
 		// user-site writes it off, declaring the loss.
 		s.bounce(c, wire.BounceMalformed, s.site)
@@ -636,8 +557,8 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 	// round-trip takes microseconds). Too late to skip the work, still
 	// early enough to cut the traversal — drop the children before any
 	// of them is announced to the CHT and retire as stopped.
-	if s.isStopped(c.ID) {
-		s.stopClone(c)
+	if q.stopped.Load() {
+		s.retireAll(c, wire.FateStopped, "active stop")
 		return
 	}
 
@@ -675,27 +596,6 @@ func (s *Server) handle(c *wire.CloneMsg, b *nodeproc.Batch) {
 	}
 	s.forwardAll(b.Out)
 }
-
-// expire terminates a clone that exceeded its wire-carried budget: its
-// CHT entries retire with the typed EXPIRED report so the user-site
-// books the span's fate as expired, not processed — the budget analog
-// of the paper's passive termination, but accounted, not silent.
-func (s *Server) expire(c *wire.CloneMsg, reason string) {
-	s.met.BudgetExpired.Add(1)
-	s.jot(c, trace.Expire, reason)
-	s.retireAll(c, wire.FateExpired)
-}
-
-// stopClone terminates a clone of an actively stopped query: the typed
-// STOPPED retirement, the active-cancel analog of expire.
-func (s *Server) stopClone(c *wire.CloneMsg) {
-	s.met.Stopped.Add(1)
-	s.jot(c, trace.Stop, "active stop")
-	s.retireAll(c, wire.FateStopped)
-}
-
-// NextSerial numbers the next CHT entry this server creates for query id.
-func (s *Server) NextSerial(id wire.QueryID) int64 { return s.serials.next(id) }
 
 // NextSpan numbers the next trace span this server opens.
 func (s *Server) NextSpan() int64 { return s.seq.Add(1) }
@@ -985,11 +885,25 @@ func (s *Server) bounce(c *wire.CloneMsg, reason, site string) {
 	}
 }
 
-// retireAll dispatches CHT retirements for every destination of a clone
-// that will never be processed, in one result frame typed by fate: an
-// EXPIRED, STOPPED or SHED retirement, which the user-site books as the
-// span's fate instead of "processed".
-func (s *Server) retireAll(c *wire.CloneMsg, fate wire.Fate) {
+// retireAll terminates a clone that will never be processed — shed over
+// the high watermark, past its wire-carried deadline, or of an actively
+// stopped query — and dispatches the CHT retirements of all its
+// destinations in one result frame typed by that fate. The user-site
+// books the span's fate as shed, expired or stopped, not processed, and
+// its CHT still balances: the budget and active-cancel analogs of the
+// paper's passive termination, but accounted, not silent.
+func (s *Server) retireAll(c *wire.CloneMsg, fate wire.Fate, detail string) {
+	switch fate {
+	case wire.FateShed:
+		s.met.Shed.Add(1)
+		s.jot(c, trace.Shed, detail)
+	case wire.FateExpired:
+		s.met.BudgetExpired.Add(1)
+		s.jot(c, trace.Expire, detail)
+	case wire.FateStopped:
+		s.met.Stopped.Add(1)
+		s.jot(c, trace.Stop, detail)
+	}
 	if len(c.Dest) == 0 {
 		return
 	}

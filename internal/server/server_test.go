@@ -487,7 +487,10 @@ func TestServerStopMsgTerminatesClone(t *testing.T) {
 	// The stop is handled on the receive path; give it a beat to land.
 	waitStop := time.Now().Add(5 * time.Second)
 	for time.Now().Before(waitStop) {
-		if h.server.isStopped(testID) {
+		h.server.qmu.Lock()
+		q := h.server.queries[testID]
+		h.server.qmu.Unlock()
+		if q != nil && q.stopped.Load() {
 			break
 		}
 		time.Sleep(time.Millisecond)

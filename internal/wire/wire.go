@@ -23,6 +23,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,7 @@ type QueryID struct {
 }
 
 func (id QueryID) String() string {
-	return fmt.Sprintf("%s@%s#%d", id.User, id.Site, id.Num)
+	return id.User + "@" + id.Site + "#" + strconv.Itoa(id.Num)
 }
 
 // SpanID identifies one clone message in a query's causal trace: the
@@ -676,6 +677,9 @@ func NewFramed(conn net.Conn) *Framed {
 	}
 	return &Framed{Conn: conn}
 }
+
+// NetConn returns the connection the session runs on.
+func (f *Framed) NetConn() net.Conn { return f.Conn }
 
 // Healthy reports whether the session can still carry frames: false
 // once any Send or Receive has failed. The connection pool consults it
