@@ -41,8 +41,7 @@ func main() {
 	timeout := flag.Duration("timeout", time.Minute, "give up after this long (0 = wait forever)")
 	hybrid := flag.Bool("hybrid", false, "run a query server here as the proxy for sites without a daemon: it downloads their documents (needs doc addresses in the peers file)")
 	traceMode := flag.String("trace", "", "print the query's causal clone tree after completion: text, dot, or chrome (trace_event JSON)")
-	explain := flag.Bool("explain", false, "print the distributed plan (operator trees, pushdown, edge policy) and exit without running the query")
-	naive := flag.Bool("naive", false, "turn the cost-based planner off: no pushed-down fragments on root clones, raw rows fold classically (with -explain, show the naive plan)")
+	explain := flag.Bool("explain", false, "print the distributed plan (operator trees and pushdown) and exit without running the query")
 	watch := flag.Bool("watch", false, "register the query as a standing continuous query: print the baseline result set, then stream typed add/remove row deltas as the daemons report web mutations (run webdisd with -mutate), until interrupted")
 	flag.Parse()
 
@@ -63,7 +62,7 @@ func main() {
 		fatal(err)
 	}
 	if *explain {
-		fmt.Print(plan.Explain(w, !*naive))
+		fmt.Print(plan.Explain(w))
 		return
 	}
 
@@ -97,7 +96,7 @@ func main() {
 		defer proxy.Stop()
 	}
 	c := client.NewWith(tr, username, "tcp://"+*listen, client.Options{
-		Proxy: proxy, Journal: journal, Planner: !*naive,
+		Proxy: proxy, Journal: journal,
 	})
 	defer c.Close()
 

@@ -45,7 +45,6 @@ func main() {
 	peersPath := flag.String("peers", "", "peers file: '<site> <query-addr> [doc-addr]' per line (required)")
 	site := flag.String("site", "", "site this daemon serves (required; must appear in the peers file)")
 	dedup := flag.String("dedup", "subsume", "log table mode: off, exact, subsume, strong")
-	planner := flag.Bool("planner", true, "apply pushed-down plan fragments and decide ship-query vs ship-data per edge (false = naive shipping)")
 	storeDir := flag.String("store", "", "serve local databases from the persistent site store under this directory (opened if present, built once otherwise; e.g. a webgen -out directory)")
 	poolPages := flag.Int("poolpages", 0, "buffer-pool page cap for -store (0 = default)")
 	dbcache := flag.Int("dbcache", 0, "retain constructed node databases in an LRU of this many entries (0 = build per evaluation, the paper's default)")
@@ -104,19 +103,6 @@ func main() {
 	if *dbcache > 0 {
 		opts.CacheDBs = true
 		opts.DBCacheEntries = *dbcache
-	}
-	if *planner {
-		opts.Planner = server.PlannerOptions{Enabled: true}
-		for _, p := range peers {
-			if p.docs == "" {
-				// A ship-data edge downloads documents from their home
-				// site's doc endpoint; a peer without one would make
-				// such an edge dead-end. Pin every edge to ship-query —
-				// pushdown and statistics still run.
-				opts.Planner.NoShipData = true
-				break
-			}
-		}
 	}
 	switch *dedup {
 	case "off":

@@ -5,7 +5,10 @@
 // nodeproc.Visitor as the distributed engine, so both compute identical
 // result sets — the differential tests rely on this —
 // while the traffic profile differs exactly the way the paper predicts:
-// document bytes cross the network instead of query clones.
+// document bytes cross the network instead of query clones. A query's
+// output contract (aggregates, GROUP BY, ORDER BY, LIMIT) is applied by a
+// reference fold of its own (output.go), the oracle the engine's
+// site-side folds are judged against.
 package centralized
 
 import (
@@ -68,11 +71,14 @@ func Run(tr netsim.Transport, from string, w *disql.WebQuery, opts Options) (*Re
 	}
 	start := time.Now()
 	r := &run{
-		opts:    opts,
-		fetcher: webserver.NewFetcher(tr, from),
-		cache:   make(map[string][]byte),
-		tables:  make(map[int]*client.ResultTable),
-		seen:    make(map[string]bool),
+		opts:     opts,
+		final:    len(w.Stages) - 1,
+		grouped:  w.Output.Grouped(),
+		fetcher:  webserver.NewFetcher(tr, from),
+		cache:    make(map[string][]byte),
+		tables:   make(map[int]*client.ResultTable),
+		contribs: make(map[string]contribution),
+		seen:     make(map[string]bool),
 	}
 	v := nodeproc.Visitor{
 		Log:            nodeproc.NewLogTable(opts.Dedup),
@@ -98,7 +104,14 @@ func Run(tr netsim.Transport, from string, w *disql.WebQuery, opts Options) (*Re
 
 	res := &Result{Stats: r.st}
 	for base := 0; base < len(w.Stages); base++ {
-		if t := r.tables[base]; t != nil {
+		t := r.tables[base]
+		switch {
+		case base == r.final && r.grouped:
+			res.Tables = append(res.Tables, groupTable(w.Output, base, r.contribs))
+		case t != nil && base == r.final && w.Output != nil:
+			t.Rows = orderLimit(t.Rows, t.Cols, w.Output)
+			res.Tables = append(res.Tables, *t)
+		case t != nil:
 			nodequery.SortRows(t.Rows)
 			res.Tables = append(res.Tables, *t)
 		}
@@ -116,6 +129,11 @@ type run struct {
 	tables   map[int]*client.ResultTable
 	seen     map[string]bool // stage and row of every row collected
 	frontier []nodeproc.Arrival
+	// final is the last stage; grouped says its rows are aggregate input,
+	// kept per contribution in contribs, not merged into tables.
+	final    int
+	grouped  bool
+	contribs map[string]contribution
 }
 
 // Load downloads (or takes from the per-query cache) and parses a
@@ -139,8 +157,17 @@ func (r *run) Load(url string) (*relmodel.DB, error) {
 	return nodeproc.BuildDB(url, content)
 }
 
-// Rows merges one node's answer into its stage's table, deduplicated.
+// Rows merges one node's answer into its stage's table, deduplicated. A
+// grouped query's final-stage answer is kept whole instead, once per
+// (node, environment): one contribution to the aggregates.
 func (r *run) Rows(a nodeproc.Arrival, tbl *nodequery.Table) {
+	if a.Base == r.final && r.grouped {
+		key := fmt.Sprint(a.Node, a.Env)
+		if _, dup := r.contribs[key]; !dup {
+			r.contribs[key] = contribution{cols: tbl.Cols, rows: tbl.Rows, env: a.Env}
+		}
+		return
+	}
 	rt := r.tables[a.Base]
 	if rt == nil {
 		rt = &client.ResultTable{Stage: a.Base, Cols: tbl.Cols}

@@ -132,14 +132,6 @@ type Options struct {
 	// incarnation are rejected, and the reaper replays clones stranded by
 	// a crashed replica to a surviving one before giving up and reaping.
 	Cluster *cluster.Membership
-	// Planner arms the user-site half of the cost-based distributed
-	// planner: root clones of aggregating (or limited) queries carry a
-	// pushed-down plan fragment so sites reduce result tables before
-	// shipping, and the site statistics piggybacked on result frames are
-	// accumulated and re-attached to later clones as cost-model hints.
-	// Aggregation itself (GROUP BY / ORDER BY / LIMIT semantics) does
-	// not depend on this flag — only where the work runs does.
-	Planner bool
 	// Done, when non-nil, bounds the lifetime of every goroutine this
 	// client's queries start: when the channel closes (the owning
 	// deployment shut down), stream pumps and watch loops exit even if
@@ -160,10 +152,6 @@ type Client struct {
 	user string
 	base string
 	opts Options
-
-	// stats accumulates per-site statistics across this client's queries
-	// when Options.Planner is set; nil otherwise.
-	stats *statStore
 
 	// out is the user-site's Query Dispatcher: the same sender a server
 	// forwards clones with, sending each message once.
@@ -208,9 +196,6 @@ func NewWith(tr netsim.Transport, user, base string, opts Options) *Client {
 	c := &Client{tr: tr, user: user, base: base, opts: opts,
 		out: server.NewSender(tr, base+"/c", opts.Metrics, opts.Journal, opts.Cluster)}
 	c.life, c.endLife = lifetime(opts.Done)
-	if opts.Planner {
-		c.stats = &statStore{stats: make(map[string]wire.SiteStat)}
-	}
 	return c
 }
 
@@ -299,7 +284,7 @@ func (c *Client) serve(conn net.Conn) {
 			c.mu.Lock()
 			w := c.watches[m.ID.Num]
 			c.mu.Unlock()
-			if w != nil && m.Applies() {
+			if w != nil {
 				w.notify(m)
 			}
 		}
@@ -307,15 +292,10 @@ func (c *Client) serve(conn net.Conn) {
 }
 
 // reporter names the site a result frame came from. A report retires the
-// entries of one clone, whose destinations all live at the reporting site
-// — except on a ship-data edge, where the clone stayed behind and pulled
-// the documents over; only a planner-armed site does that, and it signs
-// its reports with its own statistics.
+// entries of one clone, whose destinations all live at one site: the
+// reporting site, or a site the user-site's proxy stands in for.
 func reporter(m *wire.ResultMsg) string {
-	switch {
-	case len(m.Stats) > 0:
-		return m.Stats[0].Site
-	case len(m.Updates) > 0:
+	if len(m.Updates) > 0 {
 		return webgraph.Host(m.Updates[0].Processed.Node)
 	}
 	return ""
@@ -479,14 +459,29 @@ type Query struct {
 
 	// Aggregation state (all zero for classic queries). output is the
 	// query's GROUP BY / ORDER BY / LIMIT contract; finalStage the stage
-	// it applies to (always the last). For grouped queries, acc folds
-	// contributions — raw rows or pushed-down partial state — keyed by
-	// contrib and deduplicated through contribSeen, and the final table
-	// materializes into the stream when the query finishes.
+	// it applies to (always the last); frag the plan fragment every clone
+	// of an aggregating or limited query carries, so each site folds its
+	// final-stage rows before they ship. For grouped queries, acc folds
+	// the sites' partial state, one contribution at a time (contribSeen),
+	// and the final table materializes into the stream when the query
+	// finishes.
 	output      *nodequery.OutputSpec
 	finalStage  int
+	frag        *wire.PlanFrag
 	acc         *plan.Acc
 	contribSeen map[contrib]bool
+}
+
+// contrib identifies one node-query contribution: the (node, stage,
+// environment) triple under which its rows were computed. Evaluation is
+// deterministic given those three, so the aggregate fold deduplicates
+// whole contributions by it — re-arrivals of the same state must not
+// count twice, while the same node answering under two different
+// upstream bindings counts once per binding.
+type contrib struct {
+	node  string
+	stage int
+	env   string // the rows' wire.EnvKey
 }
 
 // stageRows is what a query keeps of one stage besides its rows: the
@@ -585,6 +580,9 @@ func (c *Client) newQuery(w *disql.WebQuery, b wire.Budget, rec *recording) (*Qu
 	if w.Output != nil {
 		q.output = w.Output
 		q.finalStage = len(w.Stages) - 1
+		if w.Output.Grouped() || w.Output.Limit > 0 {
+			q.frag = &wire.PlanFrag{Stage: q.finalStage, Spec: *w.Output}
+		}
 		if w.Output.Grouped() {
 			q.acc = plan.NewAcc(w.Output)
 			q.contribSeen = make(map[contrib]bool)
@@ -640,15 +638,7 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, rec *recording) (*Quer
 			rec.edges = append(rec.edges, recEdge{parent: "", child: roots[i]})
 		}
 	}
-	// With the planner armed, aggregating (or limited) queries push the
-	// output spec to the sites as a plan fragment — every ServerRouter
-	// then ships partial-aggregate state or per-node top-K instead of
-	// raw rows.
-	var frag *wire.PlanFrag
-	if c.opts.Planner && w.Output != nil && (w.Output.Grouped() || w.Output.Limit > 0) {
-		frag = &wire.PlanFrag{Version: wire.PlanFragVersion, Stage: len(w.Stages) - 1, Spec: *w.Output}
-	}
-	if sites, err := q.dispatchRoots(roots, frag); err != nil && sites == 1 {
+	if sites, err := q.dispatchRoots(roots); err != nil && sites == 1 {
 		q.Cancel()
 		return nil, err
 	}
@@ -662,7 +652,7 @@ func (c *Client) submit(w *disql.WebQuery, b wire.Budget, rec *recording) (*Quer
 // the successively-shortened suffix stages, exactly as if the original
 // traversal had just arrived there. It returns the number of clone
 // messages and the first dispatch failure whose clone was written off.
-func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, error) {
+func (q *Query) dispatchRoots(roots []wire.CHTEntry) (int, error) {
 	total := len(q.web.Stages)
 	entries := make([]wire.CHTEntry, 0, len(roots))
 	seen := make(map[wire.CHTEntry]bool, len(roots))
@@ -679,16 +669,9 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 	}
 	q.mu.Unlock()
 
-	// Clones carry the site statistics gathered so far as cost-model hints.
-	var hints []wire.SiteStat
-	if q.c.opts.Planner {
-		hints = q.c.stats.hints()
-	}
-
 	msgs := q.clones(entries, 0)
 	var firstErr error
 	for _, msg := range msgs {
-		msg.Frag, msg.Hints = frag, hints
 		site := webgraph.Host(msg.Dest[0].URL)
 		q.jot(msg, trace.Dispatch, site)
 		if _, err := q.sendSite(site, msg, nil); err != nil && q.undeliverable(msg, wire.BounceNoServer) && firstErr == nil {
@@ -706,8 +689,9 @@ func (q *Query) dispatchRoots(roots []wire.CHTEntry, frag *wire.PlanFrag) (int, 
 // group with the entries as its destinations in the order given, sorted
 // by site and state: the per-site batching of a forward (Section 3.2 item
 // 4). It builds the root clones of a submission (hops 0) and the clones a
-// replay re-dispatches mid-traversal (hops 1). Every entry's state must
-// lie within the query's stages.
+// replay re-dispatches mid-traversal (hops 1), and stamps the query's
+// plan fragment on both. Every entry's state must lie within the query's
+// stages.
 func (q *Query) clones(entries []wire.CHTEntry, hops int) []*wire.CloneMsg {
 	type group struct {
 		host  string
@@ -728,6 +712,7 @@ func (q *Query) clones(entries []wire.CHTEntry, hops int) []*wire.CloneMsg {
 				Stages: nodeproc.EncodeStages(stages[base:]),
 				Hops:   hops,
 				Budget: q.budget,
+				Frag:   q.frag,
 			}
 			msgs[g] = msg
 			order = append(order, g)
@@ -826,7 +811,6 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 	if !rm.Span.IsZero() {
 		q.stitch(rm)
 	}
-	q.c.stats.learn(rm.Stats) // nil without Options.Planner
 	for _, t := range rm.Tables {
 		q.mergeTable(t)
 	}
@@ -909,20 +893,17 @@ func (q *Query) TraceEvents() []trace.Event {
 func (q *Query) mergeTable(t wire.NodeTable) {
 	if q.acc != nil && t.Stage == q.finalStage {
 		// Grouped query: final-stage rows are aggregate input, not
-		// output. Fold the contribution once — its rows are partial
-		// state when a pushed-down fragment already reduced them at the
-		// site, raw projected rows otherwise — and emit nothing to the
-		// stream; the final table materializes at completion.
+		// output. Every clone carries the query's fragment, so the site
+		// has already folded them to partial state; a table that is not
+		// partial was computed without it and cannot be folded. Fold each
+		// contribution once and emit nothing to the stream; the final
+		// table materializes at completion.
 		key := contrib{t.Node, t.Stage, t.Env}
-		if q.contribSeen[key] {
+		if !t.Partial || q.contribSeen[key] {
 			return
 		}
 		q.contribSeen[key] = true
-		if t.Partial {
-			q.acc.AddPartial(t.Rows)
-		} else {
-			q.acc.AddRaw(t.Cols, t.Rows, wire.ParseEnvKey(t.Env))
-		}
+		q.acc.AddPartial(t.Rows)
 		return
 	}
 	st, ok := q.stages[t.Stage]

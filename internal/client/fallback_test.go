@@ -2,8 +2,10 @@ package client
 
 import (
 	"errors"
+	"net"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -228,34 +230,81 @@ func TestNonHybridClientFailsWithoutServers(t *testing.T) {
 	}
 }
 
+// TestFallbackCancelledQueryStops holds the proxy's clone of a chain in
+// the middle of its download until the cancel's stop has reached the
+// proxy: the clone must then retire as stopped, and the chain go no
+// further.
 func TestFallbackCancelledQueryStops(t *testing.T) {
 	web := webgraph.Chain(100, 1, 2)
 	n := netsim.New(netsim.Options{Latency: time.Millisecond})
-	hostAll(t, n, web)
+	const held = "c3.example"
+	for _, site := range web.Hosts() {
+		if site == held {
+			continue
+		}
+		h := webserver.NewHost(site, web)
+		if err := h.Start(n); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(h.Stop)
+	}
+	// The held site's document host answers only once released.
+	fetching, release := make(chan struct{}, 1), make(chan struct{})
+	ln, err := n.Listen(webserver.Endpoint(held))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := netsim.Serve(ln, func(conn net.Conn) {
+		framed := wire.NewFramed(conn)
+		msg, err := wire.Receive(framed)
+		req, ok := msg.(*wire.FetchReq)
+		if err != nil || !ok {
+			return
+		}
+		select {
+		case fetching <- struct{}{}:
+		default: // only the first fetch is announced
+		}
+		<-release
+		content, _ := web.HTML(req.URL)
+		wire.Send(framed, &wire.FetchResp{URL: req.URL, Content: content}) //nolint:errcheck // the proxy's download fails if this does
+	})
+	t.Cleanup(func() { sv.Close(); sv.Wait() })
+
 	c, met := proxyClient(t, n)
+	// Released before the proxy stops, which waits for the held clone.
+	open := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(open)
 	q, err := c.Submit(disql.MustParse(
 		`select d.url from document d such that "http://c0.example/p0.html" N|G* d`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-fetching:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the proxy never reached the held page")
+	}
 	q.Cancel()
 	if err := q.Wait(time.Second); err != ErrCancelled {
 		t.Fatalf("Wait = %v", err)
 	}
-	// The cancel's stop reached the proxy: apart from the clone in flight
-	// when it landed, fetch counts stop growing.
-	time.Sleep(20 * time.Millisecond) // let the in-flight clone finish
+	within := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+		}
+	}
+	within("the cancel's stop never reached the proxy", func() bool { return c.opts.Proxy.Stopped(q.ID()) })
+	open()
+	within("the proxy never retired a clone as stopped", func() bool { return met.Stopped.Load() > 0 })
+	// The stopped clone spawned nothing: the documents parsed are the
+	// chain up to the held page, and stay so.
 	a := met.DocsParsed.Load()
 	time.Sleep(50 * time.Millisecond)
-	b := met.DocsParsed.Load()
-	if a != b {
-		t.Errorf("the proxy kept working after cancel: %d -> %d", a, b)
-	}
-	if b >= 100 {
-		t.Errorf("cancel had no effect: %d fetches", b)
-	}
-	if met.Stopped.Load() == 0 {
-		t.Error("the proxy never retired a clone as stopped")
+	if b := met.DocsParsed.Load(); a != 4 || b != a {
+		t.Errorf("the proxy parsed %d documents, then %d; want the 4 up to the held page", a, b)
 	}
 }

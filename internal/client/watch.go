@@ -240,7 +240,7 @@ func (c *Client) WatchBudget(ctx context.Context, w *disql.WebQuery, sites []str
 	// two produces a queued notification whose re-derivation is
 	// idempotent against the state the run already saw. From here on a
 	// failure deregisters, as Close does.
-	reg := &wire.WatchMsg{Version: wire.WatchVersion, ID: wa.wid}
+	reg := &wire.WatchMsg{ID: wa.wid}
 	ordered := append([]string(nil), sites...)
 	sort.Strings(ordered)
 	for _, site := range ordered {
@@ -438,7 +438,7 @@ func (w *Watch) rerun(roots []wire.CHTEntry, b wire.Budget) (*recording, error) 
 	if err != nil {
 		return nil, err
 	}
-	q.dispatchRoots(roots, nil)
+	q.dispatchRoots(roots)
 	if err := q.Wait(0); err != nil {
 		return nil, err
 	}
@@ -700,7 +700,7 @@ func (w *Watch) Close() error {
 	for _, release := range unbind {
 		release()
 	}
-	cancel := &wire.WatchMsg{Version: wire.WatchVersion, ID: w.wid, Cancel: true}
+	cancel := &wire.WatchMsg{ID: w.wid, Cancel: true}
 	for _, site := range w.sites {
 		w.c.out.Send(server.Endpoint(site), cancel) //nolint:errcheck // best-effort deregistration
 	}

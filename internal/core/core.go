@@ -181,12 +181,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.Storage != (server.StoreOptions{}) {
 		srvOpts.Store = cfg.Storage
 	}
-	if ex.NoDocService {
-		// A ship-data edge downloads documents from their home site's
-		// fetch service; without the service such an edge would dead-end.
-		// Pin every edge to ship-query — pushdown and statistics still run.
-		srvOpts.Planner.NoShipData = true
-	}
 	netOpts := cfg.Net
 	var netJournal *trace.Journal
 	if ex.Trace {
@@ -300,10 +294,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		Metrics:   d.clientMetrics,
 		Journal:   d.clientJournal,
 		Cluster:   d.cluster,
-		// The user-site half of the planner follows the servers': frags
-		// on root clones, statistics learned and re-hinted.
-		Planner: ex.Server.Planner.Enabled,
-		Done:    d.done,
+		Done:      d.done,
 		// Resolve index("term") StartNode sources against the deployment's
 		// search index, built lazily on first use.
 		IndexResolver: func(term string) []string {

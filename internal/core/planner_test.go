@@ -4,33 +4,38 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
+	"webdis/internal/centralized"
 	"webdis/internal/client"
+	"webdis/internal/disql"
 	"webdis/internal/netsim"
 	"webdis/internal/server"
 	"webdis/internal/webgraph"
 )
 
-func plannerOn() server.Options {
-	return server.Options{Planner: server.PlannerOptions{Enabled: true}}
+// renderResults flattens a query's result tables into a canonical string
+// for comparison with the reference answer (row order within a stage is
+// already deterministic — sorted or order-by-driven — so this keeps it).
+func renderResults(q *client.Query) string { return renderTables(q.Results()) }
+
+// reference renders the answer of the centralized baseline, whose own
+// output fold is the oracle for every aggregated, ordered or limited
+// query: it downloads the documents of a fresh deployment of web.
+func reference(t *testing.T, web *webgraph.Web, src string) string {
+	t.Helper()
+	return renderTables(referenceTables(t, web, src))
 }
 
-// renderResults flattens a query's result tables into a canonical,
-// order-insensitive string for cross-configuration comparison (row
-// order within a stage is already deterministic — sorted or
-// order-by-driven — so this keeps it).
-func renderResults(q *client.Query) string {
-	var b strings.Builder
-	for _, t := range q.Results() {
-		fmt.Fprintf(&b, "stage %d [%s]\n", t.Stage, strings.Join(t.Cols, ","))
-		for _, r := range t.Rows {
-			fmt.Fprintf(&b, "  %q\n", r)
-		}
+func referenceTables(t *testing.T, web *webgraph.Web, src string) []client.ResultTable {
+	t.Helper()
+	d := deploy(t, web, server.Options{})
+	res, err := centralized.Run(d.Network(), "central/results", disql.MustParse(src), centralized.Options{})
+	if err != nil {
+		t.Fatalf("centralized reference: %v", err)
 	}
-	return b.String()
+	return res.Tables
 }
 
 // plannerWeb is a small three-level tree where every page carries the
@@ -65,8 +70,8 @@ func plannerQueries() []string {
 }
 
 // TestPlannerDifferential is the central acceptance property: for every
-// query shape, the cost-based planner must be invisible in the results —
-// planner-on output equals naive-shipping output, on the tree web and
+// query shape, the sites' folds followed by the user-site's merge give
+// the reference answer of the centralized baseline, on the tree web and
 // on campus.
 func TestPlannerDifferential(t *testing.T) {
 	webs := []struct {
@@ -87,93 +92,81 @@ func TestPlannerDifferential(t *testing.T) {
 	}
 	for _, wb := range webs {
 		for i, src := range wb.srcs {
-			naive := deploy(t, wb.build(), server.Options{})
-			qn := run(t, naive, src)
-			planned := deploy(t, wb.build(), plannerOn())
-			qp := run(t, planned, src)
-			if got, want := renderResults(qp), renderResults(qn); got != want {
-				t.Errorf("%s query %d: planner changed the answer\nplanner:\n%s\nnaive:\n%s", wb.name, i, got, want)
+			q := run(t, deploy(t, wb.build(), server.Options{}), src)
+			if got, want := renderResults(q), reference(t, wb.build(), src); got != want {
+				t.Errorf("%s query %d: engine differs from the reference\nengine:\n%s\nreference:\n%s", wb.name, i, got, want)
 			}
 		}
 	}
 }
 
-// TestGroupedQueryValues pins the actual aggregate values so the
-// differential test cannot pass vacuously.
+// TestGroupedQueryValues pins the actual aggregate values, of the engine
+// and of the reference alike, so the differential test cannot pass
+// vacuously.
 func TestGroupedQueryValues(t *testing.T) {
-	for _, opts := range []server.Options{{}, plannerOn()} {
-		d := deploy(t, plannerWeb(), opts)
+	d := deploy(t, plannerWeb(), server.Options{})
+	// finals returns the final table of the engine's answer and of the
+	// reference answer to query i of plannerQueries.
+	finals := func(i int) map[string]client.ResultTable {
+		src := plannerQueries()[i]
+		eng, ref := run(t, d, src).Results(), referenceTables(t, plannerWeb(), src)
+		return map[string]client.ResultTable{"engine": eng[len(eng)-1], "reference": ref[len(ref)-1]}
+	}
+	urls := append([]string{}, d.Web().URLs()...)
+	sort.Sort(sort.Reverse(sort.StringSlice(urls)))
 
+	for who, last := range finals(0) {
 		// All 7 pages hold the marker.
-		q := run(t, d, plannerQueries()[0])
-		res := q.Results()
-		last := res[len(res)-1]
 		if len(last.Rows) != 1 || last.Rows[0][0] != "7" {
-			t.Fatalf("count(d.url) = %+v, want one row [7]", last)
+			t.Errorf("%s: count(d.url) = %+v, want one row [7]", who, last)
 		}
 		if last.Cols[0] != "count(d.url)" {
-			t.Errorf("cols = %v", last.Cols)
+			t.Errorf("%s: cols = %v", who, last.Cols)
 		}
-
+	}
+	for who, last := range finals(1) {
 		// Group by url: one group per page, count(*) = 1 each.
-		q = run(t, d, plannerQueries()[1])
-		res = q.Results()
-		last = res[len(res)-1]
 		if len(last.Rows) != 7 {
-			t.Fatalf("group-by rows = %+v", last.Rows)
+			t.Errorf("%s: group-by rows = %+v", who, last.Rows)
 		}
 		for _, r := range last.Rows {
 			if r[1] != "1" {
-				t.Errorf("group %q count = %q, want 1", r[0], r[1])
+				t.Errorf("%s: group %q count = %q, want 1", who, r[0], r[1])
 			}
 		}
-
+	}
+	for who, last := range finals(2) {
 		// Top-3 urls descending.
-		q = run(t, d, plannerQueries()[2])
-		res = q.Results()
-		last = res[len(res)-1]
-		urls := append([]string{}, d.Web().URLs()...)
-		sort.Sort(sort.Reverse(sort.StringSlice(urls)))
-		want := urls[:3]
 		var got []string
 		for _, r := range last.Rows {
 			got = append(got, r[0])
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("top-3 desc = %v, want %v", got, want)
+		if !reflect.DeepEqual(got, urls[:3]) {
+			t.Errorf("%s: top-3 desc = %v, want %v", who, got, urls[:3])
 		}
-
+	}
+	for who, last := range finals(4) {
 		// Self-join at the root: one row per anchor, href paired with
 		// itself (labels are distinct per page).
-		q = run(t, d, plannerQueries()[4])
-		res = q.Results()
-		last = res[len(res)-1]
 		for _, r := range last.Rows {
 			if r[0] != r[1] {
-				t.Errorf("join row %v: labels are unique, hrefs must match", r)
+				t.Errorf("%s: join row %v: labels are unique, hrefs must match", who, r)
 			}
 		}
 		if len(last.Rows) == 0 {
-			t.Error("self-join produced no rows")
+			t.Errorf("%s: self-join produced no rows", who)
 		}
 	}
 }
 
 // TestPlannerParityTCP runs the full query set over real sockets and
-// requires byte-identical output with the in-process pipe transport,
-// planner on — gob-carried plan fragments and stats must survive the
-// wire.
+// requires the reference answer: plan fragments and partial tables must
+// survive the wire.
 func TestPlannerParityTCP(t *testing.T) {
 	for i, src := range plannerQueries() {
-		pipe := deploy(t, plannerWeb(), plannerOn())
-		qp := run(t, pipe, src)
-
 		tcp, err := NewDeployment(Config{
-			Web: plannerWeb(),
-			Exec: ExecConfig{
-				Server:    plannerOn(),
-				Transport: netsim.NewTCP(),
-			},
+			Web:  plannerWeb(),
+			Exec: ExecConfig{Transport: netsim.NewTCP()},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -183,16 +176,16 @@ func TestPlannerParityTCP(t *testing.T) {
 			tcp.Close()
 			t.Fatalf("query %d over TCP: %v", i, err)
 		}
-		if got, want := renderResults(qt), renderResults(qp); got != want {
-			t.Errorf("query %d: TCP differs from pipe\ntcp:\n%s\npipe:\n%s", i, got, want)
+		if got, want := renderResults(qt), reference(t, plannerWeb(), src); got != want {
+			t.Errorf("query %d: TCP differs from the reference\ntcp:\n%s\nreference:\n%s", i, got, want)
 		}
 		tcp.Close()
 	}
 }
 
 // TestPlannerDifferentialFaults replays the T11 fault schedule (5%
-// drop, seeded, retry policy that is known to recover fully) with the
-// planner on and off: both must still deliver the complete answer.
+// drop, seeded, retry policy that is known to recover fully): the folded
+// answer must still be the complete reference answer.
 func TestPlannerDifferentialFaults(t *testing.T) {
 	retry := server.RetryPolicy{
 		Attempts: 5,
@@ -211,104 +204,60 @@ func TestPlannerDifferentialFaults(t *testing.T) {
 			`select d.url, count(*) from document d such that %q N|(G*3) d where d.text contains %q group by d.url order by d.url`,
 			web().First(), webgraph.Marker)
 
-		var rendered []string
-		for _, opts := range []server.Options{{Retry: retry}, {Retry: retry, Planner: server.PlannerOptions{Enabled: true}}} {
-			d, err := NewDeployment(Config{
-				Web: web(),
-				Net: netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.05, Sever: 0.01}},
-				Exec: ExecConfig{
-					Server:    opts,
-					ReapGrace: 2 * time.Second,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := d.Run(src, 30*time.Second)
-			if err != nil {
-				d.Close()
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			rendered = append(rendered, renderResults(q))
-			d.Close()
-		}
-		if rendered[0] != rendered[1] {
-			t.Errorf("seed %d: planner changed the answer under faults\nnaive:\n%s\nplanner:\n%s",
-				seed, rendered[0], rendered[1])
-		}
-	}
-}
-
-// TestShipDataEdges exercises the other half of the cost model: with
-// document hosts running (NoDocService false), warmed statistics and a
-// bias that makes fetching cheap, some traversal edges flip to data
-// shipping — and the answer still matches naive shipping.
-func TestShipDataEdges(t *testing.T) {
-	build := func(opts server.Options) (*Deployment, *client.Query) {
-		d, err := NewDeployment(Config{Web: plannerWeb(), Exec: ExecConfig{Server: opts}})
+		d, err := NewDeployment(Config{
+			Web: web(),
+			Net: netsim.Options{Faults: netsim.FaultPlan{Seed: seed, Drop: 0.05, Sever: 0.01}},
+			Exec: ExecConfig{
+				Server:    server.Options{Retry: retry},
+				ReapGrace: 2 * time.Second,
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := plannerQueries()[0]
-		var q *client.Query
-		// First run seeds the per-site statistics (cold start always
-		// ships the query); later runs let the cost model see document
-		// sizes. The client re-sends its learned stats on each submit.
-		for i := 0; i < 3; i++ {
-			q = run(t, d, src)
+		q, err := d.Run(src, 30*time.Second)
+		if err != nil {
+			d.Close()
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		return d, q
-	}
-
-	naive, qn := build(server.Options{})
-	defer naive.Close()
-	planned, qp := build(server.Options{Planner: server.PlannerOptions{
-		Enabled: true,
-		// Strong bias toward data shipping so small tree documents lose
-		// to clone overhead deterministically.
-		ShipDataBias: 0.01,
-	}})
-	defer planned.Close()
-
-	if got, want := renderResults(qp), renderResults(qn); got != want {
-		t.Fatalf("ship-data changed the answer\nplanner:\n%s\nnaive:\n%s", got, want)
-	}
-	sn := planned.Metrics().Snapshot()
-	if sn.ShipDataEdges == 0 {
-		t.Fatalf("no traversal edge chose data shipping: %+v", sn)
-	}
-	if sn.ShipDataBytes == 0 {
-		t.Error("ship-data edges fetched no foreign documents")
-	}
-	if n := naive.Metrics().Snapshot().ShipDataEdges; n != 0 {
-		t.Errorf("naive deployment shipped data on %d edges", n)
+		got := renderResults(q)
+		d.Close()
+		if want := reference(t, web(), src); got != want {
+			t.Errorf("seed %d: the answer under faults differs from the reference\nengine:\n%s\nreference:\n%s",
+				seed, got, want)
+		}
 	}
 }
 
 // TestScalarCountStar pins count(*): the parser synthesizes a base
 // projection for it, so every matching node still contributes one row.
 func TestScalarCountStar(t *testing.T) {
-	for _, opts := range []server.Options{{}, plannerOn()} {
-		d := deploy(t, plannerWeb(), opts)
-		src := fmt.Sprintf(`select count(*) from document d such that %q N|(G*2) d where d.text contains %q`, plannerRoot, webgraph.Marker)
-		q := run(t, d, src)
-		res := q.Results()
-		last := res[len(res)-1]
-		if len(last.Rows) != 1 || last.Rows[0][0] != "7" {
-			t.Errorf("planner=%v: count(*) = %+v, want [7]", opts.Planner.Enabled, last)
-		}
+	src := fmt.Sprintf(`select count(*) from document d such that %q N|(G*2) d where d.text contains %q`, plannerRoot, webgraph.Marker)
+	q := run(t, deploy(t, plannerWeb(), server.Options{}), src)
+	res := q.Results()
+	last := res[len(res)-1]
+	if len(last.Rows) != 1 || last.Rows[0][0] != "7" {
+		t.Errorf("count(*) = %+v, want [7]", last)
+	}
+	if got, want := renderResults(q), reference(t, plannerWeb(), src); got != want {
+		t.Errorf("engine differs from the reference\nengine:\n%s\nreference:\n%s", got, want)
 	}
 }
 
-// TestPushdownMetrics asserts the statistics satellite: grouped queries
-// with the planner on record pushdown hits and bytes saved, and row
-// scan/emit counters accumulate on every deployment.
+// TestPushdownMetrics pins what the sites' folds are for: counting the
+// marker pages' text ships one partial count per node instead of the
+// text, so it moves fewer bytes than selecting the text over the same
+// traversal, and the fold is booked in PushdownHits and
+// PushdownBytesSaved. Row scan and emit counters accumulate either way.
 func TestPushdownMetrics(t *testing.T) {
-	d := deploy(t, plannerWeb(), plannerOn())
-	run(t, d, plannerQueries()[1]) // group by d.url
-	sn := d.Metrics().Snapshot()
-	if sn.PushdownHits == 0 {
-		t.Errorf("PushdownHits = 0 for a grouped query with planner on: %+v", sn)
+	from := fmt.Sprintf(`from document d such that %q N|(G*2) d where d.text contains %q`, plannerRoot, webgraph.Marker)
+	counted, selected := deploy(t, plannerWeb(), server.Options{}), deploy(t, plannerWeb(), server.Options{})
+	run(t, counted, "select count(d.text) "+from)
+	run(t, selected, "select d.text "+from)
+
+	sn := counted.Metrics().Snapshot()
+	if sn.PushdownHits == 0 || sn.PushdownBytesSaved <= 0 {
+		t.Errorf("PushdownHits = %d, PushdownBytesSaved = %d for a text count", sn.PushdownHits, sn.PushdownBytesSaved)
 	}
 	if sn.RowsScanned == 0 || sn.RowsEmitted == 0 {
 		t.Errorf("row counters empty: scanned=%d emitted=%d", sn.RowsScanned, sn.RowsEmitted)
@@ -316,34 +265,13 @@ func TestPushdownMetrics(t *testing.T) {
 	if sn.RowsEmitted > sn.RowsScanned {
 		t.Errorf("emitted %d > scanned %d", sn.RowsEmitted, sn.RowsScanned)
 	}
-
-	// Naive deployment: evaluation still counts rows, but no pushdown.
-	dn := deploy(t, plannerWeb(), server.Options{})
-	run(t, dn, plannerQueries()[1])
-	snn := dn.Metrics().Snapshot()
-	if snn.PushdownHits != 0 {
-		t.Errorf("naive deployment recorded %d pushdown hits", snn.PushdownHits)
+	if n := selected.Metrics().Snapshot().PushdownHits; n != 0 {
+		t.Errorf("a query without an output contract recorded %d pushdown hits", n)
 	}
-	if snn.RowsScanned == 0 {
-		t.Error("naive deployment recorded no scanned rows")
-	}
-
-	// What pushdown is for: counting the marker pages' text ships one
-	// partial count per node instead of the text, for the same answer.
-	src := fmt.Sprintf(`select count(d.text) from document d such that %q N|(G*2) d where d.text contains %q`,
-		plannerRoot, webgraph.Marker)
-	pushed, naive := deploy(t, plannerWeb(), plannerOn()), deploy(t, plannerWeb(), server.Options{})
-	qp, qn := run(t, pushed, src), run(t, naive, src)
-	if got, want := renderResults(qp), renderResults(qn); got != want {
-		t.Fatalf("pushdown changed the answer\npushed:\n%s\nnaive:\n%s", got, want)
-	}
-	if saved := pushed.Metrics().Snapshot().PushdownBytesSaved; saved <= 0 {
-		t.Errorf("PushdownBytesSaved = %d for a text count", saved)
-	}
-	pb := pushed.Network().Stats().Snapshot().Total().Bytes
-	nb := naive.Network().Stats().Snapshot().Total().Bytes
-	t.Logf("count(d.text): %d B pushed down, %d B naive", pb, nb)
-	if pb >= nb {
-		t.Errorf("pushdown moved %d B, naive shipping %d B", pb, nb)
+	cb := counted.Network().Stats().Snapshot().Total().Bytes
+	sb := selected.Network().Stats().Snapshot().Total().Bytes
+	t.Logf("count(d.text): %d B; select d.text: %d B", cb, sb)
+	if cb >= sb {
+		t.Errorf("count(d.text) moved %d B, select d.text %d B", cb, sb)
 	}
 }

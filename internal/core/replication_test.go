@@ -361,3 +361,58 @@ where d.text contains "` + webgraph.Marker + `"`
 			len(want)-len(got), q.Stats())
 	}
 }
+
+// TestReplicaKillReplaysGroupedQuery kills the root site's hashed replica
+// while the first clone of a grouped query is in flight to it, as
+// TestReplicaKillStrandedCloneReplayed does for a plain one. The reaper
+// replays the stranded clone to the surviving replica, and the replay
+// must carry the query's plan fragment like the root clone did: the
+// user-site folds only partial state, so a replay that shipped raw rows
+// would lose every group below it. The answer equals the reference.
+func TestReplicaKillReplaysGroupedQuery(t *testing.T) {
+	web := chaosWeb(21)
+	src := `select d.url, count(*)
+from document d such that "http://t0.example/p0.html" N|(G*3) d
+where d.text contains "` + webgraph.Marker + `"
+group by d.url`
+	want := reference(t, web, src)
+
+	d, err := NewDeployment(Config{
+		Web: web,
+		Net: netsim.Options{Latency: 5 * time.Millisecond},
+		Exec: ExecConfig{
+			Server:    server.Options{Retry: chaosRetry},
+			Replicas:  2,
+			Cluster:   cluster.Options{SuspectAfter: 1, DownAfter: 1},
+			ReapGrace: 300 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	q, err := d.SubmitDISQL(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, ok := d.Cluster().Pick("t0.example", q.ID().String(), nil)
+	if !ok {
+		t.Fatal("pick failed")
+	}
+	d.Cluster().ReportSuccess(victim) // balance the peek's load increment
+	d.Network().Kill(victim)
+
+	if err := q.Wait(waitFor); err != nil {
+		t.Fatalf("query did not complete after replica kill: %v", err)
+	}
+	if q.Stats().Replays < 1 {
+		t.Fatalf("Replays = %d, want >= 1 (the stranded clone was never replayed)", q.Stats().Replays)
+	}
+	if q.Partial() {
+		t.Errorf("replayed run marked Partial: %+v", q.Stats())
+	}
+	if got := renderResults(q); got != want {
+		t.Errorf("replayed grouped query differs from the reference\nengine:\n%s\nreference:\n%s", got, want)
+	}
+}

@@ -75,17 +75,14 @@ func replayState(tables []client.ResultTable) map[string][]string {
 // result set must equal a from-scratch re-run of the same query against
 // the mutated web, and the emitted delta stream must replay the baseline
 // snapshot into the final one.
-func testWatchOracle(t *testing.T, tr netsim.Transport, srv server.Options, steps int) {
+func testWatchOracle(t *testing.T, tr netsim.Transport, steps int) {
 	t.Helper()
 	if testing.Short() {
 		steps = min(steps, 10)
 	}
 	d, err := NewDeployment(Config{
-		Web: watchWeb(),
-		Exec: ExecConfig{
-			Transport: tr,
-			Server:    srv,
-		},
+		Web:   watchWeb(),
+		Exec:  ExecConfig{Transport: tr},
 		Watch: WatchConfig{Mutations: webgraph.MutationPlan{Seed: 42}},
 	})
 	if err != nil {
@@ -218,12 +215,8 @@ func testWatchOracle(t *testing.T, tr netsim.Transport, srv server.Options, step
 	}
 }
 
-func TestWatchOraclePipe(t *testing.T)    { testWatchOracle(t, nil, server.Options{}, 100) }
-func TestWatchOraclePlanner(t *testing.T) { testWatchOracle(t, nil, plannerOn(), 40) }
-func TestWatchOracleTCP(t *testing.T)     { testWatchOracle(t, netsim.NewTCP(), server.Options{}, 40) }
-func TestWatchOracleTCPPlanner(t *testing.T) {
-	testWatchOracle(t, netsim.NewTCP(), plannerOn(), 25)
-}
+func TestWatchOraclePipe(t *testing.T) { testWatchOracle(t, nil, 100) }
+func TestWatchOracleTCP(t *testing.T)  { testWatchOracle(t, netsim.NewTCP(), 40) }
 
 // TestWatchRejects pins the API contract: grouped/ordered and correlated
 // queries cannot be watched.

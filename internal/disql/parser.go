@@ -12,7 +12,7 @@ import (
 
 // Parse translates a DISQL query into the formal web-query. The grammar
 // (reconstructed from the paper's examples and the DISCOVER thesis it
-// cites, extended with the aggregation clauses of the planner) is:
+// cites, extended with aggregation clauses) is:
 //
 //	query      := SELECT selitem (',' selitem)* FROM item+
 //	              [GROUP BY colref (',' colref)*]
@@ -43,7 +43,7 @@ import (
 // variables it references (paper Section 2.3).
 //
 // A `colref = colref` comparison between two variables of one stage is an
-// equi-join, which the planner executes as a hash join. Aggregates range
+// equi-join, which the operator pipeline executes as a hash join. Aggregates range
 // over the distinct result set of the whole query; plain select columns
 // must then appear in GROUP BY, aggregate arguments must reference
 // final-stage variables, and GROUP BY may reference earlier stages'

@@ -38,7 +38,6 @@ type Counts struct {
 	Clipped                       int64 // rows cut by the row quota
 	HopsClamped                   int64 // visits whose forwards MaxHops suppressed
 	BudgetSpent                   int64 // visits and targets a spent hop or clone-spawn quota suppressed
-	Targets                       int64 // targets announced as CHT children
 	PushdownHits, PushdownBytes   int64 // tables a plan fragment reduced, encoded bytes saved
 	ParseHits, ParseMisses        int64 // clone PREs served from / added to the parse cache
 }
@@ -206,10 +205,9 @@ type Evaluator struct {
 	// and Counts are per batch).
 	Node Visitor
 	// NoBatch gives every target its own clone message instead of one per
-	// (site, state, environment); Pushdown applies a clone's plan fragment
-	// to its result tables; Spans gives every spawned clone a trace span,
-	// not only the children of a clone that carries one.
-	NoBatch, Pushdown, Spans bool
+	// (site, state, environment); Spans gives every spawned clone a trace
+	// span, not only the children of a clone that carries one.
+	NoBatch, Spans bool
 }
 
 // Out is one outgoing clone: every target at one site that shares one
@@ -338,10 +336,9 @@ func (b *Batch) Rows(a Arrival, tbl *nodequery.Table) {
 	if len(rows) == 0 {
 		return
 	}
-	// Env identifies the contribution for the user-site's aggregate fold;
-	// stamped always so grouped queries work without pushdown.
+	// Env identifies the contribution for the user-site's aggregate fold.
 	nt := wire.NodeTable{Node: a.Node, Stage: a.Base, Cols: tbl.Cols, Rows: rows, Env: wire.EnvKey(a.Env)}
-	if frag := b.in.Frag; b.e.Pushdown && frag.Applies(a.Base) {
+	if frag := b.in.Frag; frag.Applies(a.Base) {
 		// Partial aggregation for grouped specs, per-node top-K for
 		// order/limit-only ones; the saving is booked in encoded bytes.
 		before := wire.TableSize(&nt)
@@ -377,8 +374,6 @@ func (b *Batch) Forward(fw Forward, a Arrival) {
 				continue
 			}
 			spendOne(&b.clones)
-			// The plan fragment rides on even where pushdown is off, so
-			// the next site that applies it still can.
 			oc = &Out{Site: site, dests: make(map[string]bool), Msg: &wire.CloneMsg{
 				ID: b.in.ID, Rem: state.Rem, Base: a.Base, Stages: EncodeStages(a.Stages),
 				Hops: a.Hops + 1, Env: a.Env, Frag: b.in.Frag,
@@ -397,7 +392,6 @@ func (b *Batch) Forward(fw Forward, a Arrival) {
 		dest := wire.DestNode{URL: tgt.URL, Origin: b.e.Origin, Seq: b.serial.Add(1)}
 		oc.Msg.Dest = append(oc.Msg.Dest, dest)
 		update.Children = append(update.Children, wire.CHTEntry{Node: tgt.URL, State: state, Origin: dest.Origin, Seq: dest.Seq})
-		b.v.Counts.Targets++
 	}
 }
 

@@ -69,8 +69,8 @@ func (k OrderKey) String() string {
 // ordering and limiting.
 //
 // Like the rest of this package the spec is plain data, so it travels
-// inside clone messages when the planner pushes the final aggregation
-// down to remote sites as a plan fragment.
+// inside clone messages as the plan fragment every site folds its
+// final-stage rows with.
 type OutputSpec struct {
 	Cols    []OutputCol // aggregated select list; nil for plain queries
 	GroupBy []ColRef
@@ -142,8 +142,8 @@ func (s *OutputSpec) Suffix() string {
 
 // CompareVals orders two virtual-relation values exactly as the
 // comparison predicates do: numerically when both sides parse as
-// floats, by byte order otherwise. Every ordering decision of the
-// planner — hash-join keys, order-by, MIN/MAX — goes through this so
+// floats, by byte order otherwise. Every ordering decision of package
+// plan — hash-join keys, order-by, MIN/MAX — goes through this so
 // that the operator pipeline is indistinguishable from the paper's
 // nested-loop evaluator (plan's test oracle).
 func CompareVals(a, b string) int {

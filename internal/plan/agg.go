@@ -8,11 +8,10 @@ import (
 	"webdis/internal/nodequery"
 )
 
-// Acc is the grouped-aggregation accumulator both ends of the planner
-// share: a remote site folds one node's raw rows into partial-state
-// rows with it (ApplyFrag), and the user-site client folds raw and
-// partial contributions from every node into the final table with the
-// *same* code — which is what makes pushdown invisible in the results.
+// Acc is the grouped-aggregation accumulator both ends of a query share:
+// a site folds one node's raw rows into partial-state rows with it
+// (ApplyFrag), and the user-site client folds every node's partial
+// contribution into the final table with the *same* code.
 //
 // Aggregation ranges over the union of per-node distinct result sets
 // (each node's table is already distinct, and the client deduplicates
@@ -279,8 +278,8 @@ func ApplyFrag(cols []string, rows [][]string, env map[string]string, spec *node
 	return cols, rows, false, 0
 }
 
-// cellBytes sums the payload bytes of a table, the planner's measure
-// of shipping cost.
+// cellBytes sums the payload bytes of a table, the measure of what a
+// fold saves the wire.
 func cellBytes(cols []string, rows [][]string) int {
 	n := 0
 	for _, c := range cols {

@@ -10,10 +10,10 @@ import (
 
 // Explain renders the distributed plan for a web-query: the operator
 // tree each site runs per stage, the user-site finalization pipeline,
-// the fragment the planner pushes into clones, and the edge shipping
-// policy. It needs no documents — the tree shape depends only on the
-// query — so `webdis -explain` prints it without executing anything.
-func Explain(w *disql.WebQuery, plannerOn bool) string {
+// and the fragment every clone carries for the sites to fold with. It
+// needs no documents — the tree shape depends only on the query — so
+// `webdis -explain` prints it without executing anything.
+func Explain(w *disql.WebQuery) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", w.String())
 	for i, s := range w.Stages {
@@ -44,24 +44,19 @@ func Explain(w *disql.WebQuery, plannerOn bool) string {
 	if !spec.Grouped() && len(orderKeys) == 0 && limit == 0 {
 		b.WriteString("  merge + distinct per stage (classic)\n")
 	}
-	if !plannerOn {
-		b.WriteString("pushdown: off (naive shipping: full per-node rows travel)\n")
-		return b.String()
-	}
 	last := len(w.Stages) - 1
 	switch {
 	case spec.Grouped():
 		acc := NewAcc(spec)
 		pcols, _ := acc.PartialTable()
-		fmt.Fprintf(&b, "pushdown: partial hash-agg at every site (frag v1 → stage %d): ships [%s] per contribution\n",
+		fmt.Fprintf(&b, "pushdown: partial hash-agg at every site (fragment → stage %d): ships [%s] per contribution\n",
 			last+1, strings.Join(pcols, ", "))
 	case limit > 0:
-		fmt.Fprintf(&b, "pushdown: per-node top-%d (frag v1 → stage %d): each site ships only its first %d rows under the global order\n",
+		fmt.Fprintf(&b, "pushdown: per-node top-%d (fragment → stage %d): each site ships only its first %d rows under the global order\n",
 			limit, last+1, limit)
 	default:
 		b.WriteString("pushdown: none applicable (no aggregation or limit)\n")
 	}
-	b.WriteString("edge policy: ship-data when dests·docBytes·bias < cloneBytes (site stats piggybacked on result frames); ship-query otherwise\n")
 	return b.String()
 }
 

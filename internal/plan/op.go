@@ -1,10 +1,9 @@
 // Package plan implements the volcano/iterator operator pipeline that
 // evaluates node-queries at a site — scan over the virtual relations,
 // filter, hash-join, nest-loop product, project, distinct — and the
-// cost-based distributed planner built on top of it: partial-aggregate
-// and top-K pushdown into cloned web-queries (wire.PlanFrag), and the
-// per-edge ship-query-vs-ship-data decision driven by site statistics
-// piggybacked on result frames (wire.SiteStat).
+// output stage built on top of it: the partial aggregate or top-K every
+// site applies to its final-stage rows (wire.PlanFrag), and the merge of
+// those partial states at the user-site.
 //
 // The pipeline replaces the paper's nested-loop matcher as the
 // site-local evaluator (nodeproc's traversal step runs a compiled Tree at

@@ -405,33 +405,6 @@ func TestSortLimit(t *testing.T) {
 	}
 }
 
-func TestCostModel(t *testing.T) {
-	small := EstimateCloneBytes(1, 0, 1)
-	big := EstimateCloneBytes(4, 200, 10)
-	if small <= 0 || big <= small {
-		t.Fatalf("clone bytes: small=%d big=%d", small, big)
-	}
-	// Cold start (no stats): never ship data.
-	if ChooseShipData(3, 0, small, 1) {
-		t.Fatal("avgDocBytes=0 must keep query shipping")
-	}
-	// Tiny docs vs a heavy clone: fetch the data.
-	if !ChooseShipData(1, 100, 10_000, 1) {
-		t.Fatal("cheap data vs expensive clone should ship data")
-	}
-	// Huge docs: ship the query.
-	if ChooseShipData(2, 1<<20, small, 1) {
-		t.Fatal("huge documents must ship the query")
-	}
-	// Bias scales the data side; non-positive bias means neutral.
-	if ChooseShipData(1, 100, 150, 2) != ChooseShipData(1, 200, 150, 1) {
-		t.Fatal("bias should scale data cost")
-	}
-	if ChooseShipData(1, 100, 150, 0) != ChooseShipData(1, 100, 150, 1) {
-		t.Fatal("bias<=0 should behave as 1")
-	}
-}
-
 func TestExplainOperatorTree(t *testing.T) {
 	// Compile shapes: join query gets a hash-join, grouped spec shows in
 	// the tree via Explain (exercised end-to-end in cmd/webdis).

@@ -125,8 +125,7 @@ type Metrics struct {
 
 	// RowsScanned counts tuples read by the operator pipeline's scans
 	// during node-query evaluation; RowsEmitted counts the distinct rows
-	// the pipelines produced. Their ratio is the per-site selectivity the
-	// planner's statistics report.
+	// the pipelines produced. Their ratio is the per-site selectivity.
 	RowsScanned atomic.Int64
 	RowsEmitted atomic.Int64
 	// PushdownHits counts node-query result tables reduced in place by a
@@ -135,19 +134,13 @@ type Metrics struct {
 	// reduction removed from the wire.
 	PushdownHits       atomic.Int64
 	PushdownBytesSaved atomic.Int64
-	// ShipDataEdges counts traversal edges the cost model converted from
-	// ship-query to ship-data (the clone stayed here and the documents
-	// came over); ShipDataBytes accumulates the encoded bytes of every
-	// document downloaded from another site — for those edges, and every
-	// document the user-site's proxy evaluates.
-	ShipDataEdges atomic.Int64
+	// ShipDataBytes accumulates the encoded bytes of every document
+	// downloaded from another site: every document the user-site's proxy
+	// evaluates (Section 7.1).
 	ShipDataBytes atomic.Int64
 	// DocBytes accumulates raw content bytes of documents parsed by the
-	// Database Constructor — the avgDocBytes numerator of the cost model.
+	// Database Constructor.
 	DocBytes atomic.Int64
-	// TargetsAdded counts forward targets scheduled (the fan-out the
-	// statistics report as Fanout).
-	TargetsAdded atomic.Int64
 
 	// PagesRead counts heap pages read from disk by the persistent
 	// store's buffer pool (misses; hits touch no counter).
@@ -225,10 +218,8 @@ type Snapshot struct {
 	RowsEmitted        int64
 	PushdownHits       int64
 	PushdownBytesSaved int64
-	ShipDataEdges      int64
 	ShipDataBytes      int64
 	DocBytes           int64
-	TargetsAdded       int64
 
 	PagesRead      int64
 	PagesEvicted   int64
@@ -285,7 +276,6 @@ func (m *Metrics) book(n nodeproc.Counts) {
 	m.RowsClipped.Add(n.Clipped)
 	m.HopsClamped.Add(n.HopsClamped)
 	m.BudgetExpired.Add(n.BudgetSpent)
-	m.TargetsAdded.Add(n.Targets)
 	m.PushdownHits.Add(n.PushdownHits)
 	m.PushdownBytesSaved.Add(n.PushdownBytes)
 	m.ParseCacheHits.Add(n.ParseHits)

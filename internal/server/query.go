@@ -93,13 +93,19 @@ func (s *Server) stopQuery(id wire.QueryID) {
 	s.qmu.Unlock()
 }
 
+// Stopped reports whether the user-site's active stop for query id has
+// reached this site.
+func (s *Server) Stopped(id wire.QueryID) bool {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	q := s.queries[id]
+	return q != nil && q.stopped.Load()
+}
+
 // handleWatch registers or cancels a standing watch. Registration is
 // idempotent (a re-register keeps the existing sequence, so a collector
 // that retries never sees Seq restart).
 func (s *Server) handleWatch(m *wire.WatchMsg) {
-	if !m.Applies() {
-		return
-	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	if m.Cancel {

@@ -142,10 +142,6 @@ type Options struct {
 	// Replica is this server's index among its site's replicas (0 is
 	// the classic endpoint; only meaningful with Cluster set).
 	Replica int
-	// Planner configures the cost-based distributed planner: plan-
-	// fragment pushdown, statistics piggybacking, and the per-edge
-	// ship-query-vs-ship-data decision. Zero disables all three.
-	Planner PlannerOptions
 }
 
 // Server is one site's WEBDIS query server.
@@ -200,12 +196,6 @@ type Server struct {
 	// built) at Start when opts.Store is enabled; nil otherwise.
 	store *store.Store
 
-	// peerStats holds the per-site statistics learned from piggybacked
-	// clone hints and from ship-data fetches; own-site statistics come
-	// straight from the metrics counters. It only lives under
-	// opts.Planner.Enabled.
-	statMu    sync.Mutex
-	peerStats map[string]wire.SiteStat
 	// fetch downloads the documents of nodes this site does not host.
 	fetch webserver.Fetcher
 
@@ -236,12 +226,8 @@ func New(site string, docs DocSource, tr netsim.Transport, met *Metrics, opts Op
 		Origin: s.self,
 		Node: nodeproc.Visitor{Log: nodeproc.NewLogTable(opts.Dedup), StrictDeadEnds: opts.StrictDeadEnds,
 			MaxHops: opts.MaxHops, Journal: opts.Journal},
-		NoBatch:  opts.NoBatch,
-		Pushdown: opts.Planner.Enabled,
-		Spans:    opts.Journal != nil,
-	}
-	if opts.Planner.Enabled {
-		s.peerStats = make(map[string]wire.SiteStat)
+		NoBatch: opts.NoBatch,
+		Spans:   opts.Journal != nil,
 	}
 	if opts.CacheDBs && opts.DBCacheEntries > 0 {
 		s.dbLRU = list.New()
@@ -489,7 +475,7 @@ func (s *Server) InvalidateDocs(edited, rewired []string) {
 		if q.watching {
 			q.deltas++
 			deltas = append(deltas, &wire.DeltaMsg{
-				Version: wire.WatchVersion, ID: id, Site: s.site, Seq: q.deltas,
+				ID: id, Site: s.site, Seq: q.deltas,
 				Edited: edited, Rewired: rewired,
 			})
 		}
@@ -536,9 +522,6 @@ func (s *Server) handle(c *wire.CloneMsg, q *query, b *nodeproc.Batch) {
 		s.retireAll(c, wire.FateStopped, "active stop")
 		return
 	}
-	if s.opts.Planner.Enabled {
-		s.absorbHints(c.Hints)
-	}
 	if err := b.Begin(&s.eval, c, q.log, &q.serial); err != nil {
 		// A malformed clone cannot be processed here or anywhere: the
 		// user-site writes it off, declaring the loss.
@@ -560,15 +543,6 @@ func (s *Server) handle(c *wire.CloneMsg, q *query, b *nodeproc.Batch) {
 	if q.stopped.Load() {
 		s.retireAll(c, wire.FateStopped, "active stop")
 		return
-	}
-
-	// Statistics hints ride only when the planner runs here, keeping the
-	// classic wire profile otherwise.
-	if s.opts.Planner.Enabled && len(b.Out) > 0 {
-		hints := s.hintsFor()
-		for _, oc := range b.Out {
-			oc.Msg.Hints = hints
-		}
 	}
 
 	// Span links of the clones about to be forwarded, echoed on the
@@ -660,15 +634,13 @@ func (s *Server) LoadDB(node string) (*relmodel.DB, error) {
 }
 
 // buildDB loads and parses the node's document: one Database Constructor
-// run. A node this site does not host is downloaded from its home
-// document host — the ship-data half of the cost model, reached when
-// forwardAll kept the clone here instead of shipping it, and every node
-// the user-site's proxy evaluates.
+// run. A node this site does not host — every node the user-site's proxy
+// evaluates — is downloaded from its home document host.
 func (s *Server) buildDB(node string) (*relmodel.DB, error) {
 	var content []byte
 	var err error
-	if host := webgraph.Host(node); host != s.site {
-		content, err = s.download(node, host)
+	if webgraph.Host(node) != s.site {
+		content, err = s.download(node)
 	} else if s.store != nil {
 		// Local node with the persistent store: assemble the database
 		// from slotted pages through the buffer pool — no fetch, no
@@ -697,9 +669,8 @@ func (s *Server) buildDB(node string) (*relmodel.DB, error) {
 }
 
 // download fetches a document hosted on another site, retried under
-// Options.Retry like any remote send, and books the transfer and (under
-// the planner) the peer's document size.
-func (s *Server) download(node, host string) ([]byte, error) {
+// Options.Retry like any remote send, and books the transfer.
+func (s *Server) download(node string) ([]byte, error) {
 	pol := s.opts.Retry
 	content, err := s.fetch.Get(node)
 	for i := 1; err != nil && i < pol.attempts(); i++ {
@@ -712,13 +683,9 @@ func (s *Server) download(node, host string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Book the transfer at its encoded frame size (what actually crossed
-	// the wire), while the peer's document statistic stays raw content
-	// bytes — the cost model's avgDocBytes numerator.
+	// Book the transfer at its encoded frame size: what actually crossed
+	// the wire.
 	s.met.ShipDataBytes.Add(int64(wire.EncodedSize(&wire.FetchResp{URL: node, Content: content})))
-	if s.peerStats != nil {
-		s.recordPeerDoc(host, int64(len(content)))
-	}
 	return content, nil
 }
 
@@ -732,14 +699,7 @@ func (s *Server) dispatchResults(c *wire.CloneMsg, updates []wire.CHTUpdate, tab
 	if len(updates) == 0 && len(tables) == 0 {
 		return true
 	}
-	// Piggyback this site's statistics on the frame (Section 3.2 style:
-	// ride data that is going to the user-site anyway) so the user-site
-	// can hint future clones without a statistics round-trip.
-	var stats []wire.SiteStat
-	if s.opts.Planner.Enabled {
-		stats = []wire.SiteStat{s.ownStat()}
-	}
-	msg := &wire.ResultMsg{ID: c.ID, Updates: updates, Tables: tables, Stats: stats}
+	msg := &wire.ResultMsg{ID: c.ID, Updates: updates, Tables: tables}
 	if s.traced(c) {
 		msg.Span, msg.Site, msg.Hop, msg.Spawned = c.Span, s.site, c.Hops, spawned
 	}
@@ -781,17 +741,6 @@ func (s *Server) forwardAll(outs []*nodeproc.Out) {
 		if oc.Site == s.site {
 			s.jot(oc.Msg, trace.Forward, oc.Site)
 			s.met.LocalClones.Add(1)
-			s.Enqueue(oc.Msg)
-			continue
-		}
-		if s.chooseShipData(oc) {
-			// The cost model priced the destination documents below the
-			// clone: keep the clone on this site's queue and let buildDB
-			// pull the documents over instead (ship-data for this edge).
-			if s.opts.Journal != nil {
-				s.jot(oc.Msg, trace.Forward, "ship-data "+oc.Site)
-			}
-			s.met.ShipDataEdges.Add(1)
 			s.Enqueue(oc.Msg)
 			continue
 		}

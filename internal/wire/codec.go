@@ -50,14 +50,17 @@ import (
 	"webdis/internal/nodequery"
 )
 
-// MaxWireVersion is the one wire format this build speaks: version 4,
+// MaxWireVersion is the one wire format this build speaks: version 5,
 // the binary codec with one report per result frame, typed by one fate
 // byte. A hello offering a newer version is granted this one; an older
 // one is refused (version 1 was framed gob; version 2 carried a list of
 // batched reports in every result frame and a TUNE kind; version 3 typed
 // a report with two flag bytes and refused a shed clone with a SHED kind
-// of its own).
-const MaxWireVersion = 4
+// of its own; version 4 carried site statistics on clones and result
+// frames, and a format version in every plan fragment, watch and delta).
+// The hello settles the format once per session, so no message carries
+// a version of its own.
+const MaxWireVersion = 5
 
 // Typed codec errors. Receive surfaces ErrTruncated when a frame ends
 // before its own encoding claims it should (including a connection
@@ -621,42 +624,6 @@ func (d *decoder) budget() Budget {
 	}
 }
 
-func (e *encoder) siteStat(s SiteStat) {
-	e.str(s.Site)
-	e.i(s.Docs)
-	e.i(s.DocBytes)
-	e.i(s.Evals)
-	e.i(s.RowsScanned)
-	e.i(s.RowsEmitted)
-	e.i(s.Fanout)
-}
-
-func (d *decoder) siteStat() SiteStat {
-	return SiteStat{
-		Site: d.str(), Docs: d.i(), DocBytes: d.i(), Evals: d.i(),
-		RowsScanned: d.i(), RowsEmitted: d.i(), Fanout: d.i(),
-	}
-}
-
-func (e *encoder) siteStats(ss []SiteStat) {
-	e.u(uint64(len(ss)))
-	for _, s := range ss {
-		e.siteStat(s)
-	}
-}
-
-func (d *decoder) siteStats() []SiteStat {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]SiteStat, n)
-	for i := range out {
-		out[i] = d.siteStat()
-	}
-	return out
-}
-
 func (e *encoder) cloneMsg(m *CloneMsg) {
 	e.queryID(m.ID)
 	e.u(uint64(len(m.Dest)))
@@ -689,13 +656,11 @@ func (e *encoder) cloneMsg(m *CloneMsg) {
 	e.budget(m.Budget)
 	if m.Frag != nil {
 		e.buf = append(e.buf, 1)
-		e.i(int64(m.Frag.Version))
 		e.i(int64(m.Frag.Stage))
 		e.outputSpec(&m.Frag.Spec)
 	} else {
 		e.buf = append(e.buf, 0)
 	}
-	e.siteStats(m.Hints)
 }
 
 func (d *decoder) cloneMsg() *CloneMsg {
@@ -726,9 +691,8 @@ func (d *decoder) cloneMsg() *CloneMsg {
 	m.Parent = d.spanID()
 	m.Budget = d.budget()
 	if d.bool() {
-		m.Frag = &PlanFrag{Version: d.int(), Stage: d.int(), Spec: d.outputSpec()}
+		m.Frag = &PlanFrag{Stage: d.int(), Spec: d.outputSpec()}
 	}
-	m.Hints = d.siteStats()
 	return m
 }
 
@@ -817,7 +781,6 @@ func (e *encoder) resultMsg(m *ResultMsg) {
 		e.spanID(l.Span)
 		e.str(l.Site)
 	}
-	e.siteStats(m.Stats)
 	e.str(m.From)
 	e.i(m.Inc)
 }
@@ -852,7 +815,6 @@ func (d *decoder) resultMsg() *ResultMsg {
 			m.Spawned[i] = SpanLink{Span: d.spanID(), Site: d.str()}
 		}
 	}
-	m.Stats = d.siteStats()
 	m.From = d.str()
 	m.Inc = d.i()
 	return m
@@ -881,11 +843,9 @@ func encodeEnvelope(e *encoder, env *envelope) error {
 		e.bytes(env.FetchResp.Content)
 		e.str(env.FetchResp.Err)
 	case KindWatch:
-		e.i(int64(env.Watch.Version))
 		e.queryID(env.Watch.ID)
 		e.bool(env.Watch.Cancel)
 	case KindDelta:
-		e.i(int64(env.Delta.Version))
 		e.queryID(env.Delta.ID)
 		e.str(env.Delta.Site)
 		e.i(env.Delta.Seq)
@@ -916,10 +876,10 @@ func decodeEnvelope(d *decoder, code byte) (any, error) {
 	case codeFetchResp:
 		msg = &FetchResp{URL: d.str(), Content: d.bytes(), Err: d.str()}
 	case codeWatch:
-		msg = &WatchMsg{Version: d.int(), ID: d.queryID(), Cancel: d.bool()}
+		msg = &WatchMsg{ID: d.queryID(), Cancel: d.bool()}
 	case codeDelta:
 		msg = &DeltaMsg{
-			Version: d.int(), ID: d.queryID(), Site: d.str(), Seq: d.i(),
+			ID: d.queryID(), Site: d.str(), Seq: d.i(),
 			Edited: d.strs(), Rewired: d.strs(),
 		}
 	default:
@@ -956,9 +916,9 @@ func EncodedSize(msg any) int {
 	return n
 }
 
-// TableSize returns the encoded v2 size of one result table — the
-// measure the planner's PushdownBytesSaved counter uses to report what
-// a pushed-down reduction actually removed from the wire.
+// TableSize returns the encoded size of one result table — the measure
+// the PushdownBytesSaved counter uses to report what a pushed-down
+// reduction actually removed from the wire.
 func TableSize(t *NodeTable) int {
 	e := sizePool.Get().(*encoder)
 	e.reset()

@@ -104,13 +104,10 @@ func (s *fuzzSource) clone() *CloneMsg {
 	}
 	m.Budget = Budget{Deadline: s.i64(), Hops: s.n(8), Rows: s.n(1000), FirstN: s.n(50)}
 	if s.byte()&1 == 1 {
-		m.Frag = &PlanFrag{Version: 1, Stage: s.n(3), Spec: nodequery.OutputSpec{
+		m.Frag = &PlanFrag{Stage: s.n(3), Spec: nodequery.OutputSpec{
 			Cols:  []nodequery.OutputCol{{Agg: nodequery.AggKind(s.n(int(nodequery.AggMax) + 1)), Star: s.byte()&1 == 1, Ref: nodequery.ColRef{Var: s.str(), Col: s.str()}}},
 			Limit: s.n(100),
 		}}
-	}
-	for i, k := 0, s.n(3); i < k; i++ {
-		m.Hints = append(m.Hints, SiteStat{Site: s.str(), Docs: s.i64(), DocBytes: s.i64(), Fanout: s.i64()})
 	}
 	return m
 }
@@ -151,9 +148,6 @@ func (s *fuzzSource) result() *ResultMsg {
 	for i, k := 0, s.n(3); i < k; i++ {
 		m.Spawned = append(m.Spawned, SpanLink{Span: SpanID{Origin: s.str(), Seq: s.i64()}, Site: s.str()})
 	}
-	for i, k := 0, s.n(3); i < k; i++ {
-		m.Stats = append(m.Stats, SiteStat{Site: s.str(), Docs: s.i64(), Evals: s.i64(), RowsEmitted: s.i64()})
-	}
 	return m
 }
 
@@ -173,9 +167,9 @@ func (s *fuzzSource) message() any {
 	case 5:
 		return &FetchResp{URL: s.str(), Content: []byte(s.str()), Err: s.str()}
 	case 6:
-		return &WatchMsg{Version: s.n(3), ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Cancel: s.n(2) == 1}
+		return &WatchMsg{ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Cancel: s.n(2) == 1}
 	default:
-		m := &DeltaMsg{Version: s.n(3), ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Site: s.str(), Seq: s.i64()}
+		m := &DeltaMsg{ID: QueryID{User: s.str(), Site: s.str(), Num: s.n(100)}, Site: s.str(), Seq: s.i64()}
 		for i, k := 0, s.n(3); i < k; i++ {
 			m.Edited = append(m.Edited, s.str())
 		}

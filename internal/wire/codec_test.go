@@ -98,10 +98,7 @@ func sampleMessages() []any {
 	full.Span = SpanID{Origin: "user/query", Seq: 3}
 	full.Parent = SpanID{Origin: "user/query", Seq: 1}
 	full.Budget = Budget{Deadline: 99999, Hops: 7, Clones: 3, Rows: 100, Weight: 2, FirstN: 10}
-	full.Frag = &PlanFrag{Version: 1, Stage: 0, Spec: sampleSpec()}
-	full.Hints = []SiteStat{
-		{Site: "a.example/query", Docs: 12, DocBytes: 4096, Evals: 3, RowsScanned: 40, RowsEmitted: 4, Fanout: 9},
-	}
+	full.Frag = &PlanFrag{Stage: 0, Spec: sampleSpec()}
 	res := &ResultMsg{
 		ID:   QueryID{User: "maya", Site: "user/results", Num: 7},
 		Span: SpanID{Origin: "a.example/query", Seq: 5},
@@ -118,7 +115,6 @@ func sampleMessages() []any {
 			Env:  "d0.url=http://a",
 		}},
 		Spawned: []SpanLink{{Span: SpanID{Origin: "a.example/query", Seq: 6}, Site: "b.example/query"}},
-		Stats:   []SiteStat{{Site: "a.example/query", Docs: 2}},
 		From:    "a.example/query@0",
 		Inc:     3,
 	}
@@ -144,10 +140,10 @@ func sampleMessages() []any {
 		&StopMsg{ID: QueryID{User: "maya", Site: "user/results", Num: 7}, Reason: "first-n satisfied"},
 		&FetchReq{URL: "http://a.example/x.html"},
 		&FetchResp{URL: "http://a.example/x.html", Content: []byte("<html><body>hi</body></html>"), Err: ""},
-		&WatchMsg{Version: WatchVersion, ID: QueryID{User: "maya", Site: "user/w1", Num: 1}},
-		&WatchMsg{Version: WatchVersion, ID: QueryID{User: "maya", Site: "user/w1", Num: 1}, Cancel: true},
+		&WatchMsg{ID: QueryID{User: "maya", Site: "user/w1", Num: 1}},
+		&WatchMsg{ID: QueryID{User: "maya", Site: "user/w1", Num: 1}, Cancel: true},
 		&DeltaMsg{
-			Version: WatchVersion, ID: QueryID{User: "maya", Site: "user/w1", Num: 1},
+			ID:   QueryID{User: "maya", Site: "user/w1", Num: 1},
 			Site: "a.example", Seq: 3,
 			Edited:  []string{"http://a.example/x.html"},
 			Rewired: []string{"http://a.example/y.html", "http://a.example/z.html"},
@@ -202,10 +198,10 @@ func TestV2RoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestNegotiationMatrix pins every way a session can open: v4<->v4; a
-// hello offering version 1, 2 or 3 and a pre-v2 peer's bare gob frame,
+// TestNegotiationMatrix pins every way a session can open: v5<->v5; a
+// hello offering version 1, 2, 3 or 4 and a pre-v2 peer's bare gob frame,
 // all refused with ErrVersion so the dialer's Settle fails; and a hello
-// offering a newer version, granted 4.
+// offering version 5, or a newer one, granted 5.
 func TestNegotiationMatrix(t *testing.T) {
 	offer := func(v byte) func([]byte) []byte {
 		return func(p []byte) []byte { p[3] = v; return p }
@@ -216,12 +212,14 @@ func TestNegotiationMatrix(t *testing.T) {
 		rewrite func([]byte) []byte // the dialer's first write, as this peer sends it
 		refused bool
 	}{
-		{"v4-both", nil, false},
+		{"v5-both", nil, false},
 		{"v1-dialer", offer(1), true},
 		{"v2-dialer", offer(2), true},
 		{"v3-dialer", offer(3), true},
+		{"v4-dialer", offer(4), true},
 		{"gob-prefix", func([]byte) []byte { return gobPeer }, true},
 		{"v5-dialer", offer(5), false},
+		{"v6-dialer", offer(6), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -122,80 +122,24 @@ type CloneMsg struct {
 	// Budget is the query's resource budget, inherited (and decremented)
 	// by every clone spawned from this one. The zero Budget is unlimited.
 	Budget Budget
-	// Frag, when non-nil, is the plan fragment the cost-based planner
-	// pushed into this clone: the output spec whose partial form every
-	// site applies to the named stage's raw rows before shipping them.
-	// Children inherit it unchanged. Sites ignore fragments whose
-	// Version they do not know.
+	// Frag, when non-nil, is the plan fragment of a query with an output
+	// contract (aggregates, GROUP BY or LIMIT): the output spec whose
+	// partial form every site applies to the named stage's raw rows
+	// before shipping them. Children inherit it unchanged.
 	Frag *PlanFrag
-	// Hints carries site statistics the sender had observed or been told
-	// about (piggybacked from result frames), so downstream sites can
-	// make ship-query-vs-ship-data decisions about edges they have never
-	// seen. Bounded to MaxHints entries; children inherit the merge of
-	// the clone's hints and the forwarder's own observations.
-	Hints []SiteStat
 }
-
-// PlanFragVersion is the current plan-fragment format. Encoded in every
-// PlanFrag; servers apply only fragments whose version they recognize,
-// so a mixed-version deployment degrades to naive shipping rather than
-// mis-folding rows.
-const PlanFragVersion = 1
-
-// MaxHints bounds the piggybacked statistics list on clones and
-// reports.
-const MaxHints = 64
 
 // PlanFrag is a pushed-down plan fragment riding a clone: the final
 // stage's output spec, which a site turns into a partial hash-aggregate
 // (or per-node top-K) over that stage's result rows before they ship.
-// Gob-plain data, like the node-queries it travels beside.
 type PlanFrag struct {
-	Version int
-	Stage   int // index of the stage the fragment transforms (the final stage)
-	Spec    nodequery.OutputSpec
+	Stage int // index of the stage the fragment transforms (the final stage)
+	Spec  nodequery.OutputSpec
 }
 
-// Applies reports whether the fragment is one this build understands
-// and targets the given stage.
+// Applies reports whether the fragment targets the given stage.
 func (f *PlanFrag) Applies(stage int) bool {
-	return f != nil && f.Version == PlanFragVersion && f.Stage == stage
-}
-
-// SiteStat is one site's observed workload statistics: the planner's
-// raw material. Sites attach their own stat to result frames
-// (ResultMsg.Stats); the user-site accumulates them across queries and
-// re-attaches them to later clones as CloneMsg.Hints, closing the
-// feedback loop the paper's cost model needs.
-type SiteStat struct {
-	Site        string
-	Docs        int64 // documents parsed into virtual relations
-	DocBytes    int64 // raw content bytes of those documents
-	Evals       int64 // node-query evaluations run
-	RowsScanned int64 // tuples read by the operator pipeline
-	RowsEmitted int64 // distinct rows produced
-	Fanout      int64 // forward targets observed (link fan-out)
-}
-
-// AvgDocBytes returns the mean observed document size, or 0 when the
-// site has parsed nothing yet (the "no statistics" cold start that
-// defaults the planner to ship-query).
-func (s SiteStat) AvgDocBytes() int64 {
-	if s.Docs == 0 {
-		return 0
-	}
-	return s.DocBytes / s.Docs
-}
-
-// MergeStat folds b into a (same site): counters add.
-func MergeStat(a, b SiteStat) SiteStat {
-	a.Docs += b.Docs
-	a.DocBytes += b.DocBytes
-	a.Evals += b.Evals
-	a.RowsScanned += b.RowsScanned
-	a.RowsEmitted += b.RowsEmitted
-	a.Fanout += b.Fanout
-	return a
+	return f != nil && f.Stage == stage
 }
 
 // Budget carries a query's resource limits on the wire, following the
@@ -301,23 +245,6 @@ func EnvKey(env map[string]string) string {
 	return b.String()
 }
 
-// ParseEnvKey inverts EnvKey: it rebuilds the environment map from the
-// canonical fingerprint. Values produced by EnvKey never contain the
-// \x00 separator (environment values are document column strings), so
-// the split is unambiguous. Returns nil for "".
-func ParseEnvKey(key string) map[string]string {
-	if key == "" {
-		return nil
-	}
-	env := make(map[string]string)
-	for _, pair := range strings.Split(strings.TrimSuffix(key, "\x00"), "\x00") {
-		if eq := strings.IndexByte(pair, '='); eq >= 0 {
-			env[pair[:eq]] = pair[eq+1:]
-		}
-	}
-	return env
-}
-
 // DestNode is one destination node of a clone message, tagged with the
 // serial of its CHT entry. The paper identifies CHT entries by (URL,
 // query-state) alone; that under-identifies clone instances — a revisit
@@ -377,8 +304,7 @@ type NodeTable struct {
 	// Env is the EnvKey of the clone environment the rows were computed
 	// under. One (Node, Stage, Env) triple is one *contribution*: its
 	// rows are deterministic, so the user-site deduplicates whole
-	// contributions when folding aggregates. Empty on frames from
-	// pre-planner builds, which never carry Partial tables either.
+	// contributions when folding aggregates.
 	Env string
 	// Partial marks rows that are partial-aggregate state produced by a
 	// pushed-down PlanFrag (group keys then one state cell per
@@ -435,11 +361,6 @@ type ResultMsg struct {
 	// unreplicated deployments, which accept every frame as before.
 	From string
 	Inc  int64
-	// Stats piggybacks the processing site's observed statistics (and
-	// any peers' it learned of) back to the user-site. Attached only
-	// when the planner is enabled, so classic deployments keep their
-	// exact wire profile.
-	Stats []SiteStat
 }
 
 // FetchReq asks a document host for the content of one URL. It is used
@@ -494,28 +415,16 @@ type StopMsg struct {
 	Reason string
 }
 
-// WatchVersion is the current watch-protocol format. Encoded in every
-// WatchMsg and DeltaMsg so mixed-version deployments degrade cleanly
-// (the PlanFrag precedent): a server that does not understand the
-// version ignores the registration, a client drops deltas it cannot
-// parse, and one-shot queries are untouched either way.
-const WatchVersion = 1
-
 // WatchMsg registers (or cancels) a standing query at a query server:
 // the user-site asks to be notified whenever the site's documents
 // change. ID names the watch; ID.Site is the endpoint DeltaMsg
 // notifications are delivered to — the watch's own collector, exactly
 // like a query's Result Collector.
 type WatchMsg struct {
-	Version int
-	ID      QueryID
+	ID QueryID
 	// Cancel deregisters the watch instead.
 	Cancel bool
 }
-
-// Applies reports whether the message is of a version this build
-// understands.
-func (m *WatchMsg) Applies() bool { return m != nil && m.Version == WatchVersion }
 
 // DeltaMsg is the site → user-site change notification of a registered
 // watch: the web mutated at this site, and the named documents' virtual
@@ -528,17 +437,12 @@ func (m *WatchMsg) Applies() bool { return m != nil && m.Version == WatchVersion
 // notifications and re-dispatches only the affected frontiers, then
 // emits typed add/remove row deltas with its own monotonic epoch.
 type DeltaMsg struct {
-	Version int
 	ID      QueryID
 	Site    string
 	Seq     int64
 	Edited  []string
 	Rewired []string
 }
-
-// Applies reports whether the message is of a version this build
-// understands.
-func (m *DeltaMsg) Applies() bool { return m != nil && m.Version == WatchVersion }
 
 // Message kind strings, used for per-kind traffic accounting.
 const (

@@ -129,11 +129,6 @@ type (
 	// pool, and an on-disk inverted text index per site. The zero value
 	// keeps the in-RAM Database Constructor.
 	StoreOptions = server.StoreOptions
-	// PlannerOptions configure the cost-based distributed planner
-	// (ServerOptions.Planner): plan-fragment pushdown of GROUP BY /
-	// ORDER BY / LIMIT work to the sites, statistics piggybacking, and
-	// the per-edge ship-query-vs-ship-data decision.
-	PlannerOptions = server.PlannerOptions
 	// OutputSpec is a query's aggregation/ordering contract (WebQuery.
 	// Output): aggregate select items, GROUP BY, ORDER BY and LIMIT.
 	OutputSpec = nodequery.OutputSpec
@@ -318,10 +313,9 @@ func ReplicaEndpoint(site string, i int) string { return cluster.ReplicaEndpoint
 func ParseDISQL(src string) (*WebQuery, error) { return disql.Parse(src) }
 
 // Explain renders the distributed plan of a web-query: the per-stage
-// operator trees the sites will run, what the planner pushes down, and
-// how traversal edges are decided. plannerOn mirrors
-// ServerOptions.Planner.Enabled.
-func Explain(w *WebQuery, plannerOn bool) string { return plan.Explain(w, plannerOn) }
+// operator trees the sites will run and what every site folds before
+// its rows ship.
+func Explain(w *WebQuery) string { return plan.Explain(w) }
 
 // ParsePRE parses a Path Regular Expression such as "N | G·(L*4)".
 func ParsePRE(src string) (pre.Expr, error) { return pre.Parse(src) }
