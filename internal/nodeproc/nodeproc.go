@@ -26,32 +26,16 @@ import (
 	"webdis/internal/disql"
 	"webdis/internal/htmlx"
 	"webdis/internal/nodequery"
-	"webdis/internal/plan"
 	"webdis/internal/pre"
 	"webdis/internal/relmodel"
 	"webdis/internal/wire"
 )
 
-// ParseStages converts wire stages back into parsed form. It is the
-// inverse of EncodeStages.
-func ParseStages(ss []wire.StageMsg) ([]disql.Stage, error) {
-	out := make([]disql.Stage, len(ss))
-	for i, s := range ss {
-		e, err := pre.Parse(s.PRE)
-		if err != nil {
-			return nil, fmt.Errorf("nodeproc: stage %d: %w", i, err)
-		}
-		out[i] = disql.Stage{PRE: e, Query: s.Query, Export: s.Export}
-	}
-	return out, nil
-}
-
-// ParseStagesCached is ParseStages through pre's shared parse cache:
-// steady-state arrivals re-parse nothing, because every clone of one
-// query carries the same stage PRE strings. hits reports how many stage
-// PREs were served from the cache. The stage slice itself is still built
-// per call — Query and Export are decoded per message and must not be
-// shared.
+// ParseStagesCached converts wire stages back into parsed form, the
+// inverse of EncodeStages, through pre's shared parse cache. hits reports
+// how many stage PREs were served from that cache. A query server's
+// worker calls it once per web-query it compiles (see compiled.go), not
+// once per clone.
 func ParseStagesCached(ss []wire.StageMsg) (stages []disql.Stage, hits int, err error) {
 	out := make([]disql.Stage, len(ss))
 	for i, s := range ss {
@@ -115,6 +99,7 @@ type StepResult struct {
 // Forward groups targets sharing one derived PRE.
 type Forward struct {
 	Rem     pre.Expr // derivative of the current PRE after the link
+	Text    string   // Rem's text, the state the CHT and the clones carry
 	Targets []Target
 }
 
@@ -122,30 +107,26 @@ type Forward struct {
 // whose virtual relations are db. hasNext tells whether another stage
 // follows the current one. env supplies upstream document bindings for
 // correlated node-queries (nil for the common uncorrelated case). It
-// compiles the stage's node-query for this one node; a Visitor compiles
-// it once for every node of a clone message.
+// compiles the stage for this one node; a query server's worker compiles
+// each query once for every clone it sees.
 func Step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, hasNext bool, env map[string]string) (StepResult, error) {
-	var tree *plan.Tree
-	return step(db, node, rem, stage, &tree, hasNext, env)
+	return step(db, node, transient(rem), newCompiled(nil, []disql.Stage{stage}), 0, hasNext, env)
 }
 
-// step is Step with the stage's compiled node-query kept in *tree: it is
-// compiled by the first evaluation that needs it and reused by the rest.
-func step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, tree **plan.Tree, hasNext bool, env map[string]string) (StepResult, error) {
+// step is Step for an arrival in state st of stage i of the compiled
+// query q: q's plan for the stage and q's derivative table serve it.
+func step(db *relmodel.DB, node string, st *state, q *compiled, i int, hasNext bool, env map[string]string) (StepResult, error) {
 	var res StepResult
-	if pre.Nullable(rem) {
+	if st.nullable {
 		res.Evaluated = true
-		if *tree == nil {
-			t, err := plan.Compile(stage.Query)
-			if err != nil {
-				return res, fmt.Errorf("nodeproc: %s: %w", node, err)
-			}
-			*tree = t
+		tree, err := q.tree(i)
+		if err != nil {
+			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
 		}
 		// Evaluation runs through the volcano operator pipeline, row for
 		// row equivalent to the paper's nested-loop evaluator (plan's test
 		// oracle pins this), and reports scan/emit statistics.
-		tbl, stats, err := (*tree).Eval(db, env)
+		tbl, stats, err := tree.Eval(db, env)
 		if err != nil {
 			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
 		}
@@ -157,21 +138,17 @@ func step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, tree **
 			res.Advance = hasNext
 		}
 	}
-	for _, l := range pre.First(rem) {
-		d := pre.Derive(rem, l)
-		if pre.IsNone(d) {
-			continue
-		}
-		targets, err := linkTargets(db, node, l)
+	for _, e := range q.edges(st) {
+		targets, err := linkTargets(db, node, e.link)
 		if err != nil {
 			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
 		}
 		if len(targets) == 0 {
 			continue
 		}
-		res.Continue = append(res.Continue, Forward{Rem: d, Targets: targets})
+		res.Continue = append(res.Continue, Forward{Rem: e.to.rem, Text: e.to.text, Targets: targets})
 	}
-	if res.Advance && len(stage.Export) > 0 {
+	if res.Advance && len(q.stages[i].Export) > 0 {
 		// The caller extends the environment from the DOCUMENT tuple next;
 		// open it here, where a storage failure can still be reported.
 		if _, err := db.Relation(relmodel.RelDocument); err != nil {

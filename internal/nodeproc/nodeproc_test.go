@@ -185,14 +185,14 @@ func TestStageRoundTrip(t *testing.T) {
 	if enc[1].PRE != "G·L*4" {
 		t.Errorf("encoded = %+v", enc[1])
 	}
-	out, err := ParseStages(enc)
+	out, _, err := ParseStagesCached(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pre.Equal(out[1].PRE, in[1].PRE) || out[0].Query != in[0].Query {
 		t.Errorf("round trip = %+v", out)
 	}
-	if _, err := ParseStages([]wire.StageMsg{{PRE: "bogus("}}); err == nil {
+	if _, _, err := ParseStagesCached([]wire.StageMsg{{PRE: "bogus("}}); err == nil {
 		t.Error("bad PRE should fail")
 	}
 }

@@ -1,7 +1,7 @@
 package nodeproc
 
 import (
-	"errors"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -27,6 +27,9 @@ type Arrival struct {
 	Env      map[string]string
 	Hops     int
 	HopQuota int
+	// st is Rem's state, from the Visitor's compiled query when its table
+	// holds it; nil, the step derives Rem afresh.
+	st *state
 }
 
 // Counts is the work a Visitor (and a Batch) did, for the caller to book.
@@ -39,7 +42,7 @@ type Counts struct {
 	HopsClamped                   int64 // visits whose forwards MaxHops suppressed
 	BudgetSpent                   int64 // visits and targets a spent hop or clone-spawn quota suppressed
 	PushdownHits, PushdownBytes   int64 // tables a plan fragment reduced, encoded bytes saved
-	ParseHits, ParseMisses        int64 // clone PREs served from / added to the parse cache
+	ParseHits, ParseMisses        int64 // clone PREs (stages' and state's) served from / added to the worker's compiled-query cache
 }
 
 // Host is what a Visitor needs from its evaluator: the node's virtual
@@ -50,6 +53,14 @@ type Host interface {
 	Rows(a Arrival, tbl *nodequery.Table)
 	// Forward receives the targets of one derivative of a's PRE.
 	Forward(fw Forward, a Arrival)
+}
+
+// text is the text of a's remaining PRE, the state's name on the wire.
+func (a *Arrival) text() string {
+	if a.st != nil {
+		return a.st.text
+	}
+	return a.Rem.String()
 }
 
 // Visitor runs the process() algorithm of Figure 4 at one node at a time.
@@ -69,10 +80,13 @@ type Visitor struct {
 	Counts  Counts
 
 	work []Arrival // reused across visits
-	// trees holds each stage's compiled node-query, by Arrival.Base,
-	// compiled at the first node that evaluates the stage. Every arrival a
-	// Visitor sees belongs to one web-query, so one tree serves them all.
-	trees []*plan.Tree
+	// q is the visited web-query compiled: one plan per stage, built at
+	// the first node that evaluates the stage, and the derivative table.
+	// Every arrival a Visitor sees belongs to one web-query, its Stages a
+	// suffix of q's, so one plan serves them all. A Batch sets q from its
+	// worker's cache; otherwise the first Visit compiles the arrival's
+	// stages, which must then be the whole query.
+	q *compiled
 }
 
 // Visit processes one arrival: the log-table check (before the document
@@ -80,6 +94,9 @@ type Visitor struct {
 // and for every stage advance its node-queries allow at the same node —
 // each advance a virtual arrival checked against the log table in turn.
 func (v *Visitor) Visit(h Host, a Arrival) {
+	if v.q == nil {
+		v.q = newCompiled(nil, a.Stages)
+	}
 	if !v.check(&a, false) {
 		return
 	}
@@ -97,7 +114,11 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 		if i > 0 && !v.check(&it, true) {
 			continue
 		}
-		res, err := step(db, it.Node, it.Rem, it.Stages[0], v.tree(it.Base), len(it.Stages) > 1, it.Env)
+		st := it.st
+		if st == nil {
+			st = transient(it.Rem)
+		}
+		res, err := step(db, it.Node, st, v.q, v.q.stage(it.Stages), len(it.Stages) > 1, it.Env)
 		if err != nil {
 			continue
 		}
@@ -142,18 +163,11 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 			// The advance stays at this node (no hop), so a clamp allows it.
 			next := it
 			next.Rem, next.Stages, next.Base = it.Stages[1].PRE, it.Stages[1:], it.Base+1
+			next.st = v.q.head(v.q.stage(next.Stages))
 			next.Env = ExtendEnv(it.Env, it.Stages[0], db)
 			v.work = append(v.work, next)
 		}
 	}
-}
-
-// tree returns the slot of stage base's compiled node-query.
-func (v *Visitor) tree(base int) **plan.Tree {
-	for len(v.trees) <= base {
-		v.trees = append(v.trees, nil)
-	}
-	return &v.trees[base]
 }
 
 // check runs the log-table check for a, rewriting a.Rem on a superset
@@ -174,14 +188,14 @@ func (v *Visitor) check(a *Arrival, virtual bool) bool {
 		if v.Journal != nil && !virtual {
 			v.note(trace.Rewrite, a, a.Rem.String()+" -> "+verdict.Rem.String())
 		}
-		a.Rem = verdict.Rem
+		a.Rem, a.st = verdict.Rem, nil // a rewritten state steps uncached
 	}
 	return true
 }
 
 func (v *Visitor) note(kind trace.Kind, a *Arrival, detail string) {
 	if v.Journal != nil {
-		v.Journal.AppendClone(v.Clone, kind, a.Node, wire.State{NumQ: len(a.Stages), Rem: a.Rem.String()}, detail)
+		v.Journal.AppendClone(v.Clone, kind, a.Node, wire.State{NumQ: len(a.Stages), Rem: a.text()}, detail)
 	}
 }
 
@@ -213,18 +227,19 @@ type Evaluator struct {
 // Out is one outgoing clone: every target at one site that shares one
 // query state and environment (Section 3.2, item 4).
 type Out struct {
-	Site  string
-	Msg   *wire.CloneMsg
-	dests map[string]bool
+	Site string
+	Msg  *wire.CloneMsg
 }
 
 // Batch processes one received clone message at a time: it visits every
 // destination node and groups the continuation targets into outgoing
 // clones that inherit the clone's budget and plan fragment. A Batch is
-// the Host of its own Visitor. One goroutine reuses one Batch from
-// message to message, so its maps and work list allocate once; the zero
-// value is ready for Begin.
+// the Host of its own Visitor. One goroutine — a query processor's
+// worker — reuses one Batch from message to message, so its maps and work
+// list allocate once, and its cache compiles each web-query once for
+// every clone the worker sees; the zero value is ready for Begin.
 type Batch struct {
+	cache queryCache
 	e     *Evaluator
 	in    *wire.CloneMsg
 	v     Visitor
@@ -244,51 +259,41 @@ type Batch struct {
 
 // Begin starts processing clone c on e. Its query is numbered query in
 // e's log table, and serial is the last CHT serial e's site gave it. The
-// stages and arrival PRE go through the shared parse cache, so a
-// steady-state arrival — including one about to be dropped as a
-// duplicate — parses nothing. A malformed clone is an error.
+// stages and arrival state come from the worker's compiled-query cache,
+// keyed by the stage list itself, so a steady-state arrival — including
+// one about to be dropped as a duplicate — parses, plans and derives
+// nothing. A malformed clone is an error and is not cached.
 func (b *Batch) Begin(e *Evaluator, c *wire.CloneMsg, query uint64, serial *atomic.Int64) error {
 	b.Reset()
-	stages, hits, err := ParseStagesCached(c.Stages)
+	q, st, hits, err := b.cache.resolve(c)
 	if err != nil {
 		return err
-	}
-	rem, hit, err := pre.ParseCached(c.Rem)
-	if err != nil {
-		return err
-	}
-	if len(stages) == 0 {
-		return errors.New("nodeproc: clone carries no stages")
 	}
 	if b.seen == nil {
 		b.seen, b.outs = make(map[string]bool), make(map[outKey]*Out)
 	}
-	work, trees := b.v.work, b.v.trees
+	work := b.v.work
 	b.e, b.in, b.serial, b.v = e, c, serial, e.Node
-	b.v.Query, b.v.Clone, b.v.work, b.v.trees = query, c, work, trees
-	b.at = Arrival{Rem: rem, Stages: stages, Base: c.Base, Env: c.Env, Hops: c.Hops, HopQuota: c.Budget.Hops}
-	b.state = wire.State{NumQ: len(stages), Rem: rem.String()}
+	b.v.Query, b.v.Clone, b.v.work, b.v.q = query, c, work, q
+	b.at = Arrival{Rem: st.rem, st: st, Stages: q.stages, Base: c.Base, Env: c.Env, Hops: c.Hops, HopQuota: c.Budget.Hops}
+	b.state = wire.State{NumQ: len(q.stages), Rem: st.text}
 	b.clones, b.rows = c.Budget.Clones, c.Budget.Rows
-	if hit {
-		hits++
-	}
 	b.v.Counts.ParseHits = int64(hits)
-	b.v.Counts.ParseMisses = int64(len(stages) + 1 - hits)
+	b.v.Counts.ParseMisses = int64(len(q.stages) + 1 - hits)
 	return nil
 }
 
-// Reset drops what the last message left — the clone, its compiled
-// node-queries, its rows, its outgoing clones — and keeps the maps and
-// slices for the next Begin. Updates and Tables are not reused: they
+// Reset drops what the last message left — the clone, its rows, its
+// outgoing clones — and keeps the maps, the slices and the compiled
+// queries for the next Begin. Updates and Tables are not reused: they
 // leave in the result frame the caller builds from them.
 func (b *Batch) Reset() {
 	work := b.v.work[:cap(b.v.work)]
 	clear(work)
-	clear(b.v.trees)
 	clear(b.seen)
 	clear(b.outs)
 	clear(b.Out)
-	*b = Batch{seen: b.seen, outs: b.outs, Out: b.Out[:0], v: Visitor{work: work[:0], trees: b.v.trees[:0]}}
+	*b = Batch{cache: b.cache, seen: b.seen, outs: b.outs, Out: b.Out[:0], v: Visitor{work: work[:0]}}
 }
 
 // Add visits one destination of the clone and records its CHT update; a
@@ -358,7 +363,7 @@ func (b *Batch) Rows(a Arrival, tbl *nodequery.Table) {
 // created; once spent, further messages are suppressed before their
 // entries are announced, so there is nothing to retire.
 func (b *Batch) Forward(fw Forward, a Arrival) {
-	state := wire.State{NumQ: len(a.Stages), Rem: fw.Rem.String()}
+	state := wire.State{NumQ: len(a.Stages), Rem: fw.Text}
 	envKey := wire.EnvKey(a.Env)
 	update := &b.Updates[len(b.Updates)-1]
 	for i, tgt := range fw.Targets {
@@ -374,8 +379,11 @@ func (b *Batch) Forward(fw Forward, a Arrival) {
 				continue
 			}
 			spendOne(&b.clones)
-			oc = &Out{Site: site, dests: make(map[string]bool), Msg: &wire.CloneMsg{
-				ID: b.in.ID, Rem: state.Rem, Base: a.Base, Stages: EncodeStages(a.Stages),
+			// The clone carries the compiled query's own wire stages: a
+			// suffix of the stage list the worker first received.
+			q := b.v.q
+			oc = &Out{Site: site, Msg: &wire.CloneMsg{
+				ID: b.in.ID, Rem: state.Rem, Base: a.Base, Stages: q.wire[q.stage(a.Stages):],
 				Hops: a.Hops + 1, Env: a.Env, Frag: b.in.Frag,
 			}}
 			if b.e.Spans || !b.in.Span.IsZero() {
@@ -385,10 +393,9 @@ func (b *Batch) Forward(fw Forward, a Arrival) {
 			b.outs[key] = oc
 			b.Out = append(b.Out, oc)
 		}
-		if oc.dests[tgt.URL] {
+		if slices.ContainsFunc(oc.Msg.Dest, func(d wire.DestNode) bool { return d.URL == tgt.URL }) {
 			continue // already forwarded in this batch with this state
 		}
-		oc.dests[tgt.URL] = true
 		dest := wire.DestNode{URL: tgt.URL, Origin: b.e.Origin, Seq: b.serial.Add(1)}
 		oc.Msg.Dest = append(oc.Msg.Dest, dest)
 		update.Children = append(update.Children, wire.CHTEntry{Node: tgt.URL, State: state, Origin: dest.Origin, Seq: dest.Seq})

@@ -175,6 +175,60 @@ type Query struct {
 	Outer  []ColRef
 }
 
+// Equal reports whether q and o are the same node-query, field for field
+// as reflect.DeepEqual judges them (a nil slice or predicate is not an
+// empty one). A query server keys its compiled queries on it, so two
+// clones share a plan only when every variable, predicate, literal,
+// projection and outer reference agrees.
+func (q *Query) Equal(o *Query) bool {
+	if q == nil || o == nil {
+		return q == o
+	}
+	if !sameShape(q.Vars, o.Vars) || !sameShape(q.Select, o.Select) || !sameShape(q.Outer, o.Outer) {
+		return false
+	}
+	for i, v := range q.Vars {
+		w := o.Vars[i]
+		if v.Name != w.Name || v.Rel != w.Rel || !v.Cond.Equal(w.Cond) {
+			return false
+		}
+	}
+	for i, c := range q.Select {
+		if c != o.Select[i] {
+			return false
+		}
+	}
+	for i, c := range q.Outer {
+		if c != o.Outer[i] {
+			return false
+		}
+	}
+	return q.Where.Equal(o.Where)
+}
+
+// Equal reports whether p and o are the same predicate tree, as
+// reflect.DeepEqual judges them.
+func (p *Pred) Equal(o *Pred) bool {
+	if p == nil || o == nil {
+		return p == o
+	}
+	if p.Kind != o.Kind || p.Op != o.Op || p.Left != o.Left || p.Right != o.Right || !sameShape(p.Kids, o.Kids) {
+		return false
+	}
+	for i, k := range p.Kids {
+		if !k.Equal(o.Kids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameShape reports whether a and b have one length and are both nil or
+// both not.
+func sameShape[T any](a, b []T) bool {
+	return len(a) == len(b) && (a == nil) == (b == nil)
+}
+
 func (q *Query) String() string {
 	var b strings.Builder
 	b.WriteString("select ")

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,6 +69,58 @@ func TestDuplicateDropParsesNothing(t *testing.T) {
 	}
 	if d := h.met.ParseCacheHits.Load() - hitsBefore; d == 0 {
 		t.Error("duplicate arrival recorded no parse-cache hits")
+	}
+}
+
+// steadyCloneAllocs bounds TestSteadyCloneAllocs: the measured count
+// plus 10 %.
+const steadyCloneAllocs = 25
+
+// TestSteadyCloneAllocs pins what one steady-state clone message costs a
+// worker: Begin, the visits of its destinations, Finish and Reset, for
+// the campus query's second-stage clone at the DSL lab's homepage (a dead
+// end that forwards over its local links) and its people page (an
+// answer), the databases retained. Two messages of the query, decoded
+// apart, alternate, so the worker's compiled-query cache is consulted by
+// structure, not by pointer; the log table is off, so every run evaluates
+// and forwards.
+func TestSteadyCloneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const site = "dsl.serc.iisc.ernet.in"
+	srv := New(site, webserver.NewHost(site, webgraph.Campus()), netsim.New(netsim.Options{}), &Metrics{}, Options{CacheDBs: true})
+	e := srv.eval
+	e.Node.Log = nodeproc.NewLogTable(nodeproc.DedupOff)
+	var clones [2]*wire.CloneMsg
+	for i := range clones {
+		clones[i] = campusStage2Clone("http://dsl.serc.iisc.ernet.in/index.html")
+		clones[i].Dest = append(clones[i].Dest, wire.DestNode{URL: "http://dsl.serc.iisc.ernet.in/people.html", Origin: sinkName, Seq: 2})
+	}
+	var (
+		b      nodeproc.Batch
+		serial atomic.Int64
+		n      int
+	)
+	visit := func() {
+		c := clones[n%2]
+		n++
+		if err := b.Begin(&e, c, 1, &serial); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range c.Dest {
+			b.Add(d)
+		}
+		if got := b.Finish(); got.Evaluations != 2 || len(b.Tables) != 1 || len(b.Out) == 0 {
+			t.Fatalf("want two evaluations, one answer and a forward: %+v, %d tables, %d clones out", got, len(b.Tables), len(b.Out))
+		}
+		b.Reset()
+	}
+	visit()
+	allocs := testing.AllocsPerRun(100, visit)
+	t.Logf("%.0f allocations per steady-state clone", allocs)
+	if allocs > steadyCloneAllocs {
+		t.Errorf("a steady-state clone costs %.0f allocations, want <= %d", allocs, steadyCloneAllocs)
 	}
 }
 

@@ -74,8 +74,9 @@ type Metrics struct {
 	// dial within the same send attempt.
 	ConnStale atomic.Int64
 	// ParseCacheHits and ParseCacheMisses count arriving PRE strings
-	// (stage PREs plus the clone's remaining PRE) served by, or inserted
-	// into, the shared parse cache.
+	// (stage PREs plus the clone's remaining PRE) served by, or compiled
+	// into, the worker's compiled-query cache (nodeproc.Batch): a
+	// steady-state clone is all hits.
 	ParseCacheHits   atomic.Int64
 	ParseCacheMisses atomic.Int64
 	// DBBuildCoalesced counts database requests that joined another
