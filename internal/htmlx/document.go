@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"strings"
+	"unsafe"
 
 	"webdis/internal/pre"
 )
@@ -55,34 +56,120 @@ type Document struct {
 // keep a whole page's text alive. Anchors and rel-infons collect in stack
 // buffers and are copied out once. No string of the Document aliases src.
 func Parse(baseURL string, src []byte) (*Document, error) {
-	lk, err := newLinker(baseURL)
+	var (
+		anchorBuf [8]Anchor
+		infonBuf  [8]RelInfon
+	)
+	doc := new(Document)
+	_, anchors, infons, err := parse(doc, baseURL, src, make([]byte, 0, len(src)), anchorBuf[:0], infonBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	doc := &Document{URL: baseURL, Length: len(src)}
+	if len(anchors) > 0 {
+		doc.Anchors = append([]Anchor(nil), anchors...)
+	}
+	if len(infons) > 0 {
+		doc.Infons = append([]RelInfon(nil), infons...)
+	}
+	return doc, nil
+}
+
+// Scratch is the memory ParseInto parses into, kept from page to page:
+// the Document, the text accumulator and the anchor and rel-infon
+// slices. Its zero value is ready for use.
+type Scratch struct {
+	doc     Document
+	text    []byte
+	anchors []Anchor
+	infons  []RelInfon
+}
+
+// ParseInto is Parse into s: the Document it returns is s's own, and its
+// text, anchor labels and rel-infon texts are views of s's accumulator,
+// which only grows when a page is longer than every page before it. They
+// stay valid until s parses again, so a caller that pools s keeps every
+// string that must outlive the page through Detach first.
+func ParseInto(baseURL string, src []byte, s *Scratch) (*Document, error) {
+	text := s.text[:0]
+	if cap(text) < len(src) {
+		text = make([]byte, 0, len(src))
+	}
+	s.doc = Document{}
+	var err error
+	s.text, s.anchors, s.infons, err = parse(&s.doc, baseURL, src, text, s.anchors[:0], s.infons[:0])
+	if err != nil {
+		return nil, err
+	}
+	if n := len(s.anchors); n > 0 {
+		s.doc.Anchors = s.anchors[:n:n]
+	}
+	if n := len(s.infons); n > 0 {
+		s.doc.Infons = s.infons[:n:n]
+	}
+	return &s.doc, nil
+}
+
+// Detach returns str, copied if it is a view of s's accumulator, so that
+// it survives s's next parse.
+func (s *Scratch) Detach(str string) string {
+	if len(str) == 0 || cap(s.text) == 0 {
+		return str
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(str)))
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(s.text)))
+	if p < base || p >= base+uintptr(cap(s.text)) {
+		return str
+	}
+	return strings.Clone(str)
+}
+
+// Reset drops what s holds of its last page — the Document and the href
+// strings of its anchors — keeping the memory for the next ParseInto.
+func (s *Scratch) Reset() {
+	s.doc = Document{}
+	clear(s.anchors)
+	clear(s.infons)
+}
+
+// Poison overwrites the whole accumulator with c, so that a string still
+// viewing it reads c: a test hook for uses of a page after its release.
+func (s *Scratch) Poison(c byte) {
+	text := s.text[:cap(s.text)]
+	for i := range text {
+		text[i] = c
+	}
+}
+
+// view returns b's bytes as a string without copying; b must not change
+// while the string is in use.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// parse analyzes src into doc, accumulating its text into text and its
+// anchors and rel-infons into anchors and infons, and returns the three
+// as they grew. Everything but doc's Anchors and Infons is set.
+func parse(doc *Document, baseURL string, src, text []byte, anchors []Anchor, infons []RelInfon) ([]byte, []Anchor, []RelInfon, error) {
+	lk, err := newLinker(baseURL)
+	if err != nil {
+		return text, anchors, infons, err
+	}
+	doc.URL, doc.Length = baseURL, len(src)
 
 	type open struct {
 		tag   Tag
 		start int // offset into the text accumulator
 	}
 	var (
-		text      strings.Builder
-		stackBuf  [8]open
-		stack     = stackBuf[:0] // open rel-infon delimiters
-		anchorBuf [8]Anchor
-		anchors   = anchorBuf[:0]
-		infonBuf  [8]RelInfon
-		infons    = infonBuf[:0]
-		inTitle   bool
-		inRaw     bool           // inside <script> or <style>
-		titleBuf  [2][2]int      // the usual title is one run
-		title     = titleBuf[:0] // [start, end) runs of src, decoded once their total length is known
-		hrStart   int            // text offset where the current <hr> segment began
-		curA      Anchor         // the open <a>, if inA
-		inA       bool
-		aStart    int
+		stackBuf [8]open
+		stack    = stackBuf[:0] // open rel-infon delimiters
+		inTitle  bool
+		inRaw    bool           // inside <script> or <style>
+		titleBuf [2][2]int      // the usual title is one run
+		title    = titleBuf[:0] // [start, end) runs of src, decoded once their total length is known
+		hrStart  int            // text offset where the current <hr> segment began
+		curA     Anchor         // the open <a>, if inA
+		inA      bool
+		aStart   int
 	)
-	text.Grow(len(src))
 	z := Tokenizer{src: src}
 	for {
 		tok, ok := z.Next()
@@ -96,7 +183,7 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 			case inTitle:
 				title = append(title, [2]int{z.pos - len(tok.Data), z.pos})
 			default:
-				appendRun(&text, tok.Data)
+				text = appendRun(text, tok.Data)
 			}
 		case StartTagToken, SelfClosingTag:
 			switch tok.Tag {
@@ -111,18 +198,18 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 			case TagA:
 				if href, ok := tok.Attr("href"); ok && len(href) > 0 {
 					curA = lk.anchor(DecodeEntities(string(href)))
-					inA, aStart = true, text.Len()
+					inA, aStart = true, len(text)
 				}
 			case TagHR:
-				if seg := trimmedSince(&text, hrStart); seg != "" {
+				if seg := trimmedSince(text, hrStart); seg != "" {
 					infons = append(infons, RelInfon{Delimiter: "hr", Text: seg})
 				}
-				hrStart = text.Len()
+				hrStart = len(text)
 			case TagBR, TagP, TagDiv, TagTR:
-				appendText(&text, []byte{' '})
+				text = appendText(text, []byte{' '})
 			}
 			if tok.Type == StartTagToken && tok.Tag.relInfon() {
-				stack = append(stack, open{tok.Tag, text.Len()})
+				stack = append(stack, open{tok.Tag, len(text)})
 			}
 		case EndTagToken:
 			switch tok.Tag {
@@ -132,7 +219,7 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 				inRaw = false
 			case TagA:
 				if inA {
-					curA.Label = trimmedSince(&text, aStart)
+					curA.Label = trimmedSince(text, aStart)
 					anchors = append(anchors, curA)
 					inA = false
 				}
@@ -141,7 +228,7 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 				// close the nearest matching open tag
 				for i := len(stack) - 1; i >= 0; i-- {
 					if stack[i].tag == tok.Tag {
-						if seg := trimmedSince(&text, stack[i].start); seg != "" {
+						if seg := trimmedSince(text, stack[i].start); seg != "" {
 							infons = append(infons, RelInfon{Delimiter: tok.Tag.String(), Text: seg})
 						}
 						stack = append(stack[:i], stack[i+1:]...)
@@ -152,44 +239,36 @@ func Parse(baseURL string, src []byte) (*Document, error) {
 		}
 	}
 	if inA { // unclosed <a>
-		curA.Label = trimmedSince(&text, aStart)
+		curA.Label = trimmedSince(text, aStart)
 		anchors = append(anchors, curA)
 	}
-	doc.Text = strings.TrimSpace(text.String())
-	if len(anchors) > 0 {
-		doc.Anchors = append([]Anchor(nil), anchors...)
-	}
-	if len(infons) > 0 {
-		doc.Infons = append([]RelInfon(nil), infons...)
-	}
+	doc.Text = strings.TrimSpace(view(text))
 	if len(title) > 0 {
-		var b strings.Builder
 		n := 0
 		for _, run := range title {
 			n += run[1] - run[0]
 		}
-		b.Grow(n)
+		b := make([]byte, 0, n)
 		for _, run := range title {
-			appendRun(&b, src[run[0]:run[1]])
+			b = appendRun(b, src[run[0]:run[1]])
 		}
-		doc.Title = strings.TrimSpace(b.String())
+		doc.Title = strings.TrimSpace(view(b))
 	}
-	return doc, nil
+	return text, anchors, infons, nil
 }
 
 // trimmedSince returns the accumulated text from offset start on, trimmed.
-func trimmedSince(text *strings.Builder, start int) string {
-	return strings.TrimSpace(text.String()[start:])
+func trimmedSince(text []byte, start int) string {
+	return strings.TrimSpace(view(text[start:]))
 }
 
 // appendRun appends one raw text run of the source to the accumulator,
 // decoding entities only if the run has any.
-func appendRun(b *strings.Builder, run []byte) {
+func appendRun(b, run []byte) []byte {
 	if bytes.IndexByte(run, '&') >= 0 {
-		appendDecoded(b, run)
-	} else {
-		appendText(b, run)
+		return appendDecoded(b, run)
 	}
+	return appendText(b, run)
 }
 
 // Byte-lane constants for reading eight bytes of a run as one word.
@@ -208,10 +287,9 @@ const (
 // paragraph — is measured eight bytes at a time and copied in one call;
 // only the word where that form breaks, and a tail under eight bytes, are
 // looked at bytewise.
-func appendText(b *strings.Builder, run []byte) {
-	cur := b.String()
+func appendText(b, run []byte) []byte {
 	// spaced: a space appended now would lead the text or double one.
-	spaced := len(cur) == 0 || cur[len(cur)-1] == ' '
+	spaced := len(b) == 0 || b[len(b)-1] == ' '
 	for len(run) > 0 {
 		n := 0
 	verbatim:
@@ -250,7 +328,7 @@ func appendText(b *strings.Builder, run []byte) {
 				}
 			}
 		}
-		b.Write(run[:n])
+		b = append(b, run[:n]...)
 		run = run[n:]
 		// What is left begins with whitespace that does not copy verbatim.
 		n = 0
@@ -258,11 +336,12 @@ func appendText(b *strings.Builder, run []byte) {
 			n++
 		}
 		if n > 0 && !spaced {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 			spaced = true
 		}
 		run = run[n:]
 	}
+	return b
 }
 
 // LinksOf returns the anchors of category t, preserving document order.

@@ -129,6 +129,18 @@ func FuzzParse(f *testing.F) {
 		if digest(again) != want {
 			t.Errorf("second parse differs:\n got  %+v\n want %+v", again, doc)
 		}
+		// ParseInto agrees through a scratch another page went through.
+		var sc Scratch
+		if _, err := ParseInto(fuzzURL, other, &sc); err != nil {
+			t.Fatal(err)
+		}
+		into, err := ParseInto(fuzzURL, src, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest(into) != want {
+			t.Errorf("ParseInto differs:\n got  %+v\n want %+v", into, doc)
+		}
 		// No string of the Document aliases the caller's bytes.
 		for i := range src {
 			src[i] = 'X'

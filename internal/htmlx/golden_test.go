@@ -95,12 +95,20 @@ var goldenWebs = sync.OnceValue(func() []namedWeb {
 func goldenLines(t *testing.T) []string {
 	t.Helper()
 	var lines []string
+	var s Scratch // one scratch through every input, as a pool reuses it
 	add := func(name, url string, src []byte) {
 		doc, err := Parse(url, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		lines = append(lines, name+" "+digest(doc))
+		into, err := ParseInto(url, src, &s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := digest(into); d != digest(doc) {
+			t.Errorf("%s: ParseInto into a reused scratch differs from Parse", name)
+		}
 	}
 	for _, c := range handCases {
 		add("hand/"+c.name, c.url, []byte(c.src))

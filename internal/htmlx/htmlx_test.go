@@ -304,21 +304,20 @@ func TestAppendTextMatchesBytewise(t *testing.T) {
 		for i, p := range picks {
 			src[i] = alphabet[int(p)%len(alphabet)]
 		}
-		var b strings.Builder
-		var want []byte
+		var got, want []byte
 		for rest := src; ; {
 			n := len(rest)
 			if len(cuts) > 0 {
 				n = min(n, int(cuts[0])%8)
 				cuts = cuts[1:]
 			}
-			appendText(&b, rest[:n])
+			got = appendText(got, rest[:n])
 			want = collapseBytewise(want, rest[:n])
 			if rest = rest[n:]; len(rest) == 0 {
 				break
 			}
 		}
-		return b.String() == string(want)
+		return string(got) == string(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

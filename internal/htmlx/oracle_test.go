@@ -68,13 +68,12 @@ func FuzzAppendText(f *testing.F) {
 		f.Add("", p.src)
 	}
 	f.Fuzz(func(t *testing.T, prefix string, run []byte) {
-		var got, want strings.Builder
-		got.WriteString(prefix)
+		var want strings.Builder
 		want.WriteString(prefix)
-		appendText(&got, run)
+		got := appendText([]byte(prefix), run)
 		appendTextRef(&want, run)
-		if got.String() != want.String() {
-			t.Errorf("prefix %q, run %q:\n got  %q\n want %q", prefix, run, got.String(), want.String())
+		if string(got) != want.String() {
+			t.Errorf("prefix %q, run %q:\n got  %q\n want %q", prefix, run, got, want.String())
 		}
 	})
 }

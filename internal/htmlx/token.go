@@ -89,25 +89,87 @@ func (t Tag) relInfon() bool { return t >= TagB }
 
 const maxTagName = len("blockquote")
 
-var tagByName = func() map[string]Tag {
-	m := make(map[string]Tag, len(tagNames))
-	for t, name := range tagNames[1:] {
-		m[name] = Tag(t + 1)
-	}
-	return m
-}()
-
-// lookupTag folds name into a stack buffer and looks it up; the map index
-// by a converted byte slice does not allocate.
+// lookupTag folds name into a stack buffer and matches it by length and
+// bytes; nothing is hashed and nothing allocates.
 func lookupTag(name []byte) Tag {
 	var buf [maxTagName]byte
 	if len(name) > len(buf) {
 		return TagOther
 	}
+	b := buf[:len(name)]
 	for i, c := range name {
-		buf[i] = lowerASCII(c)
+		b[i] = lowerASCII(c)
 	}
-	return tagByName[string(buf[:len(name)])]
+	switch len(b) {
+	case 1:
+		switch b[0] {
+		case 'a':
+			return TagA
+		case 'p':
+			return TagP
+		case 'b':
+			return TagB
+		case 'i':
+			return TagI
+		case 'u':
+			return TagU
+		}
+	case 2:
+		switch c := b[1]; b[0] {
+		case 'h':
+			switch {
+			case '1' <= c && c <= '6':
+				return TagH1 + Tag(c-'1')
+			case c == 'r':
+				return TagHR
+			}
+		case 'b':
+			if c == 'r' {
+				return TagBR
+			}
+		case 't':
+			switch c {
+			case 'r':
+				return TagTR
+			case 'd':
+				return TagTd
+			case 'h':
+				return TagTh
+			}
+		case 'e':
+			if c == 'm' {
+				return TagEm
+			}
+		case 'l':
+			if c == 'i' {
+				return TagLi
+			}
+		}
+	default:
+		switch string(b) { // compared in place, not converted
+		case "div":
+			return TagDiv
+		case "code":
+			return TagCode
+		case "cite":
+			return TagCite
+		case "title":
+			return TagTitle
+		case "style":
+			return TagStyle
+		case "script":
+			return TagScript
+		case "strong":
+			return TagStrong
+		case "address":
+			return TagAddress
+		case "caption":
+			return TagCaption
+		case "blockquote":
+			return TagBlockquote
+		}
+	}
+	return TagOther
 }
 
 func lowerASCII(c byte) byte {
@@ -438,21 +500,20 @@ func DecodeEntities(s string) string {
 // appendDecoded is appendText over a run whose entities are still encoded.
 // A decoded character passes through appendText like any other, so an
 // &nbsp; or &#10; collapses with the whitespace around it.
-func appendDecoded(b *strings.Builder, run []byte) {
+func appendDecoded(b, run []byte) []byte {
 	for {
 		i := bytes.IndexByte(run, '&')
 		if i < 0 {
-			appendText(b, run)
-			return
+			return appendText(b, run)
 		}
-		appendText(b, run[:i])
+		b = appendText(b, run[:i])
 		r, n := entityAt(run[i:])
 		if n == 0 {
-			b.WriteByte('&')
+			b = append(b, '&')
 			n = 1
 		} else {
 			var enc [utf8.UTFMax]byte
-			appendText(b, enc[:utf8.EncodeRune(enc[:], r)])
+			b = appendText(b, enc[:utf8.EncodeRune(enc[:], r)])
 		}
 		run = run[i+n:]
 	}

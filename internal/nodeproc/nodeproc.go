@@ -197,11 +197,11 @@ next:
 
 // ExtendEnv returns env extended with the stage's exported document
 // columns read from db (the single DOCUMENT tuple). It copies — clones
-// carry independent environments. A stage with no exports returns env
-// unchanged. Step has already opened the DOCUMENT relation of a stage
-// that advances with exports; should it be unreadable all the same, the
-// exports stay unset and the next stage's evaluation reports the missing
-// outer reference.
+// carry independent environments, and the values outlive db's Release.
+// A stage with no exports returns env unchanged. Step has already opened
+// the DOCUMENT relation of a stage that advances with exports; should it
+// be unreadable all the same, the exports stay unset and the next stage's
+// evaluation reports the missing outer reference.
 func ExtendEnv(env map[string]string, stage disql.Stage, db *relmodel.DB) map[string]string {
 	if len(stage.Export) == 0 {
 		return env
@@ -218,16 +218,31 @@ func ExtendEnv(env map[string]string, stage disql.Stage, db *relmodel.DB) map[st
 	tup := document.Tuples[0]
 	for _, col := range stage.Export {
 		if i := document.Col(col); i >= 0 {
-			out[docVar+"."+col] = tup[i]
+			out[docVar+"."+col] = db.Detach(tup[i]) // travels on with the clone
 		}
 	}
 	return out
 }
 
 // BuildDB parses a document and constructs its virtual relations — the
-// paper's Database Constructor. It exists so server and baseline share the
-// exact same construction (and so both count one parse per document).
+// paper's Database Constructor — into a scratch from the process-wide
+// pool (htmlx.ParseInto, relmodel.BuildInto). The DB's Release, after its
+// node-query, is the paper's purge and hands the memory back. It exists
+// so server and baseline share the exact same construction (and so both
+// count one parse per document).
 func BuildDB(url string, content []byte) (*relmodel.DB, error) {
+	s := relmodel.NewScratch()
+	doc, err := htmlx.ParseInto(url, content, &s.Parse)
+	if err != nil {
+		return nil, err // an unparseable URL leaves the scratch to the collector
+	}
+	return relmodel.BuildInto(doc, s), nil
+}
+
+// BuildOwnedDB is BuildDB into memory of the DB's own, for a database
+// kept past its node-query (a retained CacheDBs entry): its Release does
+// nothing.
+func BuildOwnedDB(url string, content []byte) (*relmodel.DB, error) {
 	doc, err := htmlx.Parse(url, content)
 	if err != nil {
 		return nil, err

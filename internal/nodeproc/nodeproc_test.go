@@ -152,10 +152,12 @@ const fanoutPage = `<!doctype html>
 </html>
 `
 
-// TestBuildDBAllocs pins the Database Constructor's cost per page: the
-// Document, its text, title, anchor and rel-infon slices, one href string
-// per link, then the DB with its relations, the rows, their slab and the
-// length numeral.
+// TestBuildDBAllocs pins the Database Constructor's cost per page. In the
+// steady state — BuildDB and Release, the scratch back from the pool — it
+// allocates only what leaves the page's memory: one href string per link,
+// the title and the length numeral. BuildOwnedDB, which parses with the
+// allocate-fresh htmlx.Parse, adds the Document, its text, the anchor and
+// rel-infon slices, the DB with its relations, the rows and their slab.
 func TestBuildDBAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -168,15 +170,23 @@ func TestBuildDBAllocs(t *testing.T) {
 	if n, _ := d.Size(); n != 1+3+1 {
 		t.Fatalf("%d tuples, want 1 document, 3 anchors, 1 rel-infon", n)
 	}
-	src := []byte(fanoutPage)
-	a := testing.AllocsPerRun(100, func() { BuildDB(url, src) })
-	if a > 12 {
-		t.Errorf("BuildDB: %.0f allocations, want <= 12", a)
-	}
-	t.Logf("BuildDB of a %d-byte page: %.0f allocations", len(src), a)
 	if a := testing.AllocsPerRun(100, func() { linkTargets(d, url, pre.Local) }); a > 3 {
 		t.Errorf("linkTargets: %.0f allocations, want <= 3 (the growing output)", a)
 	}
+	d.Release()
+	src := []byte(fanoutPage)
+	pooled := testing.AllocsPerRun(100, func() {
+		d, _ := BuildDB(url, src)
+		d.Release()
+	})
+	if pooled > 5 {
+		t.Errorf("BuildDB + Release: %.0f allocations, want <= 5", pooled)
+	}
+	owned := testing.AllocsPerRun(100, func() { BuildOwnedDB(url, src) })
+	if owned > 12 {
+		t.Errorf("BuildOwnedDB: %.0f allocations, want <= 12", owned)
+	}
+	t.Logf("a %d-byte page: %.0f allocations pooled, %.0f owned", len(src), pooled, owned)
 }
 
 func TestStageRoundTrip(t *testing.T) {

@@ -48,8 +48,11 @@ type Counts struct {
 // Host is what a Visitor needs from its evaluator: the node's virtual
 // relations, and where the node's rows and continuation targets go.
 type Host interface {
+	// Load returns the node's DB holding one reference for the Visitor,
+	// which Releases it once the node's work is done.
 	Load(node string) (*relmodel.DB, error)
-	// Rows receives the non-empty answer of stage a.Base at a.Node.
+	// Rows receives the non-empty answer of stage a.Base at a.Node, its
+	// cells detached from the node's DB.
 	Rows(a Arrival, tbl *nodequery.Table)
 	// Forward receives the targets of one derivative of a's PRE.
 	Forward(fw Forward, a Arrival)
@@ -92,7 +95,8 @@ type Visitor struct {
 // Visit processes one arrival: the log-table check (before the document
 // is loaded, so a duplicate parses nothing), then Step for the arrival
 // and for every stage advance its node-queries allow at the same node —
-// each advance a virtual arrival checked against the log table in turn.
+// each advance a virtual arrival checked against the log table in turn —
+// and last the purge of the node's database (its Release).
 func (v *Visitor) Visit(h Host, a Arrival) {
 	if v.q == nil {
 		v.q = newCompiled(nil, a.Stages)
@@ -136,6 +140,7 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 				v.note(trace.Evaluate, &it, "answered q"+strconv.Itoa(it.Base+1))
 			}
 			if len(it.Stages[0].Query.Select) > 0 && !res.Table.Empty() {
+				detachRows(db, res.Table.Rows)
 				h.Rows(it, res.Table)
 			}
 		} else {
@@ -166,6 +171,20 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 			next.st = v.q.head(v.q.stage(next.Stages))
 			next.Env = ExtendEnv(it.Env, it.Stages[0], db)
 			v.work = append(v.work, next)
+		}
+	}
+	// The purge: every row and exported value above was detached, and the
+	// plan's operators dropped their per-node state at Close.
+	db.Release()
+}
+
+// detachRows copies the cells of rows that view db's pooled memory, so the
+// rows outlive its Release. The rows are the plan's own (its root projects
+// each into a fresh slice), so they are rewritten in place.
+func detachRows(db *relmodel.DB, rows [][]string) {
+	for _, row := range rows {
+		for j, c := range row {
+			row[j] = db.Detach(c)
 		}
 	}
 }

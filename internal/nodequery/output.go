@@ -147,16 +147,16 @@ func (s *OutputSpec) Suffix() string {
 // that the operator pipeline is indistinguishable from the paper's
 // nested-loop evaluator (plan's test oracle).
 func CompareVals(a, b string) int {
-	an, aerr := strconv.ParseFloat(a, 64)
-	bn, berr := strconv.ParseFloat(b, 64)
-	if aerr == nil && berr == nil {
-		switch {
-		case an < bn:
-			return -1
-		case an > bn:
-			return 1
+	if an, ok := parseNum(a); ok {
+		if bn, ok := parseNum(b); ok {
+			switch {
+			case an < bn:
+				return -1
+			case an > bn:
+				return 1
+			}
+			return 0
 		}
-		return 0
 	}
 	return strings.Compare(a, b)
 }
@@ -166,8 +166,33 @@ func CompareVals(a, b string) int {
 // their shortest float form ("1.0" and "1" collide), everything else
 // keeps byte identity. Hash joins and group-by hashing use it.
 func CanonVal(v string) string {
-	if n, err := strconv.ParseFloat(v, 64); err == nil {
+	if n, ok := parseNum(v); ok {
 		return "n\x01" + strconv.FormatFloat(n, 'g', -1, 64)
 	}
 	return "s\x01" + v
+}
+
+// parseNum is strconv.ParseFloat(s, 64) as a yes/no: a value it must
+// reject by its first byte is turned down without asking it, so a word
+// costs no *strconv.NumError.
+func parseNum(s string) (float64, bool) {
+	if !mayBeFloat(s) {
+		return 0, false
+	}
+	n, err := strconv.ParseFloat(s, 64)
+	return n, err == nil
+}
+
+// mayBeFloat reports whether strconv.ParseFloat could accept s: only a
+// digit, a sign, a '.' or the first letter of "inf", "infinity" or "nan"
+// (in any case) can begin a float it parses.
+func mayBeFloat(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c|0x20 == 'i', c|0x20 == 'n':
+		return true
+	}
+	return false
 }

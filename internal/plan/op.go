@@ -374,7 +374,12 @@ func (p *Project) Describe() string { return "project [" + strings.Join(p.cols, 
 type Distinct struct {
 	Child Op
 	emitted
-	seen map[string]bool // emptied at Close, kept for the next node
+	// seen holds the key of every row passed since Open: a one-column
+	// row's value itself, a wider row's cells joined by NULs. A value may
+	// view the node's pooled DB, so Close empties seen — run closes the
+	// tree before the node's DB is Released.
+	seen map[string]bool
+	key  []byte // a wider row's key, built here and copied only on insert
 }
 
 func (d *Distinct) Cols() []string { return d.Child.Cols() }
@@ -393,11 +398,24 @@ func (d *Distinct) Next() ([]string, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		k := strings.Join(row, "\x00")
-		if d.seen[k] {
-			continue
+		if len(row) == 1 {
+			if d.seen[row[0]] {
+				continue
+			}
+			d.seen[row[0]] = true
+		} else {
+			d.key = d.key[:0]
+			for i, c := range row {
+				if i > 0 {
+					d.key = append(d.key, 0)
+				}
+				d.key = append(d.key, c...)
+			}
+			if d.seen[string(d.key)] {
+				continue
+			}
+			d.seen[string(d.key)] = true
 		}
-		d.seen[k] = true
 		d.n++
 		return row, true, nil
 	}

@@ -10,7 +10,8 @@
 // RELINFON is the paper's addition carrying Lakshmanan et al.'s rel-infon
 // construct. A query-server materializes these relations in memory for the
 // duration of one node-query (the paper's Database Constructor, Section
-// 4.4) and purges them afterwards.
+// 4.4) and purges them afterwards: BuildInto builds them into pooled
+// memory, and the DB's Release is the purge that makes it reusable.
 package relmodel
 
 import (
@@ -89,6 +90,9 @@ type DB struct {
 	// backing storage; nil when there is none (Build fills rels itself).
 	load func(kind byte) ([]Tuple, error)
 	rels [len(kinds)]lazyRelation
+	// scratch is the pooled memory a BuildInto DB lives in; nil for a DB
+	// that owns its memory.
+	scratch *Scratch
 }
 
 // lazyRelation is one relation slot of a DB. mu serialises the first
@@ -156,18 +160,27 @@ type built struct {
 	rels [len(kinds)]Relation
 }
 
+const arity = 4 // every virtual relation has four columns
+
 // Build is the Database Constructor: a single pass over the analyzed
 // document populates all three virtual relations (paper Section 4.4, item
-// 5). The caller discards the DB when the node-query finishes.
+// 5). The DB owns its memory: the caller discards it when the node-query
+// finishes, and its Release does nothing.
 //
 // All four columns of every row share one []string slab, and the rows
 // one []Tuple: each tuple is a capacity-capped window of the slab, so an
 // append to one could never reach into the next.
 func Build(doc *htmlx.Document) *DB {
-	const arity = 4 // every virtual relation has four columns
 	rows := 1 + len(doc.Anchors) + len(doc.Infons)
-	cells := make([]string, arity*rows)
-	tuples := make([]Tuple, rows)
+	b := &built{}
+	b.fill(doc, make([]string, arity*rows), make([]Tuple, rows))
+	return &b.db
+}
+
+// fill builds doc's relations into b over the cell and tuple slabs, sized
+// for doc's rows.
+func (b *built) fill(doc *htmlx.Document, cells []string, tuples []Tuple) {
+	rows := len(tuples)
 	for i := range tuples {
 		tuples[i] = cells[arity*i : arity*(i+1) : arity*(i+1)]
 	}
@@ -178,7 +191,6 @@ func Build(doc *htmlx.Document) *DB {
 	for i, r := range doc.Infons {
 		copy(tuples[1+len(doc.Anchors)+i], []string{r.Delimiter, doc.URL, r.Text, strconv.Itoa(len(r.Text))})
 	}
-	b := &built{}
 	split := [len(kinds) + 1]int{0, 1, 1 + len(doc.Anchors), rows}
 	for i := range kinds {
 		rel := &b.rels[i]
@@ -188,7 +200,102 @@ func Build(doc *htmlx.Document) *DB {
 		}
 		b.db.rels[i].rel.Store(rel)
 	}
-	return &b.db
+}
+
+// Scratch is the memory one pooled Database Constructor run builds a
+// node's database into, reused from node-query to node-query: the
+// parse's (Parse, for htmlx.ParseInto), the cell and tuple slabs, and
+// the DB with its relations. Take one with NewScratch and build into it
+// with BuildInto; the DB's last Release hands it back.
+type Scratch struct {
+	Parse  htmlx.Scratch
+	cells  []string
+	tuples []Tuple
+	b      built
+	refs   atomic.Int32
+}
+
+// scratches is the process-wide pool of Scratch. The collector empties
+// it, so an idle site keeps no page memory.
+var scratches = sync.Pool{New: func() any { return new(Scratch) }}
+
+// NewScratch takes a Scratch from the process-wide pool.
+func NewScratch() *Scratch { return scratches.Get().(*Scratch) }
+
+// poison, when non-zero, is the byte a last Release overwrites the
+// scratch's text with (PoisonReleased).
+var poison atomic.Uint32
+
+// PoisonReleased makes every later last Release of a pooled DB overwrite
+// the page text in its memory with c before the memory goes back to the
+// pool, so a string that still views it reads c; 0 turns it off. It is a
+// test hook: correct code never reads a released DB, so it changes no
+// answer.
+func PoisonReleased(c byte) { poison.Store(uint32(c)) }
+
+// BuildInto is Build into s, whose Parse holds doc (htmlx.ParseInto).
+// The DB, its relations and every row live in s, and the document's
+// text, anchor labels and rel-infon texts are views of s's text: the
+// DB holds one reference, which its holder gives up with Release. Until
+// then, Detach copies what must outlive it.
+func BuildInto(doc *htmlx.Document, s *Scratch) *DB {
+	rows := 1 + len(doc.Anchors) + len(doc.Infons)
+	if cap(s.cells) < arity*rows {
+		s.cells = make([]string, arity*rows)
+	}
+	if cap(s.tuples) < rows {
+		s.tuples = make([]Tuple, rows)
+	}
+	s.cells, s.tuples = s.cells[:arity*rows], s.tuples[:rows]
+	s.b = built{}
+	s.b.fill(doc, s.cells, s.tuples)
+	s.b.db.scratch = s
+	s.refs.Store(1)
+	return &s.b.db
+}
+
+// Retain adds a reference to a pooled DB, for one more holder to
+// Release. On any other DB it does nothing.
+func (db *DB) Retain() {
+	if s := db.scratch; s != nil {
+		s.refs.Add(1)
+	}
+}
+
+// Release gives up one reference to a pooled DB. The last one hands its
+// memory back to the pool: nothing may read the DB, or a string of it
+// that Detach did not copy, afterwards. On a DB that Build, NewLazy or
+// the zero value made — one that owns its memory, as a retained cache
+// entry or a store handle does — it does nothing.
+func (db *DB) Release() {
+	s := db.scratch
+	if s == nil {
+		return
+	}
+	switch n := s.refs.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("relmodel: DB released more often than retained")
+	}
+	if c := poison.Load(); c != 0 {
+		s.Parse.Poison(byte(c))
+	}
+	// Drop the references to memory the scratch does not own (urls,
+	// hrefs, titles), so the pool keeps no page but its own buffers.
+	clear(s.cells)
+	s.Parse.Reset()
+	scratches.Put(s)
+}
+
+// Detach returns str, copied if it is a view of a pooled DB's memory, so
+// that it outlives the DB's Release: a value that leaves the node-query
+// — a row handed on, an exported binding — goes through it.
+func (db *DB) Detach(str string) string {
+	if s := db.scratch; s != nil {
+		return s.Parse.Detach(str)
+	}
+	return str
 }
 
 // Size returns the total number of tuples across the three relations,

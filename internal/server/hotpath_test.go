@@ -72,9 +72,8 @@ func TestDuplicateDropParsesNothing(t *testing.T) {
 	}
 }
 
-// steadyCloneAllocs bounds TestSteadyCloneAllocs: the measured count
-// plus 10 %.
-const steadyCloneAllocs = 25
+// steadyCloneAllocs bounds TestSteadyCloneAllocs at the measured count.
+const steadyCloneAllocs = 19
 
 // TestSteadyCloneAllocs pins what one steady-state clone message costs a
 // worker: Begin, the visits of its destinations, Finish and Reset, for

@@ -582,19 +582,28 @@ func (s *Server) NextSpan() int64 { return s.seq.Add(1) }
 type dbEntry struct {
 	built sync.WaitGroup
 	ready atomic.Bool
-	db    *relmodel.DB
-	err   error
+	// joined counts the LoadDBs that joined an unretained build, each
+	// under dbMu while the entry was in dbCache: the builder retains one
+	// reference to the pooled DB for each before it reports ready.
+	joined atomic.Int32
+	db     *relmodel.DB
+	err    error
 }
 
 // LoadDB returns the node's virtual relations: the paper's Database
-// Constructor, building per evaluation and purging immediately, or — with
-// Options.CacheDBs, the paper's footnote-3 variant — retaining the
-// constructed database for repeat visits. Concurrent requests for one
-// node coalesce into a single build (even without CacheDBs, where the
-// entry lives only as long as the build).
+// Constructor, building per evaluation into pooled memory and purging
+// once the caller Releases the DB, or — with Options.CacheDBs, the
+// paper's footnote-3 variant — retaining the constructed database, in
+// memory of its own, for repeat visits. Concurrent requests for one node
+// coalesce into a single build (even without CacheDBs, where the entry
+// lives only as long as the build); each caller holds a reference.
 func (s *Server) LoadDB(node string) (*relmodel.DB, error) {
+	retain := s.opts.CacheDBs
 	s.dbMu.RLock()
 	e := s.dbCache[node]
+	if e != nil && !retain {
+		e.joined.Add(1)
+	}
 	s.dbMu.RUnlock()
 	if e == nil {
 		s.dbMu.Lock()
@@ -604,25 +613,34 @@ func (s *Server) LoadDB(node string) (*relmodel.DB, error) {
 			s.dbCache[node] = e
 			s.dbMu.Unlock()
 			e.db, e.err = s.buildDB(node)
-			e.ready.Store(true)
-			e.built.Done()
-			if e.err != nil || !s.opts.CacheDBs {
+			if e.err != nil || !retain {
 				// Errors are never cached, and without CacheDBs the entry
-				// existed only to coalesce the in-flight build.
+				// existed only to coalesce the in-flight build. Once it is
+				// out of dbCache nobody joins it, so joined is final.
 				s.dbMu.Lock()
 				if s.dbCache[node] == e {
 					delete(s.dbCache, node)
 				}
 				s.dbMu.Unlock()
+				if e.err == nil {
+					for n := e.joined.Load(); n > 0; n-- {
+						e.db.Retain()
+					}
+				}
 			} else {
 				s.noteDBUse(node)
 			}
+			e.ready.Store(true)
+			e.built.Done()
 			return e.db, e.err
+		}
+		if !retain {
+			e.joined.Add(1)
 		}
 		s.dbMu.Unlock()
 	}
 	if e.ready.Load() {
-		if s.opts.CacheDBs && e.err == nil {
+		if retain && e.err == nil {
 			s.met.DBCacheHits.Add(1)
 			s.noteDBUse(node)
 		}
@@ -659,7 +677,11 @@ func (s *Server) buildDB(node string) (*relmodel.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := nodeproc.BuildDB(node, content)
+	build := nodeproc.BuildDB
+	if s.opts.CacheDBs {
+		build = nodeproc.BuildOwnedDB // a retained entry outlives its node-query
+	}
+	db, err := build(node, content)
 	if err != nil {
 		return nil, err
 	}

@@ -105,7 +105,10 @@ func Build(root, site string, urls []string, get func(string) ([]byte, error), o
 			hf.Close()
 			return nil, fmt.Errorf("store: build %s: %w", u, err)
 		}
-		doc, err := htmlx.Parse(u, content)
+		// The page is parsed and built into pooled memory, which its
+		// Release hands back once its records are encoded and indexed.
+		sc := relmodel.NewScratch()
+		doc, err := htmlx.ParseInto(u, content, &sc.Parse)
 		if err != nil {
 			hf.Close()
 			return nil, fmt.Errorf("store: build %s: %w", u, err)
@@ -113,7 +116,7 @@ func Build(root, site string, urls []string, get func(string) ([]byte, error), o
 		if o.OnDoc != nil {
 			o.OnDoc(u, len(content))
 		}
-		db := relmodel.Build(doc)
+		db := relmodel.BuildInto(doc, sc)
 		de := docEntry{url: u}
 		// Records go out in kind order — DOCUMENT, ANCHOR*, RELINFON* —
 		// as one consecutive run the catalog locates by its first slot.
@@ -140,6 +143,7 @@ func Build(root, site string, urls []string, get func(string) ([]byte, error), o
 			ib.add(uint32(i), "text", doc.Text)
 			ib.add(uint32(i), "title", doc.Title)
 		}
+		db.Release()
 	}
 	npages, err := pw.finish()
 	if err == nil {

@@ -51,10 +51,16 @@ func newIndexBuilder() *indexBuilder {
 func (b *indexBuilder) add(id uint32, field, text string) {
 	terms := b.fields[field]
 	for _, tok := range index.Tokenize(strings.ToLower(text)) {
-		if post := terms[tok]; len(post) > 0 && post[len(post)-1] == id {
+		post, ok := terms[tok]
+		if len(post) > 0 && post[len(post)-1] == id {
 			continue // already posted for this document
 		}
-		terms[tok] = append(terms[tok], id)
+		if !ok {
+			// A token may view the page's pooled text (ToLower hands back
+			// text that has no upper case): a new term keeps a copy.
+			tok = strings.Clone(tok)
+		}
+		terms[tok] = append(post, id)
 	}
 }
 
