@@ -44,7 +44,7 @@ func main() {
 	pages := flag.Int("pages", 0, "scale the generator to at least this many pages (must match the webgen -pages used to build -store)")
 	peersPath := flag.String("peers", "", "peers file: '<site> <query-addr> [doc-addr]' per line (required)")
 	site := flag.String("site", "", "site this daemon serves (required; must appear in the peers file)")
-	dedup := flag.String("dedup", "subsume", "log table mode: off, exact, subsume, strong")
+	dedup := flag.String("dedup", "subsume", "log table mode: subsume (the one rule of Section 3.1.1) or off")
 	storeDir := flag.String("store", "", "serve local databases from the persistent site store under this directory (opened if present, built once otherwise; e.g. a webgen -out directory)")
 	poolPages := flag.Int("poolpages", 0, "buffer-pool page cap for -store (0 = default)")
 	dbcache := flag.Int("dbcache", 0, "retain constructed node databases in an LRU of this many entries (0 = build per evaluation, the paper's default)")
@@ -54,6 +54,16 @@ func main() {
 	flag.Parse()
 
 	if *peersPath == "" || *site == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	var opts server.Options
+	switch *dedup {
+	case "subsume":
+	case "off":
+		opts.Dedup, opts.MaxHops = nodeproc.DedupOff, 64
+	default:
+		fmt.Fprintf(os.Stderr, "webdisd: -dedup %q: want subsume or off\n", *dedup)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -96,26 +106,12 @@ func main() {
 		defer host.Stop()
 	}
 
-	var opts server.Options
 	if *storeDir != "" {
 		opts.Store = server.StoreOptions{Dir: *storeDir, PoolPages: *poolPages}
 	}
 	if *dbcache > 0 {
 		opts.CacheDBs = true
 		opts.DBCacheEntries = *dbcache
-	}
-	switch *dedup {
-	case "off":
-		opts.Dedup = nodeproc.DedupOff
-		opts.MaxHops = 64
-	case "exact":
-		opts.Dedup = nodeproc.DedupExact
-	case "subsume":
-		opts.Dedup = nodeproc.DedupSubsume
-	case "strong":
-		opts.Dedup = nodeproc.DedupStrong
-	default:
-		fatal(fmt.Errorf("unknown dedup mode %q", *dedup))
 	}
 	if *verbose {
 		opts.Journal = trace.NewJournal(*site, 0)

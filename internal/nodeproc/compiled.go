@@ -14,9 +14,10 @@ import (
 // Every clone of a web-query that reaches a site carries the same stages
 // (Section 2.7, Figure 3), so a query-processor worker compiles them once:
 // the parsed stages, one plan per stage, the traversal states the clones
-// arrive in and their derivatives. A compiled query holds per-node
-// operator state in its plans, so it belongs to one worker's Batch; it is
-// never shared between goroutines and needs no lock.
+// arrive in, their derivatives and the log rule's judgements between
+// them. A compiled query holds per-node operator state in its plans, so
+// it belongs to one worker's Batch; it is never shared between goroutines
+// and needs no lock.
 const (
 	// maxCompiled bounds the queries a worker keeps compiled; the oldest
 	// is evicted first.
@@ -36,6 +37,9 @@ type compiled struct {
 	trees  []*plan.Tree // per stage, compiled by its first evaluation
 	heads  []*state     // per stage, the state of its whole PRE
 	states map[string]*state
+	// covers memoises the log rule by (logged, arriving) pair of states
+	// in states: a repeat comparison is one lookup.
+	covers map[[2]*state]cover
 }
 
 // state is one traversal state of a stage: its remaining PRE, the PRE's
@@ -65,9 +69,8 @@ func newCompiled(ws []wire.StageMsg, stages []disql.Stage) *compiled {
 }
 
 // transient is a state kept in no table: its derivatives are computed at
-// every step. Arrivals a table does not hold (a rewritten superset
-// arrival, a state past maxStates, the centralized baseline's frontier)
-// step in one.
+// every step. Arrivals a table does not hold (a state past maxStates, one
+// Step is given) step in one.
 func transient(rem pre.Expr) *state {
 	return &state{rem: rem, nullable: pre.Nullable(rem)}
 }
@@ -91,30 +94,31 @@ func (q *compiled) tree(i int) (*plan.Tree, error) {
 	return q.trees[i], nil
 }
 
-// intern returns the table's state for e, adding it if there is room; nil
-// when the table is full.
-func (q *compiled) intern(e pre.Expr) *state {
+// state returns the table's state for e, adding it if there is room, or
+// else a transient one named by its text.
+func (q *compiled) state(e pre.Expr) *state {
 	text := e.String()
 	if st := q.states[text]; st != nil {
 		return st
 	}
-	if len(q.states) >= maxStates {
-		return nil
-	}
-	if q.states == nil {
-		q.states = make(map[string]*state)
-	}
 	st := transient(e)
 	st.text = text
-	q.states[text] = st
+	if len(q.states) < maxStates {
+		if q.states == nil {
+			q.states = make(map[string]*state)
+		}
+		q.states[text] = st
+	}
 	return st
 }
 
-// head returns the state in which stage i starts — its whole PRE — or nil
-// when the table is full.
+// held reports whether st is one of the table's states.
+func (q *compiled) held(st *state) bool { return st.text != "" && q.states[st.text] == st }
+
+// head returns the state in which stage i starts: its whole PRE.
 func (q *compiled) head(i int) *state {
 	if q.heads[i] == nil {
-		q.heads[i] = q.intern(q.stages[i].PRE)
+		q.heads[i] = q.state(q.stages[i].PRE)
 	}
 	return q.heads[i]
 }
@@ -127,23 +131,126 @@ func (q *compiled) edges(st *state) []edge {
 		return st.next
 	}
 	var next []edge
-	keep := st.text != "" && q.states[st.text] == st
+	keep := q.held(st)
 	for _, l := range pre.First(st.rem) {
 		d := pre.Derive(st.rem, l)
 		if pre.IsNone(d) {
 			continue
 		}
-		to := q.intern(d)
-		if to == nil {
-			to, keep = transient(d), false
-			to.text = d.String()
-		}
+		to := q.state(d)
+		keep = keep && q.held(to)
 		next = append(next, edge{link: l, to: to})
 	}
 	if keep {
 		st.next, st.derived = next, true
 	}
 	return next
+}
+
+// cover is what one logged state covers of one arriving state.
+type cover struct {
+	pruned parts // the arrival's work the logged state did
+	within bool  // the logged state's language is within the arrival's
+}
+
+// cover judges logged state e against arriving state t: e did t's
+// evaluation if both are nullable, and t's forward over l if e's
+// derivative over l covers t's. A pair of table states is judged once.
+func (q *compiled) cover(e, t *state) cover {
+	k := [2]*state{e, t}
+	if c, ok := q.covers[k]; ok {
+		return c
+	}
+	var c cover
+	if e.nullable && t.nullable {
+		c.pruned |= evalPart
+	}
+	for _, te := range q.edges(t) {
+		if ee, ok := q.next(e, te.link); ok && q.contains(ee, te.to) {
+			c.pruned |= linkPart(te.link)
+		}
+	}
+	c.within = q.contains(t, e)
+	if q.held(e) && q.held(t) {
+		if q.covers == nil {
+			q.covers = make(map[[2]*state]cover)
+		}
+		q.covers[k] = c
+	}
+	return c
+}
+
+// next is st's successor over l; false when st cannot follow l.
+func (q *compiled) next(st *state, l pre.Link) (*state, bool) {
+	for _, e := range q.edges(st) {
+		if e.link == l {
+			return e.to, true
+		}
+	}
+	return nil, false
+}
+
+// contains is pre.Covers over the table's states, whose derivatives the
+// table keeps: a walk derives only the states it meets first. A walk
+// too long for pre's bound answers false.
+func (q *compiled) contains(super, sub *state) bool {
+	ok, err := pre.CoversBy(super, sub, func(st *state) string { return st.text }, func(st *state) bool { return st.nullable }, q.next)
+	return ok && err == nil
+}
+
+// judge applies the log rule to an arrival in state t against the
+// states logged at its key (LogTable) and returns, compacted in place,
+// the entries whose languages are not within t's, each now q's own
+// state. The caller holds the table's lock; another worker's state is
+// only read for its text and PRE, which never change.
+func (q *compiled) judge(entries []any, t *state) (v Verdict, kept []any) {
+	var want parts
+	if t.nullable {
+		want = evalPart
+	}
+	for _, e := range q.edges(t) {
+		want |= linkPart(e.link)
+	}
+	kept = entries[:0]
+	for _, e := range entries {
+		var es *state
+		switch e := e.(type) {
+		case *state:
+			if es = q.states[e.text]; es == nil {
+				es = q.state(e.rem)
+			}
+		case pre.Expr:
+			es = q.state(e)
+		}
+		c := q.cover(es, t)
+		v.pruned |= c.pruned & want
+		if !c.within {
+			kept = append(kept, es)
+		}
+	}
+	switch {
+	case v.pruned == want:
+		v.Action = Drop
+	case v.pruned != 0:
+		v.Action = Rewrite
+	}
+	return v, kept
+}
+
+// rewritten is what an arrival in state st explores once pruned is
+// taken away, as a PRE: L*4·G with its G-forward pruned reads L·L*3·G,
+// the paper's rewrite.
+func (q *compiled) rewritten(st *state, pruned parts) pre.Expr {
+	var alts []pre.Expr
+	if st.nullable && pruned&evalPart == 0 {
+		alts = append(alts, pre.Eps())
+	}
+	for _, e := range q.edges(st) {
+		if pruned&linkPart(e.link) == 0 {
+			alts = append(alts, pre.Cat(pre.Sym(e.link), e.to.rem))
+		}
+	}
+	return pre.Alt(alts...)
 }
 
 // queryCache is one worker's compiled queries, oldest first. The zero
@@ -153,9 +260,9 @@ type queryCache struct {
 }
 
 // resolve finds or compiles the query of clone c and the state c arrives
-// in: the query's own, or a transient one when its table is full. hits
-// counts the clone's PREs (its stages' and its own) the cache served. A
-// malformed clone is an error and leaves the cache as it was.
+// in (compiled.state). hits counts the clone's PREs (its stages' and its
+// own) the cache served. A malformed clone is an error and leaves the
+// cache as it was.
 func (qc *queryCache) resolve(c *wire.CloneMsg) (q *compiled, st *state, hits int, err error) {
 	q = qc.lookup(c.Stages)
 	fresh := q == nil
@@ -178,10 +285,7 @@ func (qc *queryCache) resolve(c *wire.CloneMsg) (q *compiled, st *state, hits in
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("nodeproc: clone state: %w", err)
 		}
-		if st = q.intern(rem); st == nil {
-			st = transient(rem)
-			st.text = rem.String()
-		}
+		st = q.state(rem)
 	}
 	if fresh {
 		if len(qc.entries) == maxCompiled {

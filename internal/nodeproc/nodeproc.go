@@ -110,14 +110,15 @@ type Forward struct {
 // compiles the stage for this one node; a query server's worker compiles
 // each query once for every clone it sees.
 func Step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, hasNext bool, env map[string]string) (StepResult, error) {
-	return step(db, node, transient(rem), newCompiled(nil, []disql.Stage{stage}), 0, hasNext, env)
+	return step(db, node, transient(rem), newCompiled(nil, []disql.Stage{stage}), 0, hasNext, env, 0)
 }
 
 // step is Step for an arrival in state st of stage i of the compiled
-// query q: q's plan for the stage and q's derivative table serve it.
-func step(db *relmodel.DB, node string, st *state, q *compiled, i int, hasNext bool, env map[string]string) (StepResult, error) {
+// query q, less the work pruned: q's plan for the stage and q's
+// derivative table serve it.
+func step(db *relmodel.DB, node string, st *state, q *compiled, i int, hasNext bool, env map[string]string, pruned parts) (StepResult, error) {
 	var res StepResult
-	if st.nullable {
+	if st.nullable && pruned&evalPart == 0 {
 		res.Evaluated = true
 		tree, err := q.tree(i)
 		if err != nil {
@@ -139,6 +140,9 @@ func step(db *relmodel.DB, node string, st *state, q *compiled, i int, hasNext b
 		}
 	}
 	for _, e := range q.edges(st) {
+		if pruned&linkPart(e.link) != 0 {
+			continue
+		}
 		targets, err := linkTargets(db, node, e.link)
 		if err != nil {
 			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
@@ -253,39 +257,28 @@ func BuildOwnedDB(url string, content []byte) (*relmodel.DB, error) {
 // ---------------------------------------------------------------------------
 // The Node-query Log Table (Section 3.1.1).
 
-// DedupMode selects how aggressively the log table recognizes equivalent
-// arrivals.
+// DedupMode selects whether the log table judges arrivals.
 type DedupMode int
 
 // Dedup modes. DedupSubsume is the paper's scheme and the zero value, so
-// a zero Options deduplicates by subsumption.
+// a zero Options deduplicates.
 const (
-	// DedupSubsume adds the paper's star-bound rules: an arrival covered
-	// by a logged PRE is dropped, and an arrival that covers a logged PRE
-	// replaces it and is rewritten (A*m·B → A·A*(m-1)·B) so only the
-	// difference is explored.
+	// DedupSubsume is the log rule of Section 3.1.1, decided by language
+	// containment (see LogTable): an arrival whose work logged states
+	// cover is dropped, and one they cover in part is rewritten to
+	// explore only the difference.
 	DedupSubsume DedupMode = iota
 	// DedupOff disables the log table entirely (the ablation baseline —
 	// every arrival is recomputed and re-forwarded).
 	DedupOff
-	// DedupExact drops only arrivals whose state is syntactically
-	// identical to a logged one.
-	DedupExact
-	// DedupStrong is an extension: full DFA language containment decides
-	// coverage, catching equivalences the syntactic rules miss.
-	DedupStrong
 )
 
 func (m DedupMode) String() string {
 	switch m {
 	case DedupOff:
 		return "off"
-	case DedupExact:
-		return "exact"
 	case DedupSubsume:
 		return "subsume"
-	case DedupStrong:
-		return "strong"
 	}
 	return fmt.Sprintf("DedupMode(%d)", int(m))
 }
@@ -296,8 +289,8 @@ type Action int
 // Verdict actions.
 const (
 	Process Action = iota // fresh arrival: process normally
-	Drop                  // duplicate: purge the clone for this node
-	Rewrite               // superset arrival: process with the rewritten PRE
+	Drop                  // covered arrival: purge the clone for this node
+	Rewrite               // partly covered arrival: process only the rest
 )
 
 func (a Action) String() string {
@@ -312,36 +305,67 @@ func (a Action) String() string {
 	return fmt.Sprintf("Action(%d)", int(a))
 }
 
-// Verdict is the outcome of a log-table check. For Rewrite, Rem is the
-// rewritten remaining PRE to process with.
-type Verdict struct {
-	Action Action
-	Rem    pre.Expr
+// parts is a set of an arrival's work at a node: the node-query's
+// evaluation and the forward over each link category.
+type parts uint8
+
+const evalPart parts = 8
+
+func linkPart(l pre.Link) parts {
+	switch l {
+	case pre.Interior:
+		return 1
+	case pre.Local:
+		return 2
+	}
+	return 4
 }
 
-// LogTable records, per (query, node, environment), the states (numQ,
-// rem) of previously processed clones, and classifies new arrivals. It is
-// safe for concurrent use. The zero value is not usable; construct with
-// NewLogTable.
+// Verdict is the outcome of a log-table check. For Rewrite, pruned is
+// the arrival's work that logged states cover: the visit neither does
+// nor forwards it.
+type Verdict struct {
+	Action Action
+	pruned parts
+}
+
+// LogTable records, per (query, node, stage, environment), the states of
+// previously processed clones, and judges new arrivals by one rule. Let E
+// be the states logged at an arrival's key and t its state. t evaluates
+// the node-query only if t is nullable and no state of E is; it forwards
+// over link l only if no e of E has a derivative e_l whose language
+// contains t_l. Nothing left is a Drop, something pruned a Rewrite.
+// Either way t is logged, and the entries within its language leave.
+// On the paper's A*m·B shapes this is exactly its drop-and-rewrite rule
+// (A*m·B → A·A*(m-1)·B); containment extends it to states whose text
+// differs but whose language does not. It is safe for concurrent use.
+// The zero value is not usable; construct with NewLogTable.
 type LogTable struct {
 	mode DedupMode
 
 	mu sync.Mutex
-	// entries holds the logged rems, keyed by the query (see Check and
+	// entries holds the logged states, keyed by the query (see Check and
 	// CheckQuery), the node's number in nodes, numQ and the environment.
 	// The key is one string rather than a struct of the fields: an entry
 	// then holds one small allocation, not the arriving message's own copy
 	// of each field in a map slot more than twice as wide. Numbering the
 	// nodes keeps the URL, the longest field, out of every key; nodes
-	// holds every node the table has logged an arrival at.
-	entries map[string][]pre.Expr
+	// holds every node the table has logged an arrival at. An entry is
+	// the *state a Visitor checked, or the pre.Expr Check or CheckQuery
+	// was given: one interface value, no wider than the PRE alone, for
+	// a table that keeps every entry until a purge. The compiled query
+	// that judges an entry finds it in its own table (compiled.judge).
+	entries map[string][]any
 	nodes   map[string]uint64
 	size    int
+	// q compiles the states Check and CheckQuery compare, which come with
+	// no compiled query of their own; a Visitor brings its own.
+	q *compiled
 }
 
 // NewLogTable returns an empty log table operating in the given mode.
 func NewLogTable(mode DedupMode) *LogTable {
-	return &LogTable{mode: mode, entries: make(map[string][]pre.Expr), nodes: make(map[string]uint64)}
+	return &LogTable{mode: mode, entries: make(map[string][]any), nodes: make(map[string]uint64), q: newCompiled(nil, nil)}
 }
 
 // Mode returns the table's dedup mode.
@@ -354,19 +378,18 @@ func (lt *LogTable) Len() int {
 	return lt.size
 }
 
-// Check classifies the arrival of a clone of query id for node in state
-// (numQ, rem) and updates the table per Section 3.1.1: fresh and superset
-// arrivals are logged (superset arrivals replacing the entry they cover),
-// duplicates are not. envKey distinguishes correlated clones: arrivals
-// carrying different upstream bindings are never equivalent (wire.EnvKey
-// computes it; "" for uncorrelated queries).
+// Check judges the arrival of a clone of query id for node in state
+// (numQ, rem) and updates the table per Section 3.1.1. envKey
+// distinguishes correlated clones: arrivals carrying different upstream
+// bindings are never equivalent (wire.EnvKey computes it; "" for
+// uncorrelated queries).
 func (lt *LogTable) Check(node string, id wire.QueryID, numQ int, rem pre.Expr, envKey string) Verdict {
 	var buf [64]byte
 	key := append(buf[:0], 0) // no query number: the id names the query
 	for _, s := range [...]string{id.User, id.Site} {
 		key = append(binary.AppendUvarint(key, uint64(len(s))), s...)
 	}
-	return lt.check(binary.AppendVarint(key, int64(id.Num)), node, envKey, numQ, rem)
+	return lt.check(binary.AppendVarint(key, int64(id.Num)), node, envKey, numQ, rem, nil, nil)
 }
 
 // CheckQuery is Check for the query a site numbers q (q > 0), as a query
@@ -374,14 +397,16 @@ func (lt *LogTable) Check(node string, id wire.QueryID, numQ int, rem pre.Expr, 
 // place of the id, and Purge drops every entry of a query at once.
 func (lt *LogTable) CheckQuery(q uint64, node string, numQ int, rem pre.Expr, envKey string) Verdict {
 	var buf [64]byte
-	return lt.check(binary.AppendUvarint(buf[:0], q), node, envKey, numQ, rem)
+	return lt.check(binary.AppendUvarint(buf[:0], q), node, envKey, numQ, rem, nil, nil)
 }
 
 // check is the Section 3.1.1 verdict on an arrival at node, under env,
-// in state (numQ, rem), of the query whose part of the key is key.
-func (lt *LogTable) check(key []byte, node, env string, numQ int, rem pre.Expr) Verdict {
+// in state (numQ, rem), of the query whose part of the key is key. st is
+// rem's state in the compiled query q, which judges it; a nil q is the
+// table's own.
+func (lt *LogTable) check(key []byte, node, env string, numQ int, rem pre.Expr, st *state, q *compiled) Verdict {
 	if lt.mode == DedupOff {
-		return Verdict{Action: Process, Rem: rem}
+		return Verdict{Action: Process}
 	}
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
@@ -393,36 +418,27 @@ func (lt *LogTable) check(key []byte, node, env string, numQ int, rem pre.Expr) 
 	key = binary.AppendUvarint(binary.AppendUvarint(key, n), uint64(numQ))
 	key = append(key, env...)
 	entries := lt.entries[string(key)] // a lookup converts without allocating
-	for i, e := range entries {
-		switch lt.mode {
-		case DedupExact:
-			if pre.Equal(e, rem) {
-				return Verdict{Action: Drop}
-			}
-		case DedupSubsume, DedupStrong:
-			switch pre.Compare(e, rem) {
-			case pre.Duplicate, pre.OldCovers:
-				return Verdict{Action: Drop}
-			case pre.NewCovers:
-				// Replace the covered entry with the arrival and rewrite
-				// the query so only the difference is explored.
-				entries[i] = rem
-				rw, ok := pre.RewriteSuperset(rem)
-				if !ok {
-					rw = rem
-				}
-				return Verdict{Action: Rewrite, Rem: rw}
-			}
-			if lt.mode == DedupStrong {
-				if covered, err := pre.Contains(e, rem); err == nil && covered {
-					return Verdict{Action: Drop}
-				}
-			}
+	var v Verdict
+	if len(entries) > 0 {
+		if q == nil {
+			q = lt.q
 		}
+		if st == nil {
+			st = q.state(rem)
+		}
+		var kept []any
+		v, kept = q.judge(entries, st)
+		clear(entries[len(kept):])
+		lt.size -= len(entries) - len(kept)
+		entries = kept
 	}
-	lt.entries[string(key)] = append(entries, rem)
+	var e any = rem
+	if st != nil {
+		e = st
+	}
+	lt.entries[string(key)] = append(entries, e)
 	lt.size++
-	return Verdict{Action: Process, Rem: rem}
+	return v
 }
 
 // Purge removes every entry of the queries numbered in gone (CheckQuery's

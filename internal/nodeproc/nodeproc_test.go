@@ -1,9 +1,12 @@
 package nodeproc
 
 import (
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"webdis/internal/disql"
 	"webdis/internal/nodequery"
@@ -270,13 +273,14 @@ func TestLogTableCheckAllocs(t *testing.T) {
 // one query at one node, in order, each judged against what the earlier
 // ones logged. The paper's worked example is its first five rows: log
 // L*2·G; L*1·G is covered and dropped; L*4·G covers the log entry,
-// replaces it and is rewritten to L·L*3·G, so L*3·G is now covered.
+// replaces it and explores only its L-successor (the paper's L·L*3·G),
+// so L*3·G is now covered.
 func TestLogTableSubsumption(t *testing.T) {
 	lt := NewLogTable(DedupSubsume)
 	for _, c := range []struct {
 		arrives string
 		action  Action
-		rem     string // what a rewritten arrival is processed as
+		rem     string // what a rewritten arrival still explores
 	}{
 		{"L*2·G", Process, ""},
 		{"L*1·G", Drop, ""},
@@ -286,26 +290,29 @@ func TestLogTableSubsumption(t *testing.T) {
 		{"L*·G", Rewrite, "L·L*·G"},
 		{"G·L", Process, ""},
 	} {
-		v := lt.Check("http://n", qid, 1, pre.MustParse(c.arrives), "")
+		e := pre.MustParse(c.arrives)
+		v := lt.Check("http://n", qid, 1, e, "")
 		rem := ""
 		if v.Action == Rewrite {
-			rem = v.Rem.String()
+			rem = lt.q.rewritten(lt.q.state(e), v.pruned).String()
 		}
 		if v.Action != c.action || rem != c.rem {
 			t.Errorf("%s: %v %q, want %v %q", c.arrives, v.Action, rem, c.action, c.rem)
 		}
 	}
-	// A rewrite replaces the entry it covers; only G·L, which no star
-	// shape relates to the rest, adds one.
+	// Every arrival is logged, and the entries within it leave: L*·G
+	// leaves only itself, and G·L adds one.
 	if lt.Len() != 2 {
 		t.Errorf("Len = %d", lt.Len())
 	}
 }
 
 // TestLogTableRewriteCascade is T7's multi-rewrite rule: a chain first
-// explored under L*2 logs L*2, L*1 and N at depths 0–2. A clone carrying
-// L*5 that walks the same chain later is rewritten at the first n = 2
-// nodes it encounters, the paper's n, and then runs free.
+// explored under L*2 logs L*2, L*1 and N at depths 0–2, evaluating at
+// each. A clone carrying L*5 that walks the same chain later evaluates
+// none of those three nodes again — the paper's n = 2 rewrites, and the
+// chain's end, where the logged N has no star shape for a syntactic rule
+// to compare — and then runs free.
 func TestLogTableRewriteCascade(t *testing.T) {
 	lt := NewLogTable(DedupSubsume)
 	node := func(depth int) string { return "http://chain.example/p" + strconv.Itoa(depth) + ".html" }
@@ -321,44 +328,131 @@ func TestLogTableRewriteCascade(t *testing.T) {
 	for depth := 0; depth < 6; depth++ {
 		v := lt.Check(node(depth), qid, 1, rem, "")
 		actions = append(actions, v.Action.String())
-		next := rem
-		switch v.Action {
-		case Drop:
+		switch {
+		case v.Action == Drop:
 			t.Fatalf("depth %d: %s dropped", depth, rem)
-		case Rewrite:
-			next = v.Rem
+		case v.Action == Rewrite && v.pruned != evalPart:
+			t.Fatalf("depth %d: %s pruned %b, want only the evaluation", depth, rem, v.pruned)
 		}
-		if len(pre.First(next)) == 0 {
+		if len(pre.First(rem)) == 0 {
 			break
 		}
-		rem = pre.Derive(next, pre.Local)
+		rem = pre.Derive(rem, pre.Local)
 	}
-	if got := strings.Join(actions, " "); got != "rewrite rewrite process process process process" {
+	if got := strings.Join(actions, " "); got != "rewrite rewrite rewrite process process process" {
 		t.Errorf("L*5 along the chain: %s", got)
 	}
 }
 
-func TestLogTableExactModeIgnoresSubsumption(t *testing.T) {
-	lt := NewLogTable(DedupExact)
-	lt.Check("http://n", qid, 1, pre.MustParse("L*2·G"), "")
-	if v := lt.Check("http://n", qid, 1, pre.MustParse("L*1·G"), ""); v.Action != Process {
-		t.Fatalf("exact mode should process L*1·G: %v", v.Action)
-	}
-	if v := lt.Check("http://n", qid, 1, pre.MustParse("L*2·G"), ""); v.Action != Drop {
-		t.Fatalf("exact duplicate = %v", v.Action)
-	}
-}
-
-func TestLogTableStrongMode(t *testing.T) {
-	lt := NewLogTable(DedupStrong)
+// TestLogTableContainment: states whose text no syntactic rule relates
+// are judged by their languages.
+func TestLogTableContainment(t *testing.T) {
+	lt := NewLogTable(DedupSubsume)
 	lt.Check("http://n", qid, 1, pre.MustParse("(G|L)·(G|L)"), "")
-	// G·L is strictly contained in (G|L)·(G|L): the syntactic rules miss
-	// it, language containment catches it.
+	// G·L is strictly contained in (G|L)·(G|L).
 	if v := lt.Check("http://n", qid, 1, pre.MustParse("G·L"), ""); v.Action != Drop {
-		t.Fatalf("strong containment = %v", v.Action)
+		t.Fatalf("contained arrival = %v", v.Action)
+	}
+	// (L|G)·(L|G) is the same language in other words.
+	if v := lt.Check("http://n", qid, 1, pre.MustParse("(L|G)·(L|G)"), ""); v.Action != Drop {
+		t.Fatalf("equal language = %v", v.Action)
 	}
 	if v := lt.Check("http://n", qid, 1, pre.MustParse("I·I"), ""); v.Action != Process {
 		t.Fatalf("uncovered arrival = %v", v.Action)
+	}
+}
+
+// TestLogRuleMemoised: a worker's compiled query judges a (logged,
+// arriving) pair of its states once; a repeat comparison is a map
+// lookup, and the repeated duplicate costs only its key.
+func TestLogRuleMemoised(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	lt, q := NewLogTable(DedupSubsume), newCompiled(nil, nil)
+	logged, dup := q.state(pre.MustParse("(G|L)*3·G")), q.state(pre.MustParse("(L|G)*2·G"))
+	var buf [64]byte
+	check := func(st *state) Verdict { return lt.check(buf[:0], "http://n", "", 1, st.rem, st, q) }
+	check(logged)
+	if v := check(dup); v.Action != Drop || len(q.covers) != 1 {
+		t.Fatalf("covered arrival: %v, %d pairs judged", v.Action, len(q.covers))
+	}
+	if a := testing.AllocsPerRun(100, func() { check(dup) }); a > 1 {
+		t.Errorf("repeated duplicate: %.0f allocations, want <= 1", a)
+	}
+}
+
+// randomPRE is a PRE over I, L, G and N nested depth deep, its stars
+// bounded by 3.
+func randomPRE(r *rand.Rand, depth int) pre.Expr {
+	if depth == 0 {
+		return [...]pre.Expr{pre.Sym(pre.Interior), pre.Sym(pre.Local), pre.Sym(pre.Global), pre.Eps()}[r.Intn(4)]
+	}
+	switch r.Intn(4) {
+	case 0:
+		return pre.Cat(randomPRE(r, depth-1), randomPRE(r, depth-1))
+	case 1:
+		return pre.Alt(randomPRE(r, depth-1), randomPRE(r, depth-1))
+	case 2:
+		return pre.Rep(randomPRE(r, depth-1), 1+r.Intn(3))
+	}
+	return randomPRE(r, depth-1)
+}
+
+// TestQuickRewritePrunesOnlyCovered: arrivals at one node in states
+// drawn from one query's derivatives. Whatever a verdict prunes is work
+// a state logged before it did: the evaluation only when a logged state
+// is nullable, the forward over l only when one logged state's
+// l-derivative matches every path of up to five links the arrival's
+// does.
+func TestQuickRewritePrunesOnlyCovered(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		lt := NewLogTable(DedupSubsume)
+		base := randomPRE(r, 3)
+		for i := 0; i < 8; i++ {
+			arr := base
+			for n := r.Intn(3); n > 0 && !pre.IsNone(arr); n-- {
+				arr = pre.Derive(arr, pre.Links[r.Intn(3)])
+			}
+			if pre.IsNone(arr) {
+				continue
+			}
+			var logged []pre.Expr
+			for _, es := range lt.entries {
+				for _, e := range es {
+					if st, ok := e.(*state); ok {
+						e = st.rem
+					}
+					logged = append(logged, e.(pre.Expr))
+				}
+			}
+			v := lt.Check("http://n", qid, 1, arr, "")
+			if v.Action == Process && v.pruned != 0 || v.Action != Process && v.pruned == 0 {
+				t.Logf("%s: %v pruning %b", arr, v.Action, v.pruned)
+				return false
+			}
+			if v.pruned&evalPart != 0 && !(pre.Nullable(arr) && slices.ContainsFunc(logged, pre.Nullable)) {
+				t.Logf("%s: evaluation pruned, logged %v", arr, logged)
+				return false
+			}
+			for _, l := range pre.Links {
+				if v.pruned&linkPart(l) == 0 {
+					continue
+				}
+				paths := pre.Enumerate(pre.Derive(arr, l), 5)
+				if !slices.ContainsFunc(logged, func(e pre.Expr) bool {
+					return !slices.ContainsFunc(paths, func(p []pre.Link) bool { return !pre.Matches(pre.Derive(e, l), p) })
+				}) {
+					t.Logf("%s: %s-forward pruned, logged %v", arr, l, logged)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -404,8 +498,7 @@ func TestLogTablePurge(t *testing.T) {
 }
 
 func TestModeAndActionStrings(t *testing.T) {
-	if DedupSubsume.String() != "subsume" || DedupOff.String() != "off" ||
-		DedupExact.String() != "exact" || DedupStrong.String() != "strong" {
+	if DedupSubsume.String() != "subsume" || DedupOff.String() != "off" {
 		t.Error("mode strings")
 	}
 	if Process.String() != "process" || Drop.String() != "drop" || Rewrite.String() != "rewrite" {

@@ -1,6 +1,7 @@
 package nodeproc
 
 import (
+	"encoding/binary"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -27,9 +28,10 @@ type Arrival struct {
 	Env      map[string]string
 	Hops     int
 	HopQuota int
-	// st is Rem's state, from the Visitor's compiled query when its table
-	// holds it; nil, the step derives Rem afresh.
-	st *state
+	// st is Rem's state in the Visitor's compiled query; Visit fills it
+	// in when nil. pruned is the work the log table found done.
+	st     *state
+	pruned parts
 }
 
 // Counts is the work a Visitor (and a Batch) did, for the caller to book.
@@ -56,14 +58,6 @@ type Host interface {
 	Rows(a Arrival, tbl *nodequery.Table)
 	// Forward receives the targets of one derivative of a's PRE.
 	Forward(fw Forward, a Arrival)
-}
-
-// text is the text of a's remaining PRE, the state's name on the wire.
-func (a *Arrival) text() string {
-	if a.st != nil {
-		return a.st.text
-	}
-	return a.Rem.String()
 }
 
 // Visitor runs the process() algorithm of Figure 4 at one node at a time.
@@ -101,6 +95,9 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 	if v.q == nil {
 		v.q = newCompiled(nil, a.Stages)
 	}
+	if a.st == nil {
+		a.st = v.q.state(a.Rem)
+	}
 	if !v.check(&a, false) {
 		return
 	}
@@ -118,11 +115,7 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 		if i > 0 && !v.check(&it, true) {
 			continue
 		}
-		st := it.st
-		if st == nil {
-			st = transient(it.Rem)
-		}
-		res, err := step(db, it.Node, st, v.q, v.q.stage(it.Stages), len(it.Stages) > 1, it.Env)
+		res, err := step(db, it.Node, it.st, v.q, v.q.stage(it.Stages), len(it.Stages) > 1, it.Env, it.pruned)
 		if err != nil {
 			continue
 		}
@@ -189,10 +182,12 @@ func detachRows(db *relmodel.DB, rows [][]string) {
 	}
 }
 
-// check runs the log-table check for a, rewriting a.Rem on a superset
-// arrival. It reports whether a is to be processed.
+// check runs the log-table check for a, recording in a.pruned what
+// logged states cover. It reports whether a is to be processed.
 func (v *Visitor) check(a *Arrival, virtual bool) bool {
-	verdict := v.Log.CheckQuery(v.Query, a.Node, len(a.Stages), a.Rem, wire.EnvKey(a.Env))
+	var buf [64]byte
+	verdict := v.Log.check(binary.AppendUvarint(buf[:0], v.Query), a.Node, wire.EnvKey(a.Env), len(a.Stages), a.Rem, a.st, v.q)
+	a.pruned = verdict.pruned
 	switch verdict.Action {
 	case Drop:
 		v.Counts.DupDropped++
@@ -205,16 +200,15 @@ func (v *Visitor) check(a *Arrival, virtual bool) bool {
 	case Rewrite:
 		v.Counts.DupRewritten++
 		if v.Journal != nil && !virtual {
-			v.note(trace.Rewrite, a, a.Rem.String()+" -> "+verdict.Rem.String())
+			v.note(trace.Rewrite, a, a.st.text+" -> "+v.q.rewritten(a.st, a.pruned).String())
 		}
-		a.Rem, a.st = verdict.Rem, nil // a rewritten state steps uncached
 	}
 	return true
 }
 
 func (v *Visitor) note(kind trace.Kind, a *Arrival, detail string) {
 	if v.Journal != nil {
-		v.Journal.AppendClone(v.Clone, kind, a.Node, wire.State{NumQ: len(a.Stages), Rem: a.text()}, detail)
+		v.Journal.AppendClone(v.Clone, kind, a.Node, wire.State{NumQ: len(a.Stages), Rem: a.st.text}, detail)
 	}
 }
 

@@ -2,6 +2,7 @@ package nodequery
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -142,7 +143,8 @@ func (s *OutputSpec) Suffix() string {
 
 // CompareVals orders two virtual-relation values exactly as the
 // comparison predicates do: numerically when both sides parse as
-// floats, by byte order otherwise. Every ordering decision of package
+// floats other than NaN, by byte order otherwise (a "NaN" in any case
+// is a word, equal only to itself). Every ordering decision of package
 // plan — hash-join keys, order-by, MIN/MAX — goes through this so
 // that the operator pipeline is indistinguishable from the paper's
 // nested-loop evaluator (plan's test oracle).
@@ -163,24 +165,27 @@ func CompareVals(a, b string) int {
 
 // CanonVal maps a value to a key that is equal for two values exactly
 // when CompareVals reports them equal: numeric values canonicalize to
-// their shortest float form ("1.0" and "1" collide), everything else
-// keeps byte identity. Hash joins and group-by hashing use it.
+// their shortest float form ("1.0" and "1" collide, as do "-0" and "0"),
+// everything else keeps byte identity. Hash joins and group-by hashing
+// use it.
 func CanonVal(v string) string {
 	if n, ok := parseNum(v); ok {
-		return "n\x01" + strconv.FormatFloat(n, 'g', -1, 64)
+		return "n\x01" + strconv.FormatFloat(n+0, 'g', -1, 64) // n+0 is +0 for -0
 	}
 	return "s\x01" + v
 }
 
-// parseNum is strconv.ParseFloat(s, 64) as a yes/no: a value it must
-// reject by its first byte is turned down without asking it, so a word
-// costs no *strconv.NumError.
+// parseNum is strconv.ParseFloat(s, 64) as a yes/no, with NaN a word:
+// it is unordered against every number, so as a number it would compare
+// equal to all of them. A value ParseFloat must reject by its first
+// byte is turned down without asking it, so a word costs no
+// *strconv.NumError.
 func parseNum(s string) (float64, bool) {
 	if !mayBeFloat(s) {
 		return 0, false
 	}
 	n, err := strconv.ParseFloat(s, 64)
-	return n, err == nil
+	return n, err == nil && !math.IsNaN(n)
 }
 
 // mayBeFloat reports whether strconv.ParseFloat could accept s: only a

@@ -1,17 +1,23 @@
 package nodequery
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// compareRef is CompareVals by its definition: strconv decides what is a
-// number, for both operands.
+// refNum is the definition of a number: what strconv parses, but NaN.
+func refNum(v string) (float64, bool) {
+	n, err := strconv.ParseFloat(v, 64)
+	return n, err == nil && !math.IsNaN(n)
+}
+
+// compareRef is CompareVals by its definition.
 func compareRef(a, b string) int {
-	an, aerr := strconv.ParseFloat(a, 64)
-	bn, berr := strconv.ParseFloat(b, 64)
-	if aerr == nil && berr == nil {
+	an, aok := refNum(a)
+	bn, bok := refNum(b)
+	if aok && bok {
 		switch {
 		case an < bn:
 			return -1
@@ -25,7 +31,10 @@ func compareRef(a, b string) int {
 
 // canonRef is CanonVal by its definition.
 func canonRef(v string) string {
-	if n, err := strconv.ParseFloat(v, 64); err == nil {
+	if n, ok := refNum(v); ok {
+		if n == 0 {
+			n = 0 // one key for -0 and 0
+		}
 		return "n\x01" + strconv.FormatFloat(n, 'g', -1, 64)
 	}
 	return "s\x01" + v
@@ -39,7 +48,8 @@ var compareSeeds = []string{
 
 // FuzzCompareVals holds CompareVals and CanonVal to the strconv
 // definition: the first-byte check may only turn down what ParseFloat
-// would reject.
+// would reject, and two values share a CanonVal key exactly when
+// CompareVals finds them equal (a hash join then matches what = does).
 func FuzzCompareVals(f *testing.F) {
 	for _, a := range compareSeeds {
 		for _, b := range compareSeeds[:6] {
@@ -57,6 +67,9 @@ func FuzzCompareVals(f *testing.F) {
 		}
 		if got, want := CanonVal(a), canonRef(a); got != want {
 			t.Errorf("CanonVal(%q) = %q, want %q", a, got, want)
+		}
+		if same, eq := CanonVal(a) == CanonVal(b), CompareVals(a, b) == 0; same != eq {
+			t.Errorf("CanonVal(%q) == CanonVal(%q) is %v, CompareVals is %d", a, b, same, CompareVals(a, b))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,11 +158,12 @@ func evalCmp(p *nodequery.Pred, env map[string]binding, outer map[string]string)
 	case nodequery.NotContains:
 		return !strings.Contains(strings.ToLower(left), strings.ToLower(right)), nil
 	}
-	// Numeric comparison when both sides are numeric, else string order.
+	// Numeric comparison when both sides are numbers (NaN is not one:
+	// unordered, it would equal every number), else string order.
 	var c int
 	ln, lerr := strconv.ParseFloat(left, 64)
 	rn, rerr := strconv.ParseFloat(right, 64)
-	if lerr == nil && rerr == nil {
+	if lerr == nil && rerr == nil && !math.IsNaN(ln) && !math.IsNaN(rn) {
 		switch {
 		case ln < rn:
 			c = -1

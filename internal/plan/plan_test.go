@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,6 +130,103 @@ func TestEvalMatchesNodequery(t *testing.T) {
 	}
 	for _, q := range queries {
 		runBoth(t, q, db, nil)
+	}
+}
+
+// TestNaNCellsAgreeWithOracle: a "NaN" cell, in any case, is a word.
+// The hash join's keys, the comparison predicates and the nested-loop
+// oracle all join it only with itself, and a GROUP BY over it keeps it
+// apart from the numbers, as "=" does, with a MIN and MAX that no row
+// order changes.
+func TestNaNCellsAgreeWithOracle(t *testing.T) {
+	const page = `<html><body>
+<a href="http://a.example/">NaN</a>
+<a href="one.html">1</a>
+<a href="http://c.example/">nan</a>
+<a href="three.html">3</a>
+<a href="http://e.example/">NaN</a>
+<a href="five.html">5</a>
+</body></html>`
+	doc, err := htmlx.Parse("http://site.example/nan.html", []byte(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := relmodel.Build(doc)
+	col := nodequery.ColOperand
+	runBoth(t, &nodequery.Query{
+		Vars:   []nodequery.VarDecl{{Name: "a", Rel: "anchor"}, {Name: "b", Rel: "anchor"}},
+		Where:  nodequery.Compare(col("a", "label"), nodequery.Eq, col("b", "label")),
+		Select: []nodequery.ColRef{{Var: "a", Col: "href"}, {Var: "b", Col: "href"}},
+	}, db, nil)
+
+	tbl, _ := runBoth(t, &nodequery.Query{
+		Vars:   []nodequery.VarDecl{{Name: "a", Rel: "anchor"}},
+		Select: []nodequery.ColRef{{Var: "a", Col: "label"}, {Var: "a", Col: "ltype"}, {Var: "a", Col: "href"}},
+	}, db, nil)
+	label, ltype := nodequery.ColRef{Var: "a", Col: "label"}, nodequery.ColRef{Var: "a", Col: "ltype"}
+	byLabel := &nodequery.OutputSpec{
+		Cols:    []nodequery.OutputCol{{Ref: label}, {Agg: nodequery.AggCount, Star: true}},
+		GroupBy: []nodequery.ColRef{label},
+	}
+	byType := &nodequery.OutputSpec{
+		Cols:    []nodequery.OutputCol{{Ref: ltype}, {Agg: nodequery.AggMin, Ref: label}, {Agg: nodequery.AggMax, Ref: label}},
+		GroupBy: []nodequery.ColRef{ltype},
+	}
+	fold := func(spec *nodequery.OutputSpec, rows [][]string) [][]string {
+		acc := NewAcc(spec)
+		acc.AddRaw(tbl.Cols, rows, nil)
+		_, out := acc.FinalTable()
+		return out
+	}
+	reversed := slices.Clone(tbl.Rows)
+	slices.Reverse(reversed)
+
+	// The oracle's groups: rows whose labels are "=", counted pairwise.
+	var want [][]string
+	for i, r := range tbl.Rows {
+		n, first := 0, true
+		for j, o := range tbl.Rows {
+			if nodequery.CompareVals(r[0], o[0]) == 0 {
+				n++
+				first = first && j >= i
+			}
+		}
+		if first {
+			want = append(want, []string{r[0], fmt.Sprint(n)})
+		}
+	}
+	if got := fold(byLabel, tbl.Rows); !reflect.DeepEqual(sorted(got), sorted(want)) {
+		t.Errorf("group by label: %v, oracle %v", got, want)
+	}
+	// The oracle's MIN and MAX per link type: the labels no other label
+	// of the type orders below (above).
+	want = nil
+	for _, typ := range []string{"G", "L"} {
+		var min, max []string
+		for _, r := range tbl.Rows {
+			lo, hi := r[1] == typ, r[1] == typ
+			for _, o := range tbl.Rows {
+				if o[1] == typ {
+					lo = lo && nodequery.CompareVals(r[0], o[0]) <= 0
+					hi = hi && nodequery.CompareVals(r[0], o[0]) >= 0
+				}
+			}
+			if lo && !slices.Contains(min, r[0]) {
+				min = append(min, r[0])
+			}
+			if hi && !slices.Contains(max, r[0]) {
+				max = append(max, r[0])
+			}
+		}
+		if len(min) != 1 || len(max) != 1 {
+			t.Fatalf("type %s: labels %v are least and %v greatest", typ, min, max)
+		}
+		want = append(want, []string{typ, min[0], max[0]})
+	}
+	for _, rows := range [][][]string{tbl.Rows, reversed} {
+		if got := fold(byType, rows); !reflect.DeepEqual(sorted(got), sorted(want)) {
+			t.Errorf("min and max by type over %v: %v, oracle %v", rows, got, want)
+		}
 	}
 }
 

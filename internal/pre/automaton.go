@@ -91,68 +91,66 @@ func (d *DFA) Accepts(path []Link) bool {
 	return d.Accept[s]
 }
 
-// Contains reports whether the language of sub is a subset of the language
-// of super: every path matched by sub is also matched by super. It is the
-// decision procedure behind the engine's optional strong duplicate-
-// detection mode, which generalizes the paper's syntactic star-bound test.
+// Covers reports whether the language of super contains the language of
+// sub: every path sub matches, super matches too. It is the Node-query Log
+// Table's one comparison (Section 3.1.1, generalised from the paper's
+// star-bound shapes to languages). A walk that exceeds maxDFAStates pairs
+// answers false, which only costs the log table a recomputation.
+func Covers(super, sub Expr) bool {
+	ok, err := Contains(super, sub)
+	return ok && err == nil
+}
+
+// Contains is Covers with the walk's bound reported as an error.
 func Contains(super, sub Expr) (bool, error) {
-	a, err := CompileDFA(super)
-	if err != nil {
-		return false, err
-	}
-	b, err := CompileDFA(sub)
-	if err != nil {
-		return false, err
-	}
-	// Search the product automaton for a path accepted by sub but not by
-	// super (including paths on which super is already dead).
-	type pair struct{ pa, pb int }
-	seen := map[pair]bool{{0, 0}: true}
-	queue := []pair{{0, 0}}
+	return CoversBy(super, sub, Expr.String, Nullable, func(e Expr, l Link) (Expr, bool) {
+		d := Derive(e, l)
+		return d, !IsNone(d)
+	})
+}
+
+// CoversBy is the containment walk behind Covers, over any deterministic
+// automaton on the links: key names a state, nullable tells whether it
+// accepts, and next steps it over a link, false when no path goes on (a
+// PRE's derivative is ∅ exactly then). It searches the pairs of states
+// one path leads super and sub to for a path sub accepts and super does
+// not; a pair of equally named states needs no search below it. A
+// finite automaton, such as a PRE's derivatives (see CompileDFA), ends
+// the search.
+func CoversBy[S any, K comparable](super, sub S, key func(S) K, nullable func(S) bool, next func(S, Link) (S, bool)) (bool, error) {
+	type pair struct{ a, b S }
+	seen := map[[2]K]bool{}
+	queue := []pair{{super, sub}}
 	for len(queue) > 0 {
 		p := queue[0]
 		queue = queue[1:]
-		accB := p.pb >= 0 && b.Accept[p.pb]
-		accA := p.pa >= 0 && a.Accept[p.pa]
-		if accB && !accA {
+		if nullable(p.b) && !nullable(p.a) {
 			return false, nil
 		}
 		for _, l := range Links {
-			nb := -1
-			if p.pb >= 0 {
-				nb = b.Step(p.pb, l)
-			}
-			if nb < 0 {
+			b, ok := next(p.b, l)
+			if !ok {
 				continue // sub is dead along this path; nothing to witness
 			}
-			na := -1
-			if p.pa >= 0 {
-				na = a.Step(p.pa, l)
+			a, ok := next(p.a, l)
+			if !ok {
+				return false, nil // sub goes on where super is dead
 			}
-			np := pair{na, nb}
-			if !seen[np] {
-				seen[np] = true
-				queue = append(queue, np)
+			k := [2]K{key(a), key(b)}
+			if k[0] == k[1] || seen[k] {
+				continue
 			}
+			if len(seen) == maxDFAStates {
+				return false, fmt.Errorf("pre: containment walk exceeds %d state pairs", maxDFAStates)
+			}
+			seen[k] = true
+			queue = append(queue, pair{a, b})
 		}
 	}
 	return true, nil
 }
 
-// Equivalent reports whether a and b denote the same path language.
-func Equivalent(a, b Expr) (bool, error) {
-	ab, err := Contains(a, b)
-	if err != nil {
-		return false, err
-	}
-	if !ab {
-		return false, nil
-	}
-	return Contains(b, a)
-}
-
-// Dump renders the DFA in a compact human-readable form, for debugging and
-// for the webgen tool's -dfa flag.
+// Dump renders the DFA in a compact human-readable form, for debugging.
 func (d *DFA) Dump() string {
 	var b strings.Builder
 	for s := range d.Trans {

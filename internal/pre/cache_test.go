@@ -23,7 +23,7 @@ func TestParseCachedHitAndEquivalence(t *testing.T) {
 		t.Fatalf("cached expression differs: %q vs %q", e1.String(), e2.String())
 	}
 	want := MustParse(src)
-	if Compare(want, e2) != Duplicate {
+	if !Equal(want, e2) {
 		t.Fatalf("cached expression not equivalent to Parse: %s vs %s", want, e2)
 	}
 }
@@ -63,7 +63,7 @@ func TestParseCachedEpochFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Compare(MustParse("G·L"), e) != Duplicate {
+	if !Equal(MustParse("G·L"), e) {
 		t.Fatalf("post-flush parse wrong: %s", e)
 	}
 }

@@ -27,11 +27,8 @@
 //   - First: the set of link types on which the PRE can advance.
 //   - Derive: the Brzozowski derivative — the "modifiedPRE" of Figure 4,
 //     line 15, carried by a clone after traversing one link.
-//   - Compare / RewriteSuperset: the star-bound subsumption test and the
-//     query-multiple-rewrite rule of Section 3.1.1 (A*m·B → A·A*(m-1)·B),
-//     used by the Node-query Log Table.
-//   - Contains: full language containment via DFA construction, used by the
-//     engine's optional "strong" duplicate-detection mode.
+//   - Covers: language containment by a walk over pairs of derivatives,
+//     the one comparison of the Node-query Log Table (Section 3.1.1).
 package pre
 
 import (
@@ -78,8 +75,8 @@ const Unbounded = -1
 
 // Expr is a parsed path regular expression. Expressions are immutable; all
 // operations return new values. Two expressions denote the same syntactic
-// PRE exactly when their String forms are equal (the equality used by the
-// paper's log-table protocol).
+// PRE exactly when their String forms are equal (the name a state has in
+// the Current Hosts Table and on the wire).
 type Expr interface {
 	fmt.Stringer
 	isExpr()
@@ -150,9 +147,9 @@ func Cat(es ...Expr) Expr {
 
 // Alt returns the alternation of es, flattening nested alternations,
 // removing None branches and syntactic duplicates. Branch order is
-// preserved, so Alt is deterministic but not commutative-canonical; the
-// engine always derives clones the same way, which keeps the syntactic
-// equality used by the log table meaningful.
+// preserved, so Alt is deterministic but not commutative-canonical:
+// language-equal states can differ in text, which is why the log table
+// compares states by Covers.
 func Alt(es ...Expr) Expr {
 	var out []Expr
 	seen := make(map[string]bool)
@@ -331,8 +328,8 @@ func first(e Expr, set map[Link]bool) {
 // PRE matching exactly the suffixes of e-paths that begin with l. This is
 // the "modifiedPRE" a WEBDIS clone carries after traversing a link of
 // category l (Figure 4, line 15). Deriving preserves the syntactic star
-// bounds (L*4 becomes L*3, never an unrolled L·L·L), which the log-table
-// subsumption test of Section 3.1.1 relies on.
+// bounds (L*4 becomes L*3, never an unrolled L·L·L), so a state's text
+// stays as short as the query's.
 func Derive(e Expr, l Link) Expr {
 	switch v := e.(type) {
 	case epsExpr, noneExpr:

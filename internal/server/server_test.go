@@ -439,7 +439,6 @@ func TestOptionsDedupDefault(t *testing.T) {
 	}{
 		{Options{}, nodeproc.DedupSubsume},
 		{Options{Dedup: nodeproc.DedupOff}, nodeproc.DedupOff},
-		{Options{Dedup: nodeproc.DedupStrong}, nodeproc.DedupStrong},
 	} {
 		s := New("a.example", nil, netsim.New(netsim.Options{}), &Metrics{}, tc.opts)
 		if got := s.LogTable().Mode(); got != tc.want {

@@ -242,12 +242,10 @@ var (
 	ErrWatchClosed = client.ErrWatchClosed
 )
 
-// Log-table dedup modes (paper Section 3.1.1 and extensions).
+// Log-table dedup modes (paper Section 3.1.1).
 const (
 	DedupOff     = nodeproc.DedupOff
-	DedupExact   = nodeproc.DedupExact
-	DedupSubsume = nodeproc.DedupSubsume // the paper's scheme; the default
-	DedupStrong  = nodeproc.DedupStrong
+	DedupSubsume = nodeproc.DedupSubsume // the paper's rule, by language containment; the default
 )
 
 // Synthetic web construction.

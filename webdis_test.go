@@ -123,7 +123,7 @@ func TestTraceFacade(t *testing.T) {
 
 func TestDedupModeNames(t *testing.T) {
 	for mode, want := range map[DedupMode]string{
-		DedupOff: "off", DedupExact: "exact", DedupSubsume: "subsume", DedupStrong: "strong",
+		DedupOff: "off", DedupSubsume: "subsume",
 	} {
 		if mode.String() != want {
 			t.Errorf("%v = %q", mode, mode.String())
