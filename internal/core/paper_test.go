@@ -156,12 +156,11 @@ func TestPaperLatency(t *testing.T) {
 }
 
 // TestPaperLogTable is T3 (§3.1): the Node-query Log Table changes the
-// work, never the answer. Under the log rule, drops and clone messages
-// depend on which of two overlapping clones reaches a node first, but
-// evaluations do not: a node's first nullable arrival is logged, and a
-// nullable entry stays logged (only a state containing it replaces it),
-// so every node the PRE reaches is evaluated once. 178 is what dropping
-// only syntactic duplicates needed.
+// work, never the answer. Under the log rule the work depends on which
+// of two overlapping clones reaches a node first: a node is evaluated
+// once by a router (a state that goes on over some link) and once by N
+// at most, and whether N reaches it depends on what the routers before
+// it forwarded. 178 is what dropping only syntactic duplicates needed.
 func TestPaperLogTable(t *testing.T) {
 	t.Parallel()
 	web := webgraph.Random(webgraph.RandomOpts{
@@ -188,8 +187,8 @@ func TestPaperLogTable(t *testing.T) {
 	if w := got[nodeproc.DedupOff]; w.evals != 7817 || w.clones != 5065 {
 		t.Errorf("off: %+v, want 7817 evaluations and 5065 clone messages", w)
 	}
-	if s := got[nodeproc.DedupSubsume]; s.evals >= 178 || s.evals != 35 || s.drops == 0 {
-		t.Errorf("subsume: %+v, want 35 evaluations (fewer than 178) and some drops", s)
+	if s := got[nodeproc.DedupSubsume]; s.evals >= 178 || s.drops == 0 {
+		t.Errorf("subsume: %+v, want fewer than 178 evaluations and some drops", s)
 	}
 }
 

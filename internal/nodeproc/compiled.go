@@ -150,19 +150,21 @@ func (q *compiled) edges(st *state) []edge {
 // cover is what one logged state covers of one arriving state.
 type cover struct {
 	pruned parts // the arrival's work the logged state did
-	within bool  // the logged state's language is within the arrival's
+	within bool  // the arrival covers all of the logged state's work
 }
 
 // cover judges logged state e against arriving state t: e did t's
-// evaluation if both are nullable, and t's forward over l if e's
-// derivative over l covers t's. A pair of table states is judged once.
+// evaluation if both are nullable and both route on or neither does, and
+// t's forward over l if e's derivative over l covers t's. A pair of
+// table states is judged once.
 func (q *compiled) cover(e, t *state) cover {
 	k := [2]*state{e, t}
 	if c, ok := q.covers[k]; ok {
 		return c
 	}
 	var c cover
-	if e.nullable && t.nullable {
+	alike := q.routes(e) == q.routes(t)
+	if e.nullable && t.nullable && alike {
 		c.pruned |= evalPart
 	}
 	for _, te := range q.edges(t) {
@@ -170,7 +172,7 @@ func (q *compiled) cover(e, t *state) cover {
 			c.pruned |= linkPart(te.link)
 		}
 	}
-	c.within = q.contains(t, e)
+	c.within = (!e.nullable || alike) && q.contains(t, e)
 	if q.held(e) && q.held(t) {
 		if q.covers == nil {
 			q.covers = make(map[[2]*state]cover)
@@ -179,6 +181,10 @@ func (q *compiled) cover(e, t *state) cover {
 	}
 	return c
 }
+
+// routes reports whether st goes on over some link: false for a state
+// whose language is the empty path alone, a pure evaluation.
+func (q *compiled) routes(st *state) bool { return len(q.edges(st)) > 0 }
 
 // next is st's successor over l; false when st cannot follow l.
 func (q *compiled) next(st *state, l pre.Link) (*state, bool) {

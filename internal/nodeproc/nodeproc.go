@@ -332,14 +332,20 @@ type Verdict struct {
 // LogTable records, per (query, node, stage, environment), the states of
 // previously processed clones, and judges new arrivals by one rule. Let E
 // be the states logged at an arrival's key and t its state. t evaluates
-// the node-query only if t is nullable and no state of E is; it forwards
+// the node-query only if t is nullable and no state of E is nullable and
+// alike — both route on over some link, or neither does; it forwards
 // over link l only if no e of E has a derivative e_l whose language
 // contains t_l. Nothing left is a Drop, something pruned a Rewrite.
-// Either way t is logged, and the entries within its language leave.
-// On the paper's A*m·B shapes this is exactly its drop-and-rewrite rule
-// (A*m·B → A·A*(m-1)·B); containment extends it to states whose text
-// differs but whose language does not. It is safe for concurrent use.
-// The zero value is not usable; construct with NewLogTable.
+// Either way t is logged, and the entries whose work t covers leave.
+// On the paper's A*m·B shapes (m ≥ 1) this is exactly its drop-and-rewrite
+// rule (A*m·B → A·A*(m-1)·B); containment extends it to states whose text
+// differs but whose language does not. The empty path's state N, which
+// every bounded traversal ends in, shares its evaluation only with N: a
+// node reached at a last hop and, by a shorter path, with hops to spare
+// is the common shape of a web, and judging N against the longer state
+// would make who evaluates, who is dropped and how often the node is
+// parsed depend on which arrival came first. It is safe for concurrent
+// use. The zero value is not usable; construct with NewLogTable.
 type LogTable struct {
 	mode DedupMode
 

@@ -309,10 +309,10 @@ func TestLogTableSubsumption(t *testing.T) {
 
 // TestLogTableRewriteCascade is T7's multi-rewrite rule: a chain first
 // explored under L*2 logs L*2, L*1 and N at depths 0–2, evaluating at
-// each. A clone carrying L*5 that walks the same chain later evaluates
-// none of those three nodes again — the paper's n = 2 rewrites, and the
-// chain's end, where the logged N has no star shape for a syntactic rule
-// to compare — and then runs free.
+// each. A clone carrying L*5 that walks the same chain later is rewritten
+// at the first n = 2 nodes it encounters, the paper's n. At the chain's
+// end the logged N, a pure evaluation, shares its evaluation with no
+// router (see LogTable), so L*3 is processed there, and then runs free.
 func TestLogTableRewriteCascade(t *testing.T) {
 	lt := NewLogTable(DedupSubsume)
 	node := func(depth int) string { return "http://chain.example/p" + strconv.Itoa(depth) + ".html" }
@@ -339,7 +339,7 @@ func TestLogTableRewriteCascade(t *testing.T) {
 		}
 		rem = pre.Derive(rem, pre.Local)
 	}
-	if got := strings.Join(actions, " "); got != "rewrite rewrite rewrite process process process" {
+	if got := strings.Join(actions, " "); got != "rewrite rewrite process process process process" {
 		t.Errorf("L*5 along the chain: %s", got)
 	}
 }
@@ -359,6 +359,26 @@ func TestLogTableContainment(t *testing.T) {
 	}
 	if v := lt.Check("http://n", qid, 1, pre.MustParse("I·I"), ""); v.Action != Process {
 		t.Fatalf("uncovered arrival = %v", v.Action)
+	}
+}
+
+// TestLogTableEmptyPathAlone: N, which routes nowhere, shares its
+// evaluation only with N, so N and G*1 are both processed in either
+// order; routers still share theirs.
+func TestLogTableEmptyPathAlone(t *testing.T) {
+	for _, order := range [][]string{{"G*1", "N"}, {"N", "G*1"}} {
+		lt := NewLogTable(DedupSubsume)
+		for _, rem := range order {
+			if v := lt.Check("http://n", qid, 1, pre.MustParse(rem), ""); v.Action != Process {
+				t.Errorf("%v: %s = %v, want process", order, rem, v.Action)
+			}
+		}
+		if v := lt.Check("http://n", qid, 1, pre.MustParse("N"), ""); v.Action != Drop {
+			t.Errorf("%v: N again = %v, want drop", order, v.Action)
+		}
+		if v := lt.Check("http://n", qid, 1, pre.MustParse("G*2"), ""); v.Action != Rewrite || v.pruned != evalPart {
+			t.Errorf("%v: G*2 = %v pruning %b, want a rewrite of its evaluation", order, v.Action, v.pruned)
+		}
 	}
 }
 

@@ -261,6 +261,82 @@ func TestCompareStarBounds(t *testing.T) {
 	}
 }
 
+// rewriteAfter is the query-multiple-rewrite of Section 3.1.1 read off
+// derivatives, as the Node-query Log Table applies it with logged
+// already in the table: t keeps its evaluation only if logged is not
+// nullable, and its step over l only if logged's derivative over l does
+// not cover t's. It returns what t still explores, and whether logged
+// pruned anything.
+func rewriteAfter(logged, t Expr) (Expr, bool) {
+	var rest []Expr
+	pruned := false
+	if Nullable(t) {
+		if Nullable(logged) {
+			pruned = true
+		} else {
+			rest = append(rest, Eps())
+		}
+	}
+	for _, l := range First(t) {
+		d := Derive(t, l)
+		if IsNone(d) {
+			continue
+		}
+		if Covers(Derive(logged, l), d) {
+			pruned = true
+			continue
+		}
+		rest = append(rest, Cat(Sym(l), d))
+	}
+	if !pruned {
+		return t, false
+	}
+	return Alt(rest...), true
+}
+
+// TestRewriteSuperset: an arrival A*m·B after a logged A*k·B (k < m)
+// explores only A·A*(m-1)·B, the paper's rewrite. Where the logged state
+// covers no step of the arrival nothing is rewritten.
+func TestRewriteSuperset(t *testing.T) {
+	cases := []struct {
+		logged, in string
+		want       string
+		applied    bool
+	}{
+		{"L*2·G", "L*4·G", "L·L*3·G", true},
+		{"G", "L*1·G", "L·G", true},
+		{"G", "L*·G", "L·L*·G", true},
+		{"L*2", "L*3", "L·L*2", true},
+		{"L*2·G", "G·L", "G·L", false},
+		{"L*2·G", "(G|L)*2·G", "(G|L)*2·G", false}, // the logged star is not the arrival's
+	}
+	for _, c := range cases {
+		got, applied := rewriteAfter(MustParse(c.logged), MustParse(c.in))
+		if applied != c.applied || got.String() != c.want {
+			t.Errorf("%s after %s explores (%s, %v), want (%s, %v)",
+				c.in, c.logged, got, applied, c.want, c.applied)
+		}
+		if !Covers(MustParse(c.in), got) {
+			t.Errorf("%s after %s explores %s, outside its language", c.in, c.logged, got)
+		}
+	}
+}
+
+// TestRewriteSupersetForcesPureRouter: after the rewrite the node must
+// not evaluate the node-query again: the rest of a nullable arrival is
+// not nullable once a nullable state is logged.
+func TestRewriteSupersetForcesPureRouter(t *testing.T) {
+	for _, c := range [][2]string{{"L*2", "L*4"}, {"L*2·G*2", "L*4·G*2"}, {"L*2", "L*"}} {
+		got, applied := rewriteAfter(MustParse(c[0]), MustParse(c[1]))
+		if !applied {
+			t.Fatalf("%s after %s was not rewritten", c[1], c[0])
+		}
+		if Nullable(got) {
+			t.Errorf("%s after %s explores %s, still nullable", c[1], c[0], got)
+		}
+	}
+}
+
 func TestDFAContains(t *testing.T) {
 	cases := []struct {
 		super, sub string
