@@ -1,12 +1,15 @@
 package centralized
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"webdis/internal/disql"
 	"webdis/internal/netsim"
 	"webdis/internal/nodeproc"
+	"webdis/internal/nodequery"
 	"webdis/internal/webgraph"
 	"webdis/internal/webserver"
 )
@@ -127,5 +130,28 @@ func TestCentralizedStrictDeadEnds(t *testing.T) {
 	}
 	if q2 != 1 {
 		t.Errorf("strict q2 rows = %d", q2)
+	}
+}
+
+// TestGroupTableGroupsEqualValues: the reference fold groups by
+// CanonVal, as the engine's accumulator does, so "1" and "1.0" are one
+// group, shown by its bytewise-least value in every arrival order.
+func TestGroupTableGroupsEqualValues(t *testing.T) {
+	spec := &nodequery.OutputSpec{
+		Cols: []nodequery.OutputCol{
+			{Ref: nodequery.ColRef{Var: "d", Col: "title"}},
+			{Agg: nodequery.AggCount, Star: true},
+		},
+		GroupBy: []nodequery.ColRef{{Var: "d", Col: "title"}},
+	}
+	want := [][]string{{"1", "2"}, {"2", "1"}}
+	for _, order := range [][]string{{"1.0", "1", "2"}, {"2", "1", "1.0"}} {
+		contribs := make(map[string]contribution)
+		for i, v := range order {
+			contribs[strconv.Itoa(i)] = contribution{cols: []string{"d.title"}, rows: [][]string{{v}}}
+		}
+		if got := groupTable(spec, 0, contribs).Rows; !reflect.DeepEqual(got, want) {
+			t.Errorf("rows %q: %q, want %q", order, got, want)
+		}
 	}
 }

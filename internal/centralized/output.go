@@ -41,6 +41,8 @@ type member struct {
 }
 
 // refGroup is one group of a grouped query: its GROUP BY values and rows.
+// Values that compare equal ("1", "1.0") are one group, shown by the
+// bytewise-least value each column was given.
 type refGroup struct {
 	keys []string
 	rows []member
@@ -98,12 +100,19 @@ func groupTable(spec *nodequery.OutputSpec, stage int, contribs map[string]contr
 			for i, ref := range spec.GroupBy {
 				keys[i] = c.value(row, ref)
 			}
-			k := fmt.Sprintf("%q", keys)
+			canon := make([]string, len(keys))
+			for i, k := range keys {
+				canon[i] = nodequery.CanonVal(k)
+			}
+			k := fmt.Sprintf("%q", canon)
 			g := byKey[k]
 			if g == nil {
 				g = &refGroup{keys: keys}
 				byKey[k] = g
 				groups = append(groups, g)
+			}
+			for i, v := range keys {
+				g.keys[i] = min(g.keys[i], v)
 			}
 			g.rows = append(g.rows, member{c, row})
 		}

@@ -456,6 +456,9 @@ type Query struct {
 	// that reported a table, its columns and the keys of the rows merged.
 	rows   feed[StreamRow]
 	stages map[int]stageRows
+	// keys and fresh are mergeTables' scratch, reused from frame to frame.
+	keys  []byte
+	fresh []freshRow
 
 	// Aggregation state (all zero for classic queries). output is the
 	// query's GROUP BY / ORDER BY / LIMIT contract; finalStage the stage
@@ -811,9 +814,7 @@ func (q *Query) merge(rm *wire.ResultMsg) bool {
 	if !rm.Span.IsZero() {
 		q.stitch(rm)
 	}
-	for _, t := range rm.Tables {
-		q.mergeTable(t)
-	}
+	q.mergeTables(rm.Tables)
 	if q.rec != nil {
 		q.rec.fold(rm)
 	}
@@ -890,38 +891,70 @@ func (q *Query) TraceEvents() []trace.Event {
 	return out
 }
 
-func (q *Query) mergeTable(t wire.NodeTable) {
-	if q.acc != nil && t.Stage == q.finalStage {
-		// Grouped query: final-stage rows are aggregate input, not
-		// output. Every clone carries the query's fragment, so the site
-		// has already folded them to partial state; a table that is not
-		// partial was computed without it and cannot be folded. Fold each
-		// contribution once and emit nothing to the stream; the final
-		// table materializes at completion.
-		key := contrib{t.Node, t.Stage, t.Env}
-		if !t.Partial || q.contribSeen[key] {
-			return
-		}
-		q.contribSeen[key] = true
-		q.acc.AddPartial(t.Rows)
-		return
-	}
-	st, ok := q.stages[t.Stage]
-	if !ok {
-		st = stageRows{cols: t.Cols, seen: make(map[string]bool)}
-		q.stages[t.Stage] = st
-	}
-	for _, row := range t.Rows {
-		key := rowKey(row)
-		if st.seen[key] {
+// freshRow is a row of a frame whose key was not yet seen when the frame
+// arrived: its table and row, and where its key ends in the frame's keys.
+type freshRow struct {
+	table, row, end int
+}
+
+// mergeTables merges one frame's tables. A grouped query's final-stage
+// tables fold into the aggregate; every other row joins its stage's rows
+// once, deduplicated by its key. The keys of the frame's rows are built
+// end to end in one buffer and looked up from it; the keys of the rows
+// not yet seen are then cut from one string, so a frame costs one key
+// allocation however many rows it brings. Callers hold q.mu.
+func (q *Query) mergeTables(tables []wire.NodeTable) {
+	keys, fresh := q.keys[:0], q.fresh[:0]
+	for ti := range tables {
+		t := &tables[ti]
+		if q.acc != nil && t.Stage == q.finalStage {
+			// Grouped query: final-stage rows are aggregate input, not
+			// output. Every clone carries the query's fragment, so the site
+			// has already folded them to partial state; a table that is not
+			// partial was computed without it and cannot be folded. Fold each
+			// contribution once and emit nothing to the stream; the final
+			// table materializes at completion.
+			key := contrib{t.Node, t.Stage, t.Env}
+			if !t.Partial || q.contribSeen[key] {
+				continue
+			}
+			q.contribSeen[key] = true
+			q.acc.AddPartial(t.Rows)
 			continue
 		}
-		st.seen[key] = true
-		if len(q.rows.log) == 0 && q.stats.FirstRow == 0 {
-			q.stats.FirstRow = time.Since(q.started)
+		st, ok := q.stages[t.Stage]
+		if !ok {
+			st = stageRows{cols: t.Cols, seen: make(map[string]bool)}
+			q.stages[t.Stage] = st
 		}
-		q.rows.add(StreamRow{Stage: t.Stage, Row: row})
+		for ri, row := range t.Rows {
+			start := len(keys)
+			keys = appendRowKey(keys, row)
+			if st.seen[string(keys[start:])] {
+				keys = keys[:start]
+				continue
+			}
+			fresh = append(fresh, freshRow{ti, ri, len(keys)})
+		}
 	}
+	if len(fresh) > 0 {
+		all, start := string(keys), 0
+		for _, f := range fresh {
+			key := all[start:f.end]
+			start = f.end
+			t := &tables[f.table]
+			st := q.stages[t.Stage]
+			if st.seen[key] {
+				continue // a row this frame already brought
+			}
+			st.seen[key] = true
+			if len(q.rows.log) == 0 && q.stats.FirstRow == 0 {
+				q.stats.FirstRow = time.Since(q.started)
+			}
+			q.rows.add(StreamRow{Stage: t.Stage, Row: t.Rows[f.row]})
+		}
+	}
+	q.keys, q.fresh = keys[:0], fresh[:0]
 }
 
 // proxySite names the proxy's site, or "" without one: the proxy may hold
@@ -1001,20 +1034,14 @@ func (q *Query) Stopped() bool {
 	return q.cht.stopping
 }
 
-// rowKey identifies a row for deduplication: every cell followed by a
-// NUL, built in one sized buffer, one allocation.
-func rowKey(row []string) string {
-	n := len(row)
+// appendRowKey appends the key that identifies row for deduplication:
+// every cell followed by a NUL.
+func appendRowKey(b []byte, row []string) []byte {
 	for _, v := range row {
-		n += len(v)
+		b = append(b, v...)
+		b = append(b, 0)
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, v := range row {
-		b.WriteString(v)
-		b.WriteByte(0)
-	}
-	return b.String()
+	return b
 }
 
 // reaper watches the query for orphaned CHT entries: when no report has

@@ -3,7 +3,9 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -486,23 +488,53 @@ func TestWaitContextAfterFinish(t *testing.T) {
 	}
 }
 
-var sinkRowKey string
-
 // TestRowKey pins the row dedup key: each cell NUL-terminated, so rows
-// whose cells run together alike stay apart, built in one allocation.
+// whose cells run together alike stay apart.
 func TestRowKey(t *testing.T) {
-	if k := rowKey([]string{"a", "", "bc"}); k != "a\x00\x00bc\x00" {
-		t.Errorf("rowKey = %q", k)
+	key := func(row ...string) string { return string(appendRowKey(nil, row)) }
+	if k := key("a", "", "bc"); k != "a\x00\x00bc\x00" {
+		t.Errorf("row key = %q", k)
 	}
-	if rowKey([]string{"ab", "c"}) == rowKey([]string{"a", "bc"}) {
+	if key("ab", "c") == key("a", "bc") {
 		t.Error("rows whose cells run together alike share a key")
 	}
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
+}
+
+// TestMergeFrameKeyAllocs pins what deduplicating one result frame costs:
+// the keys of its new rows are cut from one string, so a frame of k new
+// rows makes one key allocation whatever k is, and a frame of rows
+// already merged makes none. Rows repeated inside the frame merge once.
+func TestMergeFrameKeyAllocs(t *testing.T) {
+	frame := func(k int) []wire.NodeTable {
+		var tabs []wire.NodeTable
+		for i := 0; i < k; i++ {
+			row := []string{fmt.Sprintf("http://t%d.example/p%d.html", i%5, i), "Page " + strconv.Itoa(i)}
+			tabs = append(tabs, wire.NodeTable{Node: row[0], Cols: []string{"d.url", "d.title"}, Rows: [][]string{row, row}})
+		}
+		return tabs
 	}
-	row := []string{"http://t3.example/p17.html", "Page 17", "4096"}
-	if n := testing.AllocsPerRun(100, func() { sinkRowKey = rowKey(row) }); n != 1 {
-		t.Errorf("rowKey: %.0f allocations, want 1", n)
+	q := &Query{stages: map[int]stageRows{0: {seen: make(map[string]bool, 128)}}}
+	q.rows.log = make([]StreamRow, 0, 128)
+	for _, k := range []int{1, 8, 64} {
+		tabs := frame(k)
+		merge := func() {
+			clear(q.stages[0].seen)
+			q.rows.log = q.rows.log[:0]
+			q.mergeTables(tabs)
+		}
+		merge()
+		if len(q.rows.log) != k || len(q.stages[0].seen) != k {
+			t.Fatalf("k=%d: %d rows merged, %d keys, want %d", k, len(q.rows.log), len(q.stages[0].seen), k)
+		}
+		if raceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(50, merge); n != 1 {
+			t.Errorf("k=%d: merging a frame of new rows costs %.0f allocations, want 1", k, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { q.mergeTables(tabs) }); n != 0 {
+			t.Errorf("k=%d: merging a frame of merged rows costs %.0f allocations, want 0", k, n)
+		}
 	}
 }
 

@@ -495,6 +495,7 @@ func (w *Watch) absorb(rec *recording) {
 // and records each stage's columns the first time it answers. Callers
 // hold w.mu.
 func (w *Watch) file(into map[string]contribSet, tabs []wire.NodeTable) {
+	var key []byte
 	for _, t := range tabs {
 		if _, ok := w.cols[t.Stage]; !ok {
 			w.cols[t.Stage] = t.Cols
@@ -510,7 +511,8 @@ func (w *Watch) file(into map[string]contribSet, tabs []wire.NodeTable) {
 			cs[t.Stage] = rows
 		}
 		for _, row := range t.Rows {
-			rows[rowKey(row)] = row
+			key = appendRowKey(key[:0], row)
+			rows[string(key)] = row
 		}
 	}
 }

@@ -159,6 +159,28 @@ func TestGroupedQueryValues(t *testing.T) {
 	}
 }
 
+// TestGroupedEqualValuesAcrossSites: two sites answer the group key as
+// "1" and "1.0", which compare equal. Each site folds its own row, so
+// only the user-site's merge can put them in one group; it must, as the
+// reference fold does, and show the group as "1".
+func TestGroupedEqualValuesAcrossSites(t *testing.T) {
+	web := func() *webgraph.Web {
+		w := webgraph.NewWeb()
+		w.NewPage("http://a.example/index.html", "1").AddLink("http://b.example/index.html", "b")
+		w.NewPage("http://b.example/index.html", "1.0")
+		return w
+	}
+	src := `select d.title, count(*) from document d such that "http://a.example/index.html" N|G d group by d.title`
+	got, want := renderResults(run(t, deploy(t, web(), server.Options{}), src)), reference(t, web(), src)
+	if got != want {
+		t.Errorf("engine differs from the reference\nengine:\n%s\nreference:\n%s", got, want)
+	}
+	ref := referenceTables(t, web(), src)
+	if rows := ref[len(ref)-1].Rows; !reflect.DeepEqual(rows, [][]string{{"1", "2"}}) {
+		t.Errorf("reference rows = %q, want one group [1 2]", rows)
+	}
+}
+
 // TestPlannerParityTCP runs the full query set over real sockets and
 // requires the reference answer: plan fragments and partial tables must
 // survive the wire.

@@ -71,7 +71,8 @@ type StepResult struct {
 	// Evaluated reports whether the node acted as a ServerRouter (the
 	// remaining PRE contained the null link, so the node-query ran).
 	Evaluated bool
-	// Table holds the node-query's rows when Evaluated.
+	// Table holds the node-query's rows when Evaluated: the table step
+	// was given to drain into (see Visitor.tbl).
 	Table *nodequery.Table
 	// DeadEnd reports that the node-query ran and found no answer. The
 	// paper's Figure-4 pseudocode then forwards nothing at all, but its
@@ -110,13 +111,13 @@ type Forward struct {
 // compiles the stage for this one node; a query server's worker compiles
 // each query once for every clone it sees.
 func Step(db *relmodel.DB, node string, rem pre.Expr, stage disql.Stage, hasNext bool, env map[string]string) (StepResult, error) {
-	return step(db, node, transient(rem), newCompiled(nil, []disql.Stage{stage}), 0, hasNext, env, 0)
+	return step(db, node, transient(rem), newCompiled(nil, []disql.Stage{stage}), 0, hasNext, env, 0, new(nodequery.Table))
 }
 
 // step is Step for an arrival in state st of stage i of the compiled
 // query q, less the work pruned: q's plan for the stage and q's
-// derivative table serve it.
-func step(db *relmodel.DB, node string, st *state, q *compiled, i int, hasNext bool, env map[string]string, pruned parts) (StepResult, error) {
+// derivative table serve it. An evaluation drains into tbl.
+func step(db *relmodel.DB, node string, st *state, q *compiled, i int, hasNext bool, env map[string]string, pruned parts, tbl *nodequery.Table) (StepResult, error) {
 	var res StepResult
 	if st.nullable && pruned&evalPart == 0 {
 		res.Evaluated = true
@@ -127,7 +128,7 @@ func step(db *relmodel.DB, node string, st *state, q *compiled, i int, hasNext b
 		// Evaluation runs through the volcano operator pipeline, row for
 		// row equivalent to the paper's nested-loop evaluator (plan's test
 		// oracle pins this), and reports scan/emit statistics.
-		tbl, stats, err := tree.Eval(db, env)
+		stats, err := tree.Drain(tbl, db, env)
 		if err != nil {
 			return res, fmt.Errorf("nodeproc: %s: %w", node, err)
 		}

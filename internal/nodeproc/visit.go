@@ -54,7 +54,9 @@ type Host interface {
 	// which Releases it once the node's work is done.
 	Load(node string) (*relmodel.DB, error)
 	// Rows receives the non-empty answer of stage a.Base at a.Node, its
-	// cells detached from the node's DB.
+	// cells detached from the node's DB. tbl itself is the Visitor's and
+	// is drained into again at the next node; its Cols and Rows are the
+	// host's to keep.
 	Rows(a Arrival, tbl *nodequery.Table)
 	// Forward receives the targets of one derivative of a's PRE.
 	Forward(fw Forward, a Arrival)
@@ -76,7 +78,8 @@ type Visitor struct {
 	Clone   *wire.CloneMsg
 	Counts  Counts
 
-	work []Arrival // reused across visits
+	work []Arrival       // reused across visits
+	tbl  nodequery.Table // every evaluation drains into it
 	// q is the visited web-query compiled: one plan per stage, built at
 	// the first node that evaluates the stage, and the derivative table.
 	// Every arrival a Visitor sees belongs to one web-query, its Stages a
@@ -115,7 +118,7 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 		if i > 0 && !v.check(&it, true) {
 			continue
 		}
-		res, err := step(db, it.Node, it.st, v.q, v.q.stage(it.Stages), len(it.Stages) > 1, it.Env, it.pruned)
+		res, err := step(db, it.Node, it.st, v.q, v.q.stage(it.Stages), len(it.Stages) > 1, it.Env, it.pruned, &v.tbl)
 		if err != nil {
 			continue
 		}
@@ -172,8 +175,8 @@ func (v *Visitor) Visit(h Host, a Arrival) {
 }
 
 // detachRows copies the cells of rows that view db's pooled memory, so the
-// rows outlive its Release. The rows are the plan's own (its root projects
-// each into a fresh slice), so they are rewritten in place.
+// rows outlive its Release. The rows are carved from a cells block the
+// drain allocated for this node alone, so they are rewritten in place.
 func detachRows(db *relmodel.DB, rows [][]string) {
 	for _, row := range rows {
 		for j, c := range row {
@@ -366,6 +369,10 @@ func (b *Batch) Rows(a Arrival, tbl *nodequery.Table) {
 			b.v.Counts.PushdownHits++
 			b.v.Counts.PushdownBytes += int64(max(before-wire.TableSize(&nt), 0))
 		}
+	}
+	if b.Tables == nil {
+		// One table per destination unless a stage advance answers too.
+		b.Tables = make([]wire.NodeTable, 0, len(b.in.Dest))
 	}
 	b.Tables = append(b.Tables, nt)
 }

@@ -319,3 +319,46 @@ func TestReceivedStagesUntouched(t *testing.T) {
 		t.Fatalf("the received stages changed:\n%+v\nwant\n%+v", c.Stages, want)
 	}
 }
+
+// TestBatchRowsIndependent: the rows a Batch hands out are carved from
+// one block per answering node, each capped at its own cells, so
+// appending to one row or overwriting its cells leaves every other row —
+// of its table, and of the other nodes' tables — as it was.
+func TestBatchRowsIndependent(t *testing.T) {
+	anchors := disql.Stage{PRE: pre.MustParse("N"), Query: &nodequery.Query{
+		Vars:   []nodequery.VarDecl{{Name: "a", Rel: "anchor"}},
+		Select: []nodequery.ColRef{{Var: "a", Col: "href"}, {Var: "a", Col: "label"}},
+	}}
+	var b Batch
+	process(t, &b, newEvaluator(), cloneTo(1, "N", EncodeStages([]disql.Stage{anchors}), 3), 1)
+	var rows [][]string
+	for _, tbl := range b.Tables {
+		rows = append(rows, tbl.Rows...)
+	}
+	if len(b.Tables) != 3 || len(rows) != 12 {
+		t.Fatalf("%d tables, %d rows, want 3 tables of 4 rows", len(b.Tables), len(rows))
+	}
+	checkRowsIndependent(t, rows)
+}
+
+// checkRowsIndependent appends to each row in turn and overwrites its
+// cells, and fails if any other row changed.
+func checkRowsIndependent(t *testing.T, rows [][]string) {
+	t.Helper()
+	want := make([][]string, len(rows))
+	for i, r := range rows {
+		want[i] = slices.Clone(r)
+	}
+	for i := range rows {
+		rows[i] = append(rows[i], "appended")
+		for j := range rows[i] {
+			rows[i][j] = "overwritten"
+		}
+		for k, r := range rows {
+			if k != i && !slices.Equal(r, want[k]) {
+				t.Fatalf("writing row %d changed row %d: %q, want %q", i, k, r, want[k])
+			}
+		}
+		rows[i] = want[i]
+	}
+}

@@ -167,12 +167,18 @@ func CompareVals(a, b string) int {
 // when CompareVals reports them equal: numeric values canonicalize to
 // their shortest float form ("1.0" and "1" collide, as do "-0" and "0"),
 // everything else keeps byte identity. Hash joins and group-by hashing
-// use it.
+// use it, group-by through AppendCanonVal.
 func CanonVal(v string) string {
+	var buf [64]byte
+	return string(AppendCanonVal(buf[:0], v))
+}
+
+// AppendCanonVal appends CanonVal(v) to dst.
+func AppendCanonVal(dst []byte, v string) []byte {
 	if n, ok := parseNum(v); ok {
-		return "n\x01" + strconv.FormatFloat(n+0, 'g', -1, 64) // n+0 is +0 for -0
+		return strconv.AppendFloat(append(dst, "n\x01"...), n+0, 'g', -1, 64) // n+0 is +0 for -0
 	}
-	return "s\x01" + v
+	return append(append(dst, "s\x01"...), v...)
 }
 
 // parseNum is strconv.ParseFloat(s, 64) as a yes/no, with NaN a word:

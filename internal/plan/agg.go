@@ -1,9 +1,10 @@
 package plan
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"webdis/internal/nodequery"
 )
@@ -27,10 +28,17 @@ type Acc struct {
 	aggs []nodequery.OutputCol // distinct aggregated cols: select list first, then order-only
 	keys map[string]*group
 	ord  []string // first-seen group order
+	kbuf []byte   // a group key, built here and copied only for a new group
+	vals []string // one row's GroupBy values, copied only for a new group
 }
 
+// group is one GROUP BY group. Its values are keyed by
+// nodequery.AppendCanonVal, so values that compare equal ("1", "1.0")
+// fall in one group, as they match under = and the hash join; the group
+// shows, per GroupBy column, the bytewise-least value it was given, so
+// what it shows does not depend on the order its rows arrived in.
 type group struct {
-	keys  []string // GroupBy values, in GroupBy order
+	keys  []string // GroupBy values shown, in GroupBy order
 	count []int64
 	sum   []float64
 	val   []string // MIN/MAX running value
@@ -57,20 +65,34 @@ func NewAcc(spec *nodequery.OutputSpec) *Acc {
 	return a
 }
 
-func (a *Acc) group(keys []string) *group {
-	k := strings.Join(keys, "\x00")
-	g, ok := a.keys[k]
-	if !ok {
-		g = &group{
-			keys:  keys,
-			count: make([]int64, len(a.aggs)),
-			sum:   make([]float64, len(a.aggs)),
-			val:   make([]string, len(a.aggs)),
-			set:   make([]bool, len(a.aggs)),
-		}
-		a.keys[k] = g
-		a.ord = append(a.ord, k)
+// group returns the group of the GroupBy values vals, which it does not
+// keep.
+func (a *Acc) group(vals []string) *group {
+	a.kbuf = a.kbuf[:0]
+	for _, v := range vals {
+		// Each canonical value is followed by its length, so no two
+		// lists of values share a key.
+		start := len(a.kbuf)
+		a.kbuf = nodequery.AppendCanonVal(a.kbuf, v)
+		a.kbuf = binary.BigEndian.AppendUint32(a.kbuf, uint32(len(a.kbuf)-start))
 	}
+	g, ok := a.keys[string(a.kbuf)]
+	if ok {
+		for i, v := range vals {
+			g.keys[i] = min(g.keys[i], v)
+		}
+		return g
+	}
+	g = &group{
+		keys:  slices.Clone(vals),
+		count: make([]int64, len(a.aggs)),
+		sum:   make([]float64, len(a.aggs)),
+		val:   make([]string, len(a.aggs)),
+		set:   make([]bool, len(a.aggs)),
+	}
+	k := string(a.kbuf)
+	a.keys[k] = g
+	a.ord = append(a.ord, k)
 	return g
 }
 
@@ -87,11 +109,11 @@ func (a *Acc) AddRaw(cols []string, rows [][]string, env map[string]string) {
 		return env[ref.String()]
 	}
 	for _, row := range rows {
-		keys := make([]string, len(a.spec.GroupBy))
-		for i, r := range a.spec.GroupBy {
-			keys[i] = get(r, row)
+		a.vals = a.vals[:0]
+		for _, r := range a.spec.GroupBy {
+			a.vals = append(a.vals, get(r, row))
 		}
-		g := a.group(keys)
+		g := a.group(a.vals)
 		for i, c := range a.aggs {
 			switch c.Agg {
 			case nodequery.AggCount:
@@ -123,7 +145,7 @@ func (a *Acc) AddPartial(rows [][]string) {
 		if len(row) < nk+len(a.aggs) {
 			continue // malformed partial; drop rather than misalign
 		}
-		g := a.group(append([]string{}, row[:nk]...))
+		g := a.group(row[:nk])
 		for i, c := range a.aggs {
 			cell := row[nk+i]
 			switch c.Agg {

@@ -16,6 +16,7 @@ type Tree struct {
 	root  Op
 	outer []string // every outer reference of the query, "var.col"
 	scans []*Scan  // the leaves, whose rows are the scan statistics
+	cells []string // the drain's cells of one node, reused from node to node
 }
 
 // Compile translates one node-query into an operator tree, with the
@@ -139,7 +140,7 @@ type EvalStats struct {
 // the projected distinct result table: the node-query evaluator every
 // site runs. env supplies the correlated-stage outer values, keyed
 // "var.col". A caller evaluating one query at many nodes compiles it once
-// and calls Tree.Eval per node instead.
+// and calls Tree.Eval or Tree.Drain per node instead.
 func Eval(q *nodequery.Query, db *relmodel.DB, env map[string]string) (*nodequery.Table, EvalStats, error) {
 	t, err := Compile(q)
 	if err != nil {
@@ -148,12 +149,27 @@ func Eval(q *nodequery.Query, db *relmodel.DB, env map[string]string) (*nodequer
 	return t.Eval(db, env)
 }
 
-// Eval runs the tree at one node: over db's virtual relations, with env
-// supplying the correlated-stage outer values, keyed "var.col".
+// Eval runs the tree at one node into a table of its own: Drain into a
+// new Table.
 func (t *Tree) Eval(db *relmodel.DB, env map[string]string) (*nodequery.Table, EvalStats, error) {
+	tbl := new(nodequery.Table)
+	st, err := t.Drain(tbl, db, env)
+	if err != nil {
+		return nil, EvalStats{}, err
+	}
+	return tbl, st, nil
+}
+
+// Drain runs the tree at one node — over db's virtual relations, with env
+// supplying the correlated-stage outer values, keyed "var.col" — and sets
+// tbl to its answer. The rows are carved from two blocks allocated for
+// this node alone, sized to the answer: one of cells and one of row
+// headers, each row capped at its own cells. A node with no answer
+// allocates neither. tbl's Cols are the tree's, shared by every node.
+func (t *Tree) Drain(tbl *nodequery.Table, db *relmodel.DB, env map[string]string) (EvalStats, error) {
 	for _, name := range t.outer {
 		if _, ok := env[name]; !ok {
-			return nil, EvalStats{}, fmt.Errorf("plan: no environment value for outer reference %s", name)
+			return EvalStats{}, fmt.Errorf("plan: no environment value for outer reference %s", name)
 		}
 	}
 	// A scan under a filter the text oracle decides false is not opened,
@@ -161,15 +177,50 @@ func (t *Tree) Eval(db *relmodel.DB, env map[string]string) (*nodequery.Table, E
 	for _, sc := range t.scans {
 		sc.n = 0
 	}
-	tbl, err := run(t.root, db, env)
+	n, err := t.drain(db, env)
 	if err != nil {
-		return nil, EvalStats{}, err
+		clear(t.cells)
+		return EvalStats{}, err
 	}
+	tbl.Cols, tbl.Rows = t.root.Cols(), nil
+	if n > 0 {
+		w := len(tbl.Cols)
+		cells := make([]string, len(t.cells))
+		copy(cells, t.cells)
+		tbl.Rows = make([][]string, n)
+		for i := range tbl.Rows {
+			tbl.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	clear(t.cells) // they may view the node's pooled DB
 	st := EvalStats{Emitted: t.root.Emitted()}
 	for _, sc := range t.scans {
 		st.Scanned += sc.Emitted()
 	}
-	return tbl, st, nil
+	return st, nil
+}
+
+// drain opens the tree, copies the cells of every row it emits into
+// t.cells, closes it and returns the number of rows. Every row is as
+// wide as the tree's columns.
+func (t *Tree) drain(db *relmodel.DB, env map[string]string) (int, error) {
+	t.cells = t.cells[:0]
+	if err := t.root.Open(db, env); err != nil {
+		return 0, err
+	}
+	defer t.root.Close()
+	n := 0
+	for {
+		row, ok, err := t.root.Next()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			return n, nil
+		}
+		t.cells = append(t.cells, row...)
+		n++
+	}
 }
 
 // flattenAnd splits a predicate into its top-level conjuncts.

@@ -14,7 +14,10 @@
 package plan
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 
@@ -322,7 +325,9 @@ func (j *NestLoop) Kids() []Op       { return []Op{j.Left, j.Right} }
 func (j *NestLoop) Describe() string { return "nest-loop product" }
 
 // Project maps rows to the select list. References missing from the
-// child resolve against the outer environment (constant per node).
+// child resolve against the outer environment (constant per node). It
+// writes every row into one buffer of its own, so a row Next returns is
+// valid until the next call; the drain copies what it keeps.
 type Project struct {
 	Child Op
 	Refs  []nodequery.ColRef
@@ -330,10 +335,12 @@ type Project struct {
 	cols  []string
 	args  []arg // per select column: a child position or an outer slot
 	outer outerVals
+	out   []string // the row Next returns, rewritten by every call
 }
 
 func newProject(child Op, refs []nodequery.ColRef) *Project {
-	p := &Project{Child: child, Refs: refs, cols: make([]string, len(refs)), args: make([]arg, len(refs))}
+	p := &Project{Child: child, Refs: refs, cols: make([]string, len(refs)),
+		args: make([]arg, len(refs)), out: make([]string, len(refs))}
 	idx := colIndex(child.Cols())
 	for i, r := range refs {
 		p.cols[i] = r.String()
@@ -357,36 +364,42 @@ func (p *Project) Next() ([]string, bool, error) {
 	if !ok || err != nil {
 		return nil, false, err
 	}
-	out := make([]string, len(p.args))
 	for i, a := range p.args {
-		out[i] = a.value(row, p.outer.vals)
+		p.out[i] = a.value(row, p.outer.vals)
 	}
 	p.n++
-	return out, true, nil
+	return p.out, true, nil
 }
 
-func (p *Project) Close()           { p.Child.Close() }
+// Close drops the last row's cells, which may view the node's pooled DB.
+func (p *Project) Close()           { p.Child.Close(); clear(p.out) }
 func (p *Project) Kids() []Op       { return []Op{p.Child} }
 func (p *Project) Describe() string { return "project [" + strings.Join(p.cols, ", ") + "]" }
 
-// Distinct passes each row once (byte equality, first occurrence),
-// matching nodequery's final distinct projection.
+// Distinct passes each row once (cell-for-cell equality, first
+// occurrence), matching nodequery's final distinct projection. It keeps
+// the key of every row passed since Open in an arena of its own — each
+// cell length-prefixed, so rows whose cells run together alike stay
+// apart — indexed by the key's hash, so a row costs no allocation once
+// the arena and the index have grown to a node's size. The keys are
+// copies, so nothing in them views the node's pooled DB; Close empties
+// the index and the arena and keeps their capacity for the next node.
 type Distinct struct {
 	Child Op
 	emitted
-	// seen holds the key of every row passed since Open: a one-column
-	// row's value itself, a wider row's cells joined by NULs. A value may
-	// view the node's pooled DB, so Close empties seen — run closes the
-	// tree before the node's DB is Released.
-	seen map[string]bool
-	key  []byte // a wider row's key, built here and copied only on insert
+	seed maphash.Seed
+	seen map[uint64]int // a key hash to the last key with that hash
+	keys []byte         // the keys end to end
+	// key i ends at keys[at[i].end]; at[i].prev is the key before i with
+	// i's hash, or -1.
+	at []struct{ end, prev int }
 }
 
 func (d *Distinct) Cols() []string { return d.Child.Cols() }
 
 func (d *Distinct) Open(db *relmodel.DB, env map[string]string) error {
 	if d.seen == nil {
-		d.seen = make(map[string]bool)
+		d.seed, d.seen = maphash.MakeSeed(), make(map[uint64]int)
 	}
 	d.n = 0
 	return d.Child.Open(db, env)
@@ -398,30 +411,47 @@ func (d *Distinct) Next() ([]string, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		if len(row) == 1 {
-			if d.seen[row[0]] {
-				continue
-			}
-			d.seen[row[0]] = true
-		} else {
-			d.key = d.key[:0]
-			for i, c := range row {
-				if i > 0 {
-					d.key = append(d.key, 0)
-				}
-				d.key = append(d.key, c...)
-			}
-			if d.seen[string(d.key)] {
-				continue
-			}
-			d.seen[string(d.key)] = true
+		if d.insert(row) {
+			d.n++
+			return row, true, nil
 		}
-		d.n++
-		return row, true, nil
 	}
 }
 
-func (d *Distinct) Close()           { d.Child.Close(); clear(d.seen) }
+// insert appends row's key to the arena and reports whether it is new;
+// a key already there is taken back off.
+func (d *Distinct) insert(row []string) bool {
+	start := len(d.keys)
+	for _, c := range row {
+		d.keys = binary.AppendUvarint(d.keys, uint64(len(c)))
+		d.keys = append(d.keys, c...)
+	}
+	key := d.keys[start:]
+	h := maphash.Bytes(d.seed, key)
+	last, ok := d.seen[h]
+	if !ok {
+		last = -1
+	}
+	for i := last; i >= 0; i = d.at[i].prev {
+		from := 0
+		if i > 0 {
+			from = d.at[i-1].end
+		}
+		if bytes.Equal(d.keys[from:d.at[i].end], key) {
+			d.keys = d.keys[:start]
+			return false
+		}
+	}
+	d.seen[h] = len(d.at)
+	d.at = append(d.at, struct{ end, prev int }{len(d.keys), last})
+	return true
+}
+
+func (d *Distinct) Close() {
+	d.Child.Close()
+	clear(d.seen)
+	d.keys, d.at = d.keys[:0], d.at[:0]
+}
 func (d *Distinct) Kids() []Op       { return []Op{d.Child} }
 func (d *Distinct) Describe() string { return "distinct" }
 
@@ -444,27 +474,6 @@ func (o *oneRow) Next() ([]string, bool, error) {
 	o.done = true
 	o.n++
 	return []string{}, true, nil
-}
-
-// run opens the tree against one node's relations and environment,
-// drains it into a result table and closes it.
-func run(root Op, db *relmodel.DB, env map[string]string) (*nodequery.Table, error) {
-	if err := root.Open(db, env); err != nil {
-		return nil, err
-	}
-	defer root.Close()
-	t := &nodequery.Table{Cols: root.Cols()}
-	for {
-		row, ok, err := root.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
 }
 
 // --- shared row machinery ---

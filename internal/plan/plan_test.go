@@ -408,6 +408,37 @@ func TestAccGroupKeyFromEnv(t *testing.T) {
 	}
 }
 
+// TestAccGroupsEqualValues: GROUP BY keys groups by CanonVal, so values
+// that compare equal ("1", "1.0", "1e0") fall in one group, as they match
+// under = and the hash join, and the group shows its bytewise-least
+// value whatever order the rows came in, raw or as partial state.
+func TestAccGroupsEqualValues(t *testing.T) {
+	spec := &nodequery.OutputSpec{
+		Cols: []nodequery.OutputCol{
+			{Ref: nodequery.ColRef{Var: "d", Col: "title"}},
+			{Agg: nodequery.AggCount, Star: true},
+		},
+		GroupBy: []nodequery.ColRef{{Var: "d", Col: "title"}},
+	}
+	cols := []string{"d.title"}
+	want := [][]string{{"1", "3"}, {"2", "1"}}
+	for _, order := range [][]string{{"1.0", "1", "2", "1e0"}, {"1e0", "2", "1.0", "1"}} {
+		raw, merged := NewAcc(spec), NewAcc(spec)
+		for _, v := range order {
+			raw.AddRaw(cols, [][]string{{v}}, nil)
+			site := NewAcc(spec)
+			site.AddRaw(cols, [][]string{{v}}, nil)
+			_, partial := site.PartialTable()
+			merged.AddPartial(partial)
+		}
+		for name, acc := range map[string]*Acc{"raw": raw, "partial": merged} {
+			if _, rows := acc.FinalTable(); !reflect.DeepEqual(rows, want) {
+				t.Errorf("%s rows in order %q: %q, want %q", name, order, rows, want)
+			}
+		}
+	}
+}
+
 func TestAccOrderAndLimit(t *testing.T) {
 	spec := specCountSum()
 	spec.OrderBy = []nodequery.OrderKey{

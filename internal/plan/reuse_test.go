@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"webdis/internal/htmlx"
@@ -140,31 +142,63 @@ func TestTreeReuseMatchesFreshEval(t *testing.T) {
 	}
 }
 
-// TestTreeEvalAllocs pins what a compiled tree costs per node on the
-// commonest stage, a one-variable document query with a contains: the
-// result table, its row list and the one projected row — nothing to
-// plan, resolve or bind.
+// TestTreeEvalAllocs pins what a compiled tree costs per node: Drain
+// allocates the answer's two blocks — its cells and its row headers —
+// and nothing per row, nothing to plan, resolve or bind; Eval adds the
+// Table. The commonest stage, a one-variable document query with a
+// contains, answers one row; a two-column DISTINCT over anchors answers
+// 40 rows out of 80, and costs the same two.
 func TestTreeEvalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	q := &nodequery.Query{
-		Vars:   []nodequery.VarDecl{{Name: "d", Rel: "document"}},
-		Where:  nodequery.Compare(nodequery.ColOperand("d", "text"), nodequery.Contains, nodequery.LitOperand("marker")),
-		Select: []nodequery.ColRef{{Var: "d", Col: "url"}},
+	var page strings.Builder
+	for i := 0; i < 80; i++ {
+		fmt.Fprintf(&page, `<a href="p%d.html">link %d</a>`, i%40, i%40)
 	}
-	db := testDB(t)
-	tree, err := Compile(q)
+	doc, err := htmlx.Parse("http://site.example/links.html", []byte(page.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := func() {
-		if tbl, _, err := tree.Eval(db, nil); err != nil || len(tbl.Rows) != 1 {
-			t.Fatalf("rows = %v, err = %v", tbl, err)
-		}
+	col := func(v, c string) nodequery.ColRef { return nodequery.ColRef{Var: v, Col: c} }
+	cases := []struct {
+		name string
+		q    *nodequery.Query
+		db   *relmodel.DB
+		rows int
+	}{
+		{"contains", &nodequery.Query{
+			Vars:   []nodequery.VarDecl{{Name: "d", Rel: "document"}},
+			Where:  nodequery.Compare(nodequery.ColOperand("d", "text"), nodequery.Contains, nodequery.LitOperand("marker")),
+			Select: []nodequery.ColRef{col("d", "url")},
+		}, testDB(t), 1},
+		{"two-column distinct", &nodequery.Query{
+			Vars:   []nodequery.VarDecl{{Name: "a", Rel: "anchor"}},
+			Select: []nodequery.ColRef{col("a", "href"), col("a", "label")},
+		}, relmodel.Build(doc), 40},
 	}
-	eval() // the first node sizes the tree's reusable state
-	if n := testing.AllocsPerRun(100, eval); n > 3 {
-		t.Errorf("compiled evaluation: %.0f allocations, want <= 3", n)
+	for _, c := range cases {
+		tree, err := Compile(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tbl nodequery.Table
+		drain := func() {
+			if _, err := tree.Drain(&tbl, c.db, nil); err != nil || len(tbl.Rows) != c.rows {
+				t.Fatalf("%s: %d rows, err = %v, want %d rows", c.name, len(tbl.Rows), err, c.rows)
+			}
+		}
+		drain() // the first node sizes the tree's reusable state
+		if n := testing.AllocsPerRun(100, drain); n != 2 {
+			t.Errorf("%s: Drain costs %.0f allocations, want 2", c.name, n)
+		}
+		eval := func() {
+			if tbl, _, err := tree.Eval(c.db, nil); err != nil || len(tbl.Rows) != c.rows {
+				t.Fatalf("%s: rows = %v, err = %v", c.name, tbl, err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, eval); n != 3 {
+			t.Errorf("%s: Eval costs %.0f allocations, want 3", c.name, n)
+		}
 	}
 }

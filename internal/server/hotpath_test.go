@@ -73,7 +73,7 @@ func TestDuplicateDropParsesNothing(t *testing.T) {
 }
 
 // steadyCloneAllocs bounds TestSteadyCloneAllocs at the measured count.
-const steadyCloneAllocs = 19
+const steadyCloneAllocs = 16
 
 // TestSteadyCloneAllocs pins what one steady-state clone message costs a
 // worker: Begin, the visits of its destinations, Finish and Reset, for

@@ -25,8 +25,9 @@ import (
 	"errors"
 	"net"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -759,7 +760,7 @@ const fanoutWorkers = 8
 func (s *Server) forwardAll(outs []*nodeproc.Out) {
 	var remote []*nodeproc.Out
 	for _, oc := range outs {
-		sort.Slice(oc.Msg.Dest, func(i, j int) bool { return oc.Msg.Dest[i].URL < oc.Msg.Dest[j].URL })
+		slices.SortFunc(oc.Msg.Dest, byURL)
 		if oc.Site == s.site {
 			s.jot(oc.Msg, trace.Forward, oc.Site)
 			s.met.LocalClones.Add(1)
@@ -796,6 +797,9 @@ func (s *Server) forwardAll(outs []*nodeproc.Out) {
 	}
 	s.met.ForwardNanos.Add(time.Since(start).Nanoseconds())
 }
+
+// byURL orders destinations by URL; a clone lists a URL once.
+func byURL(a, b wire.DestNode) int { return strings.Compare(a.URL, b.URL) }
 
 // stampReplica marks a result frame with this replica's endpoint and
 // incarnation so the user-site can reject replies that predate a

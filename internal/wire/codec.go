@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -731,31 +732,104 @@ func (e *encoder) nodeTable(t *NodeTable) {
 	e.bool(t.Partial)
 }
 
-func (d *decoder) nodeTable() NodeTable {
-	var t NodeTable
-	t.Node = d.str()
-	t.Stage = d.int()
-	if n := d.count(); n > 0 {
-		t.Cols = make([]string, n)
-		for i := range t.Cols {
-			t.Cols[i] = d.str()
+// nodeTables decodes a result frame's n tables into ts. Their rows are
+// carved from two blocks sized exactly by a first, counting pass over the
+// table section — one of row headers and one of cells — and every row is
+// capped at its own cells, so appending to one never writes into the
+// next. A table whose columns equal the previous table's shares its Cols.
+// The blocks are fresh for every frame, never reused.
+func (d *decoder) nodeTables(ts []NodeTable) {
+	nrows, ncells := d.tableCounts(len(ts))
+	var (
+		hdrs  = make([][]string, nrows)
+		cells = make([]string, ncells)
+		prev  []string
+	)
+	// carve takes the next n cells off the block and decodes them.
+	carve := func(n int) []string {
+		if n > len(cells) {
+			d.fail(fmt.Errorf("%w: table section larger than counted", ErrCorrupt))
+			return nil
 		}
+		out := cells[:n:n]
+		for i := range out {
+			out[i] = d.str()
+		}
+		cells = cells[n:]
+		return out
 	}
-	if n := d.count(); n > 0 {
-		t.Rows = make([][]string, n)
-		for i := range t.Rows {
-			if rn := d.count(); rn > 0 {
-				row := make([]string, rn)
-				for j := range row {
-					row[j] = d.str()
+	for i := range ts {
+		t := &ts[i]
+		t.Node = d.str()
+		t.Stage = d.int()
+		if n := d.count(); n > 0 {
+			t.Cols = carve(n)
+			if slices.Equal(t.Cols, prev) {
+				t.Cols = prev
+			}
+			prev = t.Cols
+		}
+		if n := d.count(); n > 0 {
+			if n > len(hdrs) {
+				d.fail(fmt.Errorf("%w: table section larger than counted", ErrCorrupt))
+				return
+			}
+			t.Rows, hdrs = hdrs[:n:n], hdrs[n:]
+			for j := range t.Rows {
+				if rn := d.count(); rn > 0 {
+					t.Rows[j] = carve(rn)
 				}
-				t.Rows[i] = row
 			}
 		}
+		t.Env = d.str()
+		t.Partial = d.bool()
 	}
-	t.Env = d.str()
-	t.Partial = d.bool()
-	return t
+}
+
+// tableCounts walks n encoded tables from the decoder's position without
+// decoding a string and returns how many rows and cells (columns
+// included) they hold. It reads a copy of the decoder, so it moves
+// nothing and interns nothing. A malformed section stops the walk; the
+// decoding pass then meets the same error. Every row and cell costs at
+// least one byte, so the counts are bounded by the frame.
+func (d *decoder) tableCounts(n int) (rows, cells int) {
+	c := *d
+	for ; n > 0 && c.err == nil; n-- {
+		c.skipStr()
+		c.i()
+		nc := c.count()
+		cells += nc
+		c.skipStrs(nc)
+		nr := c.count()
+		rows += nr
+		for ; nr > 0 && c.err == nil; nr-- {
+			rn := c.count()
+			cells += rn
+			c.skipStrs(rn)
+		}
+		c.skipStr()
+		c.bool()
+	}
+	return rows, cells
+}
+
+// skipStr moves past one encoded string without reading it.
+func (d *decoder) skipStr() {
+	if tag := d.u(); tag >= 2 || d.err != nil {
+		return
+	}
+	n := d.u()
+	if n > uint64(d.remaining()) {
+		d.fail(ErrTruncated)
+		return
+	}
+	d.off += int(n)
+}
+
+func (d *decoder) skipStrs(n int) {
+	for ; n > 0 && d.err == nil; n-- {
+		d.skipStr()
+	}
 }
 
 func (e *encoder) resultMsg(m *ResultMsg) {
@@ -801,9 +875,7 @@ func (d *decoder) resultMsg() *ResultMsg {
 	}
 	if n := d.count(); n > 0 {
 		m.Tables = make([]NodeTable, n)
-		for i := range m.Tables {
-			m.Tables[i] = d.nodeTable()
-		}
+		d.nodeTables(m.Tables)
 	}
 	m.Fate = d.fate()
 	m.Span = d.spanID()

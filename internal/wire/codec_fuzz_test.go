@@ -120,8 +120,9 @@ func (s *fuzzSource) result() *ResultMsg {
 		From: s.str(),
 		Inc:  s.i64(),
 	}
-	// Up to 8 updates and 8 tables: one wide frame, as a clone message
-	// naming several destinations at the site produces.
+	// Up to 8 updates and 64 tables: one wide frame, as a clone message
+	// naming several destinations at the site produces. A table count of
+	// 8 reads one more byte and can reach 64.
 	for i, k := 0, s.n(9); i < k; i++ {
 		u := CHTUpdate{Processed: CHTEntry{Node: s.str(), State: State{NumQ: s.n(4), Rem: s.str()}, Origin: s.str(), Seq: s.i64()}}
 		for j, c := 0, s.n(3); j < c; j++ {
@@ -129,14 +130,26 @@ func (s *fuzzSource) result() *ResultMsg {
 		}
 		m.Updates = append(m.Updates, u)
 	}
-	for i, k := 0, s.n(9); i < k; i++ {
-		t := NodeTable{Node: s.str(), Stage: s.n(3), Env: s.str(), Partial: s.byte()&1 == 1}
+	k := s.n(9)
+	if k == 8 {
+		k += s.n(57)
+	}
+	for i := 0; i < k; i++ {
+		// Bit 0 of flags is Partial; bit 1 makes the rows ragged: each
+		// reads its own width, 0 to 4 cells, whatever the columns.
+		t := NodeTable{Node: s.str(), Stage: s.n(3), Env: s.str()}
+		flags := s.byte()
+		t.Partial = flags&1 == 1
 		for j, c := 0, s.n(3); j < c; j++ {
 			t.Cols = append(t.Cols, s.str())
 		}
 		for j, c := 0, s.n(4); j < c; j++ {
+			width := len(t.Cols)
+			if flags&2 != 0 {
+				width = s.n(5)
+			}
 			var row []string
-			for x := 0; x < len(t.Cols); x++ {
+			for x := 0; x < width; x++ {
 				row = append(row, s.str())
 			}
 			t.Rows = append(t.Rows, row)
@@ -295,6 +308,42 @@ func v2DecodeErr(msg any) (any, error) {
 	return decodeEnvelope(dec, code)
 }
 
+// resultSeed is the fuzz input of a result frame with n tables, the
+// tables' generator bytes following; every other field reads zero.
+func resultSeed(n int, tables ...byte) []byte {
+	// Kind result; ID, Site, Hop, From and Inc zero; no updates.
+	seed := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if n >= 8 {
+		seed = append(seed, 8, byte(n-8))
+	} else {
+		seed = append(seed, byte(n))
+	}
+	return append(seed, tables...)
+}
+
+// seedManyTables is a frame of 64 one-row tables of one column "a", one
+// per node: the widest frame the generator makes, every table after the
+// first with the first's columns.
+func seedManyTables() []byte {
+	var tables []byte
+	for i := 0; i < 64; i++ {
+		node := byte(i)
+		tables = append(tables, 1, node, 0, 0, 0, 1, 1, 65, 1, 1, node)
+	}
+	return resultSeed(64, tables...)
+}
+
+// seedRagged is a frame of three tables whose rows are not as wide as
+// their columns: rows of three, none and one cells under two columns; a
+// partial table of no rows; rows of four cells (one empty) and none under
+// no columns.
+func seedRagged() []byte {
+	return resultSeed(3,
+		1, 10, 0, 0, 2, 2, 1, 65, 1, 66, 3, 3, 1, 67, 1, 68, 1, 69, 0, 1, 1, 70,
+		1, 11, 0, 0, 1, 1, 1, 65, 0,
+		1, 12, 0, 0, 2, 0, 2, 4, 1, 71, 1, 72, 0, 1, 73, 0)
+}
+
 // FuzzCodecRoundTrip is the differential fuzzer the CI smoke job runs:
 // every generated message must decode from v2 to exactly what the gob
 // oracle reconstructs; every truncation of a valid payload must fail
@@ -304,6 +353,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte("select d.url from document d such that start N|(G*3) d"))
 	f.Add(bytes.Repeat([]byte{0xFF, 0x00, 0x7F}, 40))
+	f.Add(seedManyTables())
+	f.Add(seedRagged())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &fuzzSource{data: data}
 		msg := src.message()

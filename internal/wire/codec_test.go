@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -687,5 +688,106 @@ func TestV2SteadyStateSmallerThanGob(t *testing.T) {
 		if v2 >= gobBytes {
 			t.Errorf("%s: steady-state v2 frame %d B, gob %d B: want v2 smaller", name, v2, gobBytes)
 		}
+	}
+}
+
+// steadyResultPayload encodes m twice on one encoder and returns the
+// second payload — refs only, as the later frames of a session are —
+// and a decoder whose intern table has taken the first.
+func steadyResultPayload(t *testing.T, m *ResultMsg) ([]byte, *decoder) {
+	t.Helper()
+	env, err := wrap(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, dec := newEncoder(), newDecoder()
+	if err := encodeEnvelope(enc, &env); err != nil {
+		t.Fatal(err)
+	}
+	dec.reset(enc.buf)
+	if _, err := decodeEnvelope(dec, codeResult); err != nil {
+		t.Fatal(err)
+	}
+	enc.buf = enc.buf[:0]
+	if err := encodeEnvelope(enc, &env); err != nil {
+		t.Fatal(err)
+	}
+	return enc.buf, dec
+}
+
+// oneRowTables is a result frame of n one-row tables, one per node, all
+// of the columns ["d.url"].
+func oneRowTables(n int) *ResultMsg {
+	m := &ResultMsg{ID: QueryID{User: "u", Site: "user/c", Num: 1}}
+	for i := 0; i < n; i++ {
+		url := fmt.Sprintf("http://t%d.example/p%d.html", i%7, i)
+		m.Tables = append(m.Tables, NodeTable{Node: url, Cols: []string{"d.url"}, Rows: [][]string{{url}}})
+	}
+	return m
+}
+
+// TestDecodeResultAllocs pins a steady-state result frame's decode at a
+// fixed number of allocations, whatever it carries: the message, its
+// table list, one block of row headers and one of cells.
+func TestDecodeResultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, n := range []int{1, 8, 64} {
+		m := oneRowTables(n)
+		payload, dec := steadyResultPayload(t, m)
+		var got *ResultMsg
+		allocs := testing.AllocsPerRun(100, func() {
+			dec.reset(payload)
+			msg, err := decodeEnvelope(dec, codeResult)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = msg.(*ResultMsg)
+		})
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%d tables: decoded %+v, want %+v", n, got, m)
+		}
+		if allocs != 4 {
+			t.Errorf("%d one-row tables: %.0f allocations per frame, want 4", n, allocs)
+		}
+	}
+}
+
+// TestDecodedRowsIndependent: the rows of a decoded frame share blocks,
+// each capped at its own cells, so appending to one row or overwriting
+// its cells leaves every other row of the frame as it was. Tables with
+// equal columns share one Cols.
+func TestDecodedRowsIndependent(t *testing.T) {
+	m := oneRowTables(5)
+	m.Tables[1].Rows = [][]string{{"a", "b", "c"}, nil, {"d"}, {"e", "f"}}
+	m.Tables[3].Rows = nil
+	out, _, _ := v2RoundTrip(t, m)
+	got := out.(*ResultMsg)
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("decoded %+v, want %+v", got, m)
+	}
+	if &got.Tables[0].Cols[0] != &got.Tables[4].Cols[0] {
+		t.Error("tables with equal columns decoded with a Cols slice each")
+	}
+	var rows [][]string
+	for _, tbl := range got.Tables {
+		rows = append(rows, tbl.Rows...)
+	}
+	want := make([][]string, len(rows))
+	for i, r := range rows {
+		want[i] = slices.Clone(r)
+	}
+	for i := range rows {
+		rows[i] = append(rows[i], "appended")
+		for j := range rows[i] {
+			rows[i][j] = "overwritten"
+		}
+		for k, r := range rows {
+			if k != i && !slices.Equal(r, want[k]) {
+				t.Fatalf("writing row %d changed row %d: %q, want %q", i, k, r, want[k])
+			}
+		}
+		rows[i] = want[i]
 	}
 }
